@@ -7,19 +7,41 @@ compatibilities, blockwise on the loaded pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, delta_block
-from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, flip, kron, residual
+from .aqg import Aqg, delta
+from .linalg import (
+    DEFAULT_TOL,
+    Array,
+    Tolerance,
+    add_in_order,
+    bdagger,
+    by_shape,
+    cmat,
+    dagger,
+    eye,
+    frozen_eye,
+    flip,
+    kron,
+    max_abs,
+    residual,
+    worst,
+    zero_stacks,
+)
 from .report import Report
 
 
 class MissingBraiding(KeyError):
-    def __init__(self, i, j):
-        super().__init__(f"no braiding block for ({i!r},{j!r})")
+    def __init__(self, i, j, message=None):
+        super().__init__(message or f"no braiding block for ({i!r},{j!r})")
         self.pair = (i, j)
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 @dataclass
@@ -48,6 +70,8 @@ class RMatrix:
 def braiding_to_r(q: Aqg) -> RMatrix:
     """R_{ij} = flip o c_{ij}, per loaded braiding block."""
     b = q.bundle
+    if b.braiding is None:
+        raise MissingBraiding("*", "*", "the bundle has no braiding")
     blocks = {}
     for (i, j), c in b.braiding.items():
         blocks[(i, j)] = flip(q.d(j), q.d(i)) @ cmat(c)
@@ -80,61 +104,30 @@ def r_to_braiding(q: Aqg, R: RMatrix, pi, pi2,
     proj = sum((np.vdot(h, c) * h for h in basis),
                np.zeros_like(c))
     res = residual(c, proj)
-    if res > tol.bound(c) * 1000:
+    if not res <= tol.bound(c) * 1000:
         raise ValueError(
             f"induced braiding is not an intertwiner (residual {res:.3e})"
         )
     return c
 
 
-def _r13_front(q: Aqg, R: RMatrix, i, j, m) -> Array:
-    di, dj, dm = q.d(i), q.d(j), q.d(m)
-    x = R.block(i, m).reshape(di, dm, di, dm)
-    return np.einsum("axcy,bd->abxcdy", x, eye(dj)).reshape(
-        di * dj * dm, di * dj * dm
-    )
-
-
-def _r23_front(q: Aqg, R: RMatrix, i, j, m) -> Array:
-    di, dj, dm = q.d(i), q.d(j), q.d(m)
-    x = R.block(j, m).reshape(dj, dm, dj, dm)
-    return np.einsum("ac,bxdy->abxcdy", eye(di), x).reshape(
-        di * dj * dm, di * dj * dm
-    )
-
-
-def _r12_back(q: Aqg, R: RMatrix, m, i, j) -> Array:
-    dm, di, dj = q.d(m), q.d(i), q.d(j)
-    x = R.block(m, i).reshape(dm, di, dm, di)
-    return np.einsum("xayc,bd->xabycd", x, eye(dj)).reshape(
-        dm * di * dj, dm * di * dj
-    )
-
-
-def _r13_back(q: Aqg, R: RMatrix, m, i, j) -> Array:
-    dm, di, dj = q.d(m), q.d(i), q.d(j)
-    x = R.block(m, j).reshape(dm, dj, dm, dj)
-    return np.einsum("xbyd,ac->xabycd", x, eye(di)).reshape(
-        dm * di * dj, dm * di * dj
-    )
-
-
-def _apply_s_leg1(q: Aqg, R: RMatrix, i: str, j: str) -> Array:
-    """((S (x) iota)R) at block (i,j), from the closed-form antipode."""
+def _s_leg1(q: Aqg, R: RMatrix, i: str, j: str):
+    """Operands of ((S (x) iota)R) at block (i,j), from the closed-form
+    antipode: (Rbar_i, conj(R_i), R_{dual(i), j} as a 4-index tensor)."""
     ib = q.bundle.dual[i]
-    rm, rbm = q._rmat(i), q._rbarmat(i)
     x = R.block(ib, j).reshape(q.d(ib), q.d(j), q.d(ib), q.d(j))
-    out = np.einsum("ud,bw,bxdy->uxwy", rbm, rm.conj(), x, optimize=True)
-    return out.reshape(q.d(i) * q.d(j), q.d(i) * q.d(j))
+    return q._rbarmat(i), q._rmat(i).conj(), x
 
 
-def _apply_s_leg2(q: Aqg, X: Array, i: str, j: str) -> Array:
-    """(iota (x) S) applied to a block living on (i, dual(j))."""
-    rm, rbm = q._rmat(j), q._rbarmat(j)
-    jb = q.bundle.dual[j]
-    x = X.reshape(q.d(i), q.d(jb), q.d(i), q.d(jb))
-    out = np.einsum("ud,bw,xbyd->xuyw", rbm, rm.conj(), x, optimize=True)
-    return out.reshape(q.d(i) * q.d(j), q.d(i) * q.d(j))
+def _apply_s_leg1(rbm, rmc, x) -> Array:
+    """Stacked (S (x) iota) on the operands of _s_leg1, as square blocks."""
+    return _square(np.einsum("gud,gbw,gbxdy->guxwy", rbm, rmc, x, optimize=True))
+
+
+def _apply_s_leg2(rbm, rmc, x) -> Array:
+    """Stacked (iota (x) S) on (Rbar_j, conj(R_j), X) with X living on
+    (i, dual(j)) as a 4-index tensor, as square blocks."""
+    return _square(np.einsum("gud,gbw,gxbyd->gxuyw", rbm, rmc, x, optimize=True))
 
 
 def verify_quasitriangular(
@@ -145,161 +138,180 @@ def verify_quasitriangular(
     seed: int = 42,
 ) -> Report:
     """Quasitriangularity, Yang-Baxter, counit/antipode compatibility, and
-    unitarity for an R-matrix, blockwise over the loaded pairs."""
+    unitarity for an R-matrix, blockwise over the loaded pairs.  Block
+    families are evaluated as stacked products, one per block shape."""
     rep = Report("quasitriangular")
     b = q.bundle
     labels = q.labels
     pairs = sorted(R.blocks)
     rng = np.random.default_rng(seed)
+    blk = R.blocks
+    d = {i: q.d(i) for i in labels}
+    r4 = {(i, j): m.reshape(d[i], d[j], d[i], d[j]) for (i, j), m in blk.items()}
+    bound = tol.bound(1.0) * 100
 
-    worst = 0.0
-    for (i, j), m in R.blocks.items():
-        worst = max(worst, residual(dagger(m) @ m, eye(m.shape[0])),
-                    residual(m @ dagger(m), eye(m.shape[0])))
-    rep.add("unitary", "all blocks", worst, worst <= tol.bound(1.0) * 100)
+    res = [0.0]
+    for _, (m,) in by_shape([(m,) for m in blk.values()]):
+        one = eye(m.shape[-1])
+        res += [max_abs(bdagger(m) @ m - one), max_abs(m @ bdagger(m) - one)]
+    res = worst(*res)
+    rep.add("unitary", "all blocks", res, res <= bound)
 
-    worst = 0.0
-    seen = False
+    # (Delta x iota)R = R13 R23 at (i,j,m): sum_v (v x I) R_km (v x I)*
+    rows, lhs, rhs = [], [], []
     for i in labels:
         for j in labels:
             if not b.complete(i, j):
                 continue
             for m in labels:
-                try:
-                    rhs = _r13_front(q, R, i, j, m) @ _r23_front(q, R, i, j, m)
-                except MissingBraiding:
+                need = [(i, m), (j, m)] + [(k, m) for k, _ in b.support(i, j)]
+                if any(p not in blk for p in need):
                     continue
-                dim = q.d(i) * q.d(j) * q.d(m)
-                lhs = np.zeros((dim, dim), dtype=complex)
-                ok = True
-                for k, _ in b.support(i, j):
-                    if (k, m) not in R.blocks:
-                        ok = False
-                        break
-                    rk = R.block(k, m).reshape(q.d(k), q.d(m), q.d(k), q.d(m))
-                    for v in b.isometries(i, j, k):
-                        w = np.einsum("pk,kxly,ql->pxqy", v, rk, v.conj(),
-                                      optimize=True)
-                        lhs += w.reshape(dim, dim)
-                if not ok:
-                    continue
-                seen = True
-                worst = max(worst, residual(lhs, rhs))
-    rep.add("comult-leg1", "(Delta x iota)R = R13 R23", worst,
-            seen and worst <= tol.bound(1.0) * 100)
+                row = len(rows)
+                rows.append(d[i] * d[j] * d[m])
+                rhs.append(((r4[(i, m)], frozen_eye(d[j]), frozen_eye(d[i]), r4[(j, m)]), row))
+                for k, _, v in b.layout.channels[(i, j)]:
+                    lhs.append(((v, r4[(k, m)]), row))
+    res = _leg_residuals(rows, lhs, "gpk,gkxly,gql->gpxqy",
+                         rhs, ("gaxcy,gbd->gabxcdy", "gac,gbxdy->gabxcdy"))
+    rep.add("comult-leg1", "(Delta x iota)R = R13 R23", res,
+            bool(rows) and res <= bound)
 
-    worst = 0.0
-    seen = False
+    # (iota x Delta)R = R13 R12 at (m,i,j): sum_v (I x v) R_mk (I x v)*
+    rows, lhs, rhs = [], [], []
     for m in labels:
         for i in labels:
             for j in labels:
                 if not b.complete(i, j):
                     continue
-                try:
-                    rhs = _r13_back(q, R, m, i, j) @ _r12_back(q, R, m, i, j)
-                except MissingBraiding:
+                need = [(m, i), (m, j)] + [(m, k) for k, _ in b.support(i, j)]
+                if any(p not in blk for p in need):
                     continue
-                dim = q.d(m) * q.d(i) * q.d(j)
-                lhs = np.zeros((dim, dim), dtype=complex)
-                ok = True
-                for k, _ in b.support(i, j):
-                    if (m, k) not in R.blocks:
-                        ok = False
-                        break
-                    rk = R.block(m, k).reshape(q.d(m), q.d(k), q.d(m), q.d(k))
-                    for v in b.isometries(i, j, k):
-                        vv = v.reshape(q.d(i), q.d(j), q.d(k))
-                        w = np.einsum("abk,xkyl,cdl->xabycd", vv, rk,
-                                      vv.conj(), optimize=True)
-                        lhs += w.reshape(dim, dim)
-                if not ok:
-                    continue
-                seen = True
-                worst = max(worst, residual(lhs, rhs))
-    rep.add("comult-leg2", "(iota x Delta)R = R13 R12", worst,
-            seen and worst <= tol.bound(1.0) * 100)
+                row = len(rows)
+                rows.append(d[m] * d[i] * d[j])
+                rhs.append(((r4[(m, j)], frozen_eye(d[i]), r4[(m, i)], frozen_eye(d[j])), row))
+                for k, _, v in b.layout.channels[(i, j)]:
+                    lhs.append(((v.reshape(d[i], d[j], d[k]), r4[(m, k)]), row))
+    res = _leg_residuals(rows, lhs, "gabk,gxkyl,gcdl->gxabycd",
+                         rhs, ("gxbyd,gac->gxabycd", "gxayc,gbd->gxabycd"))
+    rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res,
+            bool(rows) and res <= bound)
 
-    worst = 0.0
+    # R Delta = Delta-op R on pairs complete both ways
+    flip_pairs = [(i, j) for i, j in pairs if b.complete(i, j) and b.complete(j, i)]
+    both = flip_pairs + [(j, i) for i, j in flip_pairs]
+    res = [0.0]
     for _ in range(n_samples):
-        a = q.random_element(rng)
-        for i, j in pairs:
-            if not b.complete(i, j) or not b.complete(j, i):
-                continue
+        dl = delta(q, q.random_element(rng), both)
+        items = []
+        for i, j in flip_pairs:
             di, dj = q.d(i), q.d(j)
-            dij = delta_block(q, a, i, j)
-            dji = delta_block(q, a, j, i)
-            dop = flip(dj, di) @ dji @ flip(di, dj)
-            rij = R.block(i, j)
-            worst = max(worst, residual(rij @ dij, dop @ rij))
-    rep.add("comult-flip", "R Delta = Delta-op R", worst,
-            worst <= tol.bound(1.0) * 100)
+            items.append((blk[(i, j)], dl[(i, j)], dl[(j, i)], _flip(dj, di), _flip(di, dj)))
+        for _, (rij, dij, dji, f1, f2) in by_shape(items):
+            res.append(max_abs(rij @ dij - f1 @ dji @ f2 @ rij))
+    res = worst(*res)
+    rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
 
-    worst = 0.0
+    # Yang-Baxter on every triple with loaded blocks
+    items = []
     for i in labels:
         for j in labels:
             for k in labels:
-                needed = [(i, j), (i, k), (j, k)]
-                if any(p not in R.blocks for p in needed):
+                if any(p not in blk for p in ((i, j), (i, k), (j, k))):
                     continue
-                di, dj, dk = q.d(i), q.d(j), q.d(k)
-                rij = R.block(i, j).reshape(di, dj, di, dj)
-                r12 = np.einsum("abcd,xy->abxcdy", rij, eye(dk)).reshape(
-                    di * dj * dk, -1)
-                rik = R.block(i, k).reshape(di, dk, di, dk)
-                r13 = np.einsum("axcy,bd->abxcdy", rik, eye(dj)).reshape(
-                    di * dj * dk, -1)
-                rjk = R.block(j, k).reshape(dj, dk, dj, dk)
-                r23 = np.einsum("bxdy,ac->abxcdy", rjk, eye(di)).reshape(
-                    di * dj * dk, -1)
-                worst = max(worst, residual(r12 @ r13 @ r23, r23 @ r13 @ r12))
-    rep.add("yang-baxter", "R12 R13 R23 = R23 R13 R12", worst,
-            worst <= tol.bound(1.0) * 100)
+                items.append((r4[(i, j)], frozen_eye(d[k]), r4[(i, k)], frozen_eye(d[j]),
+                              r4[(j, k)], frozen_eye(d[i])))
+    res = [0.0]
+    for _, (rij, ek, rik, ej, rjk, ei) in by_shape(
+        items, entries=lambda sh: (sh[5][0] * sh[3][0] * sh[1][0]) ** 2
+    ):
+        r12 = _square(np.einsum("gabcd,gxy->gabxcdy", rij, ek))
+        r13 = _square(np.einsum("gaxcy,gbd->gabxcdy", rik, ej))
+        r23 = _square(np.einsum("gbxdy,gac->gabxcdy", rjk, ei))
+        res.append(max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12))
+    res = worst(*res)
+    rep.add("yang-baxter", "R12 R13 R23 = R23 R13 R12", res, res <= bound)
 
-    worst = 0.0
+    res = []
     e = b.unit
     for j in labels:
-        if (e, j) in R.blocks:
-            worst = max(worst, residual(R.block(e, j), eye(q.d(j))))
-        if (j, e) in R.blocks:
-            worst = max(worst, residual(R.block(j, e), eye(q.d(j))))
-    rep.add("counit-legs", "(eps x iota)R = 1 = (iota x eps)R", worst,
-            worst <= tol.bound(1.0) * 100)
+        if (e, j) in blk:
+            res.append(residual(R.block(e, j), eye(q.d(j))))
+        if (j, e) in blk:
+            res.append(residual(R.block(j, e), eye(q.d(j))))
+    res = worst(*res)
+    rep.add("counit-legs", "(eps x iota)R = 1 = (iota x eps)R", res, res <= bound)
 
-    worst = 0.0
-    seen = False
-    for (i, j), m in R.blocks.items():
-        if (b.dual[i], j) not in R.blocks or i not in b.conj:
-            continue
-        seen = True
-        worst = max(worst, residual(_apply_s_leg1(q, R, i, j),
-                                    np.linalg.inv(m)))
-    if seen:
-        rep.add("antipode-leg1", "(S x iota)R = R^-1", worst,
-                worst <= tol.bound(1.0) * 100)
+    items = [(*_s_leg1(q, R, i, j), m) for (i, j), m in blk.items()
+             if (b.dual[i], j) in blk and i in b.conj]
+    if items:
+        res = worst(*(max_abs(_apply_s_leg1(rbm, rmc, x) - np.linalg.inv(m))
+                      for _, (rbm, rmc, x, m) in by_shape(items)))
+        rep.add("antipode-leg1", "(S x iota)R = R^-1", res, res <= bound)
     else:
         rep.skip("antipode-leg1", "(S x iota)R = R^-1")
 
-    worst = 0.0
-    seen = False
-    for (i, j), m in R.blocks.items():
+    items = []
+    for (i, j), m in blk.items():
         ib, jb = b.dual[i], b.dual[j]
-        if (ib, jb) not in R.blocks or i not in b.conj or j not in b.conj:
-            continue
-        seen = True
-        both = _apply_s_leg2(q, _apply_s_leg1(q, R, i, jb), i, j)
-        worst = max(worst, residual(both, m))
-    if seen:
-        rep.add("antipode-both", "(S x S)R = R", worst,
-                worst <= tol.bound(1.0) * 100)
+        if (ib, jb) in blk and i in b.conj and j in b.conj:
+            items.append((*_s_leg1(q, R, i, jb), q._rbarmat(j), q._rmat(j).conj(), m))
+    if items:
+        res = []
+        for _, (rbm, rmc, x, rbm2, rmc2, m) in by_shape(items):
+            s1 = _apply_s_leg1(rbm, rmc, x)  # on (i, dual(j)); rbm is (g, d_i, d_i)
+            di, djb = rbm.shape[1], s1.shape[1] // rbm.shape[1]
+            s1 = s1.reshape(-1, di, djb, di, djb)
+            res.append(max_abs(_apply_s_leg2(rbm2, rmc2, s1) - m))
+        res = worst(*res)
+        rep.add("antipode-both", "(S x S)R = R", res, res <= bound)
     else:
         rep.skip("antipode-both", "(S x S)R = R")
     return rep
 
 
+def _square(x: Array) -> Array:
+    """Stack of 2k-index tensors -> stack of square matrices."""
+    n = math.isqrt(math.prod(x.shape[1:]))
+    return x.reshape(x.shape[0], n, n)
+
+
+def _leg_residuals(rows, lhs, lhs_spec, rhs, rhs_specs) -> float:
+    """Worst residual between two stacked sums, one block per row.
+
+    lhs items ((v, R_k), row) add up einsum(lhs_spec, v, R_k, v*) in
+    order; rhs items ((A, B, C, D), row) are the products of two leg
+    embeddings, einsum(rhs_specs[0], A, B) @ einsum(rhs_specs[1], C, D).
+    """
+    pos, _ = zero_stacks(rows)
+    kernels = (
+        lambda v, rk: np.einsum(lhs_spec, v, rk, v.conj(), optimize=True),
+        lambda a, b, c, d: _square(np.einsum(rhs_specs[0], a, b))
+        @ _square(np.einsum(rhs_specs[1], c, d)),
+    )
+    sums = []
+    for items, kernel in zip((lhs, rhs), kernels):
+        _, out = zero_stacks(rows)
+        add_in_order(out, pos[[row for _, row in items]], (
+            (nums, _square(kernel(*stacks)))
+            for nums, stacks in by_shape([it for it, _ in items])
+        ))
+        sums.append(out)
+    return worst(0.0, *(max_abs(sums[0][s] - sums[1][s]) for s in sums[0]))
+
+
+@lru_cache(maxsize=None)
+def _flip(d1: int, d2: int) -> Array:
+    """flip(d1, d2), cached and read-only, for stacked work items."""
+    m = flip(d1, d2)
+    m.flags.writeable = False
+    return m
+
+
 def triangularity(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL):
     """Whether sigma(R) R = 1, with the residual."""
-    worst = 0.0
     sig = R.sigma(q)
-    for (i, j), m in R.blocks.items():
-        worst = max(worst, residual(sig.block(i, j) @ m, eye(m.shape[0])))
-    return worst <= tol.bound(1.0) * 100, worst
+    res = worst(*(
+        residual(sig.block(i, j) @ m, eye(m.shape[0])) for (i, j), m in R.blocks.items()
+    ))
+    return res <= tol.bound(1.0) * 100, res

@@ -17,7 +17,7 @@ from .aqg import (
     NotFinite,
     antipode,
     counit,
-    delta_block,
+    delta,
     haar,
 )
 from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, residual
@@ -123,6 +123,7 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     anti = np.zeros((N, N), dtype=complex)
     star = np.zeros((N, N), dtype=complex)
     haar_v = np.zeros(N, dtype=complex)
+    pairs = q.bundle.layout.pairs
 
     for i in q.labels:
         d = q.d(i)
@@ -138,21 +139,19 @@ def table_from_aqg(q: Aqg) -> TableHopf:
                 eu = AqgElement({i: _unit_mat(d, p, s)})
                 counit_v[u] = counit(q, eu)
                 anti[u] = element_to_vec(q, offsets, total, antipode(q, eu))
-                for n in q.labels:
-                    for m in q.labels:
-                        blk = delta_block(q, eu, n, m)
-                        if np.max(np.abs(blk)) == 0:
-                            continue
-                        dn, dm = q.d(n), q.d(m)
-                        tt = blk.reshape(dn, dm, dn, dm)
-                        for a in range(dn):
-                            for c in range(dn):
-                                va = basis_index(q, offsets, n, a, c)
-                                for bq in range(dm):
-                                    for dd in range(dm):
-                                        comult[u, va,
-                                               basis_index(q, offsets, m, bq, dd)
-                                               ] += tt[a, bq, c, dd]
+                for (n, m), blk in delta(q, eu, pairs).items():
+                    if np.max(np.abs(blk)) == 0:
+                        continue
+                    dn, dm = q.d(n), q.d(m)
+                    tt = blk.reshape(dn, dm, dn, dm)
+                    for a in range(dn):
+                        for c in range(dn):
+                            va = basis_index(q, offsets, n, a, c)
+                            for bq in range(dm):
+                                for dd in range(dm):
+                                    comult[u, va,
+                                           basis_index(q, offsets, m, bq, dd)
+                                           ] += tt[a, bq, c, dd]
     return TableHopf(N, mult, unit, comult, counit_v, anti, star, haar_v)
 
 

@@ -3,11 +3,17 @@
 All matrices are 2-d complex numpy arrays in row-major layout. Columns of
 isometries are basis vectors of morphism spaces; everything downstream of this
 module manipulates only such arrays.
+
+Work that repeats over blocks runs on stacks: items (tuples of matrices) are
+grouped by shape, each group is stacked along a leading axis, and one
+np.matmul / broadcast product evaluates the whole group.  Per item, a stacked
+product performs the same floating-point operations as the 2-d one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -47,6 +53,10 @@ class Tolerance:
     def close(self, x, y) -> bool:
         return residual(x, y) <= self.bound(x, y)
 
+    def bounds(self, x: Array, y: Array) -> Array:
+        """bound(x[n], y[n]) for every matrix n of two stacks."""
+        return self.absolute + self.relative * np.maximum(max_abs(x), max_abs(y))
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -55,6 +65,133 @@ def residual(x, y) -> float:
     """Max-entry norm of x - y (scalars and arrays alike)."""
     d = np.asarray(x) - np.asarray(y)
     return float(np.max(np.abs(d))) if d.size else 0.0
+
+
+def worst(*values) -> float:
+    """NaN-sticky maximum of scalars and arrays; 0.0 when all are empty.
+
+    The builtin max drops NaN (max(0.0, nan) == 0.0), which would let a NaN
+    residual through every bound; this returns NaN if any value is NaN.
+    """
+    flat = [np.ravel(np.asarray(v, dtype=float)) for v in values]
+    flat = [v for v in flat if v.size]
+    return float(np.max(np.concatenate(flat))) if flat else 0.0
+
+
+def max_abs(x: Array) -> Array:
+    """Per-matrix max-entry norm over the last two axes of a stack."""
+    return np.max(np.abs(x), axis=(-2, -1))
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels
+
+# Complex entries one stacked intermediate may hold (64 MiB); larger groups
+# are split into chunks sized from their block shapes.
+_STACK_ENTRIES = 1 << 22
+
+
+def by_shape(items, entries=None):
+    """Stack items of equal shape: yield (numbers, stacks) per shape group.
+
+    items is a sequence of tuples of arrays; numbers is the int array of the
+    item positions in the group, in order, and stacks holds one array per
+    tuple position, stacked along a new axis 0.  entries(shapes) gives the
+    complex entries of one item's largest intermediate (default: the item's
+    own entries); a group is chunked to keep each stack under 64 MiB.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for n, item in enumerate(items):
+        groups.setdefault(tuple([x.shape for x in item]), []).append(n)
+    for shapes, nums in groups.items():
+        size = entries(shapes) if entries else sum(math.prod(s) for s in shapes)
+        step = max(1, _STACK_ENTRIES // max(1, size))
+        for s in range(0, len(nums), step):
+            part = nums[s:s + step]
+            yield np.array(part), [
+                stack_equal([items[n][p] for n in part], shape)
+                for p, shape in enumerate(shapes)
+            ]
+
+
+def stack_equal(arrays, shape) -> Array:
+    """np.stack for arrays of one shape (faster through concatenate)."""
+    if not shape:
+        return np.array(arrays)
+    return np.concatenate(arrays).reshape((len(arrays),) + shape)
+
+
+def zero_stacks(sizes) -> tuple[Array, dict]:
+    """Zero sums for segments of d x d blocks, stacked per d.
+
+    Returns (pos, out): segment n, of size sizes[n] (None: no segment, pos
+    -1), is out[(d, d)][pos[n]].
+    """
+    size = np.array([d or 0 for d in sizes], dtype=int)
+    pos, out = np.full(len(size), -1, dtype=int), {}
+    for d in np.unique(size[size > 0]).tolist():
+        mine = size == d
+        pos[mine] = np.arange(np.count_nonzero(mine))
+        out[(d, d)] = np.zeros((len(pos[mine]), d, d), dtype=complex)
+    return pos, out
+
+
+def add_in_order(out: dict, pos: Array, parts) -> dict:
+    """Accumulate stacked item results into per-segment sums, in item order.
+
+    parts yields (numbers, P): P[t] is the result of item numbers[t].  Each
+    item n is added to out[P.shape[1:]][pos[n]], where out maps a matrix shape
+    to a stack of sums that start at zero.  Items are added in increasing n,
+    whatever group they were computed in, so every sum rounds exactly like a
+    sequential loop.  Small blocks go in rank steps (step r adds the r-th item
+    of every segment at once), large ones one by one, in place.
+    """
+    grouped: dict[tuple, list] = {}
+    for nums, prod in parts:
+        grouped.setdefault(prod.shape[1:], []).append((nums, prod))
+    for shape, lst in grouped.items():
+        acc = out[shape]
+        if len(lst) == 1 and len(lst[0][0]) == 1:
+            acc[pos[lst[0][0][0]]] += lst[0][1][0]
+            continue
+        nums = np.concatenate([n for n, _ in lst])
+        where = pos[nums]
+        order = np.lexsort((nums, where))
+        if math.prod(shape) >= _LARGE_BLOCK:
+            prods = [p for _, p in lst]
+            part = np.repeat(np.arange(len(lst)), [len(n) for n, _ in lst])
+            local = np.concatenate([np.arange(len(n)) for n, _ in lst])
+            for t in order:
+                acc[where[t]] += prods[part[t]][local[t]]
+            continue
+        prod = lst[0][1] if len(lst) == 1 else np.concatenate([p for _, p in lst])
+        seg = where[order]
+        start = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+        length = np.diff(np.append(start, len(seg)))
+        for r in range(int(length.max(initial=0))):
+            sel = order[start[length > r] + r]
+            acc[where[sel]] += prod[sel]
+    return out
+
+
+# Blocks with at least this many entries are accumulated in place, one by one.
+_LARGE_BLOCK = 1024
+
+
+def bdagger(m: Array) -> Array:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def bkron(a: Array, b: Array) -> Array:
+    """Kronecker product of matching matrices of two stacks (broadcasting).
+
+    Entry for entry the same products as np.kron.
+    """
+    a, b = cmat(a), cmat(b)
+    (m, n), (p, r) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * r))
 
 
 def cmat(data) -> Array:
@@ -75,6 +212,14 @@ def kronn(*ms: Array) -> Array:
 
 def eye(n: int) -> Array:
     return np.eye(n, dtype=complex)
+
+
+@lru_cache(maxsize=None)
+def frozen_eye(n: int) -> Array:
+    """The n x n identity, cached and read-only, for stacked work items."""
+    m = eye(n)
+    m.flags.writeable = False
+    return m
 
 
 def flip(d1: int, d2: int) -> Array:

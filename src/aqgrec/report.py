@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .linalg import worst
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    # a NamedTuple: immutable like a frozen dataclass, and cheap to create
+    # for the tens of thousands of rows a validation report can hold
     name: str
     location: str
     residual: float
@@ -60,8 +64,8 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        done = [c.residual for c in self.checks if not c.skipped]
-        return max(done) if done else 0.0
+        """Largest residual of the checks run; NaN if any of them is NaN."""
+        return worst(*(c.residual for c in self.checks if not c.skipped))
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]

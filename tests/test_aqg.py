@@ -21,10 +21,41 @@ from aqgrec.aqg import (
     t1_map,
     t2_inverse,
     t2_map,
-    t_matrix,
+    t_blocks,
     verify_axioms,
 )
 from aqgrec.linalg import residual
+
+
+def t_matrix(q, which):
+    """Dense T1 or T2 on A (x) A, column by column from matrix units: the
+    oracle for the blockwise singular values of t_blocks."""
+    offsets, total = {}, 0
+    for i in q.labels:
+        offsets[i] = total
+        total += q.d(i) ** 2
+    singles = [(i, p, s) for i in q.labels for p in range(q.d(i)) for s in range(q.d(i))]
+
+    def unit(d, p, s):
+        m = np.zeros((d, d), dtype=complex)
+        m[p, s] = 1.0
+        return m
+
+    mat = np.zeros((total * total, total * total), dtype=complex)
+    for i, p, s in singles:
+        e1 = AqgElement({i: unit(q.d(i), p, s)})
+        for j, r, u in singles:
+            e2 = AqgElement({j: unit(q.d(j), r, u)})
+            x = t1_map(q, e1, e2) if which == "t1" else t2_map(q, e1, e2)
+            col = (offsets[i] + p * q.d(i) + s) * total + (offsets[j] + r * q.d(j) + u)
+            for (n, m), blk in x.items():
+                dn, dm = q.d(n), q.d(m)
+                t = blk.reshape(dn, dm, dn, dm)
+                for a in range(dn):
+                    for c in range(dn):
+                        row = (offsets[n] + a * dn + c) * total + offsets[m]
+                        mat[row:row + dm * dm, col] += t[a, :, c, :].reshape(-1)
+    return mat
 
 
 def test_axiom_suite_passes_on_all_bundles(shipped_aqgs):
@@ -149,6 +180,27 @@ def test_t_matrices_are_invertible_on_closed_bundles(closed_aqgs):
             m = t_matrix(q, which)
             s = np.linalg.svd(m, compute_uv=False)
             assert s[-1] > 1e-8, (name, which)
+
+
+def test_t_blocks_carry_the_dense_singular_values(closed_aqgs):
+    # T1 = sum_j M_j (x) I_{d_j}: the dense spectrum is the blocks' spectra,
+    # block j repeated d_j times (T2 likewise over the first leg)
+    for name in ("s3", "d4", "q8", "pointed-z5-t1"):
+        q = closed_aqgs[name]
+        for which in ("t1", "t2"):
+            dense = np.linalg.svd(t_matrix(q, which), compute_uv=False)
+            blocks = [
+                np.repeat(np.linalg.svd(m, compute_uv=False), q.d(h))
+                for h, m in zip(q.labels, t_blocks(q, which))
+            ]
+            blockwise = np.sort(np.concatenate(blocks))[::-1]
+            assert blockwise.shape == dense.shape, (name, which)
+            assert np.max(np.abs(blockwise - dense)) < 1e-12, (name, which)
+
+
+def test_t_blocks_reject_window(suq2_half):
+    with pytest.raises(NotFinite):
+        t_blocks(suq2_half, "t1")
 
 
 def test_modular_data(shipped_aqgs):

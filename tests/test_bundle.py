@@ -119,3 +119,49 @@ def test_fusion_accessors(shipped_bundles):
         v = b.isometries(u, i, i)[0]
         assert v.shape == (b.d(i), b.d(i))
         assert np.allclose(v.conj().T @ v, np.eye(b.d(i)))
+
+
+def _with_nan_entry(b, kind):
+    """Copy of b whose first loaded fusion isometry (or braiding block) has a
+    NaN in its (0,0) entry, and that entry's report location."""
+    if kind == "fusion":
+        (i, j), chans = sorted(b.fusion.items())[0]
+        k = sorted(chans)[0]
+        fusion = {p: {kk: [m.copy() for m in vv] for kk, vv in ch.items()}
+                  for p, ch in b.fusion.items()}
+        fusion[(i, j)][k][0][0, 0] = np.nan
+        return (type(b)(labels=b.labels, unit=b.unit, dims=b.dims, dual=b.dual,
+                        fusion=fusion, conj=b.conj, braiding=b.braiding,
+                        closed=b.closed),
+                "orthonormality", f"({i},{j})->{k}")
+    (i, j) = sorted(b.braiding)[-1]
+    braiding = {p: c.copy() for p, c in b.braiding.items()}
+    braiding[(i, j)][0, 0] = np.nan
+    return (type(b)(labels=b.labels, unit=b.unit, dims=b.dims, dual=b.dual,
+                    fusion=b.fusion, conj=b.conj, braiding=braiding,
+                    closed=b.closed),
+            "braiding-unitarity", f"({i},{j})")
+
+
+@pytest.mark.parametrize("kind", ["fusion", "braiding"])
+def test_nan_entry_fails_its_row(shipped_bundles, kind):
+    for name in ("s3", "pointed-z3-t1"):
+        bad, check, loc = _with_nan_entry(shipped_bundles[name], kind)
+        rep = validate_bundle(bad)
+        assert not rep.passed, name
+        row = next(c for c in rep.checks if c.name == check and c.location == loc)
+        assert np.isnan(row.residual) and not row.passed, (name, row)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_parse_rejects_non_finite_entries(shipped_bundles, value):
+    # json.loads accepts NaN and Infinity, the parser must not
+    text = serialize_bundle(shipped_bundles["z2"])
+    for path in (("fusion", 0, "isometries", 0), ("conj", "1", "r")):
+        doc = json.loads(text)
+        ent = doc
+        for key in path:
+            ent = ent[key]
+        ent["data"][0][0] = value
+        with pytest.raises(BundleSyntaxError, match="non-finite"):
+            parse_bundle(json.dumps(doc))

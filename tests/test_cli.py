@@ -108,3 +108,24 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "aqgrec" in capsys.readouterr().out
+
+
+def test_check_exits_2_on_nan_entry(tmp_path, capsys):
+    path = _gen(tmp_path, "pointed", "--n", "3", "--t", "1")
+    doc = json.loads(path.read_text())
+    doc["fusion"][0]["isometries"][0]["data"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    capsys.readouterr()
+    assert run(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_rmatrix_exits_2_without_braiding(tmp_path, capsys):
+    path = _gen(tmp_path, "suq2", "--q", "0.5", "--L", "3")
+    capsys.readouterr()
+    assert run(["rmatrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no braiding" in err
+    assert "Traceback" not in err

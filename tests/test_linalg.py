@@ -113,3 +113,13 @@ def test_hermitian_calc_rejects_non_hermitian(rng):
 def test_hermitian_calc_rejects_singular():
     with pytest.raises(SingularToToleranceError):
         hermitian_calc(np.zeros((2, 2), dtype=complex), "inverse")
+
+
+def test_worst_is_nan_sticky():
+    from aqgrec.linalg import worst
+
+    assert max(0.0, float("nan")) == 0.0  # why the builtin cannot be used
+    assert np.isnan(worst(0.0, float("nan"), 1.0))
+    assert np.isnan(worst(np.array([1.0, np.nan]), 2.0))
+    assert worst(0.5, np.array([[0.25, 2.0]])) == 2.0
+    assert worst() == 0.0

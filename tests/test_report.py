@@ -12,6 +12,8 @@ def test_report_pass_fail_and_max_residual():
     rep.add("c", "everywhere", 2.0, False)
     assert not rep.passed
     assert [c.name for c in rep.failures()] == ["c"]
+    rep.add("d", "nowhere", float("nan"), False)
+    assert rep.max_residual != rep.max_residual  # a NaN row is not hidden
 
 
 def test_report_skip_does_not_fail():
