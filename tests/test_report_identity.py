@@ -16,9 +16,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from aqgrec.bundle import serialize_bundle
 from aqgrec.cli import run
+from aqgrec.examples import GroupPresentation, _table_from_matrices, gen_finite_group
 
 DATA = Path(__file__).parent / "data" / "reports"
 
@@ -29,7 +32,21 @@ CASES = [
     ("d4", ("d4",), ("validate", "check", "rmatrix")),
     ("q8", ("q8",), ("validate", "check", "rmatrix")),
     ("suq2-l3", ("suq2", "--q", "0.5", "--L", "3"), ("validate", "check")),
+    ("a4", None, ("validate", "check", "rmatrix")),  # 3 (x) 3 holds 3 twice
 ]
+
+
+def a4_bundle() -> str:
+    """The alternating group A4 as rotations of the cube's diagonals: its
+    3-dimensional irrep has multiplicity 2 in 3 (x) 3, which no built-in
+    family has."""
+    signs = [np.diag(s).astype(complex) for s in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+    cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    mats = [v @ np.linalg.matrix_power(cyc, k) for k in range(3) for v in signs]
+    omega = np.exp(2j * np.pi / 3)
+    ones = [[np.array([[omega ** (m * k)]]) for k in range(3) for _ in signs] for m in range(3)]
+    return serialize_bundle(gen_finite_group(
+        GroupPresentation(12, _table_from_matrices(mats), ones + [mats])))
 
 def scale_entry(doc: dict) -> dict:
     """Scale the largest entry of the first fusion isometry of shape 2x2 by
@@ -49,7 +66,10 @@ def _jobs(tmp: Path):
     """(file name, argv) of every pinned report; writes the bundles into tmp."""
     for case, gen, ops in CASES:
         path = tmp / f"{case}.json"
-        assert run(["gen", *gen, "-o", str(path)]) == 0
+        if gen is None:
+            path.write_text(a4_bundle())
+        else:
+            assert run(["gen", *gen, "-o", str(path)]) == 0
         for op in ops:
             yield f"{case}.{op}.json", [op, str(path)]
     bad = tmp / "d4-scaled.json"
