@@ -155,7 +155,9 @@ class Aqg:
     F: dict[str, Array]
     Finv: dict[str, Array]
     haar_weights: dict[str, float]
-    _haar_stacks: dict = field(default_factory=dict, repr=False, compare=False)
+    _haar_stacks: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def labels(self) -> list[str]:

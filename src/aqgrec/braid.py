@@ -222,9 +222,7 @@ def verify_quasitriangular(
                 items.append((r4[(i, j)], frozen_eye(d[k]), r4[(i, k)], frozen_eye(d[j]),
                               r4[(j, k)], frozen_eye(d[i])))
     res = [0.0]
-    for _, (rij, ek, rik, ej, rjk, ei) in by_shape(
-        items, entries=lambda sh: (sh[5][0] * sh[3][0] * sh[1][0]) ** 2
-    ):
+    for _, (rij, ek, rik, ej, rjk, ei) in by_shape(items):
         r12 = _square(np.einsum("gabcd,gxy->gabxcdy", rij, ek))
         r13 = _square(np.einsum("gaxcy,gbd->gabxcdy", rik, ej))
         r23 = _square(np.einsum("gbxdy,gac->gabxcdy", rjk, ei))

@@ -51,6 +51,13 @@ class ShapeError(ValueError):
 
 @dataclass
 class CategoryBundle:
+    """Fusion, conjugation and (optionally) braiding data of a category.
+
+    The fusion layout (see layout) is built from the fusion data on first use
+    and kept; the fusion data must not change after that.  A modified bundle
+    is a new CategoryBundle (dataclasses.replace starts it without a layout).
+    """
+
     labels: list[str]
     unit: str
     dims: dict[str, int]
@@ -59,7 +66,9 @@ class CategoryBundle:
     conj: dict[str, tuple[Array, Array]]
     braiding: dict[tuple[str, str], Array] | None = None
     closed: bool = True
-    _layout: "FusionLayout | None" = field(default=None, repr=False, compare=False)
+    _layout: "FusionLayout | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- basic accessors -------------------------------------------------
     def d(self, i: str) -> int:
@@ -208,11 +217,8 @@ class FusionLayout:
                     sides[1].append((frozen_eye(b.dims[i]), v, np.intp(self.pair_index[(i, l)])))
                     pos[1].append(slot)
 
-            def entries(shapes):
-                return (shapes[0][0] * shapes[1][0]) ** 2
-
             self._coassoc = (triples, sizes, [
-                (list(by_shape(sides[s], entries)), np.array(pos[s], dtype=int))
+                (list(by_shape(sides[s])), np.array(pos[s], dtype=int))
                 for s in (0, 1)
             ])
         return self._coassoc
@@ -640,10 +646,7 @@ def _recoupling(b: CategoryBundle, tol: Tolerance):
     def sums(items):
         return add_in_order(zero_stacks(sizes)[1], pos[[row for _, row in items]], (
             (nums, _kron_sandwich(*stacks))
-            for nums, stacks in by_shape(
-                [it for it, _ in items],
-                entries=lambda sh: (sh[0][0] * sh[1][0]) ** 2,
-            )
+            for nums, stacks in by_shape([it for it, _ in items])
         ))
 
     lsum, rsum = sums(left), sums(right)
@@ -696,9 +699,7 @@ def _validate_braiding(b, tol, check_unitarity, rep, done, add_rows):
                     items.append((c[(i, m)], c[(j, m)], c[(m, j)], c[(m, i)], v,
                                   c[(k, m)], c[(m, k)], ei, ej, em))
     out = np.zeros((len(items), 4))
-    for nums, (cim, cjm, cmj, cmi, v, ckm, cmk, ei, ej, em) in by_shape(
-        items, entries=lambda sh: (sh[7][0] * sh[8][0] * sh[9][0]) ** 2
-    ):
+    for nums, (cim, cjm, cmj, cmi, v, ckm, cmk, ei, ej, em) in by_shape(items):
         # c_{i (x) j, m} compatibility: move m leftwards past v
         lhs = bkron(cim, ej) @ bkron(ei, cjm) @ bkron(v, em)
         rhs = bkron(em, v) @ ckm

@@ -11,7 +11,6 @@ product performs the same floating-point operations as the 2-d one.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -86,32 +85,21 @@ def max_abs(x: Array) -> Array:
 # ---------------------------------------------------------------------------
 # stacked kernels
 
-# Complex entries one stacked intermediate may hold (64 MiB); larger groups
-# are split into chunks sized from their block shapes.
-_STACK_ENTRIES = 1 << 22
-
-
-def by_shape(items, entries=None):
+def by_shape(items):
     """Stack items of equal shape: yield (numbers, stacks) per shape group.
 
     items is a sequence of tuples of arrays; numbers is the int array of the
     item positions in the group, in order, and stacks holds one array per
-    tuple position, stacked along a new axis 0.  entries(shapes) gives the
-    complex entries of one item's largest intermediate (default: the item's
-    own entries); a group is chunked to keep each stack under 64 MiB.
+    tuple position, stacked along a new axis 0.
     """
     groups: dict[tuple, list[int]] = {}
     for n, item in enumerate(items):
         groups.setdefault(tuple([x.shape for x in item]), []).append(n)
     for shapes, nums in groups.items():
-        size = entries(shapes) if entries else sum(math.prod(s) for s in shapes)
-        step = max(1, _STACK_ENTRIES // max(1, size))
-        for s in range(0, len(nums), step):
-            part = nums[s:s + step]
-            yield np.array(part), [
-                stack_equal([items[n][p] for n in part], shape)
-                for p, shape in enumerate(shapes)
-            ]
+        yield np.array(nums), [
+            stack_equal([items[n][p] for n in nums], shape)
+            for p, shape in enumerate(shapes)
+        ]
 
 
 def stack_equal(arrays, shape) -> Array:
@@ -143,28 +131,18 @@ def add_in_order(out: dict, pos: Array, parts) -> dict:
     item n is added to out[P.shape[1:]][pos[n]], where out maps a matrix shape
     to a stack of sums that start at zero.  Items are added in increasing n,
     whatever group they were computed in, so every sum rounds exactly like a
-    sequential loop.  Small blocks go in rank steps (step r adds the r-th item
-    of every segment at once), large ones one by one, in place.
+    sequential loop.  The adds go in rank steps: step r adds the r-th item of
+    every segment at once.
     """
     grouped: dict[tuple, list] = {}
     for nums, prod in parts:
         grouped.setdefault(prod.shape[1:], []).append((nums, prod))
     for shape, lst in grouped.items():
         acc = out[shape]
-        if len(lst) == 1 and len(lst[0][0]) == 1:
-            acc[pos[lst[0][0][0]]] += lst[0][1][0]
-            continue
         nums = np.concatenate([n for n, _ in lst])
+        prod = np.concatenate([p for _, p in lst])
         where = pos[nums]
         order = np.lexsort((nums, where))
-        if math.prod(shape) >= _LARGE_BLOCK:
-            prods = [p for _, p in lst]
-            part = np.repeat(np.arange(len(lst)), [len(n) for n, _ in lst])
-            local = np.concatenate([np.arange(len(n)) for n, _ in lst])
-            for t in order:
-                acc[where[t]] += prods[part[t]][local[t]]
-            continue
-        prod = lst[0][1] if len(lst) == 1 else np.concatenate([p for _, p in lst])
         seg = where[order]
         start = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
         length = np.diff(np.append(start, len(seg)))
@@ -172,10 +150,6 @@ def add_in_order(out: dict, pos: Array, parts) -> dict:
             sel = order[start[length > r] + r]
             acc[where[sel]] += prod[sel]
     return out
-
-
-# Blocks with at least this many entries are accumulated in place, one by one.
-_LARGE_BLOCK = 1024
 
 
 def bdagger(m: Array) -> Array:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -151,6 +152,28 @@ def test_nan_entry_fails_its_row(shipped_bundles, kind):
         assert not rep.passed, name
         row = next(c for c in rep.checks if c.name == check and c.location == loc)
         assert np.isnan(row.residual) and not row.passed, (name, row)
+
+
+def test_replaced_fusion_gets_its_own_layout(shipped_bundles):
+    # validating builds and keeps b's layout; a bundle made from b with other
+    # fusion data must be checked against its own isometries only
+    b = shipped_bundles["d4"]
+    validate_bundle(b)
+    (i, j), chans = sorted(b.fusion.items())[-1]
+    k = sorted(chans)[0]
+    fusion = {p: {kk: [m.copy() for m in vv] for kk, vv in ch.items()}
+              for p, ch in b.fusion.items()}
+    v = fusion[(i, j)][k][0]
+    v[np.unravel_index(np.argmax(np.abs(v)), v.shape)] *= 1 + 1e-4
+    replaced = dataclasses.replace(b, fusion=fusion)
+    fresh = type(b)(labels=b.labels, unit=b.unit, dims=b.dims, dual=b.dual,
+                    fusion=fusion, conj=b.conj, braiding=b.braiding,
+                    closed=b.closed)
+    assert replaced.layout is not b.layout
+    rep = validate_bundle(replaced)
+    assert rep.checks == validate_bundle(fresh).checks
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert {"orthonormality", "completeness"} <= failed, failed
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
