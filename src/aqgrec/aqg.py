@@ -216,6 +216,18 @@ class Aqg:
         }
 
 
+def unit_index(q: Aqg, i: str) -> Array:
+    """Positions of the matrix units of B(H_i) in the basis of A: entry
+    [p, s] is the index of E^i_ps.  The blocks follow label order and each
+    is row-major, so a coefficient vector v holds a's block i as
+    v[unit_index(q, i)]."""
+    lay = q.bundle.layout
+    n = lay.label_index[i]
+    start = int(np.sum(lay.dims[:n] ** 2))
+    d = int(lay.dims[n])
+    return np.arange(start, start + d * d).reshape(d, d)
+
+
 def f_element(b: CategoryBundle, tol: Tolerance = DEFAULT_TOL):
     """Extract the positive blocks F_i (and inverses) from the conjugate pairs.
 
@@ -657,16 +669,14 @@ def t_blocks(q: Aqg, which: str) -> list[Array]:
     b = q.bundle
     if not b.closed:
         raise NotFinite("T-map blocks require a closed bundle")
-    off, total = {}, 0
-    for i in q.labels:
-        off[i] = total
-        total += q.d(i) ** 2
+    total = q.total_dim()
     blocks = []
     for h in q.labels:
         dh = q.d(h)
-        m = np.zeros((total * dh, total * dh), dtype=complex)
+        m = np.zeros((total, dh, total, dh), dtype=complex)
         for n in q.labels:
             dn = q.d(n)
+            rows = unit_index(q, n).ravel()
             for i, _, v in b.layout.channels[(n, h) if which == "t1" else (h, n)]:
                 di = q.d(i)
                 if which == "t1":
@@ -675,10 +685,10 @@ def t_blocks(q: Aqg, which: str) -> list[Array]:
                 else:
                     vt = v.reshape(dh, dn, di)
                     blk = np.einsum("sbr,cdu->cbdsru", vt, vt.conj())
-                rows = slice(off[n] * dh, (off[n] + dn * dn) * dh)
-                cols = slice(off[i] * dh, (off[i] + di * di) * dh)
-                m[rows, cols] += blk.reshape(dn * dn * dh, di * di * dh)
-        blocks.append(m)
+                cols = unit_index(q, i).ravel()
+                m[np.ix_(rows, range(dh), cols, range(dh))] += blk.reshape(
+                    dn * dn, dh, di * di, dh)
+        blocks.append(m.reshape(total * dh, total * dh))
     return blocks
 
 
@@ -988,12 +998,7 @@ def haar_uniqueness_dim(q: Aqg) -> int:
     """
     if not q.bundle.closed:
         raise NotFinite("uniqueness test requires a closed bundle")
-    offsets = {}
-    off = 0
-    for i in q.labels:
-        offsets[i] = off
-        off += q.d(i) ** 2
-    total = off
+    total = q.total_dim()
     rows = []
     identity = q.identity_element()
     for i in q.labels:
@@ -1011,14 +1016,10 @@ def haar_uniqueness_dim(q: Aqg) -> int:
                         dii, djj = q.d(ii), q.d(jj)
                         t = blk.reshape(dii, djj, dii, djj)
                         # omega on leg 2: omega(e_bd) coefficient t[u,b,w,d]
-                        for bq in range(djj):
-                            for dd in range(djj):
-                                coeff[:, :, offsets[jj] + bq * djj + dd] += t[
-                                    :, bq, :, dd
-                                ]
+                        coeff[:, :, unit_index(q, jj)] += t.transpose(0, 2, 1, 3)
                     # subtract omega(a) * identity_n
                     for u in range(dn):
-                        coeff[u, u, offsets[i] + p * q.d(i) + s] -= 1.0
+                        coeff[u, u, unit_index(q, i)[p, s]] -= 1.0
                     rows.append(coeff.reshape(dn * dn, total))
     system = np.vstack(rows)
     svals = np.linalg.svd(system, compute_uv=False)

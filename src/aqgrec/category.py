@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import CategoryBundle
-from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, kron, residual
+from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, kron, residual, worst
 
 
 class WindowEscape(ValueError):
@@ -51,7 +51,7 @@ class ObjectDecomp:
 
     def check(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Max residual of joint orthonormality and completeness."""
-        worst = 0.0
+        res = []
         n = self.total_dim
         acc = np.zeros((n, n), dtype=complex)
         for a, (i, s) in enumerate(self.parts):
@@ -60,21 +60,16 @@ class ObjectDecomp:
                 j, t = self.parts[bidx]
                 g = dagger(s) @ t
                 if a == bidx:
-                    worst = max(worst, residual(g, eye(s.shape[1])))
+                    res.append(residual(g, eye(s.shape[1])))
                 elif i == j or s.shape[1] == t.shape[1]:
-                    worst = max(worst, residual(g, np.zeros_like(g)))
-        worst = max(worst, residual(acc, eye(n)))
-        return worst
+                    res.append(residual(g, np.zeros_like(g)))
+        res.append(residual(acc, eye(n)))
+        return worst(*res)
 
 
 def irreducible_decomp(b: CategoryBundle, i: str) -> ObjectDecomp:
     """The label i viewed as a decomposed object on its own block space."""
     return ObjectDecomp(b.d(i), [(i, eye(b.d(i)))])
-
-
-def fusion_support(b: CategoryBundle, i: str, j: str) -> list[tuple[str, int]]:
-    """Loaded fusion channels (k, N_ij^k) of i (x) j."""
-    return b.support(i, j)
 
 
 def tensor_decomp(b: CategoryBundle, X: ObjectDecomp, Y: ObjectDecomp) -> ObjectDecomp:

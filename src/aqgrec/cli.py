@@ -141,7 +141,7 @@ def _cmd_check(args, tol) -> int:
 def _cmd_dual(args, tol) -> int:
     q = reconstruct(_load(args), tol)
     T, Td, rep = dual_hopf(q, tol)
-    U = universal_corep(q, T, Td, tol)
+    U = universal_corep(T)
     rep.extend(verify_universal(q, U, T, Td, tol))
     _, prep = pontryagin_check(q, tol)
     rep.extend(prep)

@@ -15,17 +15,15 @@ from .aqg import (
     Aqg,
     AqgElement,
     NotFinite,
+    _unit_matrix,
     antipode,
     counit,
     delta,
     haar,
+    unit_index,
 )
-from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, residual
+from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, residual, worst
 from .report import Report
-
-
-class DefiningSystemInconsistent(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -80,31 +78,19 @@ class TableHopf:
         return res <= tol.bound(self.comult), res
 
 
-def _basis_offsets(q: Aqg) -> tuple[dict[str, int], int]:
-    offsets, off = {}, 0
-    for i in q.labels:
-        offsets[i] = off
-        off += q.d(i) ** 2
-    return offsets, off
-
-
-def basis_index(q: Aqg, offsets, i: str, p: int, s: int) -> int:
-    return offsets[i] + p * q.d(i) + s
-
-
-def element_to_vec(q: Aqg, offsets, total: int, a: AqgElement) -> Array:
-    v = np.zeros(total, dtype=complex)
+def element_to_vec(q: Aqg, a: AqgElement) -> Array:
+    """Coefficients of a on the matrix-unit basis."""
+    v = np.zeros(q.total_dim(), dtype=complex)
     for i in a.support:
-        d = q.d(i)
-        v[offsets[i] : offsets[i] + d * d] = a.blocks[i].reshape(-1)
+        v[unit_index(q, i)] = a.blocks[i]
     return v
 
 
-def vec_to_element(q: Aqg, offsets, v: Array) -> AqgElement:
+def vec_to_element(q: Aqg, v: Array) -> AqgElement:
+    """The element with coefficients v on the matrix-unit basis."""
     blocks = {}
     for i in q.labels:
-        d = q.d(i)
-        blk = v[offsets[i] : offsets[i] + d * d].reshape(d, d)
+        blk = v[unit_index(q, i)]
         if np.max(np.abs(blk)) > 0:
             blocks[i] = cmat(blk)
     return AqgElement(blocks)
@@ -114,8 +100,7 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     """Materialize the reconstructed algebra as dense Hopf tables."""
     if not q.bundle.closed:
         raise NotFinite("Hopf tables require a closed bundle")
-    offsets, total = _basis_offsets(q)
-    N = total
+    N = q.total_dim()
     mult = np.zeros((N, N, N), dtype=complex)
     unit = np.zeros(N, dtype=complex)
     comult = np.zeros((N, N, N), dtype=complex)
@@ -127,38 +112,25 @@ def table_from_aqg(q: Aqg) -> TableHopf:
 
     for i in q.labels:
         d = q.d(i)
+        idx = unit_index(q, i)
         for p in range(d):
-            unit[basis_index(q, offsets, i, p, p)] = 1.0
+            unit[idx[p, p]] = 1.0
             for s in range(d):
-                u = basis_index(q, offsets, i, p, s)
-                star[u, basis_index(q, offsets, i, s, p)] = 1.0
+                u = idx[p, s]
+                star[u, idx[s, p]] = 1.0
                 haar_v[u] = q.haar_weights[i] * q.F[i][s, p]
-                for t in range(d):
-                    mult[u, basis_index(q, offsets, i, s, t),
-                         basis_index(q, offsets, i, p, t)] = 1.0
-                eu = AqgElement({i: _unit_mat(d, p, s)})
+                mult[u, idx[s], idx[p]] = 1.0
+                eu = AqgElement({i: _unit_matrix(d, p, s)})
                 counit_v[u] = counit(q, eu)
-                anti[u] = element_to_vec(q, offsets, total, antipode(q, eu))
+                anti[u] = element_to_vec(q, antipode(q, eu))
                 for (n, m), blk in delta(q, eu, pairs).items():
                     if np.max(np.abs(blk)) == 0:
                         continue
                     dn, dm = q.d(n), q.d(m)
-                    tt = blk.reshape(dn, dm, dn, dm)
-                    for a in range(dn):
-                        for c in range(dn):
-                            va = basis_index(q, offsets, n, a, c)
-                            for bq in range(dm):
-                                for dd in range(dm):
-                                    comult[u, va,
-                                           basis_index(q, offsets, m, bq, dd)
-                                           ] += tt[a, bq, c, dd]
+                    tt = blk.reshape(dn, dm, dn, dm).transpose(0, 2, 1, 3)
+                    rows, cols = unit_index(q, n).ravel(), unit_index(q, m).ravel()
+                    comult[u][np.ix_(rows, cols)] += tt.reshape(dn * dn, dm * dm)
     return TableHopf(N, mult, unit, comult, counit_v, anti, star, haar_v)
-
-
-def _unit_mat(d: int, p: int, s: int) -> Array:
-    m = np.zeros((d, d), dtype=complex)
-    m[p, s] = 1.0
-    return m
 
 
 def dual_table(T: TableHopf) -> TableHopf:
@@ -232,7 +204,7 @@ def verify_table(T: TableHopf, tol: Tolerance = DEFAULT_TOL,
                         np.outer(T.haar, T.unit))
     right_inv = residual(np.einsum("uab,a->ub", c, T.haar),
                          np.outer(T.haar, T.unit))
-    inv = min(left_inv, right_inv)
+    inv = -worst(-left_inv, -right_inv)
     rep.add("haar-invariance", "tables", inv, inv <= tol.bound(T.haar) * 10)
     gram = _haar_gram(T)
     eigs = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
@@ -271,9 +243,8 @@ def inverse_fourier(q: Aqg, values: Array, T: TableHopf) -> AqgElement:
     """Recover a from the values omega(e_v) of omega = a . haar."""
     if not q.bundle.closed:
         raise NotFinite("Fourier transform requires a closed bundle")
-    offsets, _ = _basis_offsets(q)
     coeff = np.linalg.solve(T.pairing(), cmat(values).reshape(-1))
-    return vec_to_element(q, offsets, coeff)
+    return vec_to_element(q, coeff)
 
 
 def dual_hopf(q: Aqg, tol: Tolerance = DEFAULT_TOL):
@@ -287,13 +258,14 @@ def dual_hopf(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     Td = dual_table(T)
     rep = verify_table(Td, tol, title="dual-hopf")
     rng = np.random.default_rng(23)
-    worst = 0.0
+    diffs = []
     for _ in range(8):
         cvec = rng.standard_normal(T.dim) + 1j * rng.standard_normal(T.dim)
         lhs = Td.haar_of(Td.product(Td.star_of(cvec), cvec))
         rhs = T.haar_of(T.product(T.star_of(cvec), cvec))
-        worst = max(worst, abs(lhs - rhs))
-    rep.add("parseval", "random elements", worst, worst <= tol.bound(1.0) * 100)
+        diffs.append(abs(lhs - rhs))
+    res = worst(*diffs)
+    rep.add("parseval", "random elements", res, res <= tol.bound(1.0) * 100)
     res = residual(Td.antipode @ Td.antipode, eye(Td.dim))
     rep.add("antipode-involutive", "dual antipode squared", res,
             res <= tol.bound(Td.antipode) * 100)
@@ -304,41 +276,21 @@ def dual_hopf(q: Aqg, tol: Tolerance = DEFAULT_TOL):
 # universal corepresentation
 
 
-def universal_corep(q: Aqg, T: TableHopf, Td: TableHopf,
-                    tol: Tolerance = DEFAULT_TOL):
-    """Solve the defining evaluation identity for U in A (x) A-hat.
+def universal_corep(T: TableHopf) -> Array:
+    """The universal corepresentation U in A (x) A-hat, U[u,v] being the
+    coefficient of e_u (x) omega_v.
 
-    [U(x (x) omega)](y) = (iota (x) omega)(Delta(y)(x (x) 1)) becomes a dense
-    linear system in the N^2 coefficients of U; the solution is checked to
-    be unique and is returned with its verification report.
+    A-hat is A's dual under the faithful pairing P, so U = sum_u e_u (x) e^u
+    over the dual basis e^u = sum_v inv(P)[v,u] omega_v: U = inv(P)^T.
+    verify_universal checks it against the defining evaluation identity.
     """
-    if not q.bundle.closed:
-        raise NotFinite("universal corepresentation requires a closed bundle")
-    N = T.dim
-    P = T.pairing()
-    # B1[v,s,t] = (omega_v omega_s)(e_t)
-    B1 = np.einsum("tab,av,bs->vst", T.comult, P, P, optimize=True)
-    # K[(w,r,s,t),(u,v)] = mult[u,r,w] B1[v,s,t]
-    K = np.einsum("urw,vst->wrstuv", T.mult, B1, optimize=True).reshape(N**4, N**2)
-    rhs = np.einsum("tab,bs,arw->wrst", T.comult, P, T.mult,
-                    optimize=True).reshape(N**4)
-    sol, res_, rank, svals = np.linalg.lstsq(K, rhs, rcond=None)
-    if rank < N * N:
-        raise DefiningSystemInconsistent(
-            f"defining system rank {rank} < {N * N}: solution not unique"
-        )
-    resid = float(np.max(np.abs(K @ sol - rhs)))
-    if resid > tol.bound(rhs) * 1e3:
-        raise DefiningSystemInconsistent(
-            f"defining system inconsistent (residual {resid:.3e})"
-        )
-    U = sol.reshape(N, N)
-    return U
+    return np.linalg.inv(T.pairing()).T
 
 
 def verify_universal(q: Aqg, U: Array, T: TableHopf, Td: TableHopf,
                      tol: Tolerance = DEFAULT_TOL) -> Report:
-    """The five properties of the universal corepresentation."""
+    """The five properties of the universal corepresentation, and the
+    defining evaluation identity it is the solution of."""
     rep = Report("universal-corep")
     N = T.dim
     P = T.pairing()
@@ -352,24 +304,20 @@ def verify_universal(q: Aqg, U: Array, T: TableHopf, Td: TableHopf,
                          optimize=True)
 
     one = np.outer(T.unit, Td.unit)
-    res = max(residual(tens_prod(tens_star(U), U), one),
-              residual(tens_prod(U, tens_star(U)), one))
+    res = worst(residual(tens_prod(tens_star(U), U), one),
+                residual(tens_prod(U, tens_star(U)), one))
     rep.add("unitarity", "A (x) dual", res, res <= tol.bound(one, U) * 100)
 
+    # U13 has the unit in leg 2 and U23 in leg 1, so U13 U23 multiplies
+    # only in the dual leg; likewise U12 U13 only in A
     lhs2 = np.einsum("uc,uab->abc", U, T.comult, optimize=True)
-    u13 = np.einsum("uv,b->ubv", U, T.unit)
-    u23 = np.einsum("a,uv->auv", T.unit, U)
-    rhs2 = np.einsum("xyz,uvw,xua,yvb,zwc->abc", u13, u23,
-                     T.mult, T.mult, Td.mult, optimize=True)
+    rhs2 = np.einsum("az,bw,zwc->abc", U, U, Td.mult, optimize=True)
     res = residual(lhs2, rhs2)
     rep.add("comult-leg1", "(Delta x iota)U = U13 U23", res,
             res <= tol.bound(lhs2, rhs2) * 100)
 
     lhs3 = np.einsum("uv,vab->uab", U, Td.comult, optimize=True)
-    u12 = np.einsum("uv,c->uvc", U, Td.unit)
-    u13b = np.einsum("uv,b->ubv", U, Td.unit)
-    rhs3 = np.einsum("xyz,uvw,xua,yvb,zwc->abc", u12, u13b,
-                     T.mult, Td.mult, Td.mult, optimize=True)
+    rhs3 = np.einsum("xb,uc,xua->abc", U, U, T.mult, optimize=True)
     res = residual(lhs3, rhs3)
     rep.add("comult-leg2", "(iota x Delta-hat)U = U12 U13", res,
             res <= tol.bound(lhs3, rhs3) * 100)
@@ -380,6 +328,16 @@ def verify_universal(q: Aqg, U: Array, T: TableHopf, Td: TableHopf,
     res = residual(U @ P.T, eye(N))
     rep.add("slice-element", "(iota x a)U = a", res,
             res <= tol.bound(1.0) * 100)
+
+    # [U(x (x) omega)](y) = (iota (x) omega)(Delta(y)(x (x) 1)) for x = e_r,
+    # omega = omega_s, y = e_t, with B1[v,s,t] = (omega_v omega_s)(e_t); the
+    # left side is contracted factor by factor, holding N^4 entries
+    B1 = np.einsum("tab,av,bs->vst", T.comult, P, P, optimize=True)
+    lhs = np.einsum("urw,uv,vst->wrst", T.mult, U, B1, optimize=True)
+    rhs = np.einsum("tab,bs,arw->wrst", T.comult, P, T.mult, optimize=True)
+    res = residual(lhs, rhs)
+    rep.add("defining-identity", "U(x (x) omega)(y) = omega(Delta(y)(x (x) 1))",
+            res, res <= tol.bound(rhs) * 100)
     return rep
 
 
@@ -411,21 +369,17 @@ def regular_corep(q: Aqg, U: Array, T: TableHopf, Td: TableHopf) -> Corep:
     """
     from .linalg import hermitian_calc
 
-    offsets, total = _basis_offsets(q)
     lam = np.einsum("vsw->vws", Td.mult)  # lam[v][w,s]: matrix of omega_v
     gram = _haar_gram(Td)
     gram = (gram + dagger(gram)) / 2
     g_half = hermitian_calc(gram, "sqrt")
     g_ihalf = hermitian_calc(gram, "inv_sqrt")
     lam = np.einsum("xw,vws,sy->vxy", g_half, lam, g_ihalf, optimize=True)
+    total = T.dim
     blocks = {}
     for i in q.labels:
         d = q.d(i)
-        Vi = np.zeros((d, total, d, total), dtype=complex)
-        for p in range(d):
-            for s in range(d):
-                u = basis_index(q, offsets, i, p, s)
-                Vi[p, :, s, :] += np.einsum("v,vws->ws", U[u], lam, optimize=True)
+        Vi = np.einsum("psv,vwt->pwst", U[unit_index(q, i)], lam, optimize=True)
         blocks[i] = Vi.reshape(d * total, d * total)
     return Corep(total, blocks)
 
@@ -435,14 +389,14 @@ def corep_check(q: Aqg, V: Corep, tol: Tolerance = DEFAULT_TOL) -> Report:
     rep = Report("corep")
     n = V.space_dim
     b = q.bundle
-    worst_u = 0.0
+    res = []
     for i in q.labels:
         vi = V.blocks[i]
-        worst_u = max(worst_u, residual(dagger(vi) @ vi, eye(vi.shape[0])),
-                      residual(vi @ dagger(vi), eye(vi.shape[0])))
-    rep.add("unitary", "all blocks", worst_u, worst_u <= tol.bound(1.0) * 100)
-    worst = 0.0
-    scale = 1.0
+        res += [residual(dagger(vi) @ vi, eye(vi.shape[0])),
+                residual(vi @ dagger(vi), eye(vi.shape[0]))]
+    res = worst(*res)
+    rep.add("unitary", "all blocks", res, res <= tol.bound(1.0) * 100)
+    res, scale = [0.0], [1.0]
     for i in q.labels:
         for j in q.labels:
             di, dj = q.d(i), q.d(j)
@@ -454,10 +408,11 @@ def corep_check(q: Aqg, V: Corep, tol: Tolerance = DEFAULT_TOL) -> Report:
                                   optimize=True)
                     lhs += w.reshape(di * dj * n, di * dj * n)
             rhs = _leg13(q, V, i, j) @ _leg23(q, V, i, j)
-            worst = max(worst, residual(lhs, rhs))
-            scale = max(scale, float(np.max(np.abs(rhs))))
-    rep.add("corep-identity", "(Delta x iota)V = V13 V23", worst,
-            worst <= tol.bound(scale) * 100)
+            res.append(residual(lhs, rhs))
+            scale.append(np.max(np.abs(rhs)))
+    res, scale = worst(*res), worst(*scale)
+    rep.add("corep-identity", "(Delta x iota)V = V13 V23", res,
+            res <= tol.bound(scale) * 100)
     return rep
 
 
@@ -517,30 +472,24 @@ def corep_to_rep(q: Aqg, V: Corep, T: TableHopf) -> list[Array]:
     """pi_V(omega_a) = (omega_a (x) iota)V as matrices on K, per dual basis
     functional omega_a = e_a . haar."""
     P = T.pairing()
-    offsets, total = _basis_offsets(q)
     n = V.space_dim
-    X = np.zeros((total, n, n), dtype=complex)
+    X = np.zeros((T.dim, n, n), dtype=complex)
     for i in q.labels:
         d = q.d(i)
-        vi = V.blocks[i].reshape(d, n, d, n)
-        for p in range(d):
-            for s in range(d):
-                X[basis_index(q, offsets, i, p, s)] = vi[p, :, s, :]
+        X[unit_index(q, i)] = V.blocks[i].reshape(d, n, d, n).transpose(0, 2, 1, 3)
     return [np.einsum("v,vxy->xy", P[:, a], X, optimize=True)
-            for a in range(total)]
+            for a in range(T.dim)]
 
 
 def rep_to_corep(q: Aqg, pimats: list[Array], U: Array) -> Corep:
     """(iota (x) pi)U: lift a representation of the dual to a
     corepresentation of (A, Delta)."""
-    offsets, total = _basis_offsets(q)
     n = pimats[0].shape[0]
     pim = np.stack([cmat(m) for m in pimats])
     blocks = {}
     for i in q.labels:
         d = q.d(i)
-        Ui = U[offsets[i] : offsets[i] + d * d].reshape(d, d, total)
-        vi = np.einsum("psv,vxy->pxsy", Ui, pim, optimize=True)
+        vi = np.einsum("psv,vxy->pxsy", U[unit_index(q, i)], pim, optimize=True)
         blocks[i] = vi.reshape(d * n, d * n)
     return Corep(n, blocks)
 
@@ -569,10 +518,7 @@ def roundtrip_check(q: Aqg, V: Corep, U: Array, T: TableHopf,
                     tol: Tolerance = DEFAULT_TOL) -> float:
     """Residual of (iota (x) pi_V)U = V."""
     back = rep_to_corep(q, corep_to_rep(q, V, T), U)
-    worst = 0.0
-    for i in q.labels:
-        worst = max(worst, residual(back.blocks[i], V.blocks[i]))
-    return worst
+    return worst(*(residual(back.blocks[i], V.blocks[i]) for i in q.labels))
 
 
 def tensor_compat_check(q: Aqg, V: Corep, W: Corep, T: TableHopf,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqg import Aqg, AqgElement, NotFinite
-from .dual import TableHopf, _basis_offsets, dual_table, table_from_aqg, vec_to_element
-from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual
+from .aqg import Aqg, AqgElement, NotFinite, unit_index
+from .dual import TableHopf, dual_table, table_from_aqg, vec_to_element
+from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
 
 
@@ -32,8 +32,7 @@ class Grouplike:
     character: Array  # chi[u] = omega_u(g)
 
     def element(self, q: Aqg) -> AqgElement:
-        offsets, _ = _basis_offsets(q)
-        return vec_to_element(q, offsets, self.coeffs)
+        return vec_to_element(q, self.coeffs)
 
 
 @dataclass
@@ -47,11 +46,7 @@ class IntrinsicGroup:
         return int(np.where(self.table[a] == self.identity)[0][0])
 
     def element_order(self, a: int) -> int:
-        x, n = a, 1
-        while x != self.identity:
-            x = int(self.table[x, a])
-            n += 1
-        return n
+        return element_order(self.table, self.identity, a)
 
     def abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -65,21 +60,36 @@ class IntrinsicGroup:
         }
 
 
+def element_order(table: Array, ident: int, a: int) -> int:
+    """Order of element a in the group with this table and identity."""
+    x, n = a, 1
+    while x != ident:
+        x = int(table[x, a])
+        n += 1
+    return n
+
+
 def _ideal_complement(T: TableHopf, tol: Tolerance) -> Array:
-    """Orthonormal basis (columns) of a complement of the commutator ideal."""
+    """Orthonormal basis (columns) of a complement of the commutator ideal.
+
+    The ideal is A C A, C spanned by the commutators e_u e_v - e_v e_u (rows
+    of coefficients).  It is built in three row-space reductions: C, then
+    A C, then (A C) A, each an SVD of at most N^2 rows that keeps the rows
+    above the cutoff.  The complement is the nullspace of the last one.
+    """
     N = T.dim
-    comm = T.mult - np.swapaxes(T.mult, 0, 1)  # [u,v,w]
-    rows = [comm.reshape(N * N, N)]
-    left = np.einsum("aws,uvw->auvs", T.mult, comm, optimize=True)
-    rows.append(left.reshape(-1, N))
-    right = np.einsum("uvw,wbt->uvbt", comm, T.mult, optimize=True)
-    rows.append(right.reshape(-1, N))
-    both = np.einsum("auvs,sbt->auvbt", left, T.mult, optimize=True)
-    rows.append(both.reshape(-1, N))
-    mat = np.concatenate(rows, axis=0)
-    _, svals, vh = np.linalg.svd(mat, full_matrices=True)
-    top = float(svals[0]) if len(svals) and svals[0] > 1.0 else 1.0
-    rank = int(np.sum(svals > tol.absolute * top * N))
+
+    def reduce(rows):
+        _, svals, vh = np.linalg.svd(rows, full_matrices=False)
+        top = float(svals[0]) if len(svals) and svals[0] > 1.0 else 1.0
+        return vh, int(np.sum(svals > tol.absolute * top * N))
+
+    vh, rank = reduce((T.mult - np.swapaxes(T.mult, 0, 1)).reshape(N * N, N))
+    if rank == 0:  # commutative: the ideal is zero
+        return eye(N)
+    # A C has at least N rows, so from here on vh is N x N
+    vh, rank = reduce(np.einsum("aws,kw->kas", T.mult, vh[:rank]).reshape(-1, N))
+    vh, rank = reduce(np.einsum("kw,wbt->kbt", vh[:rank], T.mult).reshape(-1, N))
     return vh[rank:].conj().T  # N x (N - rank)
 
 
@@ -130,8 +140,8 @@ def verify_grouplike(T: TableHopf, g: Grouplike,
     rep.add("counit", "eps(g) = 1", res, res <= tol.bound(1.0) * 1000)
     res = residual(T.antipode_of(c), T.star_of(c))
     rep.add("antipode", "S(g) = g*", res, res <= tol.bound(1.0) * 1000)
-    res = max(residual(T.product(T.star_of(c), c), T.unit),
-              residual(T.product(c, T.star_of(c)), T.unit))
+    res = worst(residual(T.product(T.star_of(c), c), T.unit),
+                residual(T.product(c, T.star_of(c)), T.unit))
     rep.add("unitary", "g* g = g g* = 1", res, res <= tol.bound(1.0) * 1000)
     return rep
 
@@ -158,14 +168,15 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
 
     n = len(elements)
     table = -np.ones((n, n), dtype=int)
-    match_res = 0.0
+    match = []
     for a in range(n):
         for b in range(n):
             prod = T.product(elements[a].coeffs, elements[b].coeffs)
             dists = [float(np.max(np.abs(prod - e.coeffs))) for e in elements]
             c = int(np.argmin(dists))
             table[a, b] = c
-            match_res = max(match_res, dists[c])
+            match.append(dists[c])
+    match_res = worst(*match)
     rep.add("closed-under-product", "multiplier products", match_res,
             match_res <= tol.bound(1.0) * 1e4)
 
@@ -193,9 +204,7 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
 
 def group_block(q: Aqg, g: Grouplike, label: str) -> Array:
     """The block of the grouplike multiplier on H_label."""
-    offsets, _ = _basis_offsets(q)
-    d = q.d(label)
-    return g.coeffs[offsets[label] : offsets[label] + d * d].reshape(d, d)
+    return g.coeffs[unit_index(q, label)]
 
 
 def group_irrep(q: Aqg, group: IntrinsicGroup, label: str) -> list[Array]:
@@ -206,20 +215,22 @@ def group_irrep(q: Aqg, group: IntrinsicGroup, label: str) -> list[Array]:
 def verify_group_irrep(q: Aqg, group: IntrinsicGroup, label: str,
                        tol: Tolerance = DEFAULT_TOL) -> Report:
     rep = Report(f"group-irrep-{label}")
-    mats = group_irrep(q, group, label)
-    worst = 0.0
-    for m in mats:
-        worst = max(worst, residual(dagger(m) @ m, eye(m.shape[0])))
-    rep.add("unitary", label, worst, worst <= tol.bound(1.0) * 1e4)
-    worst = 0.0
-    for a in range(group.order):
-        for b in range(group.order):
-            worst = max(worst, residual(mats[a] @ mats[b],
-                                        mats[group.table[a, b]]))
-    rep.add("homomorphism", label, worst, worst <= tol.bound(1.0) * 1e4)
-    res = residual(mats[group.identity], eye(mats[0].shape[0]))
-    rep.add("identity", label, res, res <= tol.bound(1.0) * 1e4)
+    _unitary_hom_rows(rep, group, group_irrep(q, group, label), (label,) * 3, tol)
     return rep
+
+
+def _unitary_hom_rows(rep: Report, group: IntrinsicGroup, mats, locations,
+                      tol: Tolerance) -> None:
+    """Rows "unitary", "homomorphism" and "identity" of matrices indexed by
+    the group elements, at the three given locations."""
+    unitary, hom, ident = locations
+    res = worst(*(residual(dagger(m) @ m, eye(m.shape[0])) for m in mats))
+    rep.add("unitary", unitary, res, res <= tol.bound(1.0) * 1e4)
+    res = worst(*(residual(mats[a] @ mats[b], mats[group.table[a, b]])
+                  for a in range(group.order) for b in range(group.order)))
+    rep.add("homomorphism", hom, res, res <= tol.bound(1.0) * 1e4)
+    res = residual(mats[group.identity], eye(mats[0].shape[0]))
+    rep.add("identity", ident, res, res <= tol.bound(1.0) * 1e4)
 
 
 def rep_to_group_rep(q: Aqg, pi, group: IntrinsicGroup,
@@ -229,19 +240,8 @@ def rep_to_group_rep(q: Aqg, pi, group: IntrinsicGroup,
 
     mats = [pi.act(q, g.element(q)) for g in group.elements]
     rep = Report("group-rep")
-    worst = 0.0
-    for m in mats:
-        worst = max(worst, residual(dagger(m) @ m, eye(m.shape[0])))
-    rep.add("unitary", "all elements", worst, worst <= tol.bound(1.0) * 1e4)
-    worst = 0.0
-    for a in range(group.order):
-        for b in range(group.order):
-            worst = max(worst, residual(mats[a] @ mats[b],
-                                        mats[group.table[a, b]]))
-    rep.add("homomorphism", "table products", worst,
-            worst <= tol.bound(1.0) * 1e4)
-    res = residual(mats[group.identity], eye(mats[0].shape[0]))
-    rep.add("identity", "u(e) = I", res, res <= tol.bound(1.0) * 1e4)
+    _unitary_hom_rows(rep, group, mats,
+                      ("all elements", "table products", "u(e) = I"), tol)
     n = mats[0].shape[0]
     stacked = np.concatenate(
         [np.kron(m.T, eye(n)) - np.kron(eye(n), m) for m in mats], axis=0
@@ -286,18 +286,6 @@ def cocommutative_check(q: Aqg, tol: Tolerance = DEFAULT_TOL):
 # abstract table isomorphism
 
 
-def _orders(table: Array, ident: int) -> list[int]:
-    n = table.shape[0]
-    out = []
-    for a in range(n):
-        x, k = a, 1
-        while x != ident:
-            x = int(table[x, a])
-            k += 1
-        out.append(k)
-    return out
-
-
 def tables_isomorphic(t1: Array, id1: int, t2: Array, id2: int):
     """Backtracking isomorphism search between two group tables.
 
@@ -309,7 +297,8 @@ def tables_isomorphic(t1: Array, id1: int, t2: Array, id2: int):
     n = t1.shape[0]
     if t2.shape[0] != n:
         return None
-    o1, o2 = _orders(t1, id1), _orders(t2, id2)
+    o1 = [element_order(t1, id1, a) for a in range(n)]
+    o2 = [element_order(t2, id2, a) for a in range(n)]
     if sorted(o1) != sorted(o2):
         return None
     phi = [-1] * n

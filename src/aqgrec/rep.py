@@ -35,20 +35,6 @@ class Representation:
     def labels(self) -> list[str]:
         return self.decomp.labels()
 
-    def export(self) -> dict:
-        return {
-            "space_dim": self.space_dim,
-            "parts": [
-                {
-                    "label": i,
-                    "isometry": [[float(z.real), float(z.imag)] for z in s.reshape(-1)],
-                    "rows": int(s.shape[0]),
-                    "cols": int(s.shape[1]),
-                }
-                for i, s in self.decomp.parts
-            ],
-        }
-
 
 def irrep(q: Aqg, i: str) -> Representation:
     """The block projection onto B(H_i) as an irreducible representation."""

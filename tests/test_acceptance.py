@@ -139,7 +139,7 @@ def test_criterion_7_universal_corep(closed_aqgs):
     for name, q in closed_aqgs.items():
         T, Td, drep = dual_hopf(q)
         assert drep.passed, name
-        U = universal_corep(q, T, Td)
+        U = universal_corep(T)
         rep = verify_universal(q, U, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8, name

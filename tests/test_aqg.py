@@ -6,6 +6,7 @@ from aqgrec.aqg import (
     ConjInconsistent,
     InvalidBundle,
     NotFinite,
+    _unit_matrix,
     antipode,
     antipode_inv,
     counit,
@@ -22,6 +23,7 @@ from aqgrec.aqg import (
     t2_inverse,
     t2_map,
     t_blocks,
+    unit_index,
     verify_axioms,
 )
 from aqgrec.linalg import residual
@@ -30,31 +32,22 @@ from aqgrec.linalg import residual
 def t_matrix(q, which):
     """Dense T1 or T2 on A (x) A, column by column from matrix units: the
     oracle for the blockwise singular values of t_blocks."""
-    offsets, total = {}, 0
-    for i in q.labels:
-        offsets[i] = total
-        total += q.d(i) ** 2
+    total = q.total_dim()
     singles = [(i, p, s) for i in q.labels for p in range(q.d(i)) for s in range(q.d(i))]
-
-    def unit(d, p, s):
-        m = np.zeros((d, d), dtype=complex)
-        m[p, s] = 1.0
-        return m
-
     mat = np.zeros((total * total, total * total), dtype=complex)
     for i, p, s in singles:
-        e1 = AqgElement({i: unit(q.d(i), p, s)})
+        e1 = AqgElement({i: _unit_matrix(q.d(i), p, s)})
         for j, r, u in singles:
-            e2 = AqgElement({j: unit(q.d(j), r, u)})
+            e2 = AqgElement({j: _unit_matrix(q.d(j), r, u)})
             x = t1_map(q, e1, e2) if which == "t1" else t2_map(q, e1, e2)
-            col = (offsets[i] + p * q.d(i) + s) * total + (offsets[j] + r * q.d(j) + u)
+            col = unit_index(q, i)[p, s] * total + unit_index(q, j)[r, u]
             for (n, m), blk in x.items():
                 dn, dm = q.d(n), q.d(m)
                 t = blk.reshape(dn, dm, dn, dm)
                 for a in range(dn):
                     for c in range(dn):
-                        row = (offsets[n] + a * dn + c) * total + offsets[m]
-                        mat[row:row + dm * dm, col] += t[a, :, c, :].reshape(-1)
+                        rows = unit_index(q, n)[a, c] * total + unit_index(q, m).ravel()
+                        mat[rows, col] += t[a, :, c, :].reshape(-1)
     return mat
 
 

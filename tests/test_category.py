@@ -3,6 +3,7 @@ import pytest
 
 from aqgrec.category import (
     MissingBlock,
+    ObjectDecomp,
     WindowEscape,
     hom_decomps,
     irreducible_decomp,
@@ -17,6 +18,16 @@ def test_irreducible_decomp_is_orthonormal(shipped_bundles):
             x = irreducible_decomp(b, i)
             assert x.total_dim == b.d(i)
             assert x.check() < 1e-12
+
+
+def test_nan_part_makes_check_nan(shipped_bundles):
+    b = shipped_bundles["s3"]
+    i, j = b.labels[-1], b.labels[-1]
+    x = tensor_decomp(b, irreducible_decomp(b, i), irreducible_decomp(b, j))
+    label, s = x.parts[-1]
+    s = s.copy()
+    s[0, 0] = np.nan
+    assert np.isnan(ObjectDecomp(x.total_dim, x.parts[:-1] + [(label, s)]).check())
 
 
 def test_tensor_decomp_complete_and_matches_fusion(shipped_bundles):

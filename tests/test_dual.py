@@ -3,7 +3,7 @@ import pytest
 
 from aqgrec.aqg import NotFinite
 from aqgrec.dual import (
-    _basis_offsets,
+    Corep,
     conjugate_corep_check,
     corep_check,
     dual_hopf,
@@ -75,14 +75,11 @@ def test_fourier_roundtrip(closed_aqgs, rng):
     for name in ("z2", "s3", "pointed-z5-t1"):
         q = closed_aqgs[name]
         T = table_from_aqg(q)
-        offsets, total = _basis_offsets(q)
+        total = q.total_dim()
         a = q.random_element(rng)
         omega = fourier(q, a)
         values = np.array(
-            [
-                omega(q, vec_to_element(q, offsets, np.eye(total)[v]))
-                for v in range(total)
-            ]
+            [omega(q, vec_to_element(q, np.eye(total)[v])) for v in range(total)]
         )
         back = inverse_fourier(q, values, T)
         assert (back - a).norm() < 1e-10, name
@@ -90,26 +87,36 @@ def test_fourier_roundtrip(closed_aqgs, rng):
 
 def test_vec_element_roundtrip(closed_aqgs, rng):
     q = closed_aqgs["d4"]
-    offsets, total = _basis_offsets(q)
+    total = q.total_dim()
     v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    assert residual(element_to_vec(q, offsets, total, vec_to_element(q, offsets, v)), v) == 0.0
+    assert residual(element_to_vec(q, vec_to_element(q, v)), v) == 0.0
 
 
 def test_universal_corep_properties(closed_aqgs):
     for name in ("z2", "s3", "pointed-z3-t1", "q8"):
         q = closed_aqgs[name]
         T, Td, _ = dual_hopf(q)
-        U = universal_corep(q, T, Td)
+        U = universal_corep(T)
         rep = verify_universal(q, U, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8
+
+
+def test_defining_identity_detects_a_perturbed_entry(closed_aqgs):
+    for name in ("z2", "s3", "pointed-z3-t1"):
+        q = closed_aqgs[name]
+        T, Td, _ = dual_hopf(q)
+        U = universal_corep(T)
+        U[1, 0] += 1e-6
+        rows = {c.name: c for c in verify_universal(q, U, T, Td).checks}
+        assert not rows["defining-identity"].passed, name
 
 
 def test_regular_corep_is_unitary_corep(closed_aqgs):
     for name in ("s3", "q8", "pointed-z3-t1"):
         q = closed_aqgs[name]
         T, Td, _ = dual_hopf(q)
-        U = universal_corep(q, T, Td)
+        U = universal_corep(T)
         V = regular_corep(q, U, T, Td)
         assert corep_check(q, V).passed, name
         assert rep_of_dual_check(q, V, T, Td).passed, name
@@ -119,7 +126,7 @@ def test_regular_corep_is_unitary_corep(closed_aqgs):
 def test_trivial_and_tensor_coreps(closed_aqgs):
     q = closed_aqgs["s3"]
     T, Td, _ = dual_hopf(q)
-    U = universal_corep(q, T, Td)
+    U = universal_corep(T)
     V = regular_corep(q, U, T, Td)
     E = trivial_corep(q)
     assert corep_check(q, E).passed
@@ -130,11 +137,21 @@ def test_trivial_and_tensor_coreps(closed_aqgs):
     assert tensor_compat_check(q, V, V, T, Td) < 1e-8
 
 
+def test_nan_entry_fails_corep_check(closed_aqgs):
+    q = closed_aqgs["s3"]
+    V = trivial_corep(q)
+    blocks = {i: m.copy() for i, m in V.blocks.items()}
+    blocks[q.labels[-1]][0, 0] = np.nan
+    rep = corep_check(q, Corep(V.space_dim, blocks))
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+
+
 def test_conjugate_corep(closed_aqgs):
     for name in ("z5", "s3"):
         q = closed_aqgs[name]
         T, Td, _ = dual_hopf(q)
-        U = universal_corep(q, T, Td)
+        U = universal_corep(T)
         V = regular_corep(q, U, T, Td)
         rep = conjugate_corep_check(q, V, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"

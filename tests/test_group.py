@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from aqgrec.aqg import NotFinite
-from aqgrec.examples import builtin_group
+from aqgrec.aqg import NotFinite, reconstruct
+from aqgrec.dual import table_from_aqg
+from aqgrec.examples import builtin_group, gen_pointed
 from aqgrec.group import (
+    characters,
     cocommutative_check,
     grouplikes,
     group_irrep,
@@ -39,6 +43,35 @@ def test_pointed_bundles_recover_cyclic_groups(shipped_aqgs):
         assert tables_isomorphic(
             group.table, group.identity, np.array(p.table), p.identity()
         ) is not None
+
+
+def test_pointed_z16_group_in_small_memory():
+    q = reconstruct(gen_pointed(16, 1))
+    tracemalloc.start()
+    try:
+        group, _, _, rep = grouplikes(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.failures()
+    assert group.order == 16
+    p = builtin_group("z16")
+    assert tables_isomorphic(
+        group.table, group.identity, np.array(p.table), p.identity()
+    ) is not None
+    assert peak < 16 * 2 ** 20, peak
+
+
+def test_characters_of_a_noncommutative_algebra(closed_aqgs):
+    # A = (+)_i B(H_i): its commutator ideal is the sum of the blocks of
+    # dimension > 1, so its characters are those of its 1-dimensional blocks
+    for name in ("s3", "d4", "q8"):
+        q = closed_aqgs[name]
+        T = table_from_aqg(q)
+        chars = characters(T)
+        assert len(chars) == sum(q.d(i) == 1 for i in q.labels), name
+        for chi in chars:
+            assert residual(np.einsum("uvw,w->uv", T.mult, chi), np.outer(chi, chi)) < 1e-10
 
 
 def test_group_requires_closed_bundle(suq2_half):

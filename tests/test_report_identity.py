@@ -4,11 +4,15 @@ reports pinned under tests/data/reports/, row for row.
 Every row keeps its check name, location, position, pass flag and skipped
 flag, and its residual is bitwise equal: the stacked kernels perform the same
 floating-point operations, in the same order, as the per-block code that
-wrote the pinned reports.
+wrote the pinned reports.  The one exception is the ``dual`` report: the
+universal corepresentation is now the closed form inv(P)^T rather than a
+least-squares solution, so its five rows (UNIVERSAL_ROWS) may move by at
+most 1e-15, and the report gains one ``defining-identity`` row after them.
 
 The pinned files were written by running this module as a script
 (``PYTHONPATH=src python tests/test_report_identity.py``) before the fusion
-kernels were batched; rerunning it overwrites them.
+kernels were batched (the ``dual`` and ``group`` reports: before U took its
+closed form); rerunning it overwrites them.
 """
 from __future__ import annotations
 
@@ -25,12 +29,18 @@ from aqgrec.examples import GroupPresentation, _table_from_matrices, gen_finite_
 
 DATA = Path(__file__).parent / "data" / "reports"
 
+# rows of the dual report that depend on U, and the row the closed form added
+UNIVERSAL_ROWS = ("unitarity", "comult-leg1", "comult-leg2", "slice-functional",
+                  "slice-element")
+NEW_ROW = "defining-identity"
+
 # (case, gen arguments, subcommands)
 CASES = [
-    ("pointed-z4", ("pointed", "--n", "4", "--t", "1"), ("validate", "check", "rmatrix")),
-    ("s3", ("s3",), ("validate", "check", "rmatrix")),
-    ("d4", ("d4",), ("validate", "check", "rmatrix")),
-    ("q8", ("q8",), ("validate", "check", "rmatrix")),
+    ("pointed-z4", ("pointed", "--n", "4", "--t", "1"),
+     ("validate", "check", "rmatrix", "dual", "group")),
+    ("s3", ("s3",), ("validate", "check", "rmatrix", "dual", "group")),
+    ("d4", ("d4",), ("validate", "check", "rmatrix", "dual", "group")),
+    ("q8", ("q8",), ("validate", "check", "rmatrix", "dual", "group")),
     ("suq2-l3", ("suq2", "--q", "0.5", "--L", "3"), ("validate", "check")),
     ("a4", None, ("validate", "check", "rmatrix")),  # 3 (x) 3 holds 3 twice
 ]
@@ -94,6 +104,23 @@ def jobs(tmp_path_factory):
     return dict(_jobs(tmp_path_factory.mktemp("bundles")))
 
 
+def _pinned_rows(op: str, got: list[tuple], want: list[tuple]) -> list[tuple]:
+    """got matched to a pinned dual report: the new row, which must pass and
+    follow the last universal-corep row, is dropped if the pinned report
+    predates it, and universal-corep residuals within 1e-15 of the pinned
+    ones take the pinned values."""
+    if op != "dual":
+        return got
+    if all(w[0] != NEW_ROW for w in want):
+        new = [n for n, g in enumerate(got) if g[0] == NEW_ROW]
+        last = max(n for n, w in enumerate(want) if w[0] in UNIVERSAL_ROWS)
+        assert new == [last + 1] and got[last + 1][2], got[last + 1]
+        got = got[:last + 1] + got[last + 2:]
+    return [w if g[:4] == w[:4] and g[0] in UNIVERSAL_ROWS
+            and abs(g[4] - w[4]) <= 1e-15 else g
+            for g, w in zip(got, want)] + got[len(want):]
+
+
 @pytest.mark.parametrize("case,ops", [(c[0], c[2]) for c in CASES]
                          + [("d4-scaled", ("validate",))])
 def test_reports_match_pinned(tmp_path, jobs, case, ops):
@@ -103,10 +130,11 @@ def test_reports_match_pinned(tmp_path, jobs, case, ops):
         got = _report(jobs[name], tmp_path / "out.json")
         assert got["exit"] == want["exit"], name
         assert got["pass"] == want["pass"], name
-        for g, w in zip(_rows(got), _rows(want)):
+        rows = _pinned_rows(op, _rows(got), _rows(want))
+        assert len(rows) == len(want["checks"]), name
+        for g, w in zip(rows, _rows(want)):
             assert g == w, name
-        assert len(got["checks"]) == len(want["checks"]), name
-        for extra in ("triangular", "triangular_residual"):
+        for extra in ("triangular", "triangular_residual", "group", "cocommutative"):
             assert got.get(extra) == want.get(extra), (name, extra)
 
 
