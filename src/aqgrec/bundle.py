@@ -430,7 +430,6 @@ def serialize_bundle(b: CategoryBundle) -> str:
 def validate_bundle(
     b: CategoryBundle,
     tol: Tolerance = DEFAULT_TOL,
-    check_braiding_unitarity: bool = True,
     fail_fast: bool = False,
 ) -> Report:
     """Run the mathematical consistency checks on a bundle.
@@ -548,7 +547,7 @@ def validate_bundle(
 
     # braiding identities
     if b.braiding is not None:
-        _validate_braiding(b, tol, check_braiding_unitarity, rep, done, add_rows)
+        _validate_braiding(b, tol, rep, done, add_rows)
     return rep
 
 
@@ -660,7 +659,7 @@ def _recoupling(b: CategoryBundle, tol: Tolerance):
     return rows, res, bounds
 
 
-def _validate_braiding(b, tol, check_unitarity, rep, done, add_rows):
+def _validate_braiding(b, tol, rep, done, add_rows):
     missing = [
         (i, j) for i in b.labels for j in b.labels if (i, j) not in b.braiding
     ]
@@ -679,13 +678,12 @@ def _validate_braiding(b, tol, check_unitarity, rep, done, add_rows):
         if done():
             return
 
-    if check_unitarity:
-        pairs = sorted(b.braiding)
-        res = np.zeros(len(pairs))
-        for nums, (c,) in by_shape([(b.braiding[p],) for p in pairs]):
-            res[nums] = max_abs(bdagger(c) @ c - eye(c.shape[-1]))
-        if add_rows("braiding-unitarity", [f"({i},{j})" for i, j in pairs], res, one):
-            return
+    pairs = sorted(b.braiding)
+    res = np.zeros(len(pairs))
+    for nums, (c,) in by_shape([(b.braiding[p],) for p in pairs]):
+        res[nums] = max_abs(bdagger(c) @ c - eye(c.shape[-1]))
+    if add_rows("braiding-unitarity", [f"({i},{j})" for i, j in pairs], res, one):
+        return
 
     # naturality hexagons against every loaded fusion isometry
     c, locs, items = b.braiding, [], []

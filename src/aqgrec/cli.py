@@ -143,7 +143,7 @@ def _cmd_dual(args, tol) -> int:
     T, Td, rep = dual_hopf(q, tol)
     U = universal_corep(T)
     rep.extend(verify_universal(q, U, T, Td, tol))
-    _, prep = pontryagin_check(q, tol)
+    _, prep = pontryagin_check(T, Td, tol)
     rep.extend(prep)
     _emit(_report_payload(rep, args.text), args.output)
     return EXIT_PASS if rep.passed else EXIT_FAIL
@@ -168,8 +168,8 @@ def _cmd_rmatrix(args, tol) -> int:
 
 def _cmd_group(args, tol) -> int:
     q = reconstruct(_load(args), tol)
-    group, _, _, rep = grouplikes(q, tol, seed=args.seed)
-    cocomm, crep = cocommutative_check(q, tol)
+    group, T, _, rep = grouplikes(q, tol, seed=args.seed)
+    cocomm, crep = cocommutative_check(q, T, group, rep, tol)
     rep.extend(crep)
     payload = rep.to_dict()
     payload["group"] = group.export()

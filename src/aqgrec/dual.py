@@ -11,17 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aqg import (
-    Aqg,
-    AqgElement,
-    NotFinite,
-    _unit_matrix,
-    antipode,
-    counit,
-    delta,
-    haar,
-    unit_index,
-)
+from .aqg import Aqg, AqgElement, NotFinite, haar, unit_index
 from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, residual, worst
 from .report import Report
 
@@ -97,8 +87,16 @@ def vec_to_element(q: Aqg, v: Array) -> AqgElement:
 
 
 def table_from_aqg(q: Aqg) -> TableHopf:
-    """Materialize the reconstructed algebra as dense Hopf tables."""
-    if not q.bundle.closed:
+    """Materialize the reconstructed algebra as dense Hopf tables.
+
+    Every table is a closed form in the matrix units E^k_ps: E_ps E_st =
+    E_pt, the unit sums the E^k_pp, E_ps* = E_sp, the counit is 1 on the
+    unit label, phi(E^k_ps) = w_k F_k[s,p], S(E^k_ps) = Rbar_i[:,s]
+    conj(R_i)[p,:] on the block of i = dual(k), and Delta(E^k_ab) sums
+    v E_ab v* over the channels v of (n,m) -> k.
+    """
+    b = q.bundle
+    if not b.closed:
         raise NotFinite("Hopf tables require a closed bundle")
     N = q.total_dim()
     mult = np.zeros((N, N, N), dtype=complex)
@@ -108,28 +106,25 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     anti = np.zeros((N, N), dtype=complex)
     star = np.zeros((N, N), dtype=complex)
     haar_v = np.zeros(N, dtype=complex)
-    pairs = q.bundle.layout.pairs
+    idx = {k: unit_index(q, k) for k in q.labels}
 
-    for i in q.labels:
-        d = q.d(i)
-        idx = unit_index(q, i)
-        for p in range(d):
-            unit[idx[p, p]] = 1.0
-            for s in range(d):
-                u = idx[p, s]
-                star[u, idx[s, p]] = 1.0
-                haar_v[u] = q.haar_weights[i] * q.F[i][s, p]
-                mult[u, idx[s], idx[p]] = 1.0
-                eu = AqgElement({i: _unit_matrix(d, p, s)})
-                counit_v[u] = counit(q, eu)
-                anti[u] = element_to_vec(q, antipode(q, eu))
-                for (n, m), blk in delta(q, eu, pairs).items():
-                    if np.max(np.abs(blk)) == 0:
-                        continue
-                    dn, dm = q.d(n), q.d(m)
-                    tt = blk.reshape(dn, dm, dn, dm).transpose(0, 2, 1, 3)
-                    rows, cols = unit_index(q, n).ravel(), unit_index(q, m).ravel()
-                    comult[u][np.ix_(rows, cols)] += tt.reshape(dn * dn, dm * dm)
+    for k in q.labels:
+        ik, i = idx[k], b.dual[k]
+        mult[ik[:, :, None], ik[None, :, :], ik[:, None, :]] = 1.0
+        unit[ik.diagonal()] = 1.0
+        star[ik, ik.T] = 1.0
+        haar_v[ik] = q.haar_weights[k] * q.F[k].T
+        anti[ik[:, :, None, None], idx[i]] = np.einsum(
+            "as,pb->psab", q._rbarmat(i), q._rmat(i).conj())
+    counit_v[idx[b.unit][0, 0]] = 1.0
+    for n, m in b.layout.pairs:
+        dn, dm = q.d(n), q.d(m)
+        for k, _, v in b.layout.channels[(n, m)]:
+            dk = q.d(k)
+            # [a, b, (x, x'), (y, y')] = v[(x, y), a] conj(v[(x', y'), b])
+            blk = np.einsum("ra,cb->abrc", v, v.conj()).reshape(dk, dk, dn, dm, dn, dm)
+            comult[np.ix_(idx[k].ravel(), idx[n].ravel(), idx[m].ravel())] += (
+                blk.transpose(0, 1, 2, 4, 3, 5).reshape(dk * dk, dn * dn, dm * dm))
     return TableHopf(N, mult, unit, comult, counit_v, anti, star, haar_v)
 
 
@@ -554,16 +549,13 @@ def conjugate_corep_check(q: Aqg, V: Corep, T: TableHopf, Td: TableHopf,
 # Pontryagin double dual
 
 
-def pontryagin_check(q: Aqg, tol: Tolerance = DEFAULT_TOL):
-    """Canonical evaluation map A -> (A-hat)-hat is a Hopf *-isomorphism.
+def pontryagin_check(T: TableHopf, Td: TableHopf, tol: Tolerance = DEFAULT_TOL):
+    """Canonical evaluation map A -> (A-hat)-hat is a Hopf *-isomorphism,
+    for the tables T of A and Td = dual_table(T) (as dual_hopf returns them).
 
     Returns (theta, report): theta[:,u] holds the double-dual coefficients
     of the basis element e_u.
     """
-    if not q.bundle.closed:
-        raise NotFinite("double dual requires a closed bundle")
-    T = table_from_aqg(q)
-    Td = dual_table(T)
     Tdd = dual_table(Td)
     P = T.pairing()
     Phat = Td.pairing()

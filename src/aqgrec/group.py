@@ -255,17 +255,15 @@ def rep_to_group_rep(q: Aqg, pi, group: IntrinsicGroup,
     return mats, rep
 
 
-def cocommutative_check(q: Aqg, tol: Tolerance = DEFAULT_TOL):
+def cocommutative_check(q: Aqg, T: TableHopf, group: IntrinsicGroup,
+                        grep: Report, tol: Tolerance = DEFAULT_TOL):
     """Detect the group case: cocommutative coproduct and grouplike blocks
-    spanning every B(H_i).  Returns (bool, Report)."""
-    if not q.bundle.closed:
-        raise NotFinite("cocommutativity check requires a closed bundle")
+    spanning every B(H_i).  T, group and grep are the tables, intrinsic group
+    and report that grouplikes returned.  Returns (bool, Report)."""
     rep = Report("cocommutative")
-    T = table_from_aqg(q)
     ok, res = T.cocommutative(tol)
     rep.add("comult-symmetric", "all basis elements", res, ok)
     if ok:
-        group, _, _, grep = grouplikes(q, tol)
         rep.add("intrinsic-group-valid", f"order {group.order}",
                 grep.max_residual, grep.passed)
         spanned = True

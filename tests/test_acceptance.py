@@ -122,11 +122,11 @@ def test_criterion_5_fusion_equivalence(shipped_aqgs):
 def test_criterion_6_duality(closed_aqgs):
     rng = np.random.default_rng(42)
     for name, q in closed_aqgs.items():
-        _, rep = pontryagin_check(q)
-        assert rep.passed, f"{name}: {rep.failures()}"
-        assert rep.max_residual < 1e-8, name
         T = table_from_aqg(q)
         Td = dual_table(T)
+        _, rep = pontryagin_check(T, Td)
+        assert rep.passed, f"{name}: {rep.failures()}"
+        assert rep.max_residual < 1e-8, name
         for _ in range(20):
             c = rng.standard_normal(T.dim) + 1j * rng.standard_normal(T.dim)
             lhs = Td.haar_of(Td.product(Td.star_of(c), c))
@@ -168,7 +168,8 @@ def test_criterion_8_r_matrices(shipped_aqgs):
     assert max(
         residual(m, np.eye(m.shape[0])) for m in R.blocks.values()
     ) < 1e-12
-    flag, _ = cocommutative_check(q)
+    group, T, _, grep = grouplikes(q)
+    flag, _ = cocommutative_check(q, T, group, grep)
     assert flag
     _ok(8, "pointed YBE suite, triangular iff n=2, exact roundtrip, S3 flip")
 

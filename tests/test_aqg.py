@@ -51,6 +51,17 @@ def t_matrix(q, which):
     return mat
 
 
+def test_haar_gram_is_weighted_f(shipped_aqgs):
+    # 7-haar-faithful takes its least eigenvalue from w_i (I (x) F_i)
+    for name, q in shipped_aqgs.items():
+        for i in q.labels:
+            d, w = q.d(i), q.haar_weights[i]
+            units = [_unit_matrix(d, p, s) for p in range(d) for s in range(d)]
+            gram = np.array([[w * np.trace(q.F[i] @ ub.conj().T @ ua) for ub in units]
+                             for ua in units])
+            assert np.array_equal(gram, w * np.kron(np.eye(d), q.F[i])), (name, i)
+
+
 def test_axiom_suite_passes_on_all_bundles(shipped_aqgs):
     for name, q in shipped_aqgs.items():
         rep = verify_axioms(q)

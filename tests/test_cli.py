@@ -1,7 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
+from aqgrec import cli, dual, group
+from aqgrec.aqg import reconstruct
+from aqgrec.bundle import parse_bundle
 from aqgrec.cli import run
 
 
@@ -46,6 +50,41 @@ def test_dual_and_group_commands(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["group"]["order"] == 8
     assert doc["cocommutative"] is True
+
+
+def test_each_command_builds_the_tables_once(tmp_path, monkeypatch):
+    path = _gen(tmp_path, "d4")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (dual, group, cli):
+        for name in ("table_from_aqg", "dual_table", "grouplikes"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    out = str(tmp_path / "report.json")
+    assert run(["group", str(path), "-o", out]) == 0
+    assert calls == {"table_from_aqg": 1, "dual_table": 1, "grouplikes": 1}
+    calls.clear()
+    # A, its dual and the double dual
+    assert run(["dual", str(path), "-o", out]) == 0
+    assert calls == {"table_from_aqg": 1, "dual_table": 2}
+
+
+def test_group_seed_reaches_every_row(tmp_path):
+    path = _gen(tmp_path, "q8")
+    q = reconstruct(parse_bundle(path.read_text()))
+    residuals = {seed: group.grouplikes(q, seed=seed)[3].max_residual for seed in (7, 42)}
+    # the seeds give different residuals, so the row shows which one it saw
+    assert residuals[7] != residuals[42]
+    out = tmp_path / "report.json"
+    assert run(["group", str(path), "--seed", "7", "-o", str(out)]) == 0
+    rows = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+    assert rows["intrinsic-group-valid"]["residual"] == residuals[7]
 
 
 def test_rmatrix_command(tmp_path, capsys):

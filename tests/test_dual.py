@@ -1,7 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from aqgrec.aqg import NotFinite
+from aqgrec.aqg import (
+    AqgElement,
+    NotFinite,
+    _unit_matrix,
+    antipode,
+    counit,
+    delta,
+    reconstruct,
+    unit_index,
+)
+from aqgrec.bundle import parse_bundle
 from aqgrec.dual import (
     Corep,
     conjugate_corep_check,
@@ -25,6 +37,63 @@ from aqgrec.dual import (
     verify_universal,
 )
 from aqgrec.linalg import residual
+from test_report_identity import a4_bundle
+
+
+def tables_by_matrix_units(q):
+    """The Hopf tables of A built one matrix unit at a time through the
+    element API (counit, antipode and Delta of each E^i_ps): the oracle for
+    the closed forms of table_from_aqg."""
+    N = q.total_dim()
+    mult = np.zeros((N, N, N), dtype=complex)
+    unit = np.zeros(N, dtype=complex)
+    comult = np.zeros((N, N, N), dtype=complex)
+    counit_v = np.zeros(N, dtype=complex)
+    anti = np.zeros((N, N), dtype=complex)
+    star = np.zeros((N, N), dtype=complex)
+    haar_v = np.zeros(N, dtype=complex)
+    pairs = q.bundle.layout.pairs
+    for i in q.labels:
+        d = q.d(i)
+        idx = unit_index(q, i)
+        for p in range(d):
+            unit[idx[p, p]] = 1.0
+            for s in range(d):
+                u = idx[p, s]
+                star[u, idx[s, p]] = 1.0
+                haar_v[u] = q.haar_weights[i] * q.F[i][s, p]
+                mult[u, idx[s], idx[p]] = 1.0
+                eu = AqgElement({i: _unit_matrix(d, p, s)})
+                counit_v[u] = counit(q, eu)
+                anti[u] = element_to_vec(q, antipode(q, eu))
+                for (n, m), blk in delta(q, eu, pairs).items():
+                    dn, dm = q.d(n), q.d(m)
+                    tt = blk.reshape(dn, dm, dn, dm).transpose(0, 2, 1, 3)
+                    rows, cols = unit_index(q, n).ravel(), unit_index(q, m).ravel()
+                    comult[u][np.ix_(rows, cols)] += tt.reshape(dn * dn, dm * dm)
+    return {"mult": mult, "unit": unit, "comult": comult, "counit": counit_v,
+            "antipode": anti, "star": star, "haar": haar_v}
+
+
+def test_closed_form_tables_match_matrix_units(closed_aqgs):
+    # bitwise: each entry is one product of isometry entries in both
+    for name, q in closed_aqgs.items():
+        T = table_from_aqg(q)
+        for field, want in tables_by_matrix_units(q).items():
+            assert np.array_equal(getattr(T, field), want), (name, field)
+    # A4 sums two channels of 3 (x) 3 -> 3 in another order.  Every shipped
+    # R_i is real; the same phase on r_i and rbar_i still solves the
+    # conjugate equations and makes R_i complex, and the antipode's complex
+    # products are then rounded differently from the matrix products
+    b = closed_aqgs["s3"].bundle
+    z = np.exp(0.7j)
+    phased = dataclasses.replace(
+        b, conj={i: (r * z, rbar * z) for i, (r, rbar) in b.conj.items()})
+    for bundle in (parse_bundle(a4_bundle()), phased):
+        q = reconstruct(bundle)
+        T = table_from_aqg(q)
+        for field, want in tables_by_matrix_units(q).items():
+            assert residual(getattr(T, field), want) <= 1e-15, field
 
 
 def test_primal_table_satisfies_hopf_axioms(closed_aqgs):
@@ -47,7 +116,7 @@ def test_dual_requires_closed_bundle(suq2_half):
     with pytest.raises(NotFinite):
         fourier(suq2_half, suq2_half.identity_element())
     with pytest.raises(NotFinite):
-        pontryagin_check(suq2_half)
+        table_from_aqg(suq2_half)
 
 
 def test_commutativity_swaps_with_cocommutativity(closed_aqgs):
@@ -159,7 +228,8 @@ def test_conjugate_corep(closed_aqgs):
 
 def test_pontryagin_isomorphism(closed_aqgs):
     for name, q in closed_aqgs.items():
-        theta, rep = pontryagin_check(q)
+        T, Td, _ = dual_hopf(q)
+        theta, rep = pontryagin_check(T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8
         assert theta.shape == (q.total_dim(), q.total_dim())

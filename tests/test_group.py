@@ -122,6 +122,8 @@ def test_rep_to_group_rep_on_tensor_product(shipped_aqgs):
 
 def test_cocommutative_detection(shipped_aqgs):
     for name in ("z2", "s3", "q8", "pointed-z3-t1"):
-        flag, rep = cocommutative_check(shipped_aqgs[name])
+        q = shipped_aqgs[name]
+        group, T, _, grep = grouplikes(q)
+        flag, rep = cocommutative_check(q, T, group, grep)
         assert flag, (name, rep.failures())
         assert rep.passed
