@@ -27,7 +27,6 @@ from .bundle import BundleSyntaxError, ShapeError, parse_bundle, serialize_bundl
 from .dual import dual_hopf, pontryagin_check, universal_corep, verify_universal
 from .examples import (
     BadPresentation,
-    DegenerateProjector,
     builtin_group,
     gen_finite_group,
     gen_pointed,
@@ -233,8 +232,7 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, tol)
     except (OSError, json.JSONDecodeError, BundleSyntaxError, ShapeError,
-            BadPresentation, DegenerateProjector, NotFinite,
-            MissingBraiding) as exc:
+            BadPresentation, NotFinite, MissingBraiding) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidBundle as exc:

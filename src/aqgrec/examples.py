@@ -3,7 +3,11 @@
 Three families are provided: categories of unitary representations of small
 finite groups (with the symmetric flip braiding), pointed braided Z/n
 categories with a bicharacter braiding, and truncation windows of the
-SU_q(2) fusion category built from Temperley-Lieb / Jones-Wenzl data.
+SU_q(2) fusion category, built in the weight basis of U_q(su_2) from
+q-Clebsch-Gordan coefficients (A. N. Kirillov and N. Yu. Reshetikhin,
+"Representations of the algebra U_q(sl(2)), q-orthogonal polynomials and
+invariants of links", 1989), at a cost polynomial in the truncation level.
+Bad arguments raise BadPresentation.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from .linalg import (
     dagger,
     eye,
     flip,
-    hermitian_calc,
     kron,
     orthonormalize,
     residual,
@@ -30,11 +33,7 @@ from .linalg import (
 
 
 class BadPresentation(ValueError):
-    pass
-
-
-class DegenerateProjector(ValueError):
-    pass
+    """A group presentation or generator argument that defines no bundle."""
 
 
 @dataclass
@@ -326,7 +325,7 @@ def gen_finite_group(p: GroupPresentation | str) -> CategoryBundle:
 def gen_pointed(n: int, t: int = 0) -> CategoryBundle:
     """Pointed category on Z/n with braiding from the bicharacter (j,k) -> w^{t j k}."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadPresentation("n must be >= 1")
     omega = np.exp(2j * np.pi / n)
     labels = [str(j) for j in range(n)]
     one = cmat([[1.0]])
@@ -354,7 +353,7 @@ def gen_pointed(n: int, t: int = 0) -> CategoryBundle:
 
 
 # ---------------------------------------------------------------------------
-# SU_q(2) truncation via Temperley-Lieb
+# SU_q(2) truncation in the weight basis
 
 
 def _qint(m: int, q: float) -> float:
@@ -363,97 +362,89 @@ def _qint(m: int, q: float) -> float:
     return (q**m - q**-m) / (q - 1.0 / q)
 
 
-def _fund_cup(q: float) -> Array:
-    # single-strand cup; the induced J*J on C^2 has spectrum {q, 1/q}
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1j * np.sqrt(q)
-    v[2] = -1j / np.sqrt(q)
-    return v
+def _lowering(n: int, q: float) -> tuple[Array, Array]:
+    """F and K of U_q(su_2) on label n, in the basis e_n, e_{n-2}, ..., e_{-n}.
+
+    K e_m = q^(m/2) e_m and F e_m = sqrt([(n+m)/2]_q [(n-m)/2+1]_q) e_{m-2};
+    E is the transpose of F.  Returns the n weights of F (in basis order,
+    each taking e_m to e_{m-2}) and the diagonal of K.
+    """
+    m = np.arange(n, -n - 1, -2)
+    f = np.sqrt([_qint((n + a) // 2, q) * _qint((n - a) // 2 + 1, q) for a in m[:-1]])
+    return f, q ** (m / 2.0)
 
 
-def _nested_cup(c: int, q: float) -> Array:
-    """The c-fold nested cup vector in (C^2)^(2c)."""
-    v1 = _fund_cup(q)
-    v = v1
-    for _ in range(c - 1):
-        v = (kron(eye(2), kron(v.reshape(-1, 1), eye(2))) @ v1.reshape(4, 1)).reshape(-1)
-    return v
+def _weight_isometries(i: int, j: int, ops: list, L: int) -> dict[int, Array]:
+    """The isometries C^(k+1) -> C^(i+1) (x) C^(j+1), k <= L, of the channels of i (x) j.
 
-
-def _jones_wenzl(nmax: int, q: float) -> list[Array]:
-    """Jones-Wenzl projectors p_1..p_nmax on tensor powers of C^2."""
-    cup = _fund_cup(q)
-    u = np.outer(cup, cup.conj())  # U^2 = [2]_q U, Hermitian
-    projs = [eye(2)]
-    for n in range(1, nmax):
-        qn, qn1 = _qint(n, q), _qint(n + 1, q)
-        if abs(qn1) < 1e-12:
-            raise DegenerateProjector(f"[{n + 1}]_q vanishes at q={q}")
-        pn = projs[-1]
-        big = kron(pn, eye(2))
-        un = kron(eye(2 ** (n - 1)), u)
-        projs.append(big - (qn / qn1) * (big @ un @ big))
-    return projs
+    The weights m of i (x) j are walked from i+j down.  At each weight the
+    previous columns are lowered with Delta(F) = F (x) K + K^-1 (x) F, ordered
+    by decreasing channel k, and a complete QR of the weight space makes them
+    orthonormal again (signs fixed by diag(R)); a leftover column is the
+    highest weight vector of the new channel k = m.  Delta(E) kills it, so its
+    entries alternate in sign along the weight space; its sign is fixed so
+    that the e_i (x) e_(m-i) entry is positive, read off the largest entry
+    (the first one can underflow: 1.9e-13 at q = 1/2, L = 12).  The QR
+    matters: lowering with a normalisation alone lets roundoff of the high
+    channels leak into the low ones, which grows with L.
+    """
+    (fi, ki), (fj, kj) = ops[i], ops[j]
+    # Delta(F) lowers one factor by one step: F (x) K on the left, K^-1 (x) F on the right
+    left, right = fi[:, None, None] * kj[None, :, None], fj[None, :, None] / ki[:, None, None]
+    weight = np.add.outer(np.arange(i, -i - 1, -2), np.arange(j, -j - 1, -2)).reshape(-1)
+    cols: dict[int, list[Array]] = {}
+    vecs, ks = np.zeros((weight.size, 0)), []
+    for m in range(i + j, -i - j - 1, -2):
+        rows = np.flatnonzero(weight == m)
+        alive = [n for n, k in enumerate(ks) if k >= -m]
+        ks = [ks[n] for n in alive]
+        v = vecs[:, alive].reshape(i + 1, j + 1, -1)
+        low = np.zeros_like(v)
+        low[1:] += left * v[:-1]
+        low[:, 1:] += right * v[:, :-1]
+        Q, R = np.linalg.qr(low.reshape(weight.size, -1)[rows], mode="complete")
+        Q[:, :len(ks)] *= np.sign(np.diag(R))
+        if rows.size > len(ks):
+            t = np.argmax(np.abs(Q[:, -1]))
+            Q[:, -1] *= (-1) ** t * np.sign(Q[t, -1])
+            ks.append(m)
+        vecs = np.zeros((weight.size, len(ks)))
+        vecs[rows] = Q
+        for k, col in zip(ks, vecs.T):
+            cols.setdefault(k, []).append(col)
+    return {k: np.array(cols[k]).T.astype(complex) for k in sorted(cols) if k <= L}
 
 
 def gen_suq2(q: float, L: int) -> CategoryBundle:
     """Truncation window of the SU_q(2) fusion category, labels spin 0..L/2.
 
-    Label n is the range of the Jones-Wenzl projector p_n inside (C^2)^(x n),
-    carried to C^(n+1) by an explicit isometry; fusion isometries are
-    compressed nested-cup insertions; the conjugate pair per label comes from
-    the n-fold nested cup, rebalanced so the conjugate equations hold to
-    machine precision.
+    Label n is the irrep C^(n+1) of U_q(su_2) in its weight basis e_n, e_{n-2},
+    ..., e_{-n}.  The fusion isometries are q-Clebsch-Gordan coefficients,
+    found by lowering highest weight vectors with Delta(F) (see
+    `_weight_isometries`); for real q every one is a real orthogonal map.  The
+    conjugate pair of label n comes from the invariant vector of the channel
+    (n, n) -> 0, rebalanced so the conjugate equations hold to machine
+    precision; F_n is then K_n^2 = diag(q^n, q^(n-2), ..., q^-n).
+    Every array is of size polynomial in L.
     """
     if not (0 < q <= 1):
-        raise ValueError("q must lie in (0, 1]")
+        raise BadPresentation("q must lie in (0, 1]")
     if L < 1:
-        raise ValueError("L must be >= 1")
-    tol = DEFAULT_TOL
-    projs = _jones_wenzl(L, q)
-
-    # isometry iota_n : C^(n+1) -> (C^2)^(x n) onto the projector range
-    iotas: list[Array] = [np.ones((1, 1), dtype=complex)]  # n = 0: empty word
-    for n in range(1, L + 1):
-        pn = projs[n - 1]
-        evals, evecs = np.linalg.eigh((pn + dagger(pn)) / 2.0)
-        keep = evals > 0.5
-        if int(np.sum(keep)) != n + 1:
-            raise DegenerateProjector(
-                f"projector p_{n} has rank {int(np.sum(keep))}, expected {n + 1}"
-            )
-        iotas.append(evecs[:, keep])
-
+        raise BadPresentation("L must be >= 1")
+    ops = [_lowering(n, q) for n in range(L + 1)]
     labels = [str(n) for n in range(L + 1)]
     dims = {str(n): n + 1 for n in range(L + 1)}
 
-    fusion: dict = {}
-    for i in range(L + 1):
-        for j in range(L + 1):
-            chans = {}
-            for k in range(abs(i - j), min(i + j, L) + 1, 2):
-                c = (i + j - k) // 2
-                if c == 0:
-                    m = eye(2**k)
-                else:
-                    m = kron(
-                        eye(2 ** (i - c)),
-                        kron(_nested_cup(c, q).reshape(-1, 1), eye(2 ** (j - c))),
-                    )
-                raw = dagger(kron(iotas[i], iotas[j])) @ m @ iotas[k]
-                gram = dagger(raw) @ raw
-                if np.max(np.abs(gram)) < 1e-12:
-                    raise DegenerateProjector(f"fusion channel ({i},{j})->{k} collapses")
-                v = raw @ hermitian_calc(gram, "inv_sqrt", tol)
-                chans[str(k)] = [v]
-            if chans:
-                fusion[(str(i), str(j))] = chans
+    fusion = {
+        (str(i), str(j)): {str(k): [v] for k, v in _weight_isometries(i, j, ops, L).items()}
+        for i in range(L + 1)
+        for j in range(L + 1)
+    }
 
     conj = {"0": (np.array([1.0 + 0j]), np.array([1.0 + 0j]))}
     for n in range(1, L + 1):
         d = n + 1
-        raw = (dagger(kron(iotas[n], iotas[n])) @ _nested_cup(n, q).reshape(-1, 1)).reshape(-1)
-        rbm = raw.reshape(d, d)  # candidate rbar as a matrix
+        rbm = fusion[(str(n), str(n))]["0"][0].reshape(d, d)  # candidate rbar as a matrix
         rm = np.linalg.inv(rbm.conj())  # exact partner matrix
         # rebalance so that r*r = rbar*rbar
         ratio = np.linalg.norm(rm) / np.linalg.norm(rbm)

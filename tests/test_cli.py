@@ -113,6 +113,19 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert run(["group", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["suq2", "--q", "1.5"],
+    ["suq2", "--q", "0"],
+    ["suq2", "--q", "nan"],
+    ["suq2", "--L", "0"],
+    ["pointed", "--n", "0"],
+])
+def test_gen_exits_2_on_bad_arguments(tmp_path, capsys, argv):
+    assert run(["gen", *argv, "-o", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_1_on_corrupted_bundle(tmp_path, capsys):
     path = _gen(tmp_path, "zn", "--n", "3")
     doc = json.loads(path.read_text())

@@ -9,6 +9,13 @@ universal corepresentation is now the closed form inv(P)^T rather than a
 least-squares solution, so its five rows (UNIVERSAL_ROWS) may move by at
 most 1e-15, and the report gains one ``defining-identity`` row after them.
 
+Two cases are built here rather than by ``aqgrec gen``: A4, which no
+built-in family covers, and the SU_q(2) L=3 window, which comes from the
+Temperley-Lieb construction that wrote its pinned reports (``gen_suq2_tl`` in
+test_examples.py).  ``gen suq2`` now works in the weight basis, a different
+gauge of the same category, whose L=3 reports keep every row and flag and
+move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
+
 The pinned files were written by running this module as a script
 (``PYTHONPATH=src python tests/test_report_identity.py``) before the fusion
 kernels were batched (the ``dual`` and ``group`` reports: before U took its
@@ -26,6 +33,7 @@ import pytest
 from aqgrec.bundle import serialize_bundle
 from aqgrec.cli import run
 from aqgrec.examples import GroupPresentation, _table_from_matrices, gen_finite_group
+from test_examples import gen_suq2_tl
 
 DATA = Path(__file__).parent / "data" / "reports"
 
@@ -41,7 +49,7 @@ CASES = [
     ("s3", ("s3",), ("validate", "check", "rmatrix", "dual", "group")),
     ("d4", ("d4",), ("validate", "check", "rmatrix", "dual", "group")),
     ("q8", ("q8",), ("validate", "check", "rmatrix", "dual", "group")),
-    ("suq2-l3", ("suq2", "--q", "0.5", "--L", "3"), ("validate", "check")),
+    ("suq2-l3", None, ("validate", "check")),  # q = 0.5, Temperley-Lieb
     ("a4", None, ("validate", "check", "rmatrix")),  # 3 (x) 3 holds 3 twice
 ]
 
@@ -57,6 +65,14 @@ def a4_bundle() -> str:
     ones = [[np.array([[omega ** (m * k)]]) for k in range(3) for _ in signs] for m in range(3)]
     return serialize_bundle(gen_finite_group(
         GroupPresentation(12, _table_from_matrices(mats), ones + [mats])))
+
+
+def suq2_l3_bundle() -> str:
+    return serialize_bundle(gen_suq2_tl(0.5, 3))
+
+
+BUILT = {"a4": a4_bundle, "suq2-l3": suq2_l3_bundle}
+
 
 def scale_entry(doc: dict) -> dict:
     """Scale the largest entry of the first fusion isometry of shape 2x2 by
@@ -77,7 +93,7 @@ def _jobs(tmp: Path):
     for case, gen, ops in CASES:
         path = tmp / f"{case}.json"
         if gen is None:
-            path.write_text(a4_bundle())
+            path.write_text(BUILT[case]())
         else:
             assert run(["gen", *gen, "-o", str(path)]) == 0
         for op in ops:
@@ -136,6 +152,21 @@ def test_reports_match_pinned(tmp_path, jobs, case, ops):
             assert g == w, name
         for extra in ("triangular", "triangular_residual", "group", "cocommutative"):
             assert got.get(extra) == want.get(extra), (name, extra)
+
+
+def test_weight_basis_suq2_keeps_the_rows(tmp_path):
+    """The L=3 window from ``gen suq2`` against the pinned reports of the
+    Temperley-Lieb one: same rows, locations, order and flags; residuals
+    within roundoff."""
+    path = tmp_path / "suq2.json"
+    assert run(["gen", "suq2", "--q", "0.5", "--L", "3", "-o", str(path)]) == 0
+    for op in ("validate", "check"):
+        want = json.loads((DATA / f"suq2-l3.{op}.json").read_text())
+        got = _report([op, str(path)], tmp_path / "out.json")
+        assert (got["exit"], got["pass"]) == (want["exit"], want["pass"]), op
+        rows, pinned = _rows(got), _rows(want)
+        assert [g[:4] for g in rows] == [w[:4] for w in pinned], op
+        assert max(abs(g[4] - w[4]) for g, w in zip(rows, pinned)) <= 1e-13, op
 
 
 def main(tmp: Path) -> None:
