@@ -777,11 +777,12 @@ def verify_axioms(
 ) -> Report:
     """Numerically verify the multiplier-Hopf-*-algebra axioms.
 
-    Eight check groups: coassociativity, counit laws, antipode laws, T1/T2
-    bijectivity, f-element properties, Haar invariance, Haar faithfulness,
-    and *-compatibility of the coproduct.  Window bundles get each check on
-    its admissible blocks; anything unreachable is skipped explicitly.
-    Block families are evaluated as stacked products, one per block shape.
+    Eight check groups: coassociativity (the fusion layout's F-move
+    certificate), counit laws, antipode laws, T1/T2 bijectivity, f-element
+    properties, Haar invariance, Haar faithfulness, and *-compatibility of
+    the coproduct.  Window bundles get each check on its admissible blocks;
+    anything unreachable is skipped explicitly.  Block families are
+    evaluated as stacked products, one per block shape.
     """
     rep = Report("hopf-axioms")
     rng = np.random.default_rng(seed)
@@ -791,21 +792,19 @@ def verify_axioms(
     all_pairs = np.arange(len(b.layout.pairs))
     u = b.unit
 
-    # (1) coassociativity on admissible triples
-    triples = b.layout.coassoc[0]
-    if not triples:
-        rep.skip("1-coassociativity", "no admissible triples")
-    res, scale = [0.0], [1.0]
-    for t in range(n_small):
-        blocks = _delta_stacks(q, q.random_element(rng), all_pairs)
-        lhs, rhs = (_coassoc_sums(q, side, blocks) for side in (0, 1))
-        for shape in lhs:
-            res.append(max_abs(lhs[shape] - rhs[shape]))
-            scale.append(max_abs(lhs[shape]))
+    # (1) coassociativity on all of B(H_m), from the F-move certificate of
+    # every admissible (i,j,k -> m)
+    triples, _, fres, _ = b.layout.fmoves
     if triples:
-        res, scale = worst(*res), worst(*scale)
+        res = worst(fres)
         rep.add("1-coassociativity", f"{len(triples)} triples", res,
-                res <= tol.bound(scale))
+                res <= tol.bound(1.0))
+    else:
+        rep.skip("1-coassociativity", "no admissible triples")
+    # n_small random elements are drawn and dropped: the seeded rows below
+    # keep the values that the pinned reports hold
+    for _ in range(n_small):
+        q.random_element(rng)
 
     # (2) counit laws
     res, scale = [0.0], [1.0]
@@ -945,25 +944,6 @@ def verify_axioms(
     rep.add("8-delta-star-homomorphism", "all pairs", res,
             res <= tol.bound(scale))
     return rep
-
-
-def _coassoc_sums(q: Aqg, side: int, blocks) -> dict:
-    """One side of coassociativity on every admissible triple, as stacks of
-    the triple blocks per size, from Delta(a) on all pairs (blocks)."""
-    lay = q.bundle.layout
-    _, sizes, sides = lay.coassoc
-    groups, pos = sides[side]
-    delta_out, slot = blocks
-    size = lay.pair_size
-    sums = {(d, d): np.zeros((n, d, d), dtype=complex) for d, n in sizes.items()}
-
-    def parts():
-        for nums, (x, y, idx) in groups:
-            w = bkron(x, y)
-            dmat = delta_out[(int(size[idx[0]]),) * 2][slot[idx]]
-            yield nums, w @ dmat @ bdagger(w)
-
-    return add_in_order(sums, pos, parts())
 
 
 def _restricted_pair_residual(q: Aqg, x: PairElement, y: PairElement, sample) -> float:

@@ -115,9 +115,9 @@ class FusionLayout:
       among the dim_count[d] labels of its size d) and over pairs (pair_size = d_i d_j,
       loaded[p, k]: pair p has a channel into label k).
 
-    The work lists of the stacked kernels are built from it on first use:
-    delta (every channel as one item of Delta) and coassoc (both sides of
-    coassociativity on every admissible triple).
+    Built from it on first use: delta, the work list of Delta (every channel
+    as one item), and fmoves, the F-move certificate of every admissible
+    quadruple.
     """
 
     def __init__(self, b: CategoryBundle):
@@ -157,7 +157,7 @@ class FusionLayout:
                 self.loaded[self.pair_index[p], self.label_index[k]] = True
         self._bundle = b
         self._delta = None
-        self._coassoc = None
+        self._fmoves = None
 
     @property
     def delta(self):
@@ -186,42 +186,83 @@ class FusionLayout:
         return self._delta
 
     @property
-    def coassoc(self):
-        """Work lists of both sides of coassociativity, (Delta (x) iota)Delta
-        and (iota (x) Delta)Delta, on every triple (i,j,k) with i (x) j and
-        j (x) k complete.
+    def fmoves(self):
+        """The F-move certificate of every admissible quadruple (i,j,k -> m).
 
-        Side 0 sums w Delta_{lk} w* over w = v (x) I_k, v in i (x) j -> l;
-        side 1 sums w Delta_{il} w* over w = I_i (x) v, v in j (x) k -> l.
-        Returns (triples, sizes, sides): sizes maps d_i d_j d_k to its triple
-        count, and each side is (groups, position) with groups the
-        (numbers, [x, y, pair]) shape groups of the items w = x (x) y, pair
-        the index of their Delta block, and position[n] the slot of item n's
-        triple among the triples of its size.
+        A triple (i,j,k) is admissible when i (x) j and j (x) k are complete.
+        Per m, U stacks (v (x) I_k) w over the left paths i (x) j -> l,
+        l (x) k -> m, and W stacks (I_i (x) v') w' over the right paths
+        j (x) k -> n, i (x) n -> m, both in channel order.  The two
+        bracketings of Delta agree on all of B(H_m) exactly when
+        G = W* U = M (x) I_{d_m} with M unitary; M (the F-matrix, or 6j
+        symbol) is the d_m-traces of G over d_m, and the residual is the
+        worst of max|G - M (x) I|, max|M* M - I| and max|M M* - I|, which is
+        1 when one side has no path.
+
+        Returns (triples, quads, residual, F): the admissible triples in
+        label order, the quadruples (i,j,k,m) with m in label order, and per
+        quadruple its residual and its F-matrix (right paths x left paths).
         """
-        if self._coassoc is None:
+        if self._fmoves is None:
             b = self._bundle
-            triples = [
-                (i, j, k) for i in b.labels for j in b.labels for k in b.labels
-                if self.complete[(i, j)] and self.complete[(j, k)]
-            ]
-            sides, pos, sizes = ([], []), ([], []), {}
+            chans = self.channels
+            triples = [(i, j, k) for i in b.labels for j in b.labels for k in b.labels
+                       if self.complete[(i, j)] and self.complete[(j, k)]]
+            quads, paths, groups = [], [], {}
             for i, j, k in triples:
+                by_m: dict[str, tuple[list, list]] = {}
+                for l, _, v in chans[(i, j)]:
+                    for m, _, w in chans[(l, k)]:
+                        by_m.setdefault(m, ([], []))[0].append((v, w))
+                for n, _, v in chans[(j, k)]:
+                    for m, _, w in chans[(i, n)]:
+                        by_m.setdefault(m, ([], []))[1].append((v, w))
                 dijk = b.dims[i] * b.dims[j] * b.dims[k]
-                slot = sizes.get(dijk, 0)
-                sizes[dijk] = slot + 1
-                for l, _, v in self.channels[(i, j)]:
-                    sides[0].append((v, frozen_eye(b.dims[k]), np.intp(self.pair_index[(l, k)])))
-                    pos[0].append(slot)
-                for l, _, v in self.channels[(j, k)]:
-                    sides[1].append((frozen_eye(b.dims[i]), v, np.intp(self.pair_index[(i, l)])))
-                    pos[1].append(slot)
+                for m in sorted(by_m, key=self.label_index.get):
+                    left, right = by_m[m]
+                    key = (dijk, b.dims[m], len(left), len(right))
+                    groups.setdefault(key, []).append(len(quads))
+                    quads.append((i, j, k, m))
+                    paths.append(by_m[m])
+            res, fmats = np.zeros(len(quads)), [None] * len(quads)
+            for (dim, dm, p, pp), nums in groups.items():
+                step = max(1, _FMOVE_CHUNK_BYTES // (32 * ((p + pp) * dim * dm + p * pp * dm * dm)))
+                for at in range(0, len(nums), step):
+                    chunk = nums[at:at + step]
+                    res[chunk], f = _fmove_chunk([paths[n] for n in chunk], dim, dm, p, pp)
+                    for t, n in enumerate(chunk):
+                        fmats[n] = f[t]
+            self._fmoves = (triples, quads, res, fmats)
+        return self._fmoves
 
-            self._coassoc = (triples, sizes, [
-                (list(by_shape(sides[s])), np.array(pos[s], dtype=int))
-                for s in (0, 1)
-            ])
-        return self._coassoc
+
+# memory budget of one certificate chunk: U, W and G with their
+# intermediates, counted at 32 bytes per complex entry
+_FMOVE_CHUNK_BYTES = 1 << 22
+
+
+def _fmove_chunk(paths, dim, dm, p, pp):
+    """Residuals and F-matrices of quadruples that share (D, d_m, p, p'):
+    paths holds per quadruple its (left, right) lists of (v, w) items."""
+    nq = len(paths)
+    out = []
+    for side, count in ((0, p), (1, pp)):
+        stack = np.zeros((nq, dim, count, dm), dtype=complex)
+        items = [it for quad in paths for it in quad[side]]
+        quad_of, slot = np.repeat(np.arange(nq), count), np.tile(np.arange(count), nq)
+        for nums, (v, w) in by_shape(items):
+            if side == 0:  # (v (x) I_k) w
+                prod = v @ w.reshape(len(nums), v.shape[-1], -1)
+            else:  # (I_i (x) v) w
+                prod = v[:, None] @ w.reshape(len(nums), -1, v.shape[-1], dm)
+            stack[quad_of[nums], :, slot[nums]] = prod.reshape(len(nums), dim, dm)
+        out.append(stack.reshape(nq, dim, count * dm))
+    g = bdagger(out[1]) @ out[0]
+    f = np.einsum("qaibi->qab", g.reshape(nq, pp, dm, p, dm)) / dm
+    res = np.maximum.reduce([max_abs(g - bkron(f, frozen_eye(dm))),
+                             max_abs(bdagger(f) @ f - eye(p)),
+                             max_abs(f @ bdagger(f) - eye(pp))])
+    return res, f
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +576,23 @@ def validate_bundle(
         if done():
             return rep
 
-    # recoupling: left- vs right-bracketed isotypic projections agree
-    rows, res, bounds = _recoupling(b, tol)
-    for loc, r, bd in zip(rows, res, bounds):
-        if r is None:
-            rep.skip("recoupling", loc)
-        else:
-            rep.add("recoupling", loc, r, r <= bd)
-        if done():
-            return rep
+    # recoupling: the F-move certificate of each admissible (i,j,k -> m);
+    # on a window every other triple is a skipped row
+    lay = b.layout
+    _, quads, fres, _ = lay.fmoves
+    rows: dict[tuple, list] = {}
+    for (i, j, k, m), r in zip(quads, fres.tolist()):
+        rows.setdefault((i, j, k), []).append((f"({i},{j},{k})->{m}", r))
+    for i in b.labels:
+        for j in b.labels:
+            for k in b.labels:
+                if lay.complete[(i, j)] and lay.complete[(j, k)]:
+                    for loc, r in rows.get((i, j, k), []):
+                        rep.add("recoupling", loc, r, r <= one)
+                        if done():
+                            return rep
+                elif not b.closed:
+                    rep.skip("recoupling", f"({i},{j},{k}) window")
 
     # braiding identities
     if b.braiding is not None:
@@ -588,75 +637,6 @@ def _completeness(b: CategoryBundle) -> list:
     ))
     res = {s: max_abs(acc - eye(s[0])) for s, acc in out.items()}
     return [None if d is None else float(res[(d, d)][p]) for d, p in zip(sizes, pos)]
-
-
-def _kron_sandwich(a, b, w):
-    """u u* for u = (a (x) b) w, stacked."""
-    u = bkron(a, b) @ w
-    return u @ bdagger(u)
-
-
-def _recoupling(b: CategoryBundle, tol: Tolerance):
-    """Recoupling rows in report order with residuals and bounds.
-
-    Row ({i},{j},{k})->{m} compares the projections onto m of the left- and
-    right-bracketed i (x) j (x) k; a window triple with an unloaded summand
-    is a skipped row (residual None).
-    """
-    rows, sizes = [], []
-    left, right = [], []
-    lay = b.layout
-    comp, chans, order = lay.complete, lay.channels, lay.label_index
-    everywhere = all(comp.values())
-    for i in b.labels:
-        ei = frozen_eye(b.d(i))
-        for j in b.labels:
-            if not comp[(i, j)]:
-                continue
-            cij = chans[(i, j)]
-            for k in b.labels:
-                cjk = chans[(j, k)]
-                if not everywhere and not (
-                    comp[(j, k)] and all(comp[(i, l)] for l, _, _ in cjk)
-                    and all(comp[(l, k)] for l, _, _ in cij)
-                ):
-                    if not b.closed:
-                        rows.append(f"({i},{j},{k}) window")
-                        sizes.append(None)
-                    continue
-                ek = frozen_eye(b.d(k))
-                by_m: dict[str, tuple[list, list]] = {}
-                for l, _, v in cij:
-                    for m, _, w in chans[(l, k)]:
-                        by_m.setdefault(m, ([], []))[0].append((v, ek, w))
-                for l, _, v in cjk:
-                    for m, _, w in chans[(i, l)]:
-                        by_m.setdefault(m, ([], []))[1].append((ei, v, w))
-                dijk = b.d(i) * b.d(j) * b.d(k)
-                for m in sorted(by_m, key=order.get):
-                    row = len(rows)
-                    rows.append(f"({i},{j},{k})->{m}")
-                    sizes.append(dijk)
-                    lft, rgt = by_m[m]
-                    left += [(it, row) for it in lft]
-                    right += [(it, row) for it in rgt]
-    pos, _ = zero_stacks(sizes)
-
-    def sums(items):
-        return add_in_order(zero_stacks(sizes)[1], pos[[row for _, row in items]], (
-            (nums, _kron_sandwich(*stacks))
-            for nums, stacks in by_shape([it for it, _ in items])
-        ))
-
-    lsum, rsum = sums(left), sums(right)
-    resid, bound = {}, {}
-    for (d, _), lft in lsum.items():
-        rgt = rsum[(d, d)]
-        resid[d] = max_abs(lft - rgt)
-        bound[d] = tol.bounds(lft, rgt)
-    res = [None if d is None else float(resid[d][p]) for d, p in zip(sizes, pos)]
-    bounds = [None if d is None else float(bound[d][p]) for d, p in zip(sizes, pos)]
-    return rows, res, bounds
 
 
 def _validate_braiding(b, tol, rep, done, add_rows):

@@ -228,7 +228,13 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
+    try:
+        tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return _HANDLERS[args.command](args, tol)
     except (OSError, json.JSONDecodeError, BundleSyntaxError, ShapeError,

@@ -78,8 +78,9 @@ def worst(*values) -> float:
 
 
 def max_abs(x: Array) -> Array:
-    """Per-matrix max-entry norm over the last two axes of a stack."""
-    return np.max(np.abs(x), axis=(-2, -1))
+    """Per-matrix max-entry norm over the last two axes of a stack (0 for
+    an empty matrix)."""
+    return np.max(np.abs(x), axis=(-2, -1), initial=0.0)
 
 
 # ---------------------------------------------------------------------------

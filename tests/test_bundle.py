@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aqgrec.aqg import reconstruct, verify_axioms
 from aqgrec.bundle import (
     BundleSyntaxError,
     ShapeError,
@@ -11,6 +13,7 @@ from aqgrec.bundle import (
     serialize_bundle,
     validate_bundle,
 )
+from aqgrec.examples import gen_suq2
 
 
 def test_serialize_parse_roundtrip(shipped_bundles):
@@ -188,3 +191,45 @@ def test_parse_rejects_non_finite_entries(shipped_bundles, value):
         ent["data"][0][0] = value
         with pytest.raises(BundleSyntaxError, match="non-finite"):
             parse_bundle(json.dumps(doc))
+
+
+def test_twisted_window_fails_recoupling():
+    """Every isometry into label 3 of the L=3 window turned by one rotation R
+    of H_3.  Orthonormality, completeness and the conjugate equations still
+    hold, but the two bracketings of Delta differ: the F-move certificate
+    fails 19 recoupling rows and 1-coassociativity, and nothing else."""
+    b = gen_suq2(0.5, 3)
+    cos, sin = np.cos(0.3), np.sin(0.3)
+    rot = np.eye(4, dtype=complex)
+    rot[:2, :2] = [[cos, -sin], [sin, cos]]
+    fusion = {p: {k: [v @ rot if k == "3" else v for v in vs] for k, vs in ch.items()}
+              for p, ch in b.fusion.items()}
+    twisted = dataclasses.replace(b, fusion=fusion)
+    failed = [c for c in validate_bundle(twisted).checks if not c.passed]
+    assert {c.name for c in failed} == {"recoupling"} and len(failed) == 19
+    rep = verify_axioms(reconstruct(twisted, validate=False))
+    assert [c.name for c in rep.failures()] == ["1-coassociativity"]
+
+
+def test_window_validation_memory():
+    # the projection stacks of the former recoupling check peaked at 127 MiB
+    b = gen_suq2(0.5, 10)
+    tracemalloc.start()
+    try:
+        assert validate_bundle(b).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_fmove_with_a_missing_path_reads_one(shipped_bundles):
+    """Pointed Z/3 without the channel 1 (x) 1 -> 2: (2,2,1 -> 2) keeps its
+    right path 2 (x) 1 -> 0, 2 (x) 0 -> 2 but has no left one, so its
+    F-matrix is 1 x 0 and |M M* - I| reads 1."""
+    b = shipped_bundles["pointed-z3-t1"]
+    fusion = {p: dict(ch) for p, ch in b.fusion.items()}
+    del fusion[("1", "1")]["2"]
+    rep = validate_bundle(dataclasses.replace(b, fusion=fusion))
+    row = next(c for c in rep.checks if c.location == "(2,2,1)->2")
+    assert row.name == "recoupling" and row.residual == 1.0 and not row.passed

@@ -126,6 +126,20 @@ def test_gen_exits_2_on_bad_arguments(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--abs-tol", "nan"],
+    ["--rel-tol", "-1"],
+    ["--samples", "0"],
+    ["--samples", "-3"],
+])
+def test_check_exits_2_on_bad_tolerance_or_samples(tmp_path, capsys, argv):
+    path = _gen(tmp_path, "d4")
+    capsys.readouterr()
+    assert run(["check", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_1_on_corrupted_bundle(tmp_path, capsys):
     path = _gen(tmp_path, "zn", "--n", "3")
     doc = json.loads(path.read_text())

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -325,6 +326,55 @@ def test_suq2_six_j_quadruple_count():
     # every admissible (i,j,k -> m) of the L=4 window
     sj, _ = six_j(gen_suq2(0.5, 4))
     assert len({key[:4] for key in sj}) == 269
+
+
+def _qfact(n: int, q: float) -> float:
+    return math.prod(_qint(x, q) for x in range(1, n + 1))
+
+
+def _triangle(a: int, b: int, c: int, q: float) -> float:
+    """Delta(a, b, c) of the q-Racah formula, in doubled spins."""
+    return math.sqrt(_qfact((a + b - c) // 2, q) * _qfact((a - b + c) // 2, q)
+                     * _qfact((b + c - a) // 2, q) / _qfact((a + b + c) // 2 + 1, q))
+
+
+def q_racah(j1, j2, j3, j4, j5, j6, q: float) -> float:
+    """The q-6j symbol {j1 j2 j3; j4 j5 j6}_q in doubled spins, by the
+    q-Racah formula (Kirillov-Reshetikhin 1989), with [x]_q as in _qint."""
+    tri = [j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3]
+    quad = [j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4]
+    total = sum(
+        (-1) ** z * _qfact(z + 1, q)
+        / math.prod(_qfact(z - t // 2, q) for t in tri)
+        / math.prod(_qfact(u // 2 - z, q) for u in quad)
+        for z in range(max(tri) // 2, min(quad) // 2 + 1)
+    )
+    return total * math.prod(_triangle(*t, q) for t in [(j1, j2, j3), (j1, j5, j6),
+                                                         (j4, j2, j6), (j4, j5, j3)])
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
+def test_fmove_certificate_matches_q_racah(q):
+    """The F-matrices of the layout's F-move certificate at L=4: left path
+    a (i (x) j -> a) and right path c (j (x) k -> c) of (i,j,k -> m) give
+    |M[c, a]| = sqrt([a+1]_q [c+1]_q) |{i j a; k m c}_q|, and M[c, a] is the
+    recoupling scalar of six_j."""
+    b = gen_suq2(q, 4)
+    _, quads, res, fmats = b.layout.fmoves
+    sj, _ = six_j(b)
+    entries = 0
+    for (i, j, k, m), f in zip(quads, fmats):
+        i, j, k, m = map(int, (i, j, k, m))
+        left = [a for a in range(5) if b.N(str(i), str(j), str(a)) and b.N(str(a), str(k), str(m))]
+        right = [c for c in range(5) if b.N(str(j), str(k), str(c)) and b.N(str(i), str(c), str(m))]
+        assert f.shape == (len(right), len(left))
+        for r, c in enumerate(right):
+            for t, a in enumerate(left):
+                want = math.sqrt(_qint(a + 1, q) * _qint(c + 1, q)) * abs(q_racah(i, j, a, k, m, c, q))
+                assert abs(abs(f[r, t]) - want) <= 1e-14, (i, j, k, m, c, a)
+                assert abs(f[r, t] - sj[tuple(map(str, (i, j, k, m, c, a)))]) <= 1e-14
+                entries += 1
+    assert entries == 174 and max(res) <= 1e-14
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 1.0])

@@ -19,7 +19,16 @@ move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
 The pinned files were written by running this module as a script
 (``PYTHONPATH=src python tests/test_report_identity.py``) before the fusion
 kernels were batched (the ``dual`` and ``group`` reports: before U took its
-closed form); rerunning it overwrites them.
+closed form); rerunning it overwrites them.  The ``recoupling`` rows of the
+``validate`` reports and the ``1-coassociativity`` rows of the ``check``
+reports (with the ``max_residual`` headers of a4.validate and
+d4-scaled.validate) were written again when both checks became the F-move
+certificate: s3, d4, q8, a4, suq2-l3 and d4-scaled for ``validate``, s3,
+d4, q8, a4 and suq2-l3 for ``check``, by ``_report`` on the jobs of
+``_jobs``, in the format of ``main``.  Every other row stayed bitwise equal.
+suq2-l3.validate has 137 rows, not 105: every triple of the window with
+i (x) j and j (x) k complete is certified, and every other triple is a
+skipped ``(i,j,k) window`` row.
 """
 from __future__ import annotations
 
