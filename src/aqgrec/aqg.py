@@ -24,12 +24,14 @@ from .linalg import (
     by_shape,
     cmat,
     dagger,
+    distinct,
     eye,
     frozen_eye,
     hermitian_calc,
     kron,
     max_abs,
     residual,
+    split_by,
     worst,
     zero_stacks,
 )
@@ -325,11 +327,10 @@ def _delta_stacks(q: Aqg, a: AqgElement, idx):
     groups, item_pair, pair_groups = lay.delta
     size = lay.pair_size
     slot = np.full(len(lay.pairs), -1, dtype=int)
-    wanted = np.unique(np.asarray(idx, dtype=int))
+    wanted = distinct(np.asarray(idx, dtype=int))
     count = {}
-    for d in np.unique(size[wanted]):
-        members = wanted[size[wanted] == d]
-        slot[members] = np.arange(len(members))
+    for d, members in split_by(size[wanted]):
+        slot[wanted[members]] = np.arange(len(members))
         count[int(d)] = len(members)
     have, stacks = _label_stacks(q, a.blocks)
 
@@ -418,8 +419,7 @@ def _classes(first, second):
         yield (int(first[0]), int(second[0])), np.zeros(1, dtype=int)
         return
     code = first * (int(second.max(initial=0)) + 1) + second
-    for c in np.unique(code):
-        sel = np.flatnonzero(code == c)
+    for _, sel in split_by(code):
         yield (int(first[sel[0]]), int(second[sel[0]])), sel
 
 
@@ -512,20 +512,27 @@ def counit_pair(q: Aqg, x: PairElement, leg: int) -> AqgElement:
     return AqgElement(out)
 
 
-def haar_pair(q: Aqg, x: PairElement, leg: int, side: str = "left") -> AqgElement:
-    """Contract one leg of a pair element with a Haar functional."""
-    lay = q.bundle.layout
-    mats = q.F if side == "left" else q.Finv
-    keys = list(x)
-    idx = np.array([lay.pair_index[p] for p in keys], dtype=int)
-    first, second = idx // len(q.labels), idx % len(q.labels)
-    h, o = (second, first) if leg == 2 else (first, second)
+def _haar_stacks(q: Aqg, side: str):
+    """(stacks, weights) of a Haar functional, built once per q: the
+    transposed F_k (side 'left') or F_k^-1 ('right') stacked per block size
+    as _label_stacks does, and the weights w_k by label number."""
     if side not in q._haar_stacks:
+        mats = q.F if side == "left" else q.Finv
         q._haar_stacks[side] = (
             _label_stacks(q, {k: cmat(m).T for k, m in mats.items()})[1],
             np.array([q.haar_weights[k] for k in q.labels]),
         )
-    fstacks, weights = q._haar_stacks[side]
+    return q._haar_stacks[side]
+
+
+def haar_pair(q: Aqg, x: PairElement, leg: int, side: str = "left") -> AqgElement:
+    """Contract one leg of a pair element with a Haar functional."""
+    lay = q.bundle.layout
+    keys = list(x)
+    idx = np.array([lay.pair_index[p] for p in keys], dtype=int)
+    first, second = idx // len(q.labels), idx % len(q.labels)
+    h, o = (second, first) if leg == 2 else (first, second)
+    fstacks, weights = _haar_stacks(q, side)
     spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
 
     def parts():
@@ -713,19 +720,38 @@ def modular_data(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     """
     rng = np.random.default_rng(11)
     sample = haar_sample_support(q)
+    lay = q.bundle.layout
+    n_lab = len(q.labels)
+    # the probes a_i = f^-2 restricted to block i, for the i with phi(a_i) != 0
+    phi = {i: haar(q, AqgElement({i: cmat(q.Finv[i])}), "left") for i in sample}
+    probes = [i for i in sample if abs(phi[i]) >= 1e-12]
+    slot = np.full(n_lab, -1, dtype=int)
+    slot[[lay.label_index[i] for i in probes]] = np.arange(len(probes))
+    _, finv = _label_stacks(q, q.Finv)
+    fstacks, weights = _haar_stacks(q, "left")
     delta_blocks: dict[str, Array] = {}
     for j in sample:
         dj = q.d(j)
+        # (phi (x) iota)(Delta(a_i)(1 (x) 1_j)) for every probe at once: per
+        # channel v of (k,j) -> i, w_k Tr_1((F_k (x) 1) v a_i v*), summed by i
+        at, chans = lay.channels_of(np.arange(n_lab) * n_lab + lay.label_index[j])
+        probe = slot[lay.chan_label[chans]]
+        use = probe >= 0
+        at, chans, probe = at[use], chans[use], probe[use]
+
+        def parts():
+            for _, nums in split_by(lay.chan_shape[chans]):
+                v, k, i = lay.isometries(chans[nums]), at[nums], lay.chan_label[chans[nums]]
+                dk = int(lay.dims[k[0]])
+                x = v @ finv[v.shape[-1]][lay.block_of[i]] @ bdagger(v)
+                yield nums, weights[k][:, None, None] * np.einsum(
+                    "gab,gapbq->gpq", fstacks[dk][lay.block_of[k]], x.reshape(-1, dk, dj, dk, dj))
+
+        sums = add_in_order({(dj, dj): np.zeros((len(probes), dj, dj), dtype=complex)},
+                            probe, parts())[(dj, dj)]
         solved = None
-        for i in sample:
-            a = AqgElement({i: cmat(q.Finv[i])})
-            phi_a = haar(q, a, "left")
-            if abs(phi_a) < 1e-12:
-                continue
-            bb = AqgElement({j: eye(dj)})
-            x = delta_cut(q, a, bb, leg=2, side="right")
-            lhs = haar_pair(q, x, leg=1, side="left")
-            cand = lhs.block(j, dj) / phi_a
+        for n, i in enumerate(probes):
+            cand = sums[n] / phi[i]
             if solved is None:
                 solved = cand
             elif not residual(solved, cand) <= 1e-6 * worst(1.0, np.abs(solved)):
@@ -795,7 +821,7 @@ def verify_axioms(
     # (1) coassociativity on all of B(H_m), from the F-move certificate of
     # every admissible (i,j,k -> m)
     triples, _, fres, _ = b.layout.fmoves
-    if triples:
+    if len(triples):
         res = worst(fres)
         rep.add("1-coassociativity", f"{len(triples)} triples", res,
                 res <= tol.bound(1.0))

@@ -30,11 +30,15 @@ from .linalg import (
     by_shape,
     cmat,
     dagger,
+    distinct,
     eye,
     frozen_eye,
     kron,
     max_abs,
+    ranges,
     residual,
+    shape_stacks,
+    split_by,
     worst,
     zero_stacks,
 )
@@ -102,18 +106,23 @@ class CategoryBundle:
 class FusionLayout:
     """A bundle's fusion isometries in one stacked layout, built once.
 
-    For every label pair (i,j), in label order:
+    Labels are numbered in label order and the pair (i,j) is n_i N + n_j.
+    Every fusion channel (a column block v of V_ij = [v_ij^{k,alpha}]_{k,alpha})
+    has one number: channels run pair by pair, and within a pair by k in label
+    order, then alpha.  For channel c:
 
-    - stacked[(i,j)] is V_ij = [v_ij^{k,alpha}]_{k,alpha}, of shape
-      (d_i d_j) x sum_k N_ij^k d_k (absent when nothing is loaded), and
-      channels[(i,j)] lists (k, alpha, v) in label order, v being the column
-      slice of V_ij for that channel;
-    - support[(i,j)] lists (k, N_ij^k) over loaded k, and complete[(i,j)]
-      tells whether those summands fill H_i (x) H_j;
-    - pairs numbers the pairs (pair (i,j) is n_i N + n_j for label numbers
-      n_i, n_j), with arrays over labels (dims, block_of: the slot of a label
-      among the dim_count[d] labels of its size d) and over pairs (pair_size = d_i d_j,
-      loaded[p, k]: pair p has a channel into label k).
+    - chan_pair[c], chan_label[c] and chan_alpha[c] are its pair, its label k
+      and its multiplicity index, and pair_start[p]:pair_start[p + 1] are the
+      channels of pair p;
+    - its isometry is chan_stacks[chan_shape[c]][chan_slot[c]], one stack per
+      isometry shape.
+
+    Per pair (i,j): channels[(i,j)] lists (k, alpha, v) over its channels,
+    support[(i,j)] lists (k, N_ij^k) over loaded k, and complete[(i,j)]
+    (complete_pair[p] as an array) tells whether those summands fill
+    H_i (x) H_j.  Per label: dims and block_of (the slot of a label among the
+    dim_count[d] labels of its size d).  Per pair: pair_size = d_i d_j, and
+    count[p, k] = N_ij^k over loaded channels, with loaded = count > 0.
 
     Built from it on first use: delta, the work list of Delta (every channel
     as one item), and fmoves, the F-move certificate of every admissible
@@ -124,24 +133,29 @@ class FusionLayout:
         self.label_index = {k: n for n, k in enumerate(b.labels)}
         self.pairs = [(i, j) for i in b.labels for j in b.labels]
         self.pair_index = {p: n for n, p in enumerate(self.pairs)}
-        self.stacked: dict[tuple[str, str], Array] = {}
-        self.channels: dict[tuple[str, str], list] = {}
         self.support: dict[tuple[str, str], list[tuple[str, int]]] = {}
         self.complete: dict[tuple[str, str], bool] = {}
-        for i, j in self.pairs:
-            chans = b.fusion.get((i, j), {})
-            sup = [(k, len(chans[k])) for k in b.labels if chans.get(k)]
+        self.count = np.zeros((len(self.pairs), len(b.labels)), dtype=int)
+        chans, mats = [], []
+        for n, (i, j) in enumerate(self.pairs):
+            loaded = b.fusion.get((i, j), {})
+            sup = [(k, len(loaded[k])) for k in b.labels if loaded.get(k)]
             self.support[(i, j)] = sup
-            self.complete[(i, j)] = sum(n * b.dims[k] for k, n in sup) == b.dims[i] * b.dims[j]
-            mats = [(k, a, v) for k, _ in sup for a, v in enumerate(chans[k])]
-            self.channels[(i, j)] = []
-            if mats:
-                stacked = np.hstack([v for _, _, v in mats])
-                self.stacked[(i, j)] = stacked
-                col = 0
-                for k, a, v in mats:
-                    self.channels[(i, j)].append((k, a, stacked[:, col:col + v.shape[1]]))
-                    col += v.shape[1]
+            self.complete[(i, j)] = sum(c * b.dims[k] for k, c in sup) == b.dims[i] * b.dims[j]
+            for k, c in sup:
+                self.count[n, self.label_index[k]] = c
+                chans += [(n, self.label_index[k], a) for a in range(c)]
+                mats += loaded[k]
+        self.chan_pair, self.chan_label, self.chan_alpha = np.array(
+            chans, dtype=int).reshape(-1, 3).T
+        self.chan_shape, self.chan_slot, self.chan_stacks = shape_stacks(mats)
+        self.pair_start = np.searchsorted(self.chan_pair, np.arange(len(self.pairs) + 1))
+        self.channels: dict[tuple[str, str], list] = {p: [] for p in self.pairs}
+        for n, (p, k, a) in enumerate(chans):
+            self.channels[self.pairs[p]].append(
+                (b.labels[k], a, self.chan_stacks[self.chan_shape[n]][self.chan_slot[n]]))
+        self.complete_pair = np.array([self.complete[p] for p in self.pairs], dtype=bool)
+        self.loaded = self.count > 0
         # per label: its dimension and its slot among the labels of that size
         self.dims = np.array([b.dims[k] for k in b.labels], dtype=int)
         self.block_of = np.zeros(len(b.labels), dtype=int)
@@ -150,14 +164,20 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
-        # loaded[p, k]: pair p has a channel into label k
-        self.loaded = np.zeros((len(self.pairs), len(b.labels)), dtype=bool)
-        for p, sup in self.support.items():
-            for k, _ in sup:
-                self.loaded[self.pair_index[p], self.label_index[k]] = True
-        self._bundle = b
         self._delta = None
         self._fmoves = None
+
+    def isometries(self, chans) -> Array:
+        """The stacked isometries of channels chans, which share one shape."""
+        return self.chan_stacks[self.chan_shape[chans[0]]][self.chan_slot[chans]]
+
+    def channels_of(self, pairs) -> tuple[Array, Array]:
+        """The channels of each pair of the int array pairs, in order.
+
+        Returns (at, chans): chans[x] is a channel of pairs[at[x]].
+        """
+        lo = self.pair_start[pairs]
+        return ranges(lo, self.pair_start[pairs + 1] - lo)
 
     @property
     def delta(self):
@@ -200,38 +220,57 @@ class FusionLayout:
         1 when one side has no path.
 
         Returns (triples, quads, residual, F): the admissible triples in
-        label order, the quadruples (i,j,k,m) with m in label order, and per
-        quadruple its residual and its F-matrix (right paths x left paths).
+        label order as rows (n_i, n_j, n_k) of label numbers, the quadruples
+        as rows (n_i, n_j, n_k, n_m) in the same order with m in label
+        order, and per quadruple its residual and its F-matrix (right paths
+        x left paths).  The paths come from joins over the channel numbers,
+        and quadruples are run in groups of equal (D, d_m, p, p') in
+        first-seen order, chunked to a memory budget.
         """
         if self._fmoves is None:
-            b = self._bundle
-            chans = self.channels
-            triples = [(i, j, k) for i in b.labels for j in b.labels for k in b.labels
-                       if self.complete[(i, j)] and self.complete[(j, k)]]
-            quads, paths, groups = [], [], {}
-            for i, j, k in triples:
-                by_m: dict[str, tuple[list, list]] = {}
-                for l, _, v in chans[(i, j)]:
-                    for m, _, w in chans[(l, k)]:
-                        by_m.setdefault(m, ([], []))[0].append((v, w))
-                for n, _, v in chans[(j, k)]:
-                    for m, _, w in chans[(i, n)]:
-                        by_m.setdefault(m, ([], []))[1].append((v, w))
-                dijk = b.dims[i] * b.dims[j] * b.dims[k]
-                for m in sorted(by_m, key=self.label_index.get):
-                    left, right = by_m[m]
-                    key = (dijk, b.dims[m], len(left), len(right))
-                    groups.setdefault(key, []).append(len(quads))
-                    quads.append((i, j, k, m))
-                    paths.append(by_m[m])
+            n_lab, dims = len(self.dims), self.dims
+            whole = self.complete_pair.reshape(n_lab, n_lab)
+            triples = np.argwhere(whole[:, :, None] & whole[None, :, :])
+            ti, tj, tk = triples.T
+
+            def paths(first, second):
+                # (triple, v, w) over v in the channels of first[t] and w in
+                # those of second(label of v, t), in channel order
+                t, v = self.channels_of(first)
+                s, w = self.channels_of(second(self.chan_label[v], t))
+                return t[s], v[s], w
+
+            sides = (paths(ti * n_lab + tj, lambda l, t: l * n_lab + tk[t]),
+                     paths(tj * n_lab + tk, lambda n, t: ti[t] * n_lab + n))
+            keys = [t * n_lab + self.chan_label[w] for t, _, w in sides]
+            quad_key = distinct(np.concatenate(keys))
+            quads = np.column_stack((triples[quad_key // n_lab], quad_key % n_lab))
+            # per side: the (v, w) channels of every path, by quadruple, and
+            # per quadruple its path count and first path
+            ordered, counts, starts = [], [], []
+            for (_, v, w), key in zip(sides, keys):
+                quad = np.searchsorted(quad_key, key)
+                order = np.argsort(quad, kind="stable")
+                ordered.append((v[order], w[order]))
+                counts.append(np.bincount(quad, minlength=len(quads)))
+                starts.append(np.cumsum(counts[-1]) - counts[-1])
+            size = dims[quads[:, 0]] * dims[quads[:, 1]] * dims[quads[:, 2]]
+            key = np.stack((size, dims[quads[:, 3]], counts[0], counts[1]))
+            order = np.lexsort((np.arange(len(quads)),) + tuple(key[::-1]))
+            cuts = np.flatnonzero((np.diff(key[:, order], axis=1) != 0).any(axis=0)) + 1
+            groups = np.split(order, cuts) if len(quads) else []
             res, fmats = np.zeros(len(quads)), [None] * len(quads)
-            for (dim, dm, p, pp), nums in groups.items():
+            for nums in sorted(groups, key=lambda g: g[0]):
+                dim, dm, p, pp = key[:, nums[0]].tolist()
                 step = max(1, _FMOVE_CHUNK_BYTES // (32 * ((p + pp) * dim * dm + p * pp * dm * dm)))
                 for at in range(0, len(nums), step):
                     chunk = nums[at:at + step]
-                    res[chunk], f = _fmove_chunk([paths[n] for n in chunk], dim, dm, p, pp)
-                    for t, n in enumerate(chunk):
-                        fmats[n] = f[t]
+                    chans = [(v[s], w[s]) for (v, w), s in (
+                        (ordered[0], starts[0][chunk, None] + np.arange(p)),
+                        (ordered[1], starts[1][chunk, None] + np.arange(pp)))]
+                    res[chunk], f = _fmove_chunk(self, chans, dim, dm, p, pp)
+                    for n, m in zip(chunk.tolist(), f):
+                        fmats[n] = m
             self._fmoves = (triples, quads, res, fmats)
         return self._fmoves
 
@@ -241,16 +280,19 @@ class FusionLayout:
 _FMOVE_CHUNK_BYTES = 1 << 22
 
 
-def _fmove_chunk(paths, dim, dm, p, pp):
+def _fmove_chunk(lay, chans, dim, dm, p, pp):
     """Residuals and F-matrices of quadruples that share (D, d_m, p, p'):
-    paths holds per quadruple its (left, right) lists of (v, w) items."""
-    nq = len(paths)
+    chans holds per side (left, right) the channel numbers (v, w) of the
+    paths, each of shape (quadruples, paths)."""
+    nq = len(chans[0][0])
     out = []
-    for side, count in ((0, p), (1, pp)):
+    for side, (count, (vc, wc)) in enumerate(zip((p, pp), chans)):
         stack = np.zeros((nq, dim, count, dm), dtype=complex)
-        items = [it for quad in paths for it in quad[side]]
+        vc, wc = vc.reshape(-1), wc.reshape(-1)
         quad_of, slot = np.repeat(np.arange(nq), count), np.tile(np.arange(count), nq)
-        for nums, (v, w) in by_shape(items):
+        code = lay.chan_shape[vc] * len(lay.chan_stacks) + lay.chan_shape[wc]
+        for _, nums in split_by(code):
+            v, w = lay.isometries(vc[nums]), lay.isometries(wc[nums])
             if side == 0:  # (v (x) I_k) w
                 prod = v @ w.reshape(len(nums), v.shape[-1], -1)
             else:  # (I_i (x) v) w
@@ -415,18 +457,18 @@ def parse_bundle(text: str) -> CategoryBundle:
     )
 
 
+def _pairs(m: Array) -> list:
+    """The entries of m in row-major order as [re, im] lists of floats."""
+    return np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2).tolist()
+
+
 def _dump_matrix(m: Array) -> dict:
     m = cmat(m)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
 
 
 def _dump_vector(v: Array) -> dict:
-    v = cmat(v).reshape(-1)
-    return {"len": int(v.shape[0]), "data": [[float(z.real), float(z.imag)] for z in v]}
+    return {"len": int(np.size(v)), "data": _pairs(v)}
 
 
 def serialize_bundle(b: CategoryBundle) -> str:
@@ -458,8 +500,9 @@ def serialize_bundle(b: CategoryBundle) -> str:
             for j in b.labels
             if (i, j) in b.braiding
         ]
-    # repr-style floats keep 17 significant digits and roundtrip exactly
-    return json.dumps(doc, indent=1)
+    # repr-style floats keep 17 significant digits and roundtrip exactly;
+    # without indent json.dumps runs its C encoder
+    return json.dumps(doc)
 
 
 
@@ -480,20 +523,17 @@ def validate_bundle(
     constraints and fusion symmetries, conjugate equations with normalization
     and the channel-0 membership of r, recoupling consistency, and the
     braiding identities when braiding data is present.  Failures are
-    reported, never raised.  Each block family is evaluated as stacked
-    products over the fusion layout, one np.matmul per block shape.
+    reported, never raised.  Each row family is built from the fusion
+    layout's index arrays, evaluated as stacked products (one np.matmul per
+    block shape) and appended in bulk.
     """
     rep = Report("bundle-validation")
 
     def done() -> bool:
         return fail_fast and not rep.passed
 
-    def add_rows(name, rows, res, bound) -> bool:
-        for loc, r in zip(rows, res):
-            rep.add(name, loc, r, r <= bound)
-            if done():
-                return True
-        return False
+    def add_rows(name, locs, res, ok, skipped=None) -> bool:
+        return rep.add_rows(name, locs, res, ok, fail_fast, skipped)
 
     # structural involution facts
     inv_res = 0.0 if all(b.dual[b.dual[i]] == i for i in b.labels) else 1.0
@@ -505,49 +545,38 @@ def validate_bundle(
     if done():
         return rep
 
+    lay, lab = b.layout, b.labels
+    n_lab = len(lab)
     one = tol.bound(1.0)
-    rows, res = _orthonormality(b)
-    if add_rows("orthonormality", rows, res, one):
+    locs, res = _orthonormality(b)
+    if add_rows("orthonormality", locs, res, res <= one):
         return rep
 
-    for (i, j), r in zip(b.layout.pairs, _completeness(b)):
-        if r is None:
-            if b.closed:
-                rep.add("completeness", f"({i},{j})", 1.0, False)
-            else:
-                rep.skip("completeness", f"({i},{j}) window")
-        else:
-            rep.add("completeness", f"({i},{j})", r, r <= one)
-        if done():
-            return rep
+    # completeness; a pair that loses summands fails (closed) or is skipped
+    whole = lay.complete_pair
+    res = np.where(whole, _completeness(b), 1.0)
+    locs = [f"({i},{j})" if w or b.closed else f"({i},{j}) window"
+            for (i, j), w in zip(lay.pairs, whole.tolist())]
+    if add_rows("completeness", locs, res, whole & (res <= one),
+                None if b.closed else ~whole):
+        return rep
 
-    # unit and dual fusion constraints
-    ok_unit = True
-    for j in b.labels:
-        for k in b.labels:
-            if b.N(b.unit, j, k) != (1 if j == k else 0):
-                ok_unit = False
-            if b.N(j, b.unit, k) != (1 if j == k else 0):
-                ok_unit = False
-        n0 = b.N(j, b.dual[j], b.unit)
-        if n0 != 1:
-            ok_unit = False
-        for jj in b.labels:
-            if jj != b.dual[j] and b.N(j, jj, b.unit) != 0:
-                ok_unit = False
+    # unit and dual fusion constraints: N[i, j, k] = N_ij^k
+    N = lay.count.reshape(n_lab, n_lab, n_lab)
+    u = lay.label_index[b.unit]
+    dual = np.array([lay.label_index[b.dual[i]] for i in lab], dtype=int)
+    ident = np.eye(n_lab, dtype=int)
+    ok_unit = bool((N[u] == ident).all() and (N[:, u] == ident).all()
+                   and (N[:, :, u] == ident[dual]).all())
     rep.add("unit-dual-fusion-rules", "all", 0.0 if ok_unit else 1.0, ok_unit)
     if done():
         return rep
 
     # Frobenius fusion symmetries where every participant is loaded
-    sym_ok = True
-    for (i, j), chans in b.fusion.items():
-        for k in chans:
-            n = b.N(i, j, k)
-            if b.complete(k, b.dual[j]) and n != b.N(k, b.dual[j], i):
-                sym_ok = False
-            if b.complete(b.dual[i], k) and n != b.N(b.dual[i], k, j):
-                sym_ok = False
+    i, j, k = np.nonzero(N)
+    n, comp = N[i, j, k], whole.reshape(n_lab, n_lab)
+    sym_ok = not ((comp[k, dual[j]] & (n != N[k, dual[j], i]))
+                  | (comp[dual[i], k] & (n != N[dual[i], k, j]))).any()
     rep.add("fusion-symmetries", "all", 0.0 if sym_ok else 1.0, sym_ok)
     if done():
         return rep
@@ -576,118 +605,163 @@ def validate_bundle(
         if done():
             return rep
 
-    # recoupling: the F-move certificate of each admissible (i,j,k -> m);
-    # on a window every other triple is a skipped row
-    lay = b.layout
-    _, quads, fres, _ = lay.fmoves
-    rows: dict[tuple, list] = {}
-    for (i, j, k, m), r in zip(quads, fres.tolist()):
-        rows.setdefault((i, j, k), []).append((f"({i},{j},{k})->{m}", r))
-    for i in b.labels:
-        for j in b.labels:
-            for k in b.labels:
-                if lay.complete[(i, j)] and lay.complete[(j, k)]:
-                    for loc, r in rows.get((i, j, k), []):
-                        rep.add("recoupling", loc, r, r <= one)
-                        if done():
-                            return rep
-                elif not b.closed:
-                    rep.skip("recoupling", f"({i},{j},{k}) window")
+    # recoupling: the F-move certificate of each admissible (i,j,k -> m), by
+    # triple in label order; on a window every other triple is a skipped row
+    triples, quads, res, _ = lay.fmoves
+    locs = [f"({lab[i]},{lab[j]},{lab[k]})->{lab[m]}" for i, j, k, m in quads.tolist()]
+    ok, skipped = res <= one, None
+    if not b.closed:
+        admissible = np.zeros(n_lab ** 3, dtype=bool)
+        admissible[triples @ [n_lab * n_lab, n_lab, 1]] = True
+        skip = np.flatnonzero(~admissible)
+        order = np.argsort(np.concatenate((quads[:, :3] @ [n_lab * n_lab, n_lab, 1], skip)),
+                           kind="stable")
+        locs += [f"({lab[t // n_lab // n_lab]},{lab[t // n_lab % n_lab]},{lab[t % n_lab]}) window"
+                 for t in skip.tolist()]
+        locs = [locs[n] for n in order.tolist()]
+        res = np.append(res, np.zeros(len(skip)))[order]
+        ok = np.append(ok, np.ones(len(skip), dtype=bool))[order]
+        skipped = order >= len(quads)
+    if add_rows("recoupling", locs, res, ok, skipped):
+        return rep
 
     # braiding identities
     if b.braiding is not None:
-        _validate_braiding(b, tol, rep, done, add_rows)
+        _validate_braiding(b, tol, rep, fail_fast)
     return rep
 
 
+def _name_rank(b: CategoryBundle) -> Array:
+    """Per label number, the position of the label's name in sorted order."""
+    rank = np.zeros(len(b.labels), dtype=int)
+    rank[[b.layout.label_index[k] for k in sorted(b.labels)]] = np.arange(len(b.labels))
+    return rank
+
+
+def _by_name(b: CategoryBundle):
+    """The channels in the order of sorted(b.fusion.items()) and sorted(chans):
+    by the names of i, j and k, then alpha.  Returns (order, row): order[x] is
+    the x-th channel, and row[x] numbers its (i,j)->k in that order."""
+    lay, rank = b.layout, _name_rank(b)
+    i, j = np.divmod(lay.chan_pair, len(b.labels))
+    order = np.lexsort((lay.chan_alpha, rank[lay.chan_label], rank[j], rank[i]))
+    pair, label = lay.chan_pair[order], lay.chan_label[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (pair[1:] != pair[:-1]) | (label[1:] != label[:-1])
+    return order, np.cumsum(new) - 1
+
+
 def _orthonormality(b: CategoryBundle):
-    """Rows (i,j)->k and their residual max |v_a* v_c - delta_ac I|, a <= c."""
-    rows, items, row_of = [], [], []
-    for (i, j), chans in sorted(b.fusion.items()):
-        for k in sorted(chans):
-            mats = chans[k]
-            for a, va in enumerate(mats):
-                for c in range(a, len(mats)):
-                    items.append((va, mats[c]))
-                    row_of.append((len(rows), a == c))
-            rows.append(f"({i},{j})->{k}")
-    res = np.zeros(len(rows))
-    for nums, (va, vc) in by_shape(items):
-        g = bdagger(va) @ vc
-        diag = np.array([row_of[n][1] for n in nums])
-        g[diag] -= frozen_eye(g.shape[-1])
+    """Rows (i,j)->k, by name, and their residual max |v_a* v_c - delta_ac I|
+    over a <= c."""
+    lay, lab = b.layout, b.labels
+    order, row = _by_name(b)
+    mult = lay.count[lay.chan_pair[order], lay.chan_label[order]]
+    at, partner = ranges(np.arange(len(order)), mult - lay.chan_alpha[order])
+    va, vc, diag = order[at], order[partner], at == partner
+    res = np.zeros(int(row[-1]) + 1 if len(row) else 0)
+    for _, nums in split_by(lay.chan_shape[va]):
+        g = bdagger(lay.isometries(va[nums])) @ lay.isometries(vc[nums])
+        g[diag[nums]] -= frozen_eye(g.shape[-1])
         with np.errstate(invalid="ignore"):  # NaN rows stay NaN
-            np.maximum.at(res, [row_of[n][0] for n in nums], max_abs(g))
-    return rows, res
+            np.maximum.at(res, row[at[nums]], max_abs(g))
+    first = order[np.flatnonzero(np.diff(row, prepend=-1))]
+    pi, pj = np.divmod(lay.chan_pair[first], len(lab))
+    return [f"({lab[i]},{lab[j]})->{lab[k]}" for i, j, k in
+            zip(pi.tolist(), pj.tolist(), lay.chan_label[first].tolist())], res
 
 
-def _completeness(b: CategoryBundle) -> list:
-    """Per pair (i,j) in label order: max |sum_v v v* - I|, or None where a
-    summand of i (x) j is not loaded."""
+def _completeness(b: CategoryBundle) -> Array:
+    """Per pair (i,j) in label order: max |sum_v v v* - I| where i (x) j is
+    complete, 0 where a summand is not loaded."""
     lay = b.layout
-    sizes = [b.d(i) * b.d(j) if lay.complete[(i, j)] else None for i, j in lay.pairs]
+    whole = np.flatnonzero(lay.complete_pair)
+    sizes = np.zeros(len(lay.pairs), dtype=int)
+    sizes[whole] = lay.pair_size[whole]
     pos, out = zero_stacks(sizes)
-    items, pair_of = [], []
-    for n, p in enumerate(lay.pairs):
-        if sizes[n]:
-            items += [(v,) for _, _, v in lay.channels[p]]
-            pair_of += [n] * len(lay.channels[p])
-    add_in_order(out, pos[pair_of], (
-        (nums, v @ bdagger(v)) for nums, (v,) in by_shape(items)
-    ))
-    res = {s: max_abs(acc - eye(s[0])) for s, acc in out.items()}
-    return [None if d is None else float(res[(d, d)][p]) for d, p in zip(sizes, pos)]
+    at, chans = lay.channels_of(whole)
+
+    def parts():
+        for _, nums in split_by(lay.chan_shape[chans]):
+            v = lay.isometries(chans[nums])
+            yield nums, v @ bdagger(v)
+
+    add_in_order(out, pos[whole[at]], parts())
+    res = np.zeros(len(lay.pairs))
+    for (d, _), acc in out.items():
+        mine = sizes == d
+        res[mine] = max_abs(acc - eye(d))[pos[mine]]
+    return res
 
 
-def _validate_braiding(b, tol, rep, done, add_rows):
+def _validate_braiding(b, tol, rep, fail_fast):
+    # reached only while rep passes or without fail_fast
     missing = [
         (i, j) for i in b.labels for j in b.labels if (i, j) not in b.braiding
     ]
     rep.add("braiding-coverage", "all", float(len(missing)), not missing)
-    if missing or done():
+    if missing:
         return
 
     u = b.unit
     one = tol.bound(1.0)
-    for j in b.labels:
-        res = worst(
-            residual(b.braiding[(u, j)], eye(b.d(j))),
-            residual(b.braiding[(j, u)], eye(b.d(j))),
-        )
-        rep.add("braiding-unit", j, res, res <= one)
-        if done():
-            return
-
-    pairs = sorted(b.braiding)
-    res = np.zeros(len(pairs))
-    for nums, (c,) in by_shape([(b.braiding[p],) for p in pairs]):
-        res[nums] = max_abs(bdagger(c) @ c - eye(c.shape[-1]))
-    if add_rows("braiding-unitarity", [f"({i},{j})" for i, j in pairs], res, one):
+    res = np.array([worst(residual(b.braiding[(u, j)], eye(b.d(j))),
+                          residual(b.braiding[(j, u)], eye(b.d(j)))) for j in b.labels])
+    if rep.add_rows("braiding-unit", b.labels, res, res <= one, fail_fast):
         return
 
-    # naturality hexagons against every loaded fusion isometry
-    c, locs, items = b.braiding, [], []
-    for (i, j), chans in sorted(b.fusion.items()):
-        ei, ej = frozen_eye(b.d(i)), frozen_eye(b.d(j))
-        for k in sorted(chans):
-            for m in b.labels:
-                em = frozen_eye(b.d(m))
-                for alpha, v in enumerate(chans[k]):
-                    locs.append(f"({i},{j})->{k}#{alpha} vs {m}")
-                    items.append((c[(i, m)], c[(j, m)], c[(m, j)], c[(m, i)], v,
-                                  c[(k, m)], c[(m, k)], ei, ej, em))
-    out = np.zeros((len(items), 4))
-    for nums, (cim, cjm, cmj, cmi, v, ckm, cmk, ei, ej, em) in by_shape(items):
+    # the braidings stacked per shape: c(i, m) is braidings(i N + m)
+    lay, lab = b.layout, b.labels
+    n_lab = len(lab)
+    cshape, cslot, cstacks = shape_stacks([b.braiding[p] for p in lay.pairs])
+
+    def braidings(pairs):
+        return cstacks[cshape[pairs[0]]][cslot[pairs]]
+
+    res = np.zeros(len(lay.pairs))
+    for s, c in enumerate(cstacks):
+        res[cshape == s] = max_abs(bdagger(c) @ c - eye(c.shape[-1]))
+    rank = _name_rank(b)
+    pi, pj = np.divmod(np.arange(len(lay.pairs)), n_lab)
+    by_name = np.lexsort((rank[pj], rank[pi]))
+    if rep.add_rows("braiding-unitarity", [f"({lab[i]},{lab[j]})" for i, j in
+                                           zip(pi[by_name].tolist(), pj[by_name].tolist())],
+                    res[by_name], res[by_name] <= one, fail_fast):
+        return
+
+    # naturality hexagons against every loaded fusion isometry: one item per
+    # channel (i,j)->k#alpha and label m, by (i,j)->k by name, then m, then alpha
+    order, row = _by_name(b)
+    ch, m = np.repeat(order, n_lab), np.tile(np.arange(n_lab), len(order))
+    item = np.lexsort((lay.chan_alpha[ch], m, np.repeat(row, n_lab)))
+    ch, m = ch[item], m[item]
+    i, j = np.divmod(lay.chan_pair[ch], n_lab)
+    k, d = lay.chan_label[ch], lay.dims
+    big = int(d.max()) + 1
+    out = np.zeros((len(ch), 4))
+    for _, sel in split_by(((d[i] * big + d[j]) * big + d[k]) * big + d[m]):
+        si, sj, sk, sm = i[sel], j[sel], k[sel], m[sel]
+        cim, cjm = braidings(si * n_lab + sm), braidings(sj * n_lab + sm)
+        cmj, cmi = braidings(sm * n_lab + sj), braidings(sm * n_lab + si)
+        ckm, cmk = braidings(sk * n_lab + sm), braidings(sm * n_lab + sk)
+        v = lay.isometries(ch[sel])
+        ei, ej, em = (frozen_eye(int(d[x[0]])) for x in (si, sj, sm))
         # c_{i (x) j, m} compatibility: move m leftwards past v
         lhs = bkron(cim, ej) @ bkron(ei, cjm) @ bkron(v, em)
         rhs = bkron(em, v) @ ckm
         # mirror: braid m leftwards into i (x) j
         lhs2 = bkron(ei, cmj) @ bkron(cmi, ej) @ bkron(em, v)
         rhs2 = bkron(v, em) @ cmk
-        out[nums] = np.stack([max_abs(lhs - rhs), tol.bounds(lhs, rhs),
-                              max_abs(lhs2 - rhs2), tol.bounds(lhs2, rhs2)], axis=1)
-    for loc, (res, bd, res2, bd2) in zip(locs, out):
-        rep.add("braiding-hexagon-left", loc, res, res <= bd)
-        rep.add("braiding-hexagon-right", loc, res2, res2 <= bd2)
-        if done():
-            return
+        out[sel] = np.stack([max_abs(lhs - rhs), tol.bounds(lhs, rhs),
+                             max_abs(lhs2 - rhs2), tol.bounds(lhs2, rhs2)], axis=1)
+    # two rows per item, left then right; fail_fast stops after the item
+    ok = out[:, [0, 2]] <= out[:, [1, 3]]
+    n = len(ok)
+    if fail_fast and not ok.all():
+        n = int(np.argmin(ok.all(axis=1))) + 1
+    prefix = [f"({lab[p // n_lab]},{lab[p % n_lab]})->{lab[c]}#{a} vs " for p, c, a in
+              zip(lay.chan_pair.tolist(), lay.chan_label.tolist(), lay.chan_alpha.tolist())]
+    locs = [prefix[c] + lab[x] for c, x in zip(ch[:n].tolist(), m[:n].tolist())]
+    rep.add_rows(["braiding-hexagon-left", "braiding-hexagon-right"] * n,
+                 [loc for loc in locs for _ in (0, 1)], out[:n, [0, 2]].reshape(-1),
+                 ok[:n].reshape(-1))

@@ -110,6 +110,55 @@ def stack_equal(arrays, shape) -> Array:
     return np.concatenate(arrays).reshape((len(arrays),) + shape)
 
 
+def shape_stacks(mats) -> tuple[Array, Array, list]:
+    """Matrices stacked per shape, in first-seen shape order.
+
+    Returns (shape, slot, stacks): mats[n] is stacks[shape[n]][slot[n]].
+    """
+    ids: dict[tuple, int] = {}
+    lists: list[list] = []
+    shape, slot = np.zeros(len(mats), dtype=int), np.zeros(len(mats), dtype=int)
+    for n, m in enumerate(mats):
+        s = ids.setdefault(m.shape, len(ids))
+        if s == len(lists):
+            lists.append([])
+        shape[n], slot[n] = s, len(lists[s])
+        lists[s].append(m)
+    return shape, slot, [stack_equal(ms, ms[0].shape) for ms in lists]
+
+
+def distinct(x) -> Array:
+    """Sorted distinct values of an array.
+
+    np.unique imports numpy.ma on first use, which every CLI process would
+    pay for; a sort and a comparison of neighbours need no import.
+    """
+    s = np.sort(np.ravel(x))
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
+
+
+def split_by(code):
+    """Positions of equal values of an int array: yields (value, positions)
+    in increasing value order, the positions of each value increasing."""
+    code = np.asarray(code)
+    order = np.argsort(code, kind="stable")
+    ordered = code[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    for at, sel in zip(np.concatenate(([0], cuts)).tolist(), np.split(order, cuts)):
+        if sel.size:
+            yield ordered[at], sel
+
+
+def ranges(lo, n) -> tuple[Array, Array]:
+    """The ranges lo[t], ..., lo[t] + n[t] - 1 one after the other.
+
+    Returns (at, values): values[x] lies in range at[x].
+    """
+    lo, n = np.asarray(lo, dtype=int), np.asarray(n, dtype=int)
+    at = np.repeat(np.arange(len(n)), n)
+    return at, np.arange(len(at)) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
 def zero_stacks(sizes) -> tuple[Array, dict]:
     """Zero sums for segments of d x d blocks, stacked per d.
 
@@ -118,7 +167,7 @@ def zero_stacks(sizes) -> tuple[Array, dict]:
     """
     size = np.array([d or 0 for d in sizes], dtype=int)
     pos, out = np.full(len(size), -1, dtype=int), {}
-    for d in np.unique(size[size > 0]).tolist():
+    for d in distinct(size[size > 0]).tolist():
         mine = size == d
         pos[mine] = np.arange(np.count_nonzero(mine))
         out[(d, d)] = np.zeros((len(pos[mine]), d, d), dtype=complex)

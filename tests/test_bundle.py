@@ -233,3 +233,140 @@ def test_fmove_with_a_missing_path_reads_one(shipped_bundles):
     rep = validate_bundle(dataclasses.replace(b, fusion=fusion))
     row = next(c for c in rep.checks if c.location == "(2,2,1)->2")
     assert row.name == "recoupling" and row.residual == 1.0 and not row.passed
+
+
+def _reference_fmoves(b):
+    """The F-move work list and certificate, one triple at a time: per
+    admissible (i,j,k), the left paths i (x) j -> l, l (x) k -> m and the
+    right paths j (x) k -> n, i (x) n -> m by m in label order, each path
+    as its (v, w) isometries; per quadruple U, W, G = W* U, M and the
+    residual written with np.kron."""
+    chans = {p: [(k, v) for k, _ in b.support(*p) for v in b.isometries(*p, k)]
+             for p in ((i, j) for i in b.labels for j in b.labels)}
+    out = []
+    for i in b.labels:
+        for j in b.labels:
+            for k in b.labels:
+                if not (b.complete(i, j) and b.complete(j, k)):
+                    continue
+                by_m: dict = {}
+                for l, v in chans[(i, j)]:
+                    for m, w in chans[(l, k)]:
+                        by_m.setdefault(m, ([], []))[0].append(
+                            np.kron(v, np.eye(b.d(k))) @ w)
+                for n, v in chans[(j, k)]:
+                    for m, w in chans[(i, n)]:
+                        by_m.setdefault(m, ([], []))[1].append(
+                            np.kron(np.eye(b.d(i)), v) @ w)
+                for m in sorted(by_m, key=b.labels.index):
+                    left, right = by_m[m]
+                    dim, dm = b.d(i) * b.d(j) * b.d(k), b.d(m)
+                    u = np.hstack(left) if left else np.zeros((dim, 0))
+                    w = np.hstack(right) if right else np.zeros((dim, 0))
+                    g = w.conj().T @ u
+                    f = np.einsum("aibi->ab", g.reshape(len(right), dm, len(left), dm)) / dm
+                    res = max(np.max(np.abs(g - np.kron(f, np.eye(dm))), initial=0.0),
+                              np.max(np.abs(f.conj().T @ f - np.eye(len(left))), initial=0.0),
+                              np.max(np.abs(f @ f.conj().T - np.eye(len(right))), initial=0.0))
+                    out.append(((i, j, k, m), f, res))
+    return out
+
+
+def _missing_path_bundle(b):
+    fusion = {p: dict(ch) for p, ch in b.fusion.items()}
+    del fusion[("1", "1")]["2"]
+    return dataclasses.replace(b, fusion=fusion)
+
+
+@pytest.mark.parametrize("name", ["pointed-z8", "a4", "suq2-l5", "missing-path"])
+def test_fmoves_match_a_per_triple_enumeration(shipped_bundles, name):
+    from test_report_identity import a4_bundle
+
+    from aqgrec.examples import gen_pointed
+
+    b = {"pointed-z8": lambda: gen_pointed(8, 1),
+         "a4": lambda: parse_bundle(a4_bundle()),
+         "suq2-l5": lambda: gen_suq2(0.5, 5),
+         "missing-path": lambda: _missing_path_bundle(shipped_bundles["pointed-z3-t1"])}[name]()
+    want = _reference_fmoves(b)
+    triples, quads, res, fmats = b.layout.fmoves
+    lab = b.labels
+    assert [tuple(lab[n] for n in q) for q in quads.tolist()] == [q for q, _, _ in want]
+    assert [tuple(lab[n] for n in t) for t in triples.tolist()] == [
+        (i, j, k) for i in lab for j in lab for k in lab
+        if b.complete(i, j) and b.complete(j, k)]
+    for (q, f, r), got_f, got_r in zip(want, fmats, res):
+        assert got_f.shape == f.shape, q
+        assert np.max(np.abs(got_f - f), initial=0.0) <= 1e-14, q
+        assert abs(got_r - r) <= 1e-14, q
+    if name == "missing-path":
+        assert max(res) == 1.0
+
+
+def _per_entry_document(b):
+    """Category Bundle v1 as a document, one entry at a time: the form that
+    serialize_bundle wrote before it ran through the C JSON encoder."""
+    def mat(m):
+        m = np.asarray(m, dtype=complex)
+        return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+                "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+
+    def vec(v):
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        return {"len": int(v.shape[0]), "data": [[float(z.real), float(z.imag)] for z in v]}
+
+    doc = {
+        "version": 1, "labels": list(b.labels), "unit": b.unit,
+        "dims": {i: int(b.dims[i]) for i in b.labels},
+        "dual": {i: b.dual[i] for i in b.labels}, "closed": bool(b.closed),
+        "fusion": [{"i": i, "j": j, "k": k, "isometries": [mat(m) for m in mats]}
+                   for i in b.labels for j in b.labels for k in b.labels
+                   for mats in [b.isometries(i, j, k)] if mats],
+        "conj": {i: {"r": vec(b.conj[i][0]), "rbar": vec(b.conj[i][1])} for i in b.labels},
+    }
+    if b.braiding is not None:
+        doc["braiding"] = [{"i": i, "j": j, "c": mat(b.braiding[(i, j)])}
+                           for i in b.labels for j in b.labels if (i, j) in b.braiding]
+    return doc
+
+
+def test_serialized_document_is_the_per_entry_one(shipped_bundles):
+    for name, b in shipped_bundles.items():
+        text = serialize_bundle(b)
+        assert json.loads(text) == _per_entry_document(b), name
+        b2 = parse_bundle(text)
+        for p, chans in b.fusion.items():
+            for k, mats in chans.items():
+                for m, m2 in zip(mats, b2.fusion[p][k]):
+                    assert m.tobytes() == m2.tobytes(), (name, p, k)
+
+
+def test_fail_fast_keeps_the_prefix_of_the_full_report(tmp_path):
+    """fail_fast on d4-scaled stops right after the first failing row of
+    the pinned full report."""
+    from pathlib import Path
+
+    from test_report_identity import _jobs
+
+    bad = dict(_jobs(tmp_path))["d4-scaled.validate.json"][1]
+    pinned = json.loads((Path(__file__).parent / "data" / "reports"
+                         / "d4-scaled.validate.json").read_text())["checks"]
+    first = next(n for n, c in enumerate(pinned) if not c["pass"])
+    rep = validate_bundle(parse_bundle(Path(bad).read_text()), fail_fast=True)
+    assert [(c.name, c.location, c.residual, c.passed) for c in rep.checks] == [
+        (c["check"], c["location"], c["residual"], c["pass"]) for c in pinned[:first + 1]]
+
+
+def test_fail_fast_stops_after_both_rows_of_a_hexagon(shipped_bundles):
+    """A braiding turned by a phase stays unitary but breaks naturality:
+    fail_fast ends with the left and right row of the first failing item."""
+    b = shipped_bundles["pointed-z5-t1"]
+    braiding = dict(b.braiding)
+    braiding[("2", "3")] = braiding[("2", "3")] * np.exp(0.1j)
+    bad = dataclasses.replace(b, braiding=braiding)
+    full = validate_bundle(bad).checks
+    rep = validate_bundle(bad, fail_fast=True).checks
+    assert rep == full[:len(rep)]
+    assert [c.name for c in rep[-2:]] == ["braiding-hexagon-left", "braiding-hexagon-right"]
+    assert rep[-1].location == rep[-2].location
+    assert all(c.passed for c in rep[:-2]) and not (rep[-1].passed and rep[-2].passed)

@@ -195,3 +195,26 @@ def test_rmatrix_exits_2_without_braiding(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "no braiding" in err
     assert "Traceback" not in err
+
+
+def test_validate_and_check_do_not_import_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma on first use (12-16 ms a process); no
+    subcommand that reconstructs should pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import aqgrec
+
+    path = _gen(tmp_path, "pointed", "--n", "4", "--t", "1")
+    code = (
+        "import sys\n"
+        "from aqgrec.cli import run\n"
+        f"codes = [run([op, {str(path)!r}, '-o', {str(tmp_path / 'out.json')!r}])"
+        " for op in ('validate', 'check')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aqgrec.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["[0,", "0]", "False"], out
