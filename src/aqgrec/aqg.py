@@ -16,6 +16,7 @@ from .bundle import CategoryBundle, validate_bundle
 from .linalg import (
     DEFAULT_TOL,
     Array,
+    SingularToToleranceError,
     Tolerance,
     stack_equal,
     add_in_order,
@@ -25,7 +26,6 @@ from .linalg import (
     cmat,
     dagger,
     distinct,
-    eye,
     frozen_eye,
     hermitian_calc,
     kron,
@@ -80,15 +80,6 @@ class AqgElement:
     def block(self, i: str, d: int) -> Array:
         return self.blocks.get(i, np.zeros((d, d), dtype=complex))
 
-    def __add__(self, other: "AqgElement") -> "AqgElement":
-        out = {i: m.copy() for i, m in self.blocks.items()}
-        for i, m in other.blocks.items():
-            out[i] = out[i] + m if i in out else m.copy()
-        return AqgElement(out)
-
-    def __sub__(self, other: "AqgElement") -> "AqgElement":
-        return self + other.scale(-1.0)
-
     def scale(self, z: complex) -> "AqgElement":
         return AqgElement({i: z * m for i, m in self.blocks.items()})
 
@@ -120,18 +111,6 @@ class Multiplier:
 
 
 PairElement = dict  # (i, j) -> matrix in B(H_i (x) H_j)
-
-
-def pair_residual(x: PairElement, y: PairElement) -> float:
-    res = []
-    for key in set(x) | set(y):
-        a, b = x.get(key), y.get(key)
-        if a is None:
-            a = np.zeros_like(b)
-        if b is None:
-            b = np.zeros_like(a)
-        res.append(residual(a, b))
-    return worst(*res)
 
 
 def pair_norm(x: PairElement) -> float:
@@ -175,10 +154,6 @@ class Aqg:
     @property
     def finv(self) -> Multiplier:
         return Multiplier(lambda i: self.Finv[i])
-
-    def identity_element(self) -> AqgElement:
-        """The unit of M(A) restricted to the loaded window."""
-        return AqgElement({i: eye(self.d(i)) for i in self.labels})
 
     def total_dim(self) -> int:
         return sum(self.d(i) ** 2 for i in self.labels)
@@ -235,7 +210,9 @@ def f_element(b: CategoryBundle, tol: Tolerance = DEFAULT_TOL):
 
     r_i encodes an antilinear J via its matrix R (r = sum_m J e_m (x) e_m);
     F_i is the inverse of J*J.  The partner vector rbar must match
-    conj(R^{-1}) up to tolerance, otherwise the pair is inconsistent.
+    conj(R^{-1}) up to tolerance, otherwise the pair is inconsistent; so is
+    a J*J too ill-conditioned to invert, and the error names its condition
+    number.
     """
     F, Finv = {}, {}
     for i in b.labels:
@@ -254,7 +231,12 @@ def f_element(b: CategoryBundle, tol: Tolerance = DEFAULT_TOL):
             )
         jstarj = rm.T @ rm.conj()
         Finv[i] = (jstarj + dagger(jstarj)) / 2.0
-        F[i] = hermitian_calc(Finv[i], "inverse", tol)
+        try:
+            F[i] = hermitian_calc(Finv[i], "inverse", tol)
+        except SingularToToleranceError:
+            raise ConjInconsistent(
+                f"F for label {i} cannot be inverted to tolerance: J*J has "
+                f"condition number {np.linalg.cond(Finv[i]):.3e}") from None
     return F, Finv
 
 
@@ -444,11 +426,6 @@ def antipode(q: Aqg, a: AqgElement) -> AqgElement:
         s = q._rbarmat(i) @ a.blocks[k].T @ q._rmat(i).conj()
         out[i] = out.get(i, 0) + s
     return AqgElement(out)
-
-
-def antipode_inv(q: Aqg, a: AqgElement) -> AqgElement:
-    """S^{-1}(a) = S(a*)*."""
-    return antipode(q, a.star()).star()
 
 
 def haar(q: Aqg, a: AqgElement, side: str = "left") -> complex:
@@ -697,12 +674,6 @@ def t_blocks(q: Aqg, which: str) -> list[Array]:
                     dn * dn, dh, di * di, dh)
         blocks.append(m.reshape(total * dh, total * dh))
     return blocks
-
-
-def _unit_matrix(d: int, p: int, s: int) -> Array:
-    m = np.zeros((d, d), dtype=complex)
-    m[p, s] = 1.0
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -985,42 +956,3 @@ def _restricted_pair_residual(q: Aqg, x: PairElement, y: PairElement, sample) ->
         c = y.get(key, np.zeros((dij, dij), dtype=complex))
         res.append(residual(a, c))
     return worst(*res)
-
-
-def haar_uniqueness_dim(q: Aqg) -> int:
-    """Dimension of the space of left-invariant functionals (closed bundles).
-
-    A functional is a weight vector omega over block matrix units; left
-    invariance (iota (x) omega)(Delta(a)(b (x) 1)) = omega(a) b is imposed on
-    a basis and the nullspace dimension returned (must be 1).
-    """
-    if not q.bundle.closed:
-        raise NotFinite("uniqueness test requires a closed bundle")
-    total = q.total_dim()
-    rows = []
-    identity = q.identity_element()
-    for i in q.labels:
-        for p in range(q.d(i)):
-            for s in range(q.d(i)):
-                a = AqgElement({i: _unit_matrix(q.d(i), p, s)})
-                x = delta_cut(q, a, identity, leg=1, side="right")
-                # row block: for each output (n, u, w) equation over omega
-                for n in q.labels:
-                    dn = q.d(n)
-                    coeff = np.zeros((dn, dn, total), dtype=complex)
-                    for (ii, jj), blk in x.items():
-                        if ii != n:
-                            continue
-                        dii, djj = q.d(ii), q.d(jj)
-                        t = blk.reshape(dii, djj, dii, djj)
-                        # omega on leg 2: omega(e_bd) coefficient t[u,b,w,d]
-                        coeff[:, :, unit_index(q, jj)] += t.transpose(0, 2, 1, 3)
-                    # subtract omega(a) * identity_n
-                    for u in range(dn):
-                        coeff[u, u, unit_index(q, i)[p, s]] -= 1.0
-                    rows.append(coeff.reshape(dn * dn, total))
-    system = np.vstack(rows)
-    svals = np.linalg.svd(system, compute_uv=False)
-    cut = worst(svals) * 1e-9
-    rank = int(np.sum(svals > cut))
-    return total - rank

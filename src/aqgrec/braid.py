@@ -1,9 +1,9 @@
 """R-matrices from braidings.
 
-A braiding on the category induces a unitary R-matrix in M(A (x) A); this
-module performs the translation in both directions and verifies the
-quasitriangularity identities, the Yang-Baxter equation, and the antipode
-compatibilities, blockwise on the loaded pairs.
+A braiding on the category induces a unitary R-matrix in M(A (x) A), with
+R_ij = flip o c_ij, so c_ij = flip o R_ij recovers the braiding; this module
+builds R and verifies the quasitriangularity identities, the Yang-Baxter
+equation, and the antipode compatibilities, blockwise on the loaded pairs.
 """
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from .linalg import (
     bdagger,
     by_shape,
     cmat,
-    dagger,
     eye,
     frozen_eye,
     flip,
-    kron,
     max_abs,
     residual,
     worst,
@@ -55,9 +53,6 @@ class RMatrix:
             raise MissingBraiding(i, j)
         return self.blocks[(i, j)]
 
-    def inverse(self) -> "RMatrix":
-        return RMatrix({p: np.linalg.inv(m) for p, m in self.blocks.items()})
-
     def sigma(self, q: Aqg) -> "RMatrix":
         """The flipped R-matrix sigma(R)_{ij} = flip R_{ji} flip."""
         out = {}
@@ -78,37 +73,6 @@ def braiding_to_r(q: Aqg) -> RMatrix:
     if not blocks:
         raise MissingBraiding("*", "*")
     return RMatrix(blocks)
-
-
-def r_to_braiding_blocks(q: Aqg, R: RMatrix) -> dict[tuple[str, str], Array]:
-    """Recover the braiding c_{ij} = flip o R_{ij} on irreducibles."""
-    return {
-        (i, j): flip(q.d(i), q.d(j)) @ m for (i, j), m in R.blocks.items()
-    }
-
-
-def r_to_braiding(q: Aqg, R: RMatrix, pi, pi2,
-                  tol: Tolerance = DEFAULT_TOL) -> Array:
-    """The braiding morphism flip o (pi (x) pi2)(R) between tensor-product
-    representations, verified to be an intertwiner pi x pi2 -> pi2 x pi."""
-    from .rep import hom_reps, tensor_rep
-
-    n, m = pi.space_dim, pi2.space_dim
-    act = np.zeros((n * m, n * m), dtype=complex)
-    for i, s in pi.decomp.parts:
-        for j, t in pi2.decomp.parts:
-            st = kron(s, t)
-            act += st @ R.block(i, j) @ dagger(st)
-    c = flip(n, m) @ act
-    basis = hom_reps(q, tensor_rep(q, pi, pi2), tensor_rep(q, pi2, pi), tol)
-    proj = sum((np.vdot(h, c) * h for h in basis),
-               np.zeros_like(c))
-    res = residual(c, proj)
-    if not res <= tol.bound(c) * 1000:
-        raise ValueError(
-            f"induced braiding is not an intertwiner (residual {res:.3e})"
-        )
-    return c
 
 
 def _s_leg1(q: Aqg, R: RMatrix, i: str, j: str):

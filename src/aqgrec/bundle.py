@@ -99,9 +99,6 @@ class CategoryBundle:
         """True when all summands of i (x) j lie inside the loaded window."""
         return self.layout.complete[(i, j)]
 
-    def conj_pair(self, i: str) -> tuple[Array, Array]:
-        return self.conj[i]
-
 
 class FusionLayout:
     """A bundle's fusion isometries in one stacked layout, built once.

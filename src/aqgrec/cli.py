@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .aqg import (
+    ConjInconsistent,
     InconsistentSolve,
     InvalidBundle,
     NotFinite,
@@ -238,7 +239,7 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, tol)
     except (OSError, json.JSONDecodeError, BundleSyntaxError, ShapeError,
-            BadPresentation, NotFinite, MissingBraiding) as exc:
+            BadPresentation, NotFinite, MissingBraiding, ConjInconsistent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidBundle as exc:

@@ -1,18 +1,18 @@
 """Duality for closed finite bundles: the compact dual Hopf *-algebra on the
-Fourier-transformed basis, the universal corepresentation, corepresentation
-calculus, and the Pontryagin double-dual check.
+Fourier-transformed basis, the universal corepresentation, and the
+Pontryagin double-dual check.
 
 Everything here works with dense structure-constant tables over the
 matrix-unit basis of A, so all axioms can be checked exhaustively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aqg import Aqg, AqgElement, NotFinite, haar, unit_index
-from .linalg import DEFAULT_TOL, Array, Tolerance, cmat, dagger, eye, residual, worst
+from .aqg import Aqg, NotFinite, unit_index
+from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
 
 
@@ -59,31 +59,9 @@ class TableHopf:
         """P[v,u] = haar(e_v e_u)."""
         return np.einsum("vuw,w->vu", self.mult, self.haar)
 
-    def commutative(self, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-        res = residual(self.mult, np.swapaxes(self.mult, 0, 1))
-        return res <= tol.bound(self.mult), res
-
     def cocommutative(self, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
         res = residual(self.comult, np.swapaxes(self.comult, 1, 2))
         return res <= tol.bound(self.comult), res
-
-
-def element_to_vec(q: Aqg, a: AqgElement) -> Array:
-    """Coefficients of a on the matrix-unit basis."""
-    v = np.zeros(q.total_dim(), dtype=complex)
-    for i in a.support:
-        v[unit_index(q, i)] = a.blocks[i]
-    return v
-
-
-def vec_to_element(q: Aqg, v: Array) -> AqgElement:
-    """The element with coefficients v on the matrix-unit basis."""
-    blocks = {}
-    for i in q.labels:
-        blk = v[unit_index(q, i)]
-        if np.max(np.abs(blk)) > 0:
-            blocks[i] = cmat(blk)
-    return AqgElement(blocks)
 
 
 def table_from_aqg(q: Aqg) -> TableHopf:
@@ -214,34 +192,6 @@ def _haar_gram(T: TableHopf) -> Array:
     return np.einsum("vz,zuw,w->uv", stars, T.mult, T.haar, optimize=True)
 
 
-# ---------------------------------------------------------------------------
-# Fourier transform
-
-
-@dataclass
-class DualElement:
-    """A functional omega = a . haar, carried by the element a."""
-
-    carrier: AqgElement
-
-    def __call__(self, q: Aqg, x: AqgElement) -> complex:
-        return haar(q, x.mul(self.carrier), "left")
-
-
-def fourier(q: Aqg, a: AqgElement) -> DualElement:
-    if not q.bundle.closed:
-        raise NotFinite("Fourier transform requires a closed bundle")
-    return DualElement(a)
-
-
-def inverse_fourier(q: Aqg, values: Array, T: TableHopf) -> AqgElement:
-    """Recover a from the values omega(e_v) of omega = a . haar."""
-    if not q.bundle.closed:
-        raise NotFinite("Fourier transform requires a closed bundle")
-    coeff = np.linalg.solve(T.pairing(), cmat(values).reshape(-1))
-    return vec_to_element(q, coeff)
-
-
 def dual_hopf(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     """Materialize A and its dual as Hopf tables, with the dual verified.
 
@@ -333,215 +283,6 @@ def verify_universal(q: Aqg, U: Array, T: TableHopf, Td: TableHopf,
     res = residual(lhs, rhs)
     rep.add("defining-identity", "U(x (x) omega)(y) = omega(Delta(y)(x (x) 1))",
             res, res <= tol.bound(rhs) * 100)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# corepresentations of (A, Delta) on B(K)
-
-
-@dataclass
-class Corep:
-    """V in M(A (x) B(K)) given blockwise: blocks[i] in B(H_i (x) K)."""
-
-    space_dim: int
-    blocks: dict[str, Array]
-
-    def block(self, i: str) -> Array:
-        return self.blocks[i]
-
-
-def trivial_corep(q: Aqg) -> Corep:
-    return Corep(1, {i: eye(q.d(i)) for i in q.labels})
-
-
-def regular_corep(q: Aqg, U: Array, T: TableHopf, Td: TableHopf) -> Corep:
-    """(iota (x) lambda)U with lambda the left regular action of the dual.
-
-    The regular action is conjugated into the inner product defined by the
-    dual's invariant functional, which makes it a *-representation and the
-    corepresentation unitary.
-    """
-    from .linalg import hermitian_calc
-
-    lam = np.einsum("vsw->vws", Td.mult)  # lam[v][w,s]: matrix of omega_v
-    gram = _haar_gram(Td)
-    gram = (gram + dagger(gram)) / 2
-    g_half = hermitian_calc(gram, "sqrt")
-    g_ihalf = hermitian_calc(gram, "inv_sqrt")
-    lam = np.einsum("xw,vws,sy->vxy", g_half, lam, g_ihalf, optimize=True)
-    total = T.dim
-    blocks = {}
-    for i in q.labels:
-        d = q.d(i)
-        Vi = np.einsum("psv,vwt->pwst", U[unit_index(q, i)], lam, optimize=True)
-        blocks[i] = Vi.reshape(d * total, d * total)
-    return Corep(total, blocks)
-
-
-def corep_check(q: Aqg, V: Corep, tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Unitarity and the corepresentation identity, blockwise."""
-    rep = Report("corep")
-    n = V.space_dim
-    b = q.bundle
-    res = []
-    for i in q.labels:
-        vi = V.blocks[i]
-        res += [residual(dagger(vi) @ vi, eye(vi.shape[0])),
-                residual(vi @ dagger(vi), eye(vi.shape[0]))]
-    res = worst(*res)
-    rep.add("unitary", "all blocks", res, res <= tol.bound(1.0) * 100)
-    res, scale = [0.0], [1.0]
-    for i in q.labels:
-        for j in q.labels:
-            di, dj = q.d(i), q.d(j)
-            lhs = np.zeros((di * dj * n, di * dj * n), dtype=complex)
-            for k, _ in b.support(i, j):
-                vk = V.blocks[k].reshape(q.d(k), n, q.d(k), n)
-                for v in b.isometries(i, j, k):
-                    w = np.einsum("pk,kxly,ql->pxqy", v, vk, v.conj(),
-                                  optimize=True)
-                    lhs += w.reshape(di * dj * n, di * dj * n)
-            rhs = _leg13(q, V, i, j) @ _leg23(q, V, i, j)
-            res.append(residual(lhs, rhs))
-            scale.append(np.max(np.abs(rhs)))
-    res, scale = worst(*res), worst(*scale)
-    rep.add("corep-identity", "(Delta x iota)V = V13 V23", res,
-            res <= tol.bound(scale) * 100)
-    return rep
-
-
-def _leg13(q: Aqg, V: Corep, i: str, j: str) -> Array:
-    di, dj, n = q.d(i), q.d(j), V.space_dim
-    vi = V.blocks[i].reshape(di, n, di, n)
-    out = np.einsum("axcy,bd->abxcdy", vi, eye(dj))
-    return out.reshape(di * dj * n, di * dj * n)
-
-
-def _leg23(q: Aqg, V: Corep, i: str, j: str) -> Array:
-    di, dj, n = q.d(i), q.d(j), V.space_dim
-    vj = V.blocks[j].reshape(dj, n, dj, n)
-    out = np.einsum("ac,bxdy->abxcdy", eye(di), vj)
-    return out.reshape(di * dj * n, di * dj * n)
-
-
-def tensor_corep(q: Aqg, V: Corep, W: Corep) -> Corep:
-    """V x W on K (x) K': blockwise V13 W23."""
-    n, m = V.space_dim, W.space_dim
-    blocks = {}
-    for i in q.labels:
-        d = q.d(i)
-        vi = V.blocks[i].reshape(d, n, d, n)
-        wi = W.blocks[i].reshape(d, m, d, m)
-        prod = np.einsum("axcy,cbdz->axbdyz", vi, wi, optimize=True)
-        blocks[i] = prod.reshape(d * n * m, d * n * m)
-    return Corep(n * m, blocks)
-
-
-def conjugate_corep(q: Aqg, V: Corep) -> Corep:
-    """The conjugate corepresentation (S^-1 (x) j)V on the conjugate space.
-
-    For a unitary corepresentation of a finite-type algebra the modular
-    element of the dual is trivial (the dual antipode is involutive), so the
-    conjugation map reduces to j(x) = x^T on matrix coefficients.
-    """
-    n = V.space_dim
-    b = q.bundle
-    blocks: dict[str, Array] = {}
-    for i in q.labels:
-        ib = b.dual[i]
-        if i not in b.conj:
-            raise NotFinite(f"no conjugate data for label {i!r}")
-        rm, rbm = q._rmat(i), q._rbarmat(i)
-        vi = V.blocks[i].reshape(q.d(i), n, q.d(i), n)
-        # S^-1(E^i_{ps})[u,w] = rm[s,u] conj(rbm[w,p]); j(x) = x^T
-        vb = np.einsum("su,wp,pxsy->uywx", rm, rbm.conj(), vi, optimize=True)
-        blocks.setdefault(ib, np.zeros((q.d(ib) * n, q.d(ib) * n), dtype=complex))
-        blocks[ib] += vb.reshape(q.d(ib) * n, q.d(ib) * n)
-    for i in q.labels:
-        blocks.setdefault(i, np.zeros((q.d(i) * n, q.d(i) * n), dtype=complex))
-    return Corep(n, blocks)
-
-
-def corep_to_rep(q: Aqg, V: Corep, T: TableHopf) -> list[Array]:
-    """pi_V(omega_a) = (omega_a (x) iota)V as matrices on K, per dual basis
-    functional omega_a = e_a . haar."""
-    P = T.pairing()
-    n = V.space_dim
-    X = np.zeros((T.dim, n, n), dtype=complex)
-    for i in q.labels:
-        d = q.d(i)
-        X[unit_index(q, i)] = V.blocks[i].reshape(d, n, d, n).transpose(0, 2, 1, 3)
-    return [np.einsum("v,vxy->xy", P[:, a], X, optimize=True)
-            for a in range(T.dim)]
-
-
-def rep_to_corep(q: Aqg, pimats: list[Array], U: Array) -> Corep:
-    """(iota (x) pi)U: lift a representation of the dual to a
-    corepresentation of (A, Delta)."""
-    n = pimats[0].shape[0]
-    pim = np.stack([cmat(m) for m in pimats])
-    blocks = {}
-    for i in q.labels:
-        d = q.d(i)
-        vi = np.einsum("psv,vxy->pxsy", U[unit_index(q, i)], pim, optimize=True)
-        blocks[i] = vi.reshape(d * n, d * n)
-    return Corep(n, blocks)
-
-
-def rep_of_dual_check(q: Aqg, V: Corep, T: TableHopf, Td: TableHopf,
-                      tol: Tolerance = DEFAULT_TOL) -> Report:
-    """pi_V is a unital *-representation of the dual algebra."""
-    rep = Report("corep-to-rep")
-    mats = np.stack(corep_to_rep(q, V, T))
-    n = V.space_dim
-    lhs = np.einsum("abv,vxy->abxy", Td.mult, mats, optimize=True)
-    rhs = np.einsum("axz,bzy->abxy", mats, mats, optimize=True)
-    res = residual(lhs, rhs)
-    rep.add("multiplicative", "dual basis", res, res <= tol.bound(lhs, rhs) * 100)
-    res = residual(np.einsum("v,vxy->xy", Td.unit, mats), eye(n))
-    rep.add("unital", "dual unit", res, res <= tol.bound(1.0) * 100)
-    lhs = np.einsum("uw,wxy->uxy", Td.star, mats, optimize=True)
-    rhs = np.einsum("uxy->uyx", mats.conj())
-    res = residual(lhs, rhs)
-    rep.add("star", "pi(omega*) = pi(omega)*", res,
-            res <= tol.bound(lhs, rhs) * 100)
-    return rep
-
-
-def roundtrip_check(q: Aqg, V: Corep, U: Array, T: TableHopf,
-                    tol: Tolerance = DEFAULT_TOL) -> float:
-    """Residual of (iota (x) pi_V)U = V."""
-    back = rep_to_corep(q, corep_to_rep(q, V, T), U)
-    return worst(*(residual(back.blocks[i], V.blocks[i]) for i in q.labels))
-
-
-def tensor_compat_check(q: Aqg, V: Corep, W: Corep, T: TableHopf,
-                        Td: TableHopf, tol: Tolerance = DEFAULT_TOL) -> float:
-    """pi_{V x W} = (pi_V (x) pi_W) Delta-hat, as a residual."""
-    mats_v = np.stack(corep_to_rep(q, V, T))
-    mats_w = np.stack(corep_to_rep(q, W, T))
-    mats_t = np.stack(corep_to_rep(q, tensor_corep(q, V, W), T))
-    n, m = V.space_dim, W.space_dim
-    rhs = np.einsum("uab,axy,bzw->uxzyw", Td.comult, mats_v, mats_w,
-                    optimize=True).reshape(T.dim, n * m, n * m)
-    return residual(mats_t, rhs)
-
-
-def conjugate_corep_check(q: Aqg, V: Corep, T: TableHopf, Td: TableHopf,
-                          tol: Tolerance = DEFAULT_TOL) -> Report:
-    """The conjugate corepresentation is a unitary corepresentation and
-    pairs with the dual antipode: pi_{Vbar}(omega) = pi_V(omega o S^-1)^T."""
-    rep = Report("conjugate-corep")
-    Vb = conjugate_corep(q, V)
-    rep.extend(corep_check(q, Vb, tol))
-    mats = np.stack(corep_to_rep(q, V, T))
-    mats_b = np.stack(corep_to_rep(q, Vb, T))
-    sinv = np.linalg.inv(Td.antipode)
-    want = np.einsum("uv,vxy->uyx", sinv, mats, optimize=True)
-    res = residual(mats_b, want)
-    rep.add("antipode-pairing", "pi_conj = transpose o pi o S^-1", res,
-            res <= tol.bound(mats_b, want) * 100)
     return rep
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqg import Aqg, AqgElement, NotFinite, unit_index
-from .dual import TableHopf, dual_table, table_from_aqg, vec_to_element
+from .aqg import Aqg, NotFinite, unit_index
+from .dual import TableHopf, dual_table, table_from_aqg
 from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
 
@@ -31,9 +31,6 @@ class Grouplike:
     coeffs: Array
     character: Array  # chi[u] = omega_u(g)
 
-    def element(self, q: Aqg) -> AqgElement:
-        return vec_to_element(q, self.coeffs)
-
 
 @dataclass
 class IntrinsicGroup:
@@ -42,14 +39,8 @@ class IntrinsicGroup:
     table: Array  # table[a,b] = index of the product
     identity: int
 
-    def inverse(self, a: int) -> int:
-        return int(np.where(self.table[a] == self.identity)[0][0])
-
     def element_order(self, a: int) -> int:
         return element_order(self.table, self.identity, a)
-
-    def abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
 
     def export(self) -> dict:
         return {
@@ -207,54 +198,6 @@ def group_block(q: Aqg, g: Grouplike, label: str) -> Array:
     return g.coeffs[unit_index(q, label)]
 
 
-def group_irrep(q: Aqg, group: IntrinsicGroup, label: str) -> list[Array]:
-    """The recovered representation of the intrinsic group on H_label."""
-    return [group_block(q, g, label) for g in group.elements]
-
-
-def verify_group_irrep(q: Aqg, group: IntrinsicGroup, label: str,
-                       tol: Tolerance = DEFAULT_TOL) -> Report:
-    rep = Report(f"group-irrep-{label}")
-    _unitary_hom_rows(rep, group, group_irrep(q, group, label), (label,) * 3, tol)
-    return rep
-
-
-def _unitary_hom_rows(rep: Report, group: IntrinsicGroup, mats, locations,
-                      tol: Tolerance) -> None:
-    """Rows "unitary", "homomorphism" and "identity" of matrices indexed by
-    the group elements, at the three given locations."""
-    unitary, hom, ident = locations
-    res = worst(*(residual(dagger(m) @ m, eye(m.shape[0])) for m in mats))
-    rep.add("unitary", unitary, res, res <= tol.bound(1.0) * 1e4)
-    res = worst(*(residual(mats[a] @ mats[b], mats[group.table[a, b]])
-                  for a in range(group.order) for b in range(group.order)))
-    rep.add("homomorphism", hom, res, res <= tol.bound(1.0) * 1e4)
-    res = residual(mats[group.identity], eye(mats[0].shape[0]))
-    rep.add("identity", ident, res, res <= tol.bound(1.0) * 1e4)
-
-
-def rep_to_group_rep(q: Aqg, pi, group: IntrinsicGroup,
-                     tol: Tolerance = DEFAULT_TOL):
-    """u_pi(g) = pi(g) for each group element; returns (matrices, Report)."""
-    from .rep import hom_reps
-
-    mats = [pi.act(q, g.element(q)) for g in group.elements]
-    rep = Report("group-rep")
-    _unitary_hom_rows(rep, group, mats,
-                      ("all elements", "table products", "u(e) = I"), tol)
-    n = mats[0].shape[0]
-    stacked = np.concatenate(
-        [np.kron(m.T, eye(n)) - np.kron(eye(n), m) for m in mats], axis=0
-    )
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    cutoff = tol.absolute * max(1.0, float(svals[0]))
-    comm_dim = n * n - int(np.sum(svals > cutoff))
-    hom_dim = len(hom_reps(q, pi, pi, tol))
-    rep.add("commutant-dimension", f"{comm_dim} vs hom {hom_dim}", 0.0,
-            comm_dim == hom_dim)
-    return mats, rep
-
-
 def cocommutative_check(q: Aqg, T: TableHopf, group: IntrinsicGroup,
                         grep: Report, tol: Tolerance = DEFAULT_TOL):
     """Detect the group case: cocommutative coproduct and grouplike blocks
@@ -278,62 +221,3 @@ def cocommutative_check(q: Aqg, T: TableHopf, group: IntrinsicGroup,
                 spanned = False
         rep.add("blocks-spanned", "grouplikes span each B(H_i)", 0.0, spanned)
     return rep.passed, rep
-
-
-# ---------------------------------------------------------------------------
-# abstract table isomorphism
-
-
-def tables_isomorphic(t1: Array, id1: int, t2: Array, id2: int):
-    """Backtracking isomorphism search between two group tables.
-
-    Returns the mapping (index in group 1 -> index in group 2) or None.
-    Intended for small orders.
-    """
-    t1 = np.asarray(t1)
-    t2 = np.asarray(t2)
-    n = t1.shape[0]
-    if t2.shape[0] != n:
-        return None
-    o1 = [element_order(t1, id1, a) for a in range(n)]
-    o2 = [element_order(t2, id2, a) for a in range(n)]
-    if sorted(o1) != sorted(o2):
-        return None
-    phi = [-1] * n
-    used = [False] * n
-    phi[id1] = id2
-    used[id2] = True
-
-    def consistent(a: int) -> bool:
-        for x in range(n):
-            if phi[x] < 0:
-                continue
-            for y, z in ((a, x), (x, a)):
-                if phi[y] < 0 or phi[z] < 0:
-                    continue
-                p = int(t1[y, z])
-                im = int(t2[phi[y], phi[z]])
-                if phi[p] >= 0:
-                    if phi[p] != im:
-                        return False
-                elif used[im]:
-                    return False
-        return True
-
-    def extend(a: int) -> bool:
-        while a < n and phi[a] >= 0:
-            a += 1
-        if a == n:
-            return True
-        for b in range(n):
-            if used[b] or o2[b] != o1[a]:
-                continue
-            phi[a] = b
-            used[b] = True
-            if consistent(a) and extend(a + 1):
-                return True
-            phi[a] = -1
-            used[b] = False
-        return False
-
-    return phi if extend(0) else None

@@ -12,7 +12,7 @@ product performs the same floating-point operations as the 2-d one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class Tolerance:
         nx = np.max(np.abs(x)) if np.size(x) else 0.0
         ny = np.max(np.abs(y)) if np.size(y) else 0.0
         return self.absolute + self.relative * max(nx, ny)
-
-    def close(self, x, y) -> bool:
-        return residual(x, y) <= self.bound(x, y)
 
     def bounds(self, x: Array, y: Array) -> Array:
         """bound(x[n], y[n]) for every matrix n of two stacks."""
@@ -228,10 +225,6 @@ def dagger(m: Array) -> Array:
 
 def kron(a: Array, b: Array) -> Array:
     return np.kron(cmat(a), cmat(b))
-
-
-def kronn(*ms: Array) -> Array:
-    return reduce(np.kron, (cmat(m) for m in ms))
 
 
 def eye(n: int) -> Array:

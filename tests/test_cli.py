@@ -218,3 +218,16 @@ def test_validate_and_check_do_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.split() == ["[0,", "0]", "False"], out
+
+
+def test_ill_conditioned_f_exits_2(tmp_path, capsys):
+    # J*J of the top label has condition number q^-2L = 1e10: validation
+    # passes, but F cannot be inverted to tolerance
+    path = _gen(tmp_path, "suq2", "--q", "0.1", "--L", "5")
+    assert run(["validate", str(path), "-o", str(tmp_path / "v.json")]) == 0
+    for op in ("check", "dims"):
+        capsys.readouterr()
+        assert run([op, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "condition number" in err, err
+        assert "Traceback" not in err

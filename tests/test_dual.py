@@ -6,7 +6,6 @@ import pytest
 from aqgrec.aqg import (
     AqgElement,
     NotFinite,
-    _unit_matrix,
     antipode,
     counit,
     delta,
@@ -15,29 +14,25 @@ from aqgrec.aqg import (
 )
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import (
-    Corep,
-    conjugate_corep_check,
-    corep_check,
     dual_hopf,
     dual_table,
-    element_to_vec,
-    fourier,
-    inverse_fourier,
     pontryagin_check,
-    regular_corep,
-    rep_of_dual_check,
-    roundtrip_check,
     table_from_aqg,
-    tensor_compat_check,
-    tensor_corep,
-    trivial_corep,
     universal_corep,
-    vec_to_element,
     verify_table,
     verify_universal,
 )
-from aqgrec.linalg import residual
+from aqgrec.linalg import DEFAULT_TOL, residual
+from test_aqg import matrix_unit
 from test_report_identity import a4_bundle
+
+
+def element_to_vec(q, a):
+    """Coefficients of a on the matrix-unit basis."""
+    v = np.zeros(q.total_dim(), dtype=complex)
+    for i in a.support:
+        v[unit_index(q, i)] = a.blocks[i]
+    return v
 
 
 def tables_by_matrix_units(q):
@@ -63,7 +58,7 @@ def tables_by_matrix_units(q):
                 star[u, idx[s, p]] = 1.0
                 haar_v[u] = q.haar_weights[i] * q.F[i][s, p]
                 mult[u, idx[s], idx[p]] = 1.0
-                eu = AqgElement({i: _unit_matrix(d, p, s)})
+                eu = AqgElement({i: matrix_unit(d, p, s)})
                 counit_v[u] = counit(q, eu)
                 anti[u] = element_to_vec(q, antipode(q, eu))
                 for (n, m), blk in delta(q, eu, pairs).items():
@@ -114,23 +109,24 @@ def test_dual_requires_closed_bundle(suq2_half):
     with pytest.raises(NotFinite):
         dual_hopf(suq2_half)
     with pytest.raises(NotFinite):
-        fourier(suq2_half, suq2_half.identity_element())
-    with pytest.raises(NotFinite):
         table_from_aqg(suq2_half)
 
 
 def test_commutativity_swaps_with_cocommutativity(closed_aqgs):
+    def commutative(T):
+        return residual(T.mult, np.swapaxes(T.mult, 0, 1)) <= DEFAULT_TOL.bound(T.mult)
+
     # nonabelian group: the algebra is noncommutative but cocommutative,
     # while its dual (functions on the group) is commutative
     T = table_from_aqg(closed_aqgs["s3"])
     Td = dual_table(T)
-    assert not T.commutative()[0] and T.cocommutative()[0]
-    assert Td.commutative()[0] and not Td.cocommutative()[0]
+    assert not commutative(T) and T.cocommutative()[0]
+    assert commutative(Td) and not Td.cocommutative()[0]
     # abelian case: everything on both sides
     T = table_from_aqg(closed_aqgs["z5"])
     Td = dual_table(T)
-    assert T.commutative()[0] and T.cocommutative()[0]
-    assert Td.commutative()[0] and Td.cocommutative()[0]
+    assert commutative(T) and T.cocommutative()[0]
+    assert commutative(Td) and Td.cocommutative()[0]
 
 
 def test_double_dual_table_matches_primal_dimension(closed_aqgs):
@@ -138,27 +134,6 @@ def test_double_dual_table_matches_primal_dimension(closed_aqgs):
     T = table_from_aqg(q)
     Tdd = dual_table(dual_table(T))
     assert Tdd.dim == T.dim
-
-
-def test_fourier_roundtrip(closed_aqgs, rng):
-    for name in ("z2", "s3", "pointed-z5-t1"):
-        q = closed_aqgs[name]
-        T = table_from_aqg(q)
-        total = q.total_dim()
-        a = q.random_element(rng)
-        omega = fourier(q, a)
-        values = np.array(
-            [omega(q, vec_to_element(q, np.eye(total)[v])) for v in range(total)]
-        )
-        back = inverse_fourier(q, values, T)
-        assert (back - a).norm() < 1e-10, name
-
-
-def test_vec_element_roundtrip(closed_aqgs, rng):
-    q = closed_aqgs["d4"]
-    total = q.total_dim()
-    v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    assert residual(element_to_vec(q, vec_to_element(q, v)), v) == 0.0
 
 
 def test_universal_corep_properties(closed_aqgs):
@@ -179,51 +154,6 @@ def test_defining_identity_detects_a_perturbed_entry(closed_aqgs):
         U[1, 0] += 1e-6
         rows = {c.name: c for c in verify_universal(q, U, T, Td).checks}
         assert not rows["defining-identity"].passed, name
-
-
-def test_regular_corep_is_unitary_corep(closed_aqgs):
-    for name in ("s3", "q8", "pointed-z3-t1"):
-        q = closed_aqgs[name]
-        T, Td, _ = dual_hopf(q)
-        U = universal_corep(T)
-        V = regular_corep(q, U, T, Td)
-        assert corep_check(q, V).passed, name
-        assert rep_of_dual_check(q, V, T, Td).passed, name
-        assert roundtrip_check(q, V, U, T) < 1e-8, name
-
-
-def test_trivial_and_tensor_coreps(closed_aqgs):
-    q = closed_aqgs["s3"]
-    T, Td, _ = dual_hopf(q)
-    U = universal_corep(T)
-    V = regular_corep(q, U, T, Td)
-    E = trivial_corep(q)
-    assert corep_check(q, E).passed
-    VW = tensor_corep(q, V, E)
-    assert corep_check(q, VW).passed
-    for i in q.labels:
-        assert residual(VW.blocks[i], V.blocks[i]) < 1e-12
-    assert tensor_compat_check(q, V, V, T, Td) < 1e-8
-
-
-def test_nan_entry_fails_corep_check(closed_aqgs):
-    q = closed_aqgs["s3"]
-    V = trivial_corep(q)
-    blocks = {i: m.copy() for i, m in V.blocks.items()}
-    blocks[q.labels[-1]][0, 0] = np.nan
-    rep = corep_check(q, Corep(V.space_dim, blocks))
-    assert not rep.passed
-    assert np.isnan(rep.max_residual)
-
-
-def test_conjugate_corep(closed_aqgs):
-    for name in ("z5", "s3"):
-        q = closed_aqgs[name]
-        T, Td, _ = dual_hopf(q)
-        U = universal_corep(T)
-        V = regular_corep(q, U, T, Td)
-        rep = conjugate_corep_check(q, V, T, Td)
-        assert rep.passed, f"{name}: {rep.failures()}"
 
 
 def test_pontryagin_isomorphism(closed_aqgs):

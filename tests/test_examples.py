@@ -178,7 +178,7 @@ def six_j(b: CategoryBundle) -> tuple[dict, float]:
 
 def _trace_f(b, i):
     """Tr F_i computed straight from the conjugate pair of label i."""
-    r, _ = b.conj_pair(i)
+    r, _ = b.conj[i]
     rm = r.reshape(b.d(b.dual[i]), b.d(i))
     return float(np.trace(np.linalg.inv(rm.T @ rm.conj())).real)
 
@@ -279,7 +279,7 @@ def test_suq2_quantum_dimensions_are_q_integers():
 def test_suq2_fundamental_metric_spectrum():
     q = 0.5
     b = gen_suq2(q, 2)
-    r, _ = b.conj_pair("1")
+    r, _ = b.conj["1"]
     jj = r.reshape(2, 2).T @ r.reshape(2, 2).conj()
     ev = sorted(np.linalg.eigvalsh(jj).real)
     assert abs(ev[0] - q) < 1e-10 and abs(ev[1] - 1 / q) < 1e-10

@@ -13,7 +13,6 @@ from aqgrec.linalg import (
     flip,
     hermitian_calc,
     kron,
-    kronn,
     orthonormalize,
     residual,
     solve_intertwiners,
@@ -52,11 +51,6 @@ def test_kron_mixed_product(a, b, c, d, seed):
     lhs = kron(x, z) @ kron(y, w)
     rhs = kron(x @ y, z @ w)
     assert residual(lhs, rhs) < 1e-10
-
-
-def test_kronn_associates(rng):
-    a, b, c = (_rand(rng, 2, 2) for _ in range(3))
-    assert residual(kronn(a, b, c), kron(kron(a, b), c)) == 0.0
 
 
 def test_dagger_is_conjugate_transpose(rng):
