@@ -34,6 +34,7 @@ from aqgrec.examples import builtin_group, gen_finite_group
 from aqgrec.group import cocommutative_check, grouplikes
 from aqgrec.linalg import flip, residual, solve_intertwiners
 from test_aqg import matrix_unit
+from test_dual import corep_from_rep, regular_rep, rep_from_corep, tensor_corep
 from test_group import tables_isomorphic
 
 GROUPS = ["z2", "z5", "s3", "d4", "q8"]
@@ -172,7 +173,16 @@ def test_criterion_7_universal_corep(closed_aqgs):
         rep = verify_universal(q, U, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8, name
-    _ok(7, "five defining properties and the defining identity < 1e-8")
+        # the regular corepresentation V = (iota (x) lambda)U: (iota (x)
+        # pi_V)U = V, and pi_{V x V} = (pi_V (x) pi_V) Delta-hat
+        V = corep_from_rep(U, regular_rep(Td))
+        mats = rep_from_corep(T, V)
+        assert residual(corep_from_rep(U, mats), V) < 1e-8, name
+        n = mats.shape[1]
+        want = np.einsum("uab,axy,bzw->uxzyw", Td.comult, mats, mats,
+                         optimize=True).reshape(T.dim, n * n, n * n)
+        assert residual(rep_from_corep(T, tensor_corep(T, V, V)), want) < 1e-8, name
+    _ok(7, "five defining properties, V roundtrip, tensor compatibility < 1e-8")
 
 
 def test_criterion_8_r_matrices(shipped_aqgs):

@@ -166,15 +166,24 @@ def test_haar_weighted_trace_values(s3_aqg):
         assert abs(val - q.d(i) ** 2) < 1e-10
 
 
+def haar_uniqueness_dim(q):
+    """Dimension of the space of left-invariant functionals omega, which
+    solve (iota (x) omega)Delta(e_u) = omega(e_u) 1 on the dense tables:
+    sum_w Delta[u,v,w] omega_w = omega_u 1_v (closed bundles only)."""
+    T = table_from_aqg(q)
+    system = T.comult - np.einsum("uw,v->uvw", np.eye(T.dim), T.unit)
+    svals = np.linalg.svd(system.reshape(-1, T.dim), compute_uv=False)
+    return T.dim - int(np.sum(svals > svals[0] * 1e-9))
+
+
 def test_haar_uniqueness_on_closed_bundles(closed_aqgs):
-    # left-invariant functionals omega solve (iota (x) omega)Delta(e_u) =
-    # omega(e_u) 1 on the dense tables: sum_w Delta[u,v,w] omega_w =
-    # omega_u 1_v; the nullspace must be one-dimensional
     for name, q in closed_aqgs.items():
-        T = table_from_aqg(q)
-        system = T.comult - np.einsum("uw,v->uvw", np.eye(T.dim), T.unit)
-        svals = np.linalg.svd(system.reshape(-1, T.dim), compute_uv=False)
-        assert T.dim - np.sum(svals > svals[0] * 1e-9) == 1, name
+        assert haar_uniqueness_dim(q) == 1, name
+
+
+def test_haar_uniqueness_rejects_window(suq2_half):
+    with pytest.raises(NotFinite):
+        haar_uniqueness_dim(suq2_half)
 
 
 def test_t_maps_invert_on_elementary_tensors(shipped_aqgs, rng):

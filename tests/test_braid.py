@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqgrec.aqg import delta
 from aqgrec.braid import (
     MissingBraiding,
     RMatrix,
@@ -50,6 +51,20 @@ def test_braiding_roundtrip_is_exact(shipped_aqgs):
             assert residual(back, c) == 0.0, (name, i, j)
 
 
+def test_rep_level_braiding_intertwines(shipped_aqgs, rng):
+    q = shipped_aqgs["pointed-z5-t1"]
+    R = braiding_to_r(q)
+    # c = flip o (pi_1 (x) pi_2)(R): one-dim labels, so the braiding is
+    # flip times the bicharacter phase
+    c = flip(q.d("1"), q.d("2")) @ R.block("1", "2")
+    w = np.exp(2j * np.pi / 5)
+    assert residual(c, flip(1, 1) * w**2) < 1e-12
+    # and it intertwines pi_1 x pi_2 with pi_2 x pi_1
+    a = q.random_element(rng)
+    x = delta(q, a, [("1", "2"), ("2", "1")])
+    assert residual(c @ x[("1", "2")], x[("2", "1")] @ c) < 1e-12
+
+
 def test_random_unitary_is_not_an_r_matrix(shipped_aqgs, rng):
     q = shipped_aqgs["pointed-z3-t1"]
     blocks = {}
@@ -67,9 +82,16 @@ def test_missing_block_raises(shipped_aqgs):
         R.block("0", "bogus")
 
 
-def test_sigma_is_an_involution(shipped_aqgs):
+def test_sigma_and_inverse_are_consistent(shipped_aqgs):
     q = shipped_aqgs["pointed-z5-t1"]
     R = braiding_to_r(q)
-    sig2 = R.sigma(q).sigma(q)
+    # R is unitary, so R^-1 = R* blockwise, and sigma commutes with it
+    Rinv = RMatrix({key: m.conj().T for key, m in R.blocks.items()})
+    sig, sig_inv = R.sigma(q), Rinv.sigma(q)
+    for key, m in R.blocks.items():
+        assert residual(Rinv.blocks[key] @ m, np.eye(m.shape[0])) < 1e-12
+        assert residual(sig_inv.blocks[key] @ sig.blocks[key], np.eye(m.shape[0])) < 1e-12
+    # sigma is an involution on the block family
+    sig2 = sig.sigma(q)
     for key, m in R.blocks.items():
         assert residual(sig2.blocks[key], m) < 1e-12

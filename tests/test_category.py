@@ -1,106 +1,144 @@
+"""The skeletal category of a bundle: objects decomposed into irreducible
+labels by the bundle's fusion isometries, morphisms as intertwiners of the
+coproduct actions, natural transformations as elements of A."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from aqgrec.category import (
-    MissingBlock,
-    ObjectDecomp,
-    WindowEscape,
-    hom_decomps,
-    irreducible_decomp,
-    nat_component,
-    tensor_decomp,
-)
+from aqgrec.aqg import AqgElement, delta, reconstruct
+from aqgrec.bundle import validate_bundle
+from aqgrec.linalg import dagger, residual, worst
+from test_rep import action, hom
+
+
+def decomposition_residual(parts, n):
+    """Max residual of joint orthonormality and completeness of the
+    isometries (label, s) into C^n."""
+    res = [0.0]
+    acc = np.zeros((n, n), dtype=complex)
+    for a, (i, s) in enumerate(parts):
+        acc += s @ dagger(s)
+        for j, t in parts[a:]:
+            g = dagger(s) @ t
+            res.append(residual(g, np.eye(s.shape[1]) if t is s else np.zeros_like(g)))
+    res.append(residual(acc, np.eye(n)))
+    return worst(*res)
+
+
+def tensor_parts(b, i, j):
+    """The decomposition of i (x) j: (k, v) over the fusion channels."""
+    return [(k, v) for k, _ in b.support(i, j) for v in b.isometries(i, j, k)]
 
 
 def test_irreducible_decomp_is_orthonormal(shipped_bundles):
+    # i (x) 1 is the irreducible i: one channel, a unitary isometry
     for b in shipped_bundles.values():
         for i in b.labels:
-            x = irreducible_decomp(b, i)
-            assert x.total_dim == b.d(i)
-            assert x.check() < 1e-12
+            parts = tensor_parts(b, i, b.unit)
+            assert [k for k, _ in parts] == [i]
+            assert decomposition_residual(parts, b.d(i)) < 1e-12
 
 
 def test_nan_part_makes_check_nan(shipped_bundles):
     b = shipped_bundles["s3"]
-    i, j = b.labels[-1], b.labels[-1]
-    x = tensor_decomp(b, irreducible_decomp(b, i), irreducible_decomp(b, j))
-    label, s = x.parts[-1]
-    s = s.copy()
-    s[0, 0] = np.nan
-    assert np.isnan(ObjectDecomp(x.total_dim, x.parts[:-1] + [(label, s)]).check())
+    i = j = b.labels[-1]
+    k = b.labels[0]
+    v = b.isometries(i, j, k)[0].copy()
+    v[0, 0] = np.nan
+    fusion = dict(b.fusion)
+    fusion[(i, j)] = {**b.fusion[(i, j)], k: [v]}
+    bad = dataclasses.replace(b, fusion=fusion)
+    rep = validate_bundle(bad)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
 
 
 def test_tensor_decomp_complete_and_matches_fusion(shipped_bundles):
     for name, b in shipped_bundles.items():
+        rows = validate_bundle(b).checks
         for i in b.labels:
             for j in b.labels:
                 if not b.complete(i, j):
                     continue
-                x = tensor_decomp(b, irreducible_decomp(b, i), irreducible_decomp(b, j))
-                assert x.check() < 1e-10, (name, i, j)
+                parts = tensor_parts(b, i, j)
+                assert decomposition_residual(parts, b.d(i) * b.d(j)) < 1e-10, (name, i, j)
                 for k in b.labels:
-                    assert x.multiplicity(k) == b.N(i, j, k)
+                    assert [m for m, _ in parts].count(k) == b.N(i, j, k)
+        assert all(c.passed for c in rows
+                   if c.name in ("orthonormality", "completeness")), name
 
 
 def test_tensor_decomp_raises_outside_window(shipped_bundles):
+    # the top label of a window fuses into labels outside it: the loaded
+    # channels of top (x) top miss part of the space, and Delta(1) restricted
+    # to the pair is a proper projection
     b = shipped_bundles["suq2-q0.5-L4"]
-    top = irreducible_decomp(b, b.labels[-1])
-    with pytest.raises(WindowEscape):
-        tensor_decomp(b, top, top)
+    top = b.labels[-1]
+    assert not b.complete(top, top)
+    q = reconstruct(b)
+    one = AqgElement({i: np.eye(q.d(i), dtype=complex) for i in q.labels})
+    p = action(q, (top, top), one)
+    loaded = sum(b.N(top, top, k) * b.d(k) for k in b.labels)
+    assert residual(p @ p, p) < 1e-12
+    assert round(np.trace(p).real) == loaded < b.d(top) ** 2
 
 
 def test_triple_tensor_multiplicities_are_associative(shipped_bundles):
     b = shipped_bundles["s3"]
-    decs = {i: irreducible_decomp(b, i) for i in b.labels}
     for i in b.labels:
         for j in b.labels:
             for k in b.labels:
-                left = tensor_decomp(b, tensor_decomp(b, decs[i], decs[j]), decs[k])
-                right = tensor_decomp(b, decs[i], tensor_decomp(b, decs[j], decs[k]))
                 for m in b.labels:
-                    assert left.multiplicity(m) == right.multiplicity(m)
+                    left = sum(b.N(i, j, l) * b.N(l, k, m) for l in b.labels)
+                    right = sum(b.N(j, k, n) * b.N(i, n, m) for n in b.labels)
+                    assert left == right, (i, j, k, m)
 
 
-def test_hom_decomps_dimension_equals_fusion_multiplicity(shipped_bundles):
+def test_hom_decomps_dimension_equals_fusion_multiplicity(shipped_aqgs):
     for name in ("s3", "q8", "suq2-q0.5-L4"):
-        b = shipped_bundles[name]
+        q = shipped_aqgs[name]
+        b = q.bundle
         for i in b.labels:
             for j in b.labels:
                 if not b.complete(i, j):
                     continue
-                prod = tensor_decomp(
-                    b, irreducible_decomp(b, i), irreducible_decomp(b, j)
-                )
                 for k in b.labels:
-                    basis = hom_decomps(irreducible_decomp(b, k), prod)
-                    assert len(basis) == b.N(i, j, k), (name, i, j, k)
+                    assert len(hom(q, k, (i, j))) == b.N(i, j, k), (name, i, j, k)
 
 
-def test_hom_decomps_basis_is_orthonormal(shipped_bundles):
-    b = shipped_bundles["suq2-q1.0-L4"]
-    x = tensor_decomp(b, irreducible_decomp(b, "1"), irreducible_decomp(b, "1"))
-    basis = hom_decomps(x, x)
+def test_hom_decomps_basis_is_orthonormal(shipped_aqgs):
+    q = shipped_aqgs["suq2-q1.0-L4"]
+    basis = hom(q, ("1", "1"), ("1", "1"))
+    # End(1 (x) 1) = End(0) + End(2)
+    assert len(basis) == 2
     for a, u in enumerate(basis):
         for c, v in enumerate(basis):
             ip = np.trace(u.conj().T @ v)
             assert abs(ip - (1.0 if a == c else 0.0)) < 1e-10
 
 
-def test_nat_component_independent_of_decomposition(shipped_bundles, rng):
-    b = shipped_bundles["s3"]
-    blocks = {
-        i: rng.standard_normal((b.d(i),) * 2) + 1j * rng.standard_normal((b.d(i),) * 2)
-        for i in b.labels
-    }
+def test_nat_component_independent_of_decomposition(s3_aqg, rng):
+    q = s3_aqg
+    b = q.bundle
+    a = q.random_element(rng)
     two = [i for i in b.labels if b.d(i) == 2][0]
-    x = tensor_decomp(b, irreducible_decomp(b, two), irreducible_decomp(b, two))
-    a = nat_component(b, blocks, x)
+    x = delta(q, a, [(two, two)])[(two, two)]
+    # the component of a on 2 (x) 2 is sum v a_k v* for any decomposition
+    # into irreducibles: rotate the channels within End(2 (x) 2)
+    parts = tensor_parts(b, two, two)
+    u = sum(np.exp(1j * t) * v @ dagger(v) for t, (_, v) in zip((0.3, 1.1, 2.5), parts))
+    rotated = [(k, u @ v) for k, v in parts]
+    nat = sum(v @ a.blocks[k] @ dagger(v) for k, v in rotated)
+    assert residual(nat, x) < 1e-12
     # intertwining with every Hom(X, X) morphism characterizes naturality
-    for t in hom_decomps(x, x):
-        assert np.max(np.abs(t @ a - a @ t)) < 1e-9
+    for t in hom(q, (two, two), (two, two)):
+        assert np.max(np.abs(t @ x - x @ t)) < 1e-9
 
 
-def test_nat_component_missing_block_raises(shipped_bundles):
-    b = shipped_bundles["z2"]
-    with pytest.raises(MissingBlock):
-        nat_component(b, {}, irreducible_decomp(b, b.unit))
+def test_nat_component_missing_block_raises(shipped_aqgs):
+    # an element of M(A) is a total block map: f has no block at a label
+    # outside the bundle
+    q = shipped_aqgs["z2"]
+    with pytest.raises(KeyError, match="bogus"):
+        q.f.restrict([q.bundle.unit, "bogus"])

@@ -9,11 +9,13 @@ from aqgrec.aqg import (
     antipode,
     counit,
     delta,
+    haar,
     reconstruct,
     unit_index,
 )
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import (
+    _haar_gram,
     dual_hopf,
     dual_table,
     pontryagin_check,
@@ -22,7 +24,7 @@ from aqgrec.dual import (
     verify_table,
     verify_universal,
 )
-from aqgrec.linalg import DEFAULT_TOL, residual
+from aqgrec.linalg import DEFAULT_TOL, residual, worst
 from test_aqg import matrix_unit
 from test_report_identity import a4_bundle
 
@@ -33,6 +35,79 @@ def element_to_vec(q, a):
     for i in a.support:
         v[unit_index(q, i)] = a.blocks[i]
     return v
+
+
+def matrix_unit_element(q, u):
+    """The basis element e_u of A: the matrix unit at position u."""
+    for i in q.labels:
+        hit = np.argwhere(unit_index(q, i) == u)
+        if len(hit):
+            p, s = hit[0]
+            return AqgElement({i: matrix_unit(q.d(i), p, s)})
+    raise IndexError(u)
+
+
+# corepresentations of (A, Delta) on B(K), V = sum_u e_u (x) V[u] on the
+# matrix-unit basis of A: the oracle for the Woronowicz correspondence
+# between corepresentations and *-representations of the dual
+
+
+def corep_residual(T, V):
+    """Max residual of V*V = VV* = 1 and of (Delta (x) iota)V = V13 V23."""
+    one = np.einsum("c,xy->cxy", T.unit, np.eye(V.shape[1]))
+    vstar_v = np.einsum("uw,wvc,uyx,vyz->cxz", T.star, T.mult, V.conj(), V, optimize=True)
+    v_vstar = np.einsum("uw,vwc,vxy,uzy->cxz", T.star, T.mult, V, V.conj(), optimize=True)
+    lhs = np.einsum("uab,uxy->abxy", T.comult, V)
+    rhs = np.einsum("axy,byz->abxz", V, V)
+    return worst(residual(vstar_v, one), residual(v_vstar, one), residual(lhs, rhs))
+
+
+def corep_from_rep(U, mats):
+    """(iota (x) pi)U for pi given on the dual basis, mats[v] = pi(omega_v)."""
+    return np.einsum("uv,vxy->uxy", U, mats)
+
+
+def rep_from_corep(T, V):
+    """pi_V(omega_a) = (omega_a (x) iota)V = sum_v omega_a(e_v) V[v]."""
+    return np.einsum("va,vxy->axy", T.pairing(), V)
+
+
+def dual_rep_residual(Td, mats):
+    """Max residual of pi being a unital *-representation of the dual."""
+    n = mats.shape[1]
+    mult = residual(np.einsum("abv,vxy->abxy", Td.mult, mats),
+                    np.einsum("axz,bzy->abxy", mats, mats))
+    unital = residual(np.einsum("v,vxy->xy", Td.unit, mats), np.eye(n))
+    star = residual(np.einsum("uw,wxy->uxy", Td.star, mats),
+                    np.swapaxes(mats.conj(), 1, 2))
+    return worst(mult, unital, star)
+
+
+def regular_rep(Td):
+    """The left regular action of the dual on itself, made a
+    *-representation in the inner product of the dual's Haar functional."""
+    lam = np.einsum("vsw->vws", Td.mult)
+    gram = _haar_gram(Td)
+    w, e = np.linalg.eigh((gram + gram.conj().T) / 2)
+    half = (e * np.sqrt(w)) @ e.conj().T
+    ihalf = (e / np.sqrt(w)) @ e.conj().T
+    return np.einsum("xw,vws,sy->vxy", half, lam, ihalf, optimize=True)
+
+
+def tensor_corep(T, V, W):
+    """V x W = V13 W23 on K (x) K'."""
+    n, m = V.shape[1], W.shape[1]
+    out = np.einsum("abc,axy,bzw->cxzyw", T.mult, V, W, optimize=True)
+    return out.reshape(T.dim, n * m, n * m)
+
+
+def trivial_corep(T):
+    return T.unit.astype(complex).reshape(-1, 1, 1)
+
+
+def regular_corep(q):
+    T, Td, _ = dual_hopf(q)
+    return T, Td, corep_from_rep(universal_corep(T), regular_rep(Td))
 
 
 def tables_by_matrix_units(q):
@@ -136,6 +211,29 @@ def test_double_dual_table_matches_primal_dimension(closed_aqgs):
     assert Tdd.dim == T.dim
 
 
+def test_fourier_roundtrip(closed_aqgs, rng):
+    # a -> omega = a . haar, with values omega(e_v) = haar(e_v a), is
+    # inverted by the pairing
+    for name in ("z2", "s3", "pointed-z5-t1"):
+        q = closed_aqgs[name]
+        T = table_from_aqg(q)
+        a = q.random_element(rng)
+        values = np.array([haar(q, matrix_unit_element(q, v).mul(a))
+                           for v in range(T.dim)])
+        back = np.linalg.solve(T.pairing(), values)
+        assert residual(back, element_to_vec(q, a)) < 1e-10, name
+
+
+def test_vec_element_roundtrip(closed_aqgs, rng):
+    q = closed_aqgs["d4"]
+    total = q.total_dim()
+    positions = np.concatenate([unit_index(q, i).reshape(-1) for i in q.labels])
+    assert np.array_equal(np.sort(positions), np.arange(total))
+    v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    a = AqgElement({i: v[unit_index(q, i)] for i in q.labels})
+    assert residual(element_to_vec(q, a), v) == 0.0
+
+
 def test_universal_corep_properties(closed_aqgs):
     for name in ("z2", "s3", "pointed-z3-t1", "q8"):
         q = closed_aqgs[name]
@@ -154,6 +252,53 @@ def test_defining_identity_detects_a_perturbed_entry(closed_aqgs):
         U[1, 0] += 1e-6
         rows = {c.name: c for c in verify_universal(q, U, T, Td).checks}
         assert not rows["defining-identity"].passed, name
+
+
+def test_regular_corep_is_unitary_corep(closed_aqgs):
+    for name in ("s3", "q8", "pointed-z3-t1"):
+        q = closed_aqgs[name]
+        T, Td, V = regular_corep(q)
+        assert corep_residual(T, V) < 1e-8, name
+        mats = rep_from_corep(T, V)
+        assert dual_rep_residual(Td, mats) < 1e-8, name
+        # (iota (x) pi_V)U = V
+        assert residual(corep_from_rep(universal_corep(T), mats), V) < 1e-8, name
+
+
+def test_trivial_and_tensor_coreps(closed_aqgs):
+    q = closed_aqgs["s3"]
+    T, Td, V = regular_corep(q)
+    E = trivial_corep(T)
+    assert corep_residual(T, E) < 1e-12
+    VE = tensor_corep(T, V, E)
+    assert corep_residual(T, VE) < 1e-8
+    assert residual(VE, V) < 1e-12
+    # pi_{V x V} = (pi_V (x) pi_V) Delta-hat
+    mats = rep_from_corep(T, V)
+    n = mats.shape[1]
+    want = np.einsum("uab,axy,bzw->uxzyw", Td.comult, mats, mats,
+                     optimize=True).reshape(T.dim, n * n, n * n)
+    assert residual(rep_from_corep(T, tensor_corep(T, V, V)), want) < 1e-8
+
+
+def test_nan_entry_fails_corep_check(closed_aqgs):
+    T = table_from_aqg(closed_aqgs["s3"])
+    V = trivial_corep(T).copy()
+    V[-1, 0, 0] = np.nan
+    assert np.isnan(corep_residual(T, V))
+
+
+def test_conjugate_corep(closed_aqgs):
+    # Vbar = (S^-1 (x) j)V with j the transpose is a unitary corep, and
+    # pi_Vbar = transpose o pi_V o S-hat^-1
+    for name in ("z5", "s3"):
+        q = closed_aqgs[name]
+        T, Td, V = regular_corep(q)
+        Vb = np.einsum("uw,uyx->wxy", np.linalg.inv(T.antipode), V)
+        assert corep_residual(T, Vb) < 1e-8, name
+        mats = rep_from_corep(T, V)
+        want = np.einsum("uv,vxy->uyx", np.linalg.inv(Td.antipode), mats)
+        assert residual(rep_from_corep(T, Vb), want) < 1e-8, name
 
 
 def test_pontryagin_isomorphism(closed_aqgs):

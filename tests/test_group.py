@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqgrec.aqg import NotFinite, reconstruct
+from aqgrec.aqg import AqgElement, NotFinite, delta, reconstruct, unit_index
 from aqgrec.dual import table_from_aqg
 from aqgrec.examples import builtin_group, gen_pointed
 from aqgrec.group import (
@@ -13,7 +13,7 @@ from aqgrec.group import (
     group_block,
     grouplikes,
 )
-from aqgrec.linalg import residual
+from aqgrec.linalg import residual, solve_intertwiners
 
 
 def tables_isomorphic(t1, id1, t2, id2):
@@ -162,6 +162,28 @@ def test_recovered_blocks_are_irreps(shipped_aqgs):
     chars = np.array([[np.trace(m) for m in blocks[i]] for i in q.labels])
     gram = chars @ chars.conj().T / group.order
     assert residual(gram, np.eye(len(q.labels))) < 1e-8
+
+
+def test_rep_to_group_rep_on_tensor_product(shipped_aqgs):
+    # u(g) = (pi_2 x pi_2)(g) = Delta(g)_22 is a unitary representation of
+    # the intrinsic group
+    q = shipped_aqgs["s3"]
+    group, _, _, _ = grouplikes(q)
+    two = [i for i in q.labels if q.d(i) == 2][0]
+    mats = [
+        delta(q, AqgElement({i: g.coeffs[unit_index(q, i)] for i in q.labels}),
+              [(two, two)])[(two, two)]
+        for g in group.elements
+    ]
+    assert len(mats) == group.order
+    for a, m in enumerate(mats):
+        assert residual(m.conj().T @ m, np.eye(4)) < 1e-8
+        for b, m2 in enumerate(mats):
+            assert residual(m @ m2, mats[group.table[a, b]]) < 1e-8
+    assert residual(mats[group.identity], np.eye(4)) < 1e-8
+    # 2 (x) 2 = 1 + 1' + 2: three inequivalent summands, commutant dim 3
+    gens = dict(enumerate(mats))
+    assert len(solve_intertwiners(gens, gens)) == 3
 
 
 def test_cocommutative_detection(shipped_aqgs):

@@ -53,6 +53,11 @@ def test_kron_mixed_product(a, b, c, d, seed):
     assert residual(lhs, rhs) < 1e-10
 
 
+def test_kronn_associates(rng):
+    a, b, c = (_rand(rng, 2, 2) for _ in range(3))
+    assert residual(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-12
+
+
 def test_dagger_is_conjugate_transpose(rng):
     a = _rand(rng, 3, 2)
     assert residual(dagger(a), a.conj().T) == 0.0
