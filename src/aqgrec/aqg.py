@@ -16,7 +16,6 @@ from .bundle import CategoryBundle, validate_bundle
 from .linalg import (
     DEFAULT_TOL,
     Array,
-    SingularToToleranceError,
     Tolerance,
     stack_equal,
     add_in_order,
@@ -27,7 +26,6 @@ from .linalg import (
     dagger,
     distinct,
     frozen_eye,
-    hermitian_calc,
     kron,
     max_abs,
     residual,
@@ -208,35 +206,35 @@ def unit_index(q: Aqg, i: str) -> Array:
 def f_element(b: CategoryBundle, tol: Tolerance = DEFAULT_TOL):
     """Extract the positive blocks F_i (and inverses) from the conjugate pairs.
 
-    r_i encodes an antilinear J via its matrix R (r = sum_m J e_m (x) e_m);
-    F_i is the inverse of J*J.  The partner vector rbar must match
-    conj(R^{-1}) up to tolerance, otherwise the pair is inconsistent; so is
-    a J*J too ill-conditioned to invert, and the error names its condition
-    number.
+    r_i encodes an antilinear J via its matrix R (r = sum_m J e_m (x) e_m)
+    and rbar_i its partner Rbar.  The conjugate equations say Rbar =
+    conj(R^-1), checked as the zigzag products conj(Rbar) R = I and
+    R conj(Rbar) = I; then F_i = (J*J)^-1 = Rbar Rbar*, with no inversion.
+    A pair that fails either product is inconsistent; so is a J*J whose
+    condition number reaches 1/eps, and the error names it.
     """
     F, Finv = {}, {}
+    bound = tol.bound(1.0) * 100
     for i in b.labels:
         ib = b.dual[i]
         di, dib = b.d(i), b.d(ib)
         r, rbar = b.conj[i]
         rm = r.reshape(dib, di)
         rbm = rbar.reshape(di, dib)
-        try:
-            rm_inv = np.linalg.inv(rm)
-        except np.linalg.LinAlgError:
-            raise ConjInconsistent(f"conjugate matrix for label {i} is singular")
-        if not residual(rbm, rm_inv.conj()) <= tol.bound(rbm, rm_inv) * 100:
+        if not (residual(rbm.conj() @ rm, np.eye(di)) <= bound
+                and residual(rm @ rbm.conj(), np.eye(dib)) <= bound):
             raise ConjInconsistent(
                 f"rbar for label {i} does not match the inverse of r"
             )
         jstarj = rm.T @ rm.conj()
         Finv[i] = (jstarj + dagger(jstarj)) / 2.0
-        try:
-            F[i] = hermitian_calc(Finv[i], "inverse", tol)
-        except SingularToToleranceError:
+        f = rbm @ dagger(rbm)
+        F[i] = (f + dagger(f)) / 2.0
+        cond = np.linalg.cond(Finv[i])
+        if not cond * np.finfo(float).eps < 1:
             raise ConjInconsistent(
-                f"F for label {i} cannot be inverted to tolerance: J*J has "
-                f"condition number {np.linalg.cond(Finv[i]):.3e}") from None
+                f"F for label {i} is beyond double precision: J*J has "
+                f"condition number {cond:.3e}")
     return F, Finv
 
 

@@ -78,16 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a golden bundle")
     g.add_argument("family", choices=["zn", "s3", "d4", "q8", "pointed", "suq2"])
-    g.add_argument("-o", "--output", default=None)
+    common(g, with_bundle=False)
     g.add_argument("--n", type=int, default=3, help="order for zn/pointed")
     g.add_argument("--t", type=int, default=0, help="bicharacter exponent")
     g.add_argument("--q", type=float, default=0.5, help="deformation parameter")
     g.add_argument("--L", type=int, default=4, help="truncation level")
-    g.add_argument("--text", action="store_true")
-    g.add_argument("--abs-tol", type=float, default=1e-9)
-    g.add_argument("--rel-tol", type=float, default=1e-9)
-    g.add_argument("--samples", type=int, default=16)
-    g.add_argument("--seed", type=int, default=42)
     return p
 
 

@@ -19,14 +19,6 @@ import numpy as np
 Array = np.ndarray
 
 
-class NotHermitianError(ValueError):
-    pass
-
-
-class SingularToToleranceError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Combined absolute/relative comparison contract.
@@ -305,27 +297,3 @@ def solve_intertwiners(
     cutoff = tol.absolute + tol.relative * smax
     null = [vh[i].conj() for i in range(len(vh)) if i >= len(s) or s[i] <= cutoff]
     return [v.reshape(dv, dw).T.copy() for v in null]  # undo column-major vec
-
-
-_SPECTRAL_FNS = {
-    "sqrt": np.sqrt,
-    "inv_sqrt": lambda x: 1.0 / np.sqrt(x),
-    "inverse": lambda x: 1.0 / x,
-    "abs": np.abs,
-}
-
-
-def hermitian_calc(m: Array, fn: str, tol: Tolerance = DEFAULT_TOL) -> Array:
-    """Apply a spectral function (sqrt, inv_sqrt, inverse, abs) to a Hermitian matrix."""
-    m = cmat(m)
-    if fn not in _SPECTRAL_FNS:
-        raise ValueError(f"unknown spectral function {fn!r}")
-    if residual(m, dagger(m)) > tol.bound(m):
-        raise NotHermitianError("matrix is not Hermitian to tolerance")
-    h = (m + dagger(m)) / 2.0
-    evals, evecs = np.linalg.eigh(h)
-    if fn in ("inv_sqrt", "inverse"):
-        if np.min(np.abs(evals)) <= tol.bound(evals):
-            raise SingularToToleranceError("spectrum not bounded away from 0")
-    vals = _SPECTRAL_FNS[fn](evals.astype(complex) if fn == "sqrt" else evals)
-    return (evecs * vals) @ dagger(evecs)

@@ -100,6 +100,17 @@ def test_f_element_rejects_mismatched_pair(shipped_bundles):
     )
     with pytest.raises(ConjInconsistent):
         f_element(bad)
+    # a 3x2 isometry R with Rbar = R^T: conj(Rbar) R = I_2, but R conj(Rbar)
+    # is only a projection, so the check needs both zigzag products
+    R, one = np.eye(3, 2, dtype=complex), np.ones(1, dtype=complex)
+    nonsquare = type(b)(
+        labels=["0", "a", "b"], unit="0", dims={"0": 1, "a": 2, "b": 3},
+        dual={"0": "0", "a": "b", "b": "b"}, fusion={},
+        conj={"0": (one, one), "a": (R.reshape(-1), R.T.reshape(-1)),
+              "b": (np.eye(3).reshape(-1), np.eye(3).reshape(-1))},
+    )
+    with pytest.raises(ConjInconsistent, match="label a"):
+        f_element(nonsquare)
 
 
 def test_reconstruct_rejects_invalid_bundle(shipped_bundles):

@@ -7,6 +7,7 @@ from aqgrec import cli, dual, group
 from aqgrec.aqg import reconstruct
 from aqgrec.bundle import parse_bundle
 from aqgrec.cli import run
+from aqgrec.examples import _qint
 
 
 def _gen(tmp_path, *argv):
@@ -221,13 +222,22 @@ def test_validate_and_check_do_not_import_numpy_ma(tmp_path):
 
 
 def test_ill_conditioned_f_exits_2(tmp_path, capsys):
-    # J*J of the top label has condition number q^-2L = 1e10: validation
-    # passes, but F cannot be inverted to tolerance
+    # J*J of label n has condition number q^-2n.  At q = 0.1, L = 5 that is
+    # 1e10: F = Rbar Rbar* needs no inverse, so check and dims pass
     path = _gen(tmp_path, "suq2", "--q", "0.1", "--L", "5")
+    for op in ("check", "dims"):
+        capsys.readouterr()
+        assert run([op, str(path)]) == 0
+    dims = json.loads(capsys.readouterr().out)["labels"]
+    for r in dims:
+        want = _qint(int(r["label"]) + 1, 0.1)
+        assert abs(r["quantum_dim"] - want) <= 1e-12 * want, r
+    # at L = 8 it is 1e16, and cond * eps >= 1: past double precision
+    path = _gen(tmp_path, "suq2", "--q", "0.1", "--L", "8")
     assert run(["validate", str(path), "-o", str(tmp_path / "v.json")]) == 0
     for op in ("check", "dims"):
         capsys.readouterr()
         assert run([op, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "condition number" in err, err
-        assert "Traceback" not in err
+        assert "label 8" in err and "Traceback" not in err, err

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from aqgrec.linalg import (
     DEFAULT_TOL,
-    NotHermitianError,
-    SingularToToleranceError,
     Tolerance,
     dagger,
     eye,
     flip,
-    hermitian_calc,
     kron,
     orthonormalize,
     residual,
@@ -91,27 +88,6 @@ def test_solve_intertwiners_finds_commutant_of_identity(rng):
     a = {"e": eye(2)}
     basis = solve_intertwiners(a, a)
     assert len(basis) == 4
-
-
-def test_hermitian_calc_inverse_and_sqrt(rng):
-    m = _rand(rng, 3, 3)
-    h = m @ dagger(m) + eye(3)
-    assert residual(hermitian_calc(h, "inverse") @ h, eye(3)) < 1e-10
-    s = hermitian_calc(h, "sqrt")
-    assert residual(s @ s, h) < 1e-9
-    assert residual(hermitian_calc(h, "inv_sqrt") @ s, eye(3)) < 1e-9
-
-
-def test_hermitian_calc_rejects_non_hermitian(rng):
-    m = _rand(rng, 3, 3)
-    m[0, 1] += 1.0
-    with pytest.raises(NotHermitianError):
-        hermitian_calc(m - dagger(m) + eye(3) * 1j, "inverse")
-
-
-def test_hermitian_calc_rejects_singular():
-    with pytest.raises(SingularToToleranceError):
-        hermitian_calc(np.zeros((2, 2), dtype=complex), "inverse")
 
 
 def test_worst_is_nan_sticky():

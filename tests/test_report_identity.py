@@ -29,6 +29,15 @@ d4, q8, a4 and suq2-l3 for ``check``, by ``_report`` on the jobs of
 suq2-l3.validate has 137 rows, not 105: every triple of the window with
 i (x) j and j (x) k complete is certified, and every other triple is a
 skipped ``(i,j,k) window`` row.
+
+The ``check``, ``dual`` and ``group`` reports of s3, d4 and q8 were written
+again, by ``_report`` on the jobs of ``_jobs`` in the format of ``main``,
+when F became the product Rbar Rbar* instead of the inverse of J*J: their F
+blocks move by roundoff, and 36 residuals with them (the largest, s3
+``parseval``, from 1.8e-14 to 4.3e-14), every one below 1e-13.  No row
+changed name, location, order or flags.  Their ``dual`` reports now hold the
+``defining-identity`` row and the closed-form universal-corep residuals.
+The suq2-l3 reports stayed bitwise equal.
 """
 from __future__ import annotations
 
