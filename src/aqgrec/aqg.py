@@ -17,19 +17,20 @@ from .linalg import (
     DEFAULT_TOL,
     Array,
     Tolerance,
-    stack_equal,
     add_in_order,
+    add_planned,
     bdagger,
     bkron,
-    by_shape,
     cmat,
     dagger,
     distinct,
     frozen_eye,
     kron,
     max_abs,
+    order_plan,
     residual,
     split_by,
+    stack_equal,
     worst,
     zero_stacks,
 )
@@ -264,10 +265,12 @@ def reconstruct(
     # spot-check invariance of the Haar ansatz before first use
     rng = np.random.default_rng(7)
     sample = haar_sample_support(q)
+    cuts = _Cuts(q, sample, sample, (1,))
+    plan = _HaarPlan(q, cuts.keys[0], 2, "left")
     for _ in range(2):
         a = q.random_element(rng, support=sample)
         bb = q.random_element(rng, support=sample)
-        res = _haar_invariance_residual(q, a, bb)
+        res = _haar_invariance_residual(q, a, bb, cuts, plan)
         if not res <= 1e-6 * worst(1.0, a.norm() * bb.norm()):
             raise InconsistentSolve(
                 f"Haar ansatz fails invariance (residual {res:.3e})"
@@ -295,39 +298,58 @@ def _label_stacks(q: Aqg, mats: dict):
     return have, stacks
 
 
-def _delta_stacks(q: Aqg, a: AqgElement, idx):
-    """Delta(a) on the pairs with layout indices idx, as stacks of blocks.
+class _DeltaPlan:
+    """The index work of Delta on the pairs with layout indices idx, done
+    once for every element whose blocks lie on `labels`.
+
+    slot and count place the blocks: pair p's is out[(s, s)][slot[p]] with s
+    = d_i d_j, and count[s] blocks have size s.  work holds, per shape group
+    of the layout's Delta work list, the items (channels k in `labels`) of
+    wanted pairs as (numbers, V, V*, block of k among its size), and order
+    is the schedule that sums them per pair in item order.
+    """
+
+    def __init__(self, q: Aqg, labels, idx):
+        lay = q.bundle.layout
+        groups, item_pair, pair_groups = lay.delta
+        self.slot = np.full(len(lay.pairs), -1, dtype=int)
+        wanted = distinct(np.asarray(idx, dtype=int))
+        self.count = {}
+        for d, members in split_by(lay.pair_size[wanted]):
+            self.slot[wanted[members]] = np.arange(len(members))
+            self.count[int(d)] = len(members)
+        have = np.zeros(len(q.labels), dtype=bool)
+        have[[lay.label_index[k] for k in labels]] = True
+        self.work = []
+        for g in sorted(set().union(*(pair_groups[p] for p in wanted))):
+            nums, (v, lab, pair) = groups[g]
+            use = have[lab] & (self.slot[pair] >= 0)
+            if not use.all():
+                if not use.any():
+                    continue
+                nums, v, lab = nums[use], v[use], lab[use]
+            self.work.append((nums, v, bdagger(v), lay.block_of[lab]))
+        self.order = order_plan(self.slot[item_pair], [w[0] for w in self.work],
+                                [(w[1].shape[1],) * 2 for w in self.work])
+
+
+def _delta_stacks(q: Aqg, a: AqgElement, plan: _DeltaPlan):
+    """Delta(a) on the pairs of plan, as stacks of blocks; a's blocks must
+    lie on the plan's labels.
 
     Returns (out, slot): pair p's block is out[(s, s)][slot[p]], where s is
     d_i d_j.  Each block sums v a_k v* over the loaded channels k in a's
     support, in a.support order, as one stacked product per shape group of
     the layout's Delta work list.
     """
-    lay = q.bundle.layout
-    groups, item_pair, pair_groups = lay.delta
-    size = lay.pair_size
-    slot = np.full(len(lay.pairs), -1, dtype=int)
-    wanted = distinct(np.asarray(idx, dtype=int))
-    count = {}
-    for d, members in split_by(size[wanted]):
-        slot[wanted[members]] = np.arange(len(members))
-        count[int(d)] = len(members)
-    have, stacks = _label_stacks(q, a.blocks)
+    _, stacks = _label_stacks(q, a.blocks)
 
-    def parts():
-        for g in sorted(set().union(*(pair_groups[p] for p in wanted))):
-            nums, (v, lab, pair) = groups[g]
-            use = have[lab] & (slot[pair] >= 0)
-            if not use.all():
-                if not use.any():
-                    continue
-                nums, v, lab = nums[use], v[use], lab[use]
-            ak = stacks[v.shape[2]][lay.block_of[lab]]
-            yield nums, v @ ak @ bdagger(v)
+    def part(g):
+        _, v, vd, blk = plan.work[g]
+        return v @ stacks[v.shape[2]][blk] @ vd
 
-    out = {(d, d): np.zeros((n, d, d), dtype=complex) for d, n in count.items()}
-    add_in_order(out, slot[item_pair], parts())
-    return out, slot
+    out = {(d, d): np.zeros((n, d, d), dtype=complex) for d, n in plan.count.items()}
+    return add_planned(out, plan.order, part), plan.slot
 
 
 def delta(q: Aqg, a: AqgElement, pairs) -> PairElement:
@@ -338,58 +360,83 @@ def delta(q: Aqg, a: AqgElement, pairs) -> PairElement:
     """
     b = q.bundle
     idx = [b.layout.pair_index[p] for p in pairs]
-    out, slot = _delta_stacks(q, a, idx)
+    out, slot = _delta_stacks(q, a, _DeltaPlan(q, a.blocks, idx))
     return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n]] for p, n in zip(pairs, idx)}
 
 
-def delta_cut(q: Aqg, a: AqgElement, b: AqgElement, leg: int, side: str) -> PairElement:
+class _Cuts:
+    """Cut-off coproducts Delta(a) times b on one leg, for every a with
+    blocks on a_labels and b with blocks on b_labels, planned once.
+
+    Cut k multiplies by b on legs[k].  Its blocks are those of _cut_pairs
+    (others as there), keys[k] in delta_cut order, and classes[k] holds per
+    block class (d of b's leg, d of the other leg, positions, rows of
+    Delta's stacks, blocks of b among their size).  One Delta plan covers
+    the blocks of every cut.
+    """
+
+    def __init__(self, q: Aqg, a_labels, b_labels, legs, others=None):
+        lay = q.bundle.layout
+        self.q, self.legs = q, legs
+        where = [_cut_pairs(q, a_labels, sorted(b_labels), leg, others) for leg in legs]
+        self.plan = _DeltaPlan(q, a_labels, np.concatenate([w[0] for w in where]))
+        self.keys = [[lay.pairs[t] for t in idx] for idx, _, _ in where]
+        self.classes = [[
+            (dl, do, sel, self.plan.slot[idx[sel]], lay.block_of[lead[sel]])
+            for (dl, do), sel in _classes(lay.dims[lead], lay.dims[other])
+        ] for idx, lead, other in where]
+
+    def delta(self, a: AqgElement) -> dict:
+        """Delta(a) on the blocks of every cut, as _delta_stacks's stacks."""
+        return _delta_stacks(self.q, a, self.plan)[0]
+
+    def cut(self, da: dict, b: AqgElement, k: int, side: str) -> PairElement:
+        """Cut k of the Delta(a) stacks da by b, from the given side."""
+        _, bstacks = _label_stacks(self.q, b.blocks)
+        prods: list = [None] * len(self.keys[k])
+        for dl, do, sel, rows, blocks in self.classes[k]:
+            blk = da[(dl * do,) * 2][rows]
+            bn = bstacks[dl][blocks]
+            cut = bkron(bn, frozen_eye(do)) if self.legs[k] == 1 else bkron(frozen_eye(do), bn)
+            for t, m in zip(sel, blk @ cut if side == "right" else cut @ blk):
+                prods[t] = m
+        return dict(zip(self.keys[k], prods))
+
+
+def delta_cut(q: Aqg, a: AqgElement, b: AqgElement, leg: int, side: str,
+              plan: _Cuts | None = None) -> PairElement:
     """Cut-off coproduct: Delta(a) multiplied by b on one tensor leg.
 
     leg=1 means b (x) 1, leg=2 means 1 (x) b; side='left' multiplies the
-    cutoff from the left, side='right' from the right.
+    cutoff from the left, side='right' from the right.  plan, a _Cuts over
+    the supports of a and b with legs (leg,), serves many calls.
     """
     if side not in ("left", "right") or leg not in (1, 2):
         raise ValueError("side must be left/right and leg 1/2")
-    where = _cut_pairs(q, a, b, leg)
-    return _cut(q, _delta_stacks(q, a, where[0]), b, leg, side, where)
+    plan = plan or _Cuts(q, a.blocks, b.blocks, (leg,))
+    return plan.cut(plan.delta(a), b, 0, side)
 
 
-def _cut_pairs(q: Aqg, a: AqgElement, b: AqgElement, leg: int, others=None):
-    """The blocks of a cut-off coproduct, in delta_cut order: n runs over b's
-    support, the other leg over every label (or others(n)), and blocks where
-    Delta(a) vanishes are dropped.  Returns their layout indices with the
-    label indices of the b leg (lead) and of the other leg."""
+def _cut_pairs(q: Aqg, a_labels, b_support, leg: int, others=None):
+    """The blocks of a cut-off coproduct, in delta_cut order: n runs over the
+    labels b_support of b, the other leg over every label (or others(n)),
+    and blocks where Delta(a) vanishes for a on a_labels are dropped.
+    Returns their layout indices with the label indices of the b leg (lead)
+    and of the other leg."""
     lay = q.bundle.layout
     n_lab = len(q.labels)
     li = lay.label_index
     lead, other = [], []
-    for n in b.support:
+    for n in b_support:
         oth = range(n_lab) if others is None else [li[o] for o in others(n)]
         lead += [li[n]] * len(oth)
         other += oth
     lead, other = np.array(lead, dtype=int), np.array(other, dtype=int)
     idx = lead * n_lab + other if leg == 1 else other * n_lab + lead
     have = np.zeros(n_lab, dtype=bool)
-    have[[li[k] for k in a.blocks]] = True
+    have[[li[k] for k in a_labels]] = True
     keep = lay.loaded[idx][:, have].any(axis=1)
     return idx[keep], lead[keep], other[keep]
-
-
-def _cut(q: Aqg, delta_stacks, b: AqgElement, leg: int, side: str, where) -> PairElement:
-    """Delta(a) (stacked blocks from _delta_stacks) times b on one leg, on
-    the blocks where = (idx, lead, other) of _cut_pairs."""
-    lay = q.bundle.layout
-    idx, lead, other = where
-    out, slot = delta_stacks
-    _, bstacks = _label_stacks(q, b.blocks)
-    prods: list = [None] * len(idx)
-    for (dl, do), sel in _classes(lay.dims[lead], lay.dims[other]):
-        blk = out[(dl * do,) * 2][slot[idx[sel]]]
-        bn = bstacks[dl][lay.block_of[lead[sel]]]
-        cut = bkron(bn, frozen_eye(do)) if leg == 1 else bkron(frozen_eye(do), bn)
-        for t, m in zip(sel, blk @ cut if side == "right" else cut @ blk):
-            prods[t] = m
-    return dict(zip([lay.pairs[t] for t in idx], prods))
 
 
 def _classes(first, second):
@@ -441,38 +488,73 @@ def haar(q: Aqg, a: AqgElement, side: str = "left") -> complex:
 # leg-wise operations on pair elements
 
 
-def _sum_by_label(q: Aqg, labels, parts) -> AqgElement:
-    """AqgElement whose block o sums, in item order, the stacked item results
-    of the items n with labels[n] == o."""
-    first = {o: n for n, o in enumerate(dict.fromkeys(labels))}
-    pos, out = zero_stacks([q.d(o) for o in first])
-    add_in_order(out, pos[[first[o] for o in labels]], parts)
-    return AqgElement({o: out[(q.d(o),) * 2][pos[n]] for o, n in first.items()})
+class _LabelSums:
+    """Sums by label of stacked item results, planned once: item n has the
+    label labels[n], part g holds the items numbers[g] (of one block size),
+    and sums(part) is the AqgElement whose block o sums, in item order,
+    the results of the items labelled o, part(g) being part g's."""
+
+    def __init__(self, q: Aqg, labels, numbers):
+        self.q = q
+        self.first = {o: n for n, o in enumerate(dict.fromkeys(labels))}
+        self.pos, out = zero_stacks([q.d(o) for o in self.first])
+        self.shapes = {k: s.shape for k, s in out.items()}
+        self.order = order_plan(self.pos[[self.first[o] for o in labels]], numbers,
+                                [(q.d(labels[nums[0]]),) * 2 for nums in numbers])
+
+    def sums(self, part) -> AqgElement:
+        out = {k: np.zeros(s, dtype=complex) for k, s in self.shapes.items()}
+        add_planned(out, self.order, part)
+        return AqgElement({o: out[(self.q.d(o),) * 2][self.pos[n]]
+                           for o, n in self.first.items()})
 
 
-def mult_pair(q: Aqg, x: PairElement, which: str) -> AqgElement:
+class _MultPlan:
+    """The work of mult_pair on pair elements with blocks keys: the keys
+    whose antipode leg lands on the other leg's label, grouped by block
+    shape as by_shape groups them, with per group the item numbers, the
+    conjugate-pair stacks and a fixed einsum path."""
+
+    def __init__(self, q: Aqg, keys, which: str):
+        if which not in ("s-left", "s-right"):
+            raise ValueError("which must be 's-left' or 's-right'")
+        b = q.bundle
+        self.left = left = which == "s-left"
+        self.keys = [(i, j) for i, j in keys if (b.dual[i] == j if left else b.dual[j] == i)]
+        labels = [j if left else i for i, j in self.keys]
+        shapes: dict[tuple, list[int]] = {}
+        for n, (i, j) in enumerate(self.keys):
+            shapes.setdefault((q.d(i), q.d(j)), []).append(n)
+        # sum_ps S(e^i_ps) Y_ps with S(e_ps) = outer(Rbar[:,s], conj(R[p,:]))
+        self.spec = "gus,gpe,gpesw->guw" if left else "gapes,ges,gpw->gaw"
+        self.work = []
+        for (di, dj), nums in shapes.items():
+            o = [labels[n] for n in nums]
+            rb = np.stack([q._rbarmat(k) for k in o])
+            rmc = np.stack([q._rmat(k).conj() for k in o])
+            t = np.broadcast_to(np.zeros((), dtype=complex), (len(nums), di, dj, di, dj))
+            path = np.einsum_path(self.spec, *((rb, rmc, t) if left else (t, rb, rmc)),
+                                  optimize=True)[0]
+            self.work.append((np.array(nums), di, dj, rb, rmc, path))
+        self.sums = _LabelSums(q, labels, [w[0] for w in self.work])
+
+
+def mult_pair(q: Aqg, x: PairElement, which: str, plan: _MultPlan | None = None) -> AqgElement:
     """m(S (x) iota)(x) for which='s-left', m(iota (x) S)(x) for which='s-right'.
 
     Only the pair blocks whose antipode leg lands on the other leg's label
-    contribute, so the result is exact on every loaded block.
+    contribute, so the result is exact on every loaded block.  plan, a
+    _MultPlan over the keys of x, serves many calls.
     """
-    if which not in ("s-left", "s-right"):
-        raise ValueError("which must be 's-left' or 's-right'")
-    b = q.bundle
-    left = which == "s-left"
-    keys = [(i, j) for i, j in x if (b.dual[i] == j if left else b.dual[j] == i)]
-    labels = [j if left else i for i, j in keys]
-    items = []
-    for (i, j), o in zip(keys, labels):
-        t = x[(i, j)].reshape(q.d(i), q.d(j), q.d(i), q.d(j))
-        rb, rmc = q._rbarmat(o), q._rmat(o).conj()
-        items.append((rb, rmc, t) if left else (t, rb, rmc))
-    # sum_ps S(e^i_ps) Y_ps with S(e_ps) = outer(Rbar[:,s], conj(R[p,:]))
-    spec = "gus,gpe,gpesw->guw" if left else "gapes,ges,gpw->gaw"
-    return _sum_by_label(q, labels, (
-        (nums, np.einsum(spec, *stacks, optimize=True))
-        for nums, stacks in by_shape(items)
-    ))
+    plan = plan or _MultPlan(q, list(x), which)
+
+    def part(g):
+        nums, di, dj, rb, rmc, path = plan.work[g]
+        t = stack_equal([x[plan.keys[n]] for n in nums], (di * dj, di * dj))
+        t = t.reshape(-1, di, dj, di, dj)
+        return np.einsum(plan.spec, *((rb, rmc, t) if plan.left else (t, rb, rmc)), optimize=path)
+
+    return plan.sums.sums(part)
 
 
 def counit_pair(q: Aqg, x: PairElement, leg: int) -> AqgElement:
@@ -500,24 +582,39 @@ def _haar_stacks(q: Aqg, side: str):
     return q._haar_stacks[side]
 
 
-def haar_pair(q: Aqg, x: PairElement, leg: int, side: str = "left") -> AqgElement:
-    """Contract one leg of a pair element with a Haar functional."""
-    lay = q.bundle.layout
-    keys = list(x)
-    idx = np.array([lay.pair_index[p] for p in keys], dtype=int)
-    first, second = idx // len(q.labels), idx % len(q.labels)
-    h, o = (second, first) if leg == 2 else (first, second)
-    fstacks, weights = _haar_stacks(q, side)
-    spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
+class _HaarPlan:
+    """The work of haar_pair on pair elements with blocks keys: per block
+    class its positions, its dims, the F stack and the weights of the
+    contracted leg, and the sums by the label of the other leg."""
 
-    def parts():
-        for (di, dj), sel in _classes(lay.dims[first], lay.dims[second]):
-            t = stack_equal([x[keys[n]] for n in sel], (di * dj, di * dj))
-            f = fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]]
-            w = weights[h[sel]]
-            yield sel, w[:, None, None] * np.einsum(spec, f, t.reshape(-1, di, dj, di, dj))
+    def __init__(self, q: Aqg, keys, leg: int, side: str):
+        lay = q.bundle.layout
+        self.keys = list(keys)
+        idx = np.array([lay.pair_index[p] for p in self.keys], dtype=int)
+        first, second = idx // len(q.labels), idx % len(q.labels)
+        h, o = (second, first) if leg == 2 else (first, second)
+        fstacks, weights = _haar_stacks(q, side)
+        self.spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
+        self.work = [
+            (sel, di, dj, fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]],
+             weights[h[sel]][:, None, None])
+            for (di, dj), sel in _classes(lay.dims[first], lay.dims[second])
+        ]
+        self.sums = _LabelSums(q, [q.labels[n] for n in o], [w[0] for w in self.work])
 
-    return _sum_by_label(q, [q.labels[n] for n in o], parts())
+
+def haar_pair(q: Aqg, x: PairElement, leg: int, side: str = "left",
+              plan: _HaarPlan | None = None) -> AqgElement:
+    """Contract one leg of a pair element with a Haar functional.  plan, a
+    _HaarPlan over the keys of x, serves many calls."""
+    plan = plan or _HaarPlan(q, x, leg, side)
+
+    def part(g):
+        sel, di, dj, f, w = plan.work[g]
+        t = stack_equal([x[plan.keys[n]] for n in sel], (di * dj, di * dj))
+        return w * np.einsum(plan.spec, f, t.reshape(-1, di, dj, di, dj))
+
+    return plan.sums.sums(part)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +644,13 @@ def haar_sample_support(q: Aqg) -> list[str]:
     return chosen
 
 
-def _haar_invariance_residual(q: Aqg, a: AqgElement, b: AqgElement) -> float:
-    """Residual of (iota (x) phi)(Delta(a)(b (x) 1)) = phi(a) b."""
-    x = delta_cut(q, a, b, leg=1, side="right")
-    lhs = haar_pair(q, x, leg=2, side="left")
+def _haar_invariance_residual(q: Aqg, a: AqgElement, b: AqgElement,
+                              cuts: _Cuts, plan: _HaarPlan) -> float:
+    """Residual of (iota (x) phi)(Delta(a)(b (x) 1)) = phi(a) b; cuts is a
+    _Cuts over the supports of a and b with legs (1,), plan the _HaarPlan
+    of its blocks on leg 2."""
+    x = delta_cut(q, a, b, leg=1, side="right", plan=cuts)
+    lhs = haar_pair(q, x, leg=2, side="left", plan=plan)
     rhs = b.scale(haar(q, a, "left"))
     return element_residual(q, lhs, rhs)
 
@@ -566,72 +666,110 @@ def element_residual(q: Aqg, x: AqgElement, y: AqgElement) -> float:
 # T1/T2 and their Sweedler-calculus inverses
 
 
-def t1_map(q: Aqg, a: AqgElement, b: AqgElement) -> PairElement:
-    """T1(a (x) b) = Delta(a)(1 (x) b)."""
-    return delta_cut(q, a, b, leg=2, side="right")
+def t1_map(q: Aqg, a: AqgElement, b: AqgElement, plan: _Cuts | None = None) -> PairElement:
+    """T1(a (x) b) = Delta(a)(1 (x) b); plan as for delta_cut."""
+    return delta_cut(q, a, b, leg=2, side="right", plan=plan)
 
 
-def t2_map(q: Aqg, a: AqgElement, b: AqgElement) -> PairElement:
-    """T2(a (x) b) = (a (x) 1)Delta(b)."""
-    return delta_cut(q, b, a, leg=1, side="left")
+def t2_map(q: Aqg, a: AqgElement, b: AqgElement, plan: _Cuts | None = None) -> PairElement:
+    """T2(a (x) b) = (a (x) 1)Delta(b); plan as for delta_cut."""
+    return delta_cut(q, b, a, leg=1, side="left", plan=plan)
 
 
-def t1_inverse(q: Aqg, x: PairElement) -> PairElement:
+class _TInversePlan:
+    """The work of t1_inverse (which 't1') or t2_inverse ('t2') on pair
+    elements with blocks keys.
+
+    An item is a block (i,j) of x with a channel v: of n (x) m -> i,
+    m = dual(j), for T1, which adds to the output block (n,j); of
+    m (x) n -> j, m = dual(i), for T2, which adds to (i,n).  Items run by
+    block, then n in label order, then multiplicity, and every output block
+    sums its items in that order.  Per item the output block is a fixed
+    chain of two matmuls, L X then R (L X) reshaped for T1 and X R then
+    L (X R) for T2, with X the input block; L and R contract v with the
+    conjugate pair of j (T1) or i (T2), depend on the item only, and are
+    formed here, stacked per item shape.
+    """
+
+    def __init__(self, q: Aqg, keys, which: str):
+        b = q.bundle
+        lay = b.layout
+        n_lab = len(q.labels)
+        li = lay.label_index
+        self.t1 = which == "t1"
+        # the channels of (n, m) -> i (T1) or (m, n) -> j (T2) by (m, i or j), n increasing
+        m_of = lay.chan_pair % n_lab if self.t1 else lay.chan_pair // n_lab
+        chans = {int(c): s for c, s in split_by(m_of * n_lab + lay.chan_label)}
+        self.keys, out, size, rows = list(keys), {}, [], []
+        groups: dict[tuple, list] = {}
+        for t, (i, j) in enumerate(self.keys):
+            m = b.dual[j] if self.t1 else b.dual[i]
+            for c in chans.get(li[m] * n_lab + li[i if self.t1 else j], ()):
+                other = lay.chan_pair[c] // n_lab if self.t1 else lay.chan_pair[c] % n_lab
+                n = q.labels[other]
+                key = (n, j) if self.t1 else (i, n)
+                if key not in out:
+                    out[key] = len(out)
+                    size.append(q.d(key[0]) * q.d(key[1]))
+                rows.append(out[key])
+                groups.setdefault((q.d(i), q.d(j), q.d(n)), []).append(
+                    (len(rows) - 1, t, c))
+        self.out, self.size = list(out), size
+        self.pos, zeros = zero_stacks(size)
+        self.shapes = {k: s.shape for k, s in zeros.items()}
+        self.work = []
+        for (di, dj, dn), its in groups.items():
+            nums, at, cs = (np.array(col) for col in zip(*its))
+            conj = [self.keys[t][1] if self.t1 else self.keys[t][0] for t in at]
+            rb = np.stack([q._rbarmat(k) for k in conj])
+            rm = np.stack([q._rmat(k) for k in conj])
+            v = lay.isometries(cs)
+            if self.t1:
+                vt = v.reshape(len(cs), dn, -1, di)
+                left = (vt.swapaxes(2, 3) @ rm.conj()[:, None]).reshape(-1, dn, di * dj)
+                right = (rb[:, None] @ vt.conj()).swapaxes(1, 2).reshape(-1, dj * dn, di)
+            else:
+                vt = v.reshape(len(cs), -1, dn * dj)
+                right = (rb @ vt.conj()).reshape(-1, di, dn, dj).swapaxes(2, 3)
+                right = right.reshape(-1, di * dj, dn)
+                left = (bdagger(rm) @ vt).reshape(-1, di, dn, dj).swapaxes(1, 2)
+                left = left.reshape(-1, dn * di, dj)
+            self.work.append((nums, at, di, dj, dn, left, right))
+        self.order = order_plan(self.pos[rows], [w[0] for w in self.work],
+                                [(size[rows[w[0][0]]],) * 2 for w in self.work])
+
+    def inverse(self, x: PairElement) -> PairElement:
+        def part(g):
+            _, at, di, dj, dn, left, right = self.work[g]
+            xs = stack_equal([x[self.keys[t]] for t in at], (di * dj, di * dj))
+            if self.t1:
+                z = (left @ xs).reshape(-1, dn, di, dj)
+                return (right[:, None] @ z).reshape(-1, dn * dj, dn * dj)
+            y = (xs @ right).reshape(-1, di, dj, dn)
+            return (left[:, None] @ y).reshape(-1, di * dn, di * dn)
+
+        out = {k: np.zeros(s, dtype=complex) for k, s in self.shapes.items()}
+        add_planned(out, self.order, part)
+        return {key: out[(s, s)][p] for key, s, p in zip(self.out, self.size, self.pos)}
+
+
+def t1_inverse(q: Aqg, x: PairElement, plan: _TInversePlan | None = None) -> PairElement:
     """Sum x_(1) (x) S(x_(2)) x_(3) evaluated blockwise.
 
     Inverts T1 on its image; output pair block (n,j) is exact whenever all
-    channels of n (x) dual(j) are loaded.
+    channels of n (x) dual(j) are loaded.  plan, a _TInversePlan over the
+    keys of x, serves many calls.
     """
-    b = q.bundle
-    out: PairElement = {}
-    for (i, j), blk in x.items():
-        di, dj = q.d(i), q.d(j)
-        m = b.dual[j]
-        rb, rm = q._rbarmat(j), q._rmat(j)
-        t = blk.reshape(di, dj, di, dj)
-        for n in b.labels:
-            if not b.N(n, m, i):
-                continue
-            dn = q.d(n)
-            acc = np.zeros((dn, dj, dn, dj), dtype=complex)
-            for v in b.isometries(n, m, i):
-                vt = v.reshape(dn, q.d(m), di)
-                acc += np.einsum(
-                    "abp,cds,ud,be,pesw->aucw",
-                    vt, vt.conj(), rb, rm.conj(), t,
-                    optimize=True,
-                )
-            out[(n, j)] = out.get((n, j), 0) + acc.reshape(dn * dj, dn * dj)
-    return out
+    return (plan or _TInversePlan(q, x, "t1")).inverse(x)
 
 
-def t2_inverse(q: Aqg, x: PairElement) -> PairElement:
+def t2_inverse(q: Aqg, x: PairElement, plan: _TInversePlan | None = None) -> PairElement:
     """Sum x_(1) S(x_(2)) (x) x_(3) over (iota (x) Delta), inverting T2.
 
     Output pair block (i,n) is exact whenever all channels of
-    dual(i) (x) n are loaded.
+    dual(i) (x) n are loaded.  plan as for t1_inverse.
     """
-    b = q.bundle
-    out: PairElement = {}
-    for (i, j), blk in x.items():
-        di, dj = q.d(i), q.d(j)
-        m = b.dual[i]
-        rb, rm = q._rbarmat(i), q._rmat(i)
-        t = blk.reshape(di, dj, di, dj)
-        for n in b.labels:
-            if not b.N(m, n, j):
-                continue
-            dn = q.d(n)
-            acc = np.zeros((di, dn, di, dn), dtype=complex)
-            for v in b.isometries(m, n, j):
-                vt = v.reshape(q.d(m), dn, dj)
-                acc += np.einsum(
-                    "pesw,sd,bz,bge,dhw->pgzh",
-                    t, rb, rm.conj(), vt, vt.conj(),
-                    optimize=True,
-                )
-            out[(i, n)] = out.get((i, n), 0) + acc.reshape(di * dn, di * dn)
-    return out
+    return (plan or _TInversePlan(q, x, "t2")).inverse(x)
 
 
 def t_blocks(q: Aqg, which: str) -> list[Array]:
@@ -784,7 +922,6 @@ def verify_axioms(
     b = q.bundle
     sample = haar_sample_support(q)
     n_small = max(2, n_samples // 4)
-    all_pairs = np.arange(len(b.layout.pairs))
     u = b.unit
 
     # (1) coassociativity on all of B(H_m), from the F-move certificate of
@@ -801,15 +938,16 @@ def verify_axioms(
     for _ in range(n_small):
         q.random_element(rng)
 
-    # (2) counit laws
+    # (2) counit laws; every sample has the support `sample`, so the index
+    # work of each row below is planned once for all of its samples
     res, scale = [0.0], [1.0]
+    cuts = _Cuts(q, sample, sample, (2, 1), lambda n: [u])
     for t in range(n_samples):
         a = q.random_element(rng, support=sample)
         c = q.random_element(rng, support=sample)
-        leg2, leg1 = (_cut_pairs(q, a, c, leg, lambda n: [u]) for leg in (2, 1))
-        da = _delta_stacks(q, a, np.concatenate([leg2[0], leg1[0]]))
-        x1 = _cut(q, da, c, 2, "right", leg2)
-        x2 = _cut(q, da, c, 1, "right", leg1)
+        da = cuts.delta(a)
+        x1 = cuts.cut(da, c, 0, "right")
+        x2 = cuts.cut(da, c, 1, "right")
         ac = a.mul(c)
         res += [element_residual(q, counit_pair(q, x1, leg=1), ac),
                 element_residual(q, counit_pair(q, x2, leg=2), ac)]
@@ -820,17 +958,18 @@ def verify_axioms(
     # (3) antipode laws
     res, scale = [0.0], [1.0]
     duals = {n: [o for o in b.labels if b.dual[o] == n] for n in b.labels}
+    cuts = _Cuts(q, sample, sample, (2, 1), duals.get)
+    mults = [_MultPlan(q, cuts.keys[0], "s-left"), _MultPlan(q, cuts.keys[1], "s-right")]
     for t in range(n_samples):
         a = q.random_element(rng, support=sample)
         c = q.random_element(rng, support=sample)
         eps_a = counit(q, a)
-        leg2, leg1 = (_cut_pairs(q, a, c, leg, duals.get) for leg in (2, 1))
-        da = _delta_stacks(q, a, np.concatenate([leg2[0], leg1[0]]))
-        x1 = _cut(q, da, c, 2, "right", leg2)
-        x2 = _cut(q, da, c, 1, "left", leg1)
+        da = cuts.delta(a)
+        x1 = cuts.cut(da, c, 0, "right")
+        x2 = cuts.cut(da, c, 1, "left")
         target = c.scale(eps_a)
-        res += [element_residual(q, mult_pair(q, x1, "s-left"), target),
-                element_residual(q, mult_pair(q, x2, "s-right"), target)]
+        res += [element_residual(q, mult_pair(q, x1, "s-left", mults[0]), target),
+                element_residual(q, mult_pair(q, x2, "s-right", mults[1]), target)]
         scale += [target.norm(), a.norm() * c.norm()]
     res, scale = worst(*res), worst(*scale)
     rep.add("3-antipode-laws", "samples", res, res <= tol.bound(scale))
@@ -846,12 +985,15 @@ def verify_axioms(
                     0.0 if ok else 1.0, ok)
     else:
         res, scale = [0.0], [1.0]
+        cuts1, cuts2 = (_Cuts(q, sample, sample, (leg,)) for leg in (2, 1))
+        inv1 = _TInversePlan(q, cuts1.keys[0], "t1")
+        inv2 = _TInversePlan(q, cuts2.keys[0], "t2")
         for t in range(n_small):
             a = q.random_element(rng, support=sample)
             c = q.random_element(rng, support=sample)
             target = elementary_pair(q, a, c)
-            back1 = t1_inverse(q, t1_map(q, a, c))
-            back2 = t2_inverse(q, t2_map(q, a, c))
+            back1 = t1_inverse(q, t1_map(q, a, c, cuts1), inv1)
+            back2 = t2_inverse(q, t2_map(q, a, c, cuts2), inv2)
             res += [_restricted_pair_residual(q, back1, target, sample),
                     _restricted_pair_residual(q, back2, target, sample)]
             scale.append(pair_norm(target))
@@ -884,23 +1026,24 @@ def verify_axioms(
 
     # (6) Haar invariance
     res, scale = [0.0], [1.0]
+    cuts = _Cuts(q, sample, sample, (1, 2))
+    haars = [_HaarPlan(q, cuts.keys[0], 2, "left"), _HaarPlan(q, cuts.keys[1], 1, "right")]
     for t in range(n_samples):
         a = q.random_element(rng, support=sample)
         c = q.random_element(rng, support=sample)
         # one Delta(a) serves every cutoff
-        leg1, leg2 = _cut_pairs(q, a, c, 1), _cut_pairs(q, a, c, 2)
-        da = _delta_stacks(q, a, np.concatenate([leg1[0], leg2[0]]))
+        da = cuts.delta(a)
         # left invariance of phi, both cutoff shapes
-        x1 = _cut(q, da, c, 1, "right", leg1)
-        x2 = _cut(q, da, c, 1, "left", leg1)
-        lhs1 = haar_pair(q, x1, leg=2, side="left")
-        lhs2 = haar_pair(q, x2, leg=2, side="left")
+        x1 = cuts.cut(da, c, 0, "right")
+        x2 = cuts.cut(da, c, 0, "left")
+        lhs1 = haar_pair(q, x1, leg=2, side="left", plan=haars[0])
+        lhs2 = haar_pair(q, x2, leg=2, side="left", plan=haars[0])
         t1 = c.scale(haar(q, a, "left"))
         # right invariance of psi
-        x3 = _cut(q, da, c, 2, "right", leg2)
-        x4 = _cut(q, da, c, 2, "left", leg2)
-        lhs3 = haar_pair(q, x3, leg=1, side="right")
-        lhs4 = haar_pair(q, x4, leg=1, side="right")
+        x3 = cuts.cut(da, c, 1, "right")
+        x4 = cuts.cut(da, c, 1, "left")
+        lhs3 = haar_pair(q, x3, leg=1, side="right", plan=haars[1])
+        lhs4 = haar_pair(q, x4, leg=1, side="right", plan=haars[1])
         t2 = c.scale(haar(q, a, "right"))
         res += [
             element_residual(q, lhs1, t1),
@@ -923,13 +1066,14 @@ def verify_axioms(
 
     # (8) *-compatibility and homomorphism property of Delta
     res, scale = [0.0], [1.0]
+    plan = _DeltaPlan(q, b.labels, np.arange(len(b.layout.pairs)))
     for t in range(n_small):
         a = q.random_element(rng)
         c = q.random_element(rng)
-        da, _ = _delta_stacks(q, a, all_pairs)
-        dstar, _ = _delta_stacks(q, a.star(), all_pairs)
-        dac, _ = _delta_stacks(q, a.mul(c), all_pairs)
-        dc, _ = _delta_stacks(q, c, all_pairs)
+        da, _ = _delta_stacks(q, a, plan)
+        dstar, _ = _delta_stacks(q, a.star(), plan)
+        dac, _ = _delta_stacks(q, a.mul(c), plan)
+        dc, _ = _delta_stacks(q, c, plan)
         cn = worst(1.0, c.norm())
         for shape in da:
             res += [max_abs(dstar[shape] - bdagger(da[shape])),

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .aqg import Aqg, delta
+from .bundle import CategoryBundle
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -62,11 +63,16 @@ class RMatrix:
         return RMatrix(out)
 
 
+def require_braiding(b: CategoryBundle) -> None:
+    """Refuse a bundle without braiding data."""
+    if b.braiding is None:
+        raise MissingBraiding("*", "*", "the bundle has no braiding")
+
+
 def braiding_to_r(q: Aqg) -> RMatrix:
     """R_{ij} = flip o c_{ij}, per loaded braiding block."""
     b = q.bundle
-    if b.braiding is None:
-        raise MissingBraiding("*", "*", "the bundle has no braiding")
+    require_braiding(b)
     blocks = {}
     for (i, j), c in b.braiding.items():
         blocks[(i, j)] = flip(q.d(j), q.d(i)) @ cmat(c)

@@ -78,9 +78,6 @@ class CategoryBundle:
     def d(self, i: str) -> int:
         return self.dims[i]
 
-    def N(self, i: str, j: str, k: str) -> int:
-        return len(self.fusion.get((i, j), {}).get(k, []))
-
     def isometries(self, i: str, j: str, k: str) -> list[Array]:
         return self.fusion.get((i, j), {}).get(k, [])
 

@@ -23,9 +23,16 @@ from .aqg import (
     reconstruct,
     verify_axioms,
 )
-from .braid import MissingBraiding, braiding_to_r, triangularity, verify_quasitriangular
+from .braid import (
+    MissingBraiding,
+    braiding_to_r,
+    require_braiding,
+    triangularity,
+    verify_quasitriangular,
+)
 from .bundle import BundleSyntaxError, ShapeError, parse_bundle, serialize_bundle, validate_bundle
 from .dual import dual_hopf, pontryagin_check, universal_corep, verify_universal
+from .dual import require_closed as require_tables
 from .examples import (
     BadPresentation,
     builtin_group,
@@ -34,6 +41,7 @@ from .examples import (
     gen_suq2,
 )
 from .group import cocommutative_check, grouplikes
+from .group import require_closed as require_group
 from .linalg import Tolerance
 from .report import Report
 
@@ -52,11 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"aqgrec {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_bundle=True):
-        if with_bundle:
-            sp.add_argument("bundle", help="path to a category bundle JSON file")
+    def output(sp):
         sp.add_argument("-o", "--output", default=None,
                         help="write the report/output to this path")
+
+    def common(sp):
+        sp.add_argument("bundle", help="path to a category bundle JSON file")
+        output(sp)
         sp.add_argument("--text", action="store_true",
                         help="human-readable report instead of JSON")
         sp.add_argument("--abs-tol", type=float, default=1e-9)
@@ -78,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a golden bundle")
     g.add_argument("family", choices=["zn", "s3", "d4", "q8", "pointed", "suq2"])
-    common(g, with_bundle=False)
+    output(g)
     g.add_argument("--n", type=int, default=3, help="order for zn/pointed")
     g.add_argument("--t", type=int, default=0, help="bicharacter exponent")
     g.add_argument("--q", type=float, default=0.5, help="deformation parameter")
@@ -134,7 +144,9 @@ def _cmd_check(args, tol) -> int:
 
 
 def _cmd_dual(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+    b = _load(args)
+    require_tables(b)
+    q = reconstruct(b, tol)
     T, Td, rep = dual_hopf(q, tol)
     U = universal_corep(T)
     rep.extend(verify_universal(q, U, T, Td, tol))
@@ -145,7 +157,9 @@ def _cmd_dual(args, tol) -> int:
 
 
 def _cmd_rmatrix(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+    b = _load(args)
+    require_braiding(b)
+    q = reconstruct(b, tol)
     R = braiding_to_r(q)
     rep = verify_quasitriangular(q, R, tol, n_samples=max(2, args.samples // 2),
                                  seed=args.seed)
@@ -162,7 +176,9 @@ def _cmd_rmatrix(args, tol) -> int:
 
 
 def _cmd_group(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+    b = _load(args)
+    require_group(b)
+    q = reconstruct(b, tol)
     group, T, _, rep = grouplikes(q, tol, seed=args.seed)
     cocomm, crep = cocommutative_check(q, T, group, rep, tol)
     rep.extend(crep)
@@ -196,7 +212,7 @@ def _cmd_dims(args, tol) -> int:
     return EXIT_PASS
 
 
-def _cmd_gen(args, tol) -> int:
+def _cmd_gen(args, _) -> int:
     fam = args.family
     if fam == "zn":
         b = gen_finite_group(builtin_group(f"z{args.n}"))
@@ -224,10 +240,12 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    tol = None
     try:
-        tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if args.command != "gen":
+            tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
+            if args.samples < 1:
+                raise ValueError(f"--samples must be at least 1, got {args.samples}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

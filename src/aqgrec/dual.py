@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqg import Aqg, NotFinite, unit_index
+from .bundle import CategoryBundle
 from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
 
@@ -64,6 +65,12 @@ class TableHopf:
         return res <= tol.bound(self.comult), res
 
 
+def require_closed(b: CategoryBundle) -> None:
+    """Refuse a window: the Hopf tables need all of A."""
+    if not b.closed:
+        raise NotFinite("Hopf tables require a closed bundle")
+
+
 def table_from_aqg(q: Aqg) -> TableHopf:
     """Materialize the reconstructed algebra as dense Hopf tables.
 
@@ -74,8 +81,7 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     v E_ab v* over the channels v of (n,m) -> k.
     """
     b = q.bundle
-    if not b.closed:
-        raise NotFinite("Hopf tables require a closed bundle")
+    require_closed(b)
     N = q.total_dim()
     mult = np.zeros((N, N, N), dtype=complex)
     unit = np.zeros(N, dtype=complex)

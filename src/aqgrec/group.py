@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqg import Aqg, NotFinite, unit_index
+from .bundle import CategoryBundle
 from .dual import TableHopf, dual_table, table_from_aqg
 from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
@@ -137,14 +138,19 @@ def verify_grouplike(T: TableHopf, g: Grouplike,
     return rep
 
 
+def require_closed(b: CategoryBundle) -> None:
+    """Refuse a window: the intrinsic group needs all of A."""
+    if not b.closed:
+        raise NotFinite("intrinsic group requires a closed bundle")
+
+
 def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     """Recover the intrinsic group from the dual's characters.
 
     Each *-character chi of the dual determines a grouplike g through
     omega(g) = chi(omega); returns (IntrinsicGroup, T, Td, Report).
     """
-    if not q.bundle.closed:
-        raise NotFinite("intrinsic group requires a closed bundle")
+    require_closed(q.bundle)
     T = table_from_aqg(q)
     Td = dual_table(T)
     P = T.pairing()

@@ -171,23 +171,50 @@ def add_in_order(out: dict, pos: Array, parts) -> dict:
     to a stack of sums that start at zero.  Items are added in increasing n,
     whatever group they were computed in, so every sum rounds exactly like a
     sequential loop.  The adds go in rank steps: step r adds the r-th item of
-    every segment at once.
+    every segment at once.  The schedule is order_plan's, which work repeated
+    on the same items plans once and runs through add_planned.
     """
-    grouped: dict[tuple, list] = {}
-    for nums, prod in parts:
-        grouped.setdefault(prod.shape[1:], []).append((nums, prod))
-    for shape, lst in grouped.items():
-        acc = out[shape]
-        nums = np.concatenate([n for n, _ in lst])
-        prod = np.concatenate([p for _, p in lst])
+    parts = list(parts)
+    plan = order_plan(pos, [n for n, _ in parts], [p.shape[1:] for _, p in parts])
+    return add_planned(out, plan, lambda g: parts[g][1])
+
+
+def order_plan(pos: Array, numbers, shapes) -> list:
+    """The schedule of add_in_order for parts known before their results:
+    part g holds the items numbers[g], whose results have shape shapes[g].
+
+    Per result shape it lists the parts of that shape and the rank steps,
+    each as (rows, targets): rows of the parts' concatenated results, added
+    to the sums pos[items] at targets.
+    """
+    grouped: dict[tuple, list[int]] = {}
+    for g, shape in enumerate(shapes):
+        grouped.setdefault(tuple(shape), []).append(g)
+    plan = []
+    for shape, gs in grouped.items():
+        nums = np.concatenate([numbers[g] for g in gs])
         where = pos[nums]
         order = np.lexsort((nums, where))
         seg = where[order]
         start = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
         length = np.diff(np.append(start, len(seg)))
+        steps = []
         for r in range(int(length.max(initial=0))):
             sel = order[start[length > r] + r]
-            acc[where[sel]] += prod[sel]
+            steps.append((sel, where[sel]))
+        plan.append((shape, gs, steps))
+    return plan
+
+
+def add_planned(out: dict, plan: list, part) -> dict:
+    """add_in_order on the schedule plan of order_plan: part(g) is the
+    stacked result of part g.  Results are asked for one shape at a time,
+    so only the results of one shape are held at once."""
+    for shape, gs, steps in plan:
+        acc = out[shape]
+        prod = part(gs[0]) if len(gs) == 1 else np.concatenate([part(g) for g in gs])
+        for sel, where in steps:
+            acc[where] += prod[sel]
     return out
 
 

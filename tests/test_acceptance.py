@@ -137,7 +137,7 @@ def test_criterion_5_fusion_equivalence(shipped_aqgs, s3_aqg):
     for t in rng.choice(len(triples), size=150, replace=False):
         name, i, j, k = triples[t]
         q = shipped_aqgs[name]
-        assert hom_dim(q, i, j, k) == q.bundle.N(i, j, k), (name, i, j, k)
+        assert hom_dim(q, i, j, k) == len(q.bundle.isometries(i, j, k)), (name, i, j, k)
     # turning the 2 (x) 2 -> 1 isometry of S3 towards 2 (x) 2 -> 1' leaves N
     # as it was, but neither channel is then an intertwiner
     b = s3_aqg.bundle

@@ -119,7 +119,7 @@ def test_fusion_accessors(shipped_bundles):
     b = shipped_bundles["q8"]
     u = b.unit
     for i in b.labels:
-        assert b.N(u, i, i) == 1
+        assert len(b.isometries(u, i, i)) == 1
         v = b.isometries(u, i, i)[0]
         assert v.shape == (b.d(i), b.d(i))
         assert np.allclose(v.conj().T @ v, np.eye(b.d(i)))

@@ -64,7 +64,7 @@ def test_tensor_decomp_complete_and_matches_fusion(shipped_bundles):
                 parts = tensor_parts(b, i, j)
                 assert decomposition_residual(parts, b.d(i) * b.d(j)) < 1e-10, (name, i, j)
                 for k in b.labels:
-                    assert [m for m, _ in parts].count(k) == b.N(i, j, k)
+                    assert [m for m, _ in parts].count(k) == len(b.isometries(i, j, k))
         assert all(c.passed for c in rows
                    if c.name in ("orthonormality", "completeness")), name
 
@@ -79,7 +79,7 @@ def test_tensor_decomp_raises_outside_window(shipped_bundles):
     q = reconstruct(b)
     one = AqgElement({i: np.eye(q.d(i), dtype=complex) for i in q.labels})
     p = action(q, (top, top), one)
-    loaded = sum(b.N(top, top, k) * b.d(k) for k in b.labels)
+    loaded = sum(len(b.isometries(top, top, k)) * b.d(k) for k in b.labels)
     assert residual(p @ p, p) < 1e-12
     assert round(np.trace(p).real) == loaded < b.d(top) ** 2
 
@@ -90,8 +90,8 @@ def test_triple_tensor_multiplicities_are_associative(shipped_bundles):
         for j in b.labels:
             for k in b.labels:
                 for m in b.labels:
-                    left = sum(b.N(i, j, l) * b.N(l, k, m) for l in b.labels)
-                    right = sum(b.N(j, k, n) * b.N(i, n, m) for n in b.labels)
+                    left = sum(len(b.isometries(i, j, l)) * len(b.isometries(l, k, m)) for l in b.labels)
+                    right = sum(len(b.isometries(j, k, n)) * len(b.isometries(i, n, m)) for n in b.labels)
                     assert left == right, (i, j, k, m)
 
 
@@ -104,7 +104,7 @@ def test_hom_decomps_dimension_equals_fusion_multiplicity(shipped_aqgs):
                 if not b.complete(i, j):
                     continue
                 for k in b.labels:
-                    assert len(hom(q, k, (i, j))) == b.N(i, j, k), (name, i, j, k)
+                    assert len(hom(q, k, (i, j))) == len(b.isometries(i, j, k)), (name, i, j, k)
 
 
 def test_hom_decomps_basis_is_orthonormal(shipped_aqgs):

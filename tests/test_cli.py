@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -125,6 +126,51 @@ def test_gen_exits_2_on_bad_arguments(tmp_path, capsys, argv):
     assert run(["gen", *argv, "-o", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [
+    ["--text"], ["--abs-tol", "1e-9"], ["--rel-tol", "1e-9"], ["--samples", "0"],
+    ["--seed", "3"],
+])
+def test_gen_takes_only_the_output_option(tmp_path, capsys, option):
+    # gen writes a bundle: a report option is an unknown argument, not one
+    # that is ignored or validated
+    out = tmp_path / "s3.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "s3", "-o", str(out), *option])
+    assert exc.value.code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert run(["gen", "s3", "--output", str(out)]) == 0 and out.exists()
+    with pytest.raises(SystemExit):
+        run(["gen", "--help"])
+    usage = capsys.readouterr().out
+    assert "--output" in usage and option[0] not in usage
+
+
+def test_inapplicable_commands_exit_2_before_validating(tmp_path, capsys, monkeypatch):
+    # a window with one isometry scaled by 1 + 1e-4 fails validation (check
+    # exits 1), yet dual and group on a window, and rmatrix without a
+    # braiding, are refused right after parsing, with no reconstruction
+    path = _gen(tmp_path, "suq2", "--q", "0.5", "--L", "3")
+    doc = json.loads(path.read_text())
+    data = doc["fusion"][-1]["isometries"][0]["data"]
+    k = max(range(len(data)), key=lambda t: math.hypot(*data[t]))
+    data[k] = [x * (1 + 1e-4) for x in data[k]]
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 1
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstructed a bundle the command refuses")
+
+    monkeypatch.setattr(cli, "reconstruct", refuse)
+    for op, message in (("dual", "Hopf tables require a closed bundle"),
+                        ("group", "intrinsic group requires a closed bundle"),
+                        ("rmatrix", "the bundle has no braiding")):
+        assert run([op, str(path)]) == 2, op
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
 
 
 @pytest.mark.parametrize("argv", [

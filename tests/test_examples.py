@@ -218,7 +218,7 @@ def test_group_bundle_fusion_matches_characters():
             prod = chars[a] * chars[c]
             for e, k in enumerate(b.labels):
                 mult = int(round((prod @ chars[e].conj()).real / p.order))
-                assert b.N(i, j, k) == mult
+                assert len(b.isometries(i, j, k)) == mult
 
 
 def test_gen_finite_group_accepts_name():
@@ -235,7 +235,7 @@ def test_pointed_bundle_structure():
         w = np.exp(2j * np.pi / n)
         for j in range(n):
             for k in range(n):
-                assert b.N(str(j), str(k), str((j + k) % n)) == 1
+                assert len(b.isometries(str(j), str(k), str((j + k) % n))) == 1
                 c = b.braiding[(str(j), str(k))][0, 0]
                 assert abs(c - w ** (j * k)) < 1e-12
         assert b.dual["1"] == str(n - 1)
@@ -259,7 +259,7 @@ def test_suq2_window_shape():
             for m in range(5):
                 for k in range(5):
                     want = 1 if (abs(n - m) <= k <= n + m and (n + m - k) % 2 == 0) else 0
-                    assert b.N(str(n), str(m), str(k)) == want
+                    assert len(b.isometries(str(n), str(m), str(k))) == want
 
 
 def test_suq2_quantum_dimensions_are_q_integers():
@@ -363,8 +363,8 @@ def test_fmove_certificate_matches_q_racah(q):
     entries = 0
     for (i, j, k, m), f in zip(quads, fmats):
         i, j, k, m = map(int, (i, j, k, m))
-        left = [a for a in range(5) if b.N(str(i), str(j), str(a)) and b.N(str(a), str(k), str(m))]
-        right = [c for c in range(5) if b.N(str(j), str(k), str(c)) and b.N(str(i), str(c), str(m))]
+        left = [a for a in range(5) if b.isometries(str(i), str(j), str(a)) and b.isometries(str(a), str(k), str(m))]
+        right = [c for c in range(5) if b.isometries(str(j), str(k), str(c)) and b.isometries(str(i), str(c), str(m))]
         assert f.shape == (len(right), len(left))
         for r, c in enumerate(right):
             for t, a in enumerate(left):
