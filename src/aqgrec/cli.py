@@ -60,13 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"aqgrec {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def output(sp):
-        sp.add_argument("-o", "--output", default=None,
-                        help="write the report/output to this path")
-
     def common(sp):
         sp.add_argument("bundle", help="path to a category bundle JSON file")
-        output(sp)
+        sp.add_argument("-o", "--output", default=None,
+                        help="write the report/output to this path")
         sp.add_argument("--text", action="store_true",
                         help="human-readable report instead of JSON")
         sp.add_argument("--abs-tol", type=float, default=1e-9)
@@ -88,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a golden bundle")
     g.add_argument("family", choices=["zn", "s3", "d4", "q8", "pointed", "suq2"])
-    output(g)
+    g.add_argument("-o", "--output", default=None,
+                   help="write the bundle to this path instead of stdout")
     g.add_argument("--n", type=int, default=3, help="order for zn/pointed")
     g.add_argument("--t", type=int, default=0, help="bicharacter exponent")
     g.add_argument("--q", type=float, default=0.5, help="deformation parameter")

@@ -185,7 +185,9 @@ def order_plan(pos: Array, numbers, shapes) -> list:
 
     Per result shape it lists the parts of that shape and the rank steps,
     each as (rows, targets): rows of the parts' concatenated results, added
-    to the sums pos[items] at targets.
+    to the sums pos[items] at targets.  When every step adds one item, as
+    when all items of a shape go to one sum, the steps are instead
+    (part, row, target) triples, and the results are not concatenated.
     """
     grouped: dict[tuple, list[int]] = {}
     for g, shape in enumerate(shapes):
@@ -202,6 +204,10 @@ def order_plan(pos: Array, numbers, shapes) -> list:
         for r in range(int(length.max(initial=0))):
             sel = order[start[length > r] + r]
             steps.append((sel, where[sel]))
+        if all(len(sel) == 1 for sel, _ in steps):
+            part = np.repeat(np.arange(len(gs)), [len(numbers[g]) for g in gs])
+            row = np.arange(len(part)) - np.searchsorted(part, part)
+            steps = [(int(part[s]), int(row[s]), int(w)) for (s,), (w,) in steps]
         plan.append((shape, gs, steps))
     return plan
 
@@ -212,6 +218,11 @@ def add_planned(out: dict, plan: list, part) -> dict:
     so only the results of one shape are held at once."""
     for shape, gs, steps in plan:
         acc = out[shape]
+        if steps and len(steps[0]) == 3:
+            prods = [part(g) for g in gs]
+            for k, row, where in steps:
+                acc[where] += prods[k][row]
+            continue
         prod = part(gs[0]) if len(gs) == 1 else np.concatenate([part(g) for g in gs])
         for sel, where in steps:
             acc[where] += prod[sel]
