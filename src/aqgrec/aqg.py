@@ -368,11 +368,11 @@ class _Cuts:
     """Cut-off coproducts Delta(a) times b on one leg, for every a with
     blocks on a_labels and b with blocks on b_labels, planned once.
 
-    Cut k multiplies by b on legs[k], from the right, the left or both.  Its blocks are those of _cut_pairs
-    (others as there), keys[k] in delta_cut order, and classes[k] holds per
-    block class (d of b's leg, d of the other leg, positions, rows of
-    Delta's stacks, blocks of b among their size).  One Delta plan covers
-    the blocks of every cut.
+    Cut k multiplies by b on legs[k], from the right, the left or both.
+    Its blocks are those of _cut_pairs (others as there), keys[k] in
+    delta_cut order, and classes[k] holds per block class (d of b's leg,
+    d of the other leg, positions, rows of Delta's stacks, blocks of b
+    among their size).  One Delta plan covers the blocks of every cut.
     """
 
     def __init__(self, q: Aqg, a_labels, b_labels, legs, others=None):
@@ -553,7 +553,8 @@ def mult_pair(q: Aqg, x: PairElement, which: str, plan: _MultPlan | None = None)
         nums, di, dj, rb, rmc, path = plan.work[g]
         t = stack_equal([x[plan.keys[n]] for n in nums], (di * dj, di * dj))
         t = t.reshape(-1, di, dj, di, dj)
-        return np.einsum(plan.spec, *((rb, rmc, t) if plan.left else (t, rb, rmc)), optimize=path)
+        ops = (rb, rmc, t) if plan.left else (t, rb, rmc)
+        return np.einsum(plan.spec, *ops, optimize=path)
 
     return plan.sums.sums(part)
 
@@ -916,7 +917,10 @@ def verify_axioms(
     properties, Haar invariance, Haar faithfulness, and *-compatibility of
     the coproduct.  Window bundles get each check on its admissible blocks;
     anything unreachable is skipped explicitly.  Block families are
-    evaluated as stacked products, one per block shape.
+    evaluated as stacked products, one per block shape.  The samples of a
+    row share one support, so each row plans its index work (blocks,
+    classes, work groups, sum schedules) once and runs only the products
+    per sample.
     """
     rep = Report("hopf-axioms")
     rng = np.random.default_rng(seed)
@@ -939,8 +943,7 @@ def verify_axioms(
     for _ in range(n_small):
         q.random_element(rng)
 
-    # (2) counit laws; every sample has the support `sample`, so the index
-    # work of each row below is planned once for all of its samples
+    # (2) counit laws
     res, scale = [0.0], [1.0]
     cuts = _Cuts(q, sample, sample, (2, 1), lambda n: [u])
     for t in range(n_samples):

@@ -260,13 +260,32 @@ def t2_inverse_blockwise(q, x):
     return out
 
 
+def phased(b, rng):
+    """b in another orthonormal basis of each H_i: e_m -> u_m e_m with
+    random phases u (none on the unit), so that its isometries and conjugate
+    pairs are complex.  A morphism v : H_k -> H_i (x) H_j becomes
+    (U_i (x) U_j) v U_k*, and r_i, rbar_i become (U_dual(i) (x) U_i) r_i and
+    (U_i (x) U_dual(i)) rbar_i."""
+    u = {i: np.ones(b.d(i)) if i == b.unit else np.exp(2j * np.pi * rng.random(b.d(i)))
+         for i in b.labels}
+    fusion = {(i, j): {k: [np.kron(u[i], u[j])[:, None] * v * u[k].conj() for v in vs]
+                       for k, vs in chans.items()}
+              for (i, j), chans in b.fusion.items()}
+    conj = {i: (np.kron(u[b.dual[i]], u[i]) * r, np.kron(u[i], u[b.dual[i]]) * rbar)
+            for i, (r, rbar) in b.conj.items()}
+    return dataclasses.replace(b, fusion=fusion, conj=conj)
+
+
 @pytest.mark.parametrize("qq,L", [(0.9, 6), (0.5, 8)])
-def test_t_inverses_match_the_blockwise_einsum(qq, L):
+@pytest.mark.parametrize("basis", ["weight", "phased"])
+def test_t_inverses_match_the_blockwise_einsum(qq, L, basis):
     # the matmul chains of t1_inverse and t2_inverse against one einsum per
     # block and channel, on a random pair element over every pair and on
-    # the images T1(a (x) c), T2(a (x) c) of random a, c
-    q = reconstruct(gen_suq2(qq, L))
+    # the images T1(a (x) c), T2(a (x) c) of random a, c; the weight basis
+    # is real, so the phased one is what tells conj(R) from R
     rng = np.random.default_rng(5)
+    b = gen_suq2(qq, L)
+    q = reconstruct(phased(b, rng) if basis == "phased" else b)
     x = {}
     for i, j in q.bundle.layout.pairs:
         s = q.d(i) * q.d(j)

@@ -90,8 +90,10 @@ def test_triple_tensor_multiplicities_are_associative(shipped_bundles):
         for j in b.labels:
             for k in b.labels:
                 for m in b.labels:
-                    left = sum(len(b.isometries(i, j, l)) * len(b.isometries(l, k, m)) for l in b.labels)
-                    right = sum(len(b.isometries(j, k, n)) * len(b.isometries(i, n, m)) for n in b.labels)
+                    left = sum(len(b.isometries(i, j, l)) * len(b.isometries(l, k, m))
+                               for l in b.labels)
+                    right = sum(len(b.isometries(j, k, n)) * len(b.isometries(i, n, m))
+                                for n in b.labels)
                     assert left == right, (i, j, k, m)
 
 

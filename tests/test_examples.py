@@ -363,8 +363,10 @@ def test_fmove_certificate_matches_q_racah(q):
     entries = 0
     for (i, j, k, m), f in zip(quads, fmats):
         i, j, k, m = map(int, (i, j, k, m))
-        left = [a for a in range(5) if b.isometries(str(i), str(j), str(a)) and b.isometries(str(a), str(k), str(m))]
-        right = [c for c in range(5) if b.isometries(str(j), str(k), str(c)) and b.isometries(str(i), str(c), str(m))]
+        left = [a for a in range(5)
+                if b.isometries(str(i), str(j), str(a)) and b.isometries(str(a), str(k), str(m))]
+        right = [c for c in range(5)
+                 if b.isometries(str(j), str(k), str(c)) and b.isometries(str(i), str(c), str(m))]
         assert f.shape == (len(right), len(left))
         for r, c in enumerate(right):
             for t, a in enumerate(left):
