@@ -31,8 +31,13 @@ from .braid import (
     verify_quasitriangular,
 )
 from .bundle import BundleSyntaxError, ShapeError, parse_bundle, serialize_bundle, validate_bundle
-from .dual import dual_hopf, pontryagin_check, universal_corep, verify_universal
-from .dual import require_closed as require_tables
+from .dual import (
+    dual_hopf,
+    pontryagin_check,
+    require_closed as require_tables,
+    universal_corep,
+    verify_universal,
+)
 from .examples import (
     BadPresentation,
     builtin_group,
@@ -40,8 +45,7 @@ from .examples import (
     gen_pointed,
     gen_suq2,
 )
-from .group import cocommutative_check, grouplikes
-from .group import require_closed as require_group
+from .group import cocommutative_check, grouplikes, require_closed as require_group
 from .linalg import Tolerance
 from .report import Report
 
