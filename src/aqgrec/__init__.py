@@ -1,22 +1,9 @@
 """aqgrec: reconstruct discrete algebraic quantum groups from semisimple
-tensor-category data and verify their structure numerically."""
+tensor-category data and verify their structure numerically.
+
+The package root loads nothing: import the submodules (aqgrec.bundle,
+aqgrec.aqg, aqgrec.examples, ...), so that a process pays only for what it
+runs.
+"""
 
 __version__ = "0.1.0"
-
-from .bundle import CategoryBundle, parse_bundle, serialize_bundle, validate_bundle
-from .aqg import Aqg, AqgElement, reconstruct, verify_axioms
-from .report import Check, Report
-
-__all__ = [
-    "Aqg",
-    "AqgElement",
-    "CategoryBundle",
-    "Check",
-    "Report",
-    "parse_bundle",
-    "reconstruct",
-    "serialize_bundle",
-    "validate_bundle",
-    "verify_axioms",
-    "__version__",
-]

@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .aqg import Aqg, delta
-from .bundle import CategoryBundle
+from .bundle import require_braiding
+from .errors import MissingBraiding
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -32,15 +33,6 @@ from .linalg import (
     zero_stacks,
 )
 from .report import Report
-
-
-class MissingBraiding(KeyError):
-    def __init__(self, i, j, message=None):
-        super().__init__(message or f"no braiding block for ({i!r},{j!r})")
-        self.pair = (i, j)
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 @dataclass
@@ -61,12 +53,6 @@ class RMatrix:
             di, dj = q.d(i), q.d(j)
             out[(i, j)] = flip(dj, di) @ self.blocks[(j, i)] @ flip(di, dj)
         return RMatrix(out)
-
-
-def require_braiding(b: CategoryBundle) -> None:
-    """Refuse a bundle without braiding data."""
-    if b.braiding is None:
-        raise MissingBraiding("*", "*", "the bundle has no braiding")
 
 
 def braiding_to_r(q: Aqg) -> RMatrix:

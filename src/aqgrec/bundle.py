@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BundleSyntaxError, MissingBraiding, NotFinite, ShapeError
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -43,14 +44,6 @@ from .linalg import (
     zero_stacks,
 )
 from .report import Report
-
-
-class BundleSyntaxError(ValueError):
-    """Raised when bundle text is not well-formed."""
-
-
-class ShapeError(ValueError):
-    """Raised when a matrix/vector in a bundle has inconsistent dimensions."""
 
 
 @dataclass
@@ -95,6 +88,24 @@ class CategoryBundle:
     def complete(self, i: str, j: str) -> bool:
         """True when all summands of i (x) j lie inside the loaded window."""
         return self.layout.complete[(i, j)]
+
+
+def require_tables(b: CategoryBundle) -> None:
+    """Refuse a window: the Hopf tables need all of A."""
+    if not b.closed:
+        raise NotFinite("Hopf tables require a closed bundle")
+
+
+def require_group(b: CategoryBundle) -> None:
+    """Refuse a window: the intrinsic group needs all of A."""
+    if not b.closed:
+        raise NotFinite("intrinsic group requires a closed bundle")
+
+
+def require_braiding(b: CategoryBundle) -> None:
+    """Refuse a bundle without braiding data."""
+    if b.braiding is None:
+        raise MissingBraiding("*", "*", "the bundle has no braiding")
 
 
 class FusionLayout:
@@ -305,6 +316,34 @@ def _fmove_chunk(lay, chans, dim, dm, p, pp):
 # parsing / serialization
 
 
+def _decode_data(obj: dict) -> dict:
+    """json.loads object hook: a list-valued "data" becomes a complex array
+    as soon as its object is parsed, so the entries never stand as a tree of
+    Python lists.  A list that does not convert is left in place for
+    _parse_matrix or _parse_vector to report at its location."""
+    data = obj.get("data")
+    if type(data) is list:
+        try:
+            obj["data"] = _complex_array(data)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
+def _complex_array(data) -> Array:
+    return np.array([complex(re, im) for re, im in data], dtype=complex)
+
+
+def _entries(data, what: str) -> Array:
+    """The entries of a "data" field as a complex array."""
+    if isinstance(data, np.ndarray):
+        return data
+    try:
+        return _complex_array(data)
+    except (TypeError, ValueError) as exc:
+        raise BundleSyntaxError(f"{what}: {exc}") from None
+
+
 def _parse_matrix(obj, where: str) -> Array:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
@@ -312,11 +351,7 @@ def _parse_matrix(obj, where: str) -> Array:
         raise BundleSyntaxError(f"malformed matrix at {where}: {exc}") from None
     if len(data) != rows * cols:
         raise ShapeError(f"matrix at {where}: {len(data)} entries for {rows}x{cols}")
-    try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise BundleSyntaxError(f"bad matrix entry at {where}: {exc}") from None
-    return flat.reshape(rows, cols)
+    return _entries(data, f"bad matrix entry at {where}").reshape(rows, cols)
 
 
 def _parse_vector(obj, where: str) -> Array:
@@ -326,11 +361,7 @@ def _parse_vector(obj, where: str) -> Array:
         raise BundleSyntaxError(f"malformed vector at {where}: {exc}") from None
     if len(data) != n:
         raise ShapeError(f"vector at {where}: {len(data)} entries for len {n}")
-    try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise BundleSyntaxError(f"bad vector entry at {where}: {exc}") from None
-    return flat
+    return _entries(data, f"bad vector entry at {where}")
 
 
 def _require_finite(fusion, conj, braiding) -> None:
@@ -351,7 +382,7 @@ def _require_finite(fusion, conj, braiding) -> None:
 def parse_bundle(text: str) -> CategoryBundle:
     """Parse Category Bundle v1 text.  Checks shapes only, not the mathematics."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_decode_data)
     except json.JSONDecodeError as exc:
         raise BundleSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

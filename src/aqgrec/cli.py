@@ -14,45 +14,107 @@ import sys
 import numpy as np
 
 from . import __version__
-from .aqg import (
-    ConjInconsistent,
-    InconsistentSolve,
-    InvalidBundle,
-    NotFinite,
-    modular_data,
-    reconstruct,
-    verify_axioms,
-)
-from .braid import (
-    MissingBraiding,
-    braiding_to_r,
-    require_braiding,
-    triangularity,
-    verify_quasitriangular,
-)
-from .bundle import BundleSyntaxError, ShapeError, parse_bundle, serialize_bundle, validate_bundle
-from .dual import (
-    dual_hopf,
-    pontryagin_check,
-    require_closed as require_tables,
-    universal_corep,
-    verify_universal,
-)
-from .examples import (
-    BadPresentation,
-    builtin_group,
-    gen_finite_group,
-    gen_pointed,
-    gen_suq2,
-)
-from .group import cocommutative_check, grouplikes, require_closed as require_group
-from .linalg import Tolerance
-from .report import Report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+# The library calls of the handlers.  Each imports its module when it is
+# called, so a subcommand loads only the modules it runs, and each is an
+# attribute of this module, which a caller can wrap (the traced run of
+# perfbench/ does).
+
+
+def parse_bundle(*args, **kwargs):
+    from .bundle import parse_bundle as _parse_bundle
+    return _parse_bundle(*args, **kwargs)
+
+
+def serialize_bundle(*args, **kwargs):
+    from .bundle import serialize_bundle as _serialize_bundle
+    return _serialize_bundle(*args, **kwargs)
+
+
+def validate_bundle(*args, **kwargs):
+    from .bundle import validate_bundle as _validate_bundle
+    return _validate_bundle(*args, **kwargs)
+
+
+def reconstruct(*args, **kwargs):
+    from .aqg import reconstruct as _reconstruct
+    return _reconstruct(*args, **kwargs)
+
+
+def verify_axioms(*args, **kwargs):
+    from .aqg import verify_axioms as _verify_axioms
+    return _verify_axioms(*args, **kwargs)
+
+
+def modular_data(*args, **kwargs):
+    from .aqg import modular_data as _modular_data
+    return _modular_data(*args, **kwargs)
+
+
+def dual_hopf(*args, **kwargs):
+    from .dual import dual_hopf as _dual_hopf
+    return _dual_hopf(*args, **kwargs)
+
+
+def universal_corep(*args, **kwargs):
+    from .dual import universal_corep as _universal_corep
+    return _universal_corep(*args, **kwargs)
+
+
+def verify_universal(*args, **kwargs):
+    from .dual import verify_universal as _verify_universal
+    return _verify_universal(*args, **kwargs)
+
+
+def pontryagin_check(*args, **kwargs):
+    from .dual import pontryagin_check as _pontryagin_check
+    return _pontryagin_check(*args, **kwargs)
+
+
+def grouplikes(*args, **kwargs):
+    from .group import grouplikes as _grouplikes
+    return _grouplikes(*args, **kwargs)
+
+
+def cocommutative_check(*args, **kwargs):
+    from .group import cocommutative_check as _cocommutative_check
+    return _cocommutative_check(*args, **kwargs)
+
+
+def braiding_to_r(*args, **kwargs):
+    from .braid import braiding_to_r as _braiding_to_r
+    return _braiding_to_r(*args, **kwargs)
+
+
+def verify_quasitriangular(*args, **kwargs):
+    from .braid import verify_quasitriangular as _verify_quasitriangular
+    return _verify_quasitriangular(*args, **kwargs)
+
+
+def triangularity(*args, **kwargs):
+    from .braid import triangularity as _triangularity
+    return _triangularity(*args, **kwargs)
+
+
+def gen_finite_group(*args, **kwargs):
+    from .examples import gen_finite_group as _gen_finite_group
+    return _gen_finite_group(*args, **kwargs)
+
+
+def gen_pointed(*args, **kwargs):
+    from .examples import gen_pointed as _gen_pointed
+    return _gen_pointed(*args, **kwargs)
+
+
+def gen_suq2(*args, **kwargs):
+    from .examples import gen_suq2 as _gen_suq2
+    return _gen_suq2(*args, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +172,7 @@ def _emit(payload: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
-def _report_payload(rep: Report, text: bool) -> str:
+def _report_payload(rep, text: bool) -> str:
     return rep.to_text() if text else rep.to_json()
 
 
@@ -146,6 +208,8 @@ def _cmd_check(args, tol) -> int:
 
 
 def _cmd_dual(args, tol) -> int:
+    from .bundle import require_tables
+
     b = _load(args)
     require_tables(b)
     q = reconstruct(b, tol)
@@ -159,6 +223,8 @@ def _cmd_dual(args, tol) -> int:
 
 
 def _cmd_rmatrix(args, tol) -> int:
+    from .bundle import require_braiding
+
     b = _load(args)
     require_braiding(b)
     q = reconstruct(b, tol)
@@ -178,6 +244,8 @@ def _cmd_rmatrix(args, tol) -> int:
 
 
 def _cmd_group(args, tol) -> int:
+    from .bundle import require_group
+
     b = _load(args)
     require_group(b)
     q = reconstruct(b, tol)
@@ -215,6 +283,8 @@ def _cmd_dims(args, tol) -> int:
 
 
 def _cmd_gen(args, _) -> int:
+    from .examples import builtin_group
+
     fam = args.family
     if fam == "zn":
         b = gen_finite_group(builtin_group(f"z{args.n}"))
@@ -242,6 +312,20 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # imported once the arguments parse, so that --version and --help load
+    # no module of the package
+    from .errors import (
+        BadPresentation,
+        BundleSyntaxError,
+        ConjInconsistent,
+        InconsistentSolve,
+        InvalidBundle,
+        MissingBraiding,
+        NotFinite,
+        ShapeError,
+    )
+    from .linalg import Tolerance
+
     tol = None
     try:
         if args.command != "gen":

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import CategoryBundle
+from .errors import BadPresentation
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -30,10 +31,6 @@ from .linalg import (
     residual,
     solve_intertwiners,
 )
-
-
-class BadPresentation(ValueError):
-    """A group presentation or generator argument that defines no bundle."""
 
 
 @dataclass

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqg import Aqg, NotFinite, unit_index
-from .bundle import CategoryBundle
+from .aqg import Aqg, unit_index
+from .bundle import require_group
 from .dual import TableHopf, dual_table, table_from_aqg
 from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
@@ -138,19 +138,13 @@ def verify_grouplike(T: TableHopf, g: Grouplike,
     return rep
 
 
-def require_closed(b: CategoryBundle) -> None:
-    """Refuse a window: the intrinsic group needs all of A."""
-    if not b.closed:
-        raise NotFinite("intrinsic group requires a closed bundle")
-
-
 def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     """Recover the intrinsic group from the dual's characters.
 
     Each *-character chi of the dual determines a grouplike g through
     omega(g) = chi(omega); returns (IntrinsicGroup, T, Td, Report).
     """
-    require_closed(q.bundle)
+    require_group(q.bundle)
     T = table_from_aqg(q)
     Td = dual_table(T)
     P = T.pairing()

@@ -370,3 +370,86 @@ def test_fail_fast_stops_after_both_rows_of_a_hexagon(shipped_bundles):
     assert [c.name for c in rep[-2:]] == ["braiding-hexagon-left", "braiding-hexagon-right"]
     assert rep[-1].location == rep[-2].location
     assert all(c.passed for c in rep[:-2]) and not (rep[-1].passed and rep[-2].passed)
+
+
+def _list_decode(data):
+    """A "data" field decoded entry by entry from its list, as parse_bundle
+    did before it decoded while parsing."""
+    return np.array([complex(re, im) for re, im in data], dtype=complex)
+
+
+def _decoded_arrays(text):
+    """Every matrix and vector of bundle text, in document order, by the
+    list decode."""
+    doc = json.loads(text)
+    out = [_list_decode(m["data"]).reshape(m["rows"], m["cols"])
+           for ent in doc["fusion"] for m in ent["isometries"]]
+    out += [_list_decode(ent[side]["data"]) for ent in doc["conj"].values()
+            for side in ("r", "rbar")]
+    out += [_list_decode(ent["c"]["data"]).reshape(ent["c"]["rows"], ent["c"]["cols"])
+            for ent in doc.get("braiding") or []]
+    return out
+
+
+def test_parse_decodes_as_the_list_decode(shipped_bundles):
+    for name, b in shipped_bundles.items():
+        text = serialize_bundle(b)
+        doc, b2 = json.loads(text), parse_bundle(text)
+        got = [m for ent in doc["fusion"]
+               for m in b2.isometries(ent["i"], ent["j"], ent["k"])]
+        got += [v for i in doc["conj"] for v in b2.conj[i]]
+        got += [b2.braiding[(ent["i"], ent["j"])] for ent in doc.get("braiding") or []]
+        want = _decoded_arrays(text)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+
+def _edited(text, at, change):
+    """text with change applied to the "data" list at path at, and that list."""
+    doc = json.loads(text)
+    ent = doc
+    for key in at:
+        ent = ent[key]
+    change(ent["data"])
+    return json.dumps(doc), ent["data"]
+
+
+def _entry_error(data):
+    """The message of the list decode's error on data."""
+    with pytest.raises((TypeError, ValueError)) as exc:
+        _list_decode(data)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("label", ["1", "data"])
+def test_parse_errors_keep_their_messages(shipped_bundles, label):
+    # a label named "data" keys dims, dual and conj objects, none a matrix
+    text = serialize_bundle(shipped_bundles["pointed-z3-t1"]).replace('"1"', f'"{label}"')
+    b = parse_bundle(text)
+    assert label in b.labels
+    got = [m for ent in json.loads(text)["fusion"]
+           for m in b.isometries(ent["i"], ent["j"], ent["k"])]
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in _decoded_arrays(text)[:len(got)]]
+    n = next(n for n, e in enumerate(json.loads(text)["fusion"]) if e["i"] == e["j"] == label)
+    for at, kind, where, shape in (
+        (("fusion", n, "isometries", 0), "matrix", f"fusion({label},{label}->2)", "1x1"),
+        (("conj", label, "r"), "vector", f"conj({label}).r", "len 1"),
+    ):
+        cases = [
+            (_edited(text, at, lambda d: d.__setitem__(0, ["1.0", 0.0])), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, [1.0, 0.0, 0.0])), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.append([0.0, 0.0])), ShapeError,
+             "{kind} at {where}: 2 entries for {shape}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, [float("nan"), 0.0])),
+             BundleSyntaxError, "non-finite entry at {nonfinite}"),
+        ]
+        for (bad, data), error, message in cases:
+            with pytest.raises(error) as exc:
+                parse_bundle(bad)
+            assert str(exc.value) == message.format(
+                kind=kind, where=where, shape=shape, nonfinite=where.split(".")[0],
+                error=_entry_error(data) if "{error}" in message else "")

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from aqgrec import cli, dual, group
+from aqgrec import dual, group
 from aqgrec.aqg import reconstruct
 from aqgrec.bundle import parse_bundle
 from aqgrec.cli import run
@@ -64,7 +64,9 @@ def test_each_command_builds_the_tables_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (dual, group, cli):
+    # cli.grouplikes imports group.grouplikes when called, so wrapping the
+    # library modules counts every call once
+    for mod in (dual, group):
         for name in ("table_from_aqg", "dual_table", "grouplikes"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -164,7 +166,7 @@ def test_inapplicable_commands_exit_2_before_validating(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("reconstructed a bundle the command refuses")
 
-    monkeypatch.setattr(cli, "reconstruct", refuse)
+    monkeypatch.setattr("aqgrec.aqg.reconstruct", refuse)
     for op, message in (("dual", "Hopf tables require a closed bundle"),
                         ("group", "intrinsic group requires a closed bundle"),
                         ("rmatrix", "the bundle has no braiding")):
@@ -265,6 +267,52 @@ def test_validate_and_check_do_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.split() == ["[0,", "0]", "False"], out
+
+
+_LOADS = (
+    "import json, sys\n"
+    "from aqgrec.cli import run\n"
+    "try:\n"
+    "    code = run(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('aqgrec.'))]))\n"
+)
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    """The package root imports nothing, and each subcommand imports the
+    modules it runs: a refusal right after parsing loads none of aqg,
+    braid, dual or group."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import aqgrec
+
+    closed, window, out = (str(tmp_path / n) for n in ("z3.json", "w.json", "out.json"))
+    assert run(["gen", "pointed", "--n", "3", "--t", "1", "-o", closed]) == 0
+    assert run(["gen", "suq2", "--L", "2", "-o", window]) == 0
+    src = os.path.dirname(os.path.dirname(aqgrec.__file__))
+    cases = [
+        (["--version"], 0, {f.stem for f in Path(aqgrec.__file__).parent.glob("*.py")}
+         - {"__init__", "cli"}),
+        (["validate", closed, "-o", out], 0, {"aqg", "braid", "dual", "group", "examples"}),
+        (["check", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
+        (["dims", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
+        (["gen", "s3", "-o", out], 0, {"aqg", "braid", "dual", "group"}),
+        (["dual", window], 2, {"aqg", "braid", "dual", "group"}),
+        (["group", window], 2, {"aqg", "braid", "dual", "group"}),
+        (["rmatrix", window], 2, {"aqg", "braid", "dual", "group"}),
+    ]
+    for argv, want, unused in cases:
+        res = subprocess.run([sys.executable, "-c", _LOADS, *argv], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        code, loaded = json.loads(res.stdout.splitlines()[-1])
+        assert code == want, (argv, res.stderr)
+        assert not {f"aqgrec.{m}" for m in unused} & set(loaded), (argv, loaded)
+        assert "aqgrec.cli" in loaded and "Traceback" not in res.stderr, argv
 
 
 def test_ill_conditioned_f_exits_2(tmp_path, capsys):
