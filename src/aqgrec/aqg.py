@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import CategoryBundle, validate_bundle
-from .errors import ConjInconsistent, InconsistentSolve, InvalidBundle, NotFinite
+from .errors import ConjInconsistent, InconsistentSolve, InvalidBundle
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -26,7 +26,6 @@ from .linalg import (
     dagger,
     distinct,
     frozen_eye,
-    kron,
     max_abs,
     order_plan,
     residual,
@@ -90,19 +89,6 @@ class Multiplier:
 
 
 PairElement = dict  # (i, j) -> matrix in B(H_i (x) H_j)
-
-
-def pair_norm(x: PairElement) -> float:
-    return worst(*(np.abs(m) for m in x.values()))
-
-
-def elementary_pair(q: "Aqg", a: AqgElement, b: AqgElement) -> PairElement:
-    """a (x) b as a pair element."""
-    return {
-        (i, j): kron(a.blocks[i], b.blocks[j])
-        for i in a.support
-        for j in b.support
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -754,46 +740,6 @@ def t2_inverse(q: Aqg, x: PairElement, plan: _TInversePlan | None = None) -> Pai
     return (plan or _TInversePlan(q, x, "t2")).inverse(x)
 
 
-def t_blocks(q: Aqg, which: str) -> list[Array]:
-    """The diagonal blocks of T1 or T2 on A (x) A (closed bundles only).
-
-    T1(a (x) b) = Delta(a)(1 (x) b) keeps the label j of the second leg, and
-    T2(a (x) b) = (a (x) 1)Delta(b) the label i of the first, so each map is
-    block diagonal over that label.  The block at j is M_j (x) I_{d_j}, with
-
-        M_j[(n,x,z,y), (i,p,s,r)] = sum_v v[x,y,p] conj(v[z,r,s])
-
-    over the isometries v of n (x) j -> i (T2 mirrors this over i (x) n -> j).
-    The singular values of T1 are those of the M_j, each d_j times, so the
-    SVDs of the M_j (size N d_j) certify bijectivity without the dense
-    N^2 x N^2 matrix.
-    """
-    b = q.bundle
-    if not b.closed:
-        raise NotFinite("T-map blocks require a closed bundle")
-    total = q.total_dim()
-    blocks = []
-    for h in q.labels:
-        dh = q.d(h)
-        m = np.zeros((total, dh, total, dh), dtype=complex)
-        for n in q.labels:
-            dn = q.d(n)
-            rows = unit_index(q, n).ravel()
-            for i, _, v in b.layout.channels[(n, h) if which == "t1" else (h, n)]:
-                di = q.d(i)
-                if which == "t1":
-                    vt = v.reshape(dn, dh, di)
-                    blk = np.einsum("xyp,zrs->xzypsr", vt, vt.conj())
-                else:
-                    vt = v.reshape(dh, dn, di)
-                    blk = np.einsum("sbr,cdu->cbdsru", vt, vt.conj())
-                cols = unit_index(q, i).ravel()
-                m[np.ix_(rows, range(dh), cols, range(dh))] += blk.reshape(
-                    dn * dn, dh, di * di, dh)
-        blocks.append(m.reshape(total * dh, total * dh))
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # modular data
 
@@ -892,10 +838,12 @@ def verify_axioms(
 ) -> Report:
     """Numerically verify the multiplier-Hopf-*-algebra axioms.
 
-    Eight check groups: coassociativity (the fusion layout's F-move
-    certificate), counit laws, antipode laws, T1/T2 bijectivity, f-element
-    properties, Haar invariance, Haar faithfulness, and *-compatibility of
-    the coproduct.  Window bundles get each check on its admissible blocks;
+    Seven check groups: coassociativity (the fusion layout's F-move
+    certificate), counit laws, antipode laws, T1/T2 bijectivity (the inverse
+    identities), f-element properties, Haar invariance, and the homomorphism
+    property of the coproduct.  Haar faithfulness and Delta(a*) = Delta(a)*
+    hold by construction and are test oracles.  Window bundles get each check
+    on its admissible blocks;
     anything unreachable is skipped explicitly.  Block families are
     evaluated as stacked products, one per block shape.  The samples of a
     row share one support, so each row plans its index work (blocks,
@@ -956,32 +904,37 @@ def verify_axioms(
     res, scale = worst(*res), worst(*scale)
     rep.add("3-antipode-laws", "samples", res, res <= tol.bound(scale))
 
-    # (4) T1/T2 bijectivity
-    if b.closed:
-        for which in ("t1", "t2"):
-            svals = [np.linalg.svd(m, compute_uv=False) for m in t_blocks(q, which)]
-            smin = -worst(*(-s[-1] for s in svals))
-            smax = worst(*(s[0] for s in svals))
-            ok = smin > tol.absolute * 1e3 + tol.relative * smax
-            rep.add(f"4-{which}-bijective", f"sigma_min={smin:.3e}",
-                    0.0 if ok else 1.0, ok)
-    else:
-        res, scale = [0.0], [1.0]
-        cuts1, cuts2 = (_Cuts(q, sample, sample, (leg,)) for leg in (2, 1))
-        inv1 = _TInversePlan(q, cuts1.keys[0], "t1")
-        inv2 = _TInversePlan(q, cuts2.keys[0], "t2")
-        for t in range(n_small):
-            a = q.random_element(rng, support=sample)
-            c = q.random_element(rng, support=sample)
-            target = elementary_pair(q, a, c)
-            back1 = t1_inverse(q, t1_map(q, a, c, cuts1), inv1)
-            back2 = t2_inverse(q, t2_map(q, a, c, cuts2), inv2)
-            res += [_restricted_pair_residual(q, back1, target, sample),
-                    _restricted_pair_residual(q, back2, target, sample)]
-            scale.append(pair_norm(target))
-        res, scale = worst(*res), worst(*scale)
-        rep.add("4-t-inverse-identities", "window samples", res,
-                res <= tol.bound(scale))
+    # (4) T1/T2 bijectivity: T1^-1 and T2^-1 give back a (x) c on the
+    # sample support; on a closed bundle a left inverse of an endomorphism of
+    # the finite-dimensional A (x) A certifies bijectivity.  The blocks a_i
+    # (x) c_j are compared per (d_i, d_j) class of the support's pairs
+    res, scale = [0.0], [1.0]
+    cuts1, cuts2 = (_Cuts(q, sample, sample, (leg,)) for leg in (2, 1))
+    inv1 = _TInversePlan(q, cuts1.keys[0], "t1")
+    inv2 = _TInversePlan(q, cuts2.keys[0], "t2")
+    lay = b.layout
+    at = np.array([lay.label_index[k] for k in sample], dtype=int)
+    first, second = np.repeat(at, len(at)), np.tile(at, len(at))
+    targets = [([(q.labels[i], q.labels[j]) for i, j in zip(first[sel], second[sel])],
+                dims, lay.block_of[first[sel]], lay.block_of[second[sel]])
+               for dims, sel in _classes(lay.dims[first], lay.dims[second])]
+    for t in range(n_small):
+        a = q.random_element(rng, support=sample)
+        c = q.random_element(rng, support=sample)
+        backs = (t1_inverse(q, t1_map(q, a, c, cuts1), inv1),
+                 t2_inverse(q, t2_map(q, a, c, cuts2), inv2))
+        _, astacks = _label_stacks(q, a.blocks)
+        _, cstacks = _label_stacks(q, c.blocks)
+        for keys, (di, dj), ia, jc in targets:
+            want = bkron(astacks[di][ia], cstacks[dj][jc])
+            zero = np.zeros(want.shape[1:], dtype=complex)
+            for back in backs:
+                got = stack_equal([back.get(k, zero) for k in keys], want.shape[1:])
+                res.append(max_abs(got - want))
+            scale.append(max_abs(want))
+    res, scale = worst(*res), worst(*scale)
+    rep.add("4-t-inverse-identities", "samples" if b.closed else "window samples", res,
+            res <= tol.bound(scale))
 
     # (5) f-element properties
     worst_tr = worst(*(
@@ -1036,27 +989,16 @@ def verify_axioms(
     rep.add("6-haar-invariance", f"support {sample}", res,
             res <= tol.bound(scale) * 10)
 
-    # (7) Haar faithfulness: the Gram form per block is positive definite;
-    # phi(E_p's'* E_ps) = w_i delta_pp' F_i[s,s'], so the Gram matrix is
-    # w_i (I (x) F_i) and its least eigenvalue is w_i times F_i's
-    eigs = [q.haar_weights[i] * np.linalg.eigvalsh(q.F[i])[0] for i in b.labels]
-    worst_eig = -worst(*(-e for e in eigs)) if eigs else np.inf
-    rep.add("7-haar-faithful", "min Gram eigenvalue", 0.0 if worst_eig > 0 else 1.0,
-            worst_eig > tol.absolute)
-
-    # (8) *-compatibility and homomorphism property of Delta.  The residual
-    # and scale are maxima, so the pairs are taken one size d_i d_j at a time,
-    # with their own plan, and at most three Delta stacks of one size are held
+    # (8) homomorphism property of Delta.  The residual and scale are
+    # maxima, so the pairs are taken one size d_i d_j at a time, with their
+    # own plan, and at most three Delta stacks of one size are held
     res, scale = [0.0], [1.0]
     samples = [(q.random_element(rng), q.random_element(rng)) for _ in range(n_small)]
-    samples = [(a, a.star(), a.mul(c), c, worst(1.0, c.norm())) for a, c in samples]
+    samples = [(a, a.mul(c), c, worst(1.0, c.norm())) for a, c in samples]
     for _, pairs in split_by(b.layout.pair_size):
         plan = _DeltaPlan(q, b.labels, pairs)
-        for a, astar, ac, c, cn in samples:
+        for a, ac, c, cn in samples:
             da, _ = _delta_stacks(q, a, plan)
-            dstar, _ = _delta_stacks(q, astar, plan)
-            res += [max_abs(dstar[shape] - bdagger(da[shape])) for shape in da]
-            del dstar
             dac, _ = _delta_stacks(q, ac, plan)
             dc, _ = _delta_stacks(q, c, plan)
             for shape in da:
@@ -1065,21 +1007,6 @@ def verify_axioms(
             del da, dac, dc
         del plan
     res, scale = worst(*res), worst(*scale)
-    rep.add("8-delta-star-homomorphism", "all pairs", res,
-            res <= tol.bound(scale))
+    rep.add("8-delta-homomorphism", "all pairs", res, res <= tol.bound(scale))
     return rep
 
-
-def _restricted_pair_residual(q: Aqg, x: PairElement, y: PairElement, sample) -> float:
-    """Pair residual over blocks whose labels both lie in the sample set."""
-    res = []
-    allowed = set(sample)
-    for key in set(x) | set(y):
-        if key[0] not in allowed or key[1] not in allowed:
-            continue
-        i, j = key
-        dij = q.d(i) * q.d(j)
-        a = x.get(key, np.zeros((dij, dij), dtype=complex))
-        c = y.get(key, np.zeros((dij, dij), dtype=complex))
-        res.append(residual(a, c))
-    return worst(*res)

@@ -340,7 +340,7 @@ def _entries(data, what: str) -> Array:
         return data
     try:
         return _complex_array(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BundleSyntaxError(f"{what}: {exc}") from None
 
 
@@ -379,6 +379,13 @@ def _require_finite(fusion, conj, braiding) -> None:
     raise BundleSyntaxError(f"non-finite entry at {where}")
 
 
+def _typed(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise BundleSyntaxError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def parse_bundle(text: str) -> CategoryBundle:
     """Parse Category Bundle v1 text.  Checks shapes only, not the mathematics."""
     try:
@@ -393,7 +400,7 @@ def parse_bundle(text: str) -> CategoryBundle:
         if key not in doc:
             raise BundleSyntaxError(f"missing key {key!r}")
 
-    labels = [str(x) for x in doc["labels"]]
+    labels = [str(x) for x in _typed(doc["labels"], list, "labels")]
     if len(set(labels)) != len(labels):
         raise BundleSyntaxError("duplicate labels")
     lset = set(labels)
@@ -402,7 +409,7 @@ def parse_bundle(text: str) -> CategoryBundle:
         raise BundleSyntaxError(f"unit label {unit!r} not in labels")
 
     dims = {}
-    for i, v in doc["dims"].items():
+    for i, v in _typed(doc["dims"], dict, "dims").items():
         if i not in lset:
             raise BundleSyntaxError(f"dims mentions unknown label {i!r}")
         if not isinstance(v, int) or v < 1:
@@ -413,15 +420,15 @@ def parse_bundle(text: str) -> CategoryBundle:
     if dims[unit] != 1:
         raise ShapeError("unit label must have dimension 1")
 
-    dual = {str(i): str(j) for i, j in doc["dual"].items()}
+    dual = {str(i): str(j) for i, j in _typed(doc["dual"], dict, "dual").items()}
     if set(dual) != lset or not set(dual.values()) <= lset:
         raise BundleSyntaxError("dual map must be a self-map of the label set")
 
     fusion: dict[tuple[str, str], dict[str, list[Array]]] = {}
-    for ent in doc["fusion"]:
+    for ent in _typed(doc["fusion"], list, "fusion"):
         try:
             i, j, k = str(ent["i"]), str(ent["j"]), str(ent["k"])
-            mats = ent["isometries"]
+            mats = _typed(ent["isometries"], list, "isometries")
         except (KeyError, TypeError) as exc:
             raise BundleSyntaxError(f"malformed fusion entry: {exc}") from None
         for lab in (i, j, k):
@@ -437,11 +444,15 @@ def parse_bundle(text: str) -> CategoryBundle:
             fusion.setdefault((i, j), {}).setdefault(k, []).extend(parsed)
 
     conj = {}
-    for i, ent in doc["conj"].items():
+    for i, ent in _typed(doc["conj"], dict, "conj").items():
         if i not in lset:
             raise BundleSyntaxError(f"conj mentions unknown label {i!r}")
-        r = _parse_vector(ent["r"], f"conj({i}).r")
-        rbar = _parse_vector(ent["rbar"], f"conj({i}).rbar")
+        try:
+            r, rbar = ent["r"], ent["rbar"]
+        except (KeyError, TypeError) as exc:
+            raise BundleSyntaxError(f"malformed conj entry for {i!r}: {exc}") from None
+        r = _parse_vector(r, f"conj({i}).r")
+        rbar = _parse_vector(rbar, f"conj({i}).rbar")
         di, dib = dims[i], dims[dual[i]]
         if r.shape != (dib * di,):
             raise ShapeError(f"conj({i}).r has length {r.shape[0]}, expected {dib * di}")
@@ -456,14 +467,14 @@ def parse_bundle(text: str) -> CategoryBundle:
     braiding = None
     if doc.get("braiding") is not None:
         braiding = {}
-        for ent in doc["braiding"]:
+        for ent in _typed(doc["braiding"], list, "braiding"):
             try:
-                i, j = str(ent["i"]), str(ent["j"])
+                i, j, c = str(ent["i"]), str(ent["j"]), ent["c"]
             except (KeyError, TypeError) as exc:
                 raise BundleSyntaxError(f"malformed braiding entry: {exc}") from None
             if i not in lset or j not in lset:
                 raise BundleSyntaxError(f"braiding entry uses unknown label")
-            c = _parse_matrix(ent["c"], f"braiding({i},{j})")
+            c = _parse_matrix(c, f"braiding({i},{j})")
             want = (dims[j] * dims[i], dims[i] * dims[j])
             if c.shape != want:
                 raise ShapeError(f"braiding({i},{j}): shape {c.shape}, expected {want}")

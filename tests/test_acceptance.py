@@ -24,7 +24,6 @@ from aqgrec.bundle import parse_bundle, serialize_bundle, validate_bundle
 from aqgrec.cli import run
 from aqgrec.dual import (
     dual_hopf,
-    pontryagin_check,
     table_from_aqg,
     dual_table,
     universal_corep,
@@ -34,7 +33,14 @@ from aqgrec.examples import builtin_group, gen_finite_group
 from aqgrec.group import cocommutative_check, grouplikes
 from aqgrec.linalg import flip, residual, solve_intertwiners
 from test_aqg import matrix_unit
-from test_dual import corep_from_rep, regular_rep, rep_from_corep, tensor_corep
+from test_dual import (
+    corep_from_rep,
+    pontryagin_check,
+    regular_rep,
+    rep_from_corep,
+    tensor_corep,
+    universal_identities,
+)
 from test_group import tables_isomorphic
 
 GROUPS = ["z2", "z5", "s3", "d4", "q8"]
@@ -170,9 +176,10 @@ def test_criterion_7_universal_corep(closed_aqgs):
         T, Td, drep = dual_hopf(q)
         assert drep.passed, name
         U = universal_corep(T)
-        rep = verify_universal(q, U, T, Td)
+        rep = verify_universal(U, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8, name
+        assert max(universal_identities(U, T, Td).values()) < 1e-8, name
         # the regular corepresentation V = (iota (x) lambda)U: (iota (x)
         # pi_V)U = V, and pi_{V x V} = (pi_V (x) pi_V) Delta-hat
         V = corep_from_rep(U, regular_rep(Td))
@@ -182,7 +189,7 @@ def test_criterion_7_universal_corep(closed_aqgs):
         want = np.einsum("uab,axy,bzw->uxzyw", Td.comult, mats, mats,
                          optimize=True).reshape(T.dim, n * n, n * n)
         assert residual(rep_from_corep(T, tensor_corep(T, V, V)), want) < 1e-8, name
-    _ok(7, "five defining properties, V roundtrip, tensor compatibility < 1e-8")
+    _ok(7, "unitarity, five defining identities, V roundtrip, tensor compatibility < 1e-8")
 
 
 def test_criterion_8_r_matrices(shipped_aqgs):

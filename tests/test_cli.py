@@ -74,9 +74,9 @@ def test_each_command_builds_the_tables_once(tmp_path, monkeypatch):
     assert run(["group", str(path), "-o", out]) == 0
     assert calls == {"table_from_aqg": 1, "dual_table": 1, "grouplikes": 1}
     calls.clear()
-    # A, its dual and the double dual
+    # A and its dual
     assert run(["dual", str(path), "-o", out]) == 0
-    assert calls == {"table_from_aqg": 1, "dual_table": 2}
+    assert calls == {"table_from_aqg": 1, "dual_table": 1}
 
 
 def test_group_seed_reaches_every_row(tmp_path):
@@ -115,6 +115,33 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     path = _gen(tmp_path, "suq2", "--L", "2")
     assert run(["dual", str(path)]) == 2
     assert run(["group", str(path)]) == 2
+
+
+def _conj_without_r(doc):
+    del doc["conj"]["1"]["r"]
+
+
+@pytest.mark.parametrize("malform", [
+    lambda doc: doc["conj"].update({"1": [1]}),
+    lambda doc: doc["conj"].update({"1": 1}),
+    _conj_without_r,
+    lambda doc: doc.update(conj=list(doc["conj"].values())),
+    lambda doc: doc.update(dims=list(doc["dims"].values())),
+    lambda doc: doc.update(dual=list(doc["dual"].values())),
+    lambda doc: doc.update(labels=2),
+    lambda doc: doc["fusion"][0].update(isometries=1),
+    lambda doc: doc["braiding"][0].pop("c"),
+    lambda doc: doc["fusion"][0]["isometries"][0]["data"][0].__setitem__(0, 10 ** 400),
+], ids=["conj-list", "conj-int", "conj-no-r", "conj-as-list", "dims-as-list",
+        "dual-as-list", "labels-int", "isometries-int", "braiding-no-c", "entry-10**400"])
+def test_malformed_bundle_shapes_exit_2(tmp_path, capsys, malform):
+    path = _gen(tmp_path, "pointed", "--n", "2", "--t", "1")
+    doc = json.loads(path.read_text())
+    malform(doc)
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv", [

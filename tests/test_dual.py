@@ -5,7 +5,6 @@ import pytest
 
 from aqgrec.aqg import (
     AqgElement,
-    NotFinite,
     antipode,
     counit,
     delta,
@@ -15,17 +14,17 @@ from aqgrec.aqg import (
 )
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import (
-    _haar_gram,
     dual_hopf,
     dual_table,
-    pontryagin_check,
     table_from_aqg,
     universal_corep,
     verify_table,
     verify_universal,
 )
-from aqgrec.linalg import DEFAULT_TOL, residual, worst
-from test_aqg import matrix_unit
+from aqgrec.errors import NotFinite
+from aqgrec.linalg import DEFAULT_TOL, dagger, residual, worst
+from aqgrec.report import Report
+from test_aqg import matrix_unit, phased
 from test_report_identity import a4_bundle
 
 
@@ -45,6 +44,93 @@ def matrix_unit_element(q, u):
             p, s = hit[0]
             return AqgElement({i: matrix_unit(q.d(i), p, s)})
     raise IndexError(u)
+
+
+def haar_gram(T):
+    """Gram[u,v] = haar(e_v* e_u)."""
+    stars = T.star.conj()  # row u = coefficients of e_u*
+    return np.einsum("vz,zuw,w->uv", stars, T.mult, T.haar, optimize=True)
+
+
+def table_identities(T):
+    """Residuals of the Hopf-table claims that hold by construction for
+    a dual table: coassociativity, both counit laws, one-sided invariance of
+    the Haar functional, and the least eigenvalue of its Gram form."""
+    c = T.comult
+    left = residual(np.einsum("uab,b->ua", c, T.haar), np.outer(T.haar, T.unit))
+    right = residual(np.einsum("uab,a->ub", c, T.haar), np.outer(T.haar, T.unit))
+    gram = haar_gram(T)
+    return {
+        "coassociativity": residual(np.einsum("umd,mab->uabd", c, c, optimize=True),
+                                    np.einsum("uam,mbd->uabd", c, c, optimize=True)),
+        "counit-left": residual(np.einsum("uab,a->ub", c, T.counit), np.eye(T.dim)),
+        "counit-right": residual(np.einsum("uab,b->ua", c, T.counit), np.eye(T.dim)),
+        "haar-invariance": -worst(-left, -right),
+        "haar-min-eigenvalue": float(np.linalg.eigvalsh((gram + dagger(gram)) / 2)[0]),
+    }
+
+
+def universal_identities(U, T, Td):
+    """Residuals of the defining properties of the universal
+    corepresentation besides unitarity: both comultiplication laws, both
+    slices against the pairing P, and the evaluation identity."""
+    P = T.pairing()
+    B1 = np.einsum("tab,av,bs->vst", T.comult, P, P, optimize=True)
+    return {
+        # (Delta (x) iota)U = U13 U23 and (iota (x) Delta-hat)U = U12 U13
+        "comult-leg1": residual(np.einsum("uc,uab->abc", U, T.comult, optimize=True),
+                                np.einsum("az,bw,zwc->abc", U, U, Td.mult, optimize=True)),
+        "comult-leg2": residual(np.einsum("uv,vab->uab", U, Td.comult, optimize=True),
+                                np.einsum("xb,uc,xua->abc", U, U, T.mult, optimize=True)),
+        "slice-functional": residual(P.T @ U, np.eye(T.dim)),
+        "slice-element": residual(U @ P.T, np.eye(T.dim)),
+        # [U(x (x) omega)](y) = (iota (x) omega)(Delta(y)(x (x) 1))
+        "defining-identity": residual(
+            np.einsum("urw,uv,vst->wrst", T.mult, U, B1, optimize=True),
+            np.einsum("tab,bs,arw->wrst", T.comult, P, T.mult, optimize=True)),
+    }
+
+
+def pontryagin_check(T, Td, tol=DEFAULT_TOL):
+    """Canonical evaluation map A -> (A-hat)-hat is a Hopf *-isomorphism,
+    for the tables T of A and Td = dual_table(T) (as dual_hopf returns them).
+
+    Returns (theta, report): theta[:,u] holds the double-dual coefficients
+    of the basis element e_u.
+    """
+    Tdd = dual_table(Td)
+    P = T.pairing()
+    Phat = Td.pairing()
+    theta = np.linalg.solve(Phat, P.T)
+    rep = Report("pontryagin")
+
+    svals = np.linalg.svd(theta, compute_uv=False)
+    rep.add("bijective", "singular values", 0.0,
+            bool(svals[-1] > tol.absolute * max(1.0, float(svals[0]))))
+    res = residual(theta @ T.unit, Tdd.unit)
+    rep.add("unital", "theta(1)", res, res <= tol.bound(1.0) * 100)
+    lhs = np.einsum("uvw,cw->uvc", T.mult, theta, optimize=True)
+    rhs = np.einsum("au,bv,abc->uvc", theta, theta, Tdd.mult, optimize=True)
+    res = residual(lhs, rhs)
+    rep.add("multiplicative", "basis pairs", res,
+            res <= tol.bound(lhs, rhs) * 100)
+    lhs = np.einsum("uw,cw->cu", T.star, theta, optimize=True)
+    rhs = np.einsum("cu,cz->zu", theta.conj(), Tdd.star, optimize=True)
+    res = residual(lhs, rhs)
+    rep.add("star-homomorphism", "basis", res, res <= tol.bound(lhs, rhs) * 100)
+    lhs = np.einsum("uab,ca,db->ucd", T.comult, theta, theta, optimize=True)
+    rhs = np.einsum("wu,wcd->ucd", theta, Tdd.comult, optimize=True)
+    res = residual(lhs, rhs)
+    rep.add("comultiplicative", "basis", res, res <= tol.bound(lhs, rhs) * 100)
+    res = residual(Tdd.counit @ theta, T.counit)
+    rep.add("counit-compatible", "basis", res, res <= tol.bound(1.0) * 100)
+    return theta, rep
+
+
+def noisy_haar(T, rng, size=1e-2):
+    """T with its Haar functional moved off by noise of the given size."""
+    noise = rng.standard_normal(T.dim) + 1j * rng.standard_normal(T.dim)
+    return dataclasses.replace(T, haar=T.haar + size * noise)
 
 
 # corepresentations of (A, Delta) on B(K), V = sum_u e_u (x) V[u] on the
@@ -87,7 +173,7 @@ def regular_rep(Td):
     """The left regular action of the dual on itself, made a
     *-representation in the inner product of the dual's Haar functional."""
     lam = np.einsum("vsw->vws", Td.mult)
-    gram = _haar_gram(Td)
+    gram = haar_gram(Td)
     w, e = np.linalg.eigh((gram + gram.conj().T) / 2)
     half = (e * np.sqrt(w)) @ e.conj().T
     ihalf = (e / np.sqrt(w)) @ e.conj().T
@@ -180,6 +266,19 @@ def test_dual_hopf_verifies(closed_aqgs):
         assert rep.max_residual < 1e-8
 
 
+def test_dual_hopf_verifies_on_complex_tables(closed_aqgs):
+    # A4's one-dimensional irreps are cube roots of unity and a phased basis
+    # makes every isometry and conjugate pair complex, so the dual product
+    # is complex; a star row that conjugates the wrong factor fails here
+    rng = np.random.default_rng(4)
+    bundles = [parse_bundle(a4_bundle())] + [
+        phased(closed_aqgs[name].bundle, rng) for name in ("s3", "d4")]
+    for b in bundles:
+        _, Td, rep = dual_hopf(reconstruct(b))
+        assert np.abs(Td.mult.imag).max() > 0.1
+        assert rep.passed, rep.failures()
+
+
 def test_dual_requires_closed_bundle(suq2_half):
     with pytest.raises(NotFinite):
         dual_hopf(suq2_half)
@@ -239,7 +338,7 @@ def test_universal_corep_properties(closed_aqgs):
         q = closed_aqgs[name]
         T, Td, _ = dual_hopf(q)
         U = universal_corep(T)
-        rep = verify_universal(q, U, T, Td)
+        rep = verify_universal(U, T, Td)
         assert rep.passed, f"{name}: {rep.failures()}"
         assert rep.max_residual < 1e-8
 
@@ -250,8 +349,38 @@ def test_defining_identity_detects_a_perturbed_entry(closed_aqgs):
         T, Td, _ = dual_hopf(q)
         U = universal_corep(T)
         U[1, 0] += 1e-6
-        rows = {c.name: c for c in verify_universal(q, U, T, Td).checks}
-        assert not rows["defining-identity"].passed, name
+        rows = {c.name: c for c in verify_universal(U, T, Td).checks}
+        assert not rows["unitarity"].passed, name
+        assert universal_identities(U, T, Td)["defining-identity"] > 1e-7, name
+
+
+def test_universal_identities_hold_by_construction(closed_aqgs):
+    # U = inv(P)^T solves every defining identity through P inv(P) = I, for
+    # whatever pairing P the tables give: with 1e-2 noise on the Haar
+    # functional they still hold, so none of them is a report row
+    rng = np.random.default_rng(8)
+    for name, q in closed_aqgs.items():
+        T, Td, _ = dual_hopf(q)
+        noisy = noisy_haar(T, rng)
+        for A, Ahat in ((T, Td), (noisy, dual_table(noisy))):
+            got = universal_identities(universal_corep(A), A, Ahat)
+            assert max(got.values()) < 1e-8, (name, got)
+
+
+def test_dual_table_identities_hold_by_construction(closed_aqgs):
+    # coassociativity, the counit laws and Haar invariance of the dual read
+    # only A's product, unit and counit and the pairing; they hold for A and
+    # its dual, and still for the dual of tables with 1e-2 noise on A's Haar
+    # functional.  The dual's Haar functional is positive (its Gram form is
+    # positive definite), which parseval and phi > 0 imply
+    rng = np.random.default_rng(9)
+    for name, q in closed_aqgs.items():
+        T, Td, _ = dual_hopf(q)
+        for tables, positive in ((T, True), (Td, True), (dual_table(noisy_haar(T, rng)), False)):
+            got = table_identities(tables)
+            eig = got.pop("haar-min-eigenvalue")
+            assert max(got.values()) < 1e-8, (name, got)
+            assert eig > 1e-9 or not positive, name
 
 
 def test_regular_corep_is_unitary_corep(closed_aqgs):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqgrec.aqg import AqgElement, NotFinite, delta, reconstruct, unit_index
+from aqgrec.aqg import AqgElement, delta, reconstruct, unit_index
+from aqgrec.errors import NotFinite
 from aqgrec.dual import table_from_aqg
 from aqgrec.examples import builtin_group, gen_pointed
 from aqgrec.group import (

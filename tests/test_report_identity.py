@@ -1,43 +1,29 @@
 """Report identity: the CLI reports on a fixed set of bundles match the
-reports pinned under tests/data/reports/, row for row.
+reports pinned under tests/data/reports/, row for row and exactly.
 
 Every row keeps its check name, location, position, pass flag and skipped
-flag, and its residual is bitwise equal: the stacked kernels perform the same
-floating-point operations, in the same order, as the per-block code that
-wrote the pinned reports.  The one exception is the ``dual`` report: the
-universal corepresentation is now the closed form inv(P)^T rather than a
-least-squares solution, so its five rows (UNIVERSAL_ROWS) may move by at
-most 1e-15, and the report gains one ``defining-identity`` row after them.
+flag, and its residual is bitwise equal.  A change that moves a row on
+purpose re-pins the reports once, by running this module as a script
+(``PYTHONPATH=src python tests/test_report_identity.py``, which overwrites
+every pinned file), and names each moved row where the change is recorded.
 
 Two cases are built here rather than by ``aqgrec gen``: A4, which no
 built-in family covers, and the SU_q(2) L=3 window, which comes from the
 Temperley-Lieb construction that wrote its pinned reports (``gen_suq2_tl`` in
-test_examples.py).  ``gen suq2`` now works in the weight basis, a different
+test_examples.py).  ``gen suq2`` works in the weight basis, a different
 gauge of the same category, whose L=3 reports keep every row and flag and
 move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
 
-The pinned files were written by running this module as a script
-(``PYTHONPATH=src python tests/test_report_identity.py``) before the fusion
-kernels were batched (the ``dual`` and ``group`` reports: before U took its
-closed form); rerunning it overwrites them.  The ``recoupling`` rows of the
-``validate`` reports and the ``1-coassociativity`` rows of the ``check``
-reports (with the ``max_residual`` headers of a4.validate and
-d4-scaled.validate) were written again when both checks became the F-move
-certificate: s3, d4, q8, a4, suq2-l3 and d4-scaled for ``validate``, s3,
-d4, q8, a4 and suq2-l3 for ``check``, by ``_report`` on the jobs of
-``_jobs``, in the format of ``main``.  Every other row stayed bitwise equal.
-suq2-l3.validate has 137 rows, not 105: every triple of the window with
-i (x) j and j (x) k complete is certified, and every other triple is a
-skipped ``(i,j,k) window`` row.
-
-The ``check``, ``dual`` and ``group`` reports of s3, d4 and q8 were written
-again, by ``_report`` on the jobs of ``_jobs`` in the format of ``main``,
-when F became the product Rbar Rbar* instead of the inverse of J*J: their F
-blocks move by roundoff, and 36 residuals with them (the largest, s3
-``parseval``, from 1.8e-14 to 4.3e-14), every one below 1e-13.  No row
-changed name, location, order or flags.  Their ``dual`` reports now hold the
-``defining-identity`` row and the closed-form universal-corep residuals.
-The suq2-l3 reports stayed bitwise equal.
+The last re-pin deleted the rows that hold by construction: from ``check``,
+``4-t1-bijective`` and ``4-t2-bijective`` (replaced by
+``4-t-inverse-identities`` on every bundle) and ``7-haar-faithful``, and
+``8-delta-star-homomorphism`` became ``8-delta-homomorphism``; from
+``dual``, ``coassociativity``, ``counit-left``, ``counit-right``,
+``haar-invariance``, ``haar-positivity``, every universal-corep row but
+``unitarity``, and the Pontryagin rows.  On the closed bundles row 4 now
+draws its samples from the shared generator, so the sampled rows after it
+moved at roundoff.  Only the ``check`` reports of s3, d4, q8, pointed-z4,
+a4 and suq2-l3 and the ``dual`` reports changed.
 """
 from __future__ import annotations
 
@@ -54,11 +40,6 @@ from aqgrec.examples import GroupPresentation, _table_from_matrices, gen_finite_
 from test_examples import gen_suq2_tl
 
 DATA = Path(__file__).parent / "data" / "reports"
-
-# rows of the dual report that depend on U, and the row the closed form added
-UNIVERSAL_ROWS = ("unitarity", "comult-leg1", "comult-leg2", "slice-functional",
-                  "slice-element")
-NEW_ROW = "defining-identity"
 
 # (case, gen arguments, subcommands)
 CASES = [
@@ -138,23 +119,6 @@ def jobs(tmp_path_factory):
     return dict(_jobs(tmp_path_factory.mktemp("bundles")))
 
 
-def _pinned_rows(op: str, got: list[tuple], want: list[tuple]) -> list[tuple]:
-    """got matched to a pinned dual report: the new row, which must pass and
-    follow the last universal-corep row, is dropped if the pinned report
-    predates it, and universal-corep residuals within 1e-15 of the pinned
-    ones take the pinned values."""
-    if op != "dual":
-        return got
-    if all(w[0] != NEW_ROW for w in want):
-        new = [n for n, g in enumerate(got) if g[0] == NEW_ROW]
-        last = max(n for n, w in enumerate(want) if w[0] in UNIVERSAL_ROWS)
-        assert new == [last + 1] and got[last + 1][2], got[last + 1]
-        got = got[:last + 1] + got[last + 2:]
-    return [w if g[:4] == w[:4] and g[0] in UNIVERSAL_ROWS
-            and abs(g[4] - w[4]) <= 1e-15 else g
-            for g, w in zip(got, want)] + got[len(want):]
-
-
 @pytest.mark.parametrize("case,ops", [(c[0], c[2]) for c in CASES]
                          + [("d4-scaled", ("validate",))])
 def test_reports_match_pinned(tmp_path, jobs, case, ops):
@@ -164,10 +128,7 @@ def test_reports_match_pinned(tmp_path, jobs, case, ops):
         got = _report(jobs[name], tmp_path / "out.json")
         assert got["exit"] == want["exit"], name
         assert got["pass"] == want["pass"], name
-        rows = _pinned_rows(op, _rows(got), _rows(want))
-        assert len(rows) == len(want["checks"]), name
-        for g, w in zip(rows, _rows(want)):
-            assert g == w, name
+        assert _rows(got) == _rows(want), name
         for extra in ("triangular", "triangular_residual", "group", "cocommutative"):
             assert got.get(extra) == want.get(extra), (name, extra)
 

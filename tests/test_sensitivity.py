@@ -1,0 +1,116 @@
+"""Every report row can fail on a defective bundle.
+
+The row-level twin of test_reachability.py: a row that no defect in the
+bundle can fail certifies nothing.  DEFECTS maps every row name that
+verify_axioms, dual_hopf and verify_universal emit to a seeded defect that
+fails it.  A defect is a bundle that validation rejects, reconstructed with
+validate=False so that the rows see it, and there is no exemption list:
+a new row needs a defect here, and a row that holds by construction belongs
+in the tests as an oracle.
+
+Three kinds of defect get past reconstruct's own gates:
+
+- ``channel``: the isometries of one channel i (x) j -> k scaled by 1+1e-6;
+- ``rbar``: one rbar_i scaled by 1+5e-8, which breaks the conjugate
+  equations and the trace balance of F_i by less than reconstruct's gate of
+  100 tol;
+- ``turn``: R_i -> R_i G and Rbar_i -> conj(G)^-1 Rbar_i for a rotation G by
+  0.3 of the first two basis vectors of H_i.  Both zigzag products still
+  give the identity, but r_i is no longer invariant, and the antipode moves
+  by an inner automorphism.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from aqgrec.aqg import reconstruct, verify_axioms
+from aqgrec.bundle import parse_bundle, validate_bundle
+from aqgrec.dual import dual_hopf, universal_corep, verify_universal
+from test_aqg import scaled_channel
+from test_report_identity import a4_bundle
+
+S3_PAIR = ("s3", "channel", ("1", "1", "0"))
+DEFECTS = {
+    # verify_axioms
+    "1-coassociativity": ("d4", "channel", ("2", "3", "1")),
+    "2-counit-laws": ("s3", "channel", ("1", "0", "1")),
+    "3-antipode-laws": ("suq2-q0.5-L4", "channel", ("1", "1", "0")),
+    "4-t-inverse-identities": ("pointed-z5-t1", "channel", ("1", "1", "2")),
+    "5-f-trace-balance": ("a4", "rbar", "3"),
+    "5-s-squared-ad-f": ("s3", "turn", "2"),
+    "5-antipode-of-f": ("suq2-q0.5-L4", "rbar", "0"),
+    "6-haar-invariance": ("suq2-q0.5-L4", "channel", ("1", "1", "0")),
+    "8-delta-homomorphism": ("suq2-q0.5-L4", "channel", ("0", "1", "1")),
+    # dual_hopf
+    "associativity": ("d4", "channel", ("2", "3", "1")),
+    "unit-left": ("s3", "channel", ("0", "0", "0")),
+    "unit-right": ("a4", "channel", ("2", "0", "2")),
+    "comult-homomorphism": ("pointed-z5-t1", "channel", ("1", "1", "2")),
+    "counit-homomorphism": ("a4", "channel", ("0", "1", "1")),
+    "antipode-left": S3_PAIR,
+    "antipode-right": S3_PAIR,
+    "star-involutive": ("s3", "rbar", "2"),
+    "star-antimultiplicative": ("d4", "channel", ("2", "3", "1")),
+    "comult-star": ("pointed-z5-t1", "rbar", "1"),
+    "parseval": ("d4", "channel", ("2", "2", "0")),
+    "antipode-involutive": ("d4", "turn", "4"),
+    # verify_universal
+    "unitarity": S3_PAIR,
+}
+
+
+def scaled_rbar(b, i, s=1 + 5e-8):
+    conj = dict(b.conj)
+    r, rbar = conj[i]
+    conj[i] = (r, rbar * s)
+    return dataclasses.replace(b, conj=conj)
+
+
+def turned_pair(b, i, theta=0.3):
+    ib = b.dual[i]
+    di, dib = b.d(i), b.d(ib)
+    G = np.eye(di, dtype=complex)
+    G[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    r, rbar = b.conj[i]
+    R, Rbar = r.reshape(dib, di) @ G, np.linalg.inv(G).conj() @ rbar.reshape(di, dib)
+    return dataclasses.replace(b, conj={**b.conj, i: (R.reshape(-1), Rbar.reshape(-1))})
+
+
+def defective(b, kind, where):
+    if kind == "channel":
+        return scaled_channel(b, *where)
+    return (scaled_rbar if kind == "rbar" else turned_pair)(b, where)
+
+
+def rows(q):
+    """Name -> row of every check row of verify_axioms, and on a closed
+    bundle of dual_hopf and verify_universal."""
+    reps = [verify_axioms(q)]
+    if q.bundle.closed:
+        T, Td, rep = dual_hopf(q)
+        reps += [rep, verify_universal(universal_corep(T), T, Td)]
+    return {c.name: c for rep in reps for c in rep.checks}
+
+
+@pytest.fixture(scope="module")
+def bundles(shipped_bundles):
+    return dict(shipped_bundles, a4=parse_bundle(a4_bundle()))
+
+
+def test_every_row_has_a_defect(bundles):
+    names = set()
+    for name in [n for n, b in bundles.items() if b.closed] + ["suq2-q0.5-L4"]:
+        got = rows(reconstruct(bundles[name]))
+        assert all(c.passed for c in got.values()), (name, [c for c in got.values() if not c.passed])
+        names |= set(got)
+    assert names == set(DEFECTS)
+
+
+@pytest.mark.parametrize("row", sorted(DEFECTS))
+def test_the_defect_fails_its_row(bundles, row):
+    name, kind, where = DEFECTS[row]
+    bad = defective(bundles[name], kind, where)
+    assert not validate_bundle(bad).passed
+    got = rows(reconstruct(bad, validate=False))[row]
+    assert not got.passed, got
