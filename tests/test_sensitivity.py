@@ -2,13 +2,13 @@
 
 The row-level twin of test_reachability.py: a row that no defect in the
 bundle can fail certifies nothing.  DEFECTS maps every row name that
-verify_axioms, dual_hopf and verify_universal emit to a seeded defect that
-fails it.  A defect is a bundle that validation rejects, reconstructed with
+verify_axioms, dual_hopf, verify_universal and verify_quasitriangular emit
+to a seeded defect that fails it.  A defect is a bundle that validation rejects, reconstructed with
 validate=False so that the rows see it, and there is no exemption list:
 a new row needs a defect here, and a row that holds by construction belongs
 in the tests as an oracle.
 
-Three kinds of defect get past reconstruct's own gates:
+Six kinds of defect get past reconstruct's own gates:
 
 - ``channel``: the isometries of one channel i (x) j -> k scaled by 1+1e-6;
 - ``rbar``: one rbar_i scaled by 1+5e-8, which breaks the conjugate
@@ -17,7 +17,17 @@ Three kinds of defect get past reconstruct's own gates:
 - ``turn``: R_i -> R_i G and Rbar_i -> conj(G)^-1 Rbar_i for a rotation G by
   0.3 of the first two basis vectors of H_i.  Both zigzag products still
   give the identity, but r_i is no longer invariant, and the antipode moves
-  by an inner automorphism.
+  by an inner automorphism;
+- ``braid-scale``: one braiding c_ij scaled by 1+1e-6, so it is no longer
+  unitary;
+- ``braid-phase``: the first row of one c_ij times exp(0.3i), unitary but not
+  natural;
+- ``braid-turn``: one c_ij -> G c_ij for the rotation G by 0.3 of the first
+  two basis vectors of H_j (x) H_i.  Unlike a phase, it does not commute with
+  the other blocks, so Yang-Baxter sees it.
+
+Reconstruct reads no braiding, so the braiding kinds reach the R-matrix rows
+untouched.
 """
 import dataclasses
 
@@ -25,6 +35,7 @@ import numpy as np
 import pytest
 
 from aqgrec.aqg import reconstruct, verify_axioms
+from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import parse_bundle, validate_bundle
 from aqgrec.dual import dual_hopf, universal_corep, verify_universal
 from test_aqg import scaled_channel
@@ -57,6 +68,15 @@ DEFECTS = {
     "antipode-involutive": ("d4", "turn", "4"),
     # verify_universal
     "unitarity": S3_PAIR,
+    # verify_quasitriangular
+    "unitary": ("pointed-z5-t1", "braid-scale", ("1", "2")),
+    "comult-leg1": ("pointed-z5-t1", "channel", ("1", "1", "2")),
+    "comult-leg2": ("pointed-z5-t1", "braid-phase", ("1", "2")),
+    "comult-flip": ("pointed-z5-t1", "channel", ("1", "3", "4")),
+    "yang-baxter": ("d4", "braid-turn", ("4", "4")),
+    "counit-legs": ("pointed-z5-t1", "braid-phase", ("0", "2")),
+    "antipode-leg1": ("d4", "braid-turn", ("1", "4")),
+    "antipode-both": ("a4", "braid-turn", ("3", "3")),
 }
 
 
@@ -67,29 +87,51 @@ def scaled_rbar(b, i, s=1 + 5e-8):
     return dataclasses.replace(b, conj=conj)
 
 
+def rotation(d, theta=0.3):
+    """The rotation by theta of the first two basis vectors of C^d."""
+    G = np.eye(d, dtype=complex)
+    G[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return G
+
+
 def turned_pair(b, i, theta=0.3):
     ib = b.dual[i]
     di, dib = b.d(i), b.d(ib)
-    G = np.eye(di, dtype=complex)
-    G[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    G = rotation(di, theta)
     r, rbar = b.conj[i]
     R, Rbar = r.reshape(dib, di) @ G, np.linalg.inv(G).conj() @ rbar.reshape(di, dib)
     return dataclasses.replace(b, conj={**b.conj, i: (R.reshape(-1), Rbar.reshape(-1))})
 
 
+def changed_braiding(b, pair, kind):
+    c = b.braiding[pair]
+    if kind == "braid-scale":
+        c = c * (1 + 1e-6)
+    elif kind == "braid-phase":
+        c = np.exp(0.3j * (np.arange(len(c)) == 0))[:, None] * c
+    else:
+        c = rotation(len(c)) @ c
+    return dataclasses.replace(b, braiding={**b.braiding, pair: c})
+
+
 def defective(b, kind, where):
     if kind == "channel":
         return scaled_channel(b, *where)
+    if kind.startswith("braid-"):
+        return changed_braiding(b, where, kind)
     return (scaled_rbar if kind == "rbar" else turned_pair)(b, where)
 
 
 def rows(q):
-    """Name -> row of every check row of verify_axioms, and on a closed
-    bundle of dual_hopf and verify_universal."""
+    """Name -> row of every check row of verify_axioms, on a closed bundle
+    of dual_hopf and verify_universal, and on a braided one of
+    verify_quasitriangular."""
     reps = [verify_axioms(q)]
     if q.bundle.closed:
         T, Td, rep = dual_hopf(q)
         reps += [rep, verify_universal(universal_corep(T), T, Td)]
+    if q.bundle.braiding is not None:
+        reps.append(verify_quasitriangular(q, braiding_to_r(q)))
     return {c.name: c for rep in reps for c in rep.checks}
 
 
