@@ -264,7 +264,7 @@ def _label_stacks(q: Aqg, mats: dict):
     return have, stacks
 
 
-class _DeltaPlan:
+class DeltaPlan:
     """The index work of Delta on the pairs with layout indices idx, done
     once for every element whose blocks lie on `labels`.
 
@@ -299,7 +299,7 @@ class _DeltaPlan:
                                 [(w[1].shape[1],) * 2 for w in self.work])
 
 
-def _delta_stacks(q: Aqg, a: AqgElement, plan: _DeltaPlan):
+def delta_stacks(q: Aqg, a: AqgElement, plan: DeltaPlan):
     """Delta(a) on the pairs of plan, as stacks of blocks; a's blocks must
     lie on the plan's labels.
 
@@ -318,18 +318,6 @@ def _delta_stacks(q: Aqg, a: AqgElement, plan: _DeltaPlan):
     return add_planned(out, plan.order, part), plan.slot
 
 
-def delta(q: Aqg, a: AqgElement, pairs) -> PairElement:
-    """The blocks of Delta(a) on the given pairs (i,j).
-
-    Exact for every loaded pair, because unloaded channels cannot carry
-    support of a.
-    """
-    b = q.bundle
-    idx = [b.layout.pair_index[p] for p in pairs]
-    out, slot = _delta_stacks(q, a, _DeltaPlan(q, a.blocks, idx))
-    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n]] for p, n in zip(pairs, idx)}
-
-
 class _Cuts:
     """Cut-off coproducts Delta(a) times b on one leg, for every a with
     blocks on a_labels and b with blocks on b_labels, planned once.
@@ -345,7 +333,7 @@ class _Cuts:
         lay = q.bundle.layout
         self.q, self.legs = q, legs
         where = [_cut_pairs(q, a_labels, sorted(b_labels), leg, others) for leg in legs]
-        self.plan = _DeltaPlan(q, a_labels, np.concatenate([w[0] for w in where]))
+        self.plan = DeltaPlan(q, a_labels, np.concatenate([w[0] for w in where]))
         self.keys = [[lay.pairs[t] for t in idx] for idx, _, _ in where]
         self.classes = [[
             (dl, do, sel, self.plan.slot[idx[sel]], lay.block_of[lead[sel]])
@@ -353,8 +341,8 @@ class _Cuts:
         ] for idx, lead, other in where]
 
     def delta(self, a: AqgElement) -> dict:
-        """Delta(a) on the blocks of every cut, as _delta_stacks's stacks."""
-        return _delta_stacks(self.q, a, self.plan)[0]
+        """Delta(a) on the blocks of every cut, as delta_stacks's stacks."""
+        return delta_stacks(self.q, a, self.plan)[0]
 
     def cut(self, da: dict, b: AqgElement, k: int, sides=("right",)) -> list[PairElement]:
         """Cut k of the Delta(a) stacks da by b, from each of the sides."""
@@ -996,11 +984,11 @@ def verify_axioms(
     samples = [(q.random_element(rng), q.random_element(rng)) for _ in range(n_small)]
     samples = [(a, a.mul(c), c, worst(1.0, c.norm())) for a, c in samples]
     for _, pairs in split_by(b.layout.pair_size):
-        plan = _DeltaPlan(q, b.labels, pairs)
+        plan = DeltaPlan(q, b.labels, pairs)
         for a, ac, c, cn in samples:
-            da, _ = _delta_stacks(q, a, plan)
-            dac, _ = _delta_stacks(q, ac, plan)
-            dc, _ = _delta_stacks(q, c, plan)
+            da, _ = delta_stacks(q, a, plan)
+            dac, _ = delta_stacks(q, ac, plan)
+            dc, _ = delta_stacks(q, c, plan)
             for shape in da:
                 res.append(max_abs(dac[shape] - da[shape] @ dc[shape]))
                 scale.append(max_abs(da[shape]) * cn)

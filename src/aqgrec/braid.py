@@ -4,6 +4,10 @@ A braiding on the category induces a unitary R-matrix in M(A (x) A), with
 R_ij = flip o c_ij, so c_ij = flip o R_ij recovers the braiding; this module
 builds R and verifies the quasitriangularity identities, the Yang-Baxter
 equation, and the antipode compatibilities, blockwise on the loaded pairs.
+
+R is stacked by pair index, and every row is planned from the layout's
+index arrays: its items are index arrays over pairs, labels and channels,
+grouped by block dimensions, and each group gathers its blocks at once.
 """
 from __future__ import annotations
 
@@ -13,70 +17,91 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, delta
-from .bundle import require_braiding
+from .aqg import Aqg, DeltaPlan, delta_stacks
+from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
-from .linalg import (
-    DEFAULT_TOL,
-    Array,
-    Tolerance,
-    add_in_order,
-    bdagger,
-    by_shape,
-    cmat,
-    eye,
-    frozen_eye,
-    flip,
-    max_abs,
-    residual,
-    worst,
-    zero_stacks,
-)
+from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
+                     frozen_eye, max_abs, shape_stacks, split_by, worst, zero_stacks)
 from .report import Report
 
 
 @dataclass
 class RMatrix:
-    """Blockwise element of M(A (x) A): blocks[(i,j)] in B(H_i (x) H_j)."""
+    """Blockwise element of M(A (x) A), stacked by pair index as
+    FusionLayout.pair_stacks stacks matrices: pair p = (i,j) has a block,
+    in B(H_i (x) H_j), when have[p], and it is stacks[shape[p]][slot[p]]."""
 
-    blocks: dict[tuple[str, str], Array]
+    layout: FusionLayout
+    have: Array
+    shape: Array
+    slot: Array
+    stacks: list
 
     def block(self, i: str, j: str) -> Array:
-        if (i, j) not in self.blocks:
+        p = self.layout.pair_index.get((i, j))
+        if p is None or not self.have[p]:
             raise MissingBraiding(i, j)
-        return self.blocks[(i, j)]
+        return self.stacks[self.shape[p]][self.slot[p]]
 
-    def sigma(self, q: Aqg) -> "RMatrix":
+    def take(self, pairs) -> Array:
+        """The blocks of the int array pairs, which share one shape."""
+        return self.stacks[self.shape[pairs[0]]][self.slot[pairs]]
+
+    def tensors(self, i, j) -> Array:
+        """The blocks of the pairs (i[x], j[x]), of one shape, as 4-index
+        tensors (d_i, d_j, d_i, d_j)."""
+        d = self.layout.dims
+        return self.take(i * len(d) + j).reshape(-1, d[i[0]], d[j[0]], d[i[0]], d[j[0]])
+
+    def mapped(self, fn) -> "RMatrix":
+        """The R-matrix on the same pairs whose block (i,j) is
+        fn(d_i, d_j, i, j), called once per (d_i, d_j) on index arrays."""
+        pairs = np.flatnonzero(self.have)
+        i, j = np.divmod(pairs, len(self.layout.dims))
+        stacks = [np.empty_like(s, dtype=complex) for s in self.stacks]
+        for (di, dj), sel in _groups(self.layout.dims[i], self.layout.dims[j]):
+            stacks[self.shape[pairs[sel[0]]]][self.slot[pairs[sel]]] = fn(di, dj, i[sel], j[sel])
+        return RMatrix(self.layout, self.have, self.shape, self.slot, stacks)
+
+    def sigma(self) -> "RMatrix":
         """The flipped R-matrix sigma(R)_{ij} = flip R_{ji} flip."""
-        out = {}
-        for (i, j), _ in self.blocks.items():
-            di, dj = q.d(i), q.d(j)
-            out[(i, j)] = flip(dj, di) @ self.blocks[(j, i)] @ flip(di, dj)
-        return RMatrix(out)
+        n = len(self.layout.dims)
+        h = self.have.reshape(n, n)
+        if (h & ~h.T).any():
+            raise MissingBraiding("*", "*", "sigma(R) needs R_ji wherever R_ij is loaded")
+        return self.mapped(lambda di, dj, i, j: _flip(dj, di) @ self.take(j * n + i)
+                           @ _flip(di, dj))
 
 
 def braiding_to_r(q: Aqg) -> RMatrix:
     """R_{ij} = flip o c_{ij}, per loaded braiding block."""
     b = q.bundle
     require_braiding(b)
-    blocks = {}
-    for (i, j), c in b.braiding.items():
-        blocks[(i, j)] = flip(q.d(j), q.d(i)) @ cmat(c)
-    if not blocks:
+    lay = b.layout
+    c = RMatrix(lay, *lay.pair_stacks(b.braiding))
+    if not c.have.any():
         raise MissingBraiding("*", "*")
-    return RMatrix(blocks)
+    return c.mapped(lambda di, dj, i, j: _flip(dj, di) @ c.take(i * len(lay.dims) + j))
 
 
-def _s_leg1(q: Aqg, R: RMatrix, i: str, j: str):
-    """Operands of ((S (x) iota)R) at block (i,j), from the closed-form
-    antipode: (Rbar_i, conj(R_i), R_{dual(i), j} as a 4-index tensor)."""
-    ib = q.bundle.dual[i]
-    x = R.block(ib, j).reshape(q.d(ib), q.d(j), q.d(ib), q.d(j))
-    return q._rbarmat(i), q._rmat(i).conj(), x
+def _groups(*keys):
+    """Positions grouped by equal values of the int arrays keys: yields
+    (key values, positions) in increasing key order, positions increasing."""
+    if not len(keys[0]):
+        return
+    code = np.ravel_multi_index(keys, [int(k.max()) + 1 for k in keys])
+    for _, sel in split_by(code):
+        yield tuple(int(k[sel[0]]) for k in keys), sel
+
+
+def _eyes(g: int, d: int) -> Array:
+    """g copies of the d x d identity, as a read-only stack."""
+    return np.broadcast_to(frozen_eye(d), (g, d, d))
 
 
 def _apply_s_leg1(rbm, rmc, x) -> Array:
-    """Stacked (S (x) iota) on the operands of _s_leg1, as square blocks."""
+    """Stacked (S (x) iota) on (Rbar_i, conj(R_i), X) with X living on
+    (dual(i), j) as a 4-index tensor, as square blocks."""
     return _square(np.einsum("gud,gbw,gbxdy->guxwy", rbm, rmc, x, optimize=True))
 
 
@@ -86,172 +111,149 @@ def _apply_s_leg2(rbm, rmc, x) -> Array:
     return _square(np.einsum("gud,gbw,gxbyd->gxuyw", rbm, rmc, x, optimize=True))
 
 
-def verify_quasitriangular(
-    q: Aqg,
-    R: RMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    n_samples: int = 8,
-    seed: int = 42,
-) -> Report:
+def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
+                           n_samples: int = 8, seed: int = 42) -> Report:
     """Quasitriangularity, Yang-Baxter, counit/antipode compatibility, and
-    unitarity for an R-matrix, blockwise over the loaded pairs.  Block
-    families are evaluated as stacked products, one per block shape."""
+    unitarity for an R-matrix, blockwise over the loaded pairs.  The items
+    of a row follow loops over labels in label order, and run as one
+    stacked product per group of block dimensions."""
     rep = Report("quasitriangular")
-    b = q.bundle
-    labels = q.labels
-    pairs = sorted(R.blocks)
+    b, lay = q.bundle, q.bundle.layout
+    n, d = len(q.labels), lay.dims
+    have = R.have.reshape(n, n)
     rng = np.random.default_rng(seed)
-    blk = R.blocks
-    d = {i: q.d(i) for i in labels}
-    r4 = {(i, j): m.reshape(d[i], d[j], d[i], d[j]) for (i, j), m in blk.items()}
     bound = tol.bound(1.0) * 100
 
-    res = [0.0]
-    for _, (m,) in by_shape([(m,) for m in blk.values()]):
-        one = eye(m.shape[-1])
-        res += [max_abs(bdagger(m) @ m - one), max_abs(m @ bdagger(m) - one)]
-    res = worst(*res)
+    res = worst(0.0, *(max_abs(x) for m in R.stacks for x in (
+        bdagger(m) @ m - eye(m.shape[-1]), m @ bdagger(m) - eye(m.shape[-1]))))
     rep.add("unitary", "all blocks", res, res <= bound)
 
-    # (Delta x iota)R = R13 R23 at (i,j,m): sum_v (v x I) R_km (v x I)*
-    rows, lhs, rhs = [], [], []
-    for i in labels:
-        for j in labels:
-            if not b.complete(i, j):
-                continue
-            for m in labels:
-                need = [(i, m), (j, m)] + [(k, m) for k, _ in b.support(i, j)]
-                if any(p not in blk for p in need):
-                    continue
-                row = len(rows)
-                rows.append(d[i] * d[j] * d[m])
-                rhs.append(((r4[(i, m)], frozen_eye(d[j]), frozen_eye(d[i]), r4[(j, m)]), row))
-                for k, _, v in b.layout.channels[(i, j)]:
-                    lhs.append(((v, r4[(k, m)]), row))
-    res = _leg_residuals(rows, lhs, "gpk,gkxly,gql->gpxqy",
-                         rhs, ("gaxcy,gbd->gabxcdy", "gac,gbxdy->gabxcdy"))
-    rep.add("comult-leg1", "(Delta x iota)R = R13 R23", res,
-            bool(rows) and res <= bound)
+    # rows (i,j,m) of leg 1 and (m,i,j) of leg 2: i (x) j complete, and R
+    # loaded on (i,m), (j,m), (k,m), or (m,i), (m,j), (m,k), for each summand k
+    pairs = np.flatnonzero(lay.complete_pair)
+    i, j = np.divmod(pairs, n)
+    sup, lacks = lay.loaded[pairs].astype(float), (~have).astype(float)
+    ok1 = (have[i] & have[j] & (sup @ lacks == 0)).reshape(-1)
+    ok2 = (have[:, i] & have[:, j] & (lacks @ sup.T == 0)).reshape(-1)
+    p1, m1 = np.repeat(pairs, n)[ok1], np.tile(np.arange(n), len(pairs))[ok1]
+    p2, m2 = np.tile(pairs, n)[ok2], np.repeat(np.arange(n), len(pairs))[ok2]
+    res = _leg_residual(R, p1, m1, 1)
+    rep.add("comult-leg1", "(Delta x iota)R = R13 R23", res, bool(len(p1)) and res <= bound)
+    res = _leg_residual(R, p2, m2, 2)
+    rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res, bool(len(p2)) and res <= bound)
 
-    # (iota x Delta)R = R13 R12 at (m,i,j): sum_v (I x v) R_mk (I x v)*
-    rows, lhs, rhs = [], [], []
-    for m in labels:
-        for i in labels:
-            for j in labels:
-                if not b.complete(i, j):
-                    continue
-                need = [(m, i), (m, j)] + [(m, k) for k, _ in b.support(i, j)]
-                if any(p not in blk for p in need):
-                    continue
-                row = len(rows)
-                rows.append(d[m] * d[i] * d[j])
-                rhs.append(((r4[(m, j)], frozen_eye(d[i]), r4[(m, i)], frozen_eye(d[j])), row))
-                for k, _, v in b.layout.channels[(i, j)]:
-                    lhs.append(((v.reshape(d[i], d[j], d[k]), r4[(m, k)]), row))
-    res = _leg_residuals(rows, lhs, "gabk,gxkyl,gcdl->gxabycd",
-                         rhs, ("gxbyd,gac->gxabycd", "gxayc,gbd->gxabycd"))
-    rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res,
-            bool(rows) and res <= bound)
-
-    # R Delta = Delta-op R on pairs complete both ways
-    flip_pairs = [(i, j) for i, j in pairs if b.complete(i, j) and b.complete(j, i)]
-    both = flip_pairs + [(j, i) for i, j in flip_pairs]
+    # R Delta = Delta-op R on pairs complete both ways, Delta planned once
+    both = lay.complete_pair & lay.complete_pair.reshape(n, n).T.reshape(-1)
+    pf = np.flatnonzero(R.have & both)
+    i, j = np.divmod(pf, n)
+    plan = DeltaPlan(q, q.labels, np.concatenate([pf, j * n + i]))
+    groups = list(_groups(d[i], d[j]))
     res = [0.0]
     for _ in range(n_samples):
-        dl = delta(q, q.random_element(rng), both)
-        items = []
-        for i, j in flip_pairs:
-            di, dj = q.d(i), q.d(j)
-            items.append((blk[(i, j)], dl[(i, j)], dl[(j, i)], _flip(dj, di), _flip(di, dj)))
-        for _, (rij, dij, dji, f1, f2) in by_shape(items):
-            res.append(max_abs(rij @ dij - f1 @ dji @ f2 @ rij))
+        dl, at = delta_stacks(q, q.random_element(rng), plan)
+        for (di, dj), sel in groups:
+            rij, dij = R.take(pf[sel]), dl[(di * dj,) * 2][at[pf[sel]]]
+            dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
+            res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
     res = worst(*res)
     rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
 
     # Yang-Baxter on every triple with loaded blocks
-    items = []
-    for i in labels:
-        for j in labels:
-            for k in labels:
-                if any(p not in blk for p in ((i, j), (i, k), (j, k))):
-                    continue
-                items.append((r4[(i, j)], frozen_eye(d[k]), r4[(i, k)], frozen_eye(d[j]),
-                              r4[(j, k)], frozen_eye(d[i])))
+    use = have[:, :, None] & have[:, None, :] & have[None, :, :]  # (i,j), (i,k), (j,k)
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)[:, use.reshape(-1)]
     res = [0.0]
-    for _, (rij, ek, rik, ej, rjk, ei) in by_shape(items):
-        r12 = _square(np.einsum("gabcd,gxy->gabxcdy", rij, ek))
-        r13 = _square(np.einsum("gaxcy,gbd->gabxcdy", rik, ej))
-        r23 = _square(np.einsum("gbxdy,gac->gabxcdy", rjk, ei))
+    for (di, dj, dk), sel in _groups(d[i], d[j], d[k]):
+        g, si, sj, sk = len(sel), i[sel], j[sel], k[sel]
+        r12 = _square(np.einsum("gabcd,gxy->gabxcdy", R.tensors(si, sj), _eyes(g, dk)))
+        r13 = _square(np.einsum("gaxcy,gbd->gabxcdy", R.tensors(si, sk), _eyes(g, dj)))
+        r23 = _square(np.einsum("gbxdy,gac->gabxcdy", R.tensors(sj, sk), _eyes(g, di)))
         res.append(max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12))
     res = worst(*res)
     rep.add("yang-baxter", "R12 R13 R23 = R23 R13 R12", res, res <= bound)
 
-    res = []
-    e = b.unit
-    for j in labels:
-        if (e, j) in blk:
-            res.append(residual(R.block(e, j), eye(q.d(j))))
-        if (j, e) in blk:
-            res.append(residual(R.block(j, e), eye(q.d(j))))
-    res = worst(*res)
+    e = lay.label_index[b.unit]
+    legs = np.concatenate([e * n + np.arange(n), np.arange(n) * n + e])
+    legs = legs[R.have[legs]]
+    res = worst(*(max_abs(R.take(legs[sel]) - eye(R.stacks[s].shape[-1]))
+                  for s, sel in split_by(R.shape[legs])))
     rep.add("counit-legs", "(eps x iota)R = 1 = (iota x eps)R", res, res <= bound)
 
-    items = [(*_s_leg1(q, R, i, j), m) for (i, j), m in blk.items()
-             if (b.dual[i], j) in blk and i in b.conj]
-    if items:
-        res = worst(*(max_abs(_apply_s_leg1(rbm, rmc, x) - np.linalg.inv(m))
-                      for _, (rbm, rmc, x, m) in by_shape(items)))
-        rep.add("antipode-leg1", "(S x iota)R = R^-1", res, res <= bound)
-    else:
-        rep.skip("antipode-leg1", "(S x iota)R = R^-1")
+    # the antipode rows, with Rbar_i and conj(R_i) stacked by label number;
+    # d_dual(i) = d_i, so the blocks of each (d_i, d_j) share their shapes
+    dual = np.array([lay.label_index[b.dual[x]] for x in q.labels])
+    conj = [shape_stacks([q._rbarmat(x) for x in q.labels]),
+            shape_stacks([q._rmat(x).conj() for x in q.labels])]
 
-    items = []
-    for (i, j), m in blk.items():
-        ib, jb = b.dual[i], b.dual[j]
-        if (ib, jb) in blk and i in b.conj and j in b.conj:
-            items.append((*_s_leg1(q, R, i, jb), q._rbarmat(j), q._rmat(j).conj(), m))
-    if items:
-        res = []
-        for _, (rbm, rmc, x, rbm2, rmc2, m) in by_shape(items):
-            s1 = _apply_s_leg1(rbm, rmc, x)  # on (i, dual(j)); rbm is (g, d_i, d_i)
-            di, djb = rbm.shape[1], s1.shape[1] // rbm.shape[1]
-            s1 = s1.reshape(-1, di, djb, di, djb)
-            res.append(max_abs(_apply_s_leg2(rbm2, rmc2, s1) - m))
-        res = worst(*res)
-        rep.add("antipode-both", "(S x S)R = R", res, res <= bound)
-    else:
-        rep.skip("antipode-both", "(S x S)R = R")
+    def s_ops(x):  # (Rbar_x, conj(R_x)) for the int array x of labels
+        return [stacks[shape[x[0]]][slot[x]] for shape, slot, stacks in conj]
+
+    i, j = np.divmod(np.flatnonzero(R.have), n)
+    res = [[], []]
+    for (di, dj), sel in _groups(d[i], d[j]):
+        for row, jx in enumerate((j[sel], dual[j[sel]])):
+            ok = R.have[dual[i[sel]] * n + jx]
+            if not ok.any():
+                continue
+            si, sj = i[sel][ok], j[sel][ok]
+            s1 = _apply_s_leg1(*s_ops(si), R.tensors(dual[si], jx[ok]))
+            if row == 0:  # (S x iota)R against R^-1
+                res[0].append(max_abs(s1 - np.linalg.inv(R.take(si * n + sj))))
+            else:  # s1 lives on (i, dual(j)); (iota x S) of it against R
+                s2 = _apply_s_leg2(*s_ops(sj), s1.reshape(-1, di, dj, di, dj))
+                res[1].append(max_abs(s2 - R.take(si * n + sj)))
+    for name, loc, r in zip(("antipode-leg1", "antipode-both"),
+                            ("(S x iota)R = R^-1", "(S x S)R = R"), res):
+        if r:
+            rep.add(name, loc, worst(*r), worst(*r) <= bound)
+        else:
+            rep.skip(name, loc)
     return rep
+
+
+def _leg_residual(R: RMatrix, p: Array, m: Array, leg: int) -> float:
+    """Worst residual of comult-leg1 (leg 1) or comult-leg2 (leg 2) over the
+    rows (i,j,m) or (m,i,j), with (i,j) = pair p[r] and label m[r]: row r
+    sums (v x I) R_km (v x I)* or (I x v) R_mk (I x v)* over the channels v
+    of its pair (to k) in channel order, against R13 R23 or R13 R12.
+    """
+    lay, d = R.layout, R.layout.dims
+    i, j = np.divmod(p, len(d))
+    pos, out = zero_stacks(d[i] * d[j] * d[m])
+    at, ch = lay.channels_of(p)
+    k, mk, ia, ja = lay.chan_label[ch], m[at], i[at], j[at]
+
+    def lhs(sel):
+        v = lay.isometries(ch[sel])
+        if leg == 1:
+            spec, rk = "gpk,gkxly,gql->gpxqy", R.tensors(k[sel], mk[sel])
+        else:
+            spec, rk = "gabk,gxkyl,gcdl->gxabycd", R.tensors(mk[sel], k[sel])
+            v = v.reshape(len(sel), d[ia[sel[0]]], d[ja[sel[0]]], -1)
+        return np.einsum(spec, v, rk, v.conj(), optimize=True)
+
+    # groups of equal operand shapes: v is (d_i d_j, d_k) on leg 1 and
+    # (d_i, d_j, d_k) on leg 2
+    keys = (d[ia] * d[ja],) if leg == 1 else (d[ia], d[ja])
+    add_in_order(out, pos[at], ((sel, _square(lhs(sel)))
+                                for _, sel in _groups(*keys, d[k], d[mk])))
+    res = [0.0]
+    for (di, dj, dm), sel in _groups(d[i], d[j], d[m]):
+        g, si, sj, sm = len(sel), i[sel], j[sel], m[sel]
+        if leg == 1:
+            rhs = (_square(np.einsum("gaxcy,gbd->gabxcdy", R.tensors(si, sm), _eyes(g, dj)))
+                   @ _square(np.einsum("gac,gbxdy->gabxcdy", _eyes(g, di), R.tensors(sj, sm))))
+        else:
+            rhs = (_square(np.einsum("gxbyd,gac->gxabycd", R.tensors(sm, sj), _eyes(g, di)))
+                   @ _square(np.einsum("gxayc,gbd->gxabycd", R.tensors(sm, si), _eyes(g, dj))))
+        s = di * dj * dm
+        res.append(max_abs(out[(s, s)][pos[sel]] - rhs))
+    return worst(*res)
 
 
 def _square(x: Array) -> Array:
     """Stack of 2k-index tensors -> stack of square matrices."""
     n = math.isqrt(math.prod(x.shape[1:]))
     return x.reshape(x.shape[0], n, n)
-
-
-def _leg_residuals(rows, lhs, lhs_spec, rhs, rhs_specs) -> float:
-    """Worst residual between two stacked sums, one block per row.
-
-    lhs items ((v, R_k), row) add up einsum(lhs_spec, v, R_k, v*) in
-    order; rhs items ((A, B, C, D), row) are the products of two leg
-    embeddings, einsum(rhs_specs[0], A, B) @ einsum(rhs_specs[1], C, D).
-    """
-    pos, _ = zero_stacks(rows)
-    kernels = (
-        lambda v, rk: np.einsum(lhs_spec, v, rk, v.conj(), optimize=True),
-        lambda a, b, c, d: _square(np.einsum(rhs_specs[0], a, b))
-        @ _square(np.einsum(rhs_specs[1], c, d)),
-    )
-    sums = []
-    for items, kernel in zip((lhs, rhs), kernels):
-        _, out = zero_stacks(rows)
-        add_in_order(out, pos[[row for _, row in items]], (
-            (nums, _square(kernel(*stacks)))
-            for nums, stacks in by_shape([it for it, _ in items])
-        ))
-        sums.append(out)
-    return worst(0.0, *(max_abs(sums[0][s] - sums[1][s]) for s in sums[0]))
 
 
 @lru_cache(maxsize=None)
@@ -264,8 +266,6 @@ def _flip(d1: int, d2: int) -> Array:
 
 def triangularity(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL):
     """Whether sigma(R) R = 1, with the residual."""
-    sig = R.sigma(q)
-    res = worst(*(
-        residual(sig.block(i, j) @ m, eye(m.shape[0])) for (i, j), m in R.blocks.items()
-    ))
+    res = worst(*(max_abs(s @ m - eye(m.shape[-1]))
+                  for s, m in zip(R.sigma().stacks, R.stacks)))
     return res <= tol.bound(1.0) * 100, res

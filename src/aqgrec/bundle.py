@@ -184,6 +184,20 @@ class FusionLayout:
         lo = self.pair_start[pairs]
         return ranges(lo, self.pair_start[pairs + 1] - lo)
 
+    def pair_stacks(self, mats: dict):
+        """The matrices of mats, keyed by pair, stacked per shape by pair
+        index.
+
+        Returns (have, shape, slot, stacks): pair p has a matrix when
+        have[p], and it is stacks[shape[p]][slot[p]] (shape and slot are -1
+        elsewhere).
+        """
+        have = np.array([p in mats for p in self.pairs], dtype=bool)
+        shape, slot = np.full(len(have), -1), np.full(len(have), -1)
+        shape[have], slot[have], stacks = shape_stacks(
+            [mats[p] for p in self.pairs if p in mats])
+        return have, shape, slot, stacks
+
     @property
     def delta(self):
         """Work list of Delta: every channel (pair, k, alpha) is one item.
@@ -749,7 +763,7 @@ def _validate_braiding(b, tol, rep, fail_fast):
     # the braidings stacked per shape: c(i, m) is braidings(i N + m)
     lay, lab = b.layout, b.labels
     n_lab = len(lab)
-    cshape, cslot, cstacks = shape_stacks([b.braiding[p] for p in lay.pairs])
+    _, cshape, cslot, cstacks = lay.pair_stacks(b.braiding)
 
     def braidings(pairs):
         return cstacks[cshape[pairs[0]]][cslot[pairs]]

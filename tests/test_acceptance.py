@@ -14,7 +14,6 @@ from aqgrec.aqg import (
     AqgElement,
     InvalidBundle,
     antipode,
-    delta,
     element_residual,
     reconstruct,
     verify_axioms,
@@ -32,7 +31,7 @@ from aqgrec.dual import (
 from aqgrec.examples import builtin_group, gen_finite_group
 from aqgrec.group import cocommutative_check, grouplikes
 from aqgrec.linalg import flip, residual, solve_intertwiners
-from test_aqg import matrix_unit
+from test_aqg import delta, matrix_unit
 from test_dual import (
     corep_from_rep,
     pontryagin_check,
@@ -202,14 +201,14 @@ def test_criterion_8_r_matrices(shipped_aqgs):
         tri, _ = triangularity(q, R)
         assert tri == tri_want, n
         worst = max(
-            residual(flip(q.d(i), q.d(j)) @ R.blocks[(i, j)], c)
+            residual(flip(q.d(i), q.d(j)) @ R.block(i, j), c)
             for (i, j), c in q.bundle.braiding.items()
         )
         assert worst < 1e-12, n
     q = shipped_aqgs["s3"]
     R = braiding_to_r(q)
     assert max(
-        residual(m, np.eye(m.shape[0])) for m in R.blocks.values()
+        residual(R.block(i, j), np.eye(q.d(i) * q.d(j))) for i, j in q.bundle.braiding
     ) < 1e-12
     group, T, _, grep = grouplikes(q)
     flag, _ = cocommutative_check(q, T, group, grep)

@@ -6,9 +6,11 @@ import pytest
 from aqgrec.aqg import (
     AqgElement,
     ConjInconsistent,
+    DeltaPlan,
     InvalidBundle,
     antipode,
     counit,
+    delta_stacks,
     element_residual,
     f_element,
     haar,
@@ -35,6 +37,18 @@ def matrix_unit(d, p, s):
     m = np.zeros((d, d), dtype=complex)
     m[p, s] = 1.0
     return m
+
+
+def delta(q, a, pairs):
+    """The blocks of Delta(a) on the given pairs (i,j), as a dict.
+
+    Exact for every loaded pair, because unloaded channels cannot carry
+    support of a.
+    """
+    b = q.bundle
+    idx = [b.layout.pair_index[p] for p in pairs]
+    out, slot = delta_stacks(q, a, DeltaPlan(q, a.blocks, idx))
+    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n]] for p, n in zip(pairs, idx)}
 
 
 def identity(q):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from aqgrec.aqg import delta
 from aqgrec.braid import (
     MissingBraiding,
     RMatrix,
@@ -10,6 +9,7 @@ from aqgrec.braid import (
     verify_quasitriangular,
 )
 from aqgrec.linalg import flip, residual
+from test_aqg import delta
 
 
 def test_quasitriangular_suite_on_pointed_bundles(shipped_aqgs):
@@ -36,8 +36,8 @@ def test_group_bundle_braiding_is_trivial(shipped_aqgs):
     R = braiding_to_r(q)
     rep = verify_quasitriangular(q, R)
     assert rep.passed, rep.failures()
-    for (i, j), m in R.blocks.items():
-        assert residual(m, np.eye(m.shape[0])) < 1e-12
+    for i, j in q.bundle.braiding:
+        assert residual(R.block(i, j), np.eye(q.d(i) * q.d(j))) < 1e-12
     tri, res = triangularity(q, R)
     assert tri and res < 1e-12
 
@@ -47,7 +47,7 @@ def test_braiding_roundtrip_is_exact(shipped_aqgs):
         q = shipped_aqgs[name]
         R = braiding_to_r(q)
         for (i, j), c in q.bundle.braiding.items():
-            back = flip(q.d(i), q.d(j)) @ R.blocks[(i, j)]
+            back = flip(q.d(i), q.d(j)) @ R.block(i, j)
             assert residual(back, c) == 0.0, (name, i, j)
 
 
@@ -71,7 +71,8 @@ def test_random_unitary_is_not_an_r_matrix(shipped_aqgs, rng):
     for (i, j) in q.bundle.braiding:
         z = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
         blocks[(i, j)] = z / np.abs(z)
-    rep = verify_quasitriangular(q, RMatrix(blocks))
+    lay = q.bundle.layout
+    rep = verify_quasitriangular(q, RMatrix(lay, *lay.pair_stacks(blocks)))
     assert not rep.passed
 
 
@@ -86,12 +87,14 @@ def test_sigma_and_inverse_are_consistent(shipped_aqgs):
     q = shipped_aqgs["pointed-z5-t1"]
     R = braiding_to_r(q)
     # R is unitary, so R^-1 = R* blockwise, and sigma commutes with it
-    Rinv = RMatrix({key: m.conj().T for key, m in R.blocks.items()})
-    sig, sig_inv = R.sigma(q), Rinv.sigma(q)
-    for key, m in R.blocks.items():
-        assert residual(Rinv.blocks[key] @ m, np.eye(m.shape[0])) < 1e-12
-        assert residual(sig_inv.blocks[key] @ sig.blocks[key], np.eye(m.shape[0])) < 1e-12
+    lay = q.bundle.layout
+    Rinv = RMatrix(lay, *lay.pair_stacks({p: R.block(*p).conj().T for p in q.bundle.braiding}))
+    sig, sig_inv = R.sigma(), Rinv.sigma()
+    for key in q.bundle.braiding:
+        m = R.block(*key)
+        assert residual(Rinv.block(*key) @ m, np.eye(m.shape[0])) < 1e-12
+        assert residual(sig_inv.block(*key) @ sig.block(*key), np.eye(m.shape[0])) < 1e-12
     # sigma is an involution on the block family
-    sig2 = sig.sigma(q)
-    for key, m in R.blocks.items():
-        assert residual(sig2.blocks[key], m) < 1e-12
+    sig2 = sig.sigma()
+    for key in q.bundle.braiding:
+        assert residual(sig2.block(*key), R.block(*key)) < 1e-12

@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aqgrec.aqg import AqgElement, delta, reconstruct
+from aqgrec.aqg import AqgElement, reconstruct
 from aqgrec.bundle import validate_bundle
 from aqgrec.linalg import dagger, residual, worst
+from test_aqg import delta
 from test_rep import action, hom
 
 

@@ -7,7 +7,6 @@ from aqgrec.aqg import (
     AqgElement,
     antipode,
     counit,
-    delta,
     haar,
     reconstruct,
     unit_index,
@@ -24,7 +23,7 @@ from aqgrec.dual import (
 from aqgrec.errors import NotFinite
 from aqgrec.linalg import DEFAULT_TOL, dagger, residual, worst
 from aqgrec.report import Report
-from test_aqg import matrix_unit, phased
+from test_aqg import delta, matrix_unit, phased
 from test_report_identity import a4_bundle
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqgrec.aqg import AqgElement, delta, reconstruct, unit_index
+from aqgrec.aqg import AqgElement, reconstruct, unit_index
 from aqgrec.errors import NotFinite
 from aqgrec.dual import table_from_aqg
 from aqgrec.examples import builtin_group, gen_pointed
@@ -15,6 +15,7 @@ from aqgrec.group import (
     grouplikes,
 )
 from aqgrec.linalg import residual, solve_intertwiners
+from test_aqg import delta
 
 
 def tables_isomorphic(t1, id1, t2, id2):

@@ -7,9 +7,9 @@ intertwiner spaces of these actions on the matrix units of A.
 """
 import numpy as np
 
-from aqgrec.aqg import AqgElement, counit, delta
+from aqgrec.aqg import AqgElement, counit
 from aqgrec.linalg import dagger, residual, solve_intertwiners
-from test_aqg import identity, matrix_unit
+from test_aqg import delta, identity, matrix_unit
 
 
 def action(q, obj, a):
