@@ -9,6 +9,7 @@ and its irreducible representations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class IntrinsicGroup:
     order: int
     elements: list[Grouplike]
     table: Array  # table[a,b] = index of the product
-    identity: int
+    identity: int  # -1 when no grouplike was found
 
     def element_order(self, a: int) -> int:
         return element_order(self.table, self.identity, a)
@@ -120,20 +121,26 @@ def characters(T: TableHopf, tol: Tolerance = DEFAULT_TOL,
     return chars
 
 
-def verify_grouplike(T: TableHopf, g: Grouplike,
+def products(T: TableHopf, x: Array, y: Array) -> Array:
+    """T.product(x[..], y[..]) over broadcast stacks of coefficient vectors:
+    one tensordot of x with the table, then one stacked matmul."""
+    return np.matmul(y[..., None, :], np.tensordot(x, T.mult, axes=([-1], [0])))[..., 0, :]
+
+
+def verify_grouplike(T: TableHopf, g: Grouplike, units: Array, path,
                      tol: Tolerance = DEFAULT_TOL) -> Report:
-    """The grouplike invariants, on the algebra's own tables."""
+    """The grouplike invariants, on the algebra's own tables.  units holds
+    the products g* g and g g*, and path the einsum path of Delta(g)."""
     rep = Report("grouplike")
     c = g.coeffs
-    lhs = np.einsum("u,uab->ab", c, T.comult, optimize=True)
+    lhs = np.einsum("u,uab->ab", c, T.comult, optimize=path)
     res = residual(lhs, np.outer(c, c))
     rep.add("comult", "Delta(g) = g (x) g", res, res <= tol.bound(lhs) * 1000)
     res = abs(T.counit_of(c) - 1.0)
     rep.add("counit", "eps(g) = 1", res, res <= tol.bound(1.0) * 1000)
     res = residual(T.antipode_of(c), T.star_of(c))
     rep.add("antipode", "S(g) = g*", res, res <= tol.bound(1.0) * 1000)
-    res = worst(residual(T.product(T.star_of(c), c), T.unit),
-                residual(T.product(c, T.star_of(c)), T.unit))
+    res = worst(residual(units[0], T.unit), residual(units[1], T.unit))
     rep.add("unitary", "g* g = g g* = 1", res, res <= tol.bound(1.0) * 1000)
     return rep
 
@@ -150,45 +157,42 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     P = T.pairing()
     chars = characters(Td, tol, seed)
     elements = [Grouplike(np.linalg.solve(P.T, chi), chi) for chi in chars]
+    n = len(elements)
+    C = np.array([g.coeffs for g in elements]).reshape(n, T.dim)
+    S = np.array([T.star_of(c) for c in C]).reshape(n, T.dim)
+    units = np.stack([products(T, S, C), products(T, C, S)], axis=1)
+    path = np.einsum_path("u,uab->ab", T.unit, T.comult, optimize=True)[0]
     rep = Report("intrinsic-group")
     each = Report("grouplike-all")
-    for g in elements:
-        each.extend(verify_grouplike(T, g, tol))
-    rep.add("grouplike-axioms", f"{len(elements)} elements",
-            each.max_residual, each.passed)
+    for g, u in zip(elements, units):
+        each.extend(verify_grouplike(T, g, u, path, tol))
+    rep.add("grouplike-axioms", f"{n} elements", each.max_residual, each.passed)
 
-    n = len(elements)
-    table = -np.ones((n, n), dtype=int)
-    match = []
+    # each product matched to its nearest element, one row a of the table
+    # at a time, so that the distances take n^2 N numbers
+    prods = products(T, C[:, None], C[None])
+    table = np.zeros((n, n), dtype=int)
+    match = np.zeros((n, n))
     for a in range(n):
-        for b in range(n):
-            prod = T.product(elements[a].coeffs, elements[b].coeffs)
-            dists = [float(np.max(np.abs(prod - e.coeffs))) for e in elements]
-            c = int(np.argmin(dists))
-            table[a, b] = c
-            match.append(dists[c])
-    match_res = worst(*match)
+        dists = np.max(np.abs(prods[a][:, None] - C[None]), axis=-1)
+        table[a] = np.argmin(dists, axis=1)
+        match[a] = np.take_along_axis(dists, table[a][:, None], axis=1)[:, 0]
+    match_res = worst(match)
     rep.add("closed-under-product", "multiplier products", match_res,
             match_res <= tol.bound(1.0) * 1e4)
 
-    ident = int(np.argmin([
-        float(np.max(np.abs(e.coeffs - T.unit))) for e in elements
-    ]))
-    ident_res = float(np.max(np.abs(elements[ident].coeffs - T.unit)))
+    # the nearest element to the unit; with no element none is, at distance inf
+    dists = np.max(np.abs(C - T.unit), axis=1)
+    ident = int(np.argmin(dists)) if n else -1
+    ident_res = float(dists[ident]) if n else math.inf
     rep.add("identity", "the unit is grouplike", ident_res,
             ident_res <= tol.bound(1.0) * 1e4)
 
-    ok = n > 0 and all(
-        sorted(table[a]) == list(range(n))
-        and sorted(table[:, a]) == list(range(n))
-        for a in range(n)
-    )
-    assoc = all(
-        table[table[a, b], c] == table[a, table[b, c]]
-        for a in range(n) for b in range(n) for c in range(n)
-    )
+    latin = (np.sort(table, axis=0) == np.arange(n)[:, None]).all() and (
+        np.sort(table, axis=1) == np.arange(n)).all()
+    assoc = (table[table] == table[np.arange(n)[:, None, None], table[None]]).all()
     rep.add("group-axioms", "cancellation and associativity", 0.0,
-            bool(ok and assoc))
+            bool(n > 0 and latin and assoc))
     group = IntrinsicGroup(n, elements, table, ident)
     return group, T, Td, rep
 
@@ -209,8 +213,8 @@ def cocommutative_check(q: Aqg, T: TableHopf, group: IntrinsicGroup,
     if ok:
         rep.add("intrinsic-group-valid", f"order {group.order}",
                 grep.max_residual, grep.passed)
-        spanned = True
-        for i in q.labels:
+        spanned = group.order > 0
+        for i in q.labels if spanned else []:
             d = q.d(i)
             span = np.stack([
                 group_block(q, g, i).reshape(-1) for g in group.elements

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqgrec.aqg import AqgElement, reconstruct, unit_index
-from aqgrec.errors import NotFinite
+from aqgrec.errors import ConjInconsistent, InconsistentSolve, NotFinite
 from aqgrec.dual import table_from_aqg
 from aqgrec.examples import builtin_group, gen_pointed
 from aqgrec.group import (
@@ -15,7 +15,7 @@ from aqgrec.group import (
     grouplikes,
 )
 from aqgrec.linalg import residual, solve_intertwiners
-from test_aqg import delta
+from test_aqg import delta, scaled_channel
 
 
 def tables_isomorphic(t1, id1, t2, id2):
@@ -195,3 +195,28 @@ def test_cocommutative_detection(shipped_aqgs):
         flag, rep = cocommutative_check(q, T, group, grep)
         assert flag, (name, rep.failures())
         assert rep.passed
+
+
+def test_a_bundle_without_grouplikes_fails_its_report(shipped_bundles):
+    # a channel of pointed Z/5 t=1 scaled by 1+1e-6 can leave the dual
+    # without characters; the group is then empty, its identity and group
+    # axioms fail, and the cocommutativity check fails with it
+    b = shipped_bundles["pointed-z5-t1"]
+    reached, empty = 0, 0
+    for (i, j), chans in b.fusion.items():
+        for k in chans:
+            try:
+                q = reconstruct(scaled_channel(b, i, j, k), validate=False)
+            except (ConjInconsistent, InconsistentSolve):
+                continue
+            reached += 1
+            group, T, _, rep = grouplikes(q)
+            flag, crep = cocommutative_check(q, T, group, rep)
+            if group.order == 0:
+                empty += 1
+                assert group.export() == {"order": 0, "identity": -1, "table": [],
+                                          "element_orders": []}
+                failed = {c.name for c in rep.checks if not c.passed}
+                assert failed == {"identity", "group-axioms"}, failed
+                assert not flag and not crep.passed
+    assert reached == 12 and empty > 0
