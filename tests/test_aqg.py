@@ -308,6 +308,38 @@ def phased(b, rng):
     return dataclasses.replace(b, fusion=fusion, conj=conj, braiding=braiding)
 
 
+def haar_unitary(d, rng):
+    """A Haar-random d x d unitary: QR of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into Q."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def gauge(b, rng):
+    """b in another orthonormal basis of each H_i and of each multiplicity
+    space: phased with Haar-random unitaries U_i (1 on the unit) in place of
+    diagonal phases.  The channels of i (x) j -> k are first mixed by a
+    Haar-random unitary W, v_a -> sum_b W[b, a] v_b, and then each becomes
+    (U_i (x) U_j) v U_k*; r_i, rbar_i and the braiding move as in phased,
+    c -> (U_j (x) U_i) c (U_i (x) U_j)*."""
+    u = {i: np.eye(1) if i == b.unit else haar_unitary(b.d(i), rng) for i in b.labels}
+
+    def mixed(vs, w):
+        return [sum(w[t, a] * v for t, v in enumerate(vs)) for a in range(len(vs))]
+
+    fusion = {(i, j): {k: [np.kron(u[i], u[j]) @ v @ u[k].conj().T
+                           for v in mixed(vs, haar_unitary(len(vs), rng))]
+                       for k, vs in chans.items()}
+              for (i, j), chans in b.fusion.items()}
+    conj = {i: (np.kron(u[b.dual[i]], u[i]) @ r, np.kron(u[i], u[b.dual[i]]) @ rbar)
+            for i, (r, rbar) in b.conj.items()}
+    braiding = b.braiding and {
+        (i, j): np.kron(u[j], u[i]) @ c @ np.kron(u[i], u[j]).conj().T
+        for (i, j), c in b.braiding.items()}
+    return dataclasses.replace(b, fusion=fusion, conj=conj, braiding=braiding)
+
+
 @pytest.mark.parametrize("qq,L", [(0.9, 6), (0.5, 8)])
 @pytest.mark.parametrize("basis", ["weight", "phased"])
 def test_t_inverses_match_the_blockwise_einsum(qq, L, basis):

@@ -1,0 +1,79 @@
+"""Gauge oracle: every verdict survives a complex unitary change of basis.
+
+A unitary U_i on each H_i, and one on each multiplicity space, is a unitary
+natural isomorphism of the embedding functor; the reconstructed algebra
+changes by Ad(+U_i), so every subcommand must give the same exit code and
+pass flags on the gauged bundle (test_aqg.gauge), with residuals moved at
+roundoff only, and the quantum dimensions, triangularity and intrinsic group
+must agree.  Every generator writes real isometries, so this is what tells a
+dropped complex conjugation apart.
+"""
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from aqgrec.bundle import parse_bundle, serialize_bundle, validate_bundle
+from aqgrec.cli import run
+from aqgrec.examples import builtin_group, gen_finite_group, gen_pointed
+from test_aqg import gauge, haar_unitary
+from test_report_identity import a4_bundle
+
+BUNDLES = {
+    "d4": lambda: gen_finite_group(builtin_group("d4")),
+    "a4": lambda: parse_bundle(a4_bundle()),
+    "pointed-z5-t1": lambda: gen_pointed(5, 1),
+}
+OPS = ("validate", "check", "rmatrix", "dims", "dual", "group")
+
+
+def _outputs(b, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_bundle(b))
+    out = {}
+    for op in OPS:
+        code = run([op, str(path), "-o", str(tmp_path / "out.json")])
+        out[op] = (code, json.loads((tmp_path / "out.json").read_text()))
+    return out
+
+
+def _rows(doc):
+    return [(c["check"], c["location"], c["pass"], c.get("skipped", False))
+            for c in doc["checks"]]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
+    b = BUNDLES[name]()
+    plain = _outputs(b, tmp_path, "plain")
+    gauged = _outputs(gauge(b, np.random.default_rng(3)), tmp_path, "gauged")
+    for op in OPS:
+        (code, want), (got_code, got) = plain[op], gauged[op]
+        assert got_code == code == 0, op
+        if op == "dims":
+            continue
+        assert got["pass"] == want["pass"] and _rows(got) == _rows(want), op
+        for c, w in zip(got["checks"], want["checks"]):
+            assert abs(c["residual"] - w["residual"]) <= 1e-9, (op, c, w)
+    dims = [[r["quantum_dim"] for r in doc[1]["labels"]] for doc in (plain["dims"], gauged["dims"])]
+    assert np.max(np.abs(np.subtract(*dims))) <= 1e-12
+    assert gauged["rmatrix"][1]["triangular"] == plain["rmatrix"][1]["triangular"]
+    group, want = gauged["group"][1]["group"], plain["group"][1]["group"]
+    assert group["order"] == want["order"]
+    assert sorted(group["element_orders"]) == sorted(want["element_orders"])
+
+
+@pytest.mark.parametrize("name", ["a4", "d4"])
+def test_a_one_leg_gauge_is_not_natural(name):
+    # v -> (U_i (x) I) v on every channel is no natural isomorphism.  Not on
+    # pointed Z/5: on one-dimensional spaces it only multiplies channel
+    # (i,j) by a phase, which leaves Delta and every hexagon as they were,
+    # so that bundle stays valid
+    b = BUNDLES[name]()
+    rng = np.random.default_rng(4)
+    u = {i: haar_unitary(b.d(i), rng) for i in b.labels}
+    fusion = {(i, j): {k: [np.kron(u[i], np.eye(b.d(j))) @ v for v in vs]
+                       for k, vs in chans.items()}
+              for (i, j), chans in b.fusion.items()}
+    assert not validate_bundle(dataclasses.replace(b, fusion=fusion)).passed
