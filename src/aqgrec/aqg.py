@@ -26,6 +26,7 @@ from .linalg import (
     dagger,
     distinct,
     frozen_eye,
+    group_by,
     max_abs,
     order_plan,
     residual,
@@ -337,7 +338,7 @@ class _Cuts:
         self.keys = [[lay.pairs[t] for t in idx] for idx, _, _ in where]
         self.classes = [[
             (dl, do, sel, self.plan.slot[idx[sel]], lay.block_of[lead[sel]])
-            for (dl, do), sel in _classes(lay.dims[lead], lay.dims[other])
+            for (dl, do), sel in group_by(lay.dims[lead], lay.dims[other])
         ] for idx, lead, other in where]
 
     def delta(self, a: AqgElement) -> dict:
@@ -392,17 +393,6 @@ def _cut_pairs(q: Aqg, a_labels, b_support, leg: int, others=None):
     have[[li[k] for k in a_labels]] = True
     keep = lay.loaded[idx][:, have].any(axis=1)
     return idx[keep], lead[keep], other[keep]
-
-
-def _classes(first, second):
-    """Group positions by their (first, second) key pair: yields
-    ((first, second), positions) in increasing key order."""
-    if len(first) == 1:
-        yield (int(first[0]), int(second[0])), np.zeros(1, dtype=int)
-        return
-    code = first * (int(second.max(initial=0)) + 1) + second
-    for _, sel in split_by(code):
-        yield (int(first[sel[0]]), int(second[sel[0]])), sel
 
 
 def counit(q: Aqg, a: AqgElement) -> complex:
@@ -554,7 +544,7 @@ class _HaarPlan:
         self.work = [
             (sel, di, dj, fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]],
              weights[h[sel]][:, None, None])
-            for (di, dj), sel in _classes(lay.dims[first], lay.dims[second])
+            for (di, dj), sel in group_by(lay.dims[first], lay.dims[second])
         ]
         self.sums = _LabelSums(q, [q.labels[n] for n in o], [w[0] for w in self.work])
 
@@ -905,7 +895,7 @@ def verify_axioms(
     first, second = np.repeat(at, len(at)), np.tile(at, len(at))
     targets = [([(q.labels[i], q.labels[j]) for i, j in zip(first[sel], second[sel])],
                 dims, lay.block_of[first[sel]], lay.block_of[second[sel]])
-               for dims, sel in _classes(lay.dims[first], lay.dims[second])]
+               for dims, sel in group_by(lay.dims[first], lay.dims[second])]
     for t in range(n_small):
         a = q.random_element(rng, support=sample)
         c = q.random_element(rng, support=sample)

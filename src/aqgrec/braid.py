@@ -21,7 +21,8 @@ from .aqg import Aqg, DeltaPlan, delta_stacks
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
-                     frozen_eye, max_abs, shape_stacks, split_by, worst, zero_stacks)
+                     frozen_eye, group_by, max_abs, shape_stacks, split_by, worst,
+                     zero_stacks)
 from .report import Report
 
 
@@ -59,7 +60,7 @@ class RMatrix:
         pairs = np.flatnonzero(self.have)
         i, j = np.divmod(pairs, len(self.layout.dims))
         stacks = [np.empty_like(s, dtype=complex) for s in self.stacks]
-        for (di, dj), sel in _groups(self.layout.dims[i], self.layout.dims[j]):
+        for (di, dj), sel in group_by(self.layout.dims[i], self.layout.dims[j]):
             stacks[self.shape[pairs[sel[0]]]][self.slot[pairs[sel]]] = fn(di, dj, i[sel], j[sel])
         return RMatrix(self.layout, self.have, self.shape, self.slot, stacks)
 
@@ -82,16 +83,6 @@ def braiding_to_r(q: Aqg) -> RMatrix:
     if not c.have.any():
         raise MissingBraiding("*", "*")
     return c.mapped(lambda di, dj, i, j: _flip(dj, di) @ c.take(i * len(lay.dims) + j))
-
-
-def _groups(*keys):
-    """Positions grouped by equal values of the int arrays keys: yields
-    (key values, positions) in increasing key order, positions increasing."""
-    if not len(keys[0]):
-        return
-    code = np.ravel_multi_index(keys, [int(k.max()) + 1 for k in keys])
-    for _, sel in split_by(code):
-        yield tuple(int(k[sel[0]]) for k in keys), sel
 
 
 def _eyes(g: int, d: int) -> Array:
@@ -147,7 +138,7 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
     plan = DeltaPlan(q, q.labels, np.concatenate([pf, j * n + i]))
-    groups = list(_groups(d[i], d[j]))
+    groups = list(group_by(d[i], d[j]))
     res = [0.0]
     for _ in range(n_samples):
         dl, at = delta_stacks(q, q.random_element(rng), plan)
@@ -162,7 +153,7 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     use = have[:, :, None] & have[:, None, :] & have[None, :, :]  # (i,j), (i,k), (j,k)
     i, j, k = np.indices((n, n, n)).reshape(3, -1)[:, use.reshape(-1)]
     res = [0.0]
-    for (di, dj, dk), sel in _groups(d[i], d[j], d[k]):
+    for (di, dj, dk), sel in group_by(d[i], d[j], d[k]):
         g, si, sj, sk = len(sel), i[sel], j[sel], k[sel]
         r12 = _square(np.einsum("gabcd,gxy->gabxcdy", R.tensors(si, sj), _eyes(g, dk)))
         r13 = _square(np.einsum("gaxcy,gbd->gabxcdy", R.tensors(si, sk), _eyes(g, dj)))
@@ -189,7 +180,7 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
 
     i, j = np.divmod(np.flatnonzero(R.have), n)
     res = [[], []]
-    for (di, dj), sel in _groups(d[i], d[j]):
+    for (di, dj), sel in group_by(d[i], d[j]):
         for row, jx in enumerate((j[sel], dual[j[sel]])):
             ok = R.have[dual[i[sel]] * n + jx]
             if not ok.any():
@@ -235,9 +226,9 @@ def _leg_residual(R: RMatrix, p: Array, m: Array, leg: int) -> float:
     # (d_i, d_j, d_k) on leg 2
     keys = (d[ia] * d[ja],) if leg == 1 else (d[ia], d[ja])
     add_in_order(out, pos[at], ((sel, _square(lhs(sel)))
-                                for _, sel in _groups(*keys, d[k], d[mk])))
+                                for _, sel in group_by(*keys, d[k], d[mk])))
     res = [0.0]
-    for (di, dj, dm), sel in _groups(d[i], d[j], d[m]):
+    for (di, dj, dm), sel in group_by(d[i], d[j], d[m]):
         g, si, sj, sm = len(sel), i[sel], j[sel], m[sel]
         if leg == 1:
             rhs = (_square(np.einsum("gaxcy,gbd->gabxcdy", R.tensors(si, sm), _eyes(g, dj)))

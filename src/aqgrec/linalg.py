@@ -138,6 +138,17 @@ def split_by(code):
             yield ordered[at], sel
 
 
+def group_by(*keys):
+    """Positions grouped by equal values of the int arrays keys, which share
+    one length: yields (key values, positions) in increasing key order (the
+    first key leading), the positions of each group increasing."""
+    if not len(keys[0]):
+        return
+    code = np.ravel_multi_index(keys, [int(k.max()) + 1 for k in keys])
+    for _, sel in split_by(code):
+        yield tuple(int(k[sel[0]]) for k in keys), sel
+
+
 def ranges(lo, n) -> tuple[Array, Array]:
     """The ranges lo[t], ..., lo[t] + n[t] - 1 one after the other.
 

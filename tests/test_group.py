@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aqgrec.aqg import AqgElement, reconstruct, unit_index
+from aqgrec.bundle import parse_bundle
 from aqgrec.errors import ConjInconsistent, InconsistentSolve, NotFinite
 from aqgrec.dual import table_from_aqg
 from aqgrec.examples import builtin_group, gen_pointed
@@ -13,9 +14,11 @@ from aqgrec.group import (
     element_order,
     group_block,
     grouplikes,
+    products,
 )
 from aqgrec.linalg import residual, solve_intertwiners
 from test_aqg import delta, scaled_channel
+from test_report_identity import a4_bundle
 
 
 def tables_isomorphic(t1, id1, t2, id2):
@@ -220,3 +223,19 @@ def test_a_bundle_without_grouplikes_fails_its_report(shipped_bundles):
                 assert failed == {"identity", "group-axioms"}, failed
                 assert not flag and not crep.passed
     assert reached == 12 and empty > 0
+
+
+@pytest.mark.parametrize("name", ["pointed-z5-t1", "d4", "q8", "a4"])
+def test_stacked_products_equal_the_table_product(shipped_aqgs, name):
+    # the product table of grouplikes against T.product, the einsum it
+    # replaced, bit for bit: every pair of group elements and of random
+    # coefficient vectors (A4 has a 3-dimensional block)
+    q = reconstruct(parse_bundle(a4_bundle())) if name == "a4" else shipped_aqgs[name]
+    group, T, _, _ = grouplikes(q)
+    rng = np.random.default_rng(1)
+    for C in (np.array([g.coeffs for g in group.elements]),
+              rng.standard_normal((4, T.dim)) + 1j * rng.standard_normal((4, T.dim))):
+        got = products(T, C[:, None], C[None])
+        for a, x in enumerate(C):
+            for b, y in enumerate(C):
+                assert np.array_equal(got[a, b], T.product(x, y)), (name, a, b)
