@@ -79,7 +79,7 @@ def braiding_to_r(q: Aqg) -> RMatrix:
     b = q.bundle
     require_braiding(b)
     lay = b.layout
-    c = RMatrix(lay, *lay.pair_stacks(b.braiding))
+    c = RMatrix(lay, *lay.pair_stacks(b.braiding))  # the braidings, stacked as R is
     if not c.have.any():
         raise MissingBraiding("*", "*")
     return c.mapped(lambda di, dj, i, j: _flip(dj, di) @ c.take(i * len(lay.dims) + j))

@@ -176,7 +176,7 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     for a in range(n):
         dists = np.max(np.abs(prods[a][:, None] - C[None]), axis=-1)
         table[a] = np.argmin(dists, axis=1)
-        match[a] = np.take_along_axis(dists, table[a][:, None], axis=1)[:, 0]
+        match[a] = dists.min(axis=1)
     match_res = worst(match)
     rep.add("closed-under-product", "multiplier products", match_res,
             match_res <= tol.bound(1.0) * 1e4)
