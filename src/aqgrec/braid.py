@@ -181,17 +181,17 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     i, j = np.divmod(np.flatnonzero(R.have), n)
     res = [[], []]
     for (di, dj), sel in group_by(d[i], d[j]):
-        for row, jx in enumerate((j[sel], dual[j[sel]])):
-            ok = R.have[dual[i[sel]] * n + jx]
-            if not ok.any():
-                continue
+        ok = R.have[dual[i[sel]] * n + j[sel]]  # (S x iota)R against R^-1
+        if ok.any():
             si, sj = i[sel][ok], j[sel][ok]
-            s1 = _apply_s_leg1(*s_ops(si), R.tensors(dual[si], jx[ok]))
-            if row == 0:  # (S x iota)R against R^-1
-                res[0].append(max_abs(s1 - np.linalg.inv(R.take(si * n + sj))))
-            else:  # s1 lives on (i, dual(j)); (iota x S) of it against R
-                s2 = _apply_s_leg2(*s_ops(sj), s1.reshape(-1, di, dj, di, dj))
-                res[1].append(max_abs(s2 - R.take(si * n + sj)))
+            s1 = _apply_s_leg1(*s_ops(si), R.tensors(dual[si], sj))
+            res[0].append(max_abs(s1 - np.linalg.inv(R.take(si * n + sj))))
+        ok = R.have[dual[i[sel]] * n + dual[j[sel]]]  # (S x S)R against R
+        if ok.any():
+            si, sj = i[sel][ok], j[sel][ok]
+            s1 = _apply_s_leg1(*s_ops(si), R.tensors(dual[si], dual[sj]))  # on (i, dual(j))
+            s2 = _apply_s_leg2(*s_ops(sj), s1.reshape(-1, di, dj, di, dj))
+            res[1].append(max_abs(s2 - R.take(si * n + sj)))
     for name, loc, r in zip(("antipode-leg1", "antipode-both"),
                             ("(S x iota)R = R^-1", "(S x S)R = R"), res):
         if r:
