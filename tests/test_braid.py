@@ -81,6 +81,11 @@ def test_missing_block_raises(shipped_aqgs):
     R = braiding_to_r(q)
     with pytest.raises(MissingBraiding):
         R.block("0", "bogus")
+    # sigma(R)_01 needs R_10
+    lay = q.bundle.layout
+    blocks = {p: R.block(*p) for p in q.bundle.braiding if p != ("1", "0")}
+    with pytest.raises(MissingBraiding):
+        RMatrix(lay, *lay.pair_stacks(blocks)).sigma()
 
 
 def test_sigma_and_inverse_are_consistent(shipped_aqgs):
