@@ -181,7 +181,7 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     rep.add("closed-under-product", "multiplier products", match_res,
             match_res <= tol.bound(1.0) * 1e4)
 
-    # the nearest element to the unit; with no element none is, at distance inf
+    # the element nearest the unit; an empty group has none, at distance inf
     dists = np.max(np.abs(C - T.unit), axis=1)
     ident = int(np.argmin(dists)) if n else -1
     ident_res = float(dists[ident]) if n else math.inf
