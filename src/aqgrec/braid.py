@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, DeltaPlan, delta_stacks
+from .aqg import Aqg, DeltaPlan, delta_stacks, sample_batches
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
@@ -37,12 +37,6 @@ class RMatrix:
     shape: Array
     slot: Array
     stacks: list
-
-    def block(self, i: str, j: str) -> Array:
-        p = self.layout.pair_index.get((i, j))
-        if p is None or not self.have[p]:
-            raise MissingBraiding(i, j)
-        return self.stacks[self.shape[p]][self.slot[p]]
 
     def take(self, pairs) -> Array:
         """The blocks of the int array pairs, which share one shape."""
@@ -134,16 +128,17 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res, bool(len(p2)) and res <= bound)
 
     # R Delta = Delta-op R on pairs complete both ways, Delta planned once
+    # and run once per batch of samples
     both = lay.complete_pair & lay.complete_pair.reshape(n, n).T.reshape(-1)
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
     plan = DeltaPlan(q, q.labels, np.concatenate([pf, j * n + i]))
     groups = list(group_by(d[i], d[j]))
     res = [0.0]
-    for _ in range(n_samples):
-        dl, at = delta_stacks(q, q.random_element(rng), plan)
+    for m in sample_batches(n_samples, plan.entries):
+        dl, at = delta_stacks(q.random_batch(rng, m)[0], plan)
         for (di, dj), sel in groups:
-            rij, dij = R.take(pf[sel]), dl[(di * dj,) * 2][at[pf[sel]]]
+            rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
             dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
             res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
     res = worst(*res)

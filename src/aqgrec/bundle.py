@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BundleSyntaxError, MissingBraiding, NotFinite, ShapeError
 from .linalg import (
+    CHUNK_BYTES,
     DEFAULT_TOL,
     Array,
     Tolerance,
@@ -281,7 +282,7 @@ class FusionLayout:
             res, fmats = np.zeros(len(quads)), [None] * len(quads)
             for nums in sorted(groups, key=lambda g: g[0]):
                 dim, dm, p, pp = key[:, nums[0]].tolist()
-                step = max(1, _FMOVE_CHUNK_BYTES // (32 * ((p + pp) * dim * dm + p * pp * dm * dm)))
+                step = max(1, CHUNK_BYTES // (32 * ((p + pp) * dim * dm + p * pp * dm * dm)))
                 for at in range(0, len(nums), step):
                     chunk = nums[at:at + step]
                     chans = [(v[s], w[s]) for (v, w), s in (
@@ -292,11 +293,6 @@ class FusionLayout:
                         fmats[n] = m
             self._fmoves = (triples, quads, res, fmats)
         return self._fmoves
-
-
-# memory budget of one certificate chunk: U, W and G with their
-# intermediates, counted at 32 bytes per complex entry
-_FMOVE_CHUNK_BYTES = 1 << 22
 
 
 def _fmove_chunk(lay, chans, dim, dm, p, pp):

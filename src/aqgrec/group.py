@@ -166,7 +166,11 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     each = Report("grouplike-all")
     for g, u in zip(elements, units):
         each.extend(verify_grouplike(T, g, u, path, tol))
-    rep.add("grouplike-axioms", f"{n} elements", each.max_residual, each.passed)
+    # with no element these two rows hold vacuously, so they are skipped
+    if n:
+        rep.add("grouplike-axioms", f"{n} elements", each.max_residual, each.passed)
+    else:
+        rep.skip("grouplike-axioms", "0 elements")
 
     # each product matched to its nearest element, one row a of the table
     # at a time, so that the distances take n^2 N numbers
@@ -178,8 +182,11 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
         table[a] = np.argmin(dists, axis=1)
         match[a] = dists.min(axis=1)
     match_res = worst(match)
-    rep.add("closed-under-product", "multiplier products", match_res,
-            match_res <= tol.bound(1.0) * 1e4)
+    if n:
+        rep.add("closed-under-product", "multiplier products", match_res,
+                match_res <= tol.bound(1.0) * 1e4)
+    else:
+        rep.skip("closed-under-product", "multiplier products")
 
     # the element nearest the unit; an empty group has none, at distance inf
     dists = np.max(np.abs(C - T.unit), axis=1)

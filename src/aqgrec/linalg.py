@@ -11,6 +11,7 @@ product performs the same floating-point operations as the 2-d one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,11 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# memory budget of one chunk of stacked work (the quadruples of an F-move
+# certificate, the samples of a sampled check), counted at 32 bytes per
+# complex entry to cover the intermediates
+CHUNK_BYTES = 1 << 22
 
 
 def residual(x, y) -> float:
@@ -221,6 +227,13 @@ def order_plan(pos: Array, numbers, shapes) -> list:
             steps = [(int(part[s]), int(row[s]), int(w)) for (s,), (w,) in steps]
         plan.append((shape, gs, steps))
     return plan
+
+
+def plan_entries(plan: list) -> int:
+    """Entries of the largest result that add_planned holds at once on the
+    schedule plan of order_plan: the items of one result shape."""
+    return max((math.prod(shape) * sum(1 if len(s) == 3 else len(s[0]) for s in steps)
+                for shape, _, steps in plan), default=0)
 
 
 def add_planned(out: dict, plan: list, part) -> dict:

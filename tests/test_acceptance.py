@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from aqgrec.aqg import (
-    AqgElement,
     InvalidBundle,
-    antipode,
-    element_residual,
     reconstruct,
     verify_axioms,
 )
@@ -31,7 +28,9 @@ from aqgrec.dual import (
 from aqgrec.examples import builtin_group, gen_finite_group
 from aqgrec.group import cocommutative_check, grouplikes
 from aqgrec.linalg import flip, residual, solve_intertwiners
-from test_aqg import delta, matrix_unit
+from test_aqg import (AqgElement, antipode, delta, element_residual, f_blocks, matrix_unit,
+                      random_element)
+from test_braid import r_block
 from test_dual import (
     corep_from_rep,
     pontryagin_check,
@@ -83,7 +82,7 @@ def test_criterion_3_f_element(shipped_aqgs):
     tfinv = float(np.trace(q.Finv[spin_half]).real)
     assert abs(tf - 2.5) < 1e-8 and abs(tfinv - 2.5) < 1e-8
     rng = np.random.default_rng(42)
-    a = q.random_element(rng)
+    a = random_element(q, rng)
     s2 = antipode(q, antipode(q, a))
     adf = AqgElement({i: q.F[i] @ a.blocks[i] @ q.Finv[i] for i in a.support})
     assert element_residual(q, s2, adf) < 1e-8
@@ -113,7 +112,7 @@ def test_criterion_4_quantum_dimensions(shipped_aqgs):
     for idx in rng.choice(len(pool), size=20, replace=False):
         qq, i, j = pool[idx]
         # the dimension of pi_i x pi_j is Tr (pi_i x pi_j)(f) = Tr Delta(f)_ij
-        prod = np.trace(delta(qq, qq.f.restrict(qq.labels), [(i, j)])[(i, j)]).real
+        prod = np.trace(delta(qq, f_blocks(qq), [(i, j)])[(i, j)]).real
         sep = np.trace(qq.F[i]).real * np.trace(qq.F[j]).real
         assert abs(prod - sep) < 1e-8, (i, j)
     _ok(4, "d(spin n/2) = (1, 2.5, 5.25, 10.625); multiplicative on 20 pairs")
@@ -201,14 +200,14 @@ def test_criterion_8_r_matrices(shipped_aqgs):
         tri, _ = triangularity(q, R)
         assert tri == tri_want, n
         worst = max(
-            residual(flip(q.d(i), q.d(j)) @ R.block(i, j), c)
+            residual(flip(q.d(i), q.d(j)) @ r_block(R, i, j), c)
             for (i, j), c in q.bundle.braiding.items()
         )
         assert worst < 1e-12, n
     q = shipped_aqgs["s3"]
     R = braiding_to_r(q)
     assert max(
-        residual(R.block(i, j), np.eye(q.d(i) * q.d(j))) for i, j in q.bundle.braiding
+        residual(r_block(R, i, j), np.eye(q.d(i) * q.d(j))) for i, j in q.bundle.braiding
     ) < 1e-12
     group, T, _, grep = grouplikes(q)
     flag, _ = cocommutative_check(q, T, group, grep)

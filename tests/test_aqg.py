@@ -1,35 +1,111 @@
+"""Tests of the reconstructed quantum group, and the element oracles.
+
+The package runs every sampled check on batches (aqg's module docstring).
+Here one element is a dict of blocks, AqgElement, with the single-element
+forms of the draws, the counit, the antipode, the Haar functional, Delta
+and the T-maps that the batched rows are checked against.
+"""
 import dataclasses
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from aqgrec.aqg import (
-    AqgElement,
     ConjInconsistent,
     DeltaPlan,
     InvalidBundle,
-    antipode,
-    counit,
+    _label_stacks,
+    _pair_classes,
+    _TInversePlan,
     delta_stacks,
-    element_residual,
     f_element,
-    haar,
     haar_sample_support,
     modular_data,
     reconstruct,
-    t1_inverse,
-    t1_map,
-    t2_inverse,
-    t2_map,
     unit_index,
     verify_axioms,
 )
+from aqgrec import aqg
+from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import table_from_aqg
 from aqgrec.errors import NotFinite
 from aqgrec.examples import gen_suq2
-from aqgrec.linalg import DEFAULT_TOL, residual, worst
+from aqgrec.linalg import DEFAULT_TOL, cmat, dagger, residual, worst
 from test_report_identity import a4_bundle
+
+
+@dataclass
+class AqgElement:
+    """Finitely supported block map i -> matrix in B(H_i)."""
+
+    blocks: dict
+
+    @property
+    def support(self) -> list:
+        return sorted(self.blocks)
+
+    def block(self, i, d):
+        return self.blocks.get(i, np.zeros((d, d), dtype=complex))
+
+    def mul(self, other):
+        common = set(self.blocks) & set(other.blocks)
+        return AqgElement({i: self.blocks[i] @ other.blocks[i] for i in common})
+
+    def star(self):
+        return AqgElement({i: dagger(m) for i, m in self.blocks.items()})
+
+    def norm(self):
+        return worst(*(np.abs(m) for m in self.blocks.values()))
+
+
+def random_element(q, rng, support=None):
+    """One random element, block by block: the oracle for Aqg.random_batch."""
+    blocks = {}
+    for i in support or q.labels:
+        d = q.d(i)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        blocks[i] = cmat(m)
+    return AqgElement(blocks)
+
+
+def batch(q, *elements):
+    """Elements as one batch of the package's layout."""
+    stacks = [_label_stacks(q, a.blocks) for a in elements]
+    return {d: np.stack([s[d] for s in stacks], axis=1) for d in stacks[0]}
+
+
+def counit(q, a):
+    u = q.bundle.unit
+    return complex(a.blocks[u][0, 0]) if u in a.blocks else 0j
+
+
+def antipode(q, a):
+    """S(a)_i = Rbar_i a_dual(i)^T conj(R_i), one block at a time."""
+    b = q.bundle
+    return AqgElement({b.dual[k]: q._rbarmat(b.dual[k]) @ a.blocks[k].T
+                       @ q._rmat(b.dual[k]).conj() for k in a.support})
+
+
+def haar(q, a, side="left"):
+    """phi(a) = sum w_i Tr(F_i a_i); the right functional uses F_i^{-1}."""
+    mats = q.F if side == "left" else q.Finv
+    total = 0j
+    for i in a.support:
+        total += q.haar_weights[i] * complex(np.trace(mats[i] @ a.blocks[i]))
+    return total
+
+
+def element_residual(q, x, y):
+    return worst(*(residual(x.block(i, q.d(i)), y.block(i, q.d(i)))
+                   for i in set(x.blocks) | set(y.blocks)))
+
+
+def f_blocks(q, inverse=False):
+    """f (or f^-1) on every label, as an element."""
+    return AqgElement({i: cmat(m) for i, m in (q.Finv if inverse else q.F).items()})
 
 
 def matrix_unit(d, p, s):
@@ -47,8 +123,41 @@ def delta(q, a, pairs):
     """
     b = q.bundle
     idx = [b.layout.pair_index[p] for p in pairs]
-    out, slot = delta_stacks(q, a, DeltaPlan(q, a.blocks, idx))
-    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n]] for p, n in zip(pairs, idx)}
+    out, slot = delta_stacks(batch(q, a), DeltaPlan(q, a.blocks, idx))
+    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n], 0] for p, n in zip(pairs, idx)}
+
+
+def t1_map(q, a, c):
+    """T1(a (x) c) = Delta(a)(1 (x) c) on the pairs (o, n), n in c's support."""
+    pairs = [(o, n) for n in c.support for o in q.labels]
+    return {(o, n): m @ np.kron(np.eye(q.d(o)), c.blocks[n])
+            for (o, n), m in delta(q, a, pairs).items()}
+
+
+def t2_map(q, a, c):
+    """T2(a (x) c) = (a (x) 1)Delta(c) on the pairs (n, o), n in a's support."""
+    pairs = [(n, o) for n in a.support for o in q.labels]
+    return {(n, o): np.kron(a.blocks[n], np.eye(q.d(o))) @ m
+            for (n, o), m in delta(q, c, pairs).items()}
+
+
+def _t_inverse(q, x, which):
+    """The dict form of a _TInversePlan over the blocks of x."""
+    lay = q.bundle.layout
+    idx = np.array([lay.pair_index[p] for p in x], dtype=int)
+    keys = list(x)
+    stacks = [np.stack([x[keys[t]] for t in sel])[:, None] for _, sel in _pair_classes(lay, idx)]
+    plan = _TInversePlan(q, idx, which)
+    out = plan.inverse(stacks, 1)
+    return {lay.pairs[p]: out[(lay.pair_size[p],) * 2][plan.where[p], 0] for p in plan.out}
+
+
+def t1_inverse(q, x):
+    return _t_inverse(q, x, "t1")
+
+
+def t2_inverse(q, x):
+    return _t_inverse(q, x, "t2")
 
 
 def identity(q):
@@ -159,7 +268,7 @@ def test_reconstruct_rejects_invalid_bundle(shipped_bundles):
 
 def test_counit_is_a_star_character(s3_aqg, rng):
     q = s3_aqg
-    a, c = q.random_element(rng), q.random_element(rng)
+    a, c = random_element(q, rng), random_element(q, rng)
     assert abs(counit(q, a.mul(c)) - counit(q, a) * counit(q, c)) < 1e-10
     assert abs(counit(q, a.star()) - np.conj(counit(q, a))) < 1e-12
     assert abs(counit(q, identity(q)) - 1.0) < 1e-12
@@ -168,7 +277,7 @@ def test_counit_is_a_star_character(s3_aqg, rng):
 def test_antipode_antihomomorphism_and_inverse(shipped_aqgs, rng):
     for name in ("s3", "q8", "suq2-q0.5-L4"):
         q = shipped_aqgs[name]
-        a, c = q.random_element(rng), q.random_element(rng)
+        a, c = random_element(q, rng), random_element(q, rng)
         lhs = antipode(q, a.mul(c))
         rhs = antipode(q, c).mul(antipode(q, a))
         assert element_residual(q, lhs, rhs) < 1e-9, name
@@ -183,7 +292,7 @@ def test_antipode_antihomomorphism_and_inverse(shipped_aqgs, rng):
 def test_antipode_squared_is_conjugation_by_f(shipped_aqgs, rng):
     for name in ("d4", "suq2-q0.5-L4"):
         q = shipped_aqgs[name]
-        a = q.random_element(rng)
+        a = random_element(q, rng)
         s2 = antipode(q, antipode(q, a))
         adf = AqgElement(
             {i: q.F[i] @ a.blocks[i] @ q.Finv[i] for i in a.support}
@@ -194,7 +303,7 @@ def test_antipode_squared_is_conjugation_by_f(shipped_aqgs, rng):
 def test_haar_is_positive_and_faithful(shipped_aqgs, rng):
     for name in ("z5", "s3", "suq2-q0.5-L4"):
         q = shipped_aqgs[name]
-        a = q.random_element(rng)
+        a = random_element(q, rng)
         val = haar(q, a.star().mul(a))
         assert abs(val.imag) < 1e-9 * max(1.0, abs(val))
         assert val.real > 1e-8 * a.norm() ** 2
@@ -234,8 +343,8 @@ def test_t_maps_invert_on_elementary_tensors(shipped_aqgs, rng):
         # windows: roundtrips are exact only on supports whose products stay
         # representable, the same set the invariance checks use
         sup = haar_sample_support(q)
-        a = q.random_element(rng, support=sup)
-        c = q.random_element(rng, support=sup)
+        a = random_element(q, rng, support=sup)
+        c = random_element(q, rng, support=sup)
         x = elementary_pair(q, a, c)
         for got in (t1_inverse(q, t1_map(q, a, c)), t2_inverse(q, t2_map(q, a, c))):
             for (i, j), blk in x.items():
@@ -354,12 +463,12 @@ def test_t_inverses_match_the_blockwise_einsum(qq, L, basis):
     for i, j in q.bundle.layout.pairs:
         s = q.d(i) * q.d(j)
         x[(i, j)] = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-    a, c = q.random_element(rng), q.random_element(rng)
+    a, c = random_element(q, rng), random_element(q, rng)
     for new, old, image in ((t1_inverse, t1_inverse_blockwise, t1_map(q, a, c)),
                             (t2_inverse, t2_inverse_blockwise, t2_map(q, a, c))):
         for arg in (x, image):
             got, want = new(q, arg), old(q, arg)
-            assert list(got) == list(want)
+            assert sorted(got) == sorted(want)
             for key, blk in want.items():
                 assert residual(got[key], blk) <= 1e-14 * np.max(np.abs(blk)), (qq, L, key)
 
@@ -409,13 +518,13 @@ def per_pair_row_4(q, n_samples=16, seed=42, tol=DEFAULT_TOL):
     sample = haar_sample_support(q)
     n_small = max(2, n_samples // 4)
     for _ in range(n_small):
-        q.random_element(rng)
+        random_element(q, rng)
     for _ in range(4 * n_samples):
-        q.random_element(rng, support=sample)
+        random_element(q, rng, support=sample)
     res, scale = [0.0], [1.0]
     for _ in range(n_small):
-        a = q.random_element(rng, support=sample)
-        c = q.random_element(rng, support=sample)
+        a = random_element(q, rng, support=sample)
+        c = random_element(q, rng, support=sample)
         target = elementary_pair(q, a, c)
         for back in (t1_inverse(q, t1_map(q, a, c)), t2_inverse(q, t2_map(q, a, c))):
             for (i, j), blk in target.items():
@@ -434,6 +543,50 @@ def test_row_4_is_the_per_pair_comparison(shipped_aqgs):
         assert (row.residual, row.passed) == per_pair_row_4(q), name
 
 
+def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
+    # one rng call per batch yields the blocks that random_element draws
+    # one at a time, sample after sample
+    for name in ("s3", "suq2-q0.5-L4"):
+        q = shipped_aqgs[name]
+        sup = haar_sample_support(q)
+        a, c = q.random_batch(np.random.default_rng(9), 3, 2, sup)
+        rng = np.random.default_rng(9)
+        want = [[random_element(q, rng, sup) for _ in range(2)] for _ in range(3)]
+        for got, col in ((a, 0), (c, 1)):
+            for d, m in batch(q, *(w[col] for w in want)).items():
+                assert np.array_equal(got[d], m), (name, d)
+
+
+@pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4"])
+def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
+    # one sample a batch, or every sample in one batch: each product runs on
+    # the same blocks, so every row reads the same bits
+    q = shipped_aqgs[name]
+    reports = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(aqg, "CHUNK_BYTES", budget)
+        rep = verify_axioms(q)
+        if q.bundle.braiding is not None:
+            rep.extend(verify_quasitriangular(q, braiding_to_r(q)))
+        reports.append([(c.name, c.residual, c.passed) for c in rep.checks])
+    assert reports[0] == reports[1]
+
+
+def test_sample_batches_bound_the_memory_of_verify_axioms():
+    # the samples of a row run in batches within CHUNK_BYTES, so the peak
+    # does not grow with the number of samples
+    q = reconstruct(gen_suq2(0.9, 10))
+    peaks = []
+    for n in (16, 64):
+        tracemalloc.start()
+        try:
+            verify_axioms(q, n_samples=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_t_matrices_are_invertible_on_closed_bundles(closed_aqgs):
     for name, q in closed_aqgs.items():
         for which in ("t1", "t2"):
@@ -448,14 +601,14 @@ def test_modular_data(shipped_aqgs):
         delta_mod, rho, mu = modular_data(q)
         assert abs(mu - 1.0) < 1e-8, name
         for i in q.labels:
-            assert residual(delta_mod.block(i), q.Finv[i] @ q.Finv[i]) < 1e-8
+            assert residual(delta_mod[i], q.Finv[i] @ q.Finv[i]) < 1e-8
             fi, fiinv = rho[i]
             assert residual(fi, q.F[i]) == 0.0 and residual(fiinv, q.Finv[i]) == 0.0
 
 
 def test_element_algebra_is_associative_star_algebra(suq2_half, rng):
     q = suq2_half
-    a, c, e = (q.random_element(rng) for _ in range(3))
+    a, c, e = (random_element(q, rng) for _ in range(3))
     assert element_residual(q, a.mul(c).mul(e), a.mul(c.mul(e))) < 1e-10
     assert element_residual(q, a.mul(c).star(), c.star().mul(a.star())) < 1e-12
     one = identity(q)

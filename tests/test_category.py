@@ -4,12 +4,11 @@ coproduct actions, natural transformations as elements of A."""
 import dataclasses
 
 import numpy as np
-import pytest
 
-from aqgrec.aqg import AqgElement, reconstruct
+from aqgrec.aqg import reconstruct
 from aqgrec.bundle import validate_bundle
 from aqgrec.linalg import dagger, residual, worst
-from test_aqg import delta
+from test_aqg import AqgElement, delta, random_element
 from test_rep import action, hom
 
 
@@ -124,7 +123,7 @@ def test_hom_decomps_basis_is_orthonormal(shipped_aqgs):
 def test_nat_component_independent_of_decomposition(s3_aqg, rng):
     q = s3_aqg
     b = q.bundle
-    a = q.random_element(rng)
+    a = random_element(q, rng)
     two = [i for i in b.labels if b.d(i) == 2][0]
     x = delta(q, a, [(two, two)])[(two, two)]
     # the component of a on 2 (x) 2 is sum v a_k v* for any decomposition
@@ -137,11 +136,3 @@ def test_nat_component_independent_of_decomposition(s3_aqg, rng):
     # intertwining with every Hom(X, X) morphism characterizes naturality
     for t in hom(q, (two, two), (two, two)):
         assert np.max(np.abs(t @ x - x @ t)) < 1e-9
-
-
-def test_nat_component_missing_block_raises(shipped_aqgs):
-    # an element of M(A) is a total block map: f has no block at a label
-    # outside the bundle
-    q = shipped_aqgs["z2"]
-    with pytest.raises(KeyError, match="bogus"):
-        q.f.restrict([q.bundle.unit, "bogus"])

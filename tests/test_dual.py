@@ -3,14 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aqgrec.aqg import (
-    AqgElement,
-    antipode,
-    counit,
-    haar,
-    reconstruct,
-    unit_index,
-)
+from aqgrec.aqg import reconstruct, unit_index
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import (
     dual_hopf,
@@ -23,7 +16,8 @@ from aqgrec.dual import (
 from aqgrec.errors import NotFinite
 from aqgrec.linalg import DEFAULT_TOL, dagger, residual, worst
 from aqgrec.report import Report
-from test_aqg import delta, matrix_unit, phased
+from test_aqg import (AqgElement, antipode, counit, delta, haar, matrix_unit, phased,
+                      random_element)
 from test_report_identity import a4_bundle
 
 
@@ -315,7 +309,7 @@ def test_fourier_roundtrip(closed_aqgs, rng):
     for name in ("z2", "s3", "pointed-z5-t1"):
         q = closed_aqgs[name]
         T = table_from_aqg(q)
-        a = q.random_element(rng)
+        a = random_element(q, rng)
         values = np.array([haar(q, matrix_unit_element(q, v).mul(a))
                            for v in range(T.dim)])
         back = np.linalg.solve(T.pairing(), values)

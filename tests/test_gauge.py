@@ -14,9 +14,10 @@ import json
 import numpy as np
 import pytest
 
+from aqgrec.aqg import reconstruct
 from aqgrec.bundle import parse_bundle, serialize_bundle, validate_bundle
 from aqgrec.cli import run
-from aqgrec.examples import builtin_group, gen_finite_group, gen_pointed
+from aqgrec.examples import builtin_group, gen_finite_group, gen_pointed, gen_suq2
 from test_aqg import gauge, haar_unitary
 from test_report_identity import a4_bundle
 
@@ -28,11 +29,11 @@ BUNDLES = {
 OPS = ("validate", "check", "rmatrix", "dims", "dual", "group")
 
 
-def _outputs(b, tmp_path, name):
+def _outputs(b, tmp_path, name, ops=OPS):
     path = tmp_path / f"{name}.json"
     path.write_text(serialize_bundle(b))
     out = {}
-    for op in OPS:
+    for op in ops:
         code = run([op, str(path), "-o", str(tmp_path / "out.json")])
         out[op] = (code, json.loads((tmp_path / "out.json").read_text()))
     return out
@@ -62,6 +63,34 @@ def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
     group, want = gauged["group"][1]["group"], plain["group"][1]["group"]
     assert group["order"] == want["order"]
     assert sorted(group["element_orders"]) == sorted(want["element_orders"])
+
+
+def test_window_verdicts_survive_a_unitary_gauge(tmp_path):
+    # on an SU_q(2) window the gauge makes every F_i of dimension > 1
+    # non-diagonal and every isometry complex, so a conjugation dropped in
+    # the sampled rows of check shows here
+    b = gen_suq2(0.5, 6)
+    g = gauge(b, np.random.default_rng(3))
+    F, G = reconstruct(b).F, reconstruct(g).F
+    for i in b.labels:
+        assert np.iscomplexobj(G[i])
+        if b.d(i) > 1:
+            assert np.max(np.abs(G[i] - np.diag(np.diagonal(G[i])))) > 1e-3, i
+        assert np.max(np.abs(np.linalg.eigvalsh(G[i]) - np.linalg.eigvalsh(F[i]))) <= 1e-12, i
+    assert all(np.abs(v.imag).max() > 0 for chans in g.fusion.values()
+               for vs in chans.values() for v in vs if v.size > 1)
+    ops = ("validate", "check", "dims")
+    plain, gauged = _outputs(b, tmp_path, "plain", ops), _outputs(g, tmp_path, "gauged", ops)
+    for op in ops:
+        (code, want), (got_code, got) = plain[op], gauged[op]
+        assert got_code == code == 0, op
+        if op == "dims":
+            continue
+        assert got["pass"] == want["pass"] and _rows(got) == _rows(want), op
+        for c, w in zip(got["checks"], want["checks"]):
+            assert abs(c["residual"] - w["residual"]) <= 1e-9, (op, c, w)
+    dims = [[r["quantum_dim"] for r in doc[1]["labels"]] for doc in (plain["dims"], gauged["dims"])]
+    assert np.max(np.abs(np.subtract(*dims))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["a4", "d4"])

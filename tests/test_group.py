@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqgrec.aqg import AqgElement, reconstruct, unit_index
+from aqgrec.aqg import reconstruct, unit_index
 from aqgrec.bundle import parse_bundle
 from aqgrec.errors import ConjInconsistent, InconsistentSolve, NotFinite
 from aqgrec.dual import table_from_aqg
@@ -17,7 +17,7 @@ from aqgrec.group import (
     products,
 )
 from aqgrec.linalg import residual, solve_intertwiners
-from test_aqg import delta, scaled_channel
+from test_aqg import AqgElement, delta, scaled_channel
 from test_report_identity import a4_bundle
 
 
@@ -203,7 +203,8 @@ def test_cocommutative_detection(shipped_aqgs):
 def test_a_bundle_without_grouplikes_fails_its_report(shipped_bundles):
     # a channel of pointed Z/5 t=1 scaled by 1+1e-6 can leave the dual
     # without characters; the group is then empty, its identity and group
-    # axioms fail, and the cocommutativity check fails with it
+    # axioms fail, the rows over its elements are skipped, and the
+    # cocommutativity check fails with it
     b = shipped_bundles["pointed-z5-t1"]
     reached, empty = 0, 0
     for (i, j), chans in b.fusion.items():
@@ -221,6 +222,9 @@ def test_a_bundle_without_grouplikes_fails_its_report(shipped_bundles):
                                           "element_orders": []}
                 failed = {c.name for c in rep.checks if not c.passed}
                 assert failed == {"identity", "group-axioms"}, failed
+                # no row passes vacuously
+                skipped = {c.name for c in rep.checks if c.skipped}
+                assert skipped == {"grouplike-axioms", "closed-under-product"}, skipped
                 assert not flag and not crep.passed
     assert reached == 12 and empty > 0
 
