@@ -203,8 +203,8 @@ class FusionLayout:
     def delta(self):
         """Work list of Delta: every channel (pair, k, alpha) is one item.
 
-        Items run by pair, then by the name of k (the order in which
-        AqgElement.support lists labels), then alpha.  Returns (groups,
+        Items run by pair, then by the name of k (labels sorted as
+        strings), then alpha.  Returns (groups,
         item_pair, pair_groups): groups are (numbers, [V, label, pair]) per
         isometry shape, with V the stacked isometries and label/pair the
         index of k and of the pair; item_pair[n] is the pair index of item n,
