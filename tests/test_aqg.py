@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from aqgrec import aqg
 from aqgrec.aqg import (
     ConjInconsistent,
     DeltaPlan,
@@ -27,7 +28,6 @@ from aqgrec.aqg import (
     unit_index,
     verify_axioms,
 )
-from aqgrec import aqg
 from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import table_from_aqg
