@@ -34,7 +34,9 @@ from .linalg import (
     dagger,
     distinct,
     eye,
+    flat_stacks,
     frozen_eye,
+    group_by,
     kron,
     max_abs,
     ranges,
@@ -45,6 +47,7 @@ from .linalg import (
     zero_stacks,
 )
 from .report import Report
+from .sectors import certificate, certify_grading, weights_of
 
 
 @dataclass
@@ -54,6 +57,8 @@ class CategoryBundle:
     The fusion layout (see layout) is built from the fusion data on first use
     and kept; the fusion data must not change after that.  A modified bundle
     is a new CategoryBundle (dataclasses.replace starts it without a layout).
+    weights, when given, grades each H_i by an integer per basis vector; the
+    layout certifies it when it is built (see FusionLayout).
     """
 
     labels: list[str]
@@ -64,6 +69,7 @@ class CategoryBundle:
     conj: dict[str, tuple[Array, Array]]
     braiding: dict[tuple[str, str], Array] | None = None
     closed: bool = True
+    weights: dict[str, list[int]] | None = None
     _layout: "FusionLayout | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -121,7 +127,8 @@ class FusionLayout:
       and its multiplicity index, and pair_start[p]:pair_start[p + 1] are the
       channels of pair p;
     - its isometry is chan_stacks[chan_shape[c]][chan_slot[c]], one stack per
-      isometry shape.
+      isometry shape, and its entries in row-major order start at
+      chan_start[c] in chan_flat, of which the stacks are views.
 
     Per pair (i,j): channels[(i,j)] lists (k, alpha, v) over its channels,
     support[(i,j)] lists (k, N_ij^k) over loaded k, and complete[(i,j)]
@@ -129,6 +136,11 @@ class FusionLayout:
     H_i (x) H_j.  Per label: dims and block_of (the slot of a label among the
     dim_count[d] labels of its size d).  Per pair: pair_size = d_i d_j, and
     count[p, k] = N_ij^k over loaded channels, with loaded = count > 0.
+
+    weights[n] holds the weight of each basis vector of label n: the bundle's
+    grading, or 0 throughout when it declares none.  A declared grading is
+    certified here: every isometry, conjugate-pair and braiding entry off
+    its sector must be exactly 0, or GradingError is raised.
 
     Built from it on first use: delta, the work list of Delta (every channel
     as one item), and fmoves, the F-move certificate of every admissible
@@ -154,7 +166,8 @@ class FusionLayout:
                 mats += loaded[k]
         self.chan_pair, self.chan_label, self.chan_alpha = np.array(
             chans, dtype=int).reshape(-1, 3).T
-        self.chan_shape, self.chan_slot, self.chan_stacks = shape_stacks(mats)
+        (self.chan_flat, self.chan_start, self.chan_shape, self.chan_slot,
+         self.chan_stacks) = flat_stacks(mats)
         self.pair_start = np.searchsorted(self.chan_pair, np.arange(len(self.pairs) + 1))
         self.channels: dict[tuple[str, str], list] = {p: [] for p in self.pairs}
         for n, (p, k, a) in enumerate(chans):
@@ -170,6 +183,9 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
+        self.weights = weights_of(b)
+        if b.weights is not None:
+            certify_grading(b, self)
         self._delta = None
         self._fmoves = None
 
@@ -235,91 +251,28 @@ class FusionLayout:
         j (x) k -> n, i (x) n -> m, both in channel order.  The two
         bracketings of Delta agree on all of B(H_m) exactly when
         G = W* U = M (x) I_{d_m} with M unitary; M (the F-matrix, or 6j
-        symbol) is the d_m-traces of G over d_m, and the residual is the
-        worst of max|G - M (x) I|, max|M* M - I| and max|M M* - I|, which is
-        1 when one side has no path.
+        symbol) is the d_m-traces of G over d_m.
+
+        Every isometry conserves the weights (one sector, 0, without a
+        grading), so G is block-diagonal over the weights w of H_m: the
+        block G_w = W_w* U_w pairs the rows of weight w of H_i (x) H_j (x)
+        H_k with the basis vectors of weight w of H_m, r_w of them, and the
+        certificate is G_w = M (x) I_{r_w} for every w, with M the sum of the
+        r_w-traces of the G_w over d_m.  The residual is the worst of
+        max|G_w - M (x) I|, max|M* M - I| and max|M M* - I|, which is 1 when
+        one side has no path.
 
         Returns (triples, quads, residual, F): the admissible triples in
         label order as rows (n_i, n_j, n_k) of label numbers, the quadruples
         as rows (n_i, n_j, n_k, n_m) in the same order with m in label
         order, and per quadruple its residual and its F-matrix (right paths
         x left paths).  The paths come from joins over the channel numbers,
-        and quadruples are run in groups of equal (D, d_m, p, p') in
-        first-seen order, chunked to a memory budget.
+        and the quadruples run in chunks of whole triples within a memory
+        budget (see sectors.py).
         """
         if self._fmoves is None:
-            n_lab, dims = len(self.dims), self.dims
-            whole = self.complete_pair.reshape(n_lab, n_lab)
-            triples = np.argwhere(whole[:, :, None] & whole[None, :, :])
-            ti, tj, tk = triples.T
-
-            def paths(first, second):
-                # (triple, v, w) over v in the channels of first[t] and w in
-                # those of second(label of v, t), in channel order
-                t, v = self.channels_of(first)
-                s, w = self.channels_of(second(self.chan_label[v], t))
-                return t[s], v[s], w
-
-            sides = (paths(ti * n_lab + tj, lambda l, t: l * n_lab + tk[t]),
-                     paths(tj * n_lab + tk, lambda n, t: ti[t] * n_lab + n))
-            keys = [t * n_lab + self.chan_label[w] for t, _, w in sides]
-            quad_key = distinct(np.concatenate(keys))
-            quads = np.column_stack((triples[quad_key // n_lab], quad_key % n_lab))
-            # per side: the (v, w) channels of every path, by quadruple, and
-            # per quadruple its path count and first path
-            ordered, counts, starts = [], [], []
-            for (_, v, w), key in zip(sides, keys):
-                quad = np.searchsorted(quad_key, key)
-                order = np.argsort(quad, kind="stable")
-                ordered.append((v[order], w[order]))
-                counts.append(np.bincount(quad, minlength=len(quads)))
-                starts.append(np.cumsum(counts[-1]) - counts[-1])
-            size = dims[quads[:, 0]] * dims[quads[:, 1]] * dims[quads[:, 2]]
-            key = np.stack((size, dims[quads[:, 3]], counts[0], counts[1]))
-            order = np.lexsort((np.arange(len(quads)),) + tuple(key[::-1]))
-            cuts = np.flatnonzero((np.diff(key[:, order], axis=1) != 0).any(axis=0)) + 1
-            groups = np.split(order, cuts) if len(quads) else []
-            res, fmats = np.zeros(len(quads)), [None] * len(quads)
-            for nums in sorted(groups, key=lambda g: g[0]):
-                dim, dm, p, pp = key[:, nums[0]].tolist()
-                step = max(1, CHUNK_BYTES // (32 * ((p + pp) * dim * dm + p * pp * dm * dm)))
-                for at in range(0, len(nums), step):
-                    chunk = nums[at:at + step]
-                    chans = [(v[s], w[s]) for (v, w), s in (
-                        (ordered[0], starts[0][chunk, None] + np.arange(p)),
-                        (ordered[1], starts[1][chunk, None] + np.arange(pp)))]
-                    res[chunk], f = _fmove_chunk(self, chans, dim, dm, p, pp)
-                    for n, m in zip(chunk.tolist(), f):
-                        fmats[n] = m
-            self._fmoves = (triples, quads, res, fmats)
+            self._fmoves = certificate(self)
         return self._fmoves
-
-
-def _fmove_chunk(lay, chans, dim, dm, p, pp):
-    """Residuals and F-matrices of quadruples that share (D, d_m, p, p'):
-    chans holds per side (left, right) the channel numbers (v, w) of the
-    paths, each of shape (quadruples, paths)."""
-    nq = len(chans[0][0])
-    out = []
-    for side, (count, (vc, wc)) in enumerate(zip((p, pp), chans)):
-        stack = np.zeros((nq, dim, count, dm), dtype=complex)
-        vc, wc = vc.reshape(-1), wc.reshape(-1)
-        quad_of, slot = np.repeat(np.arange(nq), count), np.tile(np.arange(count), nq)
-        code = lay.chan_shape[vc] * len(lay.chan_stacks) + lay.chan_shape[wc]
-        for _, nums in split_by(code):
-            v, w = lay.isometries(vc[nums]), lay.isometries(wc[nums])
-            if side == 0:  # (v (x) I_k) w
-                prod = v @ w.reshape(len(nums), v.shape[-1], -1)
-            else:  # (I_i (x) v) w
-                prod = v[:, None] @ w.reshape(len(nums), -1, v.shape[-1], dm)
-            stack[quad_of[nums], :, slot[nums]] = prod.reshape(len(nums), dim, dm)
-        out.append(stack.reshape(nq, dim, count * dm))
-    g = bdagger(out[1]) @ out[0]
-    f = np.einsum("qaibi->qab", g.reshape(nq, pp, dm, p, dm)) / dm
-    res = np.maximum.reduce([max_abs(g - bkron(f, frozen_eye(dm))),
-                             max_abs(bdagger(f) @ f - eye(p)),
-                             max_abs(f @ bdagger(f) - eye(pp))])
-    return res, f
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +350,8 @@ def _typed(value, kind: type, what: str):
 
 
 def parse_bundle(text: str) -> CategoryBundle:
-    """Parse Category Bundle v1 text.  Checks shapes only, not the mathematics."""
+    """Parse Category Bundle v1 text.  Checks shapes, and a declared weight
+    grading (GradingError), not the rest of the mathematics."""
     try:
         doc = json.loads(text, object_hook=_decode_data)
     except json.JSONDecodeError as exc:
@@ -491,7 +445,7 @@ def parse_bundle(text: str) -> CategoryBundle:
             braiding[(i, j)] = c
 
     _require_finite(fusion, conj, braiding)
-    return CategoryBundle(
+    b = CategoryBundle(
         labels=labels,
         unit=unit,
         dims=dims,
@@ -500,57 +454,69 @@ def parse_bundle(text: str) -> CategoryBundle:
         conj=conj,
         braiding=braiding,
         closed=bool(doc["closed"]),
+        weights=doc.get("weights"),
     )
+    if b.weights is not None:
+        b.layout  # certifies the grading
+    return b
 
 
-def _pairs(m: Array) -> list:
-    """The entries of m in row-major order as [re, im] lists of floats."""
-    return np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2).tolist()
+def _data(m: Array) -> str:
+    """The "data" text of a matrix or vector: its entries in row-major order
+    as [re, im] pairs, through the C JSON encoder."""
+    return json.dumps(np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2).tolist())
 
 
-def _dump_matrix(m: Array) -> dict:
-    m = cmat(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
+def _matrix_text(m: Array) -> str:
+    rows, cols = cmat(m).shape
+    return f'{{"rows": {rows}, "cols": {cols}, "data": {_data(m)}}}'
 
 
-def _dump_vector(v: Array) -> dict:
-    return {"len": int(np.size(v)), "data": _pairs(v)}
+def _vector_text(v: Array) -> str:
+    return f'{{"len": {np.size(v)}, "data": {_data(v)}}}'
 
 
 def serialize_bundle(b: CategoryBundle) -> str:
-    """Serialize to Category Bundle v1 text; parse(serialize(b)) reproduces b."""
-    doc = {
+    """Serialize to Category Bundle v1 text; parse(serialize(b)) reproduces b.
+
+    The text is json.dumps of the document, written one matrix at a time so
+    that only one matrix stands as Python lists at once.  repr-style floats
+    keep 17 significant digits and roundtrip exactly.
+    """
+    head = {
         "version": 1,
         "labels": list(b.labels),
         "unit": b.unit,
         "dims": {i: int(b.dims[i]) for i in b.labels},
-        "dual": {i: b.dual[i] for i in b.labels},
-        "closed": bool(b.closed),
-        "fusion": [
-            {"i": i, "j": j, "k": k, "isometries": [_dump_matrix(m) for m in mats]}
-            for i in b.labels
-            for j in b.labels
-            for k in b.labels
-            for mats in [b.isometries(i, j, k)]
-            if mats
-        ],
-        "conj": {
-            i: {"r": _dump_vector(b.conj[i][0]), "rbar": _dump_vector(b.conj[i][1])}
-            for i in b.labels
-        },
     }
+    if b.weights is not None:
+        head["weights"] = {i: [int(x) for x in b.weights[i]] for i in b.labels}
+    head.update(dual={i: b.dual[i] for i in b.labels}, closed=bool(b.closed))
+    fusion = ", ".join(
+        f'{{"i": {json.dumps(i)}, "j": {json.dumps(j)}, "k": {json.dumps(k)}, '
+        f'"isometries": [{", ".join(_matrix_text(m) for m in mats)}]}}'
+        for i in b.labels
+        for j in b.labels
+        for k in b.labels
+        for mats in [b.isometries(i, j, k)]
+        if mats
+    )
+    conj = ", ".join(
+        f'{json.dumps(i)}: {{"r": {_vector_text(b.conj[i][0])}, '
+        f'"rbar": {_vector_text(b.conj[i][1])}}}'
+        for i in b.labels
+    )
+    parts = [json.dumps(head)[:-1], f', "fusion": [{fusion}], "conj": {{{conj}}}']
     if b.braiding is not None:
-        doc["braiding"] = [
-            {"i": i, "j": j, "c": _dump_matrix(b.braiding[(i, j)])}
+        braiding = ", ".join(
+            f'{{"i": {json.dumps(i)}, "j": {json.dumps(j)}, '
+            f'"c": {_matrix_text(b.braiding[(i, j)])}}}'
             for i in b.labels
             for j in b.labels
             if (i, j) in b.braiding
-        ]
-    # repr-style floats keep 17 significant digits and roundtrip exactly;
-    # without indent json.dumps runs its C encoder
-    return json.dumps(doc)
-
-
+        )
+        parts.append(f', "braiding": [{braiding}]')
+    return "".join(parts) + "}"
 
 
 # ---------------------------------------------------------------------------

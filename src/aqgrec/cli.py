@@ -311,6 +311,7 @@ def run(argv=None) -> int:
         BadPresentation,
         BundleSyntaxError,
         ConjInconsistent,
+        GradingError,
         InconsistentSolve,
         InvalidBundle,
         MissingBraiding,
@@ -331,7 +332,8 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, tol)
     except (OSError, json.JSONDecodeError, BundleSyntaxError, ShapeError,
-            BadPresentation, NotFinite, MissingBraiding, ConjInconsistent) as exc:
+            GradingError, BadPresentation, NotFinite, MissingBraiding,
+            ConjInconsistent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidBundle as exc:

@@ -15,6 +15,10 @@ class ShapeError(ValueError):
     """Raised when a matrix/vector in a bundle has inconsistent dimensions."""
 
 
+class GradingError(ValueError):
+    """A declared weight grading that some bundle entry leaves."""
+
+
 class BadPresentation(ValueError):
     """A group presentation or generator argument that defines no bundle."""
 

@@ -422,7 +422,9 @@ def gen_suq2(q: float, L: int) -> CategoryBundle:
     conjugate pair of label n comes from the invariant vector of the channel
     (n, n) -> 0, rebalanced so the conjugate equations hold to machine
     precision; F_n is then K_n^2 = diag(q^n, q^(n-2), ..., q^-n).
-    Every array is of size polynomial in L.
+    The bundle declares the weights n, n-2, ..., -n of each basis: every
+    q-Clebsch-Gordan map conserves them.  Every array is of size polynomial
+    in L.
     """
     if not (0 < q <= 1):
         raise BadPresentation("q must lie in (0, 1]")
@@ -458,4 +460,5 @@ def gen_suq2(q: float, L: int) -> CategoryBundle:
         conj=conj,
         braiding=None,
         closed=False,
+        weights={str(n): list(range(n, -n - 1, -2)) for n in range(L + 1)},
     )

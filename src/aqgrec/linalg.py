@@ -110,16 +110,34 @@ def shape_stacks(mats) -> tuple[Array, Array, list]:
 
     Returns (shape, slot, stacks): mats[n] is stacks[shape[n]][slot[n]].
     """
+    _, _, shape, slot, stacks = flat_stacks(mats)
+    return shape, slot, stacks
+
+
+def flat_stacks(mats) -> tuple[Array, Array, Array, Array, list]:
+    """shape_stacks, with every stack a view of one flat buffer.
+
+    Returns (flat, start, shape, slot, stacks): the entries of mats[n], in
+    row-major order, are flat[start[n]:start[n] + mats[n].size].
+    """
     ids: dict[tuple, int] = {}
-    lists: list[list] = []
+    counts: list[int] = []
     shape, slot = np.zeros(len(mats), dtype=int), np.zeros(len(mats), dtype=int)
     for n, m in enumerate(mats):
         s = ids.setdefault(m.shape, len(ids))
-        if s == len(lists):
-            lists.append([])
-        shape[n], slot[n] = s, len(lists[s])
-        lists[s].append(m)
-    return shape, slot, [stack_equal(ms, ms[0].shape) for ms in lists]
+        if s == len(counts):
+            counts.append(0)
+        shape[n], slot[n] = s, counts[s]
+        counts[s] += 1
+    sizes = [math.prod(sh) for sh in ids]
+    lo = np.cumsum([0] + [c * z for c, z in zip(counts, sizes)])
+    flat = np.empty(int(lo[-1]), dtype=np.result_type(*{m.dtype for m in mats}) if mats else complex)
+    stacks = [flat[lo[s]:lo[s + 1]].reshape((c,) + sh)
+              for s, (sh, c) in enumerate(zip(ids, counts))]
+    for n, m in enumerate(mats):
+        stacks[shape[n]][slot[n]] = m
+    start = lo[shape] + slot * np.array(sizes, dtype=int)[shape] if mats else shape
+    return flat, start, shape, slot, stacks
 
 
 def distinct(x) -> Array:
@@ -161,6 +179,8 @@ def ranges(lo, n) -> tuple[Array, Array]:
     Returns (at, values): values[x] lies in range at[x].
     """
     lo, n = np.asarray(lo, dtype=int), np.asarray(n, dtype=int)
+    if (n == 1).all():  # one value per range, as often (np.repeat is slow)
+        return np.arange(len(n)), lo.copy()
     at = np.repeat(np.arange(len(n)), n)
     return at, np.arange(len(at)) + np.repeat(lo - (np.cumsum(n) - n), n)
 

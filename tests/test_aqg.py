@@ -431,7 +431,8 @@ def gauge(b, rng):
     diagonal phases.  The channels of i (x) j -> k are first mixed by a
     Haar-random unitary W, v_a -> sum_b W[b, a] v_b, and then each becomes
     (U_i (x) U_j) v U_k*; r_i, rbar_i and the braiding move as in phased,
-    c -> (U_j (x) U_i) c (U_i (x) U_j)*."""
+    c -> (U_j (x) U_i) c (U_i (x) U_j)*.  A Haar-random U_i mixes the
+    weights of H_i, so the gauged bundle declares no grading."""
     u = {i: np.eye(1) if i == b.unit else haar_unitary(b.d(i), rng) for i in b.labels}
 
     def mixed(vs, w):
@@ -446,7 +447,7 @@ def gauge(b, rng):
     braiding = b.braiding and {
         (i, j): np.kron(u[j], u[i]) @ c @ np.kron(u[i], u[j]).conj().T
         for (i, j), c in b.braiding.items()}
-    return dataclasses.replace(b, fusion=fusion, conj=conj, braiding=braiding)
+    return dataclasses.replace(b, fusion=fusion, conj=conj, braiding=braiding, weights=None)
 
 
 @pytest.mark.parametrize("qq,L", [(0.9, 6), (0.5, 8)])

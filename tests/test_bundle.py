@@ -13,6 +13,7 @@ from aqgrec.bundle import (
     serialize_bundle,
     validate_bundle,
 )
+from aqgrec.errors import GradingError
 from aqgrec.examples import gen_suq2
 
 
@@ -195,7 +196,8 @@ def test_parse_rejects_non_finite_entries(shipped_bundles, value):
 
 def test_twisted_window_fails_recoupling():
     """Every isometry into label 3 of the L=3 window turned by one rotation R
-    of H_3.  Orthonormality, completeness and the conjugate equations still
+    of H_3.  R mixes two weights, so the grading no longer holds; without
+    it, orthonormality, completeness and the conjugate equations still
     hold, but the two bracketings of Delta differ: the F-move certificate
     fails 19 recoupling rows and 1-coassociativity, and nothing else."""
     b = gen_suq2(0.5, 3)
@@ -204,7 +206,9 @@ def test_twisted_window_fails_recoupling():
     rot[:2, :2] = [[cos, -sin], [sin, cos]]
     fusion = {p: {k: [v @ rot if k == "3" else v for v in vs] for k, vs in ch.items()}
               for p, ch in b.fusion.items()}
-    twisted = dataclasses.replace(b, fusion=fusion)
+    with pytest.raises(GradingError, match=r"fusion\(0,3->3\)"):
+        dataclasses.replace(b, fusion=fusion).layout  # R mixes two weights
+    twisted = dataclasses.replace(b, fusion=fusion, weights=None)
     failed = [c for c in validate_bundle(twisted).checks if not c.passed]
     assert {c.name for c in failed} == {"recoupling"} and len(failed) == 19
     rep = verify_axioms(reconstruct(twisted, validate=False))
@@ -318,6 +322,7 @@ def _per_entry_document(b):
     doc = {
         "version": 1, "labels": list(b.labels), "unit": b.unit,
         "dims": {i: int(b.dims[i]) for i in b.labels},
+        **({} if b.weights is None else {"weights": {i: list(b.weights[i]) for i in b.labels}}),
         "dual": {i: b.dual[i] for i in b.labels}, "closed": bool(b.closed),
         "fusion": [{"i": i, "j": j, "k": k, "isometries": [mat(m) for m in mats]}
                    for i in b.labels for j in b.labels for k in b.labels
@@ -331,9 +336,11 @@ def _per_entry_document(b):
 
 
 def test_serialized_document_is_the_per_entry_one(shipped_bundles):
+    # the text, written one matrix at a time, is json.dumps of the whole
+    # document, byte for byte
     for name, b in shipped_bundles.items():
         text = serialize_bundle(b)
-        assert json.loads(text) == _per_entry_document(b), name
+        assert text == json.dumps(_per_entry_document(b)), name
         b2 = parse_bundle(text)
         for p, chans in b.fusion.items():
             for k, mats in chans.items():
