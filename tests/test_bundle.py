@@ -460,3 +460,57 @@ def test_parse_errors_keep_their_messages(shipped_bundles, label):
             assert str(exc.value) == message.format(
                 kind=kind, where=where, shape=shape, nonfinite=where.split(".")[0],
                 error=_entry_error(data) if "{error}" in message else "")
+
+
+# ---------------------------------------------------------------------------
+# weight gradings
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_sector_certificate_matches_one_sector(q):
+    """The F-move certificate of the graded L=8 window, one weight of H_m at
+    a time, against that of the same bundle without its grading: the same
+    quadruples, F within 1e-14 and residuals within 1e-15."""
+    b = gen_suq2(q, 8)
+    assert b.weights is not None
+    triples, quads, res, fmats = b.layout.fmoves
+    one = dataclasses.replace(b, weights=None).layout.fmoves
+    assert np.array_equal(triples, one[0]) and np.array_equal(quads, one[1])
+    assert np.max(np.abs(res - one[2])) <= 1e-15
+    for f, g in zip(fmats, one[3]):
+        assert f.shape == g.shape and np.max(np.abs(f - g), initial=0.0) <= 1e-14
+
+
+def test_the_grading_is_certified_when_the_layout_is_built():
+    # in process too: an off-sector isometry or r entry, and weights of the
+    # wrong length or type, raise when the layout is built
+    b = gen_suq2(0.5, 3)
+    v = b.fusion[("1", "1")]["0"][0].copy()
+    v[0, 0] = 1e-3  # e_1 (x) e_1 has weight 2, e_0 weight 0
+    fusion = {**b.fusion, ("1", "1"): {**b.fusion[("1", "1")], "0": [v]}}
+    with pytest.raises(GradingError, match=r"fusion\(1,1->0\): entry \(0, 0\)"):
+        dataclasses.replace(b, fusion=fusion).layout
+    r, rbar = b.conj["2"]
+    r = r.copy()
+    r[0] = 1e-3  # e_2 (x) e_2 has weight 4
+    with pytest.raises(GradingError, match=r"conj\(2\)\.r: entry 0"):
+        dataclasses.replace(b, conj={**b.conj, "2": (r, rbar)}).layout
+    with pytest.raises(ShapeError, match="weights of '2'"):
+        dataclasses.replace(b, weights={**b.weights, "2": [2, 0]}).layout
+    with pytest.raises(BundleSyntaxError, match="weights of '1'"):
+        dataclasses.replace(b, weights={**b.weights, "1": [1.5, -1]}).layout
+    assert dataclasses.replace(b, fusion=fusion, weights=None).layout
+
+
+def test_a_channel_defect_fails_the_sector_certificate(suq2_bundles):
+    """One channel of the graded L=4 window scaled by 1+1e-6 stays on its
+    sectors, and the certificate by weight sectors fails recoupling and
+    1-coassociativity."""
+    from test_aqg import scaled_channel
+
+    b = scaled_channel(suq2_bundles["suq2-q0.5-L4"], "1", "2", "3")
+    assert b.weights is not None
+    assert "recoupling" in {c.name for c in validate_bundle(b).checks if not c.passed}
+    failed = {c.name for c in verify_axioms(reconstruct(b, validate=False)).checks
+              if not c.passed}
+    assert "1-coassociativity" in failed, failed

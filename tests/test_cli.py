@@ -144,6 +144,36 @@ def test_malformed_bundle_shapes_exit_2(tmp_path, capsys, malform):
     assert err.startswith("error:") and "Traceback" not in err, err
 
 
+def _off_sector_isometry(doc):
+    # row 0 of (1,1) -> 0 is e_1 (x) e_1, of weight 2, and e_0 has weight 0
+    ent = next(e for e in doc["fusion"] if (e["i"], e["j"], e["k"]) == ("1", "1", "0"))
+    ent["isometries"][0]["data"][0] = [1e-3, 0.0]
+
+
+def _off_sector_r(doc):
+    doc["conj"]["1"]["r"]["data"][0] = [1e-3, 0.0]
+
+
+@pytest.mark.parametrize("change,message", [
+    (_off_sector_isometry, "fusion(1,1->0): entry (0, 0) lies off its weight sector"),
+    (_off_sector_r, "conj(1).r: entry 0 lies off its weight sector"),
+    (lambda doc: doc["weights"].update({"2": [2, 0]}), "weights of '2': 2 entries"),
+    (lambda doc: doc["weights"].update({"1": [1.5, -1]}), "weights of '1' must be"),
+], ids=["isometry", "r", "length", "non-integer"])
+def test_a_broken_grading_exits_2(tmp_path, capsys, change, message):
+    # the grading is certified while parsing, before any report is written
+    path = _gen(tmp_path, "suq2", "--q", "0.5", "--L", "3")
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for op in ("validate", "check", "dims"):
+        assert run([op, str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["suq2", "--q", "1.5"],
     ["suq2", "--q", "0"],

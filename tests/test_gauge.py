@@ -4,8 +4,8 @@ A unitary U_i on each H_i, and one on each multiplicity space, is a unitary
 natural isomorphism of the embedding functor; the reconstructed algebra
 changes by Ad(+U_i), so every subcommand must give the same exit code and
 pass flags on the gauged bundle (test_aqg.gauge), with residuals moved at
-roundoff only, and the quantum dimensions, triangularity and intrinsic group
-must agree.  Every generator writes real isometries, so this is what tells a
+roundoff only, and the quantum dimensions, the singular values of the
+F-matrices, triangularity and intrinsic group must agree.  Every generator writes real isometries, so this is what tells a
 dropped complex conjugation apart.
 """
 import dataclasses
@@ -39,6 +39,18 @@ def _outputs(b, tmp_path, name, ops=OPS):
     return out
 
 
+def _same_f_singular_values(b, g):
+    """The F-matrices of b and of its gauge g have the same singular values,
+    quadruple by quadruple, within 1e-12."""
+    (_, quads, _, F), (_, gquads, _, G) = b.layout.fmoves, g.layout.fmoves
+    assert np.array_equal(quads, gquads)
+    for f, h in zip(F, G):
+        assert f.shape == h.shape
+        if f.size:
+            assert np.max(np.abs(np.linalg.svd(f, compute_uv=False)
+                                 - np.linalg.svd(h, compute_uv=False))) <= 1e-12
+
+
 def _rows(doc):
     return [(c["check"], c["location"], c["pass"], c.get("skipped", False))
             for c in doc["checks"]]
@@ -47,8 +59,10 @@ def _rows(doc):
 @pytest.mark.parametrize("name", sorted(BUNDLES))
 def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
     b = BUNDLES[name]()
+    g = gauge(b, np.random.default_rng(3))
+    _same_f_singular_values(b, g)
     plain = _outputs(b, tmp_path, "plain")
-    gauged = _outputs(gauge(b, np.random.default_rng(3)), tmp_path, "gauged")
+    gauged = _outputs(g, tmp_path, "gauged")
     for op in OPS:
         (code, want), (got_code, got) = plain[op], gauged[op]
         assert got_code == code == 0, op
@@ -65,12 +79,17 @@ def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
     assert sorted(group["element_orders"]) == sorted(want["element_orders"])
 
 
-def test_window_verdicts_survive_a_unitary_gauge(tmp_path):
+@pytest.mark.parametrize("q,L", [(0.5, 6), (0.9, 8)])
+def test_window_verdicts_survive_a_unitary_gauge(tmp_path, q, L):
     # on an SU_q(2) window the gauge makes every F_i of dimension > 1
     # non-diagonal and every isometry complex, so a conjugation dropped in
-    # the sampled rows of check shows here
-    b = gen_suq2(0.5, 6)
+    # the sampled rows of check shows here.  It also mixes the weights, so
+    # the graded window runs the certificate by weight sectors and its gauge
+    # the one-sector certificate, and the two agree
+    b = gen_suq2(q, L)
     g = gauge(b, np.random.default_rng(3))
+    assert b.weights is not None and g.weights is None
+    _same_f_singular_values(b, g)
     F, G = reconstruct(b).F, reconstruct(g).F
     for i in b.labels:
         assert np.iscomplexobj(G[i])
