@@ -4,6 +4,7 @@
 File format (Category Bundle v1) is UTF-8 JSON:
 
     { "version": 1, "labels": [...], "unit": "...", "dims": {label: int},
+      "weights": {label: [int,...]},                          (optional)
       "dual": {label: label}, "closed": bool,
       "fusion": [ {"i","j","k","isometries": [matrix,...]}, ... ],
       "conj": {label: {"r": vector, "rbar": vector}},
@@ -12,6 +13,15 @@ File format (Category Bundle v1) is UTF-8 JSON:
 A matrix is {"rows", "cols", "data": [[re,im],...]} in row-major order and a
 vector is {"len", "data": [[re,im],...]}.  A missing (i,j,k) entry means
 N_{ij}^k = 0.  Label order in "labels" fixes the block order everywhere.
+
+"weights" grades each H_i by one integer per basis vector (magnitude below
+2^31).  Every isometry must conserve the weights, every r_i and rbar_i have
+weight 0 and every braiding conserve them: an entry off its sector must be
+exactly 0.  The layout certifies this when it is built, which parse_bundle
+does for a bundle that declares a grading, so a broken grading raises
+GradingError (or ShapeError or BundleSyntaxError for a malformed list), which
+the command line reports with exit 2.  A bundle without weights is one
+sector of weight 0.
 """
 from __future__ import annotations
 

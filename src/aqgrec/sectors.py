@@ -152,7 +152,7 @@ def certificate(lay):
     blocks = _Blocks(sec, rows, quads, tri, *counts)
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
     for lo, hi in _chunks(tri, blocks.cost, CHUNK_BYTES):
-        side = [(v[a:b], w[a:b], np.repeat(np.arange(lo, hi), c[lo:hi]),
+        side = [(v[a:b], w[a:b], np.repeat(np.arange(hi - lo), c[lo:hi]),
                  np.arange(b - a) - np.repeat(s[lo:hi] - a, c[lo:hi]))
                 for (v, w), c, s in zip(ordered, counts, starts)
                 for a, b in [(s[lo], s[hi - 1] + c[hi - 1])]]
@@ -348,16 +348,18 @@ def _chunks(tri, cost, budget):
 def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     """Residuals and F-matrices of the quadruples lo:hi, which cover whole
     triples.  side holds per side (left, right) the (v, w, quad, slot) of
-    every path: its two channels, its quadruple and its place among the
-    paths of that quadruple.
+    every path: its two channels, its quadruple (counted from lo) and its
+    place among the paths of that quadruple.
 
     The blocks of U and of W lie one after the other in two flat buffers,
     sorted by (p, p', r, n).  The sector products of the paths are
     evaluated in stacks of one shape and scattered into them, and the blocks
     G_w of one shape are one stacked product.
     """
-    B = slice(blocks.first[lo], blocks.first[hi] if hi < len(quads) else len(blocks.quad))
+    first = blocks.first[lo:hi] - blocks.first[lo]
+    B = slice(blocks.first[lo], blocks.first[lo] + first[-1] + blocks.count[hi - 1])
     bq, n, r, p, pp = (x[B] for x in (blocks.quad, blocks.n, blocks.r, blocks.p, blocks.pp))
+    bq = bq - lo
     order = np.lexsort((n, r, pp, p))
     offsets, buffers = [], []
     for width in (p, pp):
@@ -366,36 +368,35 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
         off[order] = np.cumsum(z[order]) - z[order]
         offsets.append(off)
         buffers.append(np.zeros(int(z.sum()), dtype=complex))
-    first = blocks.first - blocks.first[lo]
-    _scatter_left(lay, sec, rows, blocks, quads, side[0], first, offsets[0], buffers[0])
-    t0 = rows.tri[lo]
-    places = rows.places(sec, t0, rows.tri[hi - 1] + 1)
-    _scatter_right(lay, sec, rows.tri - t0, places, blocks, quads, side[1], first,
-                   offsets[1], buffers[1])
+    qp, qpp = blocks.qp[lo:hi], blocks.qpp[lo:hi]
+    _scatter_left(lay, sec, rows, quads[lo:hi], rows.tri[lo:hi], side[0], first,
+                  offsets[0], qp, buffers[0])
+    _scatter_right(lay, sec, rows, quads[lo:hi], rows.tri[lo:hi], side[1], first,
+                   offsets[1], qpp, buffers[1])
     # G_w = W_w* U_w per block, in groups of equal (p, p', r, n); per class
     # of equal (p, p'), the r-traces of its blocks, in block order, which
     # sum to M per quadruple
-    qp, qpp = blocks.qp[lo:hi], blocks.qpp[lo:hi]
     classes = list(group_by(qpp, qp))
     qcls, qslot = np.zeros(hi - lo, dtype=int), np.zeros(hi - lo, dtype=int)
     for c, (_, qs) in enumerate(classes):
         qcls[qs], qslot[qs] = c, np.arange(len(qs))
-    cls = qcls[bq - lo]
+    cls = qcls[bq]
     by_cls = np.argsort(cls, kind="stable")
     at = np.empty(len(bq), dtype=int)
     at[by_cls] = np.arange(len(bq)) - np.searchsorted(cls[by_cls], cls[by_cls])
     traces = [np.zeros((np.count_nonzero(cls == c), b, a), dtype=complex)
               for c, ((b, a), _) in enumerate(classes)]
     key = np.stack((p, pp, r, n))[:, order]
-    cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
+    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     products = []
-    for sel in np.split(order, cuts) if len(order) else []:
+    for sel in np.split(order, cuts):
         a, b, rr, nn = (int(x[sel[0]]) for x in (p, pp, r, n))
         u = buffers[0][offsets[0][sel[0]]:][:len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
         w = buffers[1][offsets[1][sel[0]]:][:len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
         g = bdagger(w) @ u
         traces[cls[sel[0]]][at[sel]] = np.einsum("qaibi->qab", g.reshape(len(sel), b, rr, a, rr))
         products.append((sel, rr, g))
+    del buffers
     M = []
     for t, (_, qs) in zip(traces, classes):
         count = blocks.count[lo + qs]
@@ -403,9 +404,9 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
                  / lay.dims[quads[lo + qs, 3]][:, None, None])
     res = np.zeros(len(bq))
     for sel, rr, g in products:
-        f = M[cls[sel[0]]][qslot[bq[sel] - lo]]
+        f = M[cls[sel[0]]][qslot[bq[sel]]]
         res[sel] = max_abs(g - bkron(f, frozen_eye(rr)))
-    res = np.maximum.reduceat(res, first[lo:hi])
+    res = np.maximum.reduceat(res, first)
     fmats = [None] * (hi - lo)
     for f, ((b, a), qs) in zip(M, classes):
         res[qs] = np.maximum.reduce([res[qs], max_abs(bdagger(f) @ f - eye(a)),
@@ -415,22 +416,57 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     return res, fmats
 
 
-def _by_shape(*sizes):
-    """The items in order of their shape (sizes, int arrays), and the
-    (sizes..., count) of each shape."""
-    groups = list(group_by(*sizes))
-    order = np.concatenate([sel for _, sel in groups]) if groups else np.zeros(0, dtype=int)
-    return order, [key + (len(sel),) for key, sel in groups]
+def _each(n):
+    """(item, index) over the indices range(n[t]) of every item t."""
+    return ranges(np.zeros(len(n), dtype=int), n)
 
 
-def _split(parts, groups, size):
-    """Each ragged array of parts cut into its pieces per shape group:
-    size(shape) entries per item of the group."""
-    ends = np.cumsum([n * size(shape) for *shape, n in groups]).tolist()
-    return [[x[a:b] for a, b in zip([0] + ends, ends)] for x in parts]
+def _batches(r, x, c):
+    """Cut items of shapes (r, x, c), in order of shape, into (lo, hi,
+    groups) batches whose index work fits half of CHUNK_BYTES, counted at
+    64 bytes per row, inner index and column of an item and 32 per entry of
+    A, B and A @ B (at least one item a batch); groups lists (r, x, c,
+    items) per shape in the batch."""
+    cost = 64 * (r + x + c) + 32 * (r * x + x * c + r * c)
+    total = np.cumsum(cost)
+    cuts, done = [0], 0
+    while cuts[-1] < len(r):
+        nxt = int(np.searchsorted(total, done + CHUNK_BYTES // 2, side="right"))
+        cuts.append(max(nxt, cuts[-1] + 1))
+        done = total[cuts[-1] - 1]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        new = np.ones(hi - lo, dtype=bool)
+        new[1:] = ((r[lo + 1:hi] != r[lo:hi - 1]) | (x[lo + 1:hi] != x[lo:hi - 1])
+                   | (c[lo + 1:hi] != c[lo:hi - 1]))
+        at = np.flatnonzero(new)
+        n = np.diff(np.append(at, hi - lo))
+        yield lo, hi, list(zip(r[lo + at].tolist(), x[lo + at].tolist(), c[lo + at].tolist(),
+                               n.tolist()))
 
 
-def _scatter_left(lay, sec, rows, blocks, quads, paths, first, off, out):
+def _products(lay, groups, rows, inner, cols, out):
+    """out[dest] = A @ B per item, in stacks of one shape.
+
+    groups lists per shape (rows, inner, cols, items), the items one after
+    the other.  rows holds per (item, row) the row's part a_row of the
+    places of A's entries in the layout's flat isometry buffer and its part
+    d_row of their destinations; inner per (item, inner index) a_col and
+    b_row; cols per (item, column) b_col, d_mul and d_col.  Entry (x, y) of
+    A is at a_row[x] + a_col[y], entry (x, y) of B at b_row[x] + b_col[y],
+    and entry (x, y) of A @ B goes to d_row[x] d_mul[y] + d_col[y].
+    """
+    at = np.zeros(3, dtype=int)
+    for r, x, c, n in groups:
+        end = at + n * np.array([r, x, c])
+        a_row, d_row = (v[at[0]:end[0]].reshape(n, r, 1) for v in rows)
+        a_col, b_row = inner[0][at[1]:end[1]].reshape(n, 1, x), inner[1][at[1]:end[1]].reshape(n, x, 1)
+        b_col, d_mul, d_col = (v[at[2]:end[2]].reshape(n, 1, c) for v in cols)
+        out[d_row * d_mul + d_col] = (lay.chan_flat[a_row + a_col]
+                                      @ lay.chan_flat[b_row + b_col])
+        at = end
+
+
+def _scatter_left(lay, sec, rows, quads, tri, paths, first, off, p, out):
     """The left paths (v (x) I_k) w into their blocks of U (at off in out).
 
     Item (path, sector s of l) is v_s @ w~_s: v_s holds the rows of weight
@@ -439,50 +475,42 @@ def _scatter_left(lay, sec, rows, blocks, quads, paths, first, off, out):
     w_e - w_c = w_s.  Its entry (ab, (c, e)) goes to row (ab, c) of the
     block of the sector of e, column slot r + the place of e in its sector.
     """
-    L, P, D, n_lab = sec.labels, sec.pairs, sec.diffs, len(lay.dims)
+    L, P, D = sec.labels, sec.pairs, sec.diffs
     v, w, q, slot = paths
     label = lay.chan_label[v]
-    item, s = ranges(np.zeros(len(v), dtype=int), sec.n_sec[label])
+    item, s = _each(sec.n_sec[label])
     gl = L.first[label[item]] + s
     gR = sec.by_target[sec.target[v[item]] + s]
     gC = sec.by_first[sec.first[w[item]] + s]
     keep = (gR >= 0) & (gC >= 0)
-    order, groups = _by_shape(P.size[gR[keep]], L.size[gl[keep]], D.size[gC[keep]])
-    item, gl, gR, gC = (x[keep][order] for x in (item, gl, gR, gC))
-    qq = q[item]
-    dk, m = lay.dims[quads[qq, 2]], quads[qq, 3]
-    dm = lay.dims[m]
-    # per (item, row) and (item, column) of v_s and of w~_s: their parts of
-    # the entries' places in the flat isometries
-    e, a = ranges(np.zeros(len(item), dtype=int), P.size[gR])
-    a_rows = lay.chan_start[v[item[e]]] + P.pos[P.start[gR[e]] + a] * lay.dims[label[item[e]]]
-    e, x = ranges(np.zeros(len(item), dtype=int), L.size[gl])
-    a_cols = L.pos[L.start[gl[e]] + x]
-    b_rows = lay.chan_start[w[item[e]]] + a_cols * (dk[e] * dm[e])
-    # per (item, column c d_m + e): where its first row goes, and the step
-    # to the next row
-    e, y = ranges(np.zeros(len(item), dtype=int), D.size[gC])
-    b_cols = D.pos[D.start[gC[e]] + y]
-    c, col = np.divmod(b_cols, dm[e])
-    place, h_size = rows.row(sec, rows.tri[qq[e]], gR[e], 0, c)
-    z = L.lo[m[e]] + col
-    width = L.size[L.sector[z]]
-    stride = blocks.qp[qq[e]] * width
-    base = (off[first[qq[e]] + L.sector[z] - L.first[m[e]]] + place * stride
-            + slot[item[e]] * width + L.rank[z])
-    step = h_size * stride
-    pieces = (_split([a_rows], groups, lambda s: s[0])
-              + _split([a_cols, b_rows], groups, lambda s: s[1])
-              + _split([b_cols, base, step], groups, lambda s: s[2]))
-    for (r, x, c, n), ar, ac, br, bc, ba, st in zip(groups, *pieces):
-        A = lay.chan_flat[ar.reshape(n, r, 1) + ac.reshape(n, 1, x)]
-        B = lay.chan_flat[br.reshape(n, x, 1) + bc.reshape(n, 1, c)]
-        out[ba.reshape(n, 1, c) + np.arange(r)[:, None] * st.reshape(n, 1, c)] = A @ B
+    item, gl, gR, gC = item[keep], gl[keep], gR[keep], gC[keep]
+    order = np.lexsort((D.size[gC], L.size[gl], P.size[gR]))  # by shape
+    item, gl, gR, gC = item[order], gl[order], gR[order], gC[order]
+    for lo, hi, groups in _batches(P.size[gR], L.size[gl], D.size[gC]):
+        it, gl_, gR_, gC_ = item[lo:hi], gl[lo:hi], gR[lo:hi], gC[lo:hi]
+        q_ = q[it]
+        m, dm = quads[q_, 3], lay.dims[quads[q_, 3]]
+        e, x = _each(P.size[gR_])
+        rows_ = (lay.chan_start[v[it]][e] + P.pos[P.start[gR_][e] + x] * lay.dims[label[it]][e], x)
+        e, x = _each(L.size[gl_])
+        a_col = L.pos[L.start[gl_][e] + x]
+        inner = (a_col, lay.chan_start[w[it]][e] + a_col * (lay.dims[quads[q_, 2]] * dm)[e])
+        # per column c d_m + e: where its first row goes, and the step to
+        # the next row
+        e, y = _each(D.size[gC_])
+        b_col = D.pos[D.start[gC_][e] + y]
+        c, col = np.divmod(b_col, dm[e])
+        place, h_size = rows.row(sec, tri[q_][e], gR_[e], 0, c)
+        z = L.lo[m[e]] + col
+        width = L.size[L.sector[z]]
+        stride = p[q_][e] * width
+        d_col = (off[(first[q_] - L.first[m])[e] + L.sector[z]] + place * stride
+                 + slot[it][e] * width + L.rank[z])
+        _products(lay, groups, rows_, inner, (b_col, h_size * stride, d_col), out)
 
 
-def _scatter_right(lay, sec, tri, places, blocks, quads, paths, first, off, out):
-    """The right paths (I_i (x) v) w into their blocks of W (at off in out);
-    places = (place, lo) of the rows of the chunk's triples, numbered tri.
+def _scatter_right(lay, sec, rows, quads, tri, paths, first, off, pp, out):
+    """The right paths (I_i (x) v) w into their blocks of W (at off in out).
 
     Item (path, basis vector a of i, sector s of n) is v_s @ w_a: v_s holds
     the rows of weight w_s of j (x) k and the columns of sector s of v, and
@@ -491,10 +519,10 @@ def _scatter_right(lay, sec, tri, places, blocks, quads, paths, first, off, out)
     that weight, column slot r + the place of e in its sector.  The items
     are the runs of one a in the sectors of diffs (i,m) of the weights w_s.
     """
-    L, P, D, n_lab = sec.labels, sec.pairs, sec.diffs, len(lay.dims)
+    L, P, D = sec.labels, sec.pairs, sec.diffs
     v, w, q, slot = paths
     label = lay.chan_label[v]
-    item, s = ranges(np.zeros(len(v), dtype=int), sec.n_sec[label])
+    item, s = _each(sec.n_sec[label])
     gt = L.first[label[item]] + s
     gR = sec.by_target[sec.target[v[item]] + s]
     gC = sec.by_second[sec.second[w[item]] + s]
@@ -504,29 +532,24 @@ def _scatter_right(lay, sec, tri, places, blocks, quads, paths, first, off, out)
     item, gt, gR, a = item[at], gt[at], gR[at], sec.run_a[run]
     m = quads[q[item], 3]
     gm = L.sector[L.lo[m] + D.pos[sec.run_start[run]] % lay.dims[m]]
-    order, groups = _by_shape(P.size[gR], L.size[gt], L.size[gm])
+    order = np.lexsort((L.size[gm], L.size[gt], P.size[gR]))  # by shape
     item, a, gt, gm, gR = (x[order] for x in (item, a, gt, gm, gR))
-    r, qq = L.size[gm], q[item]
-    dn, dm, djk = lay.dims[label[item]], lay.dims[quads[qq, 3]], P.sizes[quads[qq, 1] * n_lab + quads[qq, 2]]
-    place, tlo = places
-    # per (item, row bc) of v_s: its part of the entries' places in the flat
-    # isometries, and where the row goes
-    e, x = ranges(np.zeros(len(item), dtype=int), P.size[gR])
-    bc = P.pos[P.start[gR][e] + x]
-    a_rows = lay.chan_start[v[item]][e] + bc * dn[e]
-    row = place[(tlo[tri[qq]] + a * djk)[e] + bc]
-    dest = ((off[first[qq] + gm - L.first[quads[qq, 3]]] + slot[item] * r)[e]
-            + row * (blocks.qpp[qq] * r)[e])
-    # per (item, column) of v_s and per (item, column) of w_a
-    e, y = ranges(np.zeros(len(item), dtype=int), L.size[gt])
-    a_cols = L.pos[L.start[gt][e] + y]
-    b_rows = (lay.chan_start[w[item]] + a * dn * dm)[e] + a_cols * dm[e]
-    e, z = ranges(np.zeros(len(item), dtype=int), r)
-    b_cols = L.pos[L.start[gm][e] + z]
-    pieces = (_split([a_rows, dest], groups, lambda s: s[0])
-              + _split([a_cols, b_rows], groups, lambda s: s[1])
-              + _split([b_cols], groups, lambda s: s[2]))
-    for (r, x, c, n), ar, de, ac, br, bc in zip(groups, *pieces):
-        A = lay.chan_flat[ar.reshape(n, r, 1) + ac.reshape(n, 1, x)]
-        B = lay.chan_flat[br.reshape(n, x, 1) + bc.reshape(n, 1, c)]
-        out[de.reshape(n, r, 1) + np.arange(c)] = A @ B
+    # the place of each row ab d_k + c of the chunk's triples
+    place, tlo = rows.places(sec, tri[0], tri[-1] + 1)
+    for lo, hi, groups in _batches(P.size[gR], L.size[gt], L.size[gm]):
+        it, a_, gt_, gm_, gR_ = item[lo:hi], a[lo:hi], gt[lo:hi], gm[lo:hi], gR[lo:hi]
+        r, q_ = L.size[gm_], q[it]
+        dn, dm = lay.dims[label[it]], lay.dims[quads[q_, 3]]
+        djk = lay.dims[quads[q_, 1]] * lay.dims[quads[q_, 2]]
+        # per row bc of v_s: where it goes, row a d_j d_k + bc of the triple
+        e, x = _each(P.size[gR_])
+        bc = P.pos[P.start[gR_][e] + x]
+        d_row = ((off[first[q_] + gm_ - L.first[quads[q_, 3]]] + slot[it] * r)[e]
+                 + place[(tlo[tri[q_] - tri[0]] + a_ * djk)[e] + bc] * (pp[q_] * r)[e])
+        rows_ = (lay.chan_start[v[it]][e] + bc * dn[e], d_row)
+        e, y = _each(L.size[gt_])
+        a_col = L.pos[L.start[gt_][e] + y]
+        inner = (a_col, (lay.chan_start[w[it]] + a_ * dn * dm)[e] + a_col * dm[e])
+        e, z = _each(r)
+        _products(lay, groups, rows_, inner,
+                  (L.pos[L.start[gm_][e] + z], np.ones(len(e), dtype=int), z), out)
