@@ -41,7 +41,7 @@ from .linalg import (
 
 # weights stay below this in magnitude, so that sums of three of them and
 # the keys of _find fit in 64 bits
-WEIGHT_LIMIT = 2 ** 31
+_WEIGHT_LIMIT = 2 ** 31
 
 
 def weights_of(b) -> list[Array]:
@@ -56,7 +56,7 @@ def weights_of(b) -> list[Array]:
         w = b.weights[k]
         if not isinstance(w, (list, tuple, np.ndarray)) or any(
                 isinstance(x, bool) or not isinstance(x, (int, np.integer))
-                or not -WEIGHT_LIMIT < x < WEIGHT_LIMIT for x in w):
+                or not -_WEIGHT_LIMIT < x < _WEIGHT_LIMIT for x in w):
             raise BundleSyntaxError(
                 f"weights of {k!r} must be a list of integers of magnitude below 2^31")
         if len(w) != b.dims[k]:
@@ -66,9 +66,8 @@ def weights_of(b) -> list[Array]:
 
 
 def _pair_weights(lay):
-    """The weights of H_i (x) H_j (basis vector a d_j + b) pair after pair,
-    in the layout's pair order: (pair, w_a + w_b, w_b - w_a) per basis
-    vector."""
+    """The basis vectors a d_j + b of every H_i (x) H_j, pair after pair in
+    the layout's pair order, weighted by w_a + w_b and by w_b - w_a."""
     dims, n_lab = lay.dims, len(lay.dims)
     w = np.concatenate(lay.weights)
     lo = np.cumsum(dims) - dims
@@ -314,11 +313,13 @@ class _Blocks:
     """The blocks (quadruple, sector of H_m), quadruple by quadruple, then
     by sector: quad, sector, and their rows n, size r (of the sector), and
     the left and right path counts p and pp of the quadruple.  Quadruple q
-    has count[q] blocks from first[q] on, qp[q] and qpp[q] paths, and
-    cost[q] bytes of U, W and G, at 32 per entry."""
+    has count[q] blocks from first[q] on and qp[q] and qpp[q] paths.
+    cost[q] counts the bytes of its U, W and G at 32 per entry, and the
+    first quadruple of a triple also 64 per row of H_i (x) H_j (x) H_k, for
+    the rows' places (_TripleRows.places)."""
 
     def __init__(self, sec, rows, quads, tri, p, pp):
-        L, m = sec.labels, quads[:, 3]
+        L, m, dims = sec.labels, quads[:, 3], sec.labels.sizes
         self.count = L.first[m + 1] - L.first[m]
         self.first = np.cumsum(self.count) - self.count
         self.qp, self.qpp = p, pp
@@ -328,6 +329,8 @@ class _Blocks:
         self.r, self.p, self.pp = L.size[self.sector], p[self.quad], pp[self.quad]
         cost = self.r * ((self.p + self.pp) * self.n + self.p * self.pp * self.r)
         self.cost = 32 * np.bincount(self.quad, cost, minlength=len(quads)).astype(int)
+        head = np.flatnonzero(np.diff(tri, prepend=-1))
+        self.cost[head] += 64 * dims[quads[head, 0]] * dims[quads[head, 1]] * dims[quads[head, 2]]
 
 
 def _chunks(tri, cost, budget):
