@@ -121,23 +121,23 @@ def flat_stacks(mats) -> tuple[Array, Array, Array, Array, list]:
     row-major order, are flat[start[n]:start[n] + mats[n].size].
     """
     ids: dict[tuple, int] = {}
-    counts: list[int] = []
+    lists: list[list] = []
     shape, slot = np.zeros(len(mats), dtype=int), np.zeros(len(mats), dtype=int)
     for n, m in enumerate(mats):
         s = ids.setdefault(m.shape, len(ids))
-        if s == len(counts):
-            counts.append(0)
-        shape[n], slot[n] = s, counts[s]
-        counts[s] += 1
-    sizes = [math.prod(sh) for sh in ids]
-    lo = np.cumsum([0] + [c * z for c, z in zip(counts, sizes)])
-    flat = np.empty(int(lo[-1]), dtype=np.result_type(*{m.dtype for m in mats}) if mats else complex)
-    stacks = [flat[lo[s]:lo[s + 1]].reshape((c,) + sh)
-              for s, (sh, c) in enumerate(zip(ids, counts))]
-    for n, m in enumerate(mats):
-        stacks[shape[n]][slot[n]] = m
-    start = lo[shape] + slot * np.array(sizes, dtype=int)[shape] if mats else shape
-    return flat, start, shape, slot, stacks
+        if s == len(lists):
+            lists.append([])
+        shape[n], slot[n] = s, len(lists[s])
+        lists[s].append(m)
+    sizes = np.array([math.prod(sh) for sh in ids], dtype=int)
+    lo = np.cumsum([0] + [len(ms) * z for ms, z in zip(lists, sizes.tolist())])
+    flat = np.empty(int(lo[-1]), dtype=np.result_type(*{m.dtype for m in mats})
+                    if mats else complex)
+    stacks = [flat[lo[s]:lo[s + 1]].reshape((len(ms),) + sh)
+              for s, (sh, ms) in enumerate(zip(ids, lists))]
+    for stack, ms in zip(stacks, lists):
+        np.concatenate(ms, out=stack.reshape((-1,) + stack.shape[2:]))
+    return flat, lo[shape] + slot * sizes[shape], shape, slot, stacks
 
 
 def distinct(x) -> Array:

@@ -146,11 +146,10 @@ def certificate(lay):
         counts.append(np.bincount(quad, minlength=len(quads)))
         starts.append(np.cumsum(counts[-1]) - counts[-1])
     sec = _LayoutSectors(lay)
-    tri = np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1
-    rows = _TripleRows(sec, quads, tri)
-    blocks = _Blocks(sec, rows, quads, tri, *counts)
+    rows = _Rows(sec, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1)
+    blocks = _Blocks(sec, rows, quads, *counts)
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
-    for lo, hi in _chunks(tri, blocks.cost, CHUNK_BYTES):
+    for lo, hi in _chunks(rows.tri, blocks.cost, CHUNK_BYTES):
         side = [(v[a:b], w[a:b], np.repeat(np.arange(hi - lo), c[lo:hi]),
                  np.arange(b - a) - np.repeat(s[lo:hi] - a, c[lo:hi]))
                 for (v, w), c, s in zip(ordered, counts, starts)
@@ -163,15 +162,19 @@ def _find(space, weight, at_space, at_weight) -> Array:
     """Where the pairs (at_space, at_weight) stand among the pairs (space,
     weight), which are distinct and sorted by space, then weight; -1 where
     a pair is absent."""
-    at_space, at_weight = np.asarray(at_space), np.asarray(at_weight)
     if not len(space):
-        return np.full(at_space.shape, -1)
+        return np.full(len(at_space), -1)
     lo, span = weight.min(), weight.max() - weight.min() + 1
     key = space * span + (weight - lo)
     inside = (at_weight >= lo) & (at_weight < lo + span)
     want = at_space * span + np.where(inside, at_weight - lo, 0)
     at = np.minimum(np.searchsorted(key, want), len(key) - 1)
     return np.where(inside & (key[at] == want), at, -1)
+
+
+def _each(n):
+    """(item, index) over the indices range(n[t]) of every item t."""
+    return ranges(np.zeros(len(n), dtype=int), n)
 
 
 class _Sectors:
@@ -187,8 +190,7 @@ class _Sectors:
     """
 
     def __init__(self, sizes, w):
-        self.sizes, self.w = sizes, w
-        self.lo = np.cumsum(sizes) - sizes
+        self.sizes, self.w, self.lo = sizes, w, np.cumsum(sizes) - sizes
         space = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((w, space))
         s, w = space[order], w[order]
@@ -203,10 +205,6 @@ class _Sectors:
         self.rank = np.empty(len(order), dtype=int)
         self.rank[order] = np.arange(len(order)) - self.start[self.sector[order]]
         self.first = np.searchsorted(self.space, np.arange(len(sizes) + 1))
-
-    def find(self, space, weight) -> Array:
-        """The sector of weight in space, -1 where there is none."""
-        return _find(self.space, self.weight, space, weight)
 
 
 class _LayoutSectors:
@@ -227,8 +225,7 @@ class _LayoutSectors:
         dims, n_lab = lay.dims, len(lay.dims)
         self.labels = L = _Sectors(dims, np.concatenate(lay.weights))
         total, diff = _pair_weights(lay)
-        self.pairs = P = _Sectors(lay.pair_size, total)
-        self.diffs = D = _Sectors(lay.pair_size, diff)
+        self.pairs, self.diffs = P, D = _Sectors(lay.pair_size, total), _Sectors(lay.pair_size, diff)
         a = D.pos // dims[D.space % n_lab][np.repeat(np.arange(len(D.size)), D.size)]
         new = np.ones(len(a), dtype=bool)
         new[1:] = a[1:] != a[:-1]
@@ -238,19 +235,19 @@ class _LayoutSectors:
         self.run_first = np.searchsorted(self.run_start, np.append(D.start, len(a)))
         self.n_sec = L.first[1:] - L.first[:-1]
         ci, cj = np.divmod(lay.chan_pair, n_lab)
-        ck = lay.chan_label
-        tables = []
+        ck, tables = lay.chan_label, []
         for label, space, family in ((ck, lay.chan_pair, P), (ci, cj * n_lab + ck, D),
                                      (cj, ci * n_lab + ck, D)):
             c, s = ranges(L.first[label], self.n_sec[label])
             tables += [np.cumsum(self.n_sec[label]) - self.n_sec[label],
-                       family.find(space[c], L.weight[s])]
+                       _find(family.space, family.weight, space[c], L.weight[s])]
         (self.target, self.by_target, self.first, self.by_first,
          self.second, self.by_second) = tables
 
 
-class _TripleRows:
-    """The rows of weight w of H_i (x) H_j (x) H_k, per triple.
+class _Rows:
+    """The rows of weight w of H_i (x) H_j (x) H_k, per triple, numbered by
+    tri (the triple of each quadruple, nondecreasing from 0).
 
     The rows of one weight run by sector of i (x) j, then by basis vector
     ab of that sector, then by basis vector c of k, which lies in the
@@ -258,20 +255,18 @@ class _TripleRows:
     ab d_k + c.  A grid (sector g of i (x) j, sector h of k) per triple
     holds the place of the first row of g and h among the rows of weight
     w_g + w_h.  Per (triple, weight), by triple then weight: sec_t, sec_w
-    and the row count sec_n.  Triples are numbered by tri, the triple of
-    each quadruple (nondecreasing from 0).
+    and the row count sec_n.
     """
 
     def __init__(self, sec, quads, tri):
-        L, P, n_lab = sec.labels, sec.pairs, len(sec.labels.first) - 1
+        L, P, n_lab = sec.labels, sec.pairs, len(sec.n_sec)
         self.tri = tri
         head = np.flatnonzero(np.diff(tri, prepend=-1))
-        self.ij = quads[head, 0] * n_lab + quads[head, 1]
-        self.k = quads[head, 2]
+        self.ij, self.k = quads[head, 0] * n_lab + quads[head, 1], quads[head, 2]
         n_g = P.first[self.ij + 1] - P.first[self.ij]
-        self.n_h = L.first[self.k + 1] - L.first[self.k]
+        self.n_h = sec.n_sec[self.k]
         self.grid_lo = np.cumsum(n_g * self.n_h) - n_g * self.n_h
-        t, x = ranges(np.zeros(len(n_g), dtype=int), n_g * self.n_h)
+        t, x = _each(n_g * self.n_h)
         g, h = np.divmod(x, self.n_h[t])
         g, h = P.first[self.ij[t]] + g, L.first[self.k[t]] + h
         omega, cells = P.weight[g] + L.weight[h], P.size[g] * L.size[h]
@@ -285,17 +280,6 @@ class _TripleRows:
         self.sec_t, self.sec_w = t[order][start], omega[order][start]
         self.sec_n = np.add.reduceat(cells[order], start) if len(start) else start
 
-    def row(self, sec, t, g, ra, c):
-        """The place among the rows of its weight of row (ab, c) of triple
-        t, with ab the basis vector ra of sector g of i (x) j and c a basis
-        vector of k; returns (place, size of the sector of c)."""
-        L, P = sec.labels, sec.pairs
-        y = L.lo[self.k[t]] + c
-        h = L.sector[y]
-        cell = (self.grid_lo[t] + (g - P.first[self.ij[t]]) * self.n_h[t]
-                + h - L.first[self.k[t]])
-        return self.place[cell] + ra * L.size[h] + L.rank[y], L.size[h]
-
     def places(self, sec, t0, t1):
         """The place of every row ab d_k + c of the triples t0:t1 among the
         rows of its weight, triple after triple; returns (place, lo), with
@@ -303,10 +287,13 @@ class _TripleRows:
         L, P = sec.labels, sec.pairs
         ij, k = self.ij[t0:t1], self.k[t0:t1]
         n = P.sizes[ij] * L.sizes[k]
-        t, x = ranges(np.zeros(len(n), dtype=int), n)
+        t, x = _each(n)
         ab, c = np.divmod(x, L.sizes[k][t])
-        y = P.lo[ij[t]] + ab
-        return self.row(sec, t0 + t, P.sector[y], P.rank[y], c)[0], np.cumsum(n) - n
+        y, z = P.lo[ij[t]] + ab, L.lo[k[t]] + c
+        g, h = P.sector[y], L.sector[z]
+        cell = (self.grid_lo[t0 + t] + (g - P.first[ij[t]]) * self.n_h[t0 + t]
+                + h - L.first[k[t]])
+        return self.place[cell] + P.rank[y] * L.size[h] + L.rank[z], np.cumsum(n) - n
 
 
 class _Blocks:
@@ -316,36 +303,42 @@ class _Blocks:
     has count[q] blocks from first[q] on and qp[q] and qpp[q] paths.
     cost[q] counts the bytes of its U, W and G at 32 per entry, and the
     first quadruple of a triple also 64 per row of H_i (x) H_j (x) H_k, for
-    the rows' places (_TripleRows.places)."""
+    the rows' places."""
 
-    def __init__(self, sec, rows, quads, tri, p, pp):
+    def __init__(self, sec, rows, quads, p, pp):
         L, m, dims = sec.labels, quads[:, 3], sec.labels.sizes
-        self.count = L.first[m + 1] - L.first[m]
+        self.count = sec.n_sec[m]
         self.first = np.cumsum(self.count) - self.count
         self.qp, self.qpp = p, pp
         self.quad, self.sector = ranges(L.first[m], self.count)
-        at = _find(rows.sec_t, rows.sec_w, tri[self.quad], L.weight[self.sector])
+        at = _find(rows.sec_t, rows.sec_w, rows.tri[self.quad], L.weight[self.sector])
         self.n = np.where(at >= 0, rows.sec_n[at], 0)
         self.r, self.p, self.pp = L.size[self.sector], p[self.quad], pp[self.quad]
         cost = self.r * ((self.p + self.pp) * self.n + self.p * self.pp * self.r)
         self.cost = 32 * np.bincount(self.quad, cost, minlength=len(quads)).astype(int)
-        head = np.flatnonzero(np.diff(tri, prepend=-1))
+        head = np.flatnonzero(np.diff(rows.tri, prepend=-1))
         self.cost[head] += 64 * dims[quads[head, 0]] * dims[quads[head, 1]] * dims[quads[head, 2]]
 
 
+def _cuts(cost, budget):
+    """Cut items of the given costs, in order, into runs of at most budget
+    (at least one item a run): the run boundaries."""
+    total, cuts = np.cumsum(cost), [0]
+    while cuts[-1] < len(cost):
+        done = total[cuts[-1] - 1] if cuts[-1] else 0
+        cuts.append(max(int(np.searchsorted(total, done + budget, side="right")), cuts[-1] + 1))
+    return cuts
+
+
 def _chunks(tri, cost, budget):
-    """Cut the quadruples, numbered by triple tri (nondecreasing), into
-    (lo, hi) ranges of whole triples whose costs add up to at most budget,
-    or of one triple where that alone exceeds it."""
+    """The quadruples, numbered by triple tri (nondecreasing), in (lo, hi)
+    ranges of whole triples whose costs add up to at most budget, or of one
+    triple where that alone exceeds it."""
     ends = np.append(np.flatnonzero(np.diff(tri)) + 1, len(tri))
-    total = np.cumsum(cost)[ends - 1] if len(tri) else ends
-    cuts, done = [0], 0
-    while cuts[-1] < len(ends):
-        nxt = int(np.searchsorted(total, done + budget, side="right"))
-        cuts.append(max(nxt, cuts[-1] + 1))
-        done = total[cuts[-1] - 1]
-    bounds = np.append(0, ends)[cuts]
-    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    starts = np.append(0, ends[:-1])
+    bounds = starts.tolist() + [len(tri)]
+    cuts = _cuts(np.add.reduceat(cost, starts), budget) if len(tri) else [0]
+    return [(bounds[a], bounds[b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
@@ -355,12 +348,15 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     place among the paths of that quadruple.
 
     The blocks of U and of W lie one after the other in two flat buffers,
-    sorted by (p, p', r, n).  The sector products of the paths are
-    evaluated in stacks of one shape and scattered into them, and the blocks
-    G_w of one shape are one stacked product.
+    sorted by (p, p', r, n).  The sector products of the paths are scattered
+    into them (_scatter), and the blocks G_w of one shape are one stacked
+    product.
     """
-    first = blocks.first[lo:hi] - blocks.first[lo]
-    B = slice(blocks.first[lo], blocks.first[lo] + first[-1] + blocks.count[hi - 1])
+    L, dims = sec.labels, lay.dims
+    quads, tri = quads[lo:hi], rows.tri[lo:hi]
+    m = quads[:, 3]
+    qp, qpp = blocks.qp[lo:hi], blocks.qpp[lo:hi]
+    B = slice(blocks.first[lo], blocks.first[hi - 1] + blocks.count[hi - 1])
     bq, n, r, p, pp = (x[B] for x in (blocks.quad, blocks.n, blocks.r, blocks.p, blocks.pp))
     bq = bq - lo
     order = np.lexsort((n, r, pp, p))
@@ -371,45 +367,46 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
         off[order] = np.cumsum(z[order]) - z[order]
         offsets.append(off)
         buffers.append(np.zeros(int(z.sum()), dtype=complex))
-    qp, qpp = blocks.qp[lo:hi], blocks.qpp[lo:hi]
-    _scatter_left(lay, sec, rows, quads[lo:hi], rows.tri[lo:hi], side[0], first,
-                  offsets[0], qp, buffers[0])
-    _scatter_right(lay, sec, rows, quads[lo:hi], rows.tri[lo:hi], side[1], first,
-                   offsets[1], qpp, buffers[1])
+    # the block of quadruple q and sector g of its m is block[q] + g
+    block = blocks.first[lo:hi] - blocks.first[lo] - L.first[m]
+    place, tlo = rows.places(sec, tri[0], tri[-1] + 1)
+    tlo = tlo[tri - tri[0]]
+    _scatter(lay, sec, place, offsets[0], buffers[0],
+             *_left(lay, sec, quads, tlo, block, qp, *side[0]))
+    _scatter(lay, sec, place, offsets[1], buffers[1],
+             *_right(lay, sec, quads, tlo, block, qpp, *side[1]))
     # G_w = W_w* U_w per block, in groups of equal (p, p', r, n); per class
-    # of equal (p, p'), the r-traces of its blocks, in block order, which
-    # sum to M per quadruple
+    # of equal (p, p'), the r-traces of its blocks in block order, which sum
+    # to M per quadruple
     classes = list(group_by(qpp, qp))
-    qcls, qslot = np.zeros(hi - lo, dtype=int), np.zeros(hi - lo, dtype=int)
+    cls = np.zeros(hi - lo, dtype=int)
     for c, (_, qs) in enumerate(classes):
-        qcls[qs], qslot[qs] = c, np.arange(len(qs))
-    cls = qcls[bq]
-    by_cls = np.argsort(cls, kind="stable")
+        cls[qs] = c
+    by_cls = np.argsort(cls[bq], kind="stable")
     at = np.empty(len(bq), dtype=int)
-    at[by_cls] = np.arange(len(bq)) - np.searchsorted(cls[by_cls], cls[by_cls])
-    traces = [np.zeros((np.count_nonzero(cls == c), b, a), dtype=complex)
-              for c, ((b, a), _) in enumerate(classes)]
+    at[by_cls] = np.arange(len(bq)) - np.searchsorted(cls[bq][by_cls], cls[bq][by_cls])
+    traces = [np.zeros((blocks.count[lo + qs].sum(), b, a), dtype=complex)
+              for (b, a), qs in classes]
     key = np.stack((p, pp, r, n))[:, order]
-    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     products = []
-    for sel in np.split(order, cuts):
+    for sel in np.split(order, np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1):
         a, b, rr, nn = (int(x[sel[0]]) for x in (p, pp, r, n))
         u = buffers[0][offsets[0][sel[0]]:][:len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
         w = buffers[1][offsets[1][sel[0]]:][:len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
         g = bdagger(w) @ u
-        traces[cls[sel[0]]][at[sel]] = np.einsum("qaibi->qab", g.reshape(len(sel), b, rr, a, rr))
+        traces[cls[bq[sel[0]]]][at[sel]] = np.einsum("qaibi->qab", g.reshape(len(sel), b, rr, a, rr))
         products.append((sel, rr, g))
     del buffers
-    M = []
+    M, slot = [], np.zeros(hi - lo, dtype=int)
     for t, (_, qs) in zip(traces, classes):
         count = blocks.count[lo + qs]
-        M.append(np.add.reduceat(t, np.cumsum(count) - count, axis=0)
-                 / lay.dims[quads[lo + qs, 3]][:, None, None])
+        M.append(np.add.reduceat(t, np.cumsum(count) - count, axis=0) / dims[m[qs]][:, None, None])
+        slot[qs] = np.arange(len(qs))
     res = np.zeros(len(bq))
     for sel, rr, g in products:
-        f = M[cls[sel[0]]][qslot[bq[sel]]]
+        f = M[cls[bq[sel[0]]]][slot[bq[sel]]]
         res[sel] = max_abs(g - bkron(f, frozen_eye(rr)))
-    res = np.maximum.reduceat(res, first)
+    res = np.maximum.reduceat(res, blocks.first[lo:hi] - blocks.first[lo])
     fmats = [None] * (hi - lo)
     for f, ((b, a), qs) in zip(M, classes):
         res[qs] = np.maximum.reduce([res[qs], max_abs(bdagger(f) @ f - eye(a)),
@@ -419,140 +416,99 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     return res, fmats
 
 
-def _each(n):
-    """(item, index) over the indices range(n[t]) of every item t."""
-    return ranges(np.zeros(len(n), dtype=int), n)
-
-
-def _batches(r, x, c):
-    """Cut items of shapes (r, x, c), in order of shape, into (lo, hi,
-    groups) batches whose index work fits half of CHUNK_BYTES, counted at
-    64 bytes per row, inner index and column of an item and 32 per entry of
-    A, B and A @ B (at least one item a batch); groups lists (r, x, c,
-    items) per shape in the batch."""
-    cost = 64 * (r + x + c) + 32 * (r * x + x * c + r * c)
-    total = np.cumsum(cost)
-    cuts, done = [0], 0
-    while cuts[-1] < len(r):
-        nxt = int(np.searchsorted(total, done + CHUNK_BYTES // 2, side="right"))
-        cuts.append(max(nxt, cuts[-1] + 1))
-        done = total[cuts[-1] - 1]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        new = np.ones(hi - lo, dtype=bool)
-        new[1:] = ((r[lo + 1:hi] != r[lo:hi - 1]) | (x[lo + 1:hi] != x[lo:hi - 1])
-                   | (c[lo + 1:hi] != c[lo:hi - 1]))
-        at = np.flatnonzero(new)
-        n = np.diff(np.append(at, hi - lo))
-        yield lo, hi, list(zip(r[lo + at].tolist(), x[lo + at].tolist(), c[lo + at].tolist(),
-                               n.tolist()))
-
-
-def _products(lay, groups, rows, inner, cols, out):
-    """out[dest] = A @ B per item, in stacks of one shape.
-
-    groups lists per shape (rows, inner, cols, items), the items one after
-    the other.  rows holds per (item, row) the row's part a_row of the
-    places of A's entries in the layout's flat isometry buffer and its part
-    d_row of their destinations; inner per (item, inner index) a_col and
-    b_row; cols per (item, column) b_col, d_mul and d_col.  Entry (x, y) of
-    A is at a_row[x] + a_col[y], entry (x, y) of B at b_row[x] + b_col[y],
-    and entry (x, y) of A @ B goes to d_row[x] d_mul[y] + d_col[y].
-    """
-    at = np.zeros(3, dtype=int)
-    for r, x, c, n in groups:
-        end = at + n * np.array([r, x, c])
-        a_row, d_row = (v[at[0]:end[0]].reshape(n, r, 1) for v in rows)
-        a_col, b_row = inner[0][at[1]:end[1]].reshape(n, 1, x), inner[1][at[1]:end[1]].reshape(n, x, 1)
-        b_col, d_mul, d_col = (v[at[2]:end[2]].reshape(n, 1, c) for v in cols)
-        out[d_row * d_mul + d_col] = (lay.chan_flat[a_row + a_col]
-                                      @ lay.chan_flat[b_row + b_col])
-        at = end
-
-
-def _scatter_left(lay, sec, rows, quads, tri, paths, first, off, p, out):
-    """The left paths (v (x) I_k) w into their blocks of U (at off in out).
+def _left(lay, sec, quads, tlo, block, width, v, w, q, slot):
+    """The items of the left paths for _scatter.
 
     Item (path, sector s of l) is v_s @ w~_s: v_s holds the rows of weight
     w_s of i (x) j and the columns of sector s of v, and w~_s the rows of
     sector s of w as a d_l x d_k d_m matrix and its columns c d_m + e with
-    w_e - w_c = w_s.  Its entry (ab, (c, e)) goes to row (ab, c) of the
-    block of the sector of e, column slot r + the place of e in its sector.
+    w_e - w_c = w_s.  Entry (ab, (c, e)) of the product is row (ab, c) and
+    column e.
     """
-    L, P, D = sec.labels, sec.pairs, sec.diffs
-    v, w, q, slot = paths
+    L, dims = sec.labels, lay.dims
     label = lay.chan_label[v]
-    item, s = _each(sec.n_sec[label])
-    gl = L.first[label[item]] + s
-    gR = sec.by_target[sec.target[v[item]] + s]
-    gC = sec.by_first[sec.first[w[item]] + s]
-    keep = (gR >= 0) & (gC >= 0)
-    item, gl, gR, gC = item[keep], gl[keep], gR[keep], gC[keep]
-    order = np.lexsort((D.size[gC], L.size[gl], P.size[gR]))  # by shape
-    item, gl, gR, gC = item[order], gl[order], gR[order], gC[order]
-    for lo, hi, groups in _batches(P.size[gR], L.size[gl], D.size[gC]):
-        it, gl_, gR_, gC_ = item[lo:hi], gl[lo:hi], gR[lo:hi], gC[lo:hi]
-        q_ = q[it]
-        m, dm = quads[q_, 3], lay.dims[quads[q_, 3]]
-        e, x = _each(P.size[gR_])
-        rows_ = (lay.chan_start[v[it]][e] + P.pos[P.start[gR_][e] + x] * lay.dims[label[it]][e], x)
-        e, x = _each(L.size[gl_])
-        a_col = L.pos[L.start[gl_][e] + x]
-        inner = (a_col, lay.chan_start[w[it]][e] + a_col * (lay.dims[quads[q_, 2]] * dm)[e])
-        # per column c d_m + e: where its first row goes, and the step to
-        # the next row
-        e, y = _each(D.size[gC_])
-        b_col = D.pos[D.start[gC_][e] + y]
-        c, col = np.divmod(b_col, dm[e])
-        place, h_size = rows.row(sec, tri[q_][e], gR_[e], 0, c)
-        z = L.lo[m[e]] + col
-        width = L.size[L.sector[z]]
-        stride = p[q_][e] * width
-        d_col = (off[(first[q_] - L.first[m])[e] + L.sector[z]] + place * stride
-                 + slot[it][e] * width + L.rank[z])
-        _products(lay, groups, rows_, inner, (b_col, h_size * stride, d_col), out)
+    t, s = _each(sec.n_sec[label])
+    q, label, dk, m = q[t], label[t], dims[quads[q[t], 2]], quads[q[t], 3]
+    return (block[q], m, slot[t], width[q], lay.chan_start[v[t]], dims[label],
+            sec.by_target[sec.target[v[t]] + s], L.first[label] + s, lay.chan_start[w[t]],
+            dk * dims[m], sec.diffs, sec.by_first[sec.first[w[t]] + s], tlo[q], dk)
 
 
-def _scatter_right(lay, sec, rows, quads, tri, paths, first, off, pp, out):
-    """The right paths (I_i (x) v) w into their blocks of W (at off in out).
+def _right(lay, sec, quads, tlo, block, width, v, w, q, slot):
+    """The items of the right paths for _scatter.
 
     Item (path, basis vector a of i, sector s of n) is v_s @ w_a: v_s holds
     the rows of weight w_s of j (x) k and the columns of sector s of v, and
-    w_a the rows a d_n + (sector s) of w and its columns of weight
-    w_a + w_s.  Its entry (bc, e) goes to row a d_j d_k + bc of the block of
-    that weight, column slot r + the place of e in its sector.  The items
-    are the runs of one a in the sectors of diffs (i,m) of the weights w_s.
+    w_a the rows a d_n + (sector s) of w and its columns of weight w_a +
+    w_s.  Entry (bc, e) of the product is row a d_j d_k + bc and column e.
+    The items are the runs of one a in the sectors (i,m) of diffs of weight
+    w_s.
     """
-    L, P, D = sec.labels, sec.pairs, sec.diffs
-    v, w, q, slot = paths
+    L, dims = sec.labels, lay.dims
     label = lay.chan_label[v]
-    item, s = _each(sec.n_sec[label])
-    gt = L.first[label[item]] + s
-    gR = sec.by_target[sec.target[v[item]] + s]
-    gC = sec.by_second[sec.second[w[item]] + s]
-    keep = (gR >= 0) & (gC >= 0)
-    item, gt, gR, gC = item[keep], gt[keep], gR[keep], gC[keep]
-    at, run = ranges(sec.run_first[gC], sec.run_first[gC + 1] - sec.run_first[gC])
-    item, gt, gR, a = item[at], gt[at], gR[at], sec.run_a[run]
-    m = quads[q[item], 3]
-    gm = L.sector[L.lo[m] + D.pos[sec.run_start[run]] % lay.dims[m]]
-    order = np.lexsort((L.size[gm], L.size[gt], P.size[gR]))  # by shape
-    item, a, gt, gm, gR = (x[order] for x in (item, a, gt, gm, gR))
-    # the place of each row ab d_k + c of the chunk's triples
-    place, tlo = rows.places(sec, tri[0], tri[-1] + 1)
-    for lo, hi, groups in _batches(P.size[gR], L.size[gt], L.size[gm]):
-        it, a_, gt_, gm_, gR_ = item[lo:hi], a[lo:hi], gt[lo:hi], gm[lo:hi], gR[lo:hi]
-        r, q_ = L.size[gm_], q[it]
-        dn, dm = lay.dims[label[it]], lay.dims[quads[q_, 3]]
-        djk = lay.dims[quads[q_, 1]] * lay.dims[quads[q_, 2]]
-        # per row bc of v_s: where it goes, row a d_j d_k + bc of the triple
-        e, x = _each(P.size[gR_])
-        bc = P.pos[P.start[gR_][e] + x]
-        d_row = ((off[first[q_] + gm_ - L.first[quads[q_, 3]]] + slot[it] * r)[e]
-                 + place[(tlo[tri[q_] - tri[0]] + a_ * djk)[e] + bc] * (pp[q_] * r)[e])
-        rows_ = (lay.chan_start[v[it]][e] + bc * dn[e], d_row)
-        e, y = _each(L.size[gt_])
-        a_col = L.pos[L.start[gt_][e] + y]
-        inner = (a_col, (lay.chan_start[w[it]] + a_ * dn * dm)[e] + a_col * dm[e])
-        e, z = _each(r)
-        _products(lay, groups, rows_, inner,
-                  (L.pos[L.start[gm_][e] + z], np.ones(len(e), dtype=int), z), out)
+    t, s = _each(sec.n_sec[label])
+    gC = sec.by_second[sec.second[w[t]] + s]
+    t, s, gC = t[gC >= 0], s[gC >= 0], gC[gC >= 0]
+    x, run = ranges(sec.run_first[gC], sec.run_first[gC + 1] - sec.run_first[gC])
+    t, s, a = t[x], s[x], sec.run_a[run]
+    q, label = q[t], label[t]
+    i, j, k, m = quads[q].T
+    dn, dm = dims[label], dims[m]
+    e = sec.diffs.pos[sec.run_start[run]] % dm
+    return (block[q], m, slot[t], width[q], lay.chan_start[v[t]], dn,
+            sec.by_target[sec.target[v[t]] + s], L.first[label] + s,
+            lay.chan_start[w[t]] + a * dn * dm, dm, L, L.sector[L.lo[m] + e],
+            tlo[q] + a * dims[j] * dims[k], np.ones(len(q), dtype=int))
+
+
+def _scatter(lay, sec, place, off, out, block, m, slot, width, a_start, a_cols, gR, gX,
+             b_start, b_step, cols, gC, p_start, p_step):
+    """Scatter the products A @ B of the items into their blocks (at off in
+    the flat buffer out), in stacks of one shape.
+
+    Per item: A holds the rows of sector gR of pairs and the columns of
+    sector gX of labels of the isometry at a_start (a_cols columns), and B
+    the rows at b_start + b_step x, x in sector gX, and the columns of
+    sector gC of cols of its isometry.  Entry (ab, y) of A @ B, y = c d_m +
+    e, is row p_start + ab p_step + c of the rows' places, and column
+    slot r + the place of e in its sector of m (of size r), of the block of
+    that sector.  Items with gR or gC -1 have no product.  The items run in
+    batches whose index work fits a quarter of CHUNK_BYTES, counted at 64
+    bytes per row, inner index and column and 32 per entry of A, B and
+    A @ B.
+    """
+    L, P = sec.labels, sec.pairs
+    keep = np.flatnonzero((gR >= 0) & (gC >= 0))
+    nR, nX, nC = P.size[gR[keep]], L.size[gX[keep]], cols.size[gC[keep]]
+    order = np.lexsort((nC, nX, nR))
+    keep, nR, nX, nC = keep[order], nR[order], nX[order], nC[order]
+    cuts = _cuts(64 * (nR + nX + nC) + 32 * (nR * nX + nX * nC + nR * nC), CHUNK_BYTES // 4)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        it = keep[lo:hi]
+        t, x = _each(nR[lo:hi])
+        pos = P.pos[P.start[gR[it]][t] + x]
+        a_row = a_start[it][t] + pos * a_cols[it][t]
+        p_row = p_start[it][t] + pos * p_step[it][t]
+        t, x = _each(nX[lo:hi])
+        a_col = L.pos[L.start[gX[it]][t] + x]
+        b_row = b_start[it][t] + a_col * b_step[it][t]
+        t, x = _each(nC[lo:hi])
+        b_col = cols.pos[cols.start[gC[it]][t] + x]
+        c, e = np.divmod(b_col, lay.dims[m[it]][t])
+        e = L.lo[m[it]][t] + e
+        r = L.size[L.sector[e]]
+        d_col = off[block[it][t] + L.sector[e]] + slot[it][t] * r + L.rank[e]
+        d_mul = width[it][t] * r
+        new = np.flatnonzero((np.diff(nR[lo:hi]) != 0) | (np.diff(nX[lo:hi]) != 0)
+                             | (np.diff(nC[lo:hi]) != 0)) + 1
+        at = np.zeros(3, dtype=int)
+        for a, b in zip(np.append(0, new).tolist(), np.append(new, hi - lo).tolist()):
+            R, X, C, N = int(nR[lo + a]), int(nX[lo + a]), int(nC[lo + a]), b - a
+            end = at + N * np.array([R, X, C])
+            rs, xs, cs = (slice(u, v) for u, v in zip(at, end))
+            A = lay.chan_flat[a_row[rs].reshape(N, R, 1) + a_col[xs].reshape(N, 1, X)]
+            Bm = lay.chan_flat[b_row[xs].reshape(N, X, 1) + b_col[cs].reshape(N, 1, C)]
+            dest = (d_col[cs].reshape(N, 1, C) + d_mul[cs].reshape(N, 1, C)
+                    * place[p_row[rs].reshape(N, R, 1) + c[cs].reshape(N, 1, C)])
+            out[dest] = A @ Bm
+            at = end
