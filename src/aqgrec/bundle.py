@@ -57,7 +57,6 @@ from .linalg import (
     zero_stacks,
 )
 from .report import Report
-from .sectors import certificate, certify_grading, weights_of
 
 
 @dataclass
@@ -193,6 +192,9 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
+        # imported here, so that gen, which builds no layout, does not load it
+        from .sectors import certify_grading, weights_of
+
         self.weights = weights_of(b)
         if b.weights is not None:
             certify_grading(b, self)
@@ -281,6 +283,8 @@ class FusionLayout:
         budget (see sectors.py).
         """
         if self._fmoves is None:
+            from .sectors import certificate
+
             self._fmoves = certificate(self)
         return self._fmoves
 
