@@ -484,21 +484,22 @@ def _scatter(lay, sec, place, off, out, block, m, slot, width, a_start, a_cols, 
     keep, nR, nX, nC = keep[order], nR[order], nX[order], nC[order]
     cuts = _cuts(64 * (nR + nX + nC) + 32 * (nR * nX + nX * nC + nR * nC), CHUNK_BYTES // 4)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        it = keep[lo:hi]
         t, x = _each(nR[lo:hi])
-        pos = P.pos[P.start[gR[it]][t] + x]
-        a_row = a_start[it][t] + pos * a_cols[it][t]
-        p_row = p_start[it][t] + pos * p_step[it][t]
+        t = keep[lo:hi][t]
+        pos = P.pos[P.start[gR[t]] + x]
+        a_row, p_row = a_start[t] + pos * a_cols[t], p_start[t] + pos * p_step[t]
         t, x = _each(nX[lo:hi])
-        a_col = L.pos[L.start[gX[it]][t] + x]
-        b_row = b_start[it][t] + a_col * b_step[it][t]
+        t = keep[lo:hi][t]
+        a_col = L.pos[L.start[gX[t]] + x]
+        b_row = b_start[t] + a_col * b_step[t]
         t, x = _each(nC[lo:hi])
-        b_col = cols.pos[cols.start[gC[it]][t] + x]
-        c, e = np.divmod(b_col, lay.dims[m[it]][t])
-        e = L.lo[m[it]][t] + e
-        r = L.size[L.sector[e]]
-        d_col = off[block[it][t] + L.sector[e]] + slot[it][t] * r + L.rank[e]
-        d_mul = width[it][t] * r
+        t = keep[lo:hi][t]
+        b_col = cols.pos[cols.start[gC[t]] + x]
+        c, e = np.divmod(b_col, lay.dims[m[t]])
+        e = L.lo[m[t]] + e
+        g = L.sector[e]
+        r = L.size[g]
+        d_col, d_mul = off[block[t] + g] + slot[t] * r + L.rank[e], width[t] * r
         new = np.flatnonzero((np.diff(nR[lo:hi]) != 0) | (np.diff(nX[lo:hi]) != 0)
                              | (np.diff(nC[lo:hi]) != 0)) + 1
         at = np.zeros(3, dtype=int)
