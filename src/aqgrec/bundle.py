@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import BundleSyntaxError, MissingBraiding, NotFinite, ShapeError
 from .linalg import (
-    CHUNK_BYTES,
     DEFAULT_TOL,
     Array,
     Tolerance,
@@ -42,11 +41,9 @@ from .linalg import (
     by_shape,
     cmat,
     dagger,
-    distinct,
     eye,
     flat_stacks,
     frozen_eye,
-    group_by,
     kron,
     max_abs,
     ranges,
