@@ -190,7 +190,7 @@ class FusionLayout:
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
         # imported here, so that gen, which builds no layout, does not load it
-        from .sectors import certify_grading, weights_of
+        from .grading import certify_grading, weights_of
 
         self.weights = weights_of(b)
         if b.weights is not None:

@@ -1,10 +1,4 @@
-"""Weight gradings of a fusion layout, and its F-move certificate by sectors.
-
-A bundle may grade each H_i by an integer weight per basis vector.  The
-grading is certified when the layout is built (certify_grading): every
-isometry, conjugate-pair and braiding entry off its sector must be exactly
-0, so that the isometries conserve weight.  A bundle without a grading has
-one weight, 0, throughout (weights_of).
+"""The F-move certificate of a fusion layout, by weight sectors.
 
 For an admissible triple (i,j,k) and a label m, U stacks (v (x) I_k) w over
 the left paths i (x) j -> l, l (x) k -> m, and W stacks (I_i (x) v') w' over
@@ -12,8 +6,8 @@ the right paths j (x) k -> n, i (x) n -> m, both in channel order.  The two
 bracketings of Delta agree on all of B(H_m) exactly when G = W* U =
 M (x) I_{d_m} with M unitary; M is the F-matrix, or 6j symbol.
 
-Every isometry conserves the weights of the layout (one weight, 0, on a
-bundle without a grading), so G is block-diagonal over the weights w of
+Every isometry conserves the weights of the layout (grading.py; one weight,
+0, on a bundle without a grading), so G is block-diagonal over the weights w of
 H_m.  The block G_w = W_w* U_w pairs the rows of weight w of
 H_i (x) H_j (x) H_k with the r_w basis vectors of weight w of H_m, and the
 certificate is G_w = M (x) I_{r_w} for every w, with M the sum of the
@@ -24,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BundleSyntaxError, GradingError, ShapeError
+from .grading import pair_weights
 from .linalg import (
     CHUNK_BYTES,
     Array,
@@ -37,83 +31,6 @@ from .linalg import (
     max_abs,
     ranges,
 )
-
-
-# weights stay below this in magnitude, so that sums of three of them and
-# the keys of _find fit in 64 bits
-_WEIGHT_LIMIT = 2 ** 31
-
-
-def weights_of(b) -> list[Array]:
-    """Per label number, the weight of each basis vector: b.weights, checked
-    for shape and type, or zeros when b declares no grading."""
-    if b.weights is None:
-        return [np.zeros(b.dims[k], dtype=np.int64) for k in b.labels]
-    if not isinstance(b.weights, dict) or set(b.weights) != set(b.labels):
-        raise BundleSyntaxError("weights must map every label to a list")
-    out = []
-    for k in b.labels:
-        w = b.weights[k]
-        if not isinstance(w, (list, tuple, np.ndarray)) or any(
-                isinstance(x, bool) or not isinstance(x, (int, np.integer))
-                or not -_WEIGHT_LIMIT < x < _WEIGHT_LIMIT for x in w):
-            raise BundleSyntaxError(
-                f"weights of {k!r} must be a list of integers of magnitude below 2^31")
-        if len(w) != b.dims[k]:
-            raise ShapeError(f"weights of {k!r}: {len(w)} entries for dimension {b.dims[k]}")
-        out.append(np.array(w, dtype=np.int64))
-    return out
-
-
-def _pair_weights(lay):
-    """The basis vectors a d_j + b of every H_i (x) H_j, pair after pair in
-    the layout's pair order, weighted by w_a + w_b and by w_b - w_a."""
-    dims, n_lab = lay.dims, len(lay.dims)
-    w = np.concatenate(lay.weights)
-    lo = np.cumsum(dims) - dims
-    p, x = ranges(np.zeros(n_lab * n_lab, dtype=int), lay.pair_size)
-    i, j = np.divmod(p, n_lab)
-    a, b = np.divmod(x, dims[j])
-    wa, wb = w[lo[i] + a], w[lo[j] + b]
-    return wa + wb, wb - wa
-
-
-def certify_grading(b, lay) -> None:
-    """Raise GradingError at the first isometry, conjugate-pair or braiding
-    entry that lies off its weight sector and is not exactly 0."""
-    lab, w = b.labels, lay.weights
-    pair_w, _ = _pair_weights(lay)
-    pair_lo = np.cumsum(lay.pair_size) - lay.pair_size
-
-    def pair(i, j):  # the weights of H_i (x) H_j
-        p = lay.pair_index[(i, j)]
-        return pair_w[pair_lo[p]:pair_lo[p] + lay.pair_size[p]]
-
-    # the channel, row and column of every nonzero isometry entry
-    nz = np.flatnonzero(lay.chan_flat)
-    by_start = np.argsort(lay.chan_start, kind="stable")
-    c = by_start[np.searchsorted(lay.chan_start[by_start], nz, side="right") - 1]
-    r, x = np.divmod(nz - lay.chan_start[c], lay.dims[lay.chan_label[c]])
-    w_lo = np.cumsum(lay.dims) - lay.dims
-    bad = np.flatnonzero(pair_w[pair_lo[lay.chan_pair[c]] + r]
-                         != np.concatenate(w)[w_lo[lay.chan_label[c]] + x])
-    if bad.size:
-        at = bad[np.lexsort((nz[bad], c[bad]))[0]]
-        (i, j), k = lay.pairs[lay.chan_pair[c[at]]], lab[lay.chan_label[c[at]]]
-        raise GradingError(f"fusion({i},{j}->{k}): entry ({r[at]}, {x[at]}) lies off its "
-                           "weight sector")
-    for i in lab:
-        for name, v, ws in (("r", b.conj[i][0], pair(b.dual[i], i)),
-                            ("rbar", b.conj[i][1], pair(i, b.dual[i]))):
-            bad = np.flatnonzero((ws != 0) & (v != 0))
-            if bad.size:
-                raise GradingError(f"conj({i}).{name}: entry {bad[0]} lies off its "
-                                   "weight sector")
-    for (i, j), c in (b.braiding or {}).items():
-        bad = np.argwhere((pair(j, i)[:, None] != pair(i, j)[None, :]) & (c != 0))
-        if bad.size:
-            raise GradingError(f"braiding({i},{j}): entry ({bad[0][0]}, {bad[0][1]}) lies "
-                               "off its weight sector")
 
 
 def certificate(lay):
@@ -224,7 +141,7 @@ class _LayoutSectors:
     def __init__(self, lay):
         dims, n_lab = lay.dims, len(lay.dims)
         self.labels = L = _Sectors(dims, np.concatenate(lay.weights))
-        total, diff = _pair_weights(lay)
+        total, diff = pair_weights(lay)
         self.pairs, self.diffs = P, D = _Sectors(lay.pair_size, total), _Sectors(lay.pair_size, diff)
         a = D.pos // dims[D.space % n_lab][np.repeat(np.arange(len(D.size)), D.size)]
         new = np.ones(len(a), dtype=bool)
