@@ -189,11 +189,12 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
-        # imported here, so that gen, which builds no layout, does not load it
-        from .grading import certify_grading, weights_of
+        if b.weights is None:
+            self.weights = [np.zeros(d, dtype=np.int64) for d in self.dims]
+        else:
+            from .grading import certify_grading, weights_of
 
-        self.weights = weights_of(b)
-        if b.weights is not None:
+            self.weights = weights_of(b)
             certify_grading(b, self)
         self._delta = None
         self._fmoves = None
@@ -475,7 +476,8 @@ def parse_bundle(text: str) -> CategoryBundle:
 def _data(m: Array) -> str:
     """The "data" text of a matrix or vector: its entries in row-major order
     as [re, im] pairs, through the C JSON encoder."""
-    return json.dumps(np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2).tolist())
+    pairs = np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2)
+    return json.dumps(pairs.tolist())
 
 
 def _matrix_text(m: Array) -> str:

@@ -5,8 +5,8 @@ when the fusion layout is built (certify_grading): every isometry,
 conjugate-pair and braiding entry off its sector must be exactly 0, so that
 the isometries conserve weight and the grading is a grouplike of the
 reconstructed algebra.  A bundle without a grading has one weight, 0,
-throughout (weights_of).  The F-move certificate reads the grading by
-sectors (sectors.py).
+throughout (FusionLayout.weights).  The F-move certificate reads the
+grading by sectors (sectors.py).
 """
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ _WEIGHT_LIMIT = 2 ** 31
 
 def weights_of(b) -> list[Array]:
     """Per label number, the weight of each basis vector: b.weights, checked
-    for shape and type, or zeros when b declares no grading."""
-    if b.weights is None:
-        return [np.zeros(b.dims[k], dtype=np.int64) for k in b.labels]
+    for shape and type."""
     if not isinstance(b.weights, dict) or set(b.weights) != set(b.labels):
         raise BundleSyntaxError("weights must map every label to a list")
     out = []

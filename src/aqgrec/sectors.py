@@ -97,7 +97,7 @@ def _each(n):
 class _Sectors:
     """The weight sectors of a family of spaces: space s has sizes[s] basis
     vectors, and basis vector x of it is number lo[s] + x, of weight
-    w[lo[s] + x].
+    w[lo[s] + x] (w holds the weights of all spaces, one after the other).
 
     A sector is one weight of one space; sectors are numbered by space, then
     weight, those of space s from first[s] to first[s + 1].  Sector g holds
@@ -107,7 +107,7 @@ class _Sectors:
     """
 
     def __init__(self, sizes, w):
-        self.sizes, self.w, self.lo = sizes, w, np.cumsum(sizes) - sizes
+        self.sizes, self.lo = sizes, np.cumsum(sizes) - sizes
         space = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((w, space))
         s, w = space[order], w[order]
@@ -130,7 +130,8 @@ class _LayoutSectors:
     the weights (pairs, basis vector a d_j + b); and per pair (i,m) of
     H_i* (x) H_m by w_e - w_a (diffs, basis vector a d_m + e).  A sector of
     diffs splits into runs of one a: run_first[g] to run_first[g + 1] are
-    those of sector g, run a[x] starting at place run_start[x] of it.
+    those of sector g, run x of one a = run_a[x] starting at place
+    run_start[x] of it.
 
     Per channel c, (i,j) -> k, and per sector s of the label k, i or j (by
     place in that label): the sector of pairs (i,j) of the weight of s
@@ -142,7 +143,8 @@ class _LayoutSectors:
         dims, n_lab = lay.dims, len(lay.dims)
         self.labels = L = _Sectors(dims, np.concatenate(lay.weights))
         total, diff = pair_weights(lay)
-        self.pairs, self.diffs = P, D = _Sectors(lay.pair_size, total), _Sectors(lay.pair_size, diff)
+        self.pairs = P = _Sectors(lay.pair_size, total)
+        self.diffs = D = _Sectors(lay.pair_size, diff)
         a = D.pos // dims[D.space % n_lab][np.repeat(np.arange(len(D.size)), D.size)]
         new = np.ones(len(a), dtype=bool)
         new[1:] = a[1:] != a[:-1]
@@ -193,7 +195,8 @@ class _Rows:
         start = np.flatnonzero(new)
         before = np.cumsum(cells[order]) - cells[order]
         self.place = np.empty(len(order), dtype=int)
-        self.place[order] = before - np.repeat(before[start], np.diff(np.append(start, len(order))))
+        self.place[order] = before - np.repeat(before[start],
+                                               np.diff(np.append(start, len(order))))
         self.sec_t, self.sec_w = t[order][start], omega[order][start]
         self.sec_n = np.add.reduceat(cells[order], start) if len(start) else start
 
@@ -311,9 +314,9 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
         u = buffers[0][offsets[0][sel[0]]:][:len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
         w = buffers[1][offsets[1][sel[0]]:][:len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
         g = bdagger(w) @ u
-        traces[cls[bq[sel[0]]]][at[sel]] = np.einsum("qaibi->qab", g.reshape(len(sel), b, rr, a, rr))
+        traces[cls[bq[sel[0]]]][at[sel]] = np.einsum("qaibi->qab",
+                                                     g.reshape(len(sel), b, rr, a, rr))
         products.append((sel, rr, g))
-    del buffers
     M, slot = [], np.zeros(hi - lo, dtype=int)
     for t, (_, qs) in zip(traces, classes):
         count = blocks.count[lo + qs]

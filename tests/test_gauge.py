@@ -5,8 +5,9 @@ natural isomorphism of the embedding functor; the reconstructed algebra
 changes by Ad(+U_i), so every subcommand must give the same exit code and
 pass flags on the gauged bundle (test_aqg.gauge), with residuals moved at
 roundoff only, and the quantum dimensions, the singular values of the
-F-matrices, triangularity and intrinsic group must agree.  Every generator writes real isometries, so this is what tells a
-dropped complex conjugation apart.
+F-matrices, triangularity and intrinsic group must agree.  Every generator
+writes real isometries, so this is what tells a dropped complex conjugation
+apart.
 """
 import dataclasses
 import json
