@@ -189,8 +189,8 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
-        # grading.py and sectors.py load on use: every process compiles
-        # what it imports, and gen and the refusals need neither
+        # grading.py and sectors.py load on use: every process compiles what
+        # it imports, gen needs neither and the window refusals no certificate
         if b.weights is None:
             self.weights = [np.zeros(d, dtype=np.int64) for d in self.dims]
         else:
