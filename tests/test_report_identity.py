@@ -49,7 +49,10 @@ CASES = [
     ("d4", ("d4",), ("validate", "check", "rmatrix", "dual", "group")),
     ("q8", ("q8",), ("validate", "check", "rmatrix", "dual", "group")),
     ("suq2-l3", None, ("validate", "check")),  # q = 0.5, Temperley-Lieb
-    ("a4", None, ("validate", "check", "rmatrix")),  # 3 (x) 3 holds 3 twice
+    ("a4", None, ("validate", "check", "rmatrix", "dual", "group")),  # 3 (x) 3 holds 3 twice
+    # ten labels or more: "10" sorts before "2", so Delta's name order is
+    # not label order, and pairs such as (5,5) have channels to both
+    ("suq2-l10", ("suq2", "--q", "0.5", "--L", "10"), ("check",)),
 ]
 
 
