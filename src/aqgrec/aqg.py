@@ -29,7 +29,6 @@ from .linalg import (
     bdagger,
     bkron,
     dagger,
-    distinct,
     frozen_eye,
     group_by,
     max_abs,
@@ -37,6 +36,7 @@ from .linalg import (
     plan_entries,
     ranges,
     residual,
+    slots,
     split_by,
     worst,
 )
@@ -257,34 +257,31 @@ class DeltaPlan:
     once for every batch whose blocks lie on `labels`.
 
     slot and count place the blocks: pair p's is out[(s, s)][slot[p]] with s
-    = d_i d_j, and count[s] blocks have size s.  work holds, per shape group
-    of the layout's Delta work list, the items (channels k in `labels`) of
-    wanted pairs as (numbers, V, V*, block of k among its size), and order
-    is the schedule that sums them per pair in item order.  entries counts
-    the complex entries it holds per sample.
+    = d_i d_j, and count[s] blocks have size s.  The items are the channels
+    of the wanted pairs into `labels`, a join over the layout's channel
+    arrays, numbered by pair, then the name of k, then alpha.  work holds
+    them per isometry shape as (numbers, V, V*, block of k among its size),
+    and order is the schedule that sums them per pair in item order.
+    entries counts the complex entries it holds per sample.
     """
 
     def __init__(self, q: Aqg, labels, idx):
         lay = q.bundle.layout
-        groups, item_pair, pair_groups = lay.delta
-        self.slot = np.full(len(lay.pairs), -1, dtype=int)
-        wanted = distinct(np.asarray(idx, dtype=int))
-        self.count = {}
-        for d, members in split_by(lay.pair_size[wanted]):
-            self.slot[wanted[members]] = np.arange(len(members))
-            self.count[int(d)] = len(members)
+        idx = np.asarray(idx, dtype=int)
+        sizes = np.zeros(len(lay.pairs), dtype=int)
+        sizes[idx] = lay.pair_size[idx]
+        self.slot, self.count = slots(sizes)
         have = np.zeros(len(q.labels), dtype=bool)
         have[[lay.label_index[k] for k in labels]] = True
+        _, chans = lay.channels_of(np.flatnonzero(sizes))
+        chans = chans[have[lay.chan_label[chans]]]
+        chans = chans[np.lexsort((lay.chan_alpha[chans], lay.name_rank[lay.chan_label[chans]],
+                                  lay.chan_pair[chans]))]
         self.work = []
-        for g in sorted(set().union(*(pair_groups[p] for p in wanted))):
-            nums, (v, lab, pair) = groups[g]
-            use = have[lab] & (self.slot[pair] >= 0)
-            if not use.all():
-                if not use.any():
-                    continue
-                nums, v, lab = nums[use], v[use], lab[use]
-            self.work.append((nums, v, bdagger(v), lay.block_of[lab]))
-        self.order = order_plan(self.slot[item_pair], [w[0] for w in self.work],
+        for _, nums in split_by(lay.chan_shape[chans]):
+            v = lay.isometries(chans[nums])
+            self.work.append((nums, v, bdagger(v), lay.block_of[lay.chan_label[chans[nums]]]))
+        self.order = order_plan(self.slot[lay.chan_pair[chans]], [w[0] for w in self.work],
                                 [(w[1].shape[1],) * 2 for w in self.work])
         self.entries = sum(n * d * d for d, n in self.count.items()) + plan_entries(self.order)
 
@@ -296,7 +293,7 @@ def delta_stacks(a: dict, plan: DeltaPlan):
     Returns (out, slot): pair p's blocks are out[(s, s)][slot[p]], one per
     sample, where s is d_i d_j.  Each block sums v a_k v* over the loaded
     channels k of a's labels, in label-name order, as one stacked product
-    per shape group of the layout's Delta work list.
+    per isometry shape of the plan's items.
     """
     n = next(iter(a.values())).shape[1]
 
@@ -571,9 +568,8 @@ class _TInversePlan:
     chain of two matmuls, L X then R (L X) reshaped for T1 and X R then
     L (X R) for T2, with X the input block; L and R contract v with the
     conjugate pair of j (T1) or i (T2), depend on the item only, and are
-    formed here, stacked per item shape.  out lists the output pairs in
-    increasing order, and pair p's block is at where[p] among those of its
-    size (-1: none).
+    formed here, stacked per item shape.  Pair p's output block is at
+    where[p] among those of its size (-1: none).
     """
 
     def __init__(self, q: Aqg, idx, which: str):
@@ -592,16 +588,9 @@ class _TInversePlan:
         cs = order[cs]
         other = lay.chan_pair[cs] // n_lab if t1 else lay.chan_pair[cs] % n_lab
         opair = other * n_lab + second[at] if t1 else first[at] * n_lab + other
-        self.out = distinct(opair)
-        rows = np.searchsorted(self.out, opair)
-        size = lay.pair_size[self.out]
-        pos = np.full(len(size), -1, dtype=int)
-        self.count = {}
-        for s, members in split_by(size):
-            pos[members] = np.arange(len(members))
-            self.count[int(s)] = len(members)
-        self.where = np.full(len(lay.pairs), -1, dtype=int)
-        self.where[self.out] = pos
+        sizes = np.zeros(len(lay.pairs), dtype=int)
+        sizes[opair] = lay.pair_size[opair]
+        self.where, self.count = slots(sizes)
         classes = _pair_classes(lay, idx)
         cls, row = np.zeros(len(idx), dtype=int), np.zeros(len(idx), dtype=int)
         for g, (_, sel) in enumerate(classes):
@@ -626,8 +615,8 @@ class _TInversePlan:
                 left = (rmc.swapaxes(1, 2) @ vt).reshape(-1, di, dn, dj).swapaxes(1, 2)
                 left = left.reshape(-1, dn * di, dj)
             self.work.append((nums, cls[t[0]], row[t], di, dj, dn, left, right))
-        self.order = order_plan(pos[rows], [w[0] for w in self.work],
-                                [(size[rows[w[0][0]]],) * 2 for w in self.work])
+        self.order = order_plan(self.where[opair], [w[0] for w in self.work],
+                                [(lay.pair_size[opair[w[0][0]]],) * 2 for w in self.work])
         self.entries = sum(n * s * s for s, n in self.count.items()) + plan_entries(self.order)
 
     def inverse(self, x: list, n: int) -> dict:

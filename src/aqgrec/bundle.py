@@ -38,7 +38,6 @@ from .linalg import (
     add_in_order,
     bdagger,
     bkron,
-    by_shape,
     cmat,
     dagger,
     eye,
@@ -94,13 +93,10 @@ class CategoryBundle:
             self._layout = FusionLayout(self)
         return self._layout
 
-    def support(self, i: str, j: str) -> list[tuple[str, int]]:
-        """Loaded fusion channels of i (x) j, in label order."""
-        return self.layout.support[(i, j)]
-
     def complete(self, i: str, j: str) -> bool:
         """True when all summands of i (x) j lie inside the loaded window."""
-        return self.layout.complete[(i, j)]
+        lay = self.layout
+        return bool(lay.complete_pair[lay.pair_index[(i, j)]])
 
 
 def require_tables(b: CategoryBundle) -> None:
@@ -136,50 +132,44 @@ class FusionLayout:
       isometry shape, and its entries in row-major order start at
       chan_start[c] in chan_flat, of which the stacks are views.
 
-    Per pair (i,j): channels[(i,j)] lists (k, alpha, v) over its channels,
-    support[(i,j)] lists (k, N_ij^k) over loaded k, and complete[(i,j)]
-    (complete_pair[p] as an array) tells whether those summands fill
-    H_i (x) H_j.  Per label: dims and block_of (the slot of a label among the
-    dim_count[d] labels of its size d).  Per pair: pair_size = d_i d_j, and
-    count[p, k] = N_ij^k over loaded channels, with loaded = count > 0.
+    Every work list over channels (validation, Delta and its cut-offs, the
+    F-moves, the T-inverses, the R-matrix rows, the dual's tables) is a join
+    over these arrays.  Per label: dims, block_of (the slot of a label among
+    the dim_count[d] labels of its size d) and name_rank (the place of its
+    name among the sorted names, the order of the reports' rows by name).
+    Per pair: pair_size = d_i d_j, count[p, k] = N_ij^k over loaded
+    channels, with loaded = count > 0, and complete_pair[p], whether those
+    summands fill H_i (x) H_j.
 
     weights[n] holds the weight of each basis vector of label n: the bundle's
     grading, or 0 throughout when it declares none.  A declared grading is
     certified here: every isometry, conjugate-pair and braiding entry off
     its sector must be exactly 0, or GradingError is raised.
 
-    Built from it on first use: delta, the work list of Delta (every channel
-    as one item), and fmoves, the F-move certificate of every admissible
-    quadruple.
+    Built from it on first use: fmoves, the F-move certificate of every
+    admissible quadruple.
     """
 
     def __init__(self, b: CategoryBundle):
         self.label_index = {k: n for n, k in enumerate(b.labels)}
+        self.name_rank = np.zeros(len(b.labels), dtype=int)
+        self.name_rank[[self.label_index[k] for k in sorted(b.labels)]] = np.arange(len(b.labels))
         self.pairs = [(i, j) for i in b.labels for j in b.labels]
         self.pair_index = {p: n for n, p in enumerate(self.pairs)}
-        self.support: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        self.complete: dict[tuple[str, str], bool] = {}
         self.count = np.zeros((len(self.pairs), len(b.labels)), dtype=int)
         chans, mats = [], []
         for n, (i, j) in enumerate(self.pairs):
             loaded = b.fusion.get((i, j), {})
-            sup = [(k, len(loaded[k])) for k in b.labels if loaded.get(k)]
-            self.support[(i, j)] = sup
-            self.complete[(i, j)] = sum(c * b.dims[k] for k, c in sup) == b.dims[i] * b.dims[j]
-            for k, c in sup:
-                self.count[n, self.label_index[k]] = c
-                chans += [(n, self.label_index[k], a) for a in range(c)]
-                mats += loaded[k]
+            for c, k in enumerate(b.labels):
+                if loaded.get(k):
+                    self.count[n, c] = len(loaded[k])
+                    chans += [(n, c, a) for a in range(len(loaded[k]))]
+                    mats += loaded[k]
         self.chan_pair, self.chan_label, self.chan_alpha = np.array(
             chans, dtype=int).reshape(-1, 3).T
         (self.chan_flat, self.chan_start, self.chan_shape, self.chan_slot,
          self.chan_stacks) = flat_stacks(mats)
         self.pair_start = np.searchsorted(self.chan_pair, np.arange(len(self.pairs) + 1))
-        self.channels: dict[tuple[str, str], list] = {p: [] for p in self.pairs}
-        for n, (p, k, a) in enumerate(chans):
-            self.channels[self.pairs[p]].append(
-                (b.labels[k], a, self.chan_stacks[self.chan_shape[n]][self.chan_slot[n]]))
-        self.complete_pair = np.array([self.complete[p] for p in self.pairs], dtype=bool)
         self.loaded = self.count > 0
         # per label: its dimension and its slot among the labels of that size
         self.dims = np.array([b.dims[k] for k in b.labels], dtype=int)
@@ -189,6 +179,7 @@ class FusionLayout:
             self.block_of[n] = self.dim_count.get(d, 0)
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
+        self.complete_pair = self.count @ self.dims == self.pair_size
         # grading.py and sectors.py load on use: every process compiles what
         # it imports, gen needs neither and the window refusals no certificate
         if b.weights is None:
@@ -198,7 +189,6 @@ class FusionLayout:
 
             self.weights = weights_of(b)
             certify_grading(b, self)
-        self._delta = None
         self._fmoves = None
 
     def isometries(self, chans) -> Array:
@@ -226,32 +216,6 @@ class FusionLayout:
         shape[have], slot[have], stacks = shape_stacks(
             [mats[p] for p in self.pairs if p in mats])
         return have, shape, slot, stacks
-
-    @property
-    def delta(self):
-        """Work list of Delta: every channel (pair, k, alpha) is one item.
-
-        Items run by pair, then by the name of k (labels sorted as
-        strings), then alpha.  Returns (groups,
-        item_pair, pair_groups): groups are (numbers, [V, label, pair]) per
-        isometry shape, with V the stacked isometries and label/pair the
-        index of k and of the pair; item_pair[n] is the pair index of item n,
-        and pair_groups[p] the set of groups holding items of pair p.
-        """
-        if self._delta is None:
-            items = [
-                (v, np.intp(self.label_index[k]), np.intp(n))
-                for n, p in enumerate(self.pairs)
-                for k, _, v in sorted(self.channels[p], key=lambda c: (c[0], c[1]))
-            ]
-            groups = list(by_shape(items))
-            pair_groups: list[set] = [set() for _ in self.pairs]
-            for g, (_, (_, _, pair)) in enumerate(groups):
-                for p in set(pair.tolist()):
-                    pair_groups[p].add(g)
-            self._delta = (groups, np.array([int(it[2]) for it in items], dtype=int),
-                           pair_groups)
-        return self._delta
 
     @property
     def fmoves(self):
@@ -658,18 +622,12 @@ def validate_bundle(
     return rep
 
 
-def _name_rank(b: CategoryBundle) -> Array:
-    """Per label number, the position of the label's name in sorted order."""
-    rank = np.zeros(len(b.labels), dtype=int)
-    rank[[b.layout.label_index[k] for k in sorted(b.labels)]] = np.arange(len(b.labels))
-    return rank
-
-
 def _by_name(b: CategoryBundle):
     """The channels in the order of sorted(b.fusion.items()) and sorted(chans):
     by the names of i, j and k, then alpha.  Returns (order, row): order[x] is
     the x-th channel, and row[x] numbers its (i,j)->k in that order."""
-    lay, rank = b.layout, _name_rank(b)
+    lay = b.layout
+    rank = lay.name_rank
     i, j = np.divmod(lay.chan_pair, len(b.labels))
     order = np.lexsort((lay.chan_alpha, rank[lay.chan_label], rank[j], rank[i]))
     pair, label = lay.chan_pair[order], lay.chan_label[order]
@@ -748,7 +706,7 @@ def _validate_braiding(b, tol, rep, fail_fast):
     res = np.zeros(len(lay.pairs))
     for s, c in enumerate(cstacks):
         res[cshape == s] = max_abs(bdagger(c) @ c - eye(c.shape[-1]))
-    rank = _name_rank(b)
+    rank = lay.name_rank
     pi, pj = np.divmod(np.arange(len(lay.pairs)), n_lab)
     by_name = np.lexsort((rank[pj], rank[pi]))
     if rep.add_rows("braiding-unitarity", [f"({lab[i]},{lab[j]})" for i, j in

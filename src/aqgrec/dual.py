@@ -94,14 +94,15 @@ def table_from_aqg(q: Aqg) -> TableHopf:
         anti[ik[:, :, None, None], idx[i]] = np.einsum(
             "as,pb->psab", q._rbarmat(i), q._rmat(i).conj())
     counit_v[idx[b.unit][0, 0]] = 1.0
-    for n, m in b.layout.pairs:
-        dn, dm = q.d(n), q.d(m)
-        for k, _, v in b.layout.channels[(n, m)]:
-            dk = q.d(k)
-            # [a, b, (x, x'), (y, y')] = v[(x, y), a] conj(v[(x', y'), b])
-            blk = np.einsum("ra,cb->abrc", v, v.conj()).reshape(dk, dk, dn, dm, dn, dm)
-            comult[np.ix_(idx[k].ravel(), idx[n].ravel(), idx[m].ravel())] += (
-                blk.transpose(0, 1, 2, 4, 3, 5).reshape(dk * dk, dn * dn, dm * dm))
+    lay = b.layout
+    for c, (p, k) in enumerate(zip(lay.chan_pair.tolist(), lay.chan_label.tolist())):
+        (n, m), k = lay.pairs[p], q.labels[k]
+        dn, dm, dk = q.d(n), q.d(m), q.d(k)
+        v = lay.chan_stacks[lay.chan_shape[c]][lay.chan_slot[c]]
+        # [a, b, (x, x'), (y, y')] = v[(x, y), a] conj(v[(x', y'), b])
+        blk = np.einsum("ra,cb->abrc", v, v.conj()).reshape(dk, dk, dn, dm, dn, dm)
+        comult[np.ix_(idx[k].ravel(), idx[n].ravel(), idx[m].ravel())] += (
+            blk.transpose(0, 1, 2, 4, 3, 5).reshape(dk * dk, dn * dn, dm * dm))
     return TableHopf(N, mult, unit, comult, counit_v, anti, star, haar_v)
 
 

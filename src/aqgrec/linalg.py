@@ -81,30 +81,6 @@ def max_abs(x: Array) -> Array:
 # ---------------------------------------------------------------------------
 # stacked kernels
 
-def by_shape(items):
-    """Stack items of equal shape: yield (numbers, stacks) per shape group.
-
-    items is a sequence of tuples of arrays; numbers is the int array of the
-    item positions in the group, in order, and stacks holds one array per
-    tuple position, stacked along a new axis 0.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for n, item in enumerate(items):
-        groups.setdefault(tuple([x.shape for x in item]), []).append(n)
-    for shapes, nums in groups.items():
-        yield np.array(nums), [
-            stack_equal([items[n][p] for n in nums], shape)
-            for p, shape in enumerate(shapes)
-        ]
-
-
-def stack_equal(arrays, shape) -> Array:
-    """np.stack for arrays of one shape (faster through concatenate)."""
-    if not shape:
-        return np.array(arrays)
-    return np.concatenate(arrays).reshape((len(arrays),) + shape)
-
-
 def shape_stacks(mats) -> tuple[Array, Array, list]:
     """Matrices stacked per shape, in first-seen shape order.
 
@@ -185,19 +161,29 @@ def ranges(lo, n) -> tuple[Array, Array]:
     return at, np.arange(len(at)) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
+def slots(sizes) -> tuple[Array, dict]:
+    """Segment n of size sizes[n] (0: no segment, slot -1) is number slot[n]
+    among the count[d] segments of its size d, in increasing n.
+
+    Returns (slot, count), count keyed by size in increasing order.
+    """
+    size = np.asarray(sizes, dtype=int)
+    slot, count = np.full(len(size), -1, dtype=int), {}
+    for d, members in split_by(size):
+        if d > 0:
+            slot[members] = np.arange(len(members))
+            count[int(d)] = len(members)
+    return slot, count
+
+
 def zero_stacks(sizes) -> tuple[Array, dict]:
     """Zero sums for segments of d x d blocks, stacked per d.
 
-    Returns (pos, out): segment n, of size sizes[n] (None: no segment, pos
-    -1), is out[(d, d)][pos[n]].
+    Returns (pos, out): segment n, of size sizes[n] (0: no segment, pos -1),
+    is out[(d, d)][pos[n]].
     """
-    size = np.array([d or 0 for d in sizes], dtype=int)
-    pos, out = np.full(len(size), -1, dtype=int), {}
-    for d in distinct(size[size > 0]).tolist():
-        mine = size == d
-        pos[mine] = np.arange(np.count_nonzero(mine))
-        out[(d, d)] = np.zeros((len(pos[mine]), d, d), dtype=complex)
-    return pos, out
+    pos, count = slots(sizes)
+    return pos, {(d, d): np.zeros((c, d, d), dtype=complex) for d, c in count.items()}
 
 
 def add_in_order(out: dict, pos: Array, parts) -> dict:

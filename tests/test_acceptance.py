@@ -29,8 +29,8 @@ from aqgrec.errors import GradingError
 from aqgrec.examples import builtin_group, gen_finite_group
 from aqgrec.group import cocommutative_check, grouplikes
 from aqgrec.linalg import flip, residual, solve_intertwiners
-from test_aqg import (AqgElement, antipode, delta, element_residual, f_blocks, matrix_unit,
-                      random_element)
+from test_aqg import (AqgElement, antipode, delta, element_residual, f_blocks,
+                      fusion_support, matrix_unit, random_element)
 from test_braid import r_block
 from test_dual import (
     corep_from_rep,
@@ -124,7 +124,7 @@ def hom_dim(q, i, j, k):
     the labels m in i (x) j: T pi_k(E) = Delta(E)_ij T, where pi_k(E) is E
     on label k and 0 elsewhere."""
     src, dst = {}, {}
-    for m in dict.fromkeys([k] + [m for m, _ in q.bundle.support(i, j)]):
+    for m in dict.fromkeys([k] + [m for m, _ in fusion_support(q.bundle, i, j)]):
         d = q.d(m)
         for p in range(d):
             for s in range(d):

@@ -115,6 +115,12 @@ def matrix_unit(d, p, s):
     return m
 
 
+def fusion_support(b, i, j):
+    """The loaded fusion channels of i (x) j, in label order: (k, N_ij^k)
+    over the k that i (x) j has isometries to."""
+    return [(k, len(b.isometries(i, j, k))) for k in b.labels if b.isometries(i, j, k)]
+
+
 def delta(q, a, pairs):
     """The blocks of Delta(a) on the given pairs (i,j), as a dict.
 
@@ -149,7 +155,8 @@ def _t_inverse(q, x, which):
     stacks = [np.stack([x[keys[t]] for t in sel])[:, None] for _, sel in _pair_classes(lay, idx)]
     plan = _TInversePlan(q, idx, which)
     out = plan.inverse(stacks, 1)
-    return {lay.pairs[p]: out[(lay.pair_size[p],) * 2][plan.where[p], 0] for p in plan.out}
+    return {lay.pairs[p]: out[(lay.pair_size[p],) * 2][plan.where[p], 0]
+            for p in np.flatnonzero(plan.where >= 0).tolist()}
 
 
 def t1_inverse(q, x):

@@ -15,6 +15,7 @@ from aqgrec.bundle import (
 )
 from aqgrec.errors import GradingError
 from aqgrec.examples import gen_suq2
+from test_aqg import fusion_support
 
 
 def test_serialize_parse_roundtrip(shipped_bundles):
@@ -105,7 +106,7 @@ def test_support_and_completeness(shipped_bundles):
     b = shipped_bundles["s3"]
     # the 2-dim object of S3 fuses as 2 (x) 2 = 1 + 1' + 2
     two = [i for i in b.labels if b.d(i) == 2][0]
-    sup = b.support(two, two)
+    sup = fusion_support(b, two, two)
     assert sum(n * b.d(k) for k, n in sup) == 4
     assert b.complete(two, two)
 
@@ -245,7 +246,7 @@ def _reference_fmoves(b):
     right paths j (x) k -> n, i (x) n -> m by m in label order, each path
     as its (v, w) isometries; per quadruple U, W, G = W* U, M and the
     residual written with np.kron."""
-    chans = {p: [(k, v) for k, _ in b.support(*p) for v in b.isometries(*p, k)]
+    chans = {p: [(k, v) for k, _ in fusion_support(b, *p) for v in b.isometries(*p, k)]
              for p in ((i, j) for i in b.labels for j in b.labels)}
     out = []
     for i in b.labels:

@@ -8,7 +8,7 @@ import numpy as np
 from aqgrec.aqg import reconstruct
 from aqgrec.bundle import validate_bundle
 from aqgrec.linalg import dagger, residual, worst
-from test_aqg import AqgElement, delta, random_element
+from test_aqg import AqgElement, delta, fusion_support, random_element
 from test_rep import action, hom
 
 
@@ -28,7 +28,7 @@ def decomposition_residual(parts, n):
 
 def tensor_parts(b, i, j):
     """The decomposition of i (x) j: (k, v) over the fusion channels."""
-    return [(k, v) for k, _ in b.support(i, j) for v in b.isometries(i, j, k)]
+    return [(k, v) for k, _ in fusion_support(b, i, j) for v in b.isometries(i, j, k)]
 
 
 def test_irreducible_decomp_is_orthonormal(shipped_bundles):

@@ -8,8 +8,8 @@ intertwiner spaces of these actions on the matrix units of A.
 import numpy as np
 
 from aqgrec.linalg import dagger, residual, solve_intertwiners
-from test_aqg import (AqgElement, counit, delta, f_blocks, identity, matrix_unit,
-                      random_element)
+from test_aqg import (AqgElement, counit, delta, f_blocks, fusion_support, identity,
+                      matrix_unit, random_element)
 
 
 def action(q, obj, a):
@@ -22,7 +22,7 @@ def action(q, obj, a):
 def support(q, obj):
     """The labels whose blocks of A act nontrivially on obj."""
     if isinstance(obj, tuple):
-        return [k for k, _ in q.bundle.support(*obj)]
+        return [k for k, _ in fusion_support(q.bundle, *obj)]
     return [obj]
 
 
@@ -150,7 +150,7 @@ def test_decompose_rep_returns_validated_parts(s3_aqg, rng):
     q = s3_aqg
     b = q.bundle
     two = [i for i in q.labels if q.d(i) == 2][0]
-    parts = [(k, v) for k, _ in b.support(two, two) for v in b.isometries(two, two, k)]
+    parts = [(k, v) for k, _ in fusion_support(b, two, two) for v in b.isometries(two, two, k)]
     assert sorted(i for i, _ in parts) == sorted(
         k for k in q.labels for _ in range(len(b.isometries(two, two, k)))
     )
