@@ -33,6 +33,11 @@ from .linalg import (
 )
 
 
+# the index arrays of one item of _left or _right (about 14 int64), with
+# _scatter's sorted copies of them
+ITEM_BYTES = 14 * 8
+
+
 def certificate(lay):
     """(triples, quads, residual, F) of the layout lay; see
     FusionLayout.fmoves."""
@@ -54,17 +59,19 @@ def certificate(lay):
     quad_key = distinct(np.concatenate(keys))
     quads = np.column_stack((triples[quad_key // n_lab], quad_key % n_lab))
     # per side: the (v, w) channels of every path, by quadruple, and per
-    # quadruple its path count and first path
-    ordered, counts, starts = [], [], []
-    for (_, v, w), key in zip(sides, keys):
+    # quadruple its path count, first path and item count (_left, _right)
+    sec = _LayoutSectors(lay)
+    ordered, counts, starts, items = [], [], [], 0
+    for (_, v, w), key, per_path in zip(sides, keys, (sec.n_sec[lay.chan_label[sides[0][1]]],
+                                                      sec.runs[sides[1][2]])):
         quad = np.searchsorted(quad_key, key)
         order = np.argsort(quad, kind="stable")
         ordered.append((v[order], w[order]))
         counts.append(np.bincount(quad, minlength=len(quads)))
         starts.append(np.cumsum(counts[-1]) - counts[-1])
-    sec = _LayoutSectors(lay)
+        items = items + np.bincount(quad, per_path, minlength=len(quads)).astype(int)
     rows = _Rows(sec, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1)
-    blocks = _Blocks(sec, rows, quads, *counts)
+    blocks = _Blocks(sec, rows, quads, *counts, items)
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
     for lo, hi in _chunks(rows.tri, blocks.cost, CHUNK_BYTES):
         side = [(v[a:b], w[a:b], np.repeat(np.arange(hi - lo), c[lo:hi]),
@@ -136,7 +143,9 @@ class _LayoutSectors:
     Per channel c, (i,j) -> k, and per sector s of the label k, i or j (by
     place in that label): the sector of pairs (i,j) of the weight of s
     (by_target[target[c] + s]), of diffs (j,k) (by_first[first[c] + s]) and
-    of diffs (i,k) (by_second[second[c] + s]), -1 where there is none.
+    of diffs (i,k) (by_second[second[c] + s]), -1 where there is none, and
+    runs[c], the runs of one a in those sectors of diffs (i,k): the items of
+    a right path through c as its second channel (_right).
     """
 
     def __init__(self, lay):
@@ -162,6 +171,10 @@ class _LayoutSectors:
                        _find(family.space, family.weight, space[c], L.weight[s])]
         (self.target, self.by_target, self.first, self.by_first,
          self.second, self.by_second) = tables
+        g = self.by_second
+        self.runs = np.bincount(np.repeat(np.arange(len(cj)), self.n_sec[cj]),
+                                np.where(g >= 0, self.run_first[g + 1] - self.run_first[g], 0),
+                                minlength=len(cj)).astype(int)
 
 
 class _Rows:
@@ -220,12 +233,13 @@ class _Blocks:
     """The blocks (quadruple, sector of H_m), quadruple by quadruple, then
     by sector: quad, sector, and their rows n, size r (of the sector), and
     the left and right path counts p and pp of the quadruple.  Quadruple q
-    has count[q] blocks from first[q] on and qp[q] and qpp[q] paths.
-    cost[q] counts the bytes of its U, W and G at 32 per entry, and the
-    first quadruple of a triple also 64 per row of H_i (x) H_j (x) H_k, for
-    the rows' places."""
+    has count[q] blocks from first[q] on, qp[q] and qpp[q] paths and
+    items[q] items of _left and _right.  cost[q] counts the bytes of its U,
+    W and G at 32 per entry, of its items at ITEM_BYTES each, and the first
+    quadruple of a triple also 64 per row of H_i (x) H_j (x) H_k, for the
+    rows' places."""
 
-    def __init__(self, sec, rows, quads, p, pp):
+    def __init__(self, sec, rows, quads, p, pp, items):
         L, m, dims = sec.labels, quads[:, 3], sec.labels.sizes
         self.count = sec.n_sec[m]
         self.first = np.cumsum(self.count) - self.count
@@ -236,6 +250,7 @@ class _Blocks:
         self.r, self.p, self.pp = L.size[self.sector], p[self.quad], pp[self.quad]
         cost = self.r * ((self.p + self.pp) * self.n + self.p * self.pp * self.r)
         self.cost = 32 * np.bincount(self.quad, cost, minlength=len(quads)).astype(int)
+        self.cost += ITEM_BYTES * items
         head = np.flatnonzero(np.diff(rows.tri, prepend=-1))
         self.cost[head] += 64 * dims[quads[head, 0]] * dims[quads[head, 1]] * dims[quads[head, 2]]
 
@@ -308,24 +323,29 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     traces = [np.zeros((blocks.count[lo + qs].sum(), b, a), dtype=complex)
               for (b, a), qs in classes]
     key = np.stack((p, pp, r, n))[:, order]
+    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
+    heads = order[np.append(0, cuts)]
     products = []
-    for sel in np.split(order, np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1):
-        a, b, rr, nn = (int(x[sel[0]]) for x in (p, pp, r, n))
-        u = buffers[0][offsets[0][sel[0]]:][:len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
-        w = buffers[1][offsets[1][sel[0]]:][:len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
+    for sel, (a, b, rr, nn, u0, w0, c) in zip(np.split(order, cuts), np.stack(
+            (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, heads].T.tolist()):
+        u = buffers[0][u0:u0 + len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
+        w = buffers[1][w0:w0 + len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
         g = bdagger(w) @ u
-        traces[cls[bq[sel[0]]]][at[sel]] = np.einsum("qaibi->qab",
-                                                     g.reshape(len(sel), b, rr, a, rr))
-        products.append((sel, rr, g))
+        # the rr-trace, summed over i in order
+        diag = g.reshape(len(sel), b, rr, a, rr).diagonal(axis1=2, axis2=4)
+        trace = diag[..., 0]
+        for i in range(1, rr):
+            trace = trace + diag[..., i]
+        traces[c][at[sel]] = trace
+        products.append((sel, rr, c, g))
     M, slot = [], np.zeros(hi - lo, dtype=int)
     for t, (_, qs) in zip(traces, classes):
         count = blocks.count[lo + qs]
         M.append(np.add.reduceat(t, np.cumsum(count) - count, axis=0) / dims[m[qs]][:, None, None])
         slot[qs] = np.arange(len(qs))
     res = np.zeros(len(bq))
-    for sel, rr, g in products:
-        f = M[cls[bq[sel[0]]]][slot[bq[sel]]]
-        res[sel] = max_abs(g - bkron(f, frozen_eye(rr)))
+    for sel, rr, c, g in products:
+        res[sel] = max_abs(g - bkron(M[c][slot[bq[sel]]], frozen_eye(rr)))
     res = np.maximum.reduceat(res, blocks.first[lo:hi] - blocks.first[lo])
     fmats = [None] * (hi - lo)
     for f, ((b, a), qs) in zip(M, classes):
@@ -420,16 +440,19 @@ def _scatter(lay, sec, place, off, out, block, m, slot, width, a_start, a_cols, 
         g = L.sector[e]
         r = L.size[g]
         d_col, d_mul = off[block[t] + g] + slot[t] * r + L.rank[e], width[t] * r
+        # per group of one shape: its items and where its rows, inner
+        # indices and columns start
         new = np.flatnonzero((np.diff(nR[lo:hi]) != 0) | (np.diff(nX[lo:hi]) != 0)
                              | (np.diff(nC[lo:hi]) != 0)) + 1
-        at = np.zeros(3, dtype=int)
-        for a, b in zip(np.append(0, new).tolist(), np.append(new, hi - lo).tolist()):
-            R, X, C, N = int(nR[lo + a]), int(nX[lo + a]), int(nC[lo + a]), b - a
-            end = at + N * np.array([R, X, C])
-            rs, xs, cs = (slice(u, v) for u, v in zip(at, end))
-            A = lay.chan_flat[a_row[rs].reshape(N, R, 1) + a_col[xs].reshape(N, 1, X)]
-            Bm = lay.chan_flat[b_row[xs].reshape(N, X, 1) + b_col[cs].reshape(N, 1, C)]
-            dest = (d_col[cs].reshape(N, 1, C) + d_mul[cs].reshape(N, 1, C)
-                    * place[p_row[rs].reshape(N, R, 1) + c[cs].reshape(N, 1, C)])
+        first = np.append(0, new)
+        shape = np.stack((nR[lo:hi][first], nX[lo:hi][first], nC[lo:hi][first]), axis=1)
+        count = np.diff(np.append(first, hi - lo))
+        ends = np.cumsum(shape * count[:, None], axis=0)
+        for (R, X, C), N, (r1, x1, c1), (r0, x0, c0) in zip(
+                shape.tolist(), count.tolist(), ends.tolist(),
+                np.vstack(([0, 0, 0], ends[:-1])).tolist()):
+            A = lay.chan_flat[a_row[r0:r1].reshape(N, R, 1) + a_col[x0:x1].reshape(N, 1, X)]
+            Bm = lay.chan_flat[b_row[x0:x1].reshape(N, X, 1) + b_col[c0:c1].reshape(N, 1, C)]
+            dest = (d_col[c0:c1].reshape(N, 1, C) + d_mul[c0:c1].reshape(N, 1, C)
+                    * place[p_row[r0:r1].reshape(N, R, 1) + c[c0:c1].reshape(N, 1, C)])
             out[dest] = A @ Bm
-            at = end

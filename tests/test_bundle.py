@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aqgrec import sectors
 from aqgrec.aqg import reconstruct, verify_axioms
 from aqgrec.bundle import (
     BundleSyntaxError,
@@ -15,6 +16,7 @@ from aqgrec.bundle import (
 )
 from aqgrec.errors import GradingError
 from aqgrec.examples import gen_suq2
+from aqgrec.linalg import CHUNK_BYTES
 from test_aqg import fusion_support
 
 
@@ -226,6 +228,29 @@ def test_window_validation_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fmove_chunks_stay_within_the_budget(monkeypatch):
+    # a chunk of the certificate holds U, W, G, the rows' places and the
+    # index arrays of the items of _left and _right, so the peak stays
+    # within CHUNK_BYTES of the peak before the first chunk
+    lay = gen_suq2(0.5, 8).layout
+    before, cut = [], sectors._chunks
+
+    def chunks(*args):
+        before.append(tracemalloc.get_traced_memory()[1])
+        ranges = cut(*args)
+        assert len(ranges) > 1  # the budget binds
+        return ranges
+
+    monkeypatch.setattr(sectors, "_chunks", chunks)
+    tracemalloc.start()
+    try:
+        lay.fmoves
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before[0] <= CHUNK_BYTES, (peak, before)
 
 
 def test_fmove_with_a_missing_path_reads_one(shipped_bundles):
