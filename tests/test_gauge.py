@@ -23,7 +23,9 @@ from test_aqg import gauge, haar_unitary
 from test_report_identity import a4_bundle
 
 BUNDLES = {
+    "s3": lambda: gen_finite_group(builtin_group("s3")),
     "d4": lambda: gen_finite_group(builtin_group("d4")),
+    "q8": lambda: gen_finite_group(builtin_group("q8")),
     "a4": lambda: parse_bundle(a4_bundle()),
     "pointed-z5-t1": lambda: gen_pointed(5, 1),
 }

@@ -6,7 +6,8 @@ verify_axioms, dual_hopf, verify_universal and verify_quasitriangular emit
 to a seeded defect that fails it.  A defect is a bundle that validation rejects, reconstructed with
 validate=False so that the rows see it, and there is no exemption list:
 a new row needs a defect here, and a row that holds by construction belongs
-in the tests as an oracle.
+in the tests as an oracle.  VALIDATE_DEFECTS does the same for the rows of
+validate_bundle, which read the defective bundle itself.
 
 Six kinds of defect get past reconstruct's own gates:
 
@@ -27,7 +28,13 @@ Six kinds of defect get past reconstruct's own gates:
   the other blocks, so Yang-Baxter sees it.
 
 Reconstruct reads no braiding, so the braiding kinds reach the R-matrix rows
-untouched.
+untouched.  Three more kinds are one-line edits of the structure that only
+validate_bundle reads:
+
+- ``dual``: the dual of label i set to j;
+- ``twice``: the isometries of one channel i (x) j -> k listed twice, so
+  N_ij^k doubles;
+- ``braid-drop``: one braiding c_ij left out.
 """
 import dataclasses
 
@@ -78,6 +85,23 @@ DEFECTS = {
     "antipode-leg1": ("d4", "braid-turn", ("1", "4")),
     "antipode-both": ("a4", "braid-turn", ("3", "3")),
 }
+VALIDATE_DEFECTS = {
+    "dual-involution": ("pointed-z5-t1", "dual", ("1", "2")),
+    "dual-fixes-unit": ("pointed-z5-t1", "dual", ("0", "1")),
+    "orthonormality": ("d4", "channel", ("2", "3", "1")),
+    "completeness": ("a4", "channel", ("3", "3", "3")),
+    "unit-dual-fusion-rules": ("d4", "dual", ("1", "2")),
+    "fusion-symmetries": ("pointed-z5-t1", "twice", ("1", "1", "2")),
+    "conjugate-equation": ("s3", "rbar", "2"),
+    "conjugate-normalization": ("a4", "rbar", "3"),
+    "r-in-unit-channel": ("s3", "turn", "2"),
+    "recoupling": ("suq2-q0.5-L4", "channel", ("1", "1", "0")),
+    "braiding-coverage": ("d4", "braid-drop", ("1", "4")),
+    "braiding-unit": ("pointed-z5-t1", "braid-scale", ("0", "2")),
+    "braiding-unitarity": ("q8", "braid-scale", ("4", "4")),
+    "braiding-hexagon-left": ("d4", "braid-turn", ("4", "4")),
+    "braiding-hexagon-right": ("pointed-z5-t1", "braid-phase", ("1", "2")),
+}
 
 
 def scaled_rbar(b, i, s=1 + 5e-8):
@@ -104,6 +128,8 @@ def turned_pair(b, i, theta=0.3):
 
 
 def changed_braiding(b, pair, kind):
+    if kind == "braid-drop":
+        return dataclasses.replace(b, braiding={p: c for p, c in b.braiding.items() if p != pair})
     c = b.braiding[pair]
     if kind == "braid-scale":
         c = c * (1 + 1e-6)
@@ -117,6 +143,12 @@ def changed_braiding(b, pair, kind):
 def defective(b, kind, where):
     if kind == "channel":
         return scaled_channel(b, *where)
+    if kind == "dual":
+        return dataclasses.replace(b, dual={**b.dual, where[0]: where[1]})
+    if kind == "twice":
+        i, j, k = where
+        return dataclasses.replace(b, fusion={**b.fusion, (i, j): {
+            **b.fusion[(i, j)], k: 2 * b.fusion[(i, j)][k]}})
     if kind.startswith("braid-"):
         return changed_braiding(b, where, kind)
     return (scaled_rbar if kind == "rbar" else turned_pair)(b, where)
@@ -156,3 +188,20 @@ def test_the_defect_fails_its_row(bundles, row):
     assert not validate_bundle(bad).passed
     got = rows(reconstruct(bad, validate=False))[row]
     assert not got.passed, got
+
+
+def test_every_validate_row_has_a_defect(bundles):
+    names = set()
+    for b in bundles.values():
+        rep = validate_bundle(b)
+        assert rep.passed
+        names |= {c.name for c in rep.checks}
+    assert names == set(VALIDATE_DEFECTS)
+
+
+@pytest.mark.parametrize("row", sorted(VALIDATE_DEFECTS))
+def test_the_defect_fails_its_validate_row(bundles, row):
+    name, kind, where = VALIDATE_DEFECTS[row]
+    got = [c for c in validate_bundle(defective(bundles[name], kind, where)).checks
+           if c.name == row]
+    assert got and not all(c.passed for c in got), got
