@@ -325,7 +325,7 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
     key = np.stack((p, pp, r, n))[:, order]
     cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     heads = order[np.append(0, cuts)]
-    products = []
+    products = {}
     for sel, (a, b, rr, nn, u0, w0, c) in zip(np.split(order, cuts), np.stack(
             (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, heads].T.tolist()):
         u = buffers[0][u0:u0 + len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
@@ -337,14 +337,16 @@ def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
         for i in range(1, rr):
             trace = trace + diag[..., i]
         traces[c][at[sel]] = trace
-        products.append((sel, rr, c, g))
+        products.setdefault((c, rr), []).append((sel, g))
     M, slot = [], np.zeros(hi - lo, dtype=int)
     for t, (_, qs) in zip(traces, classes):
         count = blocks.count[lo + qs]
         M.append(np.add.reduceat(t, np.cumsum(count) - count, axis=0) / dims[m[qs]][:, None, None])
         slot[qs] = np.arange(len(qs))
+    # G_w against M (x) I per class and r, whose blocks share one shape
     res = np.zeros(len(bq))
-    for sel, rr, c, g in products:
+    for (c, rr), parts in products.items():
+        sel, g = (np.concatenate(x) for x in zip(*parts))
         res[sel] = max_abs(g - bkron(M[c][slot[bq[sel]]], frozen_eye(rr)))
     res = np.maximum.reduceat(res, blocks.first[lo:hi] - blocks.first[lo])
     fmats = [None] * (hi - lo)
