@@ -33,8 +33,8 @@ from .linalg import (
 )
 
 
-# the index arrays of one item of _left or _right (about 14 int64), with
-# _scatter's sorted copies of them
+# the bytes that a chunk holds per item of _left or _right: its index
+# arrays, 13 int64 from _left and 16 from _right
 ITEM_BYTES = 14 * 8
 
 
