@@ -320,6 +320,12 @@ def _require_finite(fusion, conj, braiding) -> None:
     raise BundleSyntaxError(f"non-finite entry at {where}")
 
 
+def _is_int(value) -> bool:
+    """Whether value is a JSON integer: an int, but not a bool, which Python
+    counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _typed(value, kind: type, what: str):
     """value, if it is a JSON object (kind dict) or array (kind list)."""
     if not isinstance(value, kind):
@@ -336,7 +342,7 @@ def parse_bundle(text: str) -> CategoryBundle:
         raise BundleSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise BundleSyntaxError("top level must be a JSON object")
-    if doc.get("version") != 1:
+    if not _is_int(doc.get("version")) or doc["version"] != 1:
         raise BundleSyntaxError(f"unsupported version {doc.get('version')!r}")
     for key in ("labels", "unit", "dims", "dual", "closed", "fusion", "conj"):
         if key not in doc:
@@ -354,7 +360,7 @@ def parse_bundle(text: str) -> CategoryBundle:
     for i, v in _typed(doc["dims"], dict, "dims").items():
         if i not in lset:
             raise BundleSyntaxError(f"dims mentions unknown label {i!r}")
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             raise BundleSyntaxError(f"dim of {i!r} must be a positive integer")
         dims[i] = v
     if set(dims) != lset:
@@ -362,6 +368,8 @@ def parse_bundle(text: str) -> CategoryBundle:
     if dims[unit] != 1:
         raise ShapeError("unit label must have dimension 1")
 
+    if not isinstance(doc["closed"], bool):
+        raise BundleSyntaxError("closed must be true or false")
     dual = {str(i): str(j) for i, j in _typed(doc["dual"], dict, "dual").items()}
     if set(dual) != lset or not set(dual.values()) <= lset:
         raise BundleSyntaxError("dual map must be a self-map of the label set")
@@ -431,7 +439,7 @@ def parse_bundle(text: str) -> CategoryBundle:
         fusion=fusion,
         conj=conj,
         braiding=braiding,
-        closed=bool(doc["closed"]),
+        closed=doc["closed"],
         weights=doc.get("weights"),
     )
     if b.weights is not None:

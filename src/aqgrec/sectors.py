@@ -7,12 +7,16 @@ bracketings of Delta agree on all of B(H_m) exactly when G = W* U =
 M (x) I_{d_m} with M unitary; M is the F-matrix, or 6j symbol.
 
 Every isometry conserves the weights of the layout (grading.py; one weight,
-0, on a bundle without a grading), so G is block-diagonal over the weights w of
-H_m.  The block G_w = W_w* U_w pairs the rows of weight w of
-H_i (x) H_j (x) H_k with the r_w basis vectors of weight w of H_m, and the
-certificate is G_w = M (x) I_{r_w} for every w, with M the sum of the
-r_w-traces of the G_w over d_m.  On one sector each path is one product of
-its two isometries, and each quadruple one block G.
+0, without a grading), so it is block-diagonal over them, and so is G:
+G_w = W_w* U_w pairs the rows of weight w of H_i (x) H_j (x) H_k with the
+r_w basis vectors of weight w of H_m, and the certificate is
+G_w = M (x) I_{r_w} for every w, with M the sum of their r_w-traces over d_m.
+
+Each call cuts every channel's isometry into sector blocks once, in the
+three forms that a path reads (_Cut), and a path product is a block of its
+first factor times the block of its second factor of the same weight of the
+middle label, scattered once into U or W.  Without a grading each channel
+has one block of each form, its whole isometry.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ import numpy as np
 from .grading import pair_weights
 from .linalg import (
     CHUNK_BYTES,
-    Array,
     bdagger,
     bkron,
     distinct,
@@ -32,10 +35,9 @@ from .linalg import (
     ranges,
 )
 
-
-# the bytes that a chunk holds per item of _left or _right: its index
-# arrays, 13 int64 from _left and 16 from _right
-ITEM_BYTES = 14 * 8
+# the bytes that a batch of path products, or of G, holds beyond the rest of
+# its chunk (_batches); the chunks themselves get the rest of CHUNK_BYTES
+_PRODUCTS = CHUNK_BYTES // 4
 
 
 def certificate(lay):
@@ -58,65 +60,28 @@ def certificate(lay):
     keys = [t * n_lab + lay.chan_label[w] for t, _, w in sides]
     quad_key = distinct(np.concatenate(keys))
     quads = np.column_stack((triples[quad_key // n_lab], quad_key % n_lab))
-    # per side: the (v, w) channels of every path, by quadruple, and per
-    # quadruple its path count, first path and item count (_left, _right)
-    sec = _LayoutSectors(lay)
-    ordered, counts, starts, items = [], [], [], 0
-    for (_, v, w), key, per_path in zip(sides, keys, (sec.n_sec[lay.chan_label[sides[0][1]]],
-                                                      sec.runs[sides[1][2]])):
-        quad = np.searchsorted(quad_key, key)
-        order = np.argsort(quad, kind="stable")
-        ordered.append((v[order], w[order]))
-        counts.append(np.bincount(quad, minlength=len(quads)))
-        starts.append(np.cumsum(counts[-1]) - counts[-1])
-        items = items + np.bincount(quad, per_path, minlength=len(quads)).astype(int)
-    rows = _Rows(sec, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1)
-    blocks = _Blocks(sec, rows, quads, *counts, items)
+    plan = _Plan(lay, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1,
+                 [(v, w, np.searchsorted(quad_key, key)) for (_, v, w), key in zip(sides, keys)])
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
-    for lo, hi in _chunks(rows.tri, blocks.cost, CHUNK_BYTES):
-        side = [(v[a:b], w[a:b], np.repeat(np.arange(hi - lo), c[lo:hi]),
-                 np.arange(b - a) - np.repeat(s[lo:hi] - a, c[lo:hi]))
-                for (v, w), c, s in zip(ordered, counts, starts)
-                for a, b in [(s[lo], s[hi - 1] + c[hi - 1])]]
-        res[lo:hi], fmats[lo:hi] = _chunk(lay, sec, rows, blocks, quads, lo, hi, side)
+    for lo, hi in _chunks(plan.tri, plan.cost, CHUNK_BYTES - _PRODUCTS):
+        res[lo:hi], fmats[lo:hi] = plan.chunk(lo, hi)
     return triples, quads, res, fmats
-
-
-def _find(space, weight, at_space, at_weight) -> Array:
-    """Where the pairs (at_space, at_weight) stand among the pairs (space,
-    weight), which are distinct and sorted by space, then weight; -1 where
-    a pair is absent."""
-    if not len(space):
-        return np.full(len(at_space), -1)
-    lo, span = weight.min(), weight.max() - weight.min() + 1
-    key = space * span + (weight - lo)
-    inside = (at_weight >= lo) & (at_weight < lo + span)
-    want = at_space * span + np.where(inside, at_weight - lo, 0)
-    at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    return np.where(inside & (key[at] == want), at, -1)
-
-
-def _each(n):
-    """(item, index) over the indices range(n[t]) of every item t."""
-    return ranges(np.zeros(len(n), dtype=int), n)
 
 
 class _Sectors:
     """The weight sectors of a family of spaces: space s has sizes[s] basis
     vectors, and basis vector x of it is number lo[s] + x, of weight
-    w[lo[s] + x] (w holds the weights of all spaces, one after the other).
-
-    A sector is one weight of one space; sectors are numbered by space, then
-    weight, those of space s from first[s] to first[s + 1].  Sector g holds
-    the size[g] basis vectors pos[start[g]:start[g] + size[g]], in
-    increasing order, of space[g], of weight weight[g]; basis vector number
-    y lies in sector[y], at place rank[y].
+    w[lo[s] + x].  A sector is one weight of one space, numbered by space,
+    then weight, the n[s] of space s from first[s] on.  Sector g holds the
+    size[g] basis vectors pos[start[g]:start[g] + size[g]], in increasing
+    order, of space[g], of weight weight[g]; basis vector number y lies in
+    sector[y], at place rank[y], and order lists them sector by sector.
     """
 
     def __init__(self, sizes, w):
         self.sizes, self.lo = sizes, np.cumsum(sizes) - sizes
         space = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.lexsort((w, space))
+        self.order = order = np.lexsort((w, space))
         s, w = space[order], w[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (s[1:] != s[:-1]) | (w[1:] != w[:-1])
@@ -129,332 +94,287 @@ class _Sectors:
         self.rank = np.empty(len(order), dtype=int)
         self.rank[order] = np.arange(len(order)) - self.start[self.sector[order]]
         self.first = np.searchsorted(self.space, np.arange(len(sizes) + 1))
+        self.n = np.diff(self.first)
+
+    def find(self, space, weight):
+        """The sector of weight weight[x] of space[x], or -1 where there is
+        none."""
+        if not len(self.space):
+            return np.full(len(space), -1)
+        lo, span = self.weight.min(), self.weight.max() - self.weight.min() + 1
+        key = self.space * span + (self.weight - lo)
+        inside = (weight >= lo) & (weight < lo + span)
+        want = space * span + np.where(inside, weight - lo, 0)
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        return np.where(inside & (key[at] == want), at, -1)
 
 
-class _LayoutSectors:
-    """The sectors that the certificate reads: per label number (labels);
-    per pair (i,j), numbered as in the layout, of H_i (x) H_j by the sum of
-    the weights (pairs, basis vector a d_j + b); and per pair (i,m) of
-    H_i* (x) H_m by w_e - w_a (diffs, basis vector a d_m + e).  A sector of
-    diffs splits into runs of one a: run_first[g] to run_first[g + 1] are
-    those of sector g, run x of one a = run_a[x] starting at place
-    run_start[x] of it.
-
-    Per channel c, (i,j) -> k, and per sector s of the label k, i or j (by
-    place in that label): the sector of pairs (i,j) of the weight of s
-    (by_target[target[c] + s]), of diffs (j,k) (by_first[first[c] + s]) and
-    of diffs (i,k) (by_second[second[c] + s]), -1 where there is none, and
-    runs[c], the runs of one a in those sectors of diffs (i,k): the items of
-    a right path through c as its second channel (_right).
+class _Cut:
+    """Sector blocks of the channels' isometries, gathered at once and
+    stacked per shape.  Block b of channel c[b] (those of c from first[c]
+    on, count[c] of them) runs along axis x over the size[x][b] basis
+    vectors pos of sector g[x][b] of the family S, in order, and its entry
+    there is chan_flat[chan_start[c[b]] + sum over x of pos * stride[x]].
+    It has n[b] entries and is stacks[shape[b]][slot[b]], or is empty with
+    shape -1 where a sector is -1.
     """
 
-    def __init__(self, lay):
+    def __init__(self, lay, S, c, g, stride):
+        self.count = np.bincount(c, minlength=len(lay.chan_start))
+        self.first, self.c, self.g = np.cumsum(self.count) - self.count, c, g
+        self.size = size = [np.where(x >= 0, S.size[x], 0) for x in g]
+        self.n = n = np.prod(size, axis=0)
+        code = np.ravel_multi_index(size, [int(z.max(initial=0)) + 1 for z in size])
+        order = np.flatnonzero(n)
+        order = order[np.argsort(code[order], kind="stable")]
+        t, e = ranges(np.zeros(len(order), dtype=int), n[order])
+        at = lay.chan_start[c[order]][t]
+        for x, z, st in zip(g[::-1], size[::-1], stride[::-1]):
+            e, y = np.divmod(e, z[order][t])
+            at += S.pos[S.start[x[order]][t] + y] * np.broadcast_to(st, c.shape)[order][t]
+        new = np.flatnonzero(np.diff(code[order], prepend=-1))
+        self.shape, self.slot = np.full(len(c), -1), np.zeros(len(c), dtype=int)
+        self.shape[order] = np.cumsum(np.diff(code[order], prepend=-1) != 0) - 1
+        self.slot[order] = np.arange(len(order)) - new[self.shape[order]]
+        ends, flat = np.cumsum(n[order]), lay.chan_flat[at]
+        self.stacks = [flat[ends[b] - n[order][b]:ends[e - 1]].reshape(
+            (e - b,) + tuple(z[order][b] for z in size))
+            for b, e in zip(new.tolist(), new[1:].tolist() + [len(order)])]
+
+
+class _Plan:
+    """What the chunks of one certificate read: the sectors S of the labels
+    (space x for label x) and of every H_i (x) H_j by w_a + w_b (space
+    N + pair) and by w_b - w_a (space N + N^2 + pair); the cuts, the two of
+    second factors without empty blocks; per side the paths (v, w) by
+    quadruple, count[q] from start[q] on; per quadruple (triple tri) one
+    block per sector of H_m from bfirst[q] on, n rows by r columns a path.
+    The rows of weight w of H_i (x) H_j (x) H_k run by sector g of i (x) j,
+    by basis vector ab of g, by basis vector c of the sector h of k of the
+    remaining weight (on one sector, ab d_k + c); per triple a grid (g, h)
+    from grid_lo on holds the place of its first row among those of w.
+    """
+
+    def __init__(self, lay, quads, tri, sides):
         dims, n_lab = lay.dims, len(lay.dims)
-        self.labels = L = _Sectors(dims, np.concatenate(lay.weights))
+        self.lay, self.tri = lay, tri
+        self.qi, self.qj, self.qk, self.qm = quads.T
         total, diff = pair_weights(lay)
-        self.pairs = P = _Sectors(lay.pair_size, total)
-        self.diffs = D = _Sectors(lay.pair_size, diff)
-        a = D.pos // dims[D.space % n_lab][np.repeat(np.arange(len(D.size)), D.size)]
-        new = np.ones(len(a), dtype=bool)
-        new[1:] = a[1:] != a[:-1]
-        new[D.start] = True
-        self.run_start = np.flatnonzero(new)
-        self.run_a = a[self.run_start]
-        self.run_first = np.searchsorted(self.run_start, np.append(D.start, len(a)))
-        self.n_sec = L.first[1:] - L.first[:-1]
-        ci, cj = np.divmod(lay.chan_pair, n_lab)
-        ck, tables = lay.chan_label, []
-        for label, space, family in ((ck, lay.chan_pair, P), (ci, cj * n_lab + ck, D),
-                                     (cj, ci * n_lab + ck, D)):
-            c, s = ranges(L.first[label], self.n_sec[label])
-            tables += [np.cumsum(self.n_sec[label]) - self.n_sec[label],
-                       _find(family.space, family.weight, space[c], L.weight[s])]
-        (self.target, self.by_target, self.first, self.by_first,
-         self.second, self.by_second) = tables
-        g = self.by_second
-        self.runs = np.bincount(np.repeat(np.arange(len(cj)), self.n_sec[cj]),
-                                np.where(g >= 0, self.run_first[g + 1] - self.run_first[g], 0),
-                                minlength=len(cj)).astype(int)
-
-
-class _Rows:
-    """The rows of weight w of H_i (x) H_j (x) H_k, per triple, numbered by
-    tri (the triple of each quadruple, nondecreasing from 0).
-
-    The rows of one weight run by sector of i (x) j, then by basis vector
-    ab of that sector, then by basis vector c of k, which lies in the
-    sector of k of the remaining weight; on one sector that is the order of
-    ab d_k + c.  A grid (sector g of i (x) j, sector h of k) per triple
-    holds the place of the first row of g and h among the rows of weight
-    w_g + w_h.  Per (triple, weight), by triple then weight: sec_t, sec_w
-    and the row count sec_n.
-    """
-
-    def __init__(self, sec, quads, tri):
-        L, P, n_lab = sec.labels, sec.pairs, len(sec.n_sec)
-        self.tri = tri
+        self.S = S = _Sectors(np.concatenate((dims, lay.pair_size, lay.pair_size)),
+                              np.concatenate(lay.weights + [total, diff]))
+        i, j = np.divmod(lay.chan_pair, n_lab)
+        k = lay.chan_label
+        # per sector s of k: the rows of weight w_s and the columns of s
+        c, s = ranges(S.first[k], S.n[k])
+        self.first = _Cut(lay, S, c, [S.find(n_lab + lay.chan_pair[c], S.weight[s]), s],
+                          [dims[k[c]], 1])
+        # as a d_l x d_k d_m matrix, per sector s of l: the rows of s and the
+        # columns c d_m + e with w_e - w_c = w_s
+        c, s = ranges(S.first[i], S.n[i])
+        g = S.find(n_lab * (n_lab + 1) + j[c] * n_lab + k[c], S.weight[s])
+        c, s, g = c[g >= 0], s[g >= 0], g[g >= 0]
+        self.left = _Cut(lay, S, c, [s, g], [dims[j[c]] * dims[k[c]], 1])
+        # per sector a of i and s of n: the rows a d_n + (s), stacked over a,
+        # and the columns of weight w_a + w_s
+        c, x = ranges(np.zeros(len(k), dtype=int), S.n[i] * S.n[j])
+        a, s = S.first[i[c]] + x // S.n[j[c]], S.first[j[c]] + x % S.n[j[c]]
+        g = S.find(k[c], S.weight[a] + S.weight[s])
+        c, a, s, g = c[g >= 0], a[g >= 0], s[g >= 0], g[g >= 0]
+        self.right = _Cut(lay, S, c, [a, s, g], [dims[j[c]] * dims[k[c]], dims[k[c]], 1])
+        orders = [np.argsort(quad, kind="stable") for _, _, quad in sides]
+        counts = [np.bincount(quad, minlength=len(quads)) for _, _, quad in sides]
+        self.paths = [(v[o], w[o], c, np.cumsum(c) - c)
+                      for (v, w, _), o, c in zip(sides, orders, counts)]
+        # the rows' grid per triple, and per cell its place
         head = np.flatnonzero(np.diff(tri, prepend=-1))
-        self.ij, self.k = quads[head, 0] * n_lab + quads[head, 1], quads[head, 2]
-        n_g = P.first[self.ij + 1] - P.first[self.ij]
-        self.n_h = sec.n_sec[self.k]
+        self.ij, self.k = n_lab + quads[head, 0] * n_lab + quads[head, 1], quads[head, 2]
+        n_g, self.n_h = S.n[self.ij], S.n[self.k]
         self.grid_lo = np.cumsum(n_g * self.n_h) - n_g * self.n_h
-        t, x = _each(n_g * self.n_h)
-        g, h = np.divmod(x, self.n_h[t])
-        g, h = P.first[self.ij[t]] + g, L.first[self.k[t]] + h
-        omega, cells = P.weight[g] + L.weight[h], P.size[g] * L.size[h]
-        order = np.lexsort((g, omega, t))
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (np.diff(t[order]) != 0) | (np.diff(omega[order]) != 0)
-        start = np.flatnonzero(new)
-        before = np.cumsum(cells[order]) - cells[order]
-        self.place = np.empty(len(order), dtype=int)
-        self.place[order] = before - np.repeat(before[start],
-                                               np.diff(np.append(start, len(order))))
-        self.sec_t, self.sec_w = t[order][start], omega[order][start]
-        self.sec_n = np.add.reduceat(cells[order], start) if len(start) else start
+        t, x = ranges(np.zeros(len(head), dtype=int), n_g * self.n_h)
+        g, h = S.first[self.ij[t]] + x // self.n_h[t], S.first[self.k[t]] + x % self.n_h[t]
+        W = _Sectors(n_g * self.n_h, S.weight[g] + S.weight[h])
+        cells = (S.size[g] * S.size[h])[W.order]
+        before = np.cumsum(cells) - cells
+        self.place = np.empty(len(cells), dtype=int)
+        self.place[W.order] = before - before[W.start][W.sector[W.order]]
+        # the blocks of every quadruple
+        self.count = S.n[self.qm]
+        self.bfirst = np.cumsum(self.count) - self.count
+        bq, h = ranges(S.first[self.qm], self.count)
+        at = W.find(tri[bq], S.weight[h])
+        n = np.add.reduceat(cells, W.start) if len(cells) else cells
+        self.n, self.r = np.where(at >= 0, n[np.maximum(at, 0)], 0), S.size[h]
+        self.cost = self._cost(bq, head)
 
-    def places(self, sec, t0, t1):
-        """The place of every row ab d_k + c of the triples t0:t1 among the
-        rows of its weight, triple after triple; returns (place, lo), with
-        triple t from lo[t - t0] on."""
-        L, P = sec.labels, sec.pairs
-        ij, k = self.ij[t0:t1], self.k[t0:t1]
-        n = P.sizes[ij] * L.sizes[k]
-        t, x = _each(n)
-        ab, c = np.divmod(x, L.sizes[k][t])
-        y, z = P.lo[ij[t]] + ab, L.lo[k[t]] + c
-        g, h = P.sector[y], L.sector[z]
-        cell = (self.grid_lo[t0 + t] + (g - P.first[ij[t]]) * self.n_h[t0 + t]
-                + h - L.first[k[t]])
-        return self.place[cell] + P.rank[y] * L.size[h] + L.rank[z], np.cumsum(n) - n
+    def _cost(self, bq, head):
+        """The bytes that each quadruple holds in a chunk, 16 a complex and 8
+        an integer entry of the arrays of chunk and _scatter: U, W, 24
+        integers a block and the rows' places throughout; the most of 11
+        integers a row while the places are found, 14 an item of _scatter and
+        12 a column of a left or 8 a row of a right one, and G with its
+        traces, concatenation, M (x) I, difference, moduli and M with its
+        checks; and what a batch of one path or block holds beyond
+        _PRODUCTS / 2 (_batches)."""
+        lay, n_q, (v, w, p, p0), (vv, ww, pp, pp0) = self.lay, len(self.qm), *self.paths
+        one = np.bincount(bq, self.n * self.r, minlength=n_q).astype(int)  # a path's U or W
+        rows = np.zeros(n_q, dtype=int)
+        rows[head] = lay.dims[self.qi[head]] * lay.dims[self.qj[head]] * lay.dims[self.qk[head]]
+        i, (f, l, r) = lay.chan_pair[ww] // len(lay.dims), (
+            lambda x, c=cut.c: np.bincount(c, x, minlength=len(lay.chan_label)).astype(int)
+            for cut in (self.first, self.left, self.right))  # x summed per channel
+
+        def per_quad(start, count, x):  # x summed over the paths of each quadruple
+            total = np.concatenate(([0], np.cumsum(x)))
+            return total[start + count] - total[start]
+
+        turns = (88 * rows, 88 * p * pp * np.bincount(bq, self.r ** 2, minlength=n_q).astype(int)
+                 + 64 * (p * p + pp * pp) + 16 * p * pp,
+                 per_quad(p0, p, 112 * self.left.count[w] + 96 * l(self.left.size[1])[w]),
+                 per_quad(pp0, pp, 112 * self.right.count[ww]
+                          + 64 * lay.dims[i] * f(self.first.size[0])[vv]))
+        batch = (16 * pp * one, 24 * p * one + 16 * per_quad(p0, p, f(self.first.n)[v]
+                                                             + l(self.left.n)[w]),
+                 24 * pp * one + 16 * per_quad(pp0, pp, self.S.n[i] * f(self.first.n)[vv]
+                                               + r(self.right.n)[ww]))
+        return (16 * (p + pp) * one + 192 * self.count + 8 * rows + np.maximum.reduce(turns)
+                + sum(np.maximum(x - _PRODUCTS // 2, 0) for x in batch))
+
+    def chunk(self, lo, hi):
+        """Residuals and F-matrices of the quadruples lo:hi, whole triples.
+        The blocks of U and of W lie one after the other in two flat buffers,
+        sorted by (p, p', r, n), and the G_w of one shape are one product."""
+        S, dims, count = self.S, self.lay.dims, self.count[lo:hi]
+        tri, m = self.tri[lo:hi], self.qm[lo:hi]
+        qp, qpp = (c[lo:hi] for _, _, c, _ in self.paths)
+        bq = np.repeat(np.arange(hi - lo), count)
+        B = slice(self.bfirst[lo], self.bfirst[lo] + len(bq))
+        n, r, p, pp = self.n[B], self.r[B], qp[bq], qpp[bq]
+        order = np.lexsort((n, r, pp, p))
+        sizes = [n * p * r, n * pp * r]
+        offsets = [np.empty(len(bq), dtype=int), np.empty(len(bq), dtype=int)]
+        for off, z in zip(offsets, sizes):
+            off[order] = np.cumsum(z[order]) - z[order]
+        buffers = [np.zeros(int(z.sum()), dtype=complex) for z in sizes]
+        # the block of quadruple q and sector h of its m is block[q] + h
+        bfirst = self.bfirst[lo:hi] - self.bfirst[lo]
+        # the place of every row ab d_k + c of the chunk's triples among the
+        # rows of its weight, triple t from tlo[t] on
+        ij, k = self.ij[tri[0]:tri[-1] + 1], self.k[tri[0]:tri[-1] + 1]
+        t, x = ranges(np.zeros(len(k), dtype=int), S.sizes[ij] * S.sizes[k])
+        y, z = S.lo[ij[t]] + x // S.sizes[k][t], S.lo[k[t]] + x % S.sizes[k][t]
+        place = self.place[self.grid_lo[tri[0] + t] + (S.sector[y] - S.first[ij[t]])
+                           * self.n_h[tri[0] + t] + S.sector[z] - S.first[k[t]]]
+        place += S.rank[y] * S.size[S.sector[z]] + S.rank[z]
+        tlo = np.cumsum(S.sizes[ij] * S.sizes[k]) - S.sizes[ij] * S.sizes[k]
+        for side in (0, 1):
+            self._scatter(side, lo, hi, buffers[side], offsets[side], bfirst - S.first[m],
+                          (qp, qpp)[side], place, tlo[tri - tri[0]])
+        # per class of equal (p, p'), the r-traces of its blocks in block
+        # order (block b at at[b]), which sum to M per quadruple
+        classes = list(group_by(qpp, qp))
+        cls, slot, tfirst = (np.zeros(hi - lo, dtype=int) for _ in range(3))
+        for c, (_, qs) in enumerate(classes):
+            cls[qs], slot[qs], tfirst[qs] = c, np.arange(len(qs)), np.cumsum(count[qs]) - count[qs]
+        at = tfirst[bq] + np.arange(len(bq)) - bfirst[bq]
+        traces = [np.zeros((count[qs].sum(), b, a), dtype=complex) for (b, a), qs in classes]
+        key = np.stack((p, pp, r, n))[:, order]
+        cuts = _batches(np.diff(key, axis=1, prepend=-1).any(axis=0), (16 * n * pp * r)[order])
+        products = {}
+        for b0, b1, (a, b, rr, nn, u0, w0, c) in zip(cuts[:-1], cuts[1:], np.stack(
+                (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, order[cuts[:-1]]].T.tolist()):
+            sel = order[b0:b1]
+            u = buffers[0][u0:u0 + len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
+            w = buffers[1][w0:w0 + len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
+            g = bdagger(w) @ u
+            traces[c][at[sel]] = np.einsum("qbiai->qba", g.reshape(len(sel), b, rr, a, rr))
+            products.setdefault((c, rr), []).append((sel, g))
+        M = [np.add.reduceat(t, tfirst[qs], axis=0) / dims[m[qs]][:, None, None]
+             for t, (_, qs) in zip(traces, classes)]
+        # G_w against M (x) I per class and r, whose blocks share one shape
+        res = np.zeros(len(bq))
+        for (c, rr), parts in products.items():
+            sel, g = (np.concatenate(x) for x in zip(*parts))
+            res[sel] = max_abs(g - bkron(M[c][slot[bq[sel]]], frozen_eye(rr)))
+        res, fmats = np.maximum.reduceat(res, bfirst), [None] * (hi - lo)
+        for f, ((b, a), qs) in zip(M, classes):
+            res[qs] = np.maximum.reduce([res[qs], max_abs(bdagger(f) @ f - eye(a)),
+                                         max_abs(f @ bdagger(f) - eye(b))])
+            for q, x in zip(qs.tolist(), f):
+                fmats[q] = x
+        return res, fmats
+
+    def _scatter(self, side, lo, hi, out, off, block, width, place, tlo):
+        """Scatter the path products of one side (0 left, 1 right) of the
+        quadruples lo:hi into out, where quadruple lo + q has width[q] paths,
+        rows from tlo[q] on in place and the block of sector h of its m at
+        off[block[q] + h].  An item is a path and a block X x C of its second
+        factor (on the right stacked over the a of a sector of i) times the
+        block R x X of its first factor of the same sector of the middle
+        label.  Entry (rho, c d_m + e) of a left product is row (ab, c) and
+        column e; entry (a, rho, e) of a right one, row a d_j d_k + bc."""
+        S, dims, first, second = self.S, self.lay.dims, self.first, (self.left, self.right)[side]
+        v, w, count, start = self.paths[side]
+        q = np.repeat(np.arange(hi - lo), count[lo:hi])
+        v, w = v[start[lo]:start[lo] + len(q)], w[start[lo]:start[lo] + len(q)]
+        slot = np.arange(len(q)) - (start[lo:hi] - start[lo])[q]
+        x, B = ranges(second.first[w], second.count[w])
+        A = first.first[v[x]] + second.g[side][B] - S.first[self.lay.chan_label[v[x]]]
+        keep = np.flatnonzero(first.shape[A] >= 0)
+        code = (first.shape[A] * len(second.stacks) + second.shape[B])[keep]
+        keep = keep[np.argsort(code, kind="stable")]
+        code, A, B, q, slot = code[keep], A[keep], B[keep], q[x[keep]], slot[x[keep]]
+        R, C, alpha = first.size[0][A], second.size[-1][B], second.size[0][B] if side else 1
+        if side == 0:
+            # per column y = (c, e): U holds entry (rho, y) at col + rho step
+            t, z = ranges(S.start[second.g[1][B]], C)
+            k, m = self.qk[lo + q[t]], self.qm[lo + q[t]]
+            c, e = S.lo[k] + S.pos[z] // dims[m], S.lo[m] + S.pos[z] % dims[m]
+            r, z = S.size[S.sector[e]], self.tri[lo + q[t]]
+            z = self.place[self.grid_lo[z] + (first.g[0][A[t]] - S.first[self.ij[z]])
+                           * self.n_h[z] + S.sector[c] - S.first[k]]
+            step = width[q[t]] * r
+            col = off[block[q[t]] + S.sector[e]] + slot[t] * r + S.rank[e] + step * (z + S.rank[c])
+            step *= S.size[S.sector[c]]
+        else:
+            # per row (a, rho): W holds entry (a, rho, e) at row + col + e
+            t, z = ranges(np.zeros(len(A), dtype=int), alpha * R)
+            a = S.pos[S.start[second.g[0][B[t]]] + z // R[t]] * dims[self.qj[lo + q[t]]]
+            z = S.pos[S.start[first.g[0][A[t]]] + z % R[t]] + a * dims[self.qk[lo + q[t]]]
+            row = width[q[t]] * C[t] * place[tlo[q[t]] + z]
+            col = off[block[q] + second.g[2][B]] + slot * C
+        # in batches of one shape: the gathered blocks, products and indices
+        cuts = _batches(np.diff(code, prepend=-1) != 0,
+                        16 * (first.n[A] + second.n[B]) + 24 * alpha * R * C)
+        at = np.cumsum(np.append(0, alpha * R if side else C))[cuts].tolist()
+        heads, fa, sb = cuts[:-1], first.slot[A], second.slot[B]
+        for b, (i0, i1, f, s) in enumerate(zip(heads, cuts[1:], first.shape[A[heads]].tolist(),
+                                               second.shape[B[heads]].tolist())):
+            f, s = first.stacks[f][fa[i0:i1]], second.stacks[s][sb[i0:i1]]
+            prod = f[:, None] @ s.reshape(i1 - i0, -1, f.shape[2], s.shape[-1])
+            N, al, rr, cc = prod.shape
+            if side == 0:
+                dest = np.arange(rr)[:, None] * step[at[b]:at[b + 1]].reshape(N, 1, 1, cc)
+                dest += col[at[b]:at[b + 1]].reshape(N, 1, 1, cc)
+            else:
+                dest = (row[at[b]:at[b + 1]].reshape(N, al, rr, 1)
+                        + (col[i0:i1, None] + np.arange(cc)).reshape(N, 1, 1, cc))
+            out[dest] = prod
 
 
-class _Blocks:
-    """The blocks (quadruple, sector of H_m), quadruple by quadruple, then
-    by sector: quad, sector, and their rows n, size r (of the sector), and
-    the left and right path counts p and pp of the quadruple.  Quadruple q
-    has count[q] blocks from first[q] on, qp[q] and qpp[q] paths and
-    items[q] items of _left and _right.  cost[q] counts the bytes of its U,
-    W and G at 32 per entry, of its items at ITEM_BYTES each, and the first
-    quadruple of a triple also 64 per row of H_i (x) H_j (x) H_k, for the
-    rows' places."""
-
-    def __init__(self, sec, rows, quads, p, pp, items):
-        L, m, dims = sec.labels, quads[:, 3], sec.labels.sizes
-        self.count = sec.n_sec[m]
-        self.first = np.cumsum(self.count) - self.count
-        self.qp, self.qpp = p, pp
-        self.quad, self.sector = ranges(L.first[m], self.count)
-        at = _find(rows.sec_t, rows.sec_w, rows.tri[self.quad], L.weight[self.sector])
-        self.n = np.where(at >= 0, rows.sec_n[at], 0)
-        self.r, self.p, self.pp = L.size[self.sector], p[self.quad], pp[self.quad]
-        cost = self.r * ((self.p + self.pp) * self.n + self.p * self.pp * self.r)
-        self.cost = 32 * np.bincount(self.quad, cost, minlength=len(quads)).astype(int)
-        self.cost += ITEM_BYTES * items
-        head = np.flatnonzero(np.diff(rows.tri, prepend=-1))
-        self.cost[head] += 64 * dims[quads[head, 0]] * dims[quads[head, 1]] * dims[quads[head, 2]]
-
-
-def _cuts(cost, budget):
-    """Cut items of the given costs, in order, into runs of at most budget
-    (at least one item a run): the run boundaries."""
-    total, cuts = np.cumsum(cost), [0]
-    while cuts[-1] < len(cost):
-        done = total[cuts[-1] - 1] if cuts[-1] else 0
-        cuts.append(max(int(np.searchsorted(total, done + budget, side="right")), cuts[-1] + 1))
-    return cuts
+def _batches(new, size):
+    """Batch boundaries of items of the given sizes: a batch starts where new
+    is true or the running total passes a multiple of _PRODUCTS / 2, so it
+    holds at most _PRODUCTS, or less than its first item and _PRODUCTS / 2."""
+    step = np.cumsum(size) // (_PRODUCTS // 2)
+    return np.flatnonzero(new | (np.diff(step, prepend=-1) != 0)).tolist() + [len(size)]
 
 
 def _chunks(tri, cost, budget):
-    """The quadruples, numbered by triple tri (nondecreasing), in (lo, hi)
-    ranges of whole triples whose costs add up to at most budget, or of one
-    triple where that alone exceeds it."""
-    ends = np.append(np.flatnonzero(np.diff(tri)) + 1, len(tri))
-    starts = np.append(0, ends[:-1])
-    bounds = starts.tolist() + [len(tri)]
-    cuts = _cuts(np.add.reduceat(cost, starts), budget) if len(tri) else [0]
+    """The quadruples, of nondecreasing triple tri, in (lo, hi) ranges of whole
+    triples whose costs add up to at most budget, or of one triple above it."""
+    bounds = [0] + (np.flatnonzero(np.diff(tri)) + 1).tolist() + [len(tri)] if len(tri) else [0]
+    total, cuts = np.cumsum(np.add.reduceat(cost, bounds[:-1])) if len(tri) else [], [0]
+    while cuts[-1] < len(total):
+        done = total[cuts[-1] - 1] if cuts[-1] else 0
+        cuts.append(max(int(np.searchsorted(total, done + budget, side="right")), cuts[-1] + 1))
     return [(bounds[a], bounds[b]) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _chunk(lay, sec, rows, blocks, quads, lo, hi, side):
-    """Residuals and F-matrices of the quadruples lo:hi, which cover whole
-    triples.  side holds per side (left, right) the (v, w, quad, slot) of
-    every path: its two channels, its quadruple (counted from lo) and its
-    place among the paths of that quadruple.
-
-    The blocks of U and of W lie one after the other in two flat buffers,
-    sorted by (p, p', r, n).  The sector products of the paths are scattered
-    into them (_scatter), and the blocks G_w of one shape are one stacked
-    product.
-    """
-    L, dims = sec.labels, lay.dims
-    quads, tri = quads[lo:hi], rows.tri[lo:hi]
-    m = quads[:, 3]
-    qp, qpp = blocks.qp[lo:hi], blocks.qpp[lo:hi]
-    B = slice(blocks.first[lo], blocks.first[hi - 1] + blocks.count[hi - 1])
-    bq, n, r, p, pp = (x[B] for x in (blocks.quad, blocks.n, blocks.r, blocks.p, blocks.pp))
-    bq = bq - lo
-    order = np.lexsort((n, r, pp, p))
-    offsets, buffers = [], []
-    for width in (p, pp):
-        z = n * width * r
-        off = np.empty(len(z), dtype=int)
-        off[order] = np.cumsum(z[order]) - z[order]
-        offsets.append(off)
-        buffers.append(np.zeros(int(z.sum()), dtype=complex))
-    # the block of quadruple q and sector g of its m is block[q] + g
-    block = blocks.first[lo:hi] - blocks.first[lo] - L.first[m]
-    place, tlo = rows.places(sec, tri[0], tri[-1] + 1)
-    tlo = tlo[tri - tri[0]]
-    _scatter(lay, sec, place, offsets[0], buffers[0],
-             *_left(lay, sec, quads, tlo, block, qp, *side[0]))
-    _scatter(lay, sec, place, offsets[1], buffers[1],
-             *_right(lay, sec, quads, tlo, block, qpp, *side[1]))
-    # G_w = W_w* U_w per block, in groups of equal (p, p', r, n); per class
-    # of equal (p, p'), the r-traces of its blocks in block order, which sum
-    # to M per quadruple
-    classes = list(group_by(qpp, qp))
-    cls = np.zeros(hi - lo, dtype=int)
-    for c, (_, qs) in enumerate(classes):
-        cls[qs] = c
-    by_cls = np.argsort(cls[bq], kind="stable")
-    at = np.empty(len(bq), dtype=int)
-    at[by_cls] = np.arange(len(bq)) - np.searchsorted(cls[bq][by_cls], cls[bq][by_cls])
-    traces = [np.zeros((blocks.count[lo + qs].sum(), b, a), dtype=complex)
-              for (b, a), qs in classes]
-    key = np.stack((p, pp, r, n))[:, order]
-    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
-    heads = order[np.append(0, cuts)]
-    products = {}
-    for sel, (a, b, rr, nn, u0, w0, c) in zip(np.split(order, cuts), np.stack(
-            (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, heads].T.tolist()):
-        u = buffers[0][u0:u0 + len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
-        w = buffers[1][w0:w0 + len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
-        g = bdagger(w) @ u
-        # the rr-trace, summed over i in order
-        diag = g.reshape(len(sel), b, rr, a, rr).diagonal(axis1=2, axis2=4)
-        trace = diag[..., 0]
-        for i in range(1, rr):
-            trace = trace + diag[..., i]
-        traces[c][at[sel]] = trace
-        products.setdefault((c, rr), []).append((sel, g))
-    M, slot = [], np.zeros(hi - lo, dtype=int)
-    for t, (_, qs) in zip(traces, classes):
-        count = blocks.count[lo + qs]
-        M.append(np.add.reduceat(t, np.cumsum(count) - count, axis=0) / dims[m[qs]][:, None, None])
-        slot[qs] = np.arange(len(qs))
-    # G_w against M (x) I per class and r, whose blocks share one shape
-    res = np.zeros(len(bq))
-    for (c, rr), parts in products.items():
-        sel, g = (np.concatenate(x) for x in zip(*parts))
-        res[sel] = max_abs(g - bkron(M[c][slot[bq[sel]]], frozen_eye(rr)))
-    res = np.maximum.reduceat(res, blocks.first[lo:hi] - blocks.first[lo])
-    fmats = [None] * (hi - lo)
-    for f, ((b, a), qs) in zip(M, classes):
-        res[qs] = np.maximum.reduce([res[qs], max_abs(bdagger(f) @ f - eye(a)),
-                                     max_abs(f @ bdagger(f) - eye(b))])
-        for q, x in zip(qs.tolist(), f):
-            fmats[q] = x
-    return res, fmats
-
-
-def _left(lay, sec, quads, tlo, block, width, v, w, q, slot):
-    """The items of the left paths for _scatter.
-
-    Item (path, sector s of l) is v_s @ w~_s: v_s holds the rows of weight
-    w_s of i (x) j and the columns of sector s of v, and w~_s the rows of
-    sector s of w as a d_l x d_k d_m matrix and its columns c d_m + e with
-    w_e - w_c = w_s.  Entry (ab, (c, e)) of the product is row (ab, c) and
-    column e.
-    """
-    L, dims = sec.labels, lay.dims
-    label = lay.chan_label[v]
-    t, s = _each(sec.n_sec[label])
-    q, label, dk, m = q[t], label[t], dims[quads[q[t], 2]], quads[q[t], 3]
-    return (block[q], m, slot[t], width[q], lay.chan_start[v[t]], dims[label],
-            sec.by_target[sec.target[v[t]] + s], L.first[label] + s, lay.chan_start[w[t]],
-            dk * dims[m], sec.diffs, sec.by_first[sec.first[w[t]] + s], tlo[q], dk)
-
-
-def _right(lay, sec, quads, tlo, block, width, v, w, q, slot):
-    """The items of the right paths for _scatter.
-
-    Item (path, basis vector a of i, sector s of n) is v_s @ w_a: v_s holds
-    the rows of weight w_s of j (x) k and the columns of sector s of v, and
-    w_a the rows a d_n + (sector s) of w and its columns of weight w_a +
-    w_s.  Entry (bc, e) of the product is row a d_j d_k + bc and column e.
-    The items are the runs of one a in the sectors (i,m) of diffs of weight
-    w_s.
-    """
-    L, dims = sec.labels, lay.dims
-    label = lay.chan_label[v]
-    t, s = _each(sec.n_sec[label])
-    gC = sec.by_second[sec.second[w[t]] + s]
-    t, s, gC = t[gC >= 0], s[gC >= 0], gC[gC >= 0]
-    x, run = ranges(sec.run_first[gC], sec.run_first[gC + 1] - sec.run_first[gC])
-    t, s, a = t[x], s[x], sec.run_a[run]
-    q, label = q[t], label[t]
-    i, j, k, m = quads[q].T
-    dn, dm = dims[label], dims[m]
-    e = sec.diffs.pos[sec.run_start[run]] % dm
-    return (block[q], m, slot[t], width[q], lay.chan_start[v[t]], dn,
-            sec.by_target[sec.target[v[t]] + s], L.first[label] + s,
-            lay.chan_start[w[t]] + a * dn * dm, dm, L, L.sector[L.lo[m] + e],
-            tlo[q] + a * dims[j] * dims[k], np.ones(len(q), dtype=int))
-
-
-def _scatter(lay, sec, place, off, out, block, m, slot, width, a_start, a_cols, gR, gX,
-             b_start, b_step, cols, gC, p_start, p_step):
-    """Scatter the products A @ B of the items into their blocks (at off in
-    the flat buffer out), in stacks of one shape.
-
-    Per item: A holds the rows of sector gR of pairs and the columns of
-    sector gX of labels of the isometry at a_start (a_cols columns), and B
-    the rows at b_start + b_step x, x in sector gX, and the columns of
-    sector gC of cols of its isometry.  Entry (ab, y) of A @ B, y = c d_m +
-    e, is row p_start + ab p_step + c of the rows' places, and column
-    slot r + the place of e in its sector of m (of size r), of the block of
-    that sector.  Items with gR or gC -1 have no product.  The items run in
-    batches whose index work fits a quarter of CHUNK_BYTES, counted at 64
-    bytes per row, inner index and column and 32 per entry of A, B and
-    A @ B.
-    """
-    L, P = sec.labels, sec.pairs
-    keep = np.flatnonzero((gR >= 0) & (gC >= 0))
-    nR, nX, nC = P.size[gR[keep]], L.size[gX[keep]], cols.size[gC[keep]]
-    order = np.lexsort((nC, nX, nR))
-    keep, nR, nX, nC = keep[order], nR[order], nX[order], nC[order]
-    cuts = _cuts(64 * (nR + nX + nC) + 32 * (nR * nX + nX * nC + nR * nC), CHUNK_BYTES // 4)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t, x = _each(nR[lo:hi])
-        t = keep[lo:hi][t]
-        pos = P.pos[P.start[gR[t]] + x]
-        a_row, p_row = a_start[t] + pos * a_cols[t], p_start[t] + pos * p_step[t]
-        t, x = _each(nX[lo:hi])
-        t = keep[lo:hi][t]
-        a_col = L.pos[L.start[gX[t]] + x]
-        b_row = b_start[t] + a_col * b_step[t]
-        t, x = _each(nC[lo:hi])
-        t = keep[lo:hi][t]
-        b_col = cols.pos[cols.start[gC[t]] + x]
-        c, e = np.divmod(b_col, lay.dims[m[t]])
-        e = L.lo[m[t]] + e
-        g = L.sector[e]
-        r = L.size[g]
-        d_col, d_mul = off[block[t] + g] + slot[t] * r + L.rank[e], width[t] * r
-        # per group of one shape: its items and where its rows, inner
-        # indices and columns start
-        new = np.flatnonzero((np.diff(nR[lo:hi]) != 0) | (np.diff(nX[lo:hi]) != 0)
-                             | (np.diff(nC[lo:hi]) != 0)) + 1
-        first = np.append(0, new)
-        shape = np.stack((nR[lo:hi][first], nX[lo:hi][first], nC[lo:hi][first]), axis=1)
-        count = np.diff(np.append(first, hi - lo))
-        ends = np.cumsum(shape * count[:, None], axis=0)
-        for (R, X, C), N, (r1, x1, c1), (r0, x0, c0) in zip(
-                shape.tolist(), count.tolist(), ends.tolist(),
-                np.vstack(([0, 0, 0], ends[:-1])).tolist()):
-            A = lay.chan_flat[a_row[r0:r1].reshape(N, R, 1) + a_col[x0:x1].reshape(N, 1, X)]
-            Bm = lay.chan_flat[b_row[x0:x1].reshape(N, X, 1) + b_col[c0:c1].reshape(N, 1, C)]
-            dest = (d_col[c0:c1].reshape(N, 1, C) + d_mul[c0:c1].reshape(N, 1, C)
-                    * place[p_row[r0:r1].reshape(N, R, 1) + c[c0:c1].reshape(N, 1, C)])
-            out[dest] = A @ Bm

@@ -232,9 +232,19 @@ def test_window_validation_memory():
 
 def test_fmove_chunks_stay_within_the_budget(monkeypatch):
     # a chunk of the certificate holds U, W, G, the rows' places and the
-    # index arrays of the items of _left and _right, so the peak stays
-    # within CHUNK_BYTES of the peak before the first chunk
-    lay = gen_suq2(0.5, 8).layout
+    # index arrays of its items, and a batch of products or of G at most
+    # sectors._PRODUCTS more, so the peak stays within CHUNK_BYTES of the
+    # peak before the first chunk
+    _trace_fmove_chunks(monkeypatch, gen_suq2(0.5, 8).layout)
+
+
+def test_fmove_chunks_stay_within_the_budget_without_weights(monkeypatch):
+    # one sector: every block is a whole isometry and the products are dense
+    b = gen_suq2(0.5, 8)
+    _trace_fmove_chunks(monkeypatch, dataclasses.replace(b, weights=None).layout)
+
+
+def _trace_fmove_chunks(monkeypatch, lay):
     before, cut = [], sectors._chunks
 
     def chunks(*args):

@@ -132,8 +132,14 @@ def _conj_without_r(doc):
     lambda doc: doc["fusion"][0].update(isometries=1),
     lambda doc: doc["braiding"][0].pop("c"),
     lambda doc: doc["fusion"][0]["isometries"][0]["data"][0].__setitem__(0, 10 ** 400),
+    lambda doc: doc.update(closed="false"),
+    lambda doc: doc.update(closed=1),
+    lambda doc: doc.update(version=True),
+    lambda doc: doc.update(version=1.0),
+    lambda doc: doc["dims"].update({"1": True}),
 ], ids=["conj-list", "conj-int", "conj-no-r", "conj-as-list", "dims-as-list",
-        "dual-as-list", "labels-int", "isometries-int", "braiding-no-c", "entry-10**400"])
+        "dual-as-list", "labels-int", "isometries-int", "braiding-no-c", "entry-10**400",
+        "closed-string", "closed-int", "version-true", "version-float", "dim-true"])
 def test_malformed_bundle_shapes_exit_2(tmp_path, capsys, malform):
     path = _gen(tmp_path, "pointed", "--n", "2", "--t", "1")
     doc = json.loads(path.read_text())

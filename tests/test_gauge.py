@@ -64,6 +64,11 @@ def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
     b = BUNDLES[name]()
     g = gauge(b, np.random.default_rng(3))
     _same_f_singular_values(b, g)
+    # a finite quantum group is of Kac type (S^2 = id), so f is central and
+    # the trace balance fixes it to 1: every F_k is the identity, also after
+    # a gauge, and F_k and its transpose are the same matrix
+    F = reconstruct(g).F
+    assert all(np.max(np.abs(F[k] - np.eye(g.d(k)))) <= 1e-14 for k in g.labels)
     plain = _outputs(b, tmp_path, "plain")
     gauged = _outputs(g, tmp_path, "gauged")
     for op in OPS:

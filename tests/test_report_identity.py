@@ -122,8 +122,11 @@ def jobs(tmp_path_factory):
     return dict(_jobs(tmp_path_factory.mktemp("bundles")))
 
 
-@pytest.mark.parametrize("case,ops", [(c[0], c[2]) for c in CASES]
-                         + [("d4-scaled", ("validate",))])
+# ids from the case name and its subcommands, so that a new case renames none
+PINNED = [(c[0], c[2]) for c in CASES] + [("d4-scaled", ("validate",))]
+
+
+@pytest.mark.parametrize("case,ops", PINNED, ids=["-".join((c, *ops)) for c, ops in PINNED])
 def test_reports_match_pinned(tmp_path, jobs, case, ops):
     for op in ops:
         name = f"{case}.{op}.json"
