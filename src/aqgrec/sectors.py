@@ -13,10 +13,9 @@ r_w basis vectors of weight w of H_m, and the certificate is
 G_w = M (x) I_{r_w} for every w, with M the sum of their r_w-traces over d_m.
 
 Each call cuts every channel's isometry into sector blocks once, in the
-three forms that a path reads (_Cut), and a path product is a block of its
-first factor times the block of its second factor of the same weight of the
-middle label, scattered once into U or W.  Without a grading each channel
-has one block of each form, its whole isometry.
+three forms that a path reads (_Cut); a path product is a block of its first
+factor times the block of its second factor of the same weight of the middle
+label, scattered once into U or W.  Without a grading each is one block.
 """
 from __future__ import annotations
 
@@ -37,12 +36,11 @@ from .linalg import (
 
 # the bytes that a batch of path products, or of G, holds beyond the rest of
 # its chunk (_batches); the chunks themselves get the rest of CHUNK_BYTES
-_PRODUCTS = CHUNK_BYTES // 4
+_PRODUCTS = CHUNK_BYTES // 8
 
 
 def certificate(lay):
-    """(triples, quads, residual, F) of the layout lay; see
-    FusionLayout.fmoves."""
+    """(triples, quads, residual, F) of the layout lay: see FusionLayout.fmoves."""
     n_lab = len(lay.dims)
     whole = lay.complete_pair.reshape(n_lab, n_lab)
     triples = np.argwhere(whole[:, :, None] & whole[None, :, :])
@@ -69,14 +67,13 @@ def certificate(lay):
 
 
 class _Sectors:
-    """The weight sectors of a family of spaces: space s has sizes[s] basis
-    vectors, and basis vector x of it is number lo[s] + x, of weight
-    w[lo[s] + x].  A sector is one weight of one space, numbered by space,
-    then weight, the n[s] of space s from first[s] on.  Sector g holds the
-    size[g] basis vectors pos[start[g]:start[g] + size[g]], in increasing
-    order, of space[g], of weight weight[g]; basis vector number y lies in
-    sector[y], at place rank[y], and order lists them sector by sector.
-    """
+    """The weight sectors of a family of spaces: basis vector x of space s,
+    of sizes[s], is number lo[s] + x, of weight w[lo[s] + x].  A sector is one
+    weight of one space, numbered by space, then weight, the n[s] of space s
+    from first[s] on.  Sector g holds the size[g] basis vectors
+    pos[start[g]:start[g] + size[g]], in increasing order, of space[g], of
+    weight weight[g]; number y lies in sector[y] at place rank[y], and order
+    lists them sector by sector."""
 
     def __init__(self, sizes, w):
         self.sizes, self.lo = sizes, np.cumsum(sizes) - sizes
@@ -97,8 +94,7 @@ class _Sectors:
         self.n = np.diff(self.first)
 
     def find(self, space, weight):
-        """The sector of weight weight[x] of space[x], or -1 where there is
-        none."""
+        """The sector of weight weight[x] of space[x], or -1 if there is none."""
         if not len(self.space):
             return np.full(len(space), -1)
         lo, span = self.weight.min(), self.weight.max() - self.weight.min() + 1
@@ -110,13 +106,13 @@ class _Sectors:
 
 
 class _Cut:
-    """Sector blocks of the channels' isometries, gathered at once and
-    stacked per shape.  Block b of channel c[b] (those of c from first[c]
-    on, count[c] of them) runs along axis x over the size[x][b] basis
-    vectors pos of sector g[x][b] of the family S, in order, and its entry
-    there is chan_flat[chan_start[c[b]] + sum over x of pos * stride[x]].
-    It has n[b] entries and is stacks[shape[b]][slot[b]], or is empty with
-    shape -1 where a sector is -1.
+    """Sector blocks of the channels' isometries.  Block b of channel c[b]
+    (those of c from first[c] on, count[c] of them) runs along axis x over
+    the size[x][b] basis vectors pos of sector g[x][b] of the family S, in
+    order; its entry there is chan_flat[chan_start[c[b]] + sum over x of
+    pos * stride[x]].  It has n[b] entries and is stacks[shape[b]][slot[b]]
+    reshaped to forms[shape[b]]: a whole isometry in its layout stack, the
+    other blocks gathered at once per shape; shape -1 where a sector is -1.
     """
 
     def __init__(self, lay, S, c, g, stride):
@@ -124,36 +120,41 @@ class _Cut:
         self.first, self.c, self.g = np.cumsum(self.count) - self.count, c, g
         self.size = size = [np.where(x >= 0, S.size[x], 0) for x in g]
         self.n = n = np.prod(size, axis=0)
+        whole = n == lay.pair_size[lay.chan_pair[c]] * lay.dims[lay.chan_label[c]]
         code = np.ravel_multi_index(size, [int(z.max(initial=0)) + 1 for z in size])
+        code = np.where(whole, (lay.chan_shape[c] + 1) * (int(code.max(initial=0)) + 1), 0) + code
         order = np.flatnonzero(n)
         order = order[np.argsort(code[order], kind="stable")]
-        t, e = ranges(np.zeros(len(order), dtype=int), n[order])
-        at = lay.chan_start[c[order]][t]
+        part = order[~whole[order]]
+        t, e = ranges(np.zeros(len(part), dtype=int), n[part])
+        at = lay.chan_start[c[part]][t]
         for x, z, st in zip(g[::-1], size[::-1], stride[::-1]):
-            e, y = np.divmod(e, z[order][t])
-            at += S.pos[S.start[x[order]][t] + y] * np.broadcast_to(st, c.shape)[order][t]
+            e, y = np.divmod(e, z[part][t])
+            at += S.pos[S.start[x[part]][t] + y] * np.broadcast_to(st, c.shape)[part][t]
         new = np.flatnonzero(np.diff(code[order], prepend=-1))
         self.shape, self.slot = np.full(len(c), -1), np.zeros(len(c), dtype=int)
         self.shape[order] = np.cumsum(np.diff(code[order], prepend=-1) != 0) - 1
-        self.slot[order] = np.arange(len(order)) - new[self.shape[order]]
-        ends, flat = np.cumsum(n[order]), lay.chan_flat[at]
-        self.stacks = [flat[ends[b] - n[order][b]:ends[e - 1]].reshape(
-            (e - b,) + tuple(z[order][b] for z in size))
-            for b, e in zip(new.tolist(), new[1:].tolist() + [len(order)])]
+        self.slot[order] = np.where(whole[order], lay.chan_slot[c[order]],
+                                    np.arange(len(order)) - new[self.shape[order]])
+        ends, flat = np.cumsum(n[order] * ~whole[order]), lay.chan_flat[at]
+        self.forms = [tuple(z[order[b]] for z in size) for b in new.tolist()]
+        self.stacks = [lay.chan_stacks[lay.chan_shape[c[order[b]]]] if whole[order[b]]
+                       else flat[ends[b] - n[order[b]]:ends[e - 1]].reshape((e - b,) + form)
+                       for b, e, form in zip(new.tolist(), new[1:].tolist() + [len(order)],
+                                             self.forms)]
 
 
 class _Plan:
     """What the chunks of one certificate read: the sectors S of the labels
     (space x for label x) and of every H_i (x) H_j by w_a + w_b (space
-    N + pair) and by w_b - w_a (space N + N^2 + pair); the cuts, the two of
-    second factors without empty blocks; per side the paths (v, w) by
+    N + pair) and by w_b - w_a (space N + N^2 + pair); the cuts (those of
+    second factors without empty blocks); per side the paths (v, w) by
     quadruple, count[q] from start[q] on; per quadruple (triple tri) one
     block per sector of H_m from bfirst[q] on, n rows by r columns a path.
     The rows of weight w of H_i (x) H_j (x) H_k run by sector g of i (x) j,
-    by basis vector ab of g, by basis vector c of the sector h of k of the
-    remaining weight (on one sector, ab d_k + c); per triple a grid (g, h)
-    from grid_lo on holds the place of its first row among those of w.
-    """
+    by basis vector ab of g, by c in the sector h of k of the rest of w (on
+    one sector, ab d_k + c); a grid (g, h) per triple holds the place of
+    its first row among those of w."""
 
     def __init__(self, lay, quads, tri, sides):
         dims, n_lab = lay.dims, len(lay.dims)
@@ -213,8 +214,8 @@ class _Plan:
         integers a row while the places are found, 14 an item of _scatter and
         12 a column of a left or 8 a row of a right one, and G with its
         traces, concatenation, M (x) I, difference, moduli and M with its
-        checks; and what a batch of one path or block holds beyond
-        _PRODUCTS / 2 (_batches)."""
+        checks; and what a batch of one path or block holds beyond half of
+        _PRODUCTS (_batches)."""
         lay, n_q, (v, w, p, p0), (vv, ww, pp, pp0) = self.lay, len(self.qm), *self.paths
         one = np.bincount(bq, self.n * self.r, minlength=n_q).astype(int)  # a path's U or W
         rows = np.zeros(n_q, dtype=int)
@@ -240,9 +241,8 @@ class _Plan:
                 + sum(np.maximum(x - _PRODUCTS // 2, 0) for x in batch))
 
     def chunk(self, lo, hi):
-        """Residuals and F-matrices of the quadruples lo:hi, whole triples.
-        The blocks of U and of W lie one after the other in two flat buffers,
-        sorted by (p, p', r, n), and the G_w of one shape are one product."""
+        """Residuals and F-matrices of the quadruples lo:hi, whole triples: the
+        blocks of U and of W lie in two flat buffers by (p, p', r, n)."""
         S, dims, count = self.S, self.lay.dims, self.count[lo:hi]
         tri, m = self.tri[lo:hi], self.qm[lo:hi]
         qp, qpp = (c[lo:hi] for _, _, c, _ in self.paths)
@@ -255,7 +255,6 @@ class _Plan:
         for off, z in zip(offsets, sizes):
             off[order] = np.cumsum(z[order]) - z[order]
         buffers = [np.zeros(int(z.sum()), dtype=complex) for z in sizes]
-        # the block of quadruple q and sector h of its m is block[q] + h
         bfirst = self.bfirst[lo:hi] - self.bfirst[lo]
         # the place of every row ab d_k + c of the chunk's triples among the
         # rows of its weight, triple t from tlo[t] on
@@ -308,39 +307,41 @@ class _Plan:
         quadruples lo:hi into out, where quadruple lo + q has width[q] paths,
         rows from tlo[q] on in place and the block of sector h of its m at
         off[block[q] + h].  An item is a path and a block X x C of its second
-        factor (on the right stacked over the a of a sector of i) times the
-        block R x X of its first factor of the same sector of the middle
-        label.  Entry (rho, c d_m + e) of a left product is row (ab, c) and
-        column e; entry (a, rho, e) of a right one, row a d_j d_k + bc."""
+        factor (on the right stacked over the a of a sector of i), times the
+        block R x X of its first factor of that sector of the middle label:
+        entry (rho, c d_m + e) of a left one goes to row (ab, c), column e,
+        and entry (a, rho, e) of a right one to row a d_j d_k + bc."""
         S, dims, first, second = self.S, self.lay.dims, self.first, (self.left, self.right)[side]
         v, w, count, start = self.paths[side]
         q = np.repeat(np.arange(hi - lo), count[lo:hi])
         v, w = v[start[lo]:start[lo] + len(q)], w[start[lo]:start[lo] + len(q)]
         slot = np.arange(len(q)) - (start[lo:hi] - start[lo])[q]
         x, B = ranges(second.first[w], second.count[w])
-        A = first.first[v[x]] + second.g[side][B] - S.first[self.lay.chan_label[v[x]]]
+        A = (first.first[v] - S.first[self.lay.chan_label[v]])[x] + second.g[side][B]
         keep = np.flatnonzero(first.shape[A] >= 0)
         code = (first.shape[A] * len(second.stacks) + second.shape[B])[keep]
         keep = keep[np.argsort(code, kind="stable")]
         code, A, B, q, slot = code[keep], A[keep], B[keep], q[x[keep]], slot[x[keep]]
         R, C, alpha = first.size[0][A], second.size[-1][B], second.size[0][B] if side else 1
+        k, m, tri = self.qk[lo + q], self.qm[lo + q], self.tri[lo + q]
         if side == 0:
             # per column y = (c, e): U holds entry (rho, y) at col + rho step
             t, z = ranges(S.start[second.g[1][B]], C)
-            k, m = self.qk[lo + q[t]], self.qm[lo + q[t]]
-            c, e = S.lo[k] + S.pos[z] // dims[m], S.lo[m] + S.pos[z] % dims[m]
-            r, z = S.size[S.sector[e]], self.tri[lo + q[t]]
-            z = self.place[self.grid_lo[z] + (first.g[0][A[t]] - S.first[self.ij[z]])
-                           * self.n_h[z] + S.sector[c] - S.first[k]]
-            step = width[q[t]] * r
-            col = off[block[q[t]] + S.sector[e]] + slot[t] * r + S.rank[e] + step * (z + S.rank[c])
-            step *= S.size[S.sector[c]]
+            z, dm = S.pos[z], dims[m][t]
+            c, e = S.lo[k][t] + z // dm, S.lo[m][t] + z % dm
+            h, r = S.sector[c], S.size[S.sector[e]]
+            z = self.place[(self.grid_lo[tri] + (first.g[0][A] - S.first[self.ij[tri]])
+                            * self.n_h[tri] - S.first[k])[t] + h] + S.rank[c]
+            step = width[q][t] * r
+            col = off[block[q][t] + S.sector[e]] + slot[t] * r + S.rank[e] + step * z
+            step *= S.size[h]
         else:
             # per row (a, rho): W holds entry (a, rho, e) at row + col + e
             t, z = ranges(np.zeros(len(A), dtype=int), alpha * R)
-            a = S.pos[S.start[second.g[0][B[t]]] + z // R[t]] * dims[self.qj[lo + q[t]]]
-            z = S.pos[S.start[first.g[0][A[t]]] + z % R[t]] + a * dims[self.qk[lo + q[t]]]
-            row = width[q[t]] * C[t] * place[tlo[q[t]] + z]
+            a, z = np.divmod(z, R[t])
+            z = (S.pos[S.start[second.g[0][B]][t] + a] * (dims[self.qj[lo + q]] * dims[k])[t]
+                 + S.pos[S.start[first.g[0][A]][t] + z])
+            row = (width[q] * C)[t] * place[tlo[q][t] + z]
             col = off[block[q] + second.g[2][B]] + slot * C
         # in batches of one shape: the gathered blocks, products and indices
         cuts = _batches(np.diff(code, prepend=-1) != 0,
@@ -349,7 +350,8 @@ class _Plan:
         heads, fa, sb = cuts[:-1], first.slot[A], second.slot[B]
         for b, (i0, i1, f, s) in enumerate(zip(heads, cuts[1:], first.shape[A[heads]].tolist(),
                                                second.shape[B[heads]].tolist())):
-            f, s = first.stacks[f][fa[i0:i1]], second.stacks[s][sb[i0:i1]]
+            f = first.stacks[f][fa[i0:i1]].reshape((i1 - i0,) + first.forms[f])
+            s = second.stacks[s][sb[i0:i1]].reshape((i1 - i0,) + second.forms[s])
             prod = f[:, None] @ s.reshape(i1 - i0, -1, f.shape[2], s.shape[-1])
             N, al, rr, cc = prod.shape
             if side == 0:
@@ -362,16 +364,14 @@ class _Plan:
 
 
 def _batches(new, size):
-    """Batch boundaries of items of the given sizes: a batch starts where new
-    is true or the running total passes a multiple of _PRODUCTS / 2, so it
-    holds at most _PRODUCTS, or less than its first item and _PRODUCTS / 2."""
+    """Batches that start where new is or the sizes' total passes a multiple of
+    _PRODUCTS / 2: at most _PRODUCTS, or less than their first and half of it."""
     step = np.cumsum(size) // (_PRODUCTS // 2)
     return np.flatnonzero(new | (np.diff(step, prepend=-1) != 0)).tolist() + [len(size)]
 
 
 def _chunks(tri, cost, budget):
-    """The quadruples, of nondecreasing triple tri, in (lo, hi) ranges of whole
-    triples whose costs add up to at most budget, or of one triple above it."""
+    """(lo, hi) ranges of whole triples (tri nondecreasing) within budget, or one triple."""
     bounds = [0] + (np.flatnonzero(np.diff(tri)) + 1).tolist() + [len(tri)] if len(tri) else [0]
     total, cuts = np.cumsum(np.add.reduceat(cost, bounds[:-1])) if len(tri) else [], [0]
     while cuts[-1] < len(total):
