@@ -130,10 +130,10 @@ class _Cut:
         at = lay.chan_start[c[part]][t]
         for x, z, st in zip(g[::-1], size[::-1], stride[::-1]):
             e, y = np.divmod(e, z[part][t])
-            at += S.pos[S.start[x[part]][t] + y] * np.broadcast_to(st, c.shape)[part][t]
-        new = np.flatnonzero(np.diff(code[order], prepend=-1))
+            at += S.pos[S.start[x[part]][t] + y] * (st if np.isscalar(st) else st[part][t])
+        new = np.diff(code[order], prepend=-1) != 0
         self.shape, self.slot = np.full(len(c), -1), np.zeros(len(c), dtype=int)
-        self.shape[order] = np.cumsum(np.diff(code[order], prepend=-1) != 0) - 1
+        self.shape[order], new = np.cumsum(new) - 1, np.flatnonzero(new)
         self.slot[order] = np.where(whole[order], lay.chan_slot[c[order]],
                                     np.arange(len(order)) - new[self.shape[order]])
         ends, flat = np.cumsum(n[order] * ~whole[order]), lay.chan_flat[at]
@@ -210,16 +210,17 @@ class _Plan:
     def _cost(self, bq, head):
         """The bytes that each quadruple holds in a chunk, 16 a complex and 8
         an integer entry of the arrays of chunk and _scatter: U, W, 24
-        integers a block and the rows' places throughout; the most of 11
-        integers a row while the places are found, 14 an item of _scatter and
-        12 a column of a left or 8 a row of a right one, and G with its
-        traces, concatenation, M (x) I, difference, moduli and M with its
-        checks; and what a batch of one path or block holds beyond half of
-        _PRODUCTS (_batches)."""
-        lay, n_q, (v, w, p, p0), (vv, ww, pp, pp0) = self.lay, len(self.qm), *self.paths
+        integers a block and the rows' places throughout, and the most of
+        what each step holds in turn: 11 integers a row while the places are
+        found; 14 integers an item of _scatter and 12 a column of a left or 8
+        a row of a right one; G with its traces, concatenation, M (x) I,
+        difference, moduli and M with its checks; and for the last three what
+        a batch of one path or block holds beyond half of _PRODUCTS."""
+        lay, S, n_q, half = self.lay, self.S, len(self.qm), _PRODUCTS // 2
+        (v, w, p, p0), (vv, ww, pp, pp0) = self.paths
         one = np.bincount(bq, self.n * self.r, minlength=n_q).astype(int)  # a path's U or W
         rows = np.zeros(n_q, dtype=int)
-        rows[head] = lay.dims[self.qi[head]] * lay.dims[self.qj[head]] * lay.dims[self.qk[head]]
+        rows[head] = S.sizes[self.ij] * S.sizes[self.k]
         i, (f, l, r) = lay.chan_pair[ww] // len(lay.dims), (
             lambda x, c=cut.c: np.bincount(c, x, minlength=len(lay.chan_label)).astype(int)
             for cut in (self.first, self.left, self.right))  # x summed per channel
@@ -228,17 +229,16 @@ class _Plan:
             total = np.concatenate(([0], np.cumsum(x)))
             return total[start + count] - total[start]
 
-        turns = (88 * rows, 88 * p * pp * np.bincount(bq, self.r ** 2, minlength=n_q).astype(int)
-                 + 64 * (p * p + pp * pp) + 16 * p * pp,
-                 per_quad(p0, p, 112 * self.left.count[w] + 96 * l(self.left.size[1])[w]),
-                 per_quad(pp0, pp, 112 * self.right.count[ww]
-                          + 64 * lay.dims[i] * f(self.first.size[0])[vv]))
-        batch = (16 * pp * one, 24 * p * one + 16 * per_quad(p0, p, f(self.first.n)[v]
-                                                             + l(self.left.n)[w]),
-                 24 * pp * one + 16 * per_quad(pp0, pp, self.S.n[i] * f(self.first.n)[vv]
-                                               + r(self.right.n)[ww]))
-        return (16 * (p + pp) * one + 192 * self.count + 8 * rows + np.maximum.reduce(turns)
-                + sum(np.maximum(x - _PRODUCTS // 2, 0) for x in batch))
+        left = per_quad(p0, p, 112 * self.left.count[w] + 96 * l(self.left.size[1])[w]
+                        + np.maximum(24 * np.repeat(one, p)
+                                     + 16 * (f(self.first.n)[v] + l(self.left.n)[w]) - half, 0))
+        right = per_quad(pp0, pp, 112 * self.right.count[ww] + 64 * lay.dims[i]
+                         * f(self.first.size[0])[vv] + np.maximum(24 * np.repeat(one, pp) + 16 * (
+                             S.n[i] * f(self.first.n)[vv] + r(self.right.n)[ww]) - half, 0))
+        g = np.bincount(bq, 88 * (p * pp)[bq] * self.r ** 2 + np.maximum(
+            16 * self.n * pp[bq] * self.r - half, 0), minlength=n_q).astype(int)
+        return (16 * (p + pp) * one + 192 * self.count + 8 * rows + np.maximum.reduce(
+            [88 * rows, left, right, g + 64 * (p * p + pp * pp) + 16 * p * pp]))
 
     def chunk(self, lo, hi):
         """Residuals and F-matrices of the quadruples lo:hi, whole triples: the
