@@ -307,10 +307,10 @@ class _Plan:
         quadruples lo:hi into out, where quadruple lo + q has width[q] paths,
         rows from tlo[q] on in place and the block of sector h of its m at
         off[block[q] + h].  An item is a path and a block X x C of its second
-        factor (on the right stacked over the a of a sector of i), times the
-        block R x X of its first factor of that sector of the middle label:
-        entry (rho, c d_m + e) of a left one goes to row (ab, c), column e,
-        and entry (a, rho, e) of a right one to row a d_j d_k + bc."""
+        factor (on the right stacked over the a of a sector of i); its product
+        is the path's first-factor block R x X of that sector of the middle
+        label times it, entry (rho, c d_m + e) going to row (ab, c), column e
+        on the left, entry (a, rho, e) to row a d_j d_k + bc on the right."""
         S, dims, first, second = self.S, self.lay.dims, self.first, (self.left, self.right)[side]
         v, w, count, start = self.paths[side]
         q = np.repeat(np.arange(hi - lo), count[lo:hi])
@@ -364,14 +364,14 @@ class _Plan:
 
 
 def _batches(new, size):
-    """Batches that start where new is or the sizes' total passes a multiple of
-    _PRODUCTS / 2: at most _PRODUCTS, or less than their first and half of it."""
+    """Batch bounds: where new is true or the sizes' running total passes a
+    multiple of _PRODUCTS / 2, so a batch holds less than that and its first."""
     step = np.cumsum(size) // (_PRODUCTS // 2)
     return np.flatnonzero(new | (np.diff(step, prepend=-1) != 0)).tolist() + [len(size)]
 
 
 def _chunks(tri, cost, budget):
-    """(lo, hi) ranges of whole triples (tri nondecreasing) within budget, or one triple."""
+    """Ranges (lo, hi) of whole triples costing at most budget, or of one triple."""
     bounds = [0] + (np.flatnonzero(np.diff(tri)) + 1).tolist() + [len(tri)] if len(tri) else [0]
     total, cuts = np.cumsum(np.add.reduceat(cost, bounds[:-1])) if len(tri) else [], [0]
     while cuts[-1] < len(total):
