@@ -29,11 +29,11 @@ from .linalg import (
     bdagger,
     bkron,
     dagger,
+    distinct,
     frozen_eye,
     group_by,
     max_abs,
     order_plan,
-    plan_entries,
     ranges,
     residual,
     slots,
@@ -67,16 +67,16 @@ class Aqg:
 
     def random_batch(self, rng, n: int, k: int = 1, support=None) -> list[dict]:
         """k batches of n random elements with blocks on support (every
-        label by default).  Sample t draws its k elements in turn, and each
-        element its blocks in support order, a block as a d x d standard
-        normal real part and then imaginary part; all in one call of rng,
-        which yields the same numbers as drawing them one block at a time."""
+        label by default), of its block sizes.  Sample t draws its k
+        elements in turn, each its blocks in support order, a block as a
+        d x d standard normal real part and then imaginary part; all in one
+        call of rng, which yields the numbers drawn one block at a time."""
         lay = self.bundle.layout
         at = np.array([lay.label_index[i] for i in support or self.labels], dtype=int)
         size = 2 * lay.dims[at] ** 2
         start = np.cumsum(size) - size
         flat = rng.standard_normal(n * k * int(size.sum())).reshape(n, k, -1)
-        out = [_zero_batch(lay, n) for _ in range(k)]
+        out = [_zero_batch(lay, n, lay.dims[at]) for _ in range(k)]
         for d, sel in split_by(lay.dims[at]):
             x = flat[:, :, start[sel, None] + np.arange(2 * d * d)]
             x = x.reshape(n, k, len(sel), 2, d, d)
@@ -183,19 +183,15 @@ def reconstruct(
     # spot-check invariance of the Haar ansatz before first use
     rng = np.random.default_rng(7)
     sample = haar_sample_support(q)
-    cuts = _Cuts(q, sample, sample, (1,))
-    plan = _HaarPlan(q, cuts.idx[0], 2, "left")
-    for n in sample_batches(2, cuts.entries):
-        a, c = q.random_batch(rng, n, 2, sample)
-        got = plan.contract(cuts.cut(cuts.delta(a), c, 0)[0], n)
-        want = _scaled(c, haar(q, a, "left"))
-        res = _sample_max(*(got[d] - want[d] for d in want))
-        bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
-                                                        * _sample_max(*c.values()))))
-        if len(bad):
-            raise InconsistentSolve(
-                f"Haar ansatz fails invariance (residual {res[bad[0]]:.3e})"
-            )
+    a, c = q.random_batch(rng, 2, 2, sample)
+    (got,), = _cut_sums(q, a, c, sample, (1,), [("right",)],
+                        lambda k, idx: _HaarPlan(q, idx, 2, "left").parts)
+    want = _scaled(c, haar(q, a, "left"))
+    res = _sample_max(*(got[d] - want[d] for d in want))
+    bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
+                                                    * _sample_max(*c.values()))))
+    if len(bad):
+        raise InconsistentSolve(f"Haar ansatz fails invariance (residual {res[bad[0]]:.3e})")
     return q
 
 
@@ -203,16 +199,44 @@ def reconstruct(
 # batches
 
 
-def sample_batches(n: int, entries: int) -> list[int]:
-    """Sizes of consecutive batches covering n samples, each within
-    CHUNK_BYTES for work of `entries` complex entries per sample (at least
-    one sample a batch)."""
-    step = max(1, CHUNK_BYTES // (32 * max(1, entries)))
-    return [min(step, n - lo) for lo in range(0, n, step)]
+def sample_batches(n: int, per_sample, fixed=0, held: int = 0) -> list[slice]:
+    """Consecutive batches covering n samples, as slices, each within
+    CHUNK_BYTES beside the held bytes for work that holds fixed bytes and
+    per_sample bytes a sample (at least one sample a batch)."""
+    step = int(min(n, max(1, (CHUNK_BYTES - held - fixed) // max(1, per_sample))))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _zero_batch(lay, n: int) -> dict:
-    return {d: np.zeros((c, n, d, d), dtype=complex) for d, c in lay.dim_count.items()}
+def chunks(group, fixed, phases, n: int, held: int = 0):
+    """The chunks of a row's items in order, as (lo, hi, sample_batches of
+    the n samples on items lo:hi).  Item p holds fixed[p] bytes and
+    phases[p, t] a sample in phase t of its chunk, which holds its fixed
+    bytes and per sample the most of its phases.  A chunk takes whole runs
+    of equal group values while n samples fit within CHUNK_BYTES beside
+    held; a run that does not fit alone runs its samples in batches."""
+    f = np.cumsum(np.append(0, fixed))
+    s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
+    ends = np.append(np.flatnonzero(np.diff(group)) + 1, len(group)).tolist() if len(group) else []
+    cuts = [0]
+    for prev, hi in zip(ends, ends[1:]):
+        if f[hi] - f[cuts[-1]] + n * (s[hi] - s[cuts[-1]]).max() > CHUNK_BYTES - held:
+            cuts.append(prev)
+    for lo, hi in zip(cuts, cuts[1:] + ends[-1:]):
+        yield lo, hi, sample_batches(n, (s[hi] - s[lo]).max(), f[hi] - f[lo], held)
+
+
+def _at(a: dict, s: slice) -> dict:
+    """The samples s of the batch a, as views."""
+    return {d: m[:, s] for d, m in a.items()}
+
+
+def _nbytes(*batches) -> int:
+    return sum(m.nbytes for x in batches for m in x.values())
+
+
+def _zero_batch(lay, n: int, sizes=None) -> dict:
+    return {d: np.zeros((c, n, d, d), dtype=complex) for d, c in lay.dim_count.items()
+            if sizes is None or d in sizes}
 
 
 def _label_stacks(q: Aqg, mats: dict) -> dict:
@@ -262,7 +286,6 @@ class DeltaPlan:
     arrays, numbered by pair, then the name of k, then alpha.  work holds
     them per isometry shape as (numbers, V, V*, block of k among its size),
     and order is the schedule that sums them per pair in item order.
-    entries counts the complex entries it holds per sample.
     """
 
     def __init__(self, q: Aqg, labels, idx):
@@ -283,7 +306,20 @@ class DeltaPlan:
             self.work.append((nums, v, bdagger(v), lay.block_of[lay.chan_label[chans[nums]]]))
         self.order = order_plan(self.slot[lay.chan_pair[chans]], [w[0] for w in self.work],
                                 [(w[1].shape[1],) * 2 for w in self.work])
-        self.entries = sum(n * d * d for d, n in self.count.items()) + plan_entries(self.order)
+
+
+def delta_cost(q: Aqg, labels, pairs) -> tuple[Array, Array]:
+    """(fixed, per_sample): the bytes of Delta on each of the pairs for a on
+    labels, 16 a complex entry: V and V* of its channels into labels; per
+    sample its block, and per channel a's block, V a and the product with
+    its copy in add_planned's concatenation."""
+    lay = q.bundle.layout
+    at, chans = lay.channels_of(pairs)
+    use = np.isin(lay.chan_label[chans], [lay.label_index[k] for k in labels])
+    at, s, d = at[use], lay.pair_size[pairs], lay.dims[lay.chan_label[chans[use]]]
+    return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)),
+            16 * s * s + np.bincount(at, 16 * (d * d + s[at] * d + 2 * s[at] ** 2),
+                                     minlength=len(pairs)))
 
 
 def delta_stacks(a: dict, plan: DeltaPlan):
@@ -307,35 +343,22 @@ def delta_stacks(a: dict, plan: DeltaPlan):
 
 class _Cuts:
     """Cut-off coproducts Delta(a) times c on one leg, for batches a with
-    blocks on a_labels and c with blocks on c_labels, planned once.
+    blocks on a_labels, planned per chunk of cut_chunks.  Cut k multiplies
+    by c on legs[k] (1: c (x) 1, 2: 1 (x) c), from the right or the left, on
+    the pairs idx[k], whose labels of c's leg are lead[k]; classes[k] holds
+    per class of _pair_classes (d of c's leg, d of the other leg, rows of
+    the stacks of plan, the Delta plan of every cut, blocks of c)."""
 
-    Cut k multiplies by c on legs[k] (1: c (x) 1, 2: 1 (x) c), from the
-    right or the left.  Its blocks are the pairs of _cut_pairs, with layout
-    indices idx[k] and the labels lead[k] of c's leg; a cut is a pair stack
-    on them.  classes[k] holds per class of _pair_classes (d of c's leg, d
-    of the other leg, rows of Delta's stacks, blocks of c among their
-    size).  One Delta plan covers the blocks of every cut; entries counts
-    the complex entries held per sample.
-    """
-
-    def __init__(self, q: Aqg, a_labels, c_labels, legs, others=None):
+    def __init__(self, q: Aqg, a_labels, idx, legs):
         lay = q.bundle.layout
-        self.legs = legs
-        where = [_cut_pairs(q, a_labels, sorted(c_labels), leg, others) for leg in legs]
-        self.plan = DeltaPlan(q, a_labels, np.concatenate([w[0] for w in where]))
-        self.idx = [idx for idx, _ in where]
-        self.lead = [lead for _, lead in where]
+        self.legs, self.idx = legs, idx
+        self.plan = DeltaPlan(q, a_labels, np.concatenate(idx))
+        self.lead = [np.divmod(i, len(lay.dims))[leg - 1] for i, leg in zip(idx, legs)]
         self.classes = [[
-            ((di, dj) if leg == 1 else (dj, di)) + (self.plan.slot[idx[sel]],
+            ((di, dj) if leg == 1 else (dj, di)) + (self.plan.slot[i[sel]],
                                                   lay.block_of[lead[sel]])
-            for (di, dj), sel in _pair_classes(lay, idx)
-        ] for leg, (idx, lead) in zip(legs, where)]
-        self.entries = self.plan.entries + 2 * sum(
-            len(rows) * (dl * do) ** 2 for cls in self.classes for dl, do, rows, _ in cls)
-
-    def delta(self, a: dict) -> dict:
-        """Delta(a) on the blocks of every cut, as delta_stacks's stacks."""
-        return delta_stacks(a, self.plan)[0]
+            for (di, dj), sel in _pair_classes(lay, i)
+        ] for leg, i, lead in zip(legs, idx, self.lead)]
 
     def cut(self, da: dict, c: dict, k: int, sides=("right",)) -> list[list]:
         """Cut k of the Delta(a) stacks da by the batch c, from each of the
@@ -350,25 +373,57 @@ class _Cuts:
         return prods
 
 
-def _cut_pairs(q: Aqg, a_labels, c_labels, leg: int, others=None):
-    """The blocks of a cut-off coproduct: n runs over the labels c_labels
-    of c, the other leg over every label (or others(n)), and blocks where
-    Delta(a) vanishes for a on a_labels are dropped.  Returns their layout
-    indices with the label indices of the c leg (lead)."""
+def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int = 1,
+               extra=None):
+    """(cuts, batches) per chunk (chunks): a _Cuts for batches a and c on
+    support, over the chunk's pairs, and the slices of the n samples.  Cut k
+    holds the blocks (n, o) by c (x) 1 (legs[k] = 1) or (o, n) by 1 (x) c,
+    n in support, o in every label (or others(n)), where Delta(a) does not
+    vanish.  The pairs run lead-major for legs[0], so a sum by n carried
+    over the chunks adds a cut's pairs by o as one pass does.  A chunk holds
+    Delta's work (delta_cost), then per cut in turn Delta's blocks and per
+    pair a block of Delta, of c (x) 1 and of results, the products on
+    `sides` sides and extra(k, idx) = (fixed, per_sample); with extra, it
+    takes each n's pairs whole."""
     lay = q.bundle.layout
-    n_lab = len(q.labels)
-    li = lay.label_index
-    lead, other = [], []
-    for n in c_labels:
-        oth = range(n_lab) if others is None else [li[o] for o in others(n)]
-        lead += [li[n]] * len(oth)
-        other += oth
-    lead, other = np.array(lead, dtype=int), np.array(other, dtype=int)
-    idx = lead * n_lab + other if leg == 1 else other * n_lab + lead
-    have = np.zeros(n_lab, dtype=bool)
-    have[[li[k] for k in a_labels]] = True
-    keep = lay.loaded[idx][:, have].any(axis=1)
-    return idx[keep], lead[keep]
+    n_lab, li = len(lay.dims), lay.label_index
+    lead, other = np.array([(li[x], li[o]) for x in sorted(support)
+                            for o in (others(x) if others else q.labels)], dtype=int).T
+    idx = [lead * n_lab + other if leg == 1 else other * n_lab + lead for leg in legs]
+    idx = [i[lay.loaded[i][:, [li[k] for k in support]].any(axis=1)] for i in idx]
+    pairs = distinct(np.concatenate(idx))
+    key = pairs if legs[0] == 1 else pairs % n_lab * n_lab + pairs // n_lab
+    pairs, key = pairs[np.argsort(key)], np.sort(key)
+    at = np.zeros(n_lab * n_lab, dtype=int)
+    at[pairs] = np.arange(len(pairs))
+    fixed, work = delta_cost(q, support, pairs)
+    size, phases = 16 * lay.pair_size[pairs] ** 2, [work]
+    for k, i in enumerate(idx):
+        f, x = extra(k, i) if extra else (0, 0)
+        fixed[at[i]] += f
+        phases.append(size + np.bincount(at[i], (sides + 3) * size[at[i]] + x, len(pairs)))
+    for lo, hi, batches in chunks(key // n_lab if extra else key, fixed,
+                                  np.column_stack(phases), n, held):
+        yield _Cuts(q, support, [i[np.isin(i, pairs[lo:hi])] for i in idx], legs), batches
+
+
+def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan, others=None) -> list:
+    """got[k][t]: the sums by c's label (_LabelSums) of the parts plan(k,
+    idx)(x) of the products x of cut k, over the pairs idx, from
+    sides[k][t], of the cuts of cut_chunks for the batches a and c."""
+    n = next(iter(a.values())).shape[1]
+    got = [[_zero_batch(q.bundle.layout, n, c) for _ in s] for s in sides]
+    held = _nbytes(a, c, *(x for g in got for x in g))
+    for cuts, batches in cut_chunks(q, support, legs, n, held, others, len(sides[0])):
+        adds = [(plan(k, i), _LabelSums(q, i, legs[k])) for k, i in enumerate(cuts.idx)]
+        for s in batches:
+            da = delta_stacks(_at(a, s), cuts.plan)[0]
+            for k, (parts, sums) in enumerate(adds):
+                for x, out in zip(cuts.cut(da, _at(c, s), k, sides[k]), got[k]):
+                    sums.sums(parts(x), _at(out, s))
+                del x  # one cut's products at a time
+            del da
+    return got
 
 
 def _dual_index(q: Aqg) -> Array:
@@ -397,7 +452,7 @@ def antipode(q: Aqg, a: dict) -> dict:
     """
     conj = _conj_stacks(q)
     return {d: rb[:, None] @ a[d][dual].swapaxes(-1, -2) @ rmc[:, None]
-            for d, (rb, rmc, dual) in conj.items()}
+            for d, (rb, rmc, dual) in conj.items() if d in a}
 
 
 def _haar_stacks(q: Aqg, side: str):
@@ -423,7 +478,8 @@ def haar(q: Aqg, a: dict, side: str = "left") -> Array:
     total = np.zeros(next(iter(a.values())).shape[1], dtype=complex)
     for i in sorted(q.labels):
         n = lay.label_index[i]
-        total += weights[n] * terms[lay.dims[n]][lay.block_of[n]]
+        if lay.dims[n] in terms:
+            total += weights[n] * terms[lay.dims[n]][lay.block_of[n]]
     return total
 
 
@@ -432,29 +488,28 @@ def haar(q: Aqg, a: dict, side: str = "left") -> Array:
 
 
 class _LabelSums:
-    """Sums by label of stacked item results, planned once: item n has the
-    label number labels[n], part g holds the items numbers[g] (of one block
-    size), and sums(part, n) is the batch of n samples whose block o sums,
-    in item order, the results of the items labelled o, part(g) being part
-    g's as a stack (items, n, d, d)."""
+    """Sums by label of stacked item results, planned once: item n is pair
+    idx[n], labelled by its leg `leg`, and part g holds the items of class g
+    of _pair_classes.  sums(part, out) adds to block o of the batch out, in
+    item order, the results of the items labelled o, part(g) being part g's
+    as a stack (items, samples, d, d)."""
 
-    def __init__(self, q: Aqg, labels, numbers):
-        self.lay = lay = q.bundle.layout
+    def __init__(self, q: Aqg, idx, leg: int):
+        lay = q.bundle.layout
+        labels = np.divmod(idx, len(lay.dims))[leg - 1]
+        numbers = [sel for _, sel in _pair_classes(lay, idx)]
         self.order = order_plan(lay.block_of[labels], numbers,
                                 [(lay.dims[labels[nums[0]]],) * 2 for nums in numbers])
 
-    def sums(self, part, n: int) -> dict:
-        out = {(d, d): m for d, m in _zero_batch(self.lay, n).items()}
-        add_planned(out, self.order, part)
-        return {d: out[(d, d)] for d in self.lay.dim_count}
+    def sums(self, part, out: dict) -> None:
+        add_planned({(d, d): m for d, m in out.items()}, self.order, part)
 
 
 class _MultPlan:
     """m(S (x) iota) (which 's-left') or m(iota (x) S) ('s-right') on pair
     stacks over the pairs idx, which must be (dual(j), j) or (i, dual(i)),
     so that every block is exact: per class of _pair_classes its dims, the
-    conjugate-pair stacks of its output labels and a fixed einsum path, and
-    the sums by output label."""
+    conjugate-pair stacks of its output labels and a fixed einsum path."""
 
     def __init__(self, q: Aqg, idx, which: str):
         if which not in ("s-left", "s-right"):
@@ -469,58 +524,55 @@ class _MultPlan:
         # sum_ps S(e^i_ps) Y_ps with S(e_ps) = outer(Rbar[:,s], conj(R[p,:]))
         self.spec = "gus,gpe,gpesw->guw" if left else "gapes,ges,gpw->gaw"
         self.work = []
-        classes = _pair_classes(lay, idx)
-        for (di, dj), sel in classes:
+        for (di, dj), sel in _pair_classes(lay, idx):
             rb, rmc, _ = conj[dj if left else di]
             rb, rmc = (s[lay.block_of[labels[sel]]] for s in (rb, rmc))
             t = np.broadcast_to(np.zeros((), dtype=complex), (len(sel), di, dj, di, dj))
             path = np.einsum_path(self.spec, *((rb, rmc, t) if left else (t, rb, rmc)),
                                   optimize=True)[0]
             self.work.append((di, dj, rb, rmc, path))
-        self.sums = _LabelSums(q, labels, [sel for _, sel in classes])
 
-    def apply(self, x: list, n: int) -> dict:
-        """The batch m(S (x) iota)(x) or m(iota (x) S)(x) of the pair stack
-        x of n samples."""
+    def parts(self, x: list):
+        """The parts of _LabelSums, by output label, of m(S (x) iota)(x) or
+        m(iota (x) S)(x) for the pair stack x."""
         def part(g):
             di, dj, rb, rmc, path = self.work[g]
+            n = x[g].shape[1]
             rb, rmc = np.repeat(rb, n, axis=0), np.repeat(rmc, n, axis=0)
             t = x[g].reshape(-1, di, dj, di, dj)
             ops = (rb, rmc, t) if self.left else (t, rb, rmc)
             y = np.einsum(self.spec, *ops, optimize=path)
             return y.reshape((-1, n) + y.shape[1:])
 
-        return self.sums.sums(part, n)
+        return part
 
 
 class _HaarPlan:
     """A Haar functional on one leg of pair stacks over the pairs idx: per
     class of _pair_classes its dims, the F stack and the weights of the
-    contracted leg, and the sums by the label of the other leg."""
+    contracted leg."""
 
     def __init__(self, q: Aqg, idx, leg: int, side: str):
         lay = q.bundle.layout
-        first, second = np.divmod(idx, len(q.labels))
-        h, o = (second, first) if leg == 2 else (first, second)
+        h = np.divmod(idx, len(q.labels))[leg - 1]
         _, fstacks, weights = _haar_stacks(q, side)
         self.spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
-        classes = _pair_classes(lay, idx)
         self.work = [
             (di, dj, fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]],
              weights[h[sel]][:, None, None, None])
-            for (di, dj), sel in classes
+            for (di, dj), sel in _pair_classes(lay, idx)
         ]
-        self.sums = _LabelSums(q, o, [sel for _, sel in classes])
 
-    def contract(self, x: list, n: int) -> dict:
-        """The batch of the pair stack x of n samples with one leg
-        contracted."""
+    def parts(self, x: list):
+        """The parts of _LabelSums, by the other leg's label, of the pair
+        stack x with one leg contracted."""
         def part(g):
             di, dj, f, w = self.work[g]
+            n = x[g].shape[1]
             y = np.einsum(self.spec, np.repeat(f, n, axis=0), x[g].reshape(-1, di, dj, di, dj))
             return w * y.reshape((-1, n) + y.shape[1:])
 
-        return self.sums.sums(part, n)
+        return part
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +669,6 @@ class _TInversePlan:
             self.work.append((nums, cls[t[0]], row[t], di, dj, dn, left, right))
         self.order = order_plan(self.where[opair], [w[0] for w in self.work],
                                 [(lay.pair_size[opair[w[0][0]]],) * 2 for w in self.work])
-        self.entries = sum(n * s * s for s, n in self.count.items()) + plan_entries(self.order)
 
     def inverse(self, x: list, n: int) -> dict:
         """The inverse of the pair stack x of n samples: output block of
@@ -633,6 +684,20 @@ class _TInversePlan:
 
         out = {(s, s): np.zeros((c, n, s, s), dtype=complex) for s, c in self.count.items()}
         return add_planned(out, self.order, part)
+
+
+def t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
+    """(fixed, per_sample): the bytes of _TInversePlan per pair (i,j) of
+    idx, whose items are its channels to n (Frobenius reciprocity), with
+    output (n,j) for T1 and (i,n) for T2: L and R; per sample the input
+    block and L X or X R, the output with its copy in add_planned's
+    concatenation, and a share of the sums and of the row's comparison."""
+    lay = q.bundle.layout
+    at, chans = lay.channels_of(idx)
+    s, dn = lay.pair_size[idx[at]], lay.dims[lay.chan_label[chans]]
+    out = dn * lay.dims[np.divmod(idx, len(lay.dims))[1 if t1 else 0][at]]
+    return (np.bincount(at, 32 * dn * s, minlength=len(idx)),
+            np.bincount(at, 16 * (s * s + dn * s + 4 * out * out), minlength=len(idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +800,10 @@ def verify_axioms(
     property of the coproduct.  Haar faithfulness and Delta(a*) = Delta(a)*
     hold by construction and are test oracles.  Window bundles get each check
     on its admissible blocks; anything unreachable is skipped explicitly.
-    Each sampled row plans its index work (blocks, classes, work groups, sum
-    schedules) once, then draws its samples in batches within CHUNK_BYTES
-    and runs each planned product once per batch, with the samples stacked
-    along an axis after the block axis.
+    Each sampled row draws its samples at once and runs its pairs in chunks
+    within CHUNK_BYTES (chunks): a chunk plans its index work once and runs
+    each product once for all samples, stacked after the block axis, or per
+    batch of samples when its pairs do not fit; sums carry over the chunks.
     """
     rep = Report("hopf-axioms")
     rng = np.random.default_rng(seed)
@@ -764,69 +829,29 @@ def verify_axioms(
     # (2) counit laws: the cuts hold the blocks (u, n) of Delta(a)(1 (x) c)
     # and (n, u) of (c (x) 1) Delta(a), whose counit legs are their blocks
     # on label n
-    res, scale = [0.0], [1.0]
-    cuts = _Cuts(q, sample, sample, (2, 1), lambda n: [u])
-    legs = [_LabelSums(q, cuts.lead[k], [sel for _, sel in _pair_classes(lay, cuts.idx[k])])
-            for k in (0, 1)]
-    for n in sample_batches(n_samples, cuts.entries):
-        a, c = q.random_batch(rng, n, 2, sample)
-        da = cuts.delta(a)
-        ac = _mul(a, c)
-        for k, leg in enumerate(legs):
-            x = cuts.cut(da, c, k)[0]
-            got = leg.sums(lambda g: x[g], n)
-            res += [max_abs(got[d] - ac[d]) for d in ac]
-        scale += [max_abs(m) for m in ac.values()]
-    res, scale = worst(*res), worst(*scale)
-    rep.add("2-counit-laws", "samples", res, res <= tol.bound(scale))
+    a, c = q.random_batch(rng, n_samples, 2, sample)
+    ac = _mul(a, c)
+    got = _cut_sums(q, a, c, sample, (2, 1), [("right",)] * 2,
+                    lambda k, idx: lambda x: x.__getitem__, lambda n: [u])
+    res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
+    rep.add("2-counit-laws", "samples", res,
+            res <= tol.bound(worst(1.0, *map(max_abs, ac.values()))))
+    del a, c, ac, got  # a row holds only its own samples
 
     # (3) antipode laws
-    res, scale = [0.0], [1.0]
     duals = {n: [o for o in b.labels if b.dual[o] == n] for n in b.labels}
-    cuts = _Cuts(q, sample, sample, (2, 1), duals.get)
-    mults = [_MultPlan(q, cuts.idx[0], "s-left"), _MultPlan(q, cuts.idx[1], "s-right")]
-    for n in sample_batches(n_samples, cuts.entries):
-        a, c = q.random_batch(rng, n, 2, sample)
-        target = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
-        da = cuts.delta(a)
-        for k, (plan, side) in enumerate(zip(mults, ("right", "left"))):
-            got = plan.apply(cuts.cut(da, c, k, (side,))[0], n)
-            res += [max_abs(got[d] - target[d]) for d in target]
-        scale += [max_abs(m) for m in target.values()]
-        scale.append(_sample_max(*a.values()) * _sample_max(*c.values()))
-    res, scale = worst(*res), worst(*scale)
+    a, c = q.random_batch(rng, n_samples, 2, sample)
+    got = _cut_sums(q, a, c, sample, (2, 1), [("right",), ("left",)],
+                    lambda k, idx: _MultPlan(q, idx, ("s-left", "s-right")[k]).parts, duals.get)
+    ac = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
+    res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
+    scale = worst(1.0, *map(max_abs, ac.values()),
+                  _sample_max(*a.values()) * _sample_max(*c.values()))
     rep.add("3-antipode-laws", "samples", res, res <= tol.bound(scale))
+    del a, c, ac, got
 
-    # (4) T1/T2 bijectivity: T1^-1 and T2^-1 give back a (x) c on the
-    # sample support; on a closed bundle a left inverse of an endomorphism of
-    # the finite-dimensional A (x) A certifies bijectivity.  T1(a (x) c) =
-    # Delta(a)(1 (x) c) and T2(a (x) c) = (a (x) 1)Delta(c).  The blocks
-    # a_i (x) c_j are compared per (d_i, d_j) class of the support's pairs,
-    # zero where an inverse has no block
-    res, scale = [0.0], [1.0]
-    cuts1, cuts2 = (_Cuts(q, sample, sample, (leg,)) for leg in (2, 1))
-    invs = [_TInversePlan(q, cuts1.idx[0], "t1"), _TInversePlan(q, cuts2.idx[0], "t2")]
-    at = np.array([lay.label_index[k] for k in sample], dtype=int)
-    first, second = np.repeat(at, len(at)), np.tile(at, len(at))
-    targets = []
-    for dims, sel in group_by(lay.dims[first], lay.dims[second]):
-        pos = [inv.where[first[sel] * len(q.labels) + second[sel]] for inv in invs]
-        targets.append((dims, lay.block_of[first[sel]], lay.block_of[second[sel]],
-                        [(p >= 0, p[p >= 0]) for p in pos]))
-    entries = cuts1.entries + cuts2.entries + sum(inv.entries for inv in invs)
-    for n in sample_batches(n_small, entries):
-        a, c = q.random_batch(rng, n, 2, sample)
-        backs = [invs[0].inverse(cuts1.cut(cuts1.delta(a), c, 0)[0], n),
-                 invs[1].inverse(cuts2.cut(cuts2.delta(c), a, 0, ("left",))[0], n)]
-        for (di, dj), ia, jc, pos in targets:
-            want = bkron(a[di][ia], c[dj][jc])
-            for back, (have, p) in zip(backs, pos):
-                got = np.zeros_like(want)
-                if len(p):
-                    got[have] = back[want.shape[2:]][p]
-                res.append(max_abs(got - want))
-            scale.append(max_abs(want))
-    res, scale = worst(*res), worst(*scale)
+    # (4) T1/T2 bijectivity (_t_inverse_row)
+    res, scale = _t_inverse_row(q, rng, sample, n_small)
     rep.add("4-t-inverse-identities", "samples" if b.closed else "window samples", res,
             res <= tol.bound(scale))
 
@@ -839,12 +864,14 @@ def verify_axioms(
             worst_tr <= tol.bound(worst(*q.haar_weights.values())))
     res, scale = [0.0], [1.0]
     fst, finv = _haar_stacks(q, "left")[0], _haar_stacks(q, "right")[0]
-    for n in sample_batches(n_small, q.total_dim()):
-        (a,) = q.random_batch(rng, n)
+    # a, per antipode a gather and two products, ad f(a) and a difference
+    for s in sample_batches(n_small, 16 * 11 * q.total_dim()):
+        (a,) = q.random_batch(rng, s.stop - s.start)
         s2 = antipode(q, antipode(q, a))
         adf = {d: fst[d][:, None] @ m @ finv[d][:, None] for d, m in a.items()}
         res += [max_abs(s2[d] - adf[d]) for d in adf]
         scale += [max_abs(m) for m in adf.values()]
+    del a, s2, adf
     res, scale = worst(*res), worst(*scale)
     rep.add("5-s-squared-ad-f", "samples", res, res <= tol.bound(scale))
     sf = antipode(q, {d: m[:, None] for d, m in fst.items()})
@@ -856,42 +883,71 @@ def verify_axioms(
     # Delta(a)(c (x) 1) and (c (x) 1)Delta(a), right invariance of psi on
     # those of Delta(a)(1 (x) c) and (1 (x) c)Delta(a); one Delta(a) serves
     # every cutoff
-    res, scale = [0.0], [1.0]
-    cuts = _Cuts(q, sample, sample, (1, 2))
-    haars = [_HaarPlan(q, cuts.idx[0], 2, "left"), _HaarPlan(q, cuts.idx[1], 1, "right")]
-    for n in sample_batches(n_samples, cuts.entries):
-        a, c = q.random_batch(rng, n, 2, sample)
-        da = cuts.delta(a)
-        for k, (plan, side) in enumerate(zip(haars, ("left", "right"))):
-            target = _scaled(c, haar(q, a, side))
-            for x in cuts.cut(da, c, k, ("right", "left")):
-                got = plan.contract(x, n)
-                res += [max_abs(got[d] - target[d]) for d in target]
-            scale += [max_abs(m) for m in target.values()]
-        scale.append(_sample_max(*a.values()) * _sample_max(*c.values()))
+    a, c = q.random_batch(rng, n_samples, 2, sample)
+    got = _cut_sums(q, a, c, sample, (1, 2), [("right", "left")] * 2,
+                    lambda k, idx: _HaarPlan(q, idx, 2 - k, ("left", "right")[k]).parts)
+    res, scale = [0.0], [1.0, _sample_max(*a.values()) * _sample_max(*c.values())]
+    for g, side in zip(got, ("left", "right")):
+        target = _scaled(c, haar(q, a, side))
+        res += [max_abs(x[d] - target[d]) for x in g for d in target]
+        scale += [max_abs(m) for m in target.values()]
     res, scale = worst(*res), worst(*scale)
     rep.add("6-haar-invariance", f"support {sample}", res,
             res <= tol.bound(scale) * 10)
+    del a, c, got, target
 
-    # (8) homomorphism property of Delta.  The residual and scale are
-    # maxima, so the pairs are taken one size d_i d_j at a time, with their
-    # own plan, and the batches hold three Delta stacks of one size
+    # (8) homomorphism property of Delta: one Delta of a, ac and c, sample
+    # t's at 3t, 3t + 1 and 3t + 2; then three blocks, a product, a difference
     res, scale = [0.0], [1.0]
     a, c = q.random_batch(rng, n_small, 2)
-    ac = _mul(a, c)
     cn = np.maximum(1.0, _sample_max(*c.values()))
-    for _, pairs in split_by(lay.pair_size):
-        plan = DeltaPlan(q, b.labels, pairs)
-        lo = 0
-        for n in sample_batches(n_small, 3 * plan.entries):
-            da, dac, dc = (delta_stacks({d: m[:, lo:lo + n] for d, m in x.items()}, plan)[0]
-                           for x in (a, ac, c))
-            for shape in da:
-                res.append(max_abs(dac[shape] - da[shape] @ dc[shape]))
-                scale.append(max_abs(da[shape]) * cn[lo:lo + n])
-            del da, dac, dc
-            lo += n
-        del plan
+    x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d) for d, m in a.items()}
+    pairs = np.arange(len(lay.pairs))
+    fixed, work = delta_cost(q, b.labels, pairs)
+    for lo, hi, batches in chunks(pairs, fixed, np.column_stack(
+            (3 * work, 80 * lay.pair_size ** 2)), n_small, _nbytes(a, c, x)):
+        plan = DeltaPlan(q, b.labels, pairs[lo:hi])
+        for s in batches:
+            dx = delta_stacks(_at(x, slice(3 * s.start, 3 * s.stop)), plan)[0]
+            res += [max_abs(m[:, 1::3] - m[:, 0::3] @ m[:, 2::3]) for m in dx.values()]
+            scale += [max_abs(m[:, 0::3]) * cn[s] for m in dx.values()]
+            del dx  # before the next batch's
     res, scale = worst(*res), worst(*scale)
     rep.add("8-delta-homomorphism", "all pairs", res, res <= tol.bound(scale))
     return rep
+
+
+def _t_inverse_row(q: Aqg, rng, sample, n: int):
+    """(residual, scale) of row 4 on n samples: T1^-1 and T2^-1 give back
+    a (x) c on the sample support; on a closed bundle a left inverse of an
+    endomorphism of the finite-dimensional A (x) A certifies bijectivity.
+    T1(a (x) c) = Delta(a)(1 (x) c) and T2(a (x) c) = (a (x) 1)Delta(c).  An
+    output block of T1^-1 (T2^-1) sums over the pairs of its second (first)
+    label, which a chunk takes whole and compares with the blocks
+    a_i (x) c_j of the support, per (d_i, d_j) class, zero where the
+    inverse has no block."""
+    lay, n_lab = q.bundle.layout, len(q.labels)
+    res, scale = [0.0], [1.0]
+    a, c = q.random_batch(rng, n, 2, sample)
+    at = np.array([lay.label_index[k] for k in sample], dtype=int)
+    for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
+        for cuts, batches in cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
+                                        extra=lambda k, idx: t_inverse_cost(q, idx, leg == 2)):
+            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
+            lead = at[np.isin(at, cuts.lead[0])]
+            pairs = (at[:, None] * n_lab + lead if leg == 2 else lead[:, None] * n_lab + at).ravel()
+            first, second = np.divmod(pairs, n_lab)
+            targets = [(dims, lay.block_of[first[sel]], lay.block_of[second[sel]],
+                        inv.where[pairs[sel]])
+                       for dims, sel in group_by(lay.dims[first], lay.dims[second])]
+            for s in batches:
+                back = inv.inverse(cuts.cut(delta_stacks(_at(x, s), cuts.plan)[0], _at(y, s), 0,
+                                            (side,))[0], s.stop - s.start)
+                for (di, dj), ia, jc, p in targets:
+                    want = bkron(a[di][ia, s], c[dj][jc, s])
+                    got = np.zeros_like(want)
+                    got[p >= 0] = back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
+                    res.append(max_abs(got - want))
+                    scale.append(max_abs(want))
+                del back, want, got
+    return worst(*res), worst(*scale)

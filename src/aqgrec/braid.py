@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, DeltaPlan, delta_stacks, sample_batches
+from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
@@ -128,19 +128,26 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res, bool(len(p2)) and res <= bound)
 
     # R Delta = Delta-op R on pairs complete both ways, Delta planned once
-    # and run once per batch of samples
+    # per chunk of pairs and run once per batch of its samples
     both = lay.complete_pair & lay.complete_pair.reshape(n, n).T.reshape(-1)
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
-    plan = DeltaPlan(q, q.labels, np.concatenate([pf, j * n + i]))
-    groups = list(group_by(d[i], d[j]))
+    fixed, work = (x.reshape(2, -1).sum(0)
+                   for x in delta_cost(q, q.labels, np.append(pf, j * n + i)))
+    (a,) = q.random_batch(rng, n_samples)
     res = [0.0]
-    for m in sample_batches(n_samples, plan.entries):
-        dl, at = delta_stacks(q.random_batch(rng, m)[0], plan)
-        for (di, dj), sel in groups:
-            rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
-            dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
-            res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
+    # a chunk holds the Delta work of its pairs and their flips, then per
+    # sample both blocks, their gathered copies, four products and a difference
+    for lo, hi, batches in chunks(pf, fixed, np.column_stack((work, 128 * lay.pair_size[pf] ** 2)),
+                                  n_samples, sum(m.nbytes for m in a.values())):
+        plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))
+        for s in batches:
+            dl, at = delta_stacks({k: m[:, s] for k, m in a.items()}, plan)
+            for (di, dj), sel in group_by(d[i[lo:hi]], d[j[lo:hi]]):
+                sel = sel + lo
+                rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
+                dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
+                res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
     res = worst(*res)
     rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
 

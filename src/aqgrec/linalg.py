@@ -50,8 +50,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # memory budget of one chunk of stacked work (the quadruples of an F-move
-# certificate, the samples of a sampled check), counted at 32 bytes per
-# complex entry to cover the intermediates
+# certificate, the pairs and samples of a sampled check, beside what the
+# check holds throughout), counted from the shapes of what a chunk holds
 CHUNK_BYTES = 1 << 22
 
 
@@ -235,23 +235,20 @@ def order_plan(pos: Array, numbers, shapes) -> list:
     return plan
 
 
-def plan_entries(plan: list) -> int:
-    """Entries of the largest result that add_planned holds at once on the
-    schedule plan of order_plan: the items of one result shape."""
-    return max((math.prod(shape) * sum(1 if len(s) == 3 else len(s[0]) for s in steps)
-                for shape, _, steps in plan), default=0)
-
-
 def add_planned(out: dict, plan: list, part) -> dict:
     """add_in_order on the schedule plan of order_plan: part(g) is the
     stacked result of part g.  Results are asked for one shape at a time,
-    so only the results of one shape are held at once."""
+    so only the results of one shape are held at once; where every step
+    adds one item, a result is asked for at its first step and dropped
+    after its last."""
     for shape, gs, steps in plan:
         acc = out[shape]
         if steps and len(steps[0]) == 3:
-            prods = [part(g) for g in gs]
-            for k, row, where in steps:
-                acc[where] += prods[k][row]
+            last, prods = {k: n for n, (k, _, _) in enumerate(steps)}, {}
+            for n, (k, row, where) in enumerate(steps):
+                if k not in prods:
+                    prods[k] = part(gs[k])
+                acc[where] += (prods.pop(k) if last[k] == n else prods[k])[row]
             continue
         prod = part(gs[0]) if len(gs) == 1 else np.concatenate([part(g) for g in gs])
         for sel, where in steps:

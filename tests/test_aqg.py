@@ -561,8 +561,9 @@ def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
         rng = np.random.default_rng(9)
         want = [[random_element(q, rng, sup) for _ in range(2)] for _ in range(3)]
         for got, col in ((a, 0), (c, 1)):
+            # a batch holds the block sizes of the support
             for d, m in batch(q, *(w[col] for w in want)).items():
-                assert np.array_equal(got[d], m), (name, d)
+                assert np.array_equal(got[d], m) if d in got else not m.any(), (name, d)
 
 
 @pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4"])
