@@ -184,8 +184,7 @@ def reconstruct(
     rng = np.random.default_rng(7)
     sample = haar_sample_support(q)
     a, c = q.random_batch(rng, 2, 2, sample)
-    (got,), = _cut_sums(q, a, c, sample, (1,), [("right",)],
-                        lambda k, idx: _HaarPlan(q, idx, 2, "left").parts)
+    (got,), = _cut_sums(q, a, c, sample, (1,), [("right",)], _HaarPlan)
     want = _scaled(c, haar(q, a, "left"))
     res = _sample_max(*(got[d] - want[d] for d in want))
     bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
@@ -214,15 +213,19 @@ def chunks(group, fixed, phases, n: int, held: int = 0):
     bytes and per sample the most of its phases.  A chunk takes whole runs
     of equal group values while n samples fit within CHUNK_BYTES beside
     held; a run that does not fit alone runs its samples in batches."""
+    total, most = fixed.sum(), phases.sum(axis=0).max(initial=0)
+    if total + n * most <= CHUNK_BYTES - held:  # one chunk, as for small bundles
+        yield from [(0, len(group), sample_batches(n, most, total, held))] if len(group) else []
+        return
     f = np.cumsum(np.append(0, fixed))
     s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
-    ends = np.append(np.flatnonzero(np.diff(group)) + 1, len(group)).tolist() if len(group) else []
-    cuts = [0]
-    for prev, hi in zip(ends, ends[1:]):
-        if f[hi] - f[cuts[-1]] + n * (s[hi] - s[cuts[-1]]).max() > CHUNK_BYTES - held:
-            cuts.append(prev)
-    for lo, hi in zip(cuts, cuts[1:] + ends[-1:]):
+    ends, lo = np.append(np.flatnonzero(np.diff(group)) + 1, len(group)), 0
+    while lo < len(group):  # the costs of lo:end never fall as end grows
+        cost = f[ends] - f[lo] + n * (s[ends] - s[lo]).max(axis=1)
+        hi = int(ends[max(np.searchsorted(cost, CHUNK_BYTES - held, side="right") - 1,
+                          np.searchsorted(ends, lo, side="right"))])
         yield lo, hi, sample_batches(n, (s[hi] - s[lo]).max(), f[hi] - f[lo], held)
+        lo = hi
 
 
 def _at(a: dict, s: slice) -> dict:
@@ -308,15 +311,16 @@ class DeltaPlan:
                                 [(w[1].shape[1],) * 2 for w in self.work])
 
 
-def delta_cost(q: Aqg, labels, pairs) -> tuple[Array, Array]:
+def delta_cost(q: Aqg, pairs, have=None) -> tuple[Array, Array]:
     """(fixed, per_sample): the bytes of Delta on each of the pairs for a on
-    labels, 16 a complex entry: V and V* of its channels into labels; per
-    sample its block, and per channel a's block, V a and the product with
-    its copy in add_planned's concatenation."""
+    the labels have (a mask; all by default), 16 a complex entry: V and V*
+    of its channels into them; per sample its block, and per channel a's
+    block, V a and the product with its copy in add_planned's concatenation."""
     lay = q.bundle.layout
     at, chans = lay.channels_of(pairs)
-    use = np.isin(lay.chan_label[chans], [lay.label_index[k] for k in labels])
-    at, s, d = at[use], lay.pair_size[pairs], lay.dims[lay.chan_label[chans[use]]]
+    if have is not None:
+        at, chans = at[have[lay.chan_label[chans]]], chans[have[lay.chan_label[chans]]]
+    s, d = lay.pair_size[pairs], lay.dims[lay.chan_label[chans]]
     return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)),
             16 * s * s + np.bincount(at, 16 * (d * d + s[at] * d + 2 * s[at] ** 2),
                                      minlength=len(pairs)))
@@ -345,20 +349,22 @@ class _Cuts:
     """Cut-off coproducts Delta(a) times c on one leg, for batches a with
     blocks on a_labels, planned per chunk of cut_chunks.  Cut k multiplies
     by c on legs[k] (1: c (x) 1, 2: 1 (x) c), from the right or the left, on
-    the pairs idx[k], whose labels of c's leg are lead[k]; classes[k] holds
-    per class of _pair_classes (d of c's leg, d of the other leg, rows of
-    the stacks of plan, the Delta plan of every cut, blocks of c)."""
+    the pairs idx[k], whose labels of c's leg are lead[k]; per class of
+    _pair_classes, groups[k] holds its dims and positions, and classes[k]
+    (d of c's leg, d of the other leg, rows of the stacks of plan, the Delta
+    plan of every cut, blocks of c)."""
 
     def __init__(self, q: Aqg, a_labels, idx, legs):
         lay = q.bundle.layout
         self.legs, self.idx = legs, idx
         self.plan = DeltaPlan(q, a_labels, np.concatenate(idx))
         self.lead = [np.divmod(i, len(lay.dims))[leg - 1] for i, leg in zip(idx, legs)]
+        self.groups = [_pair_classes(lay, i) for i in idx]
         self.classes = [[
             ((di, dj) if leg == 1 else (dj, di)) + (self.plan.slot[i[sel]],
                                                   lay.block_of[lead[sel]])
-            for (di, dj), sel in _pair_classes(lay, i)
-        ] for leg, i, lead in zip(legs, idx, self.lead)]
+            for (di, dj), sel in groups
+        ] for leg, i, lead, groups in zip(legs, idx, self.lead, self.groups)]
 
     def cut(self, da: dict, c: dict, k: int, sides=("right",)) -> list[list]:
         """Cut k of the Delta(a) stacks da by the batch c, from each of the
@@ -387,16 +393,20 @@ def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int
     takes each n's pairs whole."""
     lay = q.bundle.layout
     n_lab, li = len(lay.dims), lay.label_index
-    lead, other = np.array([(li[x], li[o]) for x in sorted(support)
-                            for o in (others(x) if others else q.labels)], dtype=int).T
-    idx = [lead * n_lab + other if leg == 1 else other * n_lab + lead for leg in legs]
-    idx = [i[lay.loaded[i][:, [li[k] for k in support]].any(axis=1)] for i in idx]
+    have = np.zeros(n_lab, dtype=bool)
+    have[[li[k] for k in support]] = True
+    lead = np.array([li[x] for x in sorted(support)], dtype=int)
+    lead, other = (np.array([(li[x], li[o]) for x in sorted(support) for o in others(x)]).T
+                   if others else (np.repeat(lead, n_lab), np.tile(np.arange(n_lab), len(lead))))
+    into = lay.loaded[:, have].any(axis=1)  # the pairs where Delta(a) does not vanish
+    idx = [i[into[i]] for i in (lead * n_lab + other if leg == 1 else other * n_lab + lead
+                                for leg in legs)]
     pairs = distinct(np.concatenate(idx))
     key = pairs if legs[0] == 1 else pairs % n_lab * n_lab + pairs // n_lab
     pairs, key = pairs[np.argsort(key)], np.sort(key)
     at = np.zeros(n_lab * n_lab, dtype=int)
     at[pairs] = np.arange(len(pairs))
-    fixed, work = delta_cost(q, support, pairs)
+    fixed, work = delta_cost(q, pairs, have)
     size, phases = 16 * lay.pair_size[pairs] ** 2, [work]
     for k, i in enumerate(idx):
         f, x = extra(k, i) if extra else (0, 0)
@@ -404,23 +414,26 @@ def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int
         phases.append(size + np.bincount(at[i], (sides + 3) * size[at[i]] + x, len(pairs)))
     for lo, hi, batches in chunks(key // n_lab if extra else key, fixed,
                                   np.column_stack(phases), n, held):
-        yield _Cuts(q, support, [i[np.isin(i, pairs[lo:hi])] for i in idx], legs), batches
+        yield _Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches
 
 
-def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan, others=None) -> list:
-    """got[k][t]: the sums by c's label (_LabelSums) of the parts plan(k,
-    idx)(x) of the products x of cut k, over the pairs idx, from
-    sides[k][t], of the cuts of cut_chunks for the batches a and c."""
-    n = next(iter(a.values())).shape[1]
-    got = [[_zero_batch(q.bundle.layout, n, c) for _ in s] for s in sides]
+def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan=None, others=None):
+    """got[k][t]: the sums by c's label, in item order, of the classes
+    plan(q, cuts, k).parts(x) (x itself without plan) of the products x of
+    cut k from sides[k][t], of cut_chunks for the batches a and c."""
+    lay, n = q.bundle.layout, next(iter(a.values())).shape[1]
+    got = [[_zero_batch(lay, n, c) for _ in s] for s in sides]
     held = _nbytes(a, c, *(x for g in got for x in g))
     for cuts, batches in cut_chunks(q, support, legs, n, held, others, len(sides[0])):
-        adds = [(plan(k, i), _LabelSums(q, i, legs[k])) for k, i in enumerate(cuts.idx)]
+        adds = [(plan(q, cuts, k).parts if plan else lambda x: x.__getitem__,
+                 order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
+                            [(dl, dl) for dl, *_ in cuts.classes[k]]))
+                for k in range(len(legs))]
         for s in batches:
             da = delta_stacks(_at(a, s), cuts.plan)[0]
-            for k, (parts, sums) in enumerate(adds):
+            for k, (parts, order) in enumerate(adds):
                 for x, out in zip(cuts.cut(da, _at(c, s), k, sides[k]), got[k]):
-                    sums.sums(parts(x), _at(out, s))
+                    add_planned({(d, d): m[:, s] for d, m in out.items()}, order, parts(x))
                 del x  # one cut's products at a time
             del da
     return got
@@ -487,53 +500,32 @@ def haar(q: Aqg, a: dict, side: str = "left") -> Array:
 # leg-wise operations on pair stacks
 
 
-class _LabelSums:
-    """Sums by label of stacked item results, planned once: item n is pair
-    idx[n], labelled by its leg `leg`, and part g holds the items of class g
-    of _pair_classes.  sums(part, out) adds to block o of the batch out, in
-    item order, the results of the items labelled o, part(g) being part g's
-    as a stack (items, samples, d, d)."""
-
-    def __init__(self, q: Aqg, idx, leg: int):
-        lay = q.bundle.layout
-        labels = np.divmod(idx, len(lay.dims))[leg - 1]
-        numbers = [sel for _, sel in _pair_classes(lay, idx)]
-        self.order = order_plan(lay.block_of[labels], numbers,
-                                [(lay.dims[labels[nums[0]]],) * 2 for nums in numbers])
-
-    def sums(self, part, out: dict) -> None:
-        add_planned({(d, d): m for d, m in out.items()}, self.order, part)
-
-
 class _MultPlan:
-    """m(S (x) iota) (which 's-left') or m(iota (x) S) ('s-right') on pair
-    stacks over the pairs idx, which must be (dual(j), j) or (i, dual(i)),
-    so that every block is exact: per class of _pair_classes its dims, the
-    conjugate-pair stacks of its output labels and a fixed einsum path."""
+    """m(S (x) iota) on cut k of cuts if it is by 1 (x) c, whose pairs must
+    be (dual(j), j), or m(iota (x) S) if by c (x) 1, on pairs (i, dual(i)),
+    so that every block is exact: per class its dims, the conjugate-pair
+    stacks of its output labels and a fixed einsum path."""
 
-    def __init__(self, q: Aqg, idx, which: str):
-        if which not in ("s-left", "s-right"):
-            raise ValueError("which must be 's-left' or 's-right'")
+    def __init__(self, q: Aqg, cuts, k: int):
         lay = q.bundle.layout
-        first, second = np.divmod(idx, len(q.labels))
+        first, second = np.divmod(cuts.idx[k], len(q.labels))
         if not (_dual_index(q)[first] == second).all():
             raise ValueError("the pairs must be (dual(j), j) or (i, dual(i))")
-        self.left = left = which == "s-left"
-        labels = second if left else first
+        self.left = left = cuts.legs[k] == 2
         conj = _conj_stacks(q)
         # sum_ps S(e^i_ps) Y_ps with S(e_ps) = outer(Rbar[:,s], conj(R[p,:]))
         self.spec = "gus,gpe,gpesw->guw" if left else "gapes,ges,gpw->gaw"
         self.work = []
-        for (di, dj), sel in _pair_classes(lay, idx):
+        for (di, dj), sel in cuts.groups[k]:
             rb, rmc, _ = conj[dj if left else di]
-            rb, rmc = (s[lay.block_of[labels[sel]]] for s in (rb, rmc))
+            rb, rmc = (s[lay.block_of[cuts.lead[k][sel]]] for s in (rb, rmc))
             t = np.broadcast_to(np.zeros((), dtype=complex), (len(sel), di, dj, di, dj))
             path = np.einsum_path(self.spec, *((rb, rmc, t) if left else (t, rb, rmc)),
                                   optimize=True)[0]
             self.work.append((di, dj, rb, rmc, path))
 
     def parts(self, x: list):
-        """The parts of _LabelSums, by output label, of m(S (x) iota)(x) or
+        """part(g) of add_planned: class g of m(S (x) iota)(x) or
         m(iota (x) S)(x) for the pair stack x."""
         def part(g):
             di, dj, rb, rmc, path = self.work[g]
@@ -548,24 +540,25 @@ class _MultPlan:
 
 
 class _HaarPlan:
-    """A Haar functional on one leg of pair stacks over the pairs idx: per
-    class of _pair_classes its dims, the F stack and the weights of the
-    contracted leg."""
+    """The Haar functional on the leg that c does not cut of cut k of cuts:
+    phi on leg 2 of a cut by c (x) 1, psi on leg 1 of one by 1 (x) c; per
+    class its dims, the F stack and the weights of the contracted leg."""
 
-    def __init__(self, q: Aqg, idx, leg: int, side: str):
+    def __init__(self, q: Aqg, cuts, k: int):
         lay = q.bundle.layout
-        h = np.divmod(idx, len(q.labels))[leg - 1]
-        _, fstacks, weights = _haar_stacks(q, side)
+        leg = 3 - cuts.legs[k]
+        h = np.divmod(cuts.idx[k], len(q.labels))[leg - 1]
+        _, fstacks, weights = _haar_stacks(q, "left" if leg == 2 else "right")
         self.spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
         self.work = [
             (di, dj, fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]],
              weights[h[sel]][:, None, None, None])
-            for (di, dj), sel in _pair_classes(lay, idx)
+            for (di, dj), sel in cuts.groups[k]
         ]
 
     def parts(self, x: list):
-        """The parts of _LabelSums, by the other leg's label, of the pair
-        stack x with one leg contracted."""
+        """part(g) of add_planned: class g of the pair stack x with one leg
+        contracted."""
         def part(g):
             di, dj, f, w = self.work[g]
             n = x[g].shape[1]
@@ -624,7 +617,7 @@ class _TInversePlan:
     where[p] among those of its size (-1: none).
     """
 
-    def __init__(self, q: Aqg, idx, which: str):
+    def __init__(self, q: Aqg, idx, which: str, classes=None):
         lay = q.bundle.layout
         n_lab = len(q.labels)
         self.t1 = t1 = which == "t1"
@@ -643,7 +636,7 @@ class _TInversePlan:
         sizes = np.zeros(len(lay.pairs), dtype=int)
         sizes[opair] = lay.pair_size[opair]
         self.where, self.count = slots(sizes)
-        classes = _pair_classes(lay, idx)
+        classes = _pair_classes(lay, idx) if classes is None else classes
         cls, row = np.zeros(len(idx), dtype=int), np.zeros(len(idx), dtype=int)
         for g, (_, sel) in enumerate(classes):
             cls[sel], row[sel] = g, np.arange(len(sel))
@@ -831,8 +824,7 @@ def verify_axioms(
     # on label n
     a, c = q.random_batch(rng, n_samples, 2, sample)
     ac = _mul(a, c)
-    got = _cut_sums(q, a, c, sample, (2, 1), [("right",)] * 2,
-                    lambda k, idx: lambda x: x.__getitem__, lambda n: [u])
+    got = _cut_sums(q, a, c, sample, (2, 1), [("right",)] * 2, others=lambda n: [u])
     res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
     rep.add("2-counit-laws", "samples", res,
             res <= tol.bound(worst(1.0, *map(max_abs, ac.values()))))
@@ -841,8 +833,7 @@ def verify_axioms(
     # (3) antipode laws
     duals = {n: [o for o in b.labels if b.dual[o] == n] for n in b.labels}
     a, c = q.random_batch(rng, n_samples, 2, sample)
-    got = _cut_sums(q, a, c, sample, (2, 1), [("right",), ("left",)],
-                    lambda k, idx: _MultPlan(q, idx, ("s-left", "s-right")[k]).parts, duals.get)
+    got = _cut_sums(q, a, c, sample, (2, 1), [("right",), ("left",)], _MultPlan, duals.get)
     ac = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
     res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
     scale = worst(1.0, *map(max_abs, ac.values()),
@@ -884,8 +875,7 @@ def verify_axioms(
     # those of Delta(a)(1 (x) c) and (1 (x) c)Delta(a); one Delta(a) serves
     # every cutoff
     a, c = q.random_batch(rng, n_samples, 2, sample)
-    got = _cut_sums(q, a, c, sample, (1, 2), [("right", "left")] * 2,
-                    lambda k, idx: _HaarPlan(q, idx, 2 - k, ("left", "right")[k]).parts)
+    got = _cut_sums(q, a, c, sample, (1, 2), [("right", "left")] * 2, _HaarPlan)
     res, scale = [0.0], [1.0, _sample_max(*a.values()) * _sample_max(*c.values())]
     for g, side in zip(got, ("left", "right")):
         target = _scaled(c, haar(q, a, side))
@@ -903,7 +893,7 @@ def verify_axioms(
     cn = np.maximum(1.0, _sample_max(*c.values()))
     x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d) for d, m in a.items()}
     pairs = np.arange(len(lay.pairs))
-    fixed, work = delta_cost(q, b.labels, pairs)
+    fixed, work = delta_cost(q, pairs)
     for lo, hi, batches in chunks(pairs, fixed, np.column_stack(
             (3 * work, 80 * lay.pair_size ** 2)), n_small, _nbytes(a, c, x)):
         plan = DeltaPlan(q, b.labels, pairs[lo:hi])
@@ -933,8 +923,8 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
         for cuts, batches in cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
                                         extra=lambda k, idx: t_inverse_cost(q, idx, leg == 2)):
-            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
-            lead = at[np.isin(at, cuts.lead[0])]
+            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2", cuts.groups[0])
+            lead = distinct(cuts.lead[0])
             pairs = (at[:, None] * n_lab + lead if leg == 2 else lead[:, None] * n_lab + at).ravel()
             first, second = np.divmod(pairs, n_lab)
             targets = [(dims, lay.block_of[first[sel]], lay.block_of[second[sel]],
@@ -948,6 +938,6 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
                     got = np.zeros_like(want)
                     got[p >= 0] = back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
                     res.append(max_abs(got - want))
-                    scale.append(max_abs(want))
+                    scale.append(max_abs(want) if leg == 2 else 0.0)  # once a block
                 del back, want, got
     return worst(*res), worst(*scale)

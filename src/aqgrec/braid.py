@@ -133,7 +133,7 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
     fixed, work = (x.reshape(2, -1).sum(0)
-                   for x in delta_cost(q, q.labels, np.append(pf, j * n + i)))
+                   for x in delta_cost(q, np.append(pf, j * n + i)))
     (a,) = q.random_batch(rng, n_samples)
     res = [0.0]
     # a chunk holds the Delta work of its pairs and their flips, then per

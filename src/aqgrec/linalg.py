@@ -132,10 +132,10 @@ def split_by(code):
     code = np.asarray(code)
     order = np.argsort(code, kind="stable")
     ordered = code[order]
-    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    for at, sel in zip(np.concatenate(([0], cuts)).tolist(), np.split(order, cuts)):
-        if sel.size:
-            yield ordered[at], sel
+    bounds = [0] + (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist() + [len(code)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            yield ordered[lo], order[lo:hi]
 
 
 def group_by(*keys):
