@@ -33,7 +33,7 @@ from aqgrec.bundle import parse_bundle
 from aqgrec.dual import table_from_aqg
 from aqgrec.errors import NotFinite
 from aqgrec.examples import gen_suq2
-from aqgrec.linalg import DEFAULT_TOL, cmat, dagger, residual, worst
+from aqgrec.linalg import CHUNK_BYTES, DEFAULT_TOL, cmat, dagger, residual, worst
 from test_report_identity import a4_bundle
 
 
@@ -566,19 +566,29 @@ def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
                 assert np.array_equal(got[d], m) if d in got else not m.any(), (name, d)
 
 
-@pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4"])
+@pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4", "suq2-q0.5-L8"])
 def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
-    # one sample a batch, or every sample in one batch: each product runs on
-    # the same blocks, so every row reads the same bits
-    q = shipped_aqgs[name]
-    reports = []
-    for budget in (1, 1 << 40):
+    # one pair and one sample a chunk (at 256 KiB for the window at L = 8,
+    # whose rows then run several chunks of pairs), or every pair and sample
+    # in one chunk: each product runs on the same blocks, and every sum by
+    # label adds its items in the same order, so every row reads the same bits
+    q = shipped_aqgs.get(name) or reconstruct(gen_suq2(0.5, 8))
+    reports, count, cut = [], [], aqg.chunks
+
+    def chunks(*args):
+        out = list(cut(*args))
+        count.append(len(out))
+        return iter(out)
+
+    monkeypatch.setattr(aqg, "chunks", chunks)
+    for budget in (1 << 18 if name == "suq2-q0.5-L8" else 1, 1 << 40):
         monkeypatch.setattr(aqg, "CHUNK_BYTES", budget)
         rep = verify_axioms(q)
         if q.bundle.braiding is not None:
             rep.extend(verify_quasitriangular(q, braiding_to_r(q)))
         reports.append([(c.name, c.residual, c.passed) for c in rep.checks])
     assert reports[0] == reports[1]
+    assert max(count) > 1  # a row ran more than one chunk of pairs
 
 
 def test_sample_batches_bound_the_memory_of_verify_axioms():
@@ -594,6 +604,22 @@ def test_sample_batches_bound_the_memory_of_verify_axioms():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_verify_axioms_holds_the_chunk_budget():
+    # after a warm-up call has cached the certificate and the conjugate-pair
+    # and Haar stacks, a row holds its samples, its sums and one chunk of
+    # pairs at a time, within CHUNK_BYTES (10.3 MiB when a batch held every
+    # pair of a sample)
+    q = reconstruct(gen_suq2(0.9, 10))
+    verify_axioms(q)
+    tracemalloc.start()
+    try:
+        verify_axioms(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK_BYTES, peak
 
 
 def test_t_matrices_are_invertible_on_closed_bundles(closed_aqgs):

@@ -244,7 +244,33 @@ def test_fmove_chunks_stay_within_the_budget_without_weights(monkeypatch):
     _trace_fmove_chunks(monkeypatch, dataclasses.replace(b, weights=None).layout)
 
 
-def _trace_fmove_chunks(monkeypatch, lay):
+@pytest.mark.parametrize("weights", [True, False])
+def test_fmove_product_batches_stay_within_a_small_budget(monkeypatch, weights):
+    # with a budget of 1 MiB, of which sectors._PRODUCTS is 32 KiB, _batches
+    # cuts the path products and G of a chunk into several batches of at
+    # most 16 KiB each; the certificate is bitwise the default one and the
+    # peak stays within the budget (one triple costs up to 579 KiB)
+    b = gen_suq2(0.5, 8)
+    b = b if weights else dataclasses.replace(b, weights=None)
+    want = b.layout.fmoves
+    budget, split, cut = 1 << 20, [], sectors._batches
+
+    def batches(new, size):
+        bounds = cut(new, size)
+        split.append(len(bounds) - 1 > np.count_nonzero(new))
+        return bounds
+
+    monkeypatch.setattr(sectors, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(sectors, "_PRODUCTS", budget // 32)
+    monkeypatch.setattr(sectors, "_batches", batches)
+    got = _trace_fmove_chunks(monkeypatch, dataclasses.replace(b).layout, budget)
+    assert any(split)
+    for x, y in zip(got[:3], want[:3]):
+        assert np.array_equal(x, y)
+    assert all(np.array_equal(x, y) for x, y in zip(got[3], want[3]))
+
+
+def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
     before, cut = [], sectors._chunks
 
     def chunks(*args):
@@ -256,11 +282,12 @@ def _trace_fmove_chunks(monkeypatch, lay):
     monkeypatch.setattr(sectors, "_chunks", chunks)
     tracemalloc.start()
     try:
-        lay.fmoves
+        got = lay.fmoves
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before[0] <= CHUNK_BYTES, (peak, before)
+    assert peak - before[0] <= budget, (peak, before)
+    return got
 
 
 def test_fmove_with_a_missing_path_reads_one(shipped_bundles):

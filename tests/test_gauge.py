@@ -5,7 +5,8 @@ natural isomorphism of the embedding functor; the reconstructed algebra
 changes by Ad(+U_i), so every subcommand must give the same exit code and
 pass flags on the gauged bundle (test_aqg.gauge), with residuals moved at
 roundoff only, and the quantum dimensions, the singular values of the
-F-matrices, triangularity and intrinsic group must agree.  Every generator
+F-matrices, the spectra of the modular blocks and the scaling constant mu,
+triangularity and intrinsic group must agree.  Every generator
 writes real isometries, so this is what tells a dropped complex conjugation
 apart.
 """
@@ -15,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from aqgrec.aqg import reconstruct
+from aqgrec.aqg import modular_data, reconstruct
 from aqgrec.bundle import parse_bundle, serialize_bundle, validate_bundle
 from aqgrec.cli import run
 from aqgrec.examples import builtin_group, gen_finite_group, gen_pointed, gen_suq2
@@ -28,6 +29,7 @@ BUNDLES = {
     "q8": lambda: gen_finite_group(builtin_group("q8")),
     "a4": lambda: parse_bundle(a4_bundle()),
     "pointed-z5-t1": lambda: gen_pointed(5, 1),
+    "z5": lambda: gen_finite_group(builtin_group("z5")),
 }
 OPS = ("validate", "check", "rmatrix", "dims", "dual", "group")
 
@@ -54,6 +56,18 @@ def _same_f_singular_values(b, g):
                                  - np.linalg.svd(h, compute_uv=False))) <= 1e-12
 
 
+def _same_modular_data(qb, qg):
+    """The modular blocks of b and of its gauge g, reconstructed as qb and
+    qg, have the same eigenvalues, label by label, within 1e-12 of the
+    largest (up to 4096 at q = 0.5, L = 6), and mu is the same within
+    1e-12."""
+    (delta, _, mu), (gdelta, _, gmu) = modular_data(qb), modular_data(qg)
+    for i in qb.labels:
+        ev, gev = (np.sort_complex(np.linalg.eigvals(d[i])) for d in (delta, gdelta))
+        assert np.max(np.abs(ev - gev)) <= 1e-12 * np.max(np.abs(ev)), i
+    assert abs(mu - gmu) <= 1e-12
+
+
 def _rows(doc):
     return [(c["check"], c["location"], c["pass"], c.get("skipped", False))
             for c in doc["checks"]]
@@ -67,8 +81,9 @@ def test_verdicts_survive_a_unitary_gauge(tmp_path, name):
     # a finite quantum group is of Kac type (S^2 = id), so f is central and
     # the trace balance fixes it to 1: every F_k is the identity, also after
     # a gauge, and F_k and its transpose are the same matrix
-    F = reconstruct(g).F
-    assert all(np.max(np.abs(F[k] - np.eye(g.d(k)))) <= 1e-14 for k in g.labels)
+    qg = reconstruct(g)
+    assert all(np.max(np.abs(qg.F[k] - np.eye(g.d(k)))) <= 1e-14 for k in g.labels)
+    _same_modular_data(reconstruct(b), qg)
     plain = _outputs(b, tmp_path, "plain")
     gauged = _outputs(g, tmp_path, "gauged")
     for op in OPS:
@@ -105,7 +120,9 @@ def _window_verdicts_survive_a_unitary_gauge(tmp_path, q, L):
     g = gauge(b, np.random.default_rng(3))
     assert b.weights is not None and g.weights is None
     _same_f_singular_values(b, g)
-    F, G = reconstruct(b).F, reconstruct(g).F
+    qb, qg = reconstruct(b), reconstruct(g)
+    _same_modular_data(qb, qg)
+    F, G = qb.F, qg.F
     for i in b.labels:
         assert np.iscomplexobj(G[i])
         if b.d(i) > 1:
