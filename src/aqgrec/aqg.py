@@ -214,8 +214,8 @@ def chunks(group, fixed, phases, n: int, held: int = 0):
     of equal group values while n samples fit within CHUNK_BYTES beside
     held; a run that does not fit alone runs its samples in batches."""
     total, most = fixed.sum(), phases.sum(axis=0).max(initial=0)
-    if total + n * most <= CHUNK_BYTES - held:  # one chunk, as for small bundles
-        yield from [(0, len(group), sample_batches(n, most, total, held))] if len(group) else []
+    if len(group) and total + n * most <= CHUNK_BYTES - held:  # one chunk, as on small bundles
+        yield 0, len(group), sample_batches(n, most, total, held)
         return
     f = np.cumsum(np.append(0, fixed))
     s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
@@ -319,7 +319,8 @@ def delta_cost(q: Aqg, pairs, have=None) -> tuple[Array, Array]:
     lay = q.bundle.layout
     at, chans = lay.channels_of(pairs)
     if have is not None:
-        at, chans = at[have[lay.chan_label[chans]]], chans[have[lay.chan_label[chans]]]
+        use = have[lay.chan_label[chans]]
+        at, chans = at[use], chans[use]
     s, d = lay.pair_size[pairs], lay.dims[lay.chan_label[chans]]
     return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)),
             16 * s * s + np.bincount(at, 16 * (d * d + s[at] * d + 2 * s[at] ** 2),
@@ -395,9 +396,9 @@ def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int
     n_lab, li = len(lay.dims), lay.label_index
     have = np.zeros(n_lab, dtype=bool)
     have[[li[k] for k in support]] = True
-    lead = np.array([li[x] for x in sorted(support)], dtype=int)
+    sup = np.array([li[x] for x in sorted(support)], dtype=int)
     lead, other = (np.array([(li[x], li[o]) for x in sorted(support) for o in others(x)]).T
-                   if others else (np.repeat(lead, n_lab), np.tile(np.arange(n_lab), len(lead))))
+                   if others else (np.repeat(sup, n_lab), np.tile(np.arange(n_lab), len(sup))))
     into = lay.loaded[:, have].any(axis=1)  # the pairs where Delta(a) does not vanish
     idx = [i[into[i]] for i in (lead * n_lab + other if leg == 1 else other * n_lab + lead
                                 for leg in legs)]
@@ -418,9 +419,10 @@ def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int
 
 
 def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan=None, others=None):
-    """got[k][t]: the sums by c's label, in item order, of the classes
-    plan(q, cuts, k).parts(x) (x itself without plan) of the products x of
-    cut k from sides[k][t], of cut_chunks for the batches a and c."""
+    """The sums by the label of c's leg, in item order, over the cuts of
+    cut_chunks for the batches a and c: got[k][t] sums the classes
+    plan(q, cuts, k).parts(x) of the products x of cut k from the side
+    sides[k][t], or x itself without a plan."""
     lay, n = q.bundle.layout, next(iter(a.values())).shape[1]
     got = [[_zero_batch(lay, n, c) for _ in s] for s in sides]
     held = _nbytes(a, c, *(x for g in got for x in g))
@@ -617,7 +619,7 @@ class _TInversePlan:
     where[p] among those of its size (-1: none).
     """
 
-    def __init__(self, q: Aqg, idx, which: str, classes=None):
+    def __init__(self, q: Aqg, idx, which: str):
         lay = q.bundle.layout
         n_lab = len(q.labels)
         self.t1 = t1 = which == "t1"
@@ -636,7 +638,7 @@ class _TInversePlan:
         sizes = np.zeros(len(lay.pairs), dtype=int)
         sizes[opair] = lay.pair_size[opair]
         self.where, self.count = slots(sizes)
-        classes = _pair_classes(lay, idx) if classes is None else classes
+        classes = _pair_classes(lay, idx)
         cls, row = np.zeros(len(idx), dtype=int), np.zeros(len(idx), dtype=int)
         for g, (_, sel) in enumerate(classes):
             cls[sel], row[sel] = g, np.arange(len(sel))
@@ -923,7 +925,7 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
         for cuts, batches in cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
                                         extra=lambda k, idx: t_inverse_cost(q, idx, leg == 2)):
-            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2", cuts.groups[0])
+            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
             lead = distinct(cuts.lead[0])
             pairs = (at[:, None] * n_lab + lead if leg == 2 else lead[:, None] * n_lab + at).ravel()
             first, second = np.divmod(pairs, n_lab)
