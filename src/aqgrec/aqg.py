@@ -201,7 +201,7 @@ def reconstruct(
 def sample_batches(n: int, per_sample, fixed=0, held: int = 0) -> list[slice]:
     """Consecutive batches covering n samples, as slices, each within
     CHUNK_BYTES beside the held bytes for work that holds fixed bytes and
-    per_sample bytes a sample (at least one sample a batch)."""
+    per_sample bytes a sample; one sample a batch if even one overruns."""
     step = int(min(n, max(1, (CHUNK_BYTES - held - fixed) // max(1, per_sample))))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
