@@ -198,11 +198,11 @@ def reconstruct(
 # batches
 
 
-def sample_batches(n: int, per_sample, fixed=0, held: int = 0) -> list[slice]:
+def sample_batches(n: int, per_sample, held=0) -> list[slice]:
     """Consecutive batches covering n samples, as slices, each within
-    CHUNK_BYTES beside the held bytes for work that holds fixed bytes and
-    per_sample bytes a sample; one sample a batch if even one overruns."""
-    step = int(min(n, max(1, (CHUNK_BYTES - held - fixed) // max(1, per_sample))))
+    CHUNK_BYTES beside the held bytes for work that holds per_sample bytes
+    a sample; one sample a batch if even one overruns."""
+    step = int(min(n, max(1, (CHUNK_BYTES - held) // max(1, per_sample))))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -215,7 +215,7 @@ def chunks(group, fixed, phases, n: int, held: int = 0):
     held; a run that does not fit alone runs its samples in batches."""
     total, most = fixed.sum(), phases.sum(axis=0).max(initial=0)
     if len(group) and total + n * most <= CHUNK_BYTES - held:  # one chunk, as on small bundles
-        yield 0, len(group), sample_batches(n, most, total, held)
+        yield 0, len(group), sample_batches(n, most, total + held)
         return
     f = np.cumsum(np.append(0, fixed))
     s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
@@ -224,7 +224,7 @@ def chunks(group, fixed, phases, n: int, held: int = 0):
         cost = f[ends] - f[lo] + n * (s[ends] - s[lo]).max(axis=1)
         hi = int(ends[max(np.searchsorted(cost, CHUNK_BYTES - held, side="right") - 1,
                           np.searchsorted(ends, lo, side="right"))])
-        yield lo, hi, sample_batches(n, (s[hi] - s[lo]).max(), f[hi] - f[lo], held)
+        yield lo, hi, sample_batches(n, (s[hi] - s[lo]).max(), f[hi] - f[lo] + held)
         lo = hi
 
 
@@ -348,7 +348,7 @@ def delta_stacks(a: dict, plan: DeltaPlan):
 
 class _Cuts:
     """Cut-off coproducts Delta(a) times c on one leg, for batches a with
-    blocks on a_labels, planned per chunk of cut_chunks.  Cut k multiplies
+    blocks on a_labels, planned per chunk of _cut_chunks.  Cut k multiplies
     by c on legs[k] (1: c (x) 1, 2: 1 (x) c), from the right or the left, on
     the pairs idx[k], whose labels of c's leg are lead[k]; per class of
     _pair_classes, groups[k] holds its dims and positions, and classes[k]
@@ -380,7 +380,7 @@ class _Cuts:
         return prods
 
 
-def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int = 1,
+def _cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int = 1,
                extra=None):
     """(cuts, batches) per chunk (chunks): a _Cuts for batches a and c on
     support, over the chunk's pairs, and the slices of the n samples.  Cut k
@@ -420,13 +420,13 @@ def cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int
 
 def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan=None, others=None):
     """The sums by the label of c's leg, in item order, over the cuts of
-    cut_chunks for the batches a and c: got[k][t] sums the classes
+    _cut_chunks for the batches a and c: got[k][t] sums the classes
     plan(q, cuts, k).parts(x) of the products x of cut k from the side
     sides[k][t], or x itself without a plan."""
     lay, n = q.bundle.layout, next(iter(a.values())).shape[1]
     got = [[_zero_batch(lay, n, c) for _ in s] for s in sides]
     held = _nbytes(a, c, *(x for g in got for x in g))
-    for cuts, batches in cut_chunks(q, support, legs, n, held, others, len(sides[0])):
+    for cuts, batches in _cut_chunks(q, support, legs, n, held, others, len(sides[0])):
         adds = [(plan(q, cuts, k).parts if plan else lambda x: x.__getitem__,
                  order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
                             [(dl, dl) for dl, *_ in cuts.classes[k]]))
@@ -681,7 +681,7 @@ class _TInversePlan:
         return add_planned(out, self.order, part)
 
 
-def t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
+def _t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
     """(fixed, per_sample): the bytes of _TInversePlan per pair (i,j) of
     idx, whose items are its channels to n (Frobenius reciprocity), with
     output (n,j) for T1 and (i,n) for T2: L and R; per sample the input
@@ -923,8 +923,8 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     a, c = q.random_batch(rng, n, 2, sample)
     at = np.array([lay.label_index[k] for k in sample], dtype=int)
     for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
-        for cuts, batches in cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
-                                        extra=lambda k, idx: t_inverse_cost(q, idx, leg == 2)):
+        for cuts, batches in _cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
+                                        extra=lambda k, idx: _t_inverse_cost(q, idx, leg == 2)):
             inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
             lead = distinct(cuts.lead[0])
             pairs = (at[:, None] * n_lab + lead if leg == 2 else lead[:, None] * n_lab + at).ravel()
