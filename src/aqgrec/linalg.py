@@ -219,6 +219,13 @@ def order_plan(pos: Array, numbers, shapes) -> list:
     for shape, gs in grouped.items():
         nums = np.concatenate([numbers[g] for g in gs])
         where = pos[nums]
+        if len(where) and (where == where[0]).all():  # one sum: one item a step
+            part = np.repeat(np.arange(len(gs)), [len(numbers[g]) for g in gs])
+            row = np.arange(len(part)) - np.searchsorted(part, part)
+            order = np.argsort(nums, kind="stable")
+            plan.append((shape, gs, [(k, r, int(where[0])) for k, r in
+                                     zip(part[order].tolist(), row[order].tolist())]))
+            continue
         order = np.lexsort((nums, where))
         seg = where[order]
         start = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
@@ -227,10 +234,6 @@ def order_plan(pos: Array, numbers, shapes) -> list:
         for r in range(int(length.max(initial=0))):
             sel = order[start[length > r] + r]
             steps.append((sel, where[sel]))
-        if all(len(sel) == 1 for sel, _ in steps):
-            part = np.repeat(np.arange(len(gs)), [len(numbers[g]) for g in gs])
-            row = np.arange(len(part)) - np.searchsorted(part, part)
-            steps = [(int(part[s]), int(row[s]), int(w)) for (s,), (w,) in steps]
         plan.append((shape, gs, steps))
     return plan
 
