@@ -181,16 +181,17 @@ def reconstruct(
     q = Aqg(bundle=b, F=F, Finv=Finv, haar_weights=weights)
 
     # spot-check invariance of the Haar ansatz before first use
-    rng = np.random.default_rng(7)
-    sample = haar_sample_support(q)
-    a, c = q.random_batch(rng, 2, 2, sample)
-    (got,), = _cut_sums(q, a, c, sample, (1,), [("right",)], _HaarPlan)
-    want = _scaled(c, haar(q, a, "left"))
-    res = _sample_max(*(got[d] - want[d] for d in want))
-    bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
-                                                    * _sample_max(*c.values()))))
-    if len(bad):
-        raise InconsistentSolve(f"Haar ansatz fails invariance (residual {res[bad[0]]:.3e})")
+    def ansatz(a, c, got):
+        want = _scaled(c, haar(q, a, "left"))
+        res = _sample_max(*(got[0][0][d] - want[d] for d in want))
+        bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
+                                                        * _sample_max(*c.values()))))
+        if len(bad):
+            raise InconsistentSolve(f"Haar ansatz fails invariance (residual {res[bad[0]]:.3e})")
+        return [], []
+
+    _cut_row(q, np.random.default_rng(7), 2, haar_sample_support(q), (1,), [("right",)], ansatz,
+             _HaarPlan)
     return q
 
 
@@ -206,6 +207,17 @@ def sample_batches(n: int, per_sample, held=0) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def sample_draws(q: Aqg, rng, n: int, k: int, support=None, kept: int = 0):
+    """(m, k batches of m random elements on support) per group of the n
+    samples, drawn as random_batch draws them all, each group holding its
+    batches and `kept` more of their size within half of CHUNK_BYTES."""
+    lay = q.bundle.layout
+    sizes = lay.dims[[lay.label_index[i] for i in support or q.labels]]
+    per = 16 * (k + kept) * sum(c * d * d for d, c in lay.dim_count.items() if d in sizes)
+    for s in sample_batches(n, per, CHUNK_BYTES // 2):
+        yield s.stop - s.start, q.random_batch(rng, s.stop - s.start, k, support)
+
+
 def chunks(group, fixed, phases, n: int, held: int = 0):
     """The chunks of a row's items in order, as (lo, hi, sample_batches of
     the n samples on items lo:hi).  Item p holds fixed[p] bytes and
@@ -213,10 +225,6 @@ def chunks(group, fixed, phases, n: int, held: int = 0):
     bytes and per sample the most of its phases.  A chunk takes whole runs
     of equal group values while n samples fit within CHUNK_BYTES beside
     held; a run that does not fit alone runs its samples in batches."""
-    total, most = fixed.sum(), phases.sum(axis=0).max(initial=0)
-    if len(group) and total + n * most <= CHUNK_BYTES - held:  # one chunk, as on small bundles
-        yield 0, len(group), sample_batches(n, most, total + held)
-        return
     f = np.cumsum(np.append(0, fixed))
     s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
     ends, lo = np.append(np.flatnonzero(np.diff(group)) + 1, len(group)), 0
@@ -381,17 +389,17 @@ class _Cuts:
 
 
 def _cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int = 1,
-               extra=None):
+               extra=None, whole_leads: bool = False):
     """(cuts, batches) per chunk (chunks): a _Cuts for batches a and c on
     support, over the chunk's pairs, and the slices of the n samples.  Cut k
     holds the blocks (n, o) by c (x) 1 (legs[k] = 1) or (o, n) by 1 (x) c,
     n in support, o in every label (or others(n)), where Delta(a) does not
     vanish.  The pairs run lead-major for legs[0], so a sum by n carried
-    over the chunks adds a cut's pairs by o as one pass does.  A chunk holds
-    Delta's work (delta_cost), then per cut in turn Delta's blocks and per
-    pair a block of Delta, of c (x) 1 and of results, the products on
-    `sides` sides and extra(k, idx) = (fixed, per_sample); with extra, it
-    takes each n's pairs whole."""
+    over the chunks adds a cut's pairs by o as one pass does; with
+    whole_leads a chunk takes each n's pairs whole.  A chunk holds Delta's
+    work (delta_cost), then per cut in turn Delta's blocks and per pair a
+    block of Delta, of c (x) 1 and of results, the products on `sides`
+    sides and extra(k, idx) = (fixed, per_sample) if given."""
     lay = q.bundle.layout
     n_lab, li = len(lay.dims), lay.label_index
     have = np.zeros(n_lab, dtype=bool)
@@ -413,32 +421,37 @@ def _cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: in
         f, x = extra(k, i) if extra else (0, 0)
         fixed[at[i]] += f
         phases.append(size + np.bincount(at[i], (sides + 3) * size[at[i]] + x, len(pairs)))
-    for lo, hi, batches in chunks(key // n_lab if extra else key, fixed,
+    for lo, hi, batches in chunks(key // n_lab if whole_leads else key, fixed,
                                   np.column_stack(phases), n, held):
         yield _Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches
 
 
-def _cut_sums(q: Aqg, a: dict, c: dict, support, legs, sides, plan=None, others=None):
-    """The sums by the label of c's leg, in item order, over the cuts of
-    _cut_chunks for the batches a and c: got[k][t] sums the classes
-    plan(q, cuts, k).parts(x) of the products x of cut k from the side
-    sides[k][t], or x itself without a plan."""
-    lay, n = q.bundle.layout, next(iter(a.values())).shape[1]
-    got = [[_zero_batch(lay, n, c) for _ in s] for s in sides]
-    held = _nbytes(a, c, *(x for g in got for x in g))
-    for cuts, batches in _cut_chunks(q, support, legs, n, held, others, len(sides[0])):
-        adds = [(plan(q, cuts, k).parts if plan else lambda x: x.__getitem__,
-                 order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
-                            [(dl, dl) for dl, *_ in cuts.classes[k]]))
-                for k in range(len(legs))]
-        for s in batches:
-            da = delta_stacks(_at(a, s), cuts.plan)[0]
-            for k, (parts, order) in enumerate(adds):
-                for x, out in zip(cuts.cut(da, _at(c, s), k, sides[k]), got[k]):
-                    add_planned({(d, d): m[:, s] for d, m in out.items()}, order, parts(x))
-                del x  # one cut's products at a time
-            del da
-    return got
+def _cut_row(q: Aqg, rng, n: int, support, legs, sides, check, plan=None, others=None):
+    """(residual, scale) of a sampled row, the maxima of check(a, c, got)
+    over the groups a, c of n samples on support (sample_draws): got[k][t]
+    sums by c's label, in item order over the cuts of _cut_chunks, the
+    classes plan(q, cuts, k).parts(x) of the products x of cut k from the
+    side sides[k][t], or x itself without a plan."""
+    lay = q.bundle.layout
+    res, scale = [0.0], [1.0]
+    for ng, (a, c) in sample_draws(q, rng, n, 2, support, 1 + sum(map(len, sides))):
+        got = [[_zero_batch(lay, ng, c) for _ in s] for s in sides]
+        held = _nbytes(a, c, *(x for g in got for x in g))
+        for cuts, batches in _cut_chunks(q, support, legs, ng, held, others, len(sides[0])):
+            adds = [(plan(q, cuts, k).parts if plan else lambda x: x.__getitem__,
+                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
+                                [(dl, dl) for dl, *_ in cuts.classes[k]]))
+                    for k in range(len(legs))]
+            for s in batches:
+                da = delta_stacks(_at(a, s), cuts.plan)[0]
+                for k, (parts, order) in enumerate(adds):
+                    for x, out in zip(cuts.cut(da, _at(c, s), k, sides[k]), got[k]):
+                        add_planned({(d, d): m[:, s] for d, m in out.items()}, order, parts(x))
+                    del x  # one cut's products at a time
+                del da
+        more_res, more_scale = check(a, c, got)
+        res, scale = res + more_res, scale + more_scale
+    return worst(*res), worst(*scale)
 
 
 def _dual_index(q: Aqg) -> Array:
@@ -795,10 +808,11 @@ def verify_axioms(
     property of the coproduct.  Haar faithfulness and Delta(a*) = Delta(a)*
     hold by construction and are test oracles.  Window bundles get each check
     on its admissible blocks; anything unreachable is skipped explicitly.
-    Each sampled row draws its samples at once and runs its pairs in chunks
-    within CHUNK_BYTES (chunks): a chunk plans its index work once and runs
-    each product once for all samples, stacked after the block axis, or per
-    batch of samples when its pairs do not fit; sums carry over the chunks.
+    Each sampled row draws its samples in groups within half of CHUNK_BYTES
+    (sample_draws) and runs a group's pairs in chunks within the rest
+    (chunks): a chunk plans its index work once and runs each product once
+    for the group's samples, stacked after the block axis, or per batch of
+    samples when its pairs do not fit; sums carry over the chunks.
     """
     rep = Report("hopf-axioms")
     rng = np.random.default_rng(seed)
@@ -824,24 +838,24 @@ def verify_axioms(
     # (2) counit laws: the cuts hold the blocks (u, n) of Delta(a)(1 (x) c)
     # and (n, u) of (c (x) 1) Delta(a), whose counit legs are their blocks
     # on label n
-    a, c = q.random_batch(rng, n_samples, 2, sample)
-    ac = _mul(a, c)
-    got = _cut_sums(q, a, c, sample, (2, 1), [("right",)] * 2, others=lambda n: [u])
-    res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
-    rep.add("2-counit-laws", "samples", res,
-            res <= tol.bound(worst(1.0, *map(max_abs, ac.values()))))
-    del a, c, ac, got  # a row holds only its own samples
+    def counit(a, c, got):
+        ac = _mul(a, c)
+        return [max_abs(g[0][d] - ac[d]) for g in got for d in ac], [*map(max_abs, ac.values())]
+
+    res, scale = _cut_row(q, rng, n_samples, sample, (2, 1), [("right",)] * 2, counit,
+                          others=lambda n: [u])
+    rep.add("2-counit-laws", "samples", res, res <= tol.bound(scale))
 
     # (3) antipode laws
+    def antipode_laws(a, c, got):
+        ac = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
+        return ([max_abs(g[0][d] - ac[d]) for g in got for d in ac],
+                [*map(max_abs, ac.values()), _sample_max(*a.values()) * _sample_max(*c.values())])
+
     duals = {n: [o for o in b.labels if b.dual[o] == n] for n in b.labels}
-    a, c = q.random_batch(rng, n_samples, 2, sample)
-    got = _cut_sums(q, a, c, sample, (2, 1), [("right",), ("left",)], _MultPlan, duals.get)
-    ac = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
-    res = worst(0.0, *(max_abs(g[0][d] - ac[d]) for g in got for d in ac))
-    scale = worst(1.0, *map(max_abs, ac.values()),
-                  _sample_max(*a.values()) * _sample_max(*c.values()))
+    res, scale = _cut_row(q, rng, n_samples, sample, (2, 1), [("right",), ("left",)],
+                          antipode_laws, _MultPlan, duals.get)
     rep.add("3-antipode-laws", "samples", res, res <= tol.bound(scale))
-    del a, c, ac, got
 
     # (4) T1/T2 bijectivity (_t_inverse_row)
     res, scale = _t_inverse_row(q, rng, sample, n_small)
@@ -858,8 +872,7 @@ def verify_axioms(
     res, scale = [0.0], [1.0]
     fst, finv = _haar_stacks(q, "left")[0], _haar_stacks(q, "right")[0]
     # a, per antipode a gather and two products, ad f(a) and a difference
-    for s in sample_batches(n_small, 16 * 11 * q.total_dim()):
-        (a,) = q.random_batch(rng, s.stop - s.start)
+    for _, (a,) in sample_draws(q, rng, n_small, 1, kept=10):
         s2 = antipode(q, antipode(q, a))
         adf = {d: fst[d][:, None] @ m @ finv[d][:, None] for d, m in a.items()}
         res += [max_abs(s2[d] - adf[d]) for d in adf]
@@ -876,34 +889,37 @@ def verify_axioms(
     # Delta(a)(c (x) 1) and (c (x) 1)Delta(a), right invariance of psi on
     # those of Delta(a)(1 (x) c) and (1 (x) c)Delta(a); one Delta(a) serves
     # every cutoff
-    a, c = q.random_batch(rng, n_samples, 2, sample)
-    got = _cut_sums(q, a, c, sample, (1, 2), [("right", "left")] * 2, _HaarPlan)
-    res, scale = [0.0], [1.0, _sample_max(*a.values()) * _sample_max(*c.values())]
-    for g, side in zip(got, ("left", "right")):
-        target = _scaled(c, haar(q, a, side))
-        res += [max_abs(x[d] - target[d]) for x in g for d in target]
-        scale += [max_abs(m) for m in target.values()]
-    res, scale = worst(*res), worst(*scale)
+    def invariance(a, c, got):
+        res, scale = [], [_sample_max(*a.values()) * _sample_max(*c.values())]
+        for g, side in zip(got, ("left", "right")):
+            target = _scaled(c, haar(q, a, side))
+            res += [max_abs(x[d] - target[d]) for x in g for d in target]
+            scale += [max_abs(m) for m in target.values()]
+        return res, scale
+
+    res, scale = _cut_row(q, rng, n_samples, sample, (1, 2), [("right", "left")] * 2,
+                          invariance, _HaarPlan)
     rep.add("6-haar-invariance", f"support {sample}", res,
             res <= tol.bound(scale) * 10)
-    del a, c, got, target
 
     # (8) homomorphism property of Delta: one Delta of a, ac and c, sample
     # t's at 3t, 3t + 1 and 3t + 2; then three blocks, a product, a difference
     res, scale = [0.0], [1.0]
-    a, c = q.random_batch(rng, n_small, 2)
-    cn = np.maximum(1.0, _sample_max(*c.values()))
-    x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d) for d, m in a.items()}
     pairs = np.arange(len(lay.pairs))
     fixed, work = delta_cost(q, pairs)
-    for lo, hi, batches in chunks(pairs, fixed, np.column_stack(
-            (3 * work, 80 * lay.pair_size ** 2)), n_small, _nbytes(a, c, x)):
-        plan = DeltaPlan(q, b.labels, pairs[lo:hi])
-        for s in batches:
-            dx = delta_stacks(_at(x, slice(3 * s.start, 3 * s.stop)), plan)[0]
-            res += [max_abs(m[:, 1::3] - m[:, 0::3] @ m[:, 2::3]) for m in dx.values()]
-            scale += [max_abs(m[:, 0::3]) * cn[s] for m in dx.values()]
-            del dx  # before the next batch's
+    phases = np.column_stack((3 * work, 80 * lay.pair_size ** 2))
+    for ng, (a, c) in sample_draws(q, rng, n_small, 2, kept=3):
+        cn = np.maximum(1.0, _sample_max(*c.values()))
+        x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d)
+             for d, m in a.items()}
+        for lo, hi, batches in chunks(pairs, fixed, phases, ng, _nbytes(a, c, x)):
+            plan = DeltaPlan(q, b.labels, pairs[lo:hi])
+            for s in batches:
+                dx = delta_stacks(_at(x, slice(3 * s.start, 3 * s.stop)), plan)[0]
+                res.append(worst(*(max_abs(m[:, 1::3] - m[:, 0::3] @ m[:, 2::3])
+                                   for m in dx.values())))
+                scale.append(worst(*(max_abs(m[:, 0::3]) * cn[s] for m in dx.values())))
+                del dx  # before the next batch's
     res, scale = worst(*res), worst(*scale)
     rep.add("8-delta-homomorphism", "all pairs", res, res <= tol.bound(scale))
     return rep
@@ -913,33 +929,40 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     """(residual, scale) of row 4 on n samples: T1^-1 and T2^-1 give back
     a (x) c on the sample support; on a closed bundle a left inverse of an
     endomorphism of the finite-dimensional A (x) A certifies bijectivity.
-    T1(a (x) c) = Delta(a)(1 (x) c) and T2(a (x) c) = (a (x) 1)Delta(c).  An
-    output block of T1^-1 (T2^-1) sums over the pairs of its second (first)
-    label, which a chunk takes whole and compares with the blocks
-    a_i (x) c_j of the support, per (d_i, d_j) class, zero where the
-    inverse has no block."""
+    T1(a (x) c) = Delta(a)(1 (x) c), T2(a (x) c) = (a (x) 1)Delta(c).  A
+    chunk takes whole the labels j (i) whose pairs an output block (i,j)
+    sums over and compares the blocks a_i (x) c_j of the support per
+    (d_i, d_j) class, zero where the inverse has none, as no chunk's are."""
     lay, n_lab = q.bundle.layout, len(q.labels)
     res, scale = [0.0], [1.0]
-    a, c = q.random_batch(rng, n, 2, sample)
     at = np.array([lay.label_index[k] for k in sample], dtype=int)
-    for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
-        for cuts, batches in _cut_chunks(q, sample, (leg,), n, _nbytes(a, c),
-                                        extra=lambda k, idx: _t_inverse_cost(q, idx, leg == 2)):
-            inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
-            lead = distinct(cuts.lead[0])
-            pairs = (at[:, None] * n_lab + lead if leg == 2 else lead[:, None] * n_lab + at).ravel()
+    for ng, (a, c) in sample_draws(q, rng, n, 2, sample):
+
+        def compare(leg, lead, where, back, s):
+            pairs = (at[:, None] * n_lab + lead if leg == 2
+                     else lead[:, None] * n_lab + at).ravel()
             first, second = np.divmod(pairs, n_lab)
-            targets = [(dims, lay.block_of[first[sel]], lay.block_of[second[sel]],
-                        inv.where[pairs[sel]])
-                       for dims, sel in group_by(lay.dims[first], lay.dims[second])]
-            for s in batches:
-                back = inv.inverse(cuts.cut(delta_stacks(_at(x, s), cuts.plan)[0], _at(y, s), 0,
-                                            (side,))[0], s.stop - s.start)
-                for (di, dj), ia, jc, p in targets:
-                    want = bkron(a[di][ia, s], c[dj][jc, s])
-                    got = np.zeros_like(want)
-                    got[p >= 0] = back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
-                    res.append(max_abs(got - want))
-                    scale.append(max_abs(want) if leg == 2 else 0.0)  # once a block
-                del back, want, got
+            for (di, dj), sel in group_by(lay.dims[first], lay.dims[second]):
+                want = bkron(a[di][lay.block_of[first[sel]], s],
+                             c[dj][lay.block_of[second[sel]], s])
+                p = where[pairs[sel]]
+                got = np.zeros_like(want)
+                got[p >= 0] = back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
+                res.append(max_abs(got - want))
+                scale.append(max_abs(want) if leg == 2 else 0.0)  # once a block
+
+        for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
+            taken = np.zeros(n_lab, dtype=bool)
+            for cuts, batches in _cut_chunks(
+                    q, sample, (leg,), ng, _nbytes(a, c), whole_leads=True,
+                    extra=lambda k, idx: _t_inverse_cost(q, idx, leg == 2)):
+                inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
+                lead = distinct(cuts.lead[0])
+                taken[lead] = True
+                for s in batches:
+                    back = inv.inverse(cuts.cut(delta_stacks(_at(x, s), cuts.plan)[0],
+                                                _at(y, s), 0, (side,))[0], s.stop - s.start)
+                    compare(leg, lead, inv.where, back, s)
+                    del back
+            compare(leg, at[~taken[at]], np.full(n_lab * n_lab, -1), {}, slice(None))
     return worst(*res), worst(*scale)

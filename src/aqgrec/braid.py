@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks
+from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks, sample_draws
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
@@ -134,20 +134,20 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     i, j = np.divmod(pf, n)
     fixed, work = (x.reshape(2, -1).sum(0)
                    for x in delta_cost(q, np.append(pf, j * n + i)))
-    (a,) = q.random_batch(rng, n_samples)
     res = [0.0]
     # a chunk holds the Delta work of its pairs and their flips, then per
     # sample both blocks, their gathered copies, four products and a difference
-    for lo, hi, batches in chunks(pf, fixed, np.column_stack((work, 128 * lay.pair_size[pf] ** 2)),
-                                  n_samples, sum(m.nbytes for m in a.values())):
-        plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))
-        for s in batches:
-            dl, at = delta_stacks({k: m[:, s] for k, m in a.items()}, plan)
-            for (di, dj), sel in group_by(d[i[lo:hi]], d[j[lo:hi]]):
-                sel = sel + lo
-                rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
-                dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
-                res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
+    phases = np.column_stack((work, 128 * lay.pair_size[pf] ** 2))
+    for ng, (a,) in sample_draws(q, rng, n_samples, 1):
+        for lo, hi, batches in chunks(pf, fixed, phases, ng, sum(x.nbytes for x in a.values())):
+            plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))
+            for s in batches:
+                dl, at = delta_stacks({k: m[:, s] for k, m in a.items()}, plan)
+                for (di, dj), sel in group_by(d[i[lo:hi]], d[j[lo:hi]]):
+                    sel = sel + lo
+                    rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
+                    dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
+                    res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
     res = worst(*res)
     rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
 

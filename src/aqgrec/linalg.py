@@ -50,8 +50,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # memory budget of one chunk of stacked work (the quadruples of an F-move
-# certificate, the pairs and samples of a sampled check, beside what the
-# check holds throughout), counted from the shapes of what a chunk holds
+# certificate, the pairs and samples of a sampled check, beside the group of
+# samples the check holds), counted from the shapes of what a chunk holds
 CHUNK_BYTES = 1 << 22
 
 
