@@ -14,6 +14,7 @@ import pytest
 
 from aqgrec import aqg
 from aqgrec.aqg import (
+    Aqg,
     ConjInconsistent,
     DeltaPlan,
     InvalidBundle,
@@ -551,6 +552,22 @@ def test_row_4_is_the_per_pair_comparison(shipped_aqgs):
         assert (row.residual, row.passed) == per_pair_row_4(q), name
 
 
+def test_row_4_compares_the_blocks_of_labels_no_chunk_takes(suq2_bundles):
+    # without the unit's channels no pair of the window's sample support
+    # (the unit alone then) carries Delta(a), so no chunk takes a label; the
+    # row still compares every block a_i (x) c_j of the support with zero,
+    # and fails as the per-pair loop does.  Reconstruct's spot check would
+    # stop such a bundle, so q is built around the intact one's f element
+    b = suq2_bundles["suq2-q0.5-L4"]
+    q0 = reconstruct(b)
+    fusion = {p: chans for p, chans in b.fusion.items() if p[0] != b.unit}
+    q = Aqg(bundle=dataclasses.replace(b, fusion=fusion), F=q0.F, Finv=q0.Finv,
+            haar_weights=q0.haar_weights)
+    row = next(c for c in verify_axioms(q).checks if c.name.startswith("4-"))
+    assert (row.residual, row.passed) == per_pair_row_4(q)
+    assert not row.passed
+
+
 def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
     # one rng call per batch yields the blocks that random_element draws
     # one at a time, sample after sample
@@ -606,16 +623,18 @@ def test_sample_batches_bound_the_memory_of_verify_axioms():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def test_verify_axioms_holds_the_chunk_budget():
+@pytest.mark.parametrize("n_samples", [16, 192])
+def test_verify_axioms_holds_the_chunk_budget(n_samples):
     # after a warm-up call has cached the certificate and the conjugate-pair
-    # and Haar stacks, a row holds its samples, its sums and one chunk of
-    # pairs at a time, within CHUNK_BYTES (10.3 MiB when a batch held every
-    # pair of a sample)
+    # and Haar stacks, a row holds one group of its samples with their sums
+    # and one chunk of pairs at a time, within CHUNK_BYTES (10.3 MiB when a
+    # batch held every pair of a sample; 4.7 MiB at 192 samples when a row
+    # held all of its samples)
     q = reconstruct(gen_suq2(0.9, 10))
     verify_axioms(q)
     tracemalloc.start()
     try:
-        verify_axioms(q)
+        verify_axioms(q, n_samples=n_samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
