@@ -20,7 +20,6 @@ import numpy as np
 from .bundle import CategoryBundle, validate_bundle
 from .errors import ConjInconsistent, InconsistentSolve, InvalidBundle
 from .linalg import (
-    CHUNK_BYTES,
     DEFAULT_TOL,
     Array,
     Tolerance,
@@ -35,9 +34,11 @@ from .linalg import (
     max_abs,
     order_plan,
     ranges,
+    ranks,
     residual,
     slots,
     split_by,
+    walk,
     worst,
 )
 from .report import Report
@@ -199,41 +200,32 @@ def reconstruct(
 # batches
 
 
-def sample_batches(n: int, per_sample, held=0) -> list[slice]:
-    """Consecutive batches covering n samples, as slices, each within
-    CHUNK_BYTES beside the held bytes for work that holds per_sample bytes
-    a sample; one sample a batch if even one overruns."""
-    step = int(min(n, max(1, (CHUNK_BYTES - held) // max(1, per_sample))))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def sample_draws(q: Aqg, rng, n: int, k: int, support=None, kept: int = 0):
+def sample_draws(q: Aqg, rng, n: int, k: int, support, kept: int, held: int):
     """(m, k batches of m random elements on support) per group of the n
-    samples, drawn as random_batch draws them all, each group holding its
-    batches and `kept` more of their size within half of CHUNK_BYTES."""
+    samples, drawn as random_batch draws them all: a group holds its batches
+    and `kept` more of their size within CHUNK_BYTES beside held (walk)."""
     lay = q.bundle.layout
     sizes = lay.dims[[lay.label_index[i] for i in support or q.labels]]
     per = 16 * (k + kept) * sum(c * d * d for d, c in lay.dim_count.items() if d in sizes)
-    for s in sample_batches(n, per, CHUNK_BYTES // 2):
-        yield s.stop - s.start, q.random_batch(rng, s.stop - s.start, k, support)
+    for lo, hi in walk(np.full(n, per), held):
+        yield hi - lo, q.random_batch(rng, hi - lo, k, support)
 
 
-def chunks(group, fixed, phases, n: int, held: int = 0):
-    """The chunks of a row's items in order, as (lo, hi, sample_batches of
-    the n samples on items lo:hi).  Item p holds fixed[p] bytes and
-    phases[p, t] a sample in phase t of its chunk, which holds its fixed
-    bytes and per sample the most of its phases.  A chunk takes whole runs
-    of equal group values while n samples fit within CHUNK_BYTES beside
-    held; a run that does not fit alone runs its samples in batches."""
-    f = np.cumsum(np.append(0, fixed))
-    s = np.cumsum(np.vstack((np.zeros((1, phases.shape[1])), phases)), axis=0)
-    ends, lo = np.append(np.flatnonzero(np.diff(group)) + 1, len(group)), 0
-    while lo < len(group):  # the costs of lo:end never fall as end grows
-        cost = f[ends] - f[lo] + n * (s[ends] - s[lo]).max(axis=1)
-        hi = int(ends[max(np.searchsorted(cost, CHUNK_BYTES - held, side="right") - 1,
-                          np.searchsorted(ends, lo, side="right"))])
-        yield lo, hi, sample_batches(n, (s[hi] - s[lo]).max(), f[hi] - f[lo] + held)
-        lo = hi
+def chunks(key, fixed, phases, n: int, held: int):
+    """(lo, hi, slices of the n samples) per chunk of a row's items (walk):
+    item p holds fixed[p] bytes and phases[p, t] a sample in phase t of its
+    chunk, which takes whole runs of equal key beside held; a run that does
+    not fit alone runs its samples in slices."""
+    for lo, hi in walk(fixed[:, None] + n * phases, held, key):
+        per = phases[lo:hi].sum(axis=0).max()
+        yield lo, hi, [slice(*r) for r in walk(np.full(n, per), held + fixed[lo:hi].sum())]
+
+
+def lone(key, fixed, phases) -> int:
+    """The bytes of a row's largest chunk of one run and one sample (chunks),
+    which its groups of samples leave free (sample_draws)."""
+    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    return int(np.add.reduceat(fixed[:, None] + phases, runs).max()) if len(key) else 0
 
 
 def _at(a: dict, s: slice) -> dict:
@@ -294,9 +286,11 @@ class DeltaPlan:
     slot and count place the blocks: pair p's is out[(s, s)][slot[p]] with s
     = d_i d_j, and count[s] blocks have size s.  The items are the channels
     of the wanted pairs into `labels`, a join over the layout's channel
-    arrays, numbered by pair, then the name of k, then alpha.  work holds
-    them per isometry shape as (numbers, V, V*, block of k among its size),
-    and order is the schedule that sums them per pair in item order.
+    arrays, in the order of the name of k, then alpha, within a pair; the
+    item of rank r is the r-th of its pair.  work holds them per rank, then
+    isometry shape, as (V, V*, block of k among its size, slot of the pair):
+    one item a pair, added rank by rank, so every block sums its items in
+    item order and Delta holds one product a pair at a time.
     """
 
     def __init__(self, q: Aqg, labels, idx):
@@ -311,28 +305,35 @@ class DeltaPlan:
         chans = chans[have[lay.chan_label[chans]]]
         chans = chans[np.lexsort((lay.chan_alpha[chans], lay.name_rank[lay.chan_label[chans]],
                                   lay.chan_pair[chans]))]
+        pair = lay.chan_pair[chans]
         self.work = []
-        for _, nums in split_by(lay.chan_shape[chans]):
+        for _, nums in split_by(ranks(pair) * len(lay.chan_stacks) + lay.chan_shape[chans]):
             v = lay.isometries(chans[nums])
-            self.work.append((nums, v, bdagger(v), lay.block_of[lay.chan_label[chans[nums]]]))
-        self.order = order_plan(self.slot[lay.chan_pair[chans]], [w[0] for w in self.work],
-                                [(w[1].shape[1],) * 2 for w in self.work])
+            self.work.append((v, bdagger(v), lay.block_of[lay.chan_label[chans[nums]]],
+                              _places(self.slot[pair[nums]])))
 
 
-def delta_cost(q: Aqg, pairs, have=None) -> tuple[Array, Array]:
-    """(fixed, per_sample): the bytes of Delta on each of the pairs for a on
-    the labels have (a mask; all by default), 16 a complex entry: V and V*
-    of its channels into them; per sample its block, and per channel a's
-    block, V a and the product with its copy in add_planned's concatenation."""
+def _places(at):
+    """The increasing places at of a stack, as a slice when they are
+    consecutive: their sums are then added in place, without a read."""
+    lo, hi = int(at[0]), int(at[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(at) else at
+
+
+def delta_cost(q: Aqg, pairs, have=None) -> tuple[Array, Array, Array]:
+    """(fixed, block, work): the bytes of Delta on each of the pairs for a
+    on the labels have (a mask; all by default), 16 a complex entry: V and
+    V* of its channels; per sample its block; and per sample, while Delta
+    runs, one channel's product and its read in the sum (V a and a's block
+    before them are smaller)."""
     lay = q.bundle.layout
     at, chans = lay.channels_of(pairs)
     if have is not None:
         use = have[lay.chan_label[chans]]
         at, chans = at[use], chans[use]
-    s, d = lay.pair_size[pairs], lay.dims[lay.chan_label[chans]]
-    return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)),
-            16 * s * s + np.bincount(at, 16 * (d * d + s[at] * d + 2 * s[at] ** 2),
-                                     minlength=len(pairs)))
+    s = lay.pair_size[pairs]
+    return (np.bincount(at, 32 * s[at] * lay.dims[lay.chan_label[chans]], minlength=len(pairs)),
+            16 * s * s, 32 * s * s)
 
 
 def delta_stacks(a: dict, plan: DeltaPlan):
@@ -342,16 +343,13 @@ def delta_stacks(a: dict, plan: DeltaPlan):
     Returns (out, slot): pair p's blocks are out[(s, s)][slot[p]], one per
     sample, where s is d_i d_j.  Each block sums v a_k v* over the loaded
     channels k of a's labels, in label-name order, as one stacked product
-    per isometry shape of the plan's items.
+    per rank and isometry shape of the plan's items.
     """
     n = next(iter(a.values())).shape[1]
-
-    def part(g):
-        _, v, vd, blk = plan.work[g]
-        return v[:, None] @ a[v.shape[2]][blk] @ vd[:, None]
-
     out = {(d, d): np.zeros((c, n, d, d), dtype=complex) for d, c in plan.count.items()}
-    return add_planned(out, plan.order, part), plan.slot
+    for v, vd, blk, slot in plan.work:
+        out[(v.shape[1],) * 2][slot] += v[:, None] @ a[v.shape[2]][blk] @ vd[:, None]
+    return out, plan.slot
 
 
 class _Cuts:
@@ -388,18 +386,22 @@ class _Cuts:
         return prods
 
 
-def _cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: int = 1,
-               extra=None, whole_leads: bool = False):
-    """(cuts, batches) per chunk (chunks): a _Cuts for batches a and c on
-    support, over the chunk's pairs, and the slices of the n samples.  Cut k
-    holds the blocks (n, o) by c (x) 1 (legs[k] = 1) or (o, n) by 1 (x) c,
-    n in support, o in every label (or others(n)), where Delta(a) does not
+def _cut_chunks(q: Aqg, support, legs, others=None, sides: int = 1, extra=None,
+                whole_leads: bool = False):
+    """(lone, chunks) of a sampled row's cuts for batches a and c on
+    support, planned once per row: chunks(n, held) yields per chunk
+    (chunks) a _Cuts over its pairs and the slices of the n samples.  Cut k
+    holds the blocks (n, o) by c (x) 1 (legs[k] = 1) or (o, n) by 1 (x) c, n
+    in support, o in every label (or others(n)), where Delta(a) does not
     vanish.  The pairs run lead-major for legs[0], so a sum by n carried
     over the chunks adds a cut's pairs by o as one pass does; with
     whole_leads a chunk takes each n's pairs whole.  A chunk holds Delta's
-    work (delta_cost), then per cut in turn Delta's blocks and per pair a
-    block of Delta, of c (x) 1 and of results, the products on `sides`
-    sides and extra(k, idx) = (fixed, per_sample) if given."""
+    blocks with Delta's work (delta_cost), then per cut k in turn Delta's
+    blocks and extra(k, idx) = (fixed, per_sample), per pair of the cut and
+    per sample in each phase of its own, the later ones without Delta's
+    blocks: by default one phase, a block of Delta and of c (x) 1 being
+    cut, the products on `sides` sides and two blocks of their consumer (an
+    einsum's copy of the products it contracts, and its results)."""
     lay = q.bundle.layout
     n_lab, li = len(lay.dims), lay.label_index
     have = np.zeros(n_lab, dtype=bool)
@@ -415,32 +417,33 @@ def _cut_chunks(q: Aqg, support, legs, n: int, held: int, others=None, sides: in
     pairs, key = pairs[np.argsort(key)], np.sort(key)
     at = np.zeros(n_lab * n_lab, dtype=int)
     at[pairs] = np.arange(len(pairs))
-    fixed, work = delta_cost(q, pairs, have)
-    size, phases = 16 * lay.pair_size[pairs] ** 2, [work]
+    fixed, block, work = delta_cost(q, pairs, have)
+    phases = [block + work]
     for k, i in enumerate(idx):
-        f, x = extra(k, i) if extra else (0, 0)
+        f, x = extra(k, i) if extra else (0, (sides + 4) * block[at[i], None])
         fixed[at[i]] += f
-        phases.append(size + np.bincount(at[i], (sides + 3) * size[at[i]] + x, len(pairs)))
-    for lo, hi, batches in chunks(key // n_lab if whole_leads else key, fixed,
-                                  np.column_stack(phases), n, held):
-        yield _Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches
+        x = [np.bincount(at[i], y, len(pairs)) for y in x.T]
+        phases += [block + x[0]] + x[1:]  # Delta's blocks until cut k is made
+    key, phases = key // n_lab if whole_leads else key, np.column_stack(phases)
+    return lone(key, fixed, phases), lambda n, held: (
+        (_Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches)
+        for lo, hi, batches in chunks(key, fixed, phases, n, held))
 
 
 def _cut_row(q: Aqg, rng, n: int, support, legs, sides, check, plan=None, others=None):
     """(residual, scale) of a sampled row, the maxima of check(a, c, got)
     over the groups a, c of n samples on support (sample_draws): got[k][t]
-    sums by c's label, in item order over the cuts of _cut_chunks, the
+    sums by c's label, in item order over the chunks of _cut_chunks, the
     classes plan(q, cuts, k).parts(x) of the products x of cut k from the
     side sides[k][t], or x itself without a plan."""
     lay = q.bundle.layout
+    held, cut_chunks = _cut_chunks(q, support, legs, others, len(sides[0]))
     res, scale = [0.0], [1.0]
-    for ng, (a, c) in sample_draws(q, rng, n, 2, support, 1 + sum(map(len, sides))):
+    for ng, (a, c) in sample_draws(q, rng, n, 2, support, 1 + sum(map(len, sides)), held):
         got = [[_zero_batch(lay, ng, c) for _ in s] for s in sides]
-        held = _nbytes(a, c, *(x for g in got for x in g))
-        for cuts, batches in _cut_chunks(q, support, legs, ng, held, others, len(sides[0])):
-            adds = [(plan(q, cuts, k).parts if plan else lambda x: x.__getitem__,
-                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
-                                [(dl, dl) for dl, *_ in cuts.classes[k]]))
+        for cuts, batches in cut_chunks(ng, _nbytes(a, c, *(x for g in got for x in g))):
+            adds = [(plan(q, cuts, k).parts if plan else list,
+                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]]))
                     for k in range(len(legs))]
             for s in batches:
                 da = delta_stacks(_at(a, s), cuts.plan)[0]
@@ -449,8 +452,10 @@ def _cut_row(q: Aqg, rng, n: int, support, legs, sides, check, plan=None, others
                         add_planned({(d, d): m[:, s] for d, m in out.items()}, order, parts(x))
                     del x  # one cut's products at a time
                 del da
+            del cuts, adds  # before the next chunk's
         more_res, more_scale = check(a, c, got)
         res, scale = res + more_res, scale + more_scale
+        del a, c, got  # before the next group's
     return worst(*res), worst(*scale)
 
 
@@ -539,19 +544,17 @@ class _MultPlan:
                                   optimize=True)[0]
             self.work.append((di, dj, rb, rmc, path))
 
-    def parts(self, x: list):
-        """part(g) of add_planned: class g of m(S (x) iota)(x) or
-        m(iota (x) S)(x) for the pair stack x."""
-        def part(g):
-            di, dj, rb, rmc, path = self.work[g]
-            n = x[g].shape[1]
+    def parts(self, x: list) -> list:
+        """The parts of add_planned: per class, m(S (x) iota) or
+        m(iota (x) S) of the pair stack x."""
+        out = []
+        for (di, dj, rb, rmc, path), xg in zip(self.work, x):
+            n = xg.shape[1]
             rb, rmc = np.repeat(rb, n, axis=0), np.repeat(rmc, n, axis=0)
-            t = x[g].reshape(-1, di, dj, di, dj)
-            ops = (rb, rmc, t) if self.left else (t, rb, rmc)
-            y = np.einsum(self.spec, *ops, optimize=path)
-            return y.reshape((-1, n) + y.shape[1:])
-
-        return part
+            t = xg.reshape(-1, di, dj, di, dj)
+            y = np.einsum(self.spec, *((rb, rmc, t) if self.left else (t, rb, rmc)), optimize=path)
+            out.append(y.reshape((-1, n) + y.shape[1:]))
+        return out
 
 
 class _HaarPlan:
@@ -571,16 +574,15 @@ class _HaarPlan:
             for (di, dj), sel in cuts.groups[k]
         ]
 
-    def parts(self, x: list):
-        """part(g) of add_planned: class g of the pair stack x with one leg
-        contracted."""
-        def part(g):
-            di, dj, f, w = self.work[g]
-            n = x[g].shape[1]
-            y = np.einsum(self.spec, np.repeat(f, n, axis=0), x[g].reshape(-1, di, dj, di, dj))
-            return w * y.reshape((-1, n) + y.shape[1:])
-
-        return part
+    def parts(self, x: list) -> list:
+        """The parts of add_planned: per class, the pair stack x with one
+        leg contracted."""
+        out = []
+        for (di, dj, f, w), xg in zip(self.work, x):
+            n = xg.shape[1]
+            y = np.einsum(self.spec, np.repeat(f, n, axis=0), xg.reshape(-1, di, dj, di, dj))
+            out.append(w * y.reshape((-1, n) + y.shape[1:]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +630,9 @@ class _TInversePlan:
     chain of two matmuls, L X then R (L X) reshaped for T1 and X R then
     L (X R) for T2, with X the input block; L and R contract v with the
     conjugate pair of j (T1) or i (T2), depend on the item only, and are
-    formed here, stacked per item shape.  Pair p's output block is at
-    where[p] among those of its size (-1: none).
+    formed here, stacked per rank and item shape, the item of rank r being
+    the r-th of its output block: one item a block, added rank by rank.
+    Pair p's output block is at where[p] among those of its size (-1: none).
     """
 
     def __init__(self, q: Aqg, idx, which: str):
@@ -658,7 +661,8 @@ class _TInversePlan:
         conj = _conj_stacks(q)
         self.work = []
         d = lay.dims
-        for (di, dj, dn), nums in group_by(d[first[at]], d[second[at]], d[other]):
+        for (_, di, dj, dn), nums in group_by(ranks(opair), d[first[at]], d[second[at]],
+                                              d[other]):
             t = at[nums]
             rb, rmc, _ = conj[dj if t1 else di]
             lab = lay.block_of[second[t] if t1 else first[t]]
@@ -674,38 +678,50 @@ class _TInversePlan:
                 right = right.reshape(-1, di * dj, dn)
                 left = (rmc.swapaxes(1, 2) @ vt).reshape(-1, di, dn, dj).swapaxes(1, 2)
                 left = left.reshape(-1, dn * di, dj)
-            self.work.append((nums, cls[t[0]], row[t], di, dj, dn, left, right))
-        self.order = order_plan(self.where[opair], [w[0] for w in self.work],
-                                [(lay.pair_size[opair[w[0][0]]],) * 2 for w in self.work])
+            self.work.append((cls[t[0]], row[t], di, dj, dn, left, right, self.where[opair[nums]]))
 
     def inverse(self, x: list, n: int) -> dict:
         """The inverse of the pair stack x of n samples: output block of
         pair p at out[(s, s)][where[p]], s = d_p1 d_p2."""
-        def part(g):
-            _, c, rows, di, dj, dn, left, right = self.work[g]
+        out = {(s, s): np.zeros((c, n, s, s), dtype=complex) for s, c in self.count.items()}
+        for c, rows, di, dj, dn, left, right, where in self.work:
             xs = x[c][rows]
             if self.t1:
                 z = (left[:, None] @ xs).reshape(-1, n, dn, di, dj)
-                return (right[:, None, None] @ z).reshape(-1, n, dn * dj, dn * dj)
-            y = (xs @ right[:, None]).reshape(-1, n, di, dj, dn)
-            return (left[:, None, None] @ y).reshape(-1, n, di * dn, di * dn)
-
-        out = {(s, s): np.zeros((c, n, s, s), dtype=complex) for s, c in self.count.items()}
-        return add_planned(out, self.order, part)
+                out[(dn * dj,) * 2][where] += (right[:, None, None] @ z).reshape(
+                    -1, n, dn * dj, dn * dj)
+            else:
+                y = (xs @ right[:, None]).reshape(-1, n, di, dj, dn)
+                out[(di * dn,) * 2][where] += (left[:, None, None] @ y).reshape(
+                    -1, n, di * dn, di * dn)
+        return out
 
 
 def _t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
-    """(fixed, per_sample): the bytes of _TInversePlan per pair (i,j) of
-    idx, whose items are its channels to n (Frobenius reciprocity), with
-    output (n,j) for T1 and (i,n) for T2: L and R; per sample the input
-    block and L X or X R, the output with its copy in add_planned's
-    concatenation, and a share of the sums and of the row's comparison."""
-    lay = q.bundle.layout
+    """(fixed, per_sample): the bytes of row 4 per pair (i,j) of idx, whose
+    items in _TInversePlan are its channels to n (Frobenius reciprocity),
+    with output (n,j) for T1 and (i,n) for T2: L and R; and per sample, in
+    turn, a block of Delta and of c (x) 1 being cut and the product; the
+    product and, charged to its first item, each output block and the most
+    that one of its items holds (the input block and L X or X R, then the
+    product with its read in the sum); and the output blocks and, charged
+    to the first pair of its label j (i), the comparison of one class of
+    blocks a_i (x) c_j at a time (the blocks, a read and their difference),
+    at most all labels of one size."""
+    lay, n_lab = q.bundle.layout, len(q.labels)
     at, chans = lay.channels_of(idx)
-    s, dn = lay.pair_size[idx[at]], lay.dims[lay.chan_label[chans]]
-    out = dn * lay.dims[np.divmod(idx, len(lay.dims))[1 if t1 else 0][at]]
-    return (np.bincount(at, 32 * dn * s, minlength=len(idx)),
-            np.bincount(at, 16 * (s * s + dn * s + 4 * out * out), minlength=len(idx)))
+    s, n = lay.pair_size[idx[at]], lay.chan_label[chans]
+    first, second = np.divmod(idx[at], n_lab)
+    opair = n * n_lab + second if t1 else first * n_lab + n
+    ls, out = lay.dims[n] * s, 16 * lay.pair_size[opair] ** 2
+    block, lead = 16 * lay.pair_size[idx] ** 2, np.divmod(idx, n_lab)[1 if t1 else 0]
+    most = np.zeros(n_lab * n_lab)
+    np.maximum.at(most, opair, np.maximum(16 * (s * s + ls), out + np.maximum(16 * ls, out)))
+    widest = 48 * lay.dims[lead] ** 2 * max(c * d * d for d, c in lay.dim_count.items())
+    o = ranks(opair) == 0  # the first item of each output block
+    return (np.bincount(at, 32 * ls, minlength=len(idx)), np.column_stack((
+        3 * block, block + np.bincount(at[o], out[o] + most[opair[o]], len(idx)),
+        np.bincount(at[o], out[o], len(idx)) + np.where(ranks(lead) == 0, widest, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -808,12 +824,17 @@ def verify_axioms(
     property of the coproduct.  Haar faithfulness and Delta(a*) = Delta(a)*
     hold by construction and are test oracles.  Window bundles get each check
     on its admissible blocks; anything unreachable is skipped explicitly.
-    Each sampled row draws its samples in groups within half of CHUNK_BYTES
-    (sample_draws) and runs a group's pairs in chunks within the rest
-    (chunks): a chunk plans its index work once and runs each product once
-    for the group's samples, stacked after the block axis, or per batch of
-    samples when its pairs do not fit; sums carry over the chunks.
+    Each sampled row counts the bytes its items hold (delta_cost and the
+    row's own phases), draws its samples in groups that get what the row's
+    largest chunk of one run and one sample leaves of CHUNK_BYTES
+    (sample_draws, lone), and runs a group's pairs in chunks within the rest
+    (chunks, one walk): a chunk plans its index work once and runs each
+    product once for the group's samples, stacked after the block axis, or
+    per batch of samples when its pairs do not fit; sums carry over the
+    chunks.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rep = Report("hopf-axioms")
     rng = np.random.default_rng(seed)
     b = q.bundle
@@ -872,12 +893,12 @@ def verify_axioms(
     res, scale = [0.0], [1.0]
     fst, finv = _haar_stacks(q, "left")[0], _haar_stacks(q, "right")[0]
     # a, per antipode a gather and two products, ad f(a) and a difference
-    for _, (a,) in sample_draws(q, rng, n_small, 1, kept=10):
+    for _, (a,) in sample_draws(q, rng, n_small, 1, None, 10, 0):
         s2 = antipode(q, antipode(q, a))
         adf = {d: fst[d][:, None] @ m @ finv[d][:, None] for d, m in a.items()}
         res += [max_abs(s2[d] - adf[d]) for d in adf]
         scale += [max_abs(m) for m in adf.values()]
-    del a, s2, adf
+        del a, s2, adf  # before the next group's
     res, scale = worst(*res), worst(*scale)
     rep.add("5-s-squared-ad-f", "samples", res, res <= tol.bound(scale))
     sf = antipode(q, {d: m[:, None] for d, m in fst.items()})
@@ -904,11 +925,11 @@ def verify_axioms(
 
     # (8) homomorphism property of Delta: one Delta of a, ac and c, sample
     # t's at 3t, 3t + 1 and 3t + 2; then three blocks, a product, a difference
-    res, scale = [0.0], [1.0]
+    res, scale = 0.0, 1.0
     pairs = np.arange(len(lay.pairs))
-    fixed, work = delta_cost(q, pairs)
-    phases = np.column_stack((3 * work, 80 * lay.pair_size ** 2))
-    for ng, (a, c) in sample_draws(q, rng, n_small, 2, kept=3):
+    fixed, block, work = delta_cost(q, pairs)
+    phases = np.column_stack((3 * (block + work), 5 * block))
+    for ng, (a, c) in sample_draws(q, rng, n_small, 2, None, 3, lone(pairs, fixed, phases)):
         cn = np.maximum(1.0, _sample_max(*c.values()))
         x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d)
              for d, m in a.items()}
@@ -916,11 +937,12 @@ def verify_axioms(
             plan = DeltaPlan(q, b.labels, pairs[lo:hi])
             for s in batches:
                 dx = delta_stacks(_at(x, slice(3 * s.start, 3 * s.stop)), plan)[0]
-                res.append(worst(*(max_abs(m[:, 1::3] - m[:, 0::3] @ m[:, 2::3])
-                                   for m in dx.values())))
-                scale.append(worst(*(max_abs(m[:, 0::3]) * cn[s] for m in dx.values())))
+                res = worst(res, *(max_abs(m[:, 1::3] - m[:, 0::3] @ m[:, 2::3])
+                                   for m in dx.values()))
+                scale = worst(scale, *(max_abs(m[:, 0::3]) * cn[s] for m in dx.values()))
                 del dx  # before the next batch's
-    res, scale = worst(*res), worst(*scale)
+            del plan
+        del a, c, x
     rep.add("8-delta-homomorphism", "all pairs", res, res <= tol.bound(scale))
     return rep
 
@@ -936,7 +958,10 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     lay, n_lab = q.bundle.layout, len(q.labels)
     res, scale = [0.0], [1.0]
     at = np.array([lay.label_index[k] for k in sample], dtype=int)
-    for ng, (a, c) in sample_draws(q, rng, n, 2, sample):
+    held, cut_chunks = zip(*(_cut_chunks(q, sample, (leg,), whole_leads=True,
+                                         extra=lambda k, idx, t1=leg == 2: _t_inverse_cost(
+                                             q, idx, t1)) for leg in (2, 1)))
+    for ng, (a, c) in sample_draws(q, rng, n, 2, sample, 0, max(held)):
 
         def compare(leg, lead, where, back, s):
             pairs = (at[:, None] * n_lab + lead if leg == 2
@@ -945,17 +970,14 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
             for (di, dj), sel in group_by(lay.dims[first], lay.dims[second]):
                 want = bkron(a[di][lay.block_of[first[sel]], s],
                              c[dj][lay.block_of[second[sel]], s])
-                p = where[pairs[sel]]
-                got = np.zeros_like(want)
-                got[p >= 0] = back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
-                res.append(max_abs(got - want))
                 scale.append(max_abs(want) if leg == 2 else 0.0)  # once a block
+                p = where[pairs[sel]]
+                want[p >= 0] -= back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
+                res.append(max_abs(want))
 
-        for leg, (x, y, side) in ((2, (a, c, "right")), (1, (c, a, "left"))):
+        for leg, (x, y, side), cut in zip((2, 1), ((a, c, "right"), (c, a, "left")), cut_chunks):
             taken = np.zeros(n_lab, dtype=bool)
-            for cuts, batches in _cut_chunks(
-                    q, sample, (leg,), ng, _nbytes(a, c), whole_leads=True,
-                    extra=lambda k, idx: _t_inverse_cost(q, idx, leg == 2)):
+            for cuts, batches in cut(ng, _nbytes(a, c)):
                 inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
                 lead = distinct(cuts.lead[0])
                 taken[lead] = True
@@ -964,5 +986,7 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
                                                 _at(y, s), 0, (side,))[0], s.stop - s.start)
                     compare(leg, lead, inv.where, back, s)
                     del back
+                del cuts, inv
             compare(leg, at[~taken[at]], np.full(n_lab * n_lab, -1), {}, slice(None))
+        del a, c, x, y  # before the next group's
     return worst(*res), worst(*scale)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks, sample_draws
+from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks, lone, sample_draws
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
@@ -102,6 +102,8 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     unitarity for an R-matrix, blockwise over the loaded pairs.  The items
     of a row follow loops over labels in label order, and run as one
     stacked product per group of block dimensions."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rep = Report("quasitriangular")
     b, lay = q.bundle, q.bundle.layout
     n, d = len(q.labels), lay.dims
@@ -132,13 +134,14 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     both = lay.complete_pair & lay.complete_pair.reshape(n, n).T.reshape(-1)
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
-    fixed, work = (x.reshape(2, -1).sum(0)
-                   for x in delta_cost(q, np.append(pf, j * n + i)))
+    fixed, block, work = (x.reshape(2, -1).sum(0)
+                          for x in delta_cost(q, np.append(pf, j * n + i)))
     res = [0.0]
-    # a chunk holds the Delta work of its pairs and their flips, then per
-    # sample both blocks, their gathered copies, four products and a difference
-    phases = np.column_stack((work, 128 * lay.pair_size[pf] ** 2))
-    for ng, (a,) in sample_draws(q, rng, n_samples, 1):
+    # a chunk holds Delta's blocks of its pairs and their flips, first with
+    # Delta's work, then per sample their gathered copies and at most three
+    # products or differences at once
+    phases = np.column_stack((block + work, 4 * block))
+    for ng, (a,) in sample_draws(q, rng, n_samples, 1, None, 0, lone(pf, fixed, phases)):
         for lo, hi, batches in chunks(pf, fixed, phases, ng, sum(x.nbytes for x in a.values())):
             plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))
             for s in batches:
@@ -148,6 +151,9 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
                     rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
                     dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
                     res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
+                del dl, rij, dij, dji  # before the next batch's
+            del plan
+        del a
     res = worst(*res)
     rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
 

@@ -49,9 +49,10 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# memory budget of one chunk of stacked work (the quadruples of an F-move
-# certificate, the pairs and samples of a sampled check, beside the group of
-# samples the check holds), counted from the shapes of what a chunk holds
+# the memory budget of every chunk of stacked work (walk): the quadruples of
+# an F-move certificate and their batches of products, the groups of samples
+# of a sampled check, and its chunks of pairs and batches of samples beside
+# the group; counted from the shapes of what a chunk holds
 CHUNK_BYTES = 1 << 22
 
 
@@ -114,6 +115,28 @@ def flat_stacks(mats) -> tuple[Array, Array, Array, Array, list]:
     for stack, ms in zip(stacks, lists):
         np.concatenate(ms, out=stack.reshape((-1,) + stack.shape[2:]))
     return flat, lo[shape] + slot * sizes[shape], shape, slot, stacks
+
+
+def walk(cost, held=0, key=None) -> list[tuple[int, int]]:
+    """The chunks of the items in order, as ranges (lo, hi) within
+    CHUNK_BYTES beside held bytes.  Item x holds cost[x], or cost[x, t] in
+    phase t of its chunk, which holds the most of its phases' sums.  A chunk
+    takes whole runs of equal key (each item is a run without one) while
+    they fit, or one run alone when it does not fit."""
+    cost = np.asarray(cost)
+    cost = cost.reshape(1, -1) if cost.ndim == 1 else cost.T  # phase by item
+    total = np.zeros((len(cost), cost.shape[1] + 1))
+    np.cumsum(cost, axis=1, out=total[:, 1:])
+    ends = (np.arange(1, cost.shape[1] + 1) if key is None
+            else np.append(np.flatnonzero(np.diff(key)) + 1, cost.shape[1]))
+    edge, out, run = total[:, ends], [(0, 0)], 0
+    while out[-1][1] < cost.shape[1]:  # each phase's sums never fall as a chunk grows
+        lo = out[-1][1]
+        fit = min(np.searchsorted(e, t, side="right")
+                  for e, t in zip(edge, total[:, lo] + (CHUNK_BYTES - held)))
+        run = max(int(fit), run + 1)
+        out.append((lo, int(ends[run - 1])))
+    return out[1:]
 
 
 def distinct(x) -> Array:
@@ -186,76 +209,52 @@ def zero_stacks(sizes) -> tuple[Array, dict]:
     return pos, {(d, d): np.zeros((c, d, d), dtype=complex) for d, c in count.items()}
 
 
+def ranks(sums) -> Array:
+    """The place of every item among the items of its sum sums[x], in item
+    order.  Items added rank by rank reach every sum in increasing item
+    number, one at a time, so every sum rounds exactly like a sequential
+    loop."""
+    order = np.argsort(sums, kind="stable")
+    rank = np.empty(len(sums), dtype=int)
+    rank[order] = np.arange(len(sums)) - np.searchsorted(sums[order], sums[order])
+    return rank
+
+
 def add_in_order(out: dict, pos: Array, parts) -> dict:
     """Accumulate stacked item results into per-segment sums, in item order.
 
     parts yields (numbers, P): P[t] is the result of item numbers[t].  Each
-    item n is added to out[P.shape[1:]][pos[n]], where out maps a matrix shape
-    to a stack of sums that start at zero.  Items are added in increasing n,
-    whatever group they were computed in, so every sum rounds exactly like a
-    sequential loop.  The adds go in rank steps: step r adds the r-th item of
-    every segment at once.  The schedule is order_plan's, which work repeated
-    on the same items plans once and runs through add_planned.
+    item n is added to out[P.shape[-2:]][pos[n]], where out maps a matrix
+    shape to a stack of sums that start at zero.  The schedule is
+    order_plan's, which work repeated on the same items plans once and runs
+    through add_planned.
     """
     parts = list(parts)
-    plan = order_plan(pos, [n for n, _ in parts], [p.shape[1:] for _, p in parts])
-    return add_planned(out, plan, lambda g: parts[g][1])
+    return add_planned(out, order_plan(pos, [n for n, _ in parts]), [p for _, p in parts])
 
 
-def order_plan(pos: Array, numbers, shapes) -> list:
+def order_plan(pos: Array, numbers) -> list:
     """The schedule of add_in_order for parts known before their results:
-    part g holds the items numbers[g], whose results have shape shapes[g].
+    part g holds the items numbers[g].
 
-    Per result shape it lists the parts of that shape and the rank steps,
-    each as (rows, targets): rows of the parts' concatenated results, added
-    to the sums pos[items] at targets.  When every step adds one item, as
-    when all items of a shape go to one sum, the steps are instead
-    (part, row, target) triples, and the results are not concatenated.
+    It lists the steps (part, rows, targets) rank by rank (ranks): rows of
+    the part's results, added at once to the sums pos[items] at targets,
+    one item a sum.
     """
-    grouped: dict[tuple, list[int]] = {}
-    for g, shape in enumerate(shapes):
-        grouped.setdefault(tuple(shape), []).append(g)
-    plan = []
-    for shape, gs in grouped.items():
-        nums = np.concatenate([numbers[g] for g in gs])
-        where = pos[nums]
-        if len(where) and (where == where[0]).all():  # one sum: one item a step
-            part = np.repeat(np.arange(len(gs)), [len(numbers[g]) for g in gs])
-            row = np.arange(len(part)) - np.searchsorted(part, part)
-            order = np.argsort(nums, kind="stable")
-            plan.append((shape, gs, [(k, r, int(where[0])) for k, r in
-                                     zip(part[order].tolist(), row[order].tolist())]))
-            continue
-        order = np.lexsort((nums, where))
-        seg = where[order]
-        start = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
-        length = np.diff(np.append(start, len(seg)))
-        steps = []
-        for r in range(int(length.max(initial=0))):
-            sel = order[start[length > r] + r]
-            steps.append((sel, where[sel]))
-        plan.append((shape, gs, steps))
-    return plan
+    nums = np.concatenate(numbers) if len(numbers) else np.zeros(0, dtype=int)
+    part, row = ranges(np.zeros(len(numbers), dtype=int), [len(n) for n in numbers])
+    order = np.argsort(nums, kind="stable")
+    rank = np.empty(len(nums), dtype=int)
+    rank[order] = ranks(pos[nums[order]])
+    return [(int(part[sel[0]]), row[sel], pos[nums[sel]])
+            for _, sel in split_by(rank * len(numbers) + part)]
 
 
-def add_planned(out: dict, plan: list, part) -> dict:
-    """add_in_order on the schedule plan of order_plan: part(g) is the
-    stacked result of part g.  Results are asked for one shape at a time,
-    so only the results of one shape are held at once; where every step
-    adds one item, a result is asked for at its first step and dropped
-    after its last."""
-    for shape, gs, steps in plan:
-        acc = out[shape]
-        if steps and len(steps[0]) == 3:
-            last, prods = {k: n for n, (k, _, _) in enumerate(steps)}, {}
-            for n, (k, row, where) in enumerate(steps):
-                if k not in prods:
-                    prods[k] = part(gs[k])
-                acc[where] += (prods.pop(k) if last[k] == n else prods[k])[row]
-            continue
-        prod = part(gs[0]) if len(gs) == 1 else np.concatenate([part(g) for g in gs])
-        for sel, where in steps:
-            acc[where] += prod[sel]
+def add_planned(out: dict, plan: list, parts: list) -> dict:
+    """add_in_order on the schedule plan of order_plan: parts[g] is the
+    stacked result of part g, whose sums are out[its matrix shape]."""
+    for g, rows, where in plan:
+        out[parts[g].shape[-2:]][where] += parts[g][rows]
     return out
 
 

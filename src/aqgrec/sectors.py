@@ -22,21 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grading import pair_weights
-from .linalg import (
-    CHUNK_BYTES,
-    bdagger,
-    bkron,
-    distinct,
-    eye,
-    frozen_eye,
-    group_by,
-    max_abs,
-    ranges,
-)
-
-# the bytes that a batch of path products, or of G, holds beyond the rest of
-# its chunk (_batches); the chunks themselves get the rest of CHUNK_BYTES
-_PRODUCTS = CHUNK_BYTES // 8
+from . import linalg
+from .linalg import bdagger, bkron, distinct, eye, frozen_eye, group_by, max_abs, ranges, walk
 
 
 def certificate(lay):
@@ -61,7 +48,7 @@ def certificate(lay):
     plan = _Plan(lay, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1,
                  [(v, w, np.searchsorted(quad_key, key)) for (_, v, w), key in zip(sides, keys)])
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
-    for lo, hi in _chunks(plan.tri, plan.cost, CHUNK_BYTES - _PRODUCTS):
+    for lo, hi in walk(plan.cost + plan.room, key=plan.tri):
         res[lo:hi], fmats[lo:hi] = plan.chunk(lo, hi)
     return triples, quads, res, fmats
 
@@ -205,18 +192,20 @@ class _Plan:
         at = W.find(tri[bq], S.weight[h])
         n = np.add.reduceat(cells, W.start) if len(cells) else cells
         self.n, self.r = np.where(at >= 0, n[np.maximum(at, 0)], 0), S.size[h]
-        self.cost = self._cost(bq, head)
+        self.cost, self.room = self._cost(bq, head)
 
     def _cost(self, bq, head):
-        """The bytes that each quadruple holds in a chunk, 16 a complex and 8
-        an integer entry of the arrays of chunk and _scatter: U, W, 24
-        integers a block and the rows' places throughout, and the most of
-        what each step holds in turn: 11 integers a row while the places are
-        found; 14 integers an item of _scatter and 12 a column of a left or 8
-        a row of a right one; G with its traces, concatenation, M (x) I,
-        difference, moduli and M with its checks; and for the last three what
-        a batch of one path or block holds beyond half of _PRODUCTS."""
-        lay, S, n_q, half = self.lay, self.S, len(self.qm), _PRODUCTS // 2
+        """(cost, room): cost[q, t] is what quadruple q holds in phase t of
+        its chunk, 16 bytes a complex and 8 an integer entry of the arrays of
+        chunk and _scatter: U, W, 24 integers a block and the rows' places
+        throughout, and in turn 11 integers a row while the places are found;
+        14 integers an item of _scatter and 12 a column of a left or 8 a row
+        of a right one; G with its traces, concatenation, M (x) I,
+        difference, moduli and M with its checks.  A phase's batches of path
+        products or of G get what its chunk leaves, and room[q, t] is what
+        q leaves for them: the batch of its largest path (the gathered
+        blocks, products and indices) or of its largest block of G."""
+        lay, S, n_q = self.lay, self.S, len(self.qm)
         (v, w, p, p0), (vv, ww, pp, pp0) = self.paths
         one = np.bincount(bq, self.n * self.r, minlength=n_q).astype(int)  # a path's U or W
         rows = np.zeros(n_q, dtype=int)
@@ -229,21 +218,28 @@ class _Plan:
             total = np.concatenate(([0], np.cumsum(x)))
             return total[start + count] - total[start]
 
-        left = per_quad(p0, p, 112 * self.left.count[w] + 96 * l(self.left.size[1])[w]
-                        + np.maximum(24 * np.repeat(one, p)
-                                     + 16 * (f(self.first.n)[v] + l(self.left.n)[w]) - half, 0))
-        right = per_quad(pp0, pp, 112 * self.right.count[ww] + 64 * lay.dims[i]
-                         * f(self.first.size[0])[vv] + np.maximum(24 * np.repeat(one, pp) + 16 * (
-                             S.n[i] * f(self.first.n)[vv] + r(self.right.n)[ww]) - half, 0))
-        g = np.bincount(bq, 88 * (p * pp)[bq] * self.r ** 2 + np.maximum(
-            16 * self.n * pp[bq] * self.r - half, 0), minlength=n_q).astype(int)
-        return (16 * (p + pp) * one + 192 * self.count + 8 * rows + np.maximum.reduce(
-            [88 * rows, left, right, g + 64 * (p * p + pp * pp) + 16 * p * pp]))
+        left = per_quad(p0, p, 112 * self.left.count[w] + 96 * l(self.left.size[1])[w])
+        right = per_quad(pp0, pp, 112 * self.right.count[ww]
+                         + 64 * lay.dims[i] * f(self.first.size[0])[vv])
+        g = np.bincount(bq, 88 * (p * pp)[bq] * self.r ** 2, minlength=n_q).astype(int)
+
+        def most(start, count, x):  # the largest x of each quadruple's paths or blocks
+            return np.where(count > 0, np.maximum.reduceat(np.append(x, 0), start), 0)
+
+        room = np.column_stack((0 * p, most(p0, p, 24 * np.repeat(one, p) + 16 * (
+            f(self.first.n)[v] + l(self.left.n)[w])), most(pp0, pp, 24 * np.repeat(one, pp) + 16 * (
+                S.n[i] * f(self.first.n)[vv] + r(self.right.n)[ww])),
+            most(self.bfirst, self.count, 16 * self.n * pp[bq] * self.r)))
+        return (16 * (p + pp) * one + 192 * self.count + 8 * rows)[:, None] + np.column_stack(
+            (88 * rows, left, right, g + 64 * (p * p + pp * pp) + 16 * p * pp)), room
 
     def chunk(self, lo, hi):
         """Residuals and F-matrices of the quadruples lo:hi, whole triples: the
         blocks of U and of W lie in two flat buffers by (p, p', r, n)."""
         S, dims, count = self.S, self.lay.dims, self.count[lo:hi]
+        # what the batches of each phase find held: a chunk of one triple
+        # that overruns the budget still leaves them the room it counts
+        held = np.minimum(self.cost[lo:hi].sum(0), linalg.CHUNK_BYTES - self.room[lo:hi].sum(0))
         tri, m = self.tri[lo:hi], self.qm[lo:hi]
         qp, qpp = (c[lo:hi] for _, _, c, _ in self.paths)
         bq = np.repeat(np.arange(hi - lo), count)
@@ -267,7 +263,7 @@ class _Plan:
         tlo = np.cumsum(S.sizes[ij] * S.sizes[k]) - S.sizes[ij] * S.sizes[k]
         for side in (0, 1):
             self._scatter(side, lo, hi, buffers[side], offsets[side], bfirst - S.first[m],
-                          (qp, qpp)[side], place, tlo[tri - tri[0]])
+                          (qp, qpp)[side], place, tlo[tri - tri[0]], held[1 + side])
         # per class of equal (p, p'), the r-traces of its blocks in block
         # order (block b at at[b]), which sum to M per quadruple
         classes = list(group_by(qpp, qp))
@@ -277,7 +273,9 @@ class _Plan:
         at = tfirst[bq] + np.arange(len(bq)) - bfirst[bq]
         traces = [np.zeros((count[qs].sum(), b, a), dtype=complex) for (b, a), qs in classes]
         key = np.stack((p, pp, r, n))[:, order]
-        cuts = _batches(np.diff(key, axis=1, prepend=-1).any(axis=0), (16 * n * pp * r)[order])
+        new = np.flatnonzero(np.diff(key, axis=1, prepend=-1).any(axis=0)).tolist()
+        cuts = sorted({b for b, _ in walk((16 * n * pp * r)[order], held[3])}.union(new))
+        cuts.append(len(bq))
         products = {}
         for b0, b1, (a, b, rr, nn, u0, w0, c) in zip(cuts[:-1], cuts[1:], np.stack(
                 (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, order[cuts[:-1]]].T.tolist()):
@@ -302,7 +300,7 @@ class _Plan:
                 fmats[q] = x
         return res, fmats
 
-    def _scatter(self, side, lo, hi, out, off, block, width, place, tlo):
+    def _scatter(self, side, lo, hi, out, off, block, width, place, tlo, held):
         """Scatter the path products of one side (0 left, 1 right) of the
         quadruples lo:hi into out, where quadruple lo + q has width[q] paths,
         rows from tlo[q] on in place and the block of sector h of its m at
@@ -310,7 +308,8 @@ class _Plan:
         factor (on the right stacked over the a of a sector of i); its product
         is the path's first-factor block R x X of that sector of the middle
         label times it, entry (rho, c d_m + e) going to row (ab, c), column e
-        on the left, entry (a, rho, e) to row a d_j d_k + bc on the right."""
+        on the left, entry (a, rho, e) to row a d_j d_k + bc on the right.
+        The items run in batches within CHUNK_BYTES beside the held bytes."""
         S, dims, first, second = self.S, self.lay.dims, self.first, (self.left, self.right)[side]
         v, w, count, start = self.paths[side]
         q = np.repeat(np.arange(hi - lo), count[lo:hi])
@@ -343,9 +342,11 @@ class _Plan:
                  + S.pos[S.start[first.g[0][A]][t] + z])
             row = (width[q] * C)[t] * place[tlo[q][t] + z]
             col = off[block[q] + second.g[2][B]] + slot * C
-        # in batches of one shape: the gathered blocks, products and indices
-        cuts = _batches(np.diff(code, prepend=-1) != 0,
-                        16 * (first.n[A] + second.n[B]) + 24 * alpha * R * C)
+        # in batches of one shape within what the chunk leaves beside held:
+        # the gathered blocks, products and indices
+        size, new = 16 * (first.n[A] + second.n[B]) + 24 * alpha * R * C, np.diff(code, prepend=-1)
+        cuts = sorted({b for b, _ in walk(size, held)}.union(np.flatnonzero(new).tolist()))
+        cuts.append(len(code))
         at = np.cumsum(np.append(0, alpha * R if side else C))[cuts].tolist()
         heads, fa, sb = cuts[:-1], first.slot[A], second.slot[B]
         for b, (i0, i1, f, s) in enumerate(zip(heads, cuts[1:], first.shape[A[heads]].tolist(),
@@ -362,19 +363,3 @@ class _Plan:
                         + (col[i0:i1, None] + np.arange(cc)).reshape(N, 1, 1, cc))
             out[dest] = prod
 
-
-def _batches(new, size):
-    """Batch bounds: where new is true or the sizes' running total passes a
-    multiple of _PRODUCTS / 2, so a batch holds less than that and its first."""
-    step = np.cumsum(size) // (_PRODUCTS // 2)
-    return np.flatnonzero(new | (np.diff(step, prepend=-1) != 0)).tolist() + [len(size)]
-
-
-def _chunks(tri, cost, budget):
-    """Ranges (lo, hi) of whole triples costing at most budget, or of one triple."""
-    bounds = [0] + (np.flatnonzero(np.diff(tri)) + 1).tolist() + [len(tri)] if len(tri) else [0]
-    total, cuts = np.cumsum(np.add.reduceat(cost, bounds[:-1])) if len(tri) else [], [0]
-    while cuts[-1] < len(total):
-        done = total[cuts[-1] - 1] if cuts[-1] else 0
-        cuts.append(max(int(np.searchsorted(total, done + budget, side="right")), cuts[-1] + 1))
-    return [(bounds[a], bounds[b]) for a, b in zip(cuts[:-1], cuts[1:])]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from aqgrec import aqg
+from aqgrec import aqg, linalg
 from aqgrec.aqg import (
     Aqg,
     ConjInconsistent,
@@ -590,16 +590,17 @@ def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
     # in one chunk: each product runs on the same blocks, and every sum by
     # label adds its items in the same order, so every row reads the same bits
     q = shipped_aqgs.get(name) or reconstruct(gen_suq2(0.5, 8))
-    reports, count, cut = [], [], aqg.chunks
+    reports, count, cut = [], [], aqg.walk
 
-    def chunks(*args):
-        out = list(cut(*args))
-        count.append(len(out))
-        return iter(out)
+    def walk(cost, held=0, key=None):
+        out = cut(cost, held, key)
+        if key is not None:  # a walk of pairs, not of samples
+            count.append(len(out))
+        return out
 
-    monkeypatch.setattr(aqg, "chunks", chunks)
+    monkeypatch.setattr(aqg, "walk", walk)
     for budget in (1 << 18 if name == "suq2-q0.5-L8" else 1, 1 << 40):
-        monkeypatch.setattr(aqg, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         rep = verify_axioms(q)
         if q.bundle.braiding is not None:
             rep.extend(verify_quasitriangular(q, braiding_to_r(q)))
@@ -609,7 +610,7 @@ def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
 
 
 def test_sample_batches_bound_the_memory_of_verify_axioms():
-    # the samples of a row run in batches within CHUNK_BYTES, so the peak
+    # the samples of a row run in groups within CHUNK_BYTES, so the peak
     # does not grow with the number of samples
     q = reconstruct(gen_suq2(0.9, 10))
     peaks = []
@@ -623,14 +624,16 @@ def test_sample_batches_bound_the_memory_of_verify_axioms():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-@pytest.mark.parametrize("n_samples", [16, 192])
-def test_verify_axioms_holds_the_chunk_budget(n_samples):
+@pytest.mark.parametrize("L, n_samples", [(10, 16), (10, 192), (12, 64)],
+                         ids=["16", "192", "L12-64"])
+def test_verify_axioms_holds_the_chunk_budget(L, n_samples):
     # after a warm-up call has cached the certificate and the conjugate-pair
     # and Haar stacks, a row holds one group of its samples with their sums
-    # and one chunk of pairs at a time, within CHUNK_BYTES (10.3 MiB when a
-    # batch held every pair of a sample; 4.7 MiB at 192 samples when a row
-    # held all of its samples)
-    q = reconstruct(gen_suq2(0.9, 10))
+    # and one chunk of pairs at a time, within CHUNK_BYTES (10.3 MiB at
+    # L = 10 when a batch held every pair of a sample; 4.7 MiB at 192
+    # samples when a row held all of its samples; 4.2 MiB at L = 12 with 64
+    # samples when a group took half of the budget whatever its row held)
+    q = reconstruct(gen_suq2(0.9, L))
     verify_axioms(q)
     tracemalloc.start()
     try:
@@ -639,6 +642,16 @@ def test_verify_axioms_holds_the_chunk_budget(n_samples):
     finally:
         tracemalloc.stop()
     assert peak <= CHUNK_BYTES, peak
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_a_check_without_samples_is_refused(shipped_aqgs, n_samples):
+    # a sampled row with no samples is a check that cannot fail
+    q = shipped_aqgs["pointed-z3-t1"]
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_axioms(q, n_samples=n_samples)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_quasitriangular(q, braiding_to_r(q), n_samples=n_samples)
 
 
 def test_t_matrices_are_invertible_on_closed_bundles(closed_aqgs):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqgrec import sectors
+from aqgrec import linalg, sectors
 from aqgrec.aqg import reconstruct, verify_axioms
 from aqgrec.bundle import (
     BundleSyntaxError,
@@ -233,7 +233,7 @@ def test_window_validation_memory():
 def test_fmove_chunks_stay_within_the_budget(monkeypatch):
     # a chunk of the certificate holds U, W, G, the rows' places and the
     # index arrays of its items, and a batch of products or of G at most
-    # sectors._PRODUCTS more, so the peak stays within CHUNK_BYTES of the
+    # what the chunk leaves, so the peak stays within CHUNK_BYTES of the
     # peak before the first chunk
     _trace_fmove_chunks(monkeypatch, gen_suq2(0.5, 8).layout)
 
@@ -246,40 +246,37 @@ def test_fmove_chunks_stay_within_the_budget_without_weights(monkeypatch):
 
 @pytest.mark.parametrize("weights", [True, False])
 def test_fmove_product_batches_stay_within_a_small_budget(monkeypatch, weights):
-    # with a budget of 1 MiB, of which sectors._PRODUCTS is 32 KiB, _batches
-    # cuts the path products and G of a chunk into several batches of at
-    # most 16 KiB each; the certificate is bitwise the default one and the
-    # peak stays within the budget (one triple costs up to 579 KiB)
+    # with a budget of 1 MiB the walk cuts the path products and G of a
+    # chunk into several batches within what the chunk leaves; the
+    # certificate is bitwise the default one and the peak stays within the
+    # budget
     b = gen_suq2(0.5, 8)
     b = b if weights else dataclasses.replace(b, weights=None)
     want = b.layout.fmoves
-    budget, split, cut = 1 << 20, [], sectors._batches
-
-    def batches(new, size):
-        bounds = cut(new, size)
-        split.append(len(bounds) - 1 > np.count_nonzero(new))
-        return bounds
-
-    monkeypatch.setattr(sectors, "CHUNK_BYTES", budget)
-    monkeypatch.setattr(sectors, "_PRODUCTS", budget // 32)
-    monkeypatch.setattr(sectors, "_batches", batches)
-    got = _trace_fmove_chunks(monkeypatch, dataclasses.replace(b).layout, budget)
-    assert any(split)
+    budget = 1 << 20
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+    got, split = _trace_fmove_chunks(monkeypatch, dataclasses.replace(b).layout, budget)
+    assert split
     for x, y in zip(got[:3], want[:3]):
         assert np.array_equal(x, y)
     assert all(np.array_equal(x, y) for x, y in zip(got[3], want[3]))
 
 
 def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
-    before, cut = [], sectors._chunks
+    # the walk of the quadruples takes the triples as its key; the walks of
+    # the batches take none
+    before, split, cut = [], [], sectors.walk
 
-    def chunks(*args):
-        before.append(tracemalloc.get_traced_memory()[1])
-        ranges = cut(*args)
-        assert len(ranges) > 1  # the budget binds
+    def walk(cost, held=0, key=None):
+        ranges = cut(cost, held, key)
+        if key is not None:
+            before.append(tracemalloc.get_traced_memory()[1])
+            assert len(ranges) > 1  # the budget binds
+        else:
+            split.append(len(ranges) > 1)
         return ranges
 
-    monkeypatch.setattr(sectors, "_chunks", chunks)
+    monkeypatch.setattr(sectors, "walk", walk)
     tracemalloc.start()
     try:
         got = lay.fmoves
@@ -287,7 +284,7 @@ def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
     finally:
         tracemalloc.stop()
     assert peak - before[0] <= budget, (peak, before)
-    return got
+    return got, any(split)
 
 
 def test_fmove_with_a_missing_path_reads_one(shipped_bundles):
