@@ -129,12 +129,12 @@ def walk(cost, held=0, key=None) -> list[tuple[int, int]]:
     np.cumsum(cost, axis=1, out=total[:, 1:])
     ends = (np.arange(1, cost.shape[1] + 1) if key is None
             else np.append(np.flatnonzero(np.diff(key)) + 1, cost.shape[1]))
-    edge, out, run = total[:, ends], [(0, 0)], 0
+    out, run = [(0, 0)], 0
     while out[-1][1] < cost.shape[1]:  # each phase's sums never fall as a chunk grows
         lo = out[-1][1]
-        fit = min(np.searchsorted(e, t, side="right")
-                  for e, t in zip(edge, total[:, lo] + (CHUNK_BYTES - held)))
-        run = max(int(fit), run + 1)
+        fit = min(np.searchsorted(t, b, side="right")  # the items lo:fit fit
+                  for t, b in zip(total, total[:, lo] + (CHUNK_BYTES - held))) - 1
+        run = max(int(np.searchsorted(ends, fit, side="right")), run + 1)
         out.append((lo, int(ends[run - 1])))
     return out[1:]
 
