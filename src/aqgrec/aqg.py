@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .bundle import CategoryBundle, validate_bundle
 from .errors import ConjInconsistent, InconsistentSolve, InvalidBundle
 from .linalg import (
@@ -213,19 +214,22 @@ def sample_draws(q: Aqg, rng, n: int, k: int, support, kept: int, held: int):
 
 def chunks(key, fixed, phases, n: int, held: int):
     """(lo, hi, slices of the n samples) per chunk of a row's items (walk):
-    item p holds fixed[p] bytes and phases[p, t] a sample in phase t of its
+    item p holds fixed[p] bytes and phases[t, p] a sample in phase t of its
     chunk, which takes whole runs of equal key beside held; a run that does
     not fit alone runs its samples in slices."""
-    for lo, hi in walk(fixed[:, None] + n * phases, held, key):
-        per = phases[lo:hi].sum(axis=0).max()
+    for lo, hi in walk(fixed + n * phases, held, key):
+        per = phases[:, lo:hi].sum(axis=1).max()
         yield lo, hi, [slice(*r) for r in walk(np.full(n, per), held + fixed[lo:hi].sum())]
 
 
 def lone(key, fixed, phases) -> int:
-    """The bytes of a row's largest chunk of one run and one sample (chunks),
-    which its groups of samples leave free (sample_draws)."""
-    runs = np.flatnonzero(np.diff(key, prepend=-1))
-    return int(np.add.reduceat(fixed[:, None] + phases, runs).max()) if len(key) else 0
+    """The bytes of a row's largest chunk of one run and one sample (chunks)
+    within CHUNK_BYTES, which its groups of samples leave free
+    (sample_draws).  A run that overruns the budget alone overruns it
+    whatever its group holds, and does not shrink the groups."""
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))[:len(key)]
+    runs = np.add.reduceat(fixed + phases, start, axis=1).max(axis=0, initial=0)
+    return int(np.max(runs[runs <= linalg.CHUNK_BYTES], initial=0))
 
 
 def _at(a: dict, s: slice) -> dict:
@@ -315,7 +319,8 @@ class DeltaPlan:
 
 def _places(at):
     """The increasing places at of a stack, as a slice when they are
-    consecutive: their sums are then added in place, without a read."""
+    consecutive: their sums are then added in place, without the read
+    (a copy) and the write of an index."""
     lo, hi = int(at[0]), int(at[-1]) + 1
     return slice(lo, hi) if hi - lo == len(at) else at
 
@@ -324,16 +329,18 @@ def delta_cost(q: Aqg, pairs, have=None) -> tuple[Array, Array, Array]:
     """(fixed, block, work): the bytes of Delta on each of the pairs for a
     on the labels have (a mask; all by default), 16 a complex entry: V and
     V* of its channels; per sample its block; and per sample, while Delta
-    runs, one channel's product and its read in the sum (V a and a's block
-    before them are smaller)."""
+    runs, one channel's product with, before it, a's block and V a or,
+    after it, its read in the sum."""
     lay = q.bundle.layout
     at, chans = lay.channels_of(pairs)
     if have is not None:
         use = have[lay.chan_label[chans]]
         at, chans = at[use], chans[use]
-    s = lay.pair_size[pairs]
-    return (np.bincount(at, 32 * s[at] * lay.dims[lay.chan_label[chans]], minlength=len(pairs)),
-            16 * s * s, 32 * s * s)
+    s, d = lay.pair_size[pairs], lay.dims[lay.chan_label[chans]]
+    most = np.zeros(len(pairs), dtype=int)
+    np.maximum.at(most, at, d * d + s[at] * d)
+    return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)), 16 * s * s,
+            16 * (s * s + np.maximum(most, s * s)))
 
 
 def delta_stacks(a: dict, plan: DeltaPlan):
@@ -348,7 +355,9 @@ def delta_stacks(a: dict, plan: DeltaPlan):
     n = next(iter(a.values())).shape[1]
     out = {(d, d): np.zeros((c, n, d, d), dtype=complex) for d, c in plan.count.items()}
     for v, vd, blk, slot in plan.work:
-        out[(v.shape[1],) * 2][slot] += v[:, None] @ a[v.shape[2]][blk] @ vd[:, None]
+        x = v[:, None] @ a[v.shape[2]][blk] @ vd[:, None]
+        out[(v.shape[1],) * 2][slot] += x  # read after the product is made
+        del x  # before the next one
     return out, plan.slot
 
 
@@ -398,10 +407,11 @@ def _cut_chunks(q: Aqg, support, legs, others=None, sides: int = 1, extra=None,
     whole_leads a chunk takes each n's pairs whole.  A chunk holds Delta's
     blocks with Delta's work (delta_cost), then per cut k in turn Delta's
     blocks and extra(k, idx) = (fixed, per_sample), per pair of the cut and
-    per sample in each phase of its own, the later ones without Delta's
-    blocks: by default one phase, a block of Delta and of c (x) 1 being
-    cut, the products on `sides` sides and two blocks of their consumer (an
-    einsum's copy of the products it contracts, and its results)."""
+    per sample in each phase (row of per_sample) of its own, the later ones
+    without Delta's blocks: by default one phase, a block of Delta and of
+    c (x) 1 being cut, the products on `sides` sides and two blocks of their
+    consumer (an einsum's copy of the products it contracts, and its
+    results)."""
     lay = q.bundle.layout
     n_lab, li = len(lay.dims), lay.label_index
     have = np.zeros(n_lab, dtype=bool)
@@ -420,11 +430,11 @@ def _cut_chunks(q: Aqg, support, legs, others=None, sides: int = 1, extra=None,
     fixed, block, work = delta_cost(q, pairs, have)
     phases = [block + work]
     for k, i in enumerate(idx):
-        f, x = extra(k, i) if extra else (0, (sides + 4) * block[at[i], None])
+        f, x = extra(k, i) if extra else (0, (sides + 4) * block[None, at[i]])
         fixed[at[i]] += f
-        x = [np.bincount(at[i], y, len(pairs)) for y in x.T]
+        x = [np.bincount(at[i], y, len(pairs)) for y in x]
         phases += [block + x[0]] + x[1:]  # Delta's blocks until cut k is made
-    key, phases = key // n_lab if whole_leads else key, np.column_stack(phases)
+    key, phases = key // n_lab if whole_leads else key, np.array(phases)
     return lone(key, fixed, phases), lambda n, held: (
         (_Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches)
         for lo, hi, batches in chunks(key, fixed, phases, n, held))
@@ -443,7 +453,8 @@ def _cut_row(q: Aqg, rng, n: int, support, legs, sides, check, plan=None, others
         got = [[_zero_batch(lay, ng, c) for _ in s] for s in sides]
         for cuts, batches in cut_chunks(ng, _nbytes(a, c, *(x for g in got for x in g))):
             adds = [(plan(q, cuts, k).parts if plan else list,
-                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]]))
+                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
+                                [dl for dl, *_ in cuts.classes[k]]))
                     for k in range(len(legs))]
             for s in batches:
                 da = delta_stacks(_at(a, s), cuts.plan)[0]
@@ -685,15 +696,13 @@ class _TInversePlan:
         pair p at out[(s, s)][where[p]], s = d_p1 d_p2."""
         out = {(s, s): np.zeros((c, n, s, s), dtype=complex) for s, c in self.count.items()}
         for c, rows, di, dj, dn, left, right, where in self.work:
-            xs = x[c][rows]
             if self.t1:
-                z = (left[:, None] @ xs).reshape(-1, n, dn, di, dj)
-                out[(dn * dj,) * 2][where] += (right[:, None, None] @ z).reshape(
-                    -1, n, dn * dj, dn * dj)
+                y = right[:, None, None] @ (left[:, None] @ x[c][rows]).reshape(-1, n, dn, di, dj)
             else:
-                y = (xs @ right[:, None]).reshape(-1, n, di, dj, dn)
-                out[(di * dn,) * 2][where] += (left[:, None, None] @ y).reshape(
-                    -1, n, di * dn, di * dn)
+                y = left[:, None, None] @ (x[c][rows] @ right[:, None]).reshape(-1, n, di, dj, dn)
+            s = dn * (dj if self.t1 else di)
+            out[(s, s)][where] += y.reshape(-1, n, s, s)  # read after the product is made
+            del y  # before the next one
         return out
 
 
@@ -719,7 +728,7 @@ def _t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
     np.maximum.at(most, opair, np.maximum(16 * (s * s + ls), out + np.maximum(16 * ls, out)))
     widest = 48 * lay.dims[lead] ** 2 * max(c * d * d for d, c in lay.dim_count.items())
     o = ranks(opair) == 0  # the first item of each output block
-    return (np.bincount(at, 32 * ls, minlength=len(idx)), np.column_stack((
+    return (np.bincount(at, 32 * ls, minlength=len(idx)), np.array((
         3 * block, block + np.bincount(at[o], out[o] + most[opair[o]], len(idx)),
         np.bincount(at[o], out[o], len(idx)) + np.where(ranks(lead) == 0, widest, 0))))
 
@@ -928,7 +937,7 @@ def verify_axioms(
     res, scale = 0.0, 1.0
     pairs = np.arange(len(lay.pairs))
     fixed, block, work = delta_cost(q, pairs)
-    phases = np.column_stack((3 * (block + work), 5 * block))
+    phases = np.array((3 * (block + work), 5 * block))
     for ng, (a, c) in sample_draws(q, rng, n_small, 2, None, 3, lone(pairs, fixed, phases)):
         cn = np.maximum(1.0, _sample_max(*c.values()))
         x = {d: np.stack((m, m @ c[d], c[d]), axis=2).reshape(len(m), -1, d, d)

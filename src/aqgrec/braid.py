@@ -140,7 +140,7 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     # a chunk holds Delta's blocks of its pairs and their flips, first with
     # Delta's work, then per sample their gathered copies and at most three
     # products or differences at once
-    phases = np.column_stack((block + work, 4 * block))
+    phases = np.array((block + work, 4 * block))
     for ng, (a,) in sample_draws(q, rng, n_samples, 1, None, 0, lone(pf, fixed, phases)):
         for lo, hi, batches in chunks(pf, fixed, phases, ng, sum(x.nbytes for x in a.values())):
             plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))

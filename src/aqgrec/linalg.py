@@ -50,9 +50,9 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # the memory budget of every chunk of stacked work (walk): the quadruples of
-# an F-move certificate and their batches of products, the groups of samples
-# of a sampled check, and its chunks of pairs and batches of samples beside
-# the group; counted from the shapes of what a chunk holds
+# an F-move certificate and their batches of path products, the groups of
+# samples of a sampled check, and its chunks of pairs and batches of samples
+# beside the group; counted from the shapes of what a chunk holds
 CHUNK_BYTES = 1 << 22
 
 
@@ -119,22 +119,22 @@ def flat_stacks(mats) -> tuple[Array, Array, Array, Array, list]:
 
 def walk(cost, held=0, key=None) -> list[tuple[int, int]]:
     """The chunks of the items in order, as ranges (lo, hi) within
-    CHUNK_BYTES beside held bytes.  Item x holds cost[x], or cost[x, t] in
-    phase t of its chunk, which holds the most of its phases' sums.  A chunk
-    takes whole runs of equal key (each item is a run without one) while
-    they fit, or one run alone when it does not fit."""
-    cost = np.asarray(cost)
-    cost = cost.reshape(1, -1) if cost.ndim == 1 else cost.T  # phase by item
+    CHUNK_BYTES beside held bytes (held[t] in phase t).  Item x holds
+    cost[x], or cost[t, x] in phase t of its chunk, which holds the most of
+    its phases' sums.  A chunk takes whole runs of equal key (each item is
+    a run without one) while they fit, or one run alone when it does not
+    fit."""
+    cost = np.atleast_2d(cost)  # phase by item
     total = np.zeros((len(cost), cost.shape[1] + 1))
     np.cumsum(cost, axis=1, out=total[:, 1:])
     ends = (np.arange(1, cost.shape[1] + 1) if key is None
-            else np.append(np.flatnonzero(np.diff(key)) + 1, cost.shape[1]))
+            else np.flatnonzero(np.concatenate((key[1:] != key[:-1], [True]))) + 1)
     out, run = [(0, 0)], 0
     while out[-1][1] < cost.shape[1]:  # each phase's sums never fall as a chunk grows
         lo = out[-1][1]
-        fit = min(np.searchsorted(t, b, side="right")  # the items lo:fit fit
+        fit = min(t.searchsorted(b, "right")  # the items lo:fit fit
                   for t, b in zip(total, total[:, lo] + (CHUNK_BYTES - held))) - 1
-        run = max(int(np.searchsorted(ends, fit, side="right")), run + 1)
+        run = max(int(ends.searchsorted(fit, "right")), run + 1)
         out.append((lo, int(ends[run - 1])))
     return out[1:]
 
@@ -230,22 +230,25 @@ def add_in_order(out: dict, pos: Array, parts) -> dict:
     through add_planned.
     """
     parts = list(parts)
-    return add_planned(out, order_plan(pos, [n for n, _ in parts]), [p for _, p in parts])
+    plan = order_plan(pos, [n for n, _ in parts], [p.shape[-1] for _, p in parts])
+    return add_planned(out, plan, [p for _, p in parts])
 
 
-def order_plan(pos: Array, numbers) -> list:
+def order_plan(pos: Array, numbers, sizes) -> list:
     """The schedule of add_in_order for parts known before their results:
-    part g holds the items numbers[g].
+    part g holds the items numbers[g], whose results are d x d with d =
+    sizes[g].
 
-    It lists the steps (part, rows, targets) rank by rank (ranks): rows of
-    the part's results, added at once to the sums pos[items] at targets,
-    one item a sum.
+    It lists the steps (part, rows, targets) rank by rank (ranks) among the
+    items of each sum, of one size and place: rows of the part's results,
+    added at once to the sums pos[items] at targets, one item a sum.
     """
     nums = np.concatenate(numbers) if len(numbers) else np.zeros(0, dtype=int)
     part, row = ranges(np.zeros(len(numbers), dtype=int), [len(n) for n in numbers])
+    sums = pos[nums] * (max(sizes, default=0) + 1) + np.array(sizes, dtype=int)[part]
     order = np.argsort(nums, kind="stable")
     rank = np.empty(len(nums), dtype=int)
-    rank[order] = ranks(pos[nums[order]])
+    rank[order] = ranks(sums[order])
     return [(int(part[sel[0]]), row[sel], pos[nums[sel]])
             for _, sel in split_by(rank * len(numbers) + part)]
 

@@ -48,7 +48,7 @@ def certificate(lay):
     plan = _Plan(lay, quads, np.cumsum(np.diff(quad_key // n_lab, prepend=-1) != 0) - 1,
                  [(v, w, np.searchsorted(quad_key, key)) for (_, v, w), key in zip(sides, keys)])
     res, fmats = np.zeros(len(quads)), [None] * len(quads)
-    for lo, hi in walk(plan.cost + plan.room, key=plan.tri):
+    for lo, hi in walk(plan.cost, plan.room, plan.tri):
         res[lo:hi], fmats[lo:hi] = plan.chunk(lo, hi)
     return triples, quads, res, fmats
 
@@ -195,16 +195,16 @@ class _Plan:
         self.cost, self.room = self._cost(bq, head)
 
     def _cost(self, bq, head):
-        """(cost, room): cost[q, t] is what quadruple q holds in phase t of
+        """(cost, room): cost[t, q] is what quadruple q holds in phase t of
         its chunk, 16 bytes a complex and 8 an integer entry of the arrays of
         chunk and _scatter: U, W, 24 integers a block and the rows' places
         throughout, and in turn 11 integers a row while the places are found;
         14 integers an item of _scatter and 12 a column of a left or 8 a row
         of a right one; G with its traces, concatenation, M (x) I,
-        difference, moduli and M with its checks.  A phase's batches of path
-        products or of G get what its chunk leaves, and room[q, t] is what
-        q leaves for them: the batch of its largest path (the gathered
-        blocks, products and indices) or of its largest block of G."""
+        difference, moduli and M with its checks.  The batches of path
+        products of phase t get what its chunk leaves, at least room[t]: the
+        largest path of any quadruple, its gathered blocks, products and
+        indices."""
         lay, S, n_q = self.lay, self.S, len(self.qm)
         (v, w, p, p0), (vv, ww, pp, pp0) = self.paths
         one = np.bincount(bq, self.n * self.r, minlength=n_q).astype(int)  # a path's U or W
@@ -223,23 +223,20 @@ class _Plan:
                          + 64 * lay.dims[i] * f(self.first.size[0])[vv])
         g = np.bincount(bq, 88 * (p * pp)[bq] * self.r ** 2, minlength=n_q).astype(int)
 
-        def most(start, count, x):  # the largest x of each quadruple's paths or blocks
-            return np.where(count > 0, np.maximum.reduceat(np.append(x, 0), start), 0)
-
-        room = np.column_stack((0 * p, most(p0, p, 24 * np.repeat(one, p) + 16 * (
-            f(self.first.n)[v] + l(self.left.n)[w])), most(pp0, pp, 24 * np.repeat(one, pp) + 16 * (
-                S.n[i] * f(self.first.n)[vv] + r(self.right.n)[ww])),
-            most(self.bfirst, self.count, 16 * self.n * pp[bq] * self.r)))
-        return (16 * (p + pp) * one + 192 * self.count + 8 * rows)[:, None] + np.column_stack(
-            (88 * rows, left, right, g + 64 * (p * p + pp * pp) + 16 * p * pp)), room
+        room = [0, 24 * np.repeat(one, p) + 16 * (f(self.first.n)[v] + l(self.left.n)[w]),
+                24 * np.repeat(one, pp) + 16 * (S.n[i] * f(self.first.n)[vv] + r(self.right.n)[ww]),
+                0]
+        return 16 * (p + pp) * one + 192 * self.count + 8 * rows + np.array(
+            (88 * rows, left, right, g + 64 * (p * p + pp * pp) + 16 * p * pp)), np.array(
+                [np.max(x, initial=0) for x in room])
 
     def chunk(self, lo, hi):
         """Residuals and F-matrices of the quadruples lo:hi, whole triples: the
-        blocks of U and of W lie in two flat buffers by (p, p', r, n)."""
+        blocks of U and of conj(W) lie in two flat buffers by (p, p', r, n)."""
         S, dims, count = self.S, self.lay.dims, self.count[lo:hi]
         # what the batches of each phase find held: a chunk of one triple
-        # that overruns the budget still leaves them the room it counts
-        held = np.minimum(self.cost[lo:hi].sum(0), linalg.CHUNK_BYTES - self.room[lo:hi].sum(0))
+        # that overruns the budget still leaves them the room
+        held = np.minimum(self.cost[:, lo:hi].sum(1), linalg.CHUNK_BYTES - self.room)
         tri, m = self.tri[lo:hi], self.qm[lo:hi]
         qp, qpp = (c[lo:hi] for _, _, c, _ in self.paths)
         bq = np.repeat(np.arange(hi - lo), count)
@@ -273,16 +270,14 @@ class _Plan:
         at = tfirst[bq] + np.arange(len(bq)) - bfirst[bq]
         traces = [np.zeros((count[qs].sum(), b, a), dtype=complex) for (b, a), qs in classes]
         key = np.stack((p, pp, r, n))[:, order]
-        new = np.flatnonzero(np.diff(key, axis=1, prepend=-1).any(axis=0)).tolist()
-        cuts = sorted({b for b, _ in walk((16 * n * pp * r)[order], held[3])}.union(new))
-        cuts.append(len(bq))
+        cuts = np.flatnonzero(np.diff(key, axis=1, prepend=-1).any(axis=0)).tolist() + [len(bq)]
         products = {}
         for b0, b1, (a, b, rr, nn, u0, w0, c) in zip(cuts[:-1], cuts[1:], np.stack(
                 (p, pp, r, n, offsets[0], offsets[1], cls[bq]))[:, order[cuts[:-1]]].T.tolist()):
             sel = order[b0:b1]
             u = buffers[0][u0:u0 + len(sel) * nn * a * rr].reshape(len(sel), nn, a * rr)
             w = buffers[1][w0:w0 + len(sel) * nn * b * rr].reshape(len(sel), nn, b * rr)
-            g = bdagger(w) @ u
+            g = w.swapaxes(1, 2) @ u  # W* U, W's entries conjugate in its buffer
             traces[c][at[sel]] = np.einsum("qbiai->qba", g.reshape(len(sel), b, rr, a, rr))
             products.setdefault((c, rr), []).append((sel, g))
         M = [np.add.reduceat(t, tfirst[qs], axis=0) / dims[m[qs]][:, None, None]
@@ -308,8 +303,9 @@ class _Plan:
         factor (on the right stacked over the a of a sector of i); its product
         is the path's first-factor block R x X of that sector of the middle
         label times it, entry (rho, c d_m + e) going to row (ab, c), column e
-        on the left, entry (a, rho, e) to row a d_j d_k + bc on the right.
-        The items run in batches within CHUNK_BYTES beside the held bytes."""
+        on the left, entry (a, rho, e) to row a d_j d_k + bc on the right,
+        conjugate.  The items run in batches within CHUNK_BYTES beside the
+        held bytes."""
         S, dims, first, second = self.S, self.lay.dims, self.first, (self.left, self.right)[side]
         v, w, count, start = self.paths[side]
         q = np.repeat(np.arange(hi - lo), count[lo:hi])
@@ -344,9 +340,8 @@ class _Plan:
             col = off[block[q] + second.g[2][B]] + slot * C
         # in batches of one shape within what the chunk leaves beside held:
         # the gathered blocks, products and indices
-        size, new = 16 * (first.n[A] + second.n[B]) + 24 * alpha * R * C, np.diff(code, prepend=-1)
-        cuts = sorted({b for b, _ in walk(size, held)}.union(np.flatnonzero(new).tolist()))
-        cuts.append(len(code))
+        cuts = _bounds(16 * (first.n[A] + second.n[B]) + 24 * alpha * R * C, held,
+                       np.diff(code, prepend=-1) != 0)
         at = np.cumsum(np.append(0, alpha * R if side else C))[cuts].tolist()
         heads, fa, sb = cuts[:-1], first.slot[A], second.slot[B]
         for b, (i0, i1, f, s) in enumerate(zip(heads, cuts[1:], first.shape[A[heads]].tolist(),
@@ -361,5 +356,13 @@ class _Plan:
             else:
                 dest = (row[at[b]:at[b + 1]].reshape(N, al, rr, 1)
                         + (col[i0:i1, None] + np.arange(cc)).reshape(N, 1, 1, cc))
+                np.conjugate(prod, out=prod)  # W holds conj(W), so G reads W* as a view
             out[dest] = prod
 
+
+def _bounds(size, held, new) -> list[int]:
+    """The bounds of the batches of items in order that hold size[x] bytes
+    each: a batch starts where new is true and where the walk within
+    CHUNK_BYTES beside the held bytes starts one."""
+    cuts = {lo for lo, _ in walk(size, held)}.union(np.flatnonzero(new).tolist())
+    return sorted(cuts) + [len(size)]

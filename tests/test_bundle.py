@@ -246,34 +246,38 @@ def test_fmove_chunks_stay_within_the_budget_without_weights(monkeypatch):
 
 @pytest.mark.parametrize("weights", [True, False])
 def test_fmove_product_batches_stay_within_a_small_budget(monkeypatch, weights):
-    # with a budget of 1 MiB the walk cuts the path products and G of a
-    # chunk into several batches within what the chunk leaves; the
-    # certificate is bitwise the default one and the peak stays within the
-    # budget
+    # with a budget of 640 KiB the walk cuts the path products of a chunk
+    # into several batches within what the chunk leaves, some of them inside
+    # a shape group; the certificate is bitwise the default one and the peak
+    # stays within the budget
     b = gen_suq2(0.5, 8)
     b = b if weights else dataclasses.replace(b, weights=None)
     want = b.layout.fmoves
-    budget = 1 << 20
+    budget, split, cut = 640 << 10, [], sectors._bounds
+
+    def bounds(size, held, new):
+        out = cut(size, held, new)
+        split.append(len(out) - 1 > np.count_nonzero(new))
+        return out
+
     monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-    got, split = _trace_fmove_chunks(monkeypatch, dataclasses.replace(b).layout, budget)
-    assert split
+    monkeypatch.setattr(sectors, "_bounds", bounds)
+    got = _trace_fmove_chunks(monkeypatch, dataclasses.replace(b).layout, budget)
+    assert any(split)
     for x, y in zip(got[:3], want[:3]):
         assert np.array_equal(x, y)
     assert all(np.array_equal(x, y) for x, y in zip(got[3], want[3]))
 
 
 def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
-    # the walk of the quadruples takes the triples as its key; the walks of
-    # the batches take none
-    before, split, cut = [], [], sectors.walk
+    # the walk of the quadruples is the one that takes the triples as its key
+    before, cut = [], sectors.walk
 
     def walk(cost, held=0, key=None):
         ranges = cut(cost, held, key)
         if key is not None:
             before.append(tracemalloc.get_traced_memory()[1])
             assert len(ranges) > 1  # the budget binds
-        else:
-            split.append(len(ranges) > 1)
         return ranges
 
     monkeypatch.setattr(sectors, "walk", walk)
@@ -284,7 +288,7 @@ def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
     finally:
         tracemalloc.stop()
     assert peak - before[0] <= budget, (peak, before)
-    return got, any(split)
+    return got
 
 
 def test_fmove_with_a_missing_path_reads_one(shipped_bundles):
