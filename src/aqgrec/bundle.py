@@ -11,8 +11,11 @@ File format (Category Bundle v1) is UTF-8 JSON:
       "braiding": [ {"i","j","c": matrix}, ... ] }            (optional)
 
 A matrix is {"rows", "cols", "data": [[re,im],...]} in row-major order and a
-vector is {"len", "data": [[re,im],...]}.  A missing (i,j,k) entry means
-N_{ij}^k = 0.  Label order in "labels" fixes the block order everywhere.
+vector is {"len", "data": [[re,im],...]}.  Either may carry "at", strictly
+increasing flat row-major positions: then "data" holds only the entries at
+those positions, and every other entry is exactly 0.  A missing (i,j,k)
+entry means N_{ij}^k = 0.  Label order in "labels" fixes the block order
+everywhere.
 
 "weights" grades each H_i by one integer per basis vector (magnitude below
 2^31).  Every isometry must conserve the weights, every r_i and rbar_i have
@@ -26,6 +29,7 @@ sector of weight 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,15 +263,20 @@ class FusionLayout:
 
 def _decode_data(obj: dict) -> dict:
     """json.loads object hook: a list-valued "data" becomes a complex array
-    as soon as its object is parsed, so the entries never stand as a tree of
-    Python lists.  A list that does not convert is left in place for
-    _parse_matrix or _parse_vector to report at its location."""
+    as soon as its object is parsed, and its "at" an int64 array, so the
+    entries never stand as a tree of Python lists.  A list that does not
+    convert is left in place for _parse_matrix or _parse_vector to report at
+    its location."""
     data = obj.get("data")
     if type(data) is list:
         try:
             obj["data"] = _complex_array(data)
         except (TypeError, ValueError, OverflowError):
-            pass
+            return obj
+        if "at" in obj:
+            at = _positions(obj["at"])
+            if at is not None:
+                obj["at"] = at
     return obj
 
 
@@ -275,14 +284,60 @@ def _complex_array(data) -> Array:
     return np.array([complex(re, im) for re, im in data], dtype=complex)
 
 
-def _entries(data, what: str) -> Array:
-    """The entries of a "data" field as a complex array."""
-    if isinstance(data, np.ndarray):
-        return data
+def _positions(at) -> Array | None:
+    """at as an int64 array, if it is a list of JSON integers in range."""
+    if isinstance(at, np.ndarray):
+        return at
+    if type(at) is not list or not set(map(type, at)) <= {int}:
+        return None
     try:
-        return _complex_array(data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BundleSyntaxError(f"{what}: {exc}") from None
+        return np.array(at, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _shape_text(shape: tuple[int, ...]) -> str:
+    return "x".join(map(str, shape)) if len(shape) == 2 else f"len {shape[0]}"
+
+
+def _entries(obj: dict, data, shape: tuple[int, ...], kind: str, where: str) -> Array:
+    """The entries of a matrix or vector object as an array of that shape:
+    its "data" in row-major order, or with "at", its "data" at those flat
+    positions and 0 elsewhere."""
+    size, at = math.prod(shape), None
+    try:
+        n = len(data)
+    except TypeError:
+        raise BundleSyntaxError(
+            f"malformed {kind} at {where}: data must be a JSON array") from None
+    if "at" in obj:
+        at = _positions(obj["at"])
+        if at is None:
+            raise BundleSyntaxError(
+                f"malformed {kind} at {where}: at must be a JSON array of integers")
+        if len(at) != n:
+            raise ShapeError(f"{kind} at {where}: {n} entries for {len(at)} positions")
+    elif n != size:
+        raise ShapeError(f"{kind} at {where}: {n} entries for {_shape_text(shape)}")
+    if min(shape) < 0:
+        raise ShapeError(f"{kind} at {where}: negative shape {_shape_text(shape)}")
+    if at is not None and n and (not (at[1:] > at[:-1]).all() or at[0] < 0 or at[-1] >= size):
+        raise ShapeError(
+            f"{kind} at {where}: positions must increase strictly within 0..{size - 1}")
+    if not isinstance(data, np.ndarray):
+        try:
+            data = _complex_array(data)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BundleSyntaxError(f"bad {kind} entry at {where}: {exc}") from None
+    if at is None:
+        return data.reshape(shape)
+    try:
+        out = np.zeros(size, dtype=complex)
+    except MemoryError:
+        raise ShapeError(
+            f"{kind} at {where}: {_shape_text(shape)} does not fit in memory") from None
+    out[at] = data
+    return out.reshape(shape)
 
 
 def _parse_matrix(obj, where: str) -> Array:
@@ -290,9 +345,7 @@ def _parse_matrix(obj, where: str) -> Array:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleSyntaxError(f"malformed matrix at {where}: {exc}") from None
-    if len(data) != rows * cols:
-        raise ShapeError(f"matrix at {where}: {len(data)} entries for {rows}x{cols}")
-    return _entries(data, f"bad matrix entry at {where}").reshape(rows, cols)
+    return _entries(obj, data, (rows, cols), "matrix", where)
 
 
 def _parse_vector(obj, where: str) -> Array:
@@ -300,9 +353,7 @@ def _parse_vector(obj, where: str) -> Array:
         n, data = int(obj["len"]), obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleSyntaxError(f"malformed vector at {where}: {exc}") from None
-    if len(data) != n:
-        raise ShapeError(f"vector at {where}: {len(data)} entries for len {n}")
-    return _entries(data, f"bad vector entry at {where}")
+    return _entries(obj, data, (n,), "vector", where)
 
 
 def _require_finite(fusion, conj, braiding) -> None:
@@ -448,19 +499,25 @@ def parse_bundle(text: str) -> CategoryBundle:
 
 
 def _data(m: Array) -> str:
-    """The "data" text of a matrix or vector: its entries in row-major order
-    as [re, im] pairs, through the C JSON encoder."""
+    """The entries of a matrix or vector as text: "data", its entries in
+    row-major order as [re, im] pairs through the C JSON encoder, preceded by
+    "at" when an entry whose two parts are +0.0 is left out.  -0.0 is
+    written, so the round trip is bitwise."""
     pairs = np.ascontiguousarray(cmat(m)).reshape(-1).view(float).reshape(-1, 2)
-    return json.dumps(pairs.tolist())
+    stored = pairs.view(np.uint64).any(axis=1)
+    if stored.all():
+        return f'"data": {json.dumps(pairs.tolist())}'
+    at = np.flatnonzero(stored)
+    return f'"at": {json.dumps(at.tolist())}, "data": {json.dumps(pairs[at].tolist())}'
 
 
 def _matrix_text(m: Array) -> str:
     rows, cols = cmat(m).shape
-    return f'{{"rows": {rows}, "cols": {cols}, "data": {_data(m)}}}'
+    return f'{{"rows": {rows}, "cols": {cols}, {_data(m)}}}'
 
 
 def _vector_text(v: Array) -> str:
-    return f'{{"len": {np.size(v)}, "data": {_data(v)}}}'
+    return f'{{"len": {np.size(v)}, {_data(v)}}}'
 
 
 def serialize_bundle(b: CategoryBundle) -> str:
@@ -468,7 +525,11 @@ def serialize_bundle(b: CategoryBundle) -> str:
 
     The text is json.dumps of the document, written one matrix at a time so
     that only one matrix stands as Python lists at once.  repr-style floats
-    keep 17 significant digits and roundtrip exactly.
+    keep 17 significant digits and roundtrip exactly.  Every matrix and
+    vector keeps only its stored entries: an entry whose real and imaginary
+    parts are both +0.0 is left out, and "at" lists the flat positions of
+    the rest.  An object with no entry left out has no "at", so a bundle
+    without exact zeros is written densely.
     """
     head = {
         "version": 1,

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 
 EXIT_PASS = 0
@@ -262,7 +260,7 @@ def _cmd_dims(args, tol) -> int:
         {
             "label": i,
             "hilbert_dim": q.d(i),
-            "quantum_dim": float(np.trace(q.F[i]).real),
+            "quantum_dim": q.haar_weights[i],
         }
         for i in q.labels
     ]
@@ -306,7 +304,7 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # imported once the arguments parse, so that --version and --help load
-    # no module of the package
+    # no module of the package, and no numpy
     from .errors import (
         BadPresentation,
         BundleSyntaxError,

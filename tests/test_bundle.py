@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqgrec import linalg, sectors
 from aqgrec.aqg import reconstruct, verify_axioms
@@ -371,17 +374,28 @@ def test_fmoves_match_a_per_triple_enumeration(shipped_bundles, name):
         assert max(res) == 1.0
 
 
+def _stored(entries):
+    """The "at" and "data" fields of entries, one entry at a time: an entry
+    whose two parts are +0.0 is left out, and "at" is written only when one
+    is."""
+    pairs = [[float(z.real), float(z.imag)] for z in entries]
+    at = [n for n, (re, im) in enumerate(pairs)
+          if math.copysign(1.0, re) < 0 or math.copysign(1.0, im) < 0 or re or im]
+    if len(at) == len(pairs):
+        return {"data": pairs}
+    return {"at": at, "data": [pairs[n] for n in at]}
+
+
 def _per_entry_document(b):
     """Category Bundle v1 as a document, one entry at a time: the form that
     serialize_bundle wrote before it ran through the C JSON encoder."""
     def mat(m):
         m = np.asarray(m, dtype=complex)
-        return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-                "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+        return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), **_stored(m.reshape(-1))}
 
     def vec(v):
         v = np.asarray(v, dtype=complex).reshape(-1)
-        return {"len": int(v.shape[0]), "data": [[float(z.real), float(z.imag)] for z in v]}
+        return {"len": int(v.shape[0]), **_stored(v)}
 
     doc = {
         "version": 1, "labels": list(b.labels), "unit": b.unit,
@@ -410,6 +424,98 @@ def test_serialized_document_is_the_per_entry_one(shipped_bundles):
             for k, mats in chans.items():
                 for m, m2 in zip(mats, b2.fusion[p][k]):
                     assert m.tobytes() == m2.tobytes(), (name, p, k)
+
+
+_parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_entries_round_trip_bitwise(rows, cols, data):
+    """A matrix and a vector with any mask of +0.0 entries, and -0.0 in
+    either part, parse back bitwise, with and without the object hook; "at"
+    is written exactly when an entry is left out."""
+    from aqgrec.bundle import (
+        _decode_data,
+        _matrix_text,
+        _parse_matrix,
+        _parse_vector,
+        _vector_text,
+    )
+
+    pairs = data.draw(st.lists(st.tuples(_parts, _parts), min_size=rows * cols,
+                               max_size=rows * cols))
+    m = np.array([complex(re, im) for re, im in pairs]).reshape(rows, cols)
+    omitted = any(math.copysign(1.0, re) > 0 and re == 0.0
+                  and math.copysign(1.0, im) > 0 and im == 0.0 for re, im in pairs)
+    for text, parse, want in ((_matrix_text(m), _parse_matrix, m),
+                              (_vector_text(m.reshape(-1)), _parse_vector, m.reshape(-1))):
+        assert ('"at"' in text) == omitted, text
+        for hook in (_decode_data, None):
+            got = parse(json.loads(text, object_hook=hook), "x")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), text
+
+
+def _dense_text(text):
+    """Bundle text with every matrix and vector written densely."""
+    def dense(obj):
+        if isinstance(obj, dict):
+            if "at" in obj:
+                size = obj["len"] if "len" in obj else obj["rows"] * obj["cols"]
+                full = [[0.0, 0.0]] * size
+                for n, pair in zip(obj.pop("at"), obj["data"]):
+                    full[n] = pair
+                obj["data"] = full
+            for v in obj.values():
+                dense(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                dense(v)
+
+    doc = json.loads(text)
+    dense(doc)
+    return json.dumps(doc)
+
+
+def _parsed_bytes(b):
+    """The bytes of every fusion, conjugate and braiding array of b."""
+    arrays = [m for _, chans in sorted(b.fusion.items()) for _, mats in sorted(chans.items())
+              for m in mats]
+    arrays += [v for _, pair in sorted(b.conj.items()) for v in pair]
+    arrays += [c for _, c in sorted((b.braiding or {}).items())]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_dense_files_parse_and_report_as_their_stored_entries(shipped_bundles, tmp_path):
+    """Each shipped bundle, and the (0.5, 8) and (0.9, 12) windows, written
+    densely: the same arrays bitwise, and byte-identical validate and check
+    reports."""
+    from aqgrec.cli import run
+
+    bundles = {**shipped_bundles, "suq2-q0.5-L8": gen_suq2(0.5, 8),
+               "suq2-q0.9-L12": gen_suq2(0.9, 12)}
+    stored_somewhere = False
+    for name, b in bundles.items():
+        text = serialize_bundle(b)
+        dense = _dense_text(text)
+        stored_somewhere |= dense != text
+        assert '"at"' not in dense, name
+        got = [m.tobytes() for m in _decoded_arrays(dense)]
+        assert [m.tobytes() for m in _decoded_arrays(text)] == got, name
+        b1, b2 = parse_bundle(text), parse_bundle(dense)
+        assert _parsed_bytes(b1) == _parsed_bytes(b2) == _parsed_bytes(b), name
+        assert serialize_bundle(b2) == text, name
+        reports = []
+        for form, body in (("stored", text), ("dense", dense)):
+            path = tmp_path / f"{form}.json"
+            path.write_text(body)
+            for op in ("validate", "check"):
+                out = tmp_path / f"{form}.{op}.json"
+                assert run([op, str(path), "-o", str(out)]) == 0, (name, form, op)
+                reports.append(out.read_bytes())
+        assert reports[:2] == reports[2:], name
+    assert stored_somewhere
 
 
 def test_fail_fast_keeps_the_prefix_of_the_full_report(tmp_path):
@@ -449,15 +555,27 @@ def _list_decode(data):
     return np.array([complex(re, im) for re, im in data], dtype=complex)
 
 
+def _dense_decode(obj, size):
+    """The entries of a matrix or vector object by the list decode, its
+    stored entries placed at "at" and 0 elsewhere when it has one."""
+    data = _list_decode(obj["data"])
+    if "at" not in obj:
+        return data
+    out = np.zeros(size, dtype=complex)
+    out[obj["at"]] = data
+    return out
+
+
 def _decoded_arrays(text):
     """Every matrix and vector of bundle text, in document order, by the
     list decode."""
     doc = json.loads(text)
-    out = [_list_decode(m["data"]).reshape(m["rows"], m["cols"])
+    out = [_dense_decode(m, m["rows"] * m["cols"]).reshape(m["rows"], m["cols"])
            for ent in doc["fusion"] for m in ent["isometries"]]
-    out += [_list_decode(ent[side]["data"]) for ent in doc["conj"].values()
+    out += [_dense_decode(ent[side], ent[side]["len"]) for ent in doc["conj"].values()
             for side in ("r", "rbar")]
-    out += [_list_decode(ent["c"]["data"]).reshape(ent["c"]["rows"], ent["c"]["cols"])
+    out += [_dense_decode(ent["c"], ent["c"]["rows"] * ent["c"]["cols"]).reshape(
+                ent["c"]["rows"], ent["c"]["cols"])
             for ent in doc.get("braiding") or []]
     return out
 

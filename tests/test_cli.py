@@ -121,6 +121,16 @@ def _conj_without_r(doc):
     del doc["conj"]["1"]["r"]
 
 
+def _at(at, data=None):
+    """Give the first isometry the positions at, and the entries data."""
+    def change(doc):
+        m = doc["fusion"][0]["isometries"][0]
+        m["at"] = at
+        if data is not None:
+            m["data"] = data
+    return change
+
+
 @pytest.mark.parametrize("malform", [
     lambda doc: doc["conj"].update({"1": [1]}),
     lambda doc: doc["conj"].update({"1": 1}),
@@ -137,27 +147,58 @@ def _conj_without_r(doc):
     lambda doc: doc.update(version=True),
     lambda doc: doc.update(version=1.0),
     lambda doc: doc["dims"].update({"1": True}),
+    _at([0.0]),
+    _at([True]),
+    _at("0"),
+    _at([10 ** 400]),
+    _at([1]),
+    _at([-1]),
+    _at([0, 0], [[1.0, 0.0], [1.0, 0.0]]),
+    _at([1, 0], [[1.0, 0.0], [1.0, 0.0]]),
+    _at([0], []),
+    _at([], [[1.0, 0.0]]),
+    lambda doc: doc["fusion"][0]["isometries"][0].update(data=5),
+    lambda doc: doc["fusion"][0]["isometries"][0].update(rows=10 ** 8, cols=10 ** 8, at=[],
+                                                         data=[]),
+    lambda doc: doc["fusion"][0]["isometries"][0].update(rows=-1, cols=-1),
 ], ids=["conj-list", "conj-int", "conj-no-r", "conj-as-list", "dims-as-list",
         "dual-as-list", "labels-int", "isometries-int", "braiding-no-c", "entry-10**400",
-        "closed-string", "closed-int", "version-true", "version-float", "dim-true"])
+        "closed-string", "closed-int", "version-true", "version-float", "dim-true",
+        "at-float", "at-bool", "at-string", "at-10**400", "at-past-the-end", "at-negative",
+        "at-repeats", "at-decreases", "at-longer", "at-shorter", "data-int", "at-no-room",
+        "shape-negative"])
 def test_malformed_bundle_shapes_exit_2(tmp_path, capsys, malform):
     path = _gen(tmp_path, "pointed", "--n", "2", "--t", "1")
     doc = json.loads(path.read_text())
+    first = doc["fusion"][0]
     malform(doc)
     path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+    if isinstance(first["isometries"], list) and "at" in first["isometries"][0]:
+        # a malformed "at" is reported at its location
+        assert f'at fusion({first["i"]},{first["j"]}->{first["k"]})' in err, err
+
+
+def _set_first_entry(obj, value):
+    """Set the entry at flat position 0 of a matrix or vector object, dense
+    or with its stored entries at "at"."""
+    if "at" in obj and obj["at"][:1] != [0]:
+        obj["at"].insert(0, 0)
+        obj["data"].insert(0, value)
+    else:
+        obj["data"][0] = value
 
 
 def _off_sector_isometry(doc):
     # row 0 of (1,1) -> 0 is e_1 (x) e_1, of weight 2, and e_0 has weight 0
     ent = next(e for e in doc["fusion"] if (e["i"], e["j"], e["k"]) == ("1", "1", "0"))
-    ent["isometries"][0]["data"][0] = [1e-3, 0.0]
+    _set_first_entry(ent["isometries"][0], [1e-3, 0.0])
 
 
 def _off_sector_r(doc):
-    doc["conj"]["1"]["r"]["data"][0] = [1e-3, 0.0]
+    _set_first_entry(doc["conj"]["1"]["r"], [1e-3, 0.0])
 
 
 @pytest.mark.parametrize("change,message", [
@@ -286,6 +327,29 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "aqgrec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_load_no_numpy(flag):
+    import os
+    import subprocess
+    import sys
+
+    import aqgrec
+
+    code = (
+        "import sys\n"
+        "from aqgrec.cli import run\n"
+        "try:\n"
+        f"    run([{flag!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aqgrec.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.splitlines()[-1] == "False", out
 
 
 def test_check_exits_2_on_nan_entry(tmp_path, capsys):

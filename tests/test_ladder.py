@@ -1,0 +1,22 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ladder_smoke_records_every_row(tmp_path):
+    """bench/ladder.py --smoke runs its one rung as capped subprocesses and
+    writes a run with a row per op; a second tag keeps the first run."""
+    out = tmp_path / "ladder.json"
+    for tag in ("a", "b", "a"):
+        subprocess.run([sys.executable, str(ROOT / "bench" / "ladder.py"), "--smoke",
+                        "--tag", tag, "-o", str(out)], check=True, capture_output=True)
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["tag"] for r in runs] == ["b", "a"]
+    rows = runs[-1]["rows"]
+    assert [r["op"] for r in rows] == ["gen", "validate"]
+    for r in rows:
+        assert r["exit"] == 0 and r["traceback"] is False and r["peak_rss_mb"] > 0, r
+    assert rows[0]["file_bytes"] > 0
