@@ -37,7 +37,8 @@ SUQ2 = [(f"suq2 q=0.9 L={L}", ["suq2", "--q", "0.9", "--L", str(L)], L + 1,
                                                ("check", 4 * GIB)])
         for L in (12, 16, 20, 24, 30)]
 POINTED = [(f"pointed Z/{n} t=1", ["pointed", "--n", str(n), "--t", "1"], n, n,
-            [("gen", 2 * GIB), ("validate", 2 * GIB), ("check", 2 * GIB)]) for n in (16, 32, 64)]
+            [("gen", 2 * GIB), ("validate", 2 * GIB), ("check", 2 * GIB), ("rmatrix", 2 * GIB)])
+           for n in (16, 32, 64)]
 SMOKE = [("suq2 q=0.9 L=4", ["suq2", "--q", "0.9", "--L", "4"], 5, 55,
           [("gen", 2 * GIB), ("validate", 2 * GIB)])]
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg, DeltaPlan, chunks, delta_cost, delta_stacks, lone, sample_draws
+from .aqg import Aqg
 from .bundle import FusionLayout, require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
@@ -96,19 +96,17 @@ def _apply_s_leg2(rbm, rmc, x) -> Array:
     return _square(np.einsum("gud,gbw,gxbyd->gxuyw", rbm, rmc, x, optimize=True))
 
 
-def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
-                           n_samples: int = 8, seed: int = 42) -> Report:
+def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Quasitriangularity, Yang-Baxter, counit/antipode compatibility, and
     unitarity for an R-matrix, blockwise over the loaded pairs.  The items
     of a row follow loops over labels in label order, and run as one
-    stacked product per group of block dimensions."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    stacked product per group of block dimensions.  No row is sampled:
+    comult-flip (R Delta = Delta-op R) certifies the braiding a morphism of
+    the channels, with the layout's channel Gram of both pairs."""
     rep = Report("quasitriangular")
     b, lay = q.bundle, q.bundle.layout
     n, d = len(q.labels), lay.dims
     have = R.have.reshape(n, n)
-    rng = np.random.default_rng(seed)
     bound = tol.bound(1.0) * 100
 
     res = worst(0.0, *(max_abs(x) for m in R.stacks for x in (
@@ -129,33 +127,25 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL,
     res = _leg_residual(R, p2, m2, 2)
     rep.add("comult-leg2", "(iota x Delta)R = R13 R12", res, bool(len(p2)) and res <= bound)
 
-    # R Delta = Delta-op R on pairs complete both ways, Delta planned once
-    # per chunk of pairs and run once per batch of its samples
+    # R Delta = Delta-op R on pairs complete both ways: with V_ij and V_ji
+    # unitary it holds exactly when X = V_ji* c_ij V_ij = (+)_k M_k (x) I_{d_k},
+    # c_ij = flip R_ij; per block of channels (a, c), |X| across labels and
+    # |X - (tr X / d_k) I| on one label, and the Grams of both pairs
     both = lay.complete_pair & lay.complete_pair.reshape(n, n).T.reshape(-1)
     pf = np.flatnonzero(R.have & both)
     i, j = np.divmod(pf, n)
-    fixed, block, work = (x.reshape(2, -1).sum(0)
-                          for x in delta_cost(q, np.append(pf, j * n + i)))
-    res = [0.0]
-    # a chunk holds Delta's blocks of its pairs and their flips, first with
-    # Delta's work, then per sample their gathered copies and at most three
-    # products or differences at once
-    phases = np.array((block + work, 4 * block))
-    for ng, (a,) in sample_draws(q, rng, n_samples, 1, None, 0, lone(pf, fixed, phases)):
-        for lo, hi, batches in chunks(pf, fixed, phases, ng, sum(x.nbytes for x in a.values())):
-            plan = DeltaPlan(q, q.labels, np.concatenate([pf[lo:hi], j[lo:hi] * n + i[lo:hi]]))
-            for s in batches:
-                dl, at = delta_stacks({k: m[:, s] for k, m in a.items()}, plan)
-                for (di, dj), sel in group_by(d[i[lo:hi]], d[j[lo:hi]]):
-                    sel = sel + lo
-                    rij, dij = R.take(pf[sel])[:, None], dl[(di * dj,) * 2][at[pf[sel]]]
-                    dji = dl[(di * dj,) * 2][at[j[sel] * n + i[sel]]]
-                    res.append(max_abs(rij @ dij - _flip(dj, di) @ dji @ _flip(di, dj) @ rij))
-                del dl, rij, dij, dji  # before the next batch's
-            del plan
-        del a
+    t, a = lay.channels_of(pf)
+    x, c = lay.channels_of(j[t] * n + i[t])  # channel a[x] of pf[t[x]], c[x] of its flip
+    t, a, k = t[x], a[x], lay.chan_label
+    res = [lay.gram[:, a], lay.gram[:, c]]  # the Grams of both pairs
+    for (di, dj, da, _), sel in group_by(d[i[t]], d[j[t]], d[k[a]], d[k[c]]):
+        x = (bdagger(lay.isometries(c[sel])) @ _flip(di, dj) @ R.take(pf[t[sel]])
+             @ lay.isometries(a[sel]))
+        same = k[a[sel]] == k[c[sel]]  # less M_k (x) I on the blocks of one label
+        x[same] -= np.trace(x[same], axis1=1, axis2=2)[:, None, None] / da * np.eye(*x.shape[1:])
+        res.append(max_abs(x))
     res = worst(*res)
-    rep.add("comult-flip", "R Delta = Delta-op R", res, res <= bound)
+    rep.add("comult-flip", "V_ji* flip R_ij V_ij = (+)_k M_k x I", res, res <= bound)
 
     # Yang-Baxter on every triple with loaded blocks
     use = have[:, :, None] & have[:, None, :] & have[None, :, :]  # (i,j), (i,k), (j,k)

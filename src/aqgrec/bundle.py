@@ -53,6 +53,7 @@ from .linalg import (
     residual,
     shape_stacks,
     split_by,
+    walk,
     worst,
     zero_stacks,
 )
@@ -151,7 +152,7 @@ class FusionLayout:
     its sector must be exactly 0, or GradingError is raised.
 
     Built from it on first use: fmoves, the F-move certificate of every
-    admissible quadruple.
+    admissible quadruple, and gram, the channel Gram of every pair.
     """
 
     def __init__(self, b: CategoryBundle):
@@ -193,7 +194,7 @@ class FusionLayout:
 
             self.weights = weights_of(b)
             certify_grading(b, self)
-        self._fmoves = None
+        self._fmoves = self._gram = None
 
     def isometries(self, chans) -> Array:
         """The stacked isometries of channels chans, which share one shape."""
@@ -220,6 +221,48 @@ class FusionLayout:
         shape[have], slot[have], stacks = shape_stacks(
             [mats[p] for p in self.pairs if p in mats])
         return have, shape, slot, stacks
+
+    @property
+    def gram(self):
+        """The channel Gram of every pair, v_a* v_c for every two channels
+        a <= c of one pair: the blocks of V_ij* V_ij on and above the
+        diagonal, where V_ij stacks the channels of (i,j).
+
+        Returns, per channel a, the worst of max |v_a* v_c - delta_ac I|
+        over the channels c >= a of its pair of its own label (row 0) and
+        of other labels (row 1).  The items (a, c), by pair of isometry
+        shapes, run in chunks within CHUNK_BYTES (walk), a chunk holding its
+        gathered isometries, the conjugate of v_a, their products, the
+        products' masked copy and moduli, and its index arrays.
+        """
+        if self._gram is None:
+            n = np.arange(len(self.chan_pair))
+            a, c = ranges(n, self.pair_start[self.chan_pair + 1] - n)
+            code = self.chan_shape[a] * len(self.chan_stacks) + self.chan_shape[c]
+            order = np.argsort(code, kind="stable")  # by pair of shapes
+            a, c, code = a[order], c[order], code[order]
+            da, dc = self.dims[self.chan_label[a]], self.dims[self.chan_label[c]]
+            res = np.zeros(len(a))
+            for lo, hi in walk(16 * self.pair_size[self.chan_pair[a]] * (2 * da + dc)
+                               + 40 * da * dc + 64):
+                for _, x in split_by(code[lo:hi]):
+                    x += lo
+                    g = bdagger(self.isometries(a[x])) @ self.isometries(c[x])
+                    g[a[x] == c[x]] -= np.eye(*g.shape[1:])
+                    res[x] = max_abs(g)
+            self._gram = np.zeros((2, len(n)))
+            with np.errstate(invalid="ignore"):  # a NaN residual stays NaN
+                np.maximum.at(self._gram, ((self.chan_label[a] != self.chan_label[c]).astype(int), a),
+                              res)
+        return self._gram
+
+    def gram_worst(self, group, size: int, row: int) -> Array:
+        """The worst of the Gram's row (gram) per group[a] of size groups,
+        over the channels a.  NaN stays."""
+        out = np.zeros(size)
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(out, group, self.gram[row])
+        return out
 
     @property
     def fmoves(self):
@@ -579,13 +622,15 @@ def validate_bundle(
     """Run the mathematical consistency checks on a bundle.
 
     Checks, in order: involution/unit structure, isometry orthonormality,
-    completeness (skipped where a window loses summands), unit/dual fusion
+    completeness (skipped where a window loses summands) and, on a pair that
+    loses summands, orthogonality across labels, unit/dual fusion
     constraints and fusion symmetries, conjugate equations with normalization
     and the channel-0 membership of r, recoupling consistency, and the
-    braiding identities when braiding data is present.  Failures are
-    reported, never raised.  Each row family is built from the fusion
-    layout's index arrays, evaluated as stacked products (one np.matmul per
-    block shape) and appended in bulk.
+    braiding identities when braiding data is present.  Orthonormality and
+    orthogonality across labels read the layout's channel Gram, which Delta's
+    homomorphism row reads too.  Failures are reported, never raised.  Each
+    row family is built from the fusion layout's index arrays, evaluated as
+    stacked products (one np.matmul per block shape) and appended in bulk.
     """
     rep = Report("bundle-validation")
 
@@ -605,11 +650,19 @@ def validate_bundle(
     if done():
         return rep
 
+    # orthonormality: the rows (i,j)->k by name, max |v_a* v_c - delta_ac I|
+    # over a <= c, from the channel Gram
     lay, lab = b.layout, b.labels
     n_lab = len(lab)
     one = tol.bound(1.0)
-    locs, res = _orthonormality(b)
-    if add_rows("orthonormality", locs, res, res <= one):
+    order, row = _by_name(b)
+    first = order[np.flatnonzero(np.diff(row, prepend=-1))]
+    at = np.empty(len(order), dtype=int)
+    at[order] = row
+    pi, pj = np.divmod(lay.chan_pair[first], n_lab)
+    res = lay.gram_worst(at, len(first), 0)
+    if add_rows("orthonormality", [f"({lab[i]},{lab[j]})->{lab[k]}" for i, j, k in zip(
+            pi.tolist(), pj.tolist(), lay.chan_label[first].tolist())], res, res <= one):
         return rep
 
     # completeness; a pair that loses summands fails (closed) or is skipped
@@ -619,6 +672,13 @@ def validate_bundle(
             for (i, j), w in zip(lay.pairs, whole.tolist())]
     if add_rows("completeness", locs, res, whole & (res <= one),
                 None if b.closed else ~whole):
+        return rep
+    # a pair that loses summands: max |v* v'| over channels of two labels,
+    # which completeness implies on a whole pair
+    part = np.flatnonzero(~whole)
+    res = lay.gram_worst(lay.chan_pair, len(lay.pairs), 1)[part]
+    if add_rows("cross-label-orthogonality", [f"({lab[p // n_lab]},{lab[p % n_lab]})"
+                                              for p in part.tolist()], res, res <= one):
         return rep
 
     # unit and dual fusion constraints: N[i, j, k] = N_ij^k
@@ -703,26 +763,6 @@ def _by_name(b: CategoryBundle):
     new = np.ones(len(order), dtype=bool)
     new[1:] = (pair[1:] != pair[:-1]) | (label[1:] != label[:-1])
     return order, np.cumsum(new) - 1
-
-
-def _orthonormality(b: CategoryBundle):
-    """Rows (i,j)->k, by name, and their residual max |v_a* v_c - delta_ac I|
-    over a <= c."""
-    lay, lab = b.layout, b.labels
-    order, row = _by_name(b)
-    mult = lay.count[lay.chan_pair[order], lay.chan_label[order]]
-    at, partner = ranges(np.arange(len(order)), mult - lay.chan_alpha[order])
-    va, vc, diag = order[at], order[partner], at == partner
-    res = np.zeros(int(row[-1]) + 1 if len(row) else 0)
-    for _, nums in split_by(lay.chan_shape[va]):
-        g = bdagger(lay.isometries(va[nums])) @ lay.isometries(vc[nums])
-        g[diag[nums]] -= frozen_eye(g.shape[-1])
-        with np.errstate(invalid="ignore"):  # NaN rows stay NaN
-            np.maximum.at(res, row[at[nums]], max_abs(g))
-    first = order[np.flatnonzero(np.diff(row, prepend=-1))]
-    pi, pj = np.divmod(lay.chan_pair[first], len(lab))
-    return [f"({lab[i]},{lab[j]})->{lab[k]}" for i, j, k in
-            zip(pi.tolist(), pj.tolist(), lay.chan_label[first].tolist())], res
 
 
 def _completeness(b: CategoryBundle) -> Array:

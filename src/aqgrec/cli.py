@@ -220,8 +220,7 @@ def _cmd_rmatrix(args, tol) -> int:
     require_braiding(b)
     q = reconstruct(b, tol)
     R = braiding_to_r(q)
-    rep = verify_quasitriangular(q, R, tol, n_samples=max(2, args.samples // 2),
-                                 seed=args.seed)
+    rep = verify_quasitriangular(q, R, tol)
     is_tri, tri_res = triangularity(q, R, tol)
     payload = rep.to_dict()
     payload["triangular"] = bool(is_tri)

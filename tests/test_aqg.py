@@ -130,8 +130,9 @@ def delta(q, a, pairs):
     """
     b = q.bundle
     idx = [b.layout.pair_index[p] for p in pairs]
-    out, slot = delta_stacks(batch(q, a), DeltaPlan(q, a.blocks, idx))
-    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][slot[n], 0] for p, n in zip(pairs, idx)}
+    plan = DeltaPlan(q, a.blocks, idx)
+    out = delta_stacks(batch(q, a), plan)
+    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][plan.slot[n], 0] for p, n in zip(pairs, idx)}
 
 
 def t1_map(q, a, c):
@@ -505,6 +506,63 @@ def test_window_rows_fail_on_a_seeded_defect(suq2_bundles, channel, rows):
     assert set(rows) <= failed, failed
 
 
+def pair_gram(b, i, j):
+    """(max |V* V - I|, width) of the pair (i,j), with V its channels side
+    by side in label order: the dense form of the layout's Gram."""
+    v = np.hstack([m for k in b.labels for m in b.isometries(i, j, k)])
+    return residual(dagger(v) @ v, np.eye(v.shape[1])), v.shape[1]
+
+
+def sampled_row_8(q, rng, n=4):
+    """Row 8 as it was sampled, one pair at a time: per loaded pair, the
+    worst |Delta(a)Delta(c) - Delta(ac)| over n samples a, c on every label;
+    and the samples' scale, the worst product of the largest block norms of
+    a and of c."""
+    pairs = [p for p in q.bundle.layout.pairs if q.bundle.fusion.get(p)]
+    res, scale = dict.fromkeys(pairs, 0.0), 0.0
+    for _ in range(n):
+        a, c = random_element(q, rng), random_element(q, rng)
+        da, dc, dac = (delta(q, x, pairs) for x in (a, c, a.mul(c)))
+        for p in pairs:
+            res[p] = worst(res[p], residual(da[p] @ dc[p], dac[p]))
+        scale = worst(scale, max(np.linalg.norm(m, 2) for m in a.blocks.values())
+                      * max(np.linalg.norm(m, 2) for m in c.blocks.values()))
+    return res, scale
+
+
+ORACLE_CASES = ["z2", "z5", "s3", "d4", "q8", "pointed-z2-t1", "pointed-z3-t1", "pointed-z5-t1",
+                "suq2-q1.0-L4", "suq2-q0.5-L4", "suq2-q0.9-L8", "row-8-defect", "cross-label"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_the_gram_bounds_the_sampled_row_8(shipped_bundles, name):
+    # on a pair (i,j), Delta(a)Delta(c) - Delta(ac) = V D_a E D_c V* with
+    # E = V* V - I and ||D_a|| the largest block norm of a, so the sampled
+    # residual is at most ||E|| (1 + ||E||) |a| |c|, where ||E|| <= n eps for
+    # the Gram residual eps over the pair's channel width n; the sampled
+    # products add roundoff of a few n ulps of their scale.  The row reads
+    # the layout's Gram, which the dense V* V gives back
+    from test_sensitivity import DEFECTS, VALIDATE_DEFECTS, defective
+
+    if name == "row-8-defect":
+        b = defective(shipped_bundles["suq2-q0.5-L4"], *DEFECTS["8-delta-homomorphism"][1:])
+    elif name == "cross-label":
+        b = defective(shipped_bundles["suq2-q0.5-L4"],
+                      *VALIDATE_DEFECTS["cross-label-orthogonality"][1:])
+    else:
+        b = shipped_bundles.get(name) or gen_suq2(0.9, 8)
+    lay = b.layout
+    gram = np.maximum(*(lay.gram_worst(lay.chan_pair, len(lay.pairs), row) for row in (0, 1)))
+    res, scale = sampled_row_8(reconstruct(b, validate=False), np.random.default_rng(8))
+    for p, r in res.items():
+        eps, width = pair_gram(b, *p)
+        assert abs(eps - gram[lay.pair_index[p]]) <= width * np.finfo(float).eps, (name, p)
+        e = width * eps
+        assert r <= scale * (e * (1 + e) + 2 * width * np.finfo(float).eps), (name, p, r, eps)
+    if name in ("row-8-defect", "cross-label"):
+        assert max(res.values()) > 1e-6 and worst(gram) >= 1e-6, (name, res)
+
+
 @pytest.mark.parametrize("name", ["s3", "pointed-z5-t1"])
 def test_axiom_rows_survive_complex_phases(shipped_bundles, name):
     # every closed generator writes real data; in a phased basis the
@@ -650,8 +708,6 @@ def test_a_check_without_samples_is_refused(shipped_aqgs, n_samples):
     q = shipped_aqgs["pointed-z3-t1"]
     with pytest.raises(ValueError, match="must be at least 1"):
         verify_axioms(q, n_samples=n_samples)
-    with pytest.raises(ValueError, match="must be at least 1"):
-        verify_quasitriangular(q, braiding_to_r(q), n_samples=n_samples)
 
 
 def test_t_matrices_are_invertible_on_closed_bundles(closed_aqgs):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqgrec import linalg, sectors
+from aqgrec import bundle, linalg, sectors
 from aqgrec.aqg import reconstruct, verify_axioms
 from aqgrec.bundle import (
     BundleSyntaxError,
@@ -133,35 +133,39 @@ def test_fusion_accessors(shipped_bundles):
 
 
 def _with_nan_entry(b, kind):
-    """Copy of b whose first loaded fusion isometry (or braiding block) has a
-    NaN in its (0,0) entry, and that entry's report location."""
-    if kind == "fusion":
-        (i, j), chans = sorted(b.fusion.items())[0]
+    """Copy of b whose first loaded fusion isometry (the last pair's, kind
+    "window"; or braiding block) has a NaN in its (0,0) entry, and the
+    (row, location) pairs that entry must fail."""
+    if kind in ("fusion", "window"):
+        (i, j), chans = sorted(b.fusion.items())[0 if kind == "fusion" else -1]
         k = sorted(chans)[0]
         fusion = {p: {kk: [m.copy() for m in vv] for kk, vv in ch.items()}
                   for p, ch in b.fusion.items()}
         fusion[(i, j)][k][0][0, 0] = np.nan
+        rows = [("orthonormality", f"({i},{j})->{k}")]
+        if kind == "window":  # an incomplete pair with channels of two labels
+            rows.append(("cross-label-orthogonality", f"({i},{j})"))
         return (type(b)(labels=b.labels, unit=b.unit, dims=b.dims, dual=b.dual,
                         fusion=fusion, conj=b.conj, braiding=b.braiding,
-                        closed=b.closed),
-                "orthonormality", f"({i},{j})->{k}")
+                        closed=b.closed), rows)
     (i, j) = sorted(b.braiding)[-1]
     braiding = {p: c.copy() for p, c in b.braiding.items()}
     braiding[(i, j)][0, 0] = np.nan
     return (type(b)(labels=b.labels, unit=b.unit, dims=b.dims, dual=b.dual,
                     fusion=b.fusion, conj=b.conj, braiding=braiding,
                     closed=b.closed),
-            "braiding-unitarity", f"({i},{j})")
+            [("braiding-unitarity", f"({i},{j})")])
 
 
-@pytest.mark.parametrize("kind", ["fusion", "braiding"])
+@pytest.mark.parametrize("kind", ["fusion", "braiding", "window"])
 def test_nan_entry_fails_its_row(shipped_bundles, kind):
-    for name in ("s3", "pointed-z3-t1"):
-        bad, check, loc = _with_nan_entry(shipped_bundles[name], kind)
+    for name in ("suq2-q0.5-L4",) if kind == "window" else ("s3", "pointed-z3-t1"):
+        bad, rows = _with_nan_entry(shipped_bundles[name], kind)
         rep = validate_bundle(bad)
         assert not rep.passed, name
-        row = next(c for c in rep.checks if c.name == check and c.location == loc)
-        assert np.isnan(row.residual) and not row.passed, (name, row)
+        for check, loc in rows:
+            row = next(c for c in rep.checks if c.name == check and c.location == loc)
+            assert np.isnan(row.residual) and not row.passed, (name, row)
 
 
 def test_replaced_fusion_gets_its_own_layout(shipped_bundles):
@@ -292,6 +296,36 @@ def _trace_fmove_chunks(monkeypatch, lay, budget=CHUNK_BYTES):
         tracemalloc.stop()
     assert peak - before[0] <= budget, (peak, before)
     return got
+
+
+def test_the_channel_gram_stays_within_a_small_budget(monkeypatch):
+    # with a budget of 256 KiB the Gram at q = 0.9, L = 12 runs the items of
+    # a pair of shapes in several chunks, each holding its gathered
+    # isometries, their products with a masked copy and moduli, and its
+    # index arrays, so the peak stays within the budget of the peak before
+    # the first chunk; the residuals are bitwise those of the default budget
+    b = gen_suq2(0.9, 12)
+    want = b.layout.gram
+    budget, before, count, cut = 256 << 10, [], [], bundle.walk
+
+    def walk(cost, held=0, key=None):
+        ranges = cut(cost, held, key)
+        before.append(tracemalloc.get_traced_memory()[1])
+        count.append(len(ranges))
+        return ranges
+
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(bundle, "walk", walk)
+    lay = dataclasses.replace(b).layout
+    tracemalloc.start()
+    try:
+        got = lay.gram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(count) > 1  # the budget binds
+    assert peak - before[0] <= budget, (peak, before[0])
+    assert np.array_equal(got, want)
 
 
 def test_fmove_with_a_missing_path_reads_one(shipped_bundles):

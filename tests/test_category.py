@@ -5,7 +5,8 @@ import dataclasses
 
 import numpy as np
 
-from aqgrec.aqg import reconstruct
+from aqgrec.aqg import Aqg, reconstruct, verify_axioms
+from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import validate_bundle
 from aqgrec.linalg import dagger, residual, worst
 from test_aqg import AqgElement, delta, fusion_support, random_element
@@ -52,6 +53,14 @@ def test_nan_part_makes_check_nan(shipped_bundles):
     rep = validate_bundle(bad)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
+    # the rows that read the channel Gram: reconstruct's spot check stops a
+    # NaN isometry, so q is built around the intact bundle's f element
+    q0 = reconstruct(b)
+    q = Aqg(bundle=bad, F=q0.F, Finv=q0.Finv, haar_weights=q0.haar_weights)
+    for row in (next(c for c in verify_axioms(q).checks if c.name == "8-delta-homomorphism"),
+                next(c for c in verify_quasitriangular(q, braiding_to_r(q)).checks
+                     if c.name == "comult-flip")):
+        assert np.isnan(row.residual) and not row.passed, row
 
 
 def test_tensor_decomp_complete_and_matches_fusion(shipped_bundles):

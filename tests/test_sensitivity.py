@@ -28,7 +28,15 @@ Six kinds of defect get past reconstruct's own gates:
   the other blocks, so Yang-Baxter sees it.
 
 Reconstruct reads no braiding, so the braiding kinds reach the R-matrix rows
-untouched.  Three more kinds are one-line edits of the structure that only
+untouched.  One kind mixes two labels of an incomplete pair of a window,
+where no completeness row looks:
+
+- ``cross-label``: the isometry of i (x) j -> k turned by 1e-6 toward the
+  range of i (x) j -> m, each basis vector of H_k toward the one of H_m of
+  its weight, and re-orthonormalised.  Orthonormality holds, and the
+  F-move certificate sees the defect only at second order.
+
+Three more kinds are one-line edits of the structure that only
 validate_bundle reads:
 
 - ``dual``: the dual of label i set to j;
@@ -101,7 +109,15 @@ VALIDATE_DEFECTS = {
     "braiding-unitarity": ("q8", "braid-scale", ("4", "4")),
     "braiding-hexagon-left": ("d4", "braid-turn", ("4", "4")),
     "braiding-hexagon-right": ("pointed-z5-t1", "braid-phase", ("1", "2")),
+    "cross-label-orthogonality": ("suq2-q0.5-L4", "cross-label", ("3", "3", "4", "2")),
 }
+# second defects of rows that read the channel Gram: comult-flip off the
+# Gram, through a braiding that is no morphism (X reads 0.149), and row 8
+# through the cross-label overlap that only it and the validate row see
+MORE_DEFECTS = [
+    ("comult-flip", ("d4", "braid-phase", ("4", "4"))),
+    ("8-delta-homomorphism", VALIDATE_DEFECTS["cross-label-orthogonality"]),
+]
 
 
 def scaled_rbar(b, i, s=1 + 5e-8):
@@ -125,6 +141,20 @@ def turned_pair(b, i, theta=0.3):
     r, rbar = b.conj[i]
     R, Rbar = r.reshape(dib, di) @ G, np.linalg.inv(G).conj() @ rbar.reshape(di, dib)
     return dataclasses.replace(b, conj={**b.conj, i: (R.reshape(-1), Rbar.reshape(-1))})
+
+
+def crossed(b, i, j, k, m, theta=1e-6):
+    """b with the isometry v of i (x) j -> k turned toward w of i (x) j -> m:
+    v + theta w P, with P matching each basis vector of H_m to the one of
+    H_k of its weight (the first d_m without weights).  P is a partial
+    permutation, so the columns stay orthogonal and normalising them
+    re-orthonormalises v."""
+    v, w = b.fusion[(i, j)][k][0], b.fusion[(i, j)][m][0]
+    wk, wm = (np.asarray(b.weights[x]) if b.weights else np.arange(b.d(x)) for x in (k, m))
+    v = v + theta * w @ (wm[:, None] == wk[None, :])
+    fusion = {p: dict(chans) for p, chans in b.fusion.items()}
+    fusion[(i, j)][k] = [v / np.linalg.norm(v, axis=0)]
+    return dataclasses.replace(b, fusion=fusion)
 
 
 def changed_braiding(b, pair, kind):
@@ -151,6 +181,8 @@ def defective(b, kind, where):
             **b.fusion[(i, j)], k: 2 * b.fusion[(i, j)][k]}})
     if kind.startswith("braid-"):
         return changed_braiding(b, where, kind)
+    if kind == "cross-label":
+        return crossed(b, *where)
     return (scaled_rbar if kind == "rbar" else turned_pair)(b, where)
 
 
@@ -184,6 +216,15 @@ def test_every_row_has_a_defect(bundles):
 @pytest.mark.parametrize("row", sorted(DEFECTS))
 def test_the_defect_fails_its_row(bundles, row):
     name, kind, where = DEFECTS[row]
+    bad = defective(bundles[name], kind, where)
+    assert not validate_bundle(bad).passed
+    got = rows(reconstruct(bad, validate=False))[row]
+    assert not got.passed, got
+
+
+@pytest.mark.parametrize("row, defect", MORE_DEFECTS, ids=[r for r, _ in MORE_DEFECTS])
+def test_a_second_defect_fails_its_row(bundles, row, defect):
+    name, kind, where = defect
     bad = defective(bundles[name], kind, where)
     assert not validate_bundle(bad).passed
     got = rows(reconstruct(bad, validate=False))[row]
