@@ -32,9 +32,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GIB = 1 << 30
 LIMIT_S = 900  # a row still running after this long is killed
 # (name, gen arguments, labels, N, rows as (op, cap in bytes))
+# the windows' rmatrix, dual and group rows are refusals (exit 2)
 SUQ2 = [(f"suq2 q=0.9 L={L}", ["suq2", "--q", "0.9", "--L", str(L)], L + 1,
-         sum(d * d for d in range(1, L + 2)), [("gen", 2 * GIB), ("validate", 4 * GIB),
-                                               ("check", 4 * GIB)])
+         sum(d * d for d in range(1, L + 2)),
+         [("gen", 2 * GIB), ("validate", 4 * GIB), ("check", 4 * GIB), ("rmatrix", 2 * GIB),
+          ("dual", 2 * GIB), ("group", 2 * GIB)])
         for L in (12, 16, 20, 24, 30)]
 POINTED = [(f"pointed Z/{n} t=1", ["pointed", "--n", str(n), "--t", "1"], n, n,
             [("gen", 2 * GIB), ("validate", 2 * GIB), ("check", 2 * GIB), ("rmatrix", 2 * GIB)])

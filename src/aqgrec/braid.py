@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .aqg import Aqg
-from .bundle import FusionLayout, require_braiding
+from .bundle import FusionLayout
+from .document import require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
                      frozen_eye, group_by, max_abs, shape_stacks, split_by, worst,
@@ -71,7 +72,7 @@ class RMatrix:
 def braiding_to_r(q: Aqg) -> RMatrix:
     """R_{ij} = flip o c_{ij}, per loaded braiding block."""
     b = q.bundle
-    require_braiding(b)
+    require_braiding(b.braiding)
     lay = b.layout
     c = RMatrix(lay, *lay.pair_stacks(b.braiding))  # the braidings, stacked as R is
     if not c.have.any():

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BundleSyntaxError, MissingBraiding, NotFinite, ShapeError
+from .document import BundleDocument, load_document, positions, typed
+from .errors import BundleSyntaxError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
     Array,
@@ -102,24 +104,6 @@ class CategoryBundle:
         """True when all summands of i (x) j lie inside the loaded window."""
         lay = self.layout
         return bool(lay.complete_pair[lay.pair_index[(i, j)]])
-
-
-def require_tables(b: CategoryBundle) -> None:
-    """Refuse a window: the Hopf tables need all of A."""
-    if not b.closed:
-        raise NotFinite("Hopf tables require a closed bundle")
-
-
-def require_group(b: CategoryBundle) -> None:
-    """Refuse a window: the intrinsic group needs all of A."""
-    if not b.closed:
-        raise NotFinite("intrinsic group requires a closed bundle")
-
-
-def require_braiding(b: CategoryBundle) -> None:
-    """Refuse a bundle without braiding data."""
-    if b.braiding is None:
-        raise MissingBraiding("*", "*", "the bundle has no braiding")
 
 
 class FusionLayout:
@@ -248,7 +232,9 @@ class FusionLayout:
                 for _, x in split_by(code[lo:hi]):
                     x += lo
                     g = bdagger(self.isometries(a[x])) @ self.isometries(c[x])
-                    g[a[x] == c[x]] -= np.eye(*g.shape[1:])
+                    diagonal = a[x] == c[x]
+                    if diagonal.any():  # only where a shape meets itself
+                        g[diagonal] -= np.eye(*g.shape[1:])
                     res[x] = max_abs(g)
             self._gram = np.zeros((2, len(n)))
             with np.errstate(invalid="ignore"):  # a NaN residual stays NaN
@@ -304,39 +290,8 @@ class FusionLayout:
 # parsing / serialization
 
 
-def _decode_data(obj: dict) -> dict:
-    """json.loads object hook: a list-valued "data" becomes a complex array
-    as soon as its object is parsed, and its "at" an int64 array, so the
-    entries never stand as a tree of Python lists.  A list that does not
-    convert is left in place for _parse_matrix or _parse_vector to report at
-    its location."""
-    data = obj.get("data")
-    if type(data) is list:
-        try:
-            obj["data"] = _complex_array(data)
-        except (TypeError, ValueError, OverflowError):
-            return obj
-        if "at" in obj:
-            at = _positions(obj["at"])
-            if at is not None:
-                obj["at"] = at
-    return obj
-
-
 def _complex_array(data) -> Array:
     return np.array([complex(re, im) for re, im in data], dtype=complex)
-
-
-def _positions(at) -> Array | None:
-    """at as an int64 array, if it is a list of JSON integers in range."""
-    if isinstance(at, np.ndarray):
-        return at
-    if type(at) is not list or not set(map(type, at)) <= {int}:
-        return None
-    try:
-        return np.array(at, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 def _shape_text(shape: tuple[int, ...]) -> str:
@@ -348,16 +303,19 @@ def _entries(obj: dict, data, shape: tuple[int, ...], kind: str, where: str) -> 
     its "data" in row-major order, or with "at", its "data" at those flat
     positions and 0 elsewhere."""
     size, at = math.prod(shape), None
+    if isinstance(data, array):  # decoded by the document's object hook
+        data = np.frombuffer(data, dtype=complex)
     try:
         n = len(data)
     except TypeError:
         raise BundleSyntaxError(
             f"malformed {kind} at {where}: data must be a JSON array") from None
     if "at" in obj:
-        at = _positions(obj["at"])
+        at = positions(obj["at"])
         if at is None:
             raise BundleSyntaxError(
                 f"malformed {kind} at {where}: at must be a JSON array of integers")
+        at = np.frombuffer(at, dtype=np.int64)
         if len(at) != n:
             raise ShapeError(f"{kind} at {where}: {n} entries for {len(at)} positions")
     elif n != size:
@@ -414,65 +372,23 @@ def _require_finite(fusion, conj, braiding) -> None:
     raise BundleSyntaxError(f"non-finite entry at {where}")
 
 
-def _is_int(value) -> bool:
-    """Whether value is a JSON integer: an int, but not a bool, which Python
-    counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def parse_bundle(source: str | BundleDocument) -> CategoryBundle:
+    """Parse Category Bundle v1 text, or its document (load_document).
+    Checks shapes, and a declared weight grading (GradingError), not the rest
+    of the mathematics.
 
-
-def _typed(value, kind: type, what: str):
-    """value, if it is a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        raise BundleSyntaxError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
-    return value
-
-
-def parse_bundle(text: str) -> CategoryBundle:
-    """Parse Category Bundle v1 text.  Checks shapes, and a declared weight
-    grading (GradingError), not the rest of the mathematics."""
-    try:
-        doc = json.loads(text, object_hook=_decode_data)
-    except json.JSONDecodeError as exc:
-        raise BundleSyntaxError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise BundleSyntaxError("top level must be a JSON object")
-    if not _is_int(doc.get("version")) or doc["version"] != 1:
-        raise BundleSyntaxError(f"unsupported version {doc.get('version')!r}")
-    for key in ("labels", "unit", "dims", "dual", "closed", "fusion", "conj"):
-        if key not in doc:
-            raise BundleSyntaxError(f"missing key {key!r}")
-
-    labels = [str(x) for x in _typed(doc["labels"], list, "labels")]
-    if len(set(labels)) != len(labels):
-        raise BundleSyntaxError("duplicate labels")
+    The arrays are built from the document: an entry list that its object
+    hook decoded is viewed as complex entries without a copy, and one that
+    did not decode is reported at its location."""
+    doc = source if isinstance(source, BundleDocument) else load_document(source)
+    labels, unit, dims, dual = doc.labels, doc.unit, doc.dims, doc.dual
     lset = set(labels)
-    unit = str(doc["unit"])
-    if unit not in lset:
-        raise BundleSyntaxError(f"unit label {unit!r} not in labels")
-
-    dims = {}
-    for i, v in _typed(doc["dims"], dict, "dims").items():
-        if i not in lset:
-            raise BundleSyntaxError(f"dims mentions unknown label {i!r}")
-        if not _is_int(v) or v < 1:
-            raise BundleSyntaxError(f"dim of {i!r} must be a positive integer")
-        dims[i] = v
-    if set(dims) != lset:
-        raise BundleSyntaxError("dims must cover every label")
-    if dims[unit] != 1:
-        raise ShapeError("unit label must have dimension 1")
-
-    if not isinstance(doc["closed"], bool):
-        raise BundleSyntaxError("closed must be true or false")
-    dual = {str(i): str(j) for i, j in _typed(doc["dual"], dict, "dual").items()}
-    if set(dual) != lset or not set(dual.values()) <= lset:
-        raise BundleSyntaxError("dual map must be a self-map of the label set")
 
     fusion: dict[tuple[str, str], dict[str, list[Array]]] = {}
-    for ent in _typed(doc["fusion"], list, "fusion"):
+    for ent in typed(doc.fusion, list, "fusion"):
         try:
             i, j, k = str(ent["i"]), str(ent["j"]), str(ent["k"])
-            mats = _typed(ent["isometries"], list, "isometries")
+            mats = typed(ent["isometries"], list, "isometries")
         except (KeyError, TypeError) as exc:
             raise BundleSyntaxError(f"malformed fusion entry: {exc}") from None
         for lab in (i, j, k):
@@ -488,7 +404,7 @@ def parse_bundle(text: str) -> CategoryBundle:
             fusion.setdefault((i, j), {}).setdefault(k, []).extend(parsed)
 
     conj = {}
-    for i, ent in _typed(doc["conj"], dict, "conj").items():
+    for i, ent in typed(doc.conj, dict, "conj").items():
         if i not in lset:
             raise BundleSyntaxError(f"conj mentions unknown label {i!r}")
         try:
@@ -509,9 +425,9 @@ def parse_bundle(text: str) -> CategoryBundle:
         raise BundleSyntaxError("conj must cover every label")
 
     braiding = None
-    if doc.get("braiding") is not None:
+    if doc.braiding is not None:
         braiding = {}
-        for ent in _typed(doc["braiding"], list, "braiding"):
+        for ent in typed(doc.braiding, list, "braiding"):
             try:
                 i, j, c = str(ent["i"]), str(ent["j"]), ent["c"]
             except (KeyError, TypeError) as exc:
@@ -533,8 +449,8 @@ def parse_bundle(text: str) -> CategoryBundle:
         fusion=fusion,
         conj=conj,
         braiding=braiding,
-        closed=doc["closed"],
-        weights=doc.get("weights"),
+        closed=doc.closed,
+        weights=doc.weights,
     )
     if b.weights is not None:
         b.layout  # certifies the grading

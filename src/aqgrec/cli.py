@@ -173,26 +173,20 @@ def _json_payload(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _load(args):
-    with open(args.bundle) as fh:
-        return parse_bundle(fh.read())
-
-
-def _cmd_validate(args, tol) -> int:
-    b = _load(args)
+def _cmd_validate(args, tol, b) -> int:
     rep = validate_bundle(b, tol)
     _emit(_report_payload(rep, args.text), args.output)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_reconstruct(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+def _cmd_reconstruct(args, tol, b) -> int:
+    q = reconstruct(b, tol)
     _emit(_json_payload(q.export()), args.output)
     return EXIT_PASS
 
 
-def _cmd_check(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+def _cmd_check(args, tol, b) -> int:
+    q = reconstruct(b, tol)
     rep = verify_axioms(q, tol, n_samples=args.samples, seed=args.seed)
     modular_data(q, tol)  # raises InconsistentSolve on failure
     rep.add("modular-data", "delta = f^-2, KMS, scaling constant", 0.0, True)
@@ -200,11 +194,7 @@ def _cmd_check(args, tol) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_dual(args, tol) -> int:
-    from .bundle import require_tables
-
-    b = _load(args)
-    require_tables(b)
+def _cmd_dual(args, tol, b) -> int:
     q = reconstruct(b, tol)
     T, Td, rep = dual_hopf(q, tol)
     U = universal_corep(T)
@@ -213,11 +203,7 @@ def _cmd_dual(args, tol) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_rmatrix(args, tol) -> int:
-    from .bundle import require_braiding
-
-    b = _load(args)
-    require_braiding(b)
+def _cmd_rmatrix(args, tol, b) -> int:
     q = reconstruct(b, tol)
     R = braiding_to_r(q)
     rep = verify_quasitriangular(q, R, tol)
@@ -233,11 +219,7 @@ def _cmd_rmatrix(args, tol) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_group(args, tol) -> int:
-    from .bundle import require_group
-
-    b = _load(args)
-    require_group(b)
+def _cmd_group(args, tol, b) -> int:
     q = reconstruct(b, tol)
     group, T, _, rep = grouplikes(q, tol, seed=args.seed)
     cocomm, crep = cocommutative_check(q, T, group, rep, tol)
@@ -253,8 +235,8 @@ def _cmd_group(args, tol) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_dims(args, tol) -> int:
-    q = reconstruct(_load(args), tol)
+def _cmd_dims(args, tol, b) -> int:
+    q = reconstruct(b, tol)
     rows = [
         {
             "label": i,
@@ -272,7 +254,7 @@ def _cmd_dims(args, tol) -> int:
     return EXIT_PASS
 
 
-def _cmd_gen(args, _) -> int:
+def _cmd_gen(args) -> int:
     from .examples import builtin_group
 
     fam = args.family
@@ -296,8 +278,36 @@ _HANDLERS = {
     "rmatrix": _cmd_rmatrix,
     "group": _cmd_group,
     "dims": _cmd_dims,
-    "gen": _cmd_gen,
 }
+
+
+def _run(args) -> int:
+    if args.command == "gen":
+        return _cmd_gen(args)
+    # the document stage and the refusals, decided from its closed and
+    # braiding fields, load no numpy
+    from .document import load_document, require_braiding, require_group, require_tables
+
+    with open(args.bundle) as fh:
+        doc = load_document(fh.read())
+    if args.command == "dual":
+        require_tables(doc.closed)
+    elif args.command == "group":
+        require_group(doc.closed)
+    elif args.command == "rmatrix":
+        require_braiding(doc.braiding)
+    from .linalg import Tolerance
+
+    try:
+        tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    b = parse_bundle(doc)
+    del doc  # b holds all it needs of it
+    return _HANDLERS[args.command](args, tol, b)
 
 
 def run(argv=None) -> int:
@@ -315,23 +325,16 @@ def run(argv=None) -> int:
         NotFinite,
         ShapeError,
     )
-    from .linalg import Tolerance
 
-    tol = None
     try:
-        if args.command != "gen":
-            tol = Tolerance(absolute=args.abs_tol, relative=args.rel_tol)
-            if args.samples < 1:
-                raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    except ValueError as exc:
+        return _run(args)
+    except (OSError, BundleSyntaxError, ShapeError, GradingError, BadPresentation, NotFinite,
+            MissingBraiding, ConjInconsistent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        return _HANDLERS[args.command](args, tol)
-    except (OSError, json.JSONDecodeError, BundleSyntaxError, ShapeError,
-            GradingError, BadPresentation, NotFinite, MissingBraiding,
-            ConjInconsistent) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy's message gives the size asked for
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidBundle as exc:
         print(f"error: bundle failed validation", file=sys.stderr)

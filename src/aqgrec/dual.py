@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqg import Aqg, unit_index
-from .bundle import require_tables
+from .document import require_tables
 from .linalg import DEFAULT_TOL, Array, Tolerance, eye, residual, worst
 from .report import Report
 
@@ -74,7 +74,7 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     v E_ab v* over the channels v of (n,m) -> k.
     """
     b = q.bundle
-    require_tables(b)
+    require_tables(b.closed)
     N = q.total_dim()
     mult = np.zeros((N, N, N), dtype=complex)
     unit = np.zeros(N, dtype=complex)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aqg import Aqg, unit_index
-from .bundle import require_group
+from .document import require_group
 from .dual import TableHopf, dual_table, table_from_aqg
 from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
 from .report import Report
@@ -151,7 +151,7 @@ def grouplikes(q: Aqg, tol: Tolerance = DEFAULT_TOL, seed: int = 42):
     Each *-character chi of the dual determines a grouplike g through
     omega(g) = chi(omega); returns (IntrinsicGroup, T, Td, Report).
     """
-    require_group(q.bundle)
+    require_group(q.bundle.closed)
     T = table_from_aqg(q)
     Td = dual_table(T)
     P = T.pairing()

@@ -470,13 +470,8 @@ def test_stored_entries_round_trip_bitwise(rows, cols, data):
     """A matrix and a vector with any mask of +0.0 entries, and -0.0 in
     either part, parse back bitwise, with and without the object hook; "at"
     is written exactly when an entry is left out."""
-    from aqgrec.bundle import (
-        _decode_data,
-        _matrix_text,
-        _parse_matrix,
-        _parse_vector,
-        _vector_text,
-    )
+    from aqgrec.bundle import _matrix_text, _parse_matrix, _parse_vector, _vector_text
+    from aqgrec.document import _decode_data
 
     pairs = data.draw(st.lists(st.tuples(_parts, _parts), min_size=rows * cols,
                                max_size=rows * cols))
@@ -615,9 +610,24 @@ def _decoded_arrays(text):
 
 
 def test_parse_decodes_as_the_list_decode(shipped_bundles):
-    for name, b in shipped_bundles.items():
-        text = serialize_bundle(b)
-        doc, b2 = json.loads(text), parse_bundle(text)
+    """Every array parsed through the document stage is bitwise the list
+    decode of its entries; the shipped bundles store entries at "at" and
+    write -0.0.  The document holds each "data" and "at" as a stdlib array."""
+    from array import array
+
+    from aqgrec.document import load_document
+
+    texts = {name: serialize_bundle(b) for name, b in shipped_bundles.items()}
+    assert any('"at"' in t for t in texts.values())
+    assert any("-0.0" in t for t in texts.values())
+    for name, text in texts.items():
+        document = load_document(text)
+        stored = [m for ent in document.fusion for m in ent["isometries"]]
+        stored += [v for ent in document.conj.values() for v in (ent["r"], ent["rbar"])]
+        stored += [ent["c"] for ent in document.braiding or []]
+        assert all(type(m["data"]) is array and type(m.get("at", array("q"))) is array
+                   for m in stored), name
+        doc, b2 = json.loads(text), parse_bundle(document)
         got = [m for ent in doc["fusion"]
                for m in b2.isometries(ent["i"], ent["j"], ent["k"])]
         got += [v for i in doc["conj"] for v in b2.conj[i]]
@@ -641,7 +651,7 @@ def _edited(text, at, change):
 
 def _entry_error(data):
     """The message of the list decode's error on data."""
-    with pytest.raises((TypeError, ValueError)) as exc:
+    with pytest.raises((TypeError, ValueError, OverflowError)) as exc:
         _list_decode(data)
     return str(exc.value)
 
@@ -664,6 +674,16 @@ def test_parse_errors_keep_their_messages(shipped_bundles, label):
             (_edited(text, at, lambda d: d.__setitem__(0, ["1.0", 0.0])), BundleSyntaxError,
              "bad {kind} entry at {where}: {error}"),
             (_edited(text, at, lambda d: d.__setitem__(0, [1.0, 0.0, 0.0])), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, [1, 2, 3])), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, "ab")), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, {"a": 1, "b": 2})), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, True)), BundleSyntaxError,
+             "bad {kind} entry at {where}: {error}"),
+            (_edited(text, at, lambda d: d.__setitem__(0, [2 ** 1024, 0.0])), BundleSyntaxError,
              "bad {kind} entry at {where}: {error}"),
             (_edited(text, at, lambda d: d.append([0.0, 0.0])), ShapeError,
              "{kind} at {where}: 2 entries for {shape}"),

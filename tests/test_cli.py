@@ -254,10 +254,15 @@ def test_gen_takes_only_the_output_option(tmp_path, capsys, option):
     assert "--output" in usage and option[0] not in usage
 
 
+_REFUSALS = (("dual", "Hopf tables require a closed bundle"),
+             ("group", "intrinsic group requires a closed bundle"),
+             ("rmatrix", "the bundle has no braiding"))
+
+
 def test_inapplicable_commands_exit_2_before_validating(tmp_path, capsys, monkeypatch):
     # a window with one isometry scaled by 1 + 1e-4 fails validation (check
     # exits 1), yet dual and group on a window, and rmatrix without a
-    # braiding, are refused right after parsing, with no reconstruction
+    # braiding, are refused from the bundle document, with no reconstruction
     path = _gen(tmp_path, "suq2", "--q", "0.5", "--L", "3")
     doc = json.loads(path.read_text())
     data = doc["fusion"][-1]["isometries"][0]["data"]
@@ -271,12 +276,57 @@ def test_inapplicable_commands_exit_2_before_validating(tmp_path, capsys, monkey
         raise AssertionError("reconstructed a bundle the command refuses")
 
     monkeypatch.setattr("aqgrec.aqg.reconstruct", refuse)
-    for op, message in (("dual", "Hopf tables require a closed bundle"),
-                        ("group", "intrinsic group requires a closed bundle"),
-                        ("rmatrix", "the bundle has no braiding")):
+    for op, message in _REFUSALS:
         assert run([op, str(path)]) == 2, op
         err = capsys.readouterr().err
         assert err == f"error: {message}\n", err
+
+
+def test_refusals_load_no_numpy(tmp_path):
+    """Each refusal is decided from the bundle document, before numpy loads,
+    with its message byte for byte, also on a window whose matrix entry is
+    malformed."""
+    import os
+    import subprocess
+    import sys
+
+    import aqgrec
+
+    path = _gen(tmp_path, "suq2", "--q", "0.5", "--L", "3")
+    bad = tmp_path / "bad.json"
+    doc = json.loads(path.read_text())
+    doc["fusion"][-1]["isometries"][0]["data"][0] = "ab"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", str(bad)]) == 2
+    code = (
+        "import sys\n"
+        "from aqgrec.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aqgrec.__file__))
+    for window in (path, bad):
+        for op, message in _REFUSALS:
+            res = subprocess.run([sys.executable, "-c", code, op, str(window)],
+                                 capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            assert res.stdout.split() == ["2", "False"], (op, res.stdout, res.stderr)
+            assert res.stderr == f"error: {message}\n", (op, res.stderr)
+
+
+def test_memory_error_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path, "pointed", "--n", "3", "--t", "1")
+    message = ("Unable to allocate 78.7 MiB for an array with shape (5157713,) and data "
+               "type complex128")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("aqgrec.cli.validate_bundle", exhausted)
+    capsys.readouterr()
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,8 +459,8 @@ _LOADS = (
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     """The package root imports nothing, and each subcommand imports the
-    modules it runs: a refusal right after parsing loads none of aqg,
-    braid, dual or group."""
+    modules it runs: a refusal, decided from the bundle document, loads
+    only the document module and the exceptions."""
     import os
     import subprocess
     import sys
@@ -422,16 +472,16 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert run(["gen", "pointed", "--n", "3", "--t", "1", "-o", closed]) == 0
     assert run(["gen", "suq2", "--L", "2", "-o", window]) == 0
     src = os.path.dirname(os.path.dirname(aqgrec.__file__))
+    modules = {f.stem for f in Path(aqgrec.__file__).parent.glob("*.py")} - {"__init__", "cli"}
     cases = [
-        (["--version"], 0, {f.stem for f in Path(aqgrec.__file__).parent.glob("*.py")}
-         - {"__init__", "cli"}),
+        (["--version"], 0, modules),
         (["validate", closed, "-o", out], 0, {"aqg", "braid", "dual", "group", "examples"}),
         (["check", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
         (["dims", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
         (["gen", "s3", "-o", out], 0, {"aqg", "braid", "dual", "group"}),
-        (["dual", window], 2, {"aqg", "braid", "dual", "group"}),
-        (["group", window], 2, {"aqg", "braid", "dual", "group"}),
-        (["rmatrix", window], 2, {"aqg", "braid", "dual", "group"}),
+        (["dual", window], 2, modules - {"document", "errors"}),
+        (["group", window], 2, modules - {"document", "errors"}),
+        (["rmatrix", window], 2, modules - {"document", "errors"}),
     ]
     for argv, want, unused in cases:
         res = subprocess.run([sys.executable, "-c", _LOADS, *argv], capture_output=True,
