@@ -9,7 +9,10 @@ Run from the repository root:
 Each row runs `python -m aqgrec.cli` from --src with an RLIMIT_AS cap and
 one BLAS thread, and reads its wall time, its peak RSS (os.wait4), its exit
 code and whether its stderr holds a traceback.  A capped, refused or killed
-row is recorded like any other.  The run replaces the run of the same tag in
+row is recorded like any other.  Beside each row, probe_s is the time of
+perfbench/run.py's calibration loop just before it: the machine's speed
+drifts between runs, and a row's seconds times PROBE_REF_S / probe_s are
+seconds at perfbench's reference speed.  The run replaces the run of the same tag in
 the output file and keeps the others, so two checkouts share one file.
 """
 from __future__ import annotations
@@ -29,6 +32,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import probe  # noqa: E402  (perfbench/run.py)
 GIB = 1 << 30
 LIMIT_S = 900  # a row still running after this long is killed
 # (name, gen arguments, labels, N, rows as (op, cap in bytes))
@@ -80,7 +85,8 @@ def main() -> None:
         bundle, out = Path(work) / "bundle.json", str(Path(work) / "out.json")
         for name, gen, labels, n, ops in SMOKE if args.smoke else SUQ2 + POINTED:
             for op, cap in ops:
-                row = {"bundle": name, "labels": labels, "N": n, "op": op}
+                row = {"bundle": name, "labels": labels, "N": n, "op": op,
+                       "probe_s": round(probe(), 4)}
                 if op == "gen":
                     row.update(run_row(args.src, ["gen", *gen, "-o", str(bundle)], cap))
                     made = row["exit"] == 0

@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     Array,
     Tolerance,
-    add_in_order,
     add_planned,
     bdagger,
     bkron,
@@ -182,18 +181,19 @@ def reconstruct(
         weights[i] = w
     q = Aqg(bundle=b, F=F, Finv=Finv, haar_weights=weights)
 
-    # spot-check invariance of the Haar ansatz before first use
+    # spot-check invariance of the Haar ansatz before first use,
+    # (iota (x) phi)(Delta(a)) c = phi(a) c, per sample against the larger
+    # of 1 and the samples' scale
     def ansatz(a, c, got):
         want = _scaled(c, haar(q, a, "left"))
-        res = _sample_max(*(got[0][0][d] - want[d] for d in want))
-        bad = np.flatnonzero(~(res <= 1e-6 * np.maximum(1.0, _sample_max(*a.values())
-                                                        * _sample_max(*c.values()))))
-        if len(bad):
-            raise InconsistentSolve(f"Haar ansatz fails invariance (residual {res[bad[0]]:.3e})")
-        return [], []
+        res = _sample_max(*(got[0][d] @ c[d] - want[d] for d in want))
+        return [res / np.maximum(1.0, _sample_max(*a.values()) * _sample_max(*c.values()))], []
 
-    _cut_row(q, np.random.default_rng(7), 2, haar_sample_support(q), (1,), [("right",)], ansatz,
-             _HaarPlan)
+    sample = haar_sample_support(q)
+    res, _ = _channel_row(q, np.random.default_rng(7), 2, sample, [
+        _Contraction(q, sample, sample, 1, _leg(q, _haar_stacks(q, "left")[1]))], ansatz)
+    if not res <= 1e-6:
+        raise InconsistentSolve(f"Haar ansatz fails invariance (relative residual {res:.3e})")
     return q
 
 
@@ -215,18 +215,21 @@ def sample_draws(q: Aqg, rng, n: int, k: int, support, kept: int, held: int):
 def chunks(key, fixed, phases, n: int, held: int):
     """(lo, hi, slices of the n samples) per chunk of a row's items (walk):
     item p holds fixed[p] bytes and phases[t, p] a sample in phase t of its
-    chunk, which takes whole runs of equal key beside held; a run that does
-    not fit alone runs its samples in slices."""
+    chunk, which takes whole runs of equal key (each item a run without
+    one) beside held; a run that does not fit alone runs its samples in
+    slices."""
     for lo, hi in walk(fixed + n * phases, held, key):
         per = phases[:, lo:hi].sum(axis=1).max()
         yield lo, hi, [slice(*r) for r in walk(np.full(n, per), held + fixed[lo:hi].sum())]
 
 
 def lone(key, fixed, phases) -> int:
-    """The bytes of a row's largest chunk of one run and one sample (chunks)
-    within CHUNK_BYTES, which its groups of samples leave free
-    (sample_draws).  A run that overruns the budget alone overruns it
-    whatever its group holds, and does not shrink the groups."""
+    """The bytes of a row's largest chunk of one run (one item without a
+    key) and one sample (chunks) within CHUNK_BYTES, which its groups of
+    samples leave free (sample_draws).  A run that overruns the budget
+    alone overruns it whatever its group holds, and does not shrink the
+    groups."""
+    key = np.arange(len(fixed)) if key is None else key
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))[:len(key)]
     runs = np.add.reduceat(fixed + phases, start, axis=1).max(axis=0, initial=0)
     return int(np.max(runs[runs <= linalg.CHUNK_BYTES], initial=0))
@@ -360,113 +363,41 @@ def delta_stacks(a: dict, plan: DeltaPlan):
     return out
 
 
-class _Cuts:
-    """Cut-off coproducts Delta(a) times c on one leg, for batches a with
-    blocks on a_labels, planned per chunk of _cut_chunks.  Cut k multiplies
-    by c on legs[k] (1: c (x) 1, 2: 1 (x) c), from the right or the left, on
-    the pairs idx[k], whose labels of c's leg are lead[k]; per class of
-    _pair_classes, groups[k] holds its dims and positions, and classes[k]
-    (d of c's leg, d of the other leg, rows of the stacks of plan, the Delta
-    plan of every cut, blocks of c)."""
-
-    def __init__(self, q: Aqg, a_labels, idx, legs):
-        lay = q.bundle.layout
-        self.legs, self.idx = legs, idx
-        self.plan = DeltaPlan(q, a_labels, np.concatenate(idx))
-        self.lead = [np.divmod(i, len(lay.dims))[leg - 1] for i, leg in zip(idx, legs)]
-        self.groups = [_pair_classes(lay, i) for i in idx]
-        self.classes = [[
-            ((di, dj) if leg == 1 else (dj, di)) + (self.plan.slot[i[sel]],
-                                                  lay.block_of[lead[sel]])
-            for (di, dj), sel in groups
-        ] for leg, i, lead, groups in zip(legs, idx, self.lead, self.groups)]
-
-    def cut(self, da: dict, c: dict, k: int, sides=("right",)) -> list[list]:
-        """Cut k of the Delta(a) stacks da by the batch c, from each of the
-        sides."""
-        prods = [[] for _ in sides]
-        for dl, do, rows, blocks in self.classes[k]:
-            blk = da[(dl * do,) * 2][rows]
-            cn = c[dl][blocks]
-            cut = bkron(cn, frozen_eye(do)) if self.legs[k] == 1 else bkron(frozen_eye(do), cn)
-            for side, out in zip(sides, prods):
-                out.append(blk @ cut if side == "right" else cut @ blk)
-        return prods
+def _cut(lay, da: dict, c: dict, plan: DeltaPlan, idx, leg: int) -> list:
+    """Row 4's cut-off coproducts on the pairs idx, per class of
+    _pair_classes: the Delta(a) stacks da of plan cut by the batch c, as
+    (c (x) 1)Delta(a) (leg 1) or Delta(a)(1 (x) c) (leg 2)."""
+    lead = np.divmod(idx, len(lay.dims))[leg - 1]
+    prods = []
+    for (di, dj), sel in _pair_classes(lay, idx):
+        blk = da[(di * dj,) * 2][plan.slot[idx[sel]]]
+        cn = c[(di, dj)[leg - 1]][lay.block_of[lead[sel]]]
+        prods.append(bkron(cn, frozen_eye(dj)) @ blk if leg == 1
+                     else blk @ bkron(frozen_eye(di), cn))
+    return prods
 
 
-def _cut_chunks(q: Aqg, support, legs, others=None, sides: int = 1, extra=None,
-                whole_leads: bool = False):
-    """(lone, chunks) of a sampled row's cuts for batches a and c on
-    support, planned once per row: chunks(n, held) yields per chunk
-    (chunks) a _Cuts over its pairs and the slices of the n samples.  Cut k
-    holds the blocks (n, o) by c (x) 1 (legs[k] = 1) or (o, n) by 1 (x) c, n
-    in support, o in every label (or others(n)), where Delta(a) does not
-    vanish.  The pairs run lead-major for legs[0], so a sum by n carried
-    over the chunks adds a cut's pairs by o as one pass does; with
-    whole_leads a chunk takes each n's pairs whole.  A chunk holds Delta's
-    blocks with Delta's work (delta_cost), then per cut k in turn Delta's
-    blocks and extra(k, idx) = (fixed, per_sample), per pair of the cut and
-    per sample in each phase (row of per_sample) of its own, the later ones
-    without Delta's blocks: by default one phase, a block of Delta and of
-    c (x) 1 being cut, the products on `sides` sides and two blocks of their
-    consumer (an einsum's copy of the products it contracts, and its
-    results)."""
+def _cut_chunks(q: Aqg, support, leg: int):
+    """(lone, chunks) of row 4's cuts by c on leg `leg` (_cut) for batches a
+    and c on support, planned once per row: chunks(n, held) yields per
+    chunk (chunks) its pairs and the slices of the n samples.  The cuts
+    hold the blocks (n, o) (leg 1) or (o, n) (leg 2), n in support, o every
+    label, where Delta(a) does not vanish, lead-major, and a chunk takes
+    each n's pairs whole.  A chunk holds Delta's blocks with Delta's work
+    (delta_cost), then Delta's blocks and the phases of _t_inverse_cost."""
     lay = q.bundle.layout
-    n_lab, li = len(lay.dims), lay.label_index
+    n_lab = len(lay.dims)
     have = np.zeros(n_lab, dtype=bool)
-    have[[li[k] for k in support]] = True
-    sup = np.array([li[x] for x in sorted(support)], dtype=int)
-    lead, other = (np.array([(li[x], li[o]) for x in sorted(support) for o in others(x)]).T
-                   if others else (np.repeat(sup, n_lab), np.tile(np.arange(n_lab), len(sup))))
-    into = lay.loaded[:, have].any(axis=1)  # the pairs where Delta(a) does not vanish
-    idx = [i[into[i]] for i in (lead * n_lab + other if leg == 1 else other * n_lab + lead
-                                for leg in legs)]
-    pairs = distinct(np.concatenate(idx))
-    key = pairs if legs[0] == 1 else pairs % n_lab * n_lab + pairs // n_lab
-    pairs, key = pairs[np.argsort(key)], np.sort(key)
-    at = np.zeros(n_lab * n_lab, dtype=int)
-    at[pairs] = np.arange(len(pairs))
+    have[[lay.label_index[k] for k in support]] = True
+    key = (np.flatnonzero(have)[:, None] * n_lab + np.arange(n_lab)).ravel()  # n, then o
+    pairs = key if leg == 1 else key % n_lab * n_lab + key // n_lab
+    into = lay.loaded[pairs][:, have].any(axis=1)  # the pairs where Delta(a) does not vanish
+    key, pairs = key[into] // n_lab, pairs[into]
     fixed, block, work = delta_cost(q, pairs, have)
-    phases = [block + work]
-    for k, i in enumerate(idx):
-        f, x = extra(k, i) if extra else (0, (sides + 4) * block[None, at[i]])
-        fixed[at[i]] += f
-        x = [np.bincount(at[i], y, len(pairs)) for y in x]
-        phases += [block + x[0]] + x[1:]  # Delta's blocks until cut k is made
-    key, phases = key // n_lab if whole_leads else key, np.array(phases)
+    more, phases = _t_inverse_cost(q, pairs, leg == 2)
+    fixed, phases = fixed + more, np.array([block + work, block + phases[0], *phases[1:]])
     return lone(key, fixed, phases), lambda n, held: (
-        (_Cuts(q, support, [i[(at[i] >= lo) & (at[i] < hi)] for i in idx], legs), batches)
-        for lo, hi, batches in chunks(key, fixed, phases, n, held))
-
-
-def _cut_row(q: Aqg, rng, n: int, support, legs, sides, check, plan=None, others=None):
-    """(residual, scale) of a sampled row, the maxima of check(a, c, got)
-    over the groups a, c of n samples on support (sample_draws): got[k][t]
-    sums by c's label, in item order over the chunks of _cut_chunks, the
-    classes plan(q, cuts, k).parts(x) of the products x of cut k from the
-    side sides[k][t], or x itself without a plan."""
-    lay = q.bundle.layout
-    held, cut_chunks = _cut_chunks(q, support, legs, others, len(sides[0]))
-    res, scale = [0.0], [1.0]
-    for ng, (a, c) in sample_draws(q, rng, n, 2, support, 1 + sum(map(len, sides)), held):
-        got = [[_zero_batch(lay, ng, c) for _ in s] for s in sides]
-        for cuts, batches in cut_chunks(ng, _nbytes(a, c, *(x for g in got for x in g))):
-            adds = [(plan(q, cuts, k).parts if plan else list,
-                     order_plan(lay.block_of[cuts.lead[k]], [sel for _, sel in cuts.groups[k]],
-                                [dl for dl, *_ in cuts.classes[k]]))
-                    for k in range(len(legs))]
-            for s in batches:
-                da = delta_stacks(_at(a, s), cuts.plan)
-                for k, (parts, order) in enumerate(adds):
-                    for x, out in zip(cuts.cut(da, _at(c, s), k, sides[k]), got[k]):
-                        add_planned({(d, d): m[:, s] for d, m in out.items()}, order, parts(x))
-                    del x  # one cut's products at a time
-                del da
-            del cuts, adds  # before the next chunk's
-        more_res, more_scale = check(a, c, got)
-        res, scale = res + more_res, scale + more_scale
-        del a, c, got  # before the next group's
-    return worst(*res), worst(*scale)
+        (pairs[lo:hi], batches) for lo, hi, batches in chunks(key, fixed, phases, n, held))
 
 
 def _dual_index(q: Aqg) -> Array:
@@ -499,100 +430,154 @@ def antipode(q: Aqg, a: dict) -> dict:
 
 
 def _haar_stacks(q: Aqg, side: str):
-    """(stacks, transposed, weights) of a Haar functional, built once per
-    q: F_k (side 'left') or F_k^-1 ('right') stacked per block size as
-    _label_stacks does, the same transposed, and the weights w_k by label
-    number."""
+    """(stacks, weighted) of a Haar functional, built once per q: F_k (side
+    'left') or F_k^-1 ('right') stacked per block size as _label_stacks
+    does, and the same times the weights w_k."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side not in q._cache:
-        mats = _label_stacks(q, q.F if side == "left" else q.Finv)
-        q._cache[side] = (mats, {d: m.swapaxes(-1, -2).copy() for d, m in mats.items()},
-                          np.array([q.haar_weights[k] for k in q.labels]))
+        mats = q.F if side == "left" else q.Finv
+        q._cache[side] = (_label_stacks(q, mats), _label_stacks(
+            q, {k: q.haar_weights[k] * m for k, m in mats.items()}))
     return q._cache[side]
 
 
 def haar(q: Aqg, a: dict, side: str = "left") -> Array:
-    """phi(a) = sum w_i Tr(F_i a_i) for every sample of the batch a, the
+    """phi(a) = sum Tr(w_i F_i a_i) for every sample of the batch a, the
     terms added in label-name order; the right functional uses F_i^{-1}."""
-    mats, _, weights = _haar_stacks(q, side)
+    weighted = _haar_stacks(q, side)[1]
     lay = q.bundle.layout
-    terms = {d: np.trace(mats[d][:, None] @ m, axis1=-2, axis2=-1) for d, m in a.items()}
+    terms = {d: np.trace(weighted[d][:, None] @ m, axis1=-2, axis2=-1) for d, m in a.items()}
     total = np.zeros(next(iter(a.values())).shape[1], dtype=complex)
     for i in sorted(q.labels):
         n = lay.label_index[i]
         if lay.dims[n] in terms:
-            total += weights[n] * terms[lay.dims[n]][lay.block_of[n]]
+            total += terms[lay.dims[n]][lay.block_of[n]]
     return total
 
 
 # ---------------------------------------------------------------------------
-# leg-wise operations on pair stacks
+# one leg of Delta(a), channel by channel
 
 
-class _MultPlan:
-    """m(S (x) iota) on cut k of cuts if it is by 1 (x) c, whose pairs must
-    be (dual(j), j), or m(iota (x) S) if by c (x) 1, on pairs (i, dual(i)),
-    so that every block is exact: per class its dims, the conjugate-pair
-    stacks of its output labels and a fixed einsum path."""
+class _Contraction:
+    """One leg of Delta(a) taken, channel by channel, for batches a with
+    blocks on `labels`: per lead label n of leads, the sum over the pairs
+    (n, o) (keep 1) or (o, n) (keep 2), o in others(n) (every label by
+    default), and over their channels v : H_k -> H_i (x) H_j, k in labels,
+    of the d_n x d_n block (P a_k) Q, with P a_k split into rows of Q's
+    height.  bind(v, lead, other, keep) makes P and Q for a stack of
+    channels of one shape, v as (channels, d_i, d_j, d_k), from v and
+    conj(v) bound to the operator of the leg that is not kept (_leg, _mult),
+    so that no pair block of Delta(a) is formed.  Multiplying by c on the
+    kept leg commutes with taking the other one, so a row multiplies the
+    sums by c.
 
-    def __init__(self, q: Aqg, cuts, k: int):
+    Items are the channels, by lead in the order of leads, then o, then
+    channel; an item holds 80 bytes an entry of v (P, Q and their making),
+    and per sample a's block, P a_k and twice its block.  lone is its
+    largest item (lone); run walks the items in chunks."""
+
+    def __init__(self, q: Aqg, labels, leads, keep: int, bind, others=None):
         lay = q.bundle.layout
-        first, second = np.divmod(cuts.idx[k], len(q.labels))
-        if not (_dual_index(q)[first] == second).all():
-            raise ValueError("the pairs must be (dual(j), j) or (i, dual(i))")
-        self.left = left = cuts.legs[k] == 2
-        conj = _conj_stacks(q)
-        # sum_ps S(e^i_ps) Y_ps with S(e_ps) = outer(Rbar[:,s], conj(R[p,:]))
-        self.spec = "gus,gpe,gpesw->guw" if left else "gapes,ges,gpw->gaw"
-        self.work = []
-        for (di, dj), sel in cuts.groups[k]:
-            rb, rmc, _ = conj[dj if left else di]
-            rb, rmc = (s[lay.block_of[cuts.lead[k][sel]]] for s in (rb, rmc))
-            t = np.broadcast_to(np.zeros((), dtype=complex), (len(sel), di, dj, di, dj))
-            path = np.einsum_path(self.spec, *((rb, rmc, t) if left else (t, rb, rmc)),
-                                  optimize=True)[0]
-            self.work.append((di, dj, rb, rmc, path))
+        li, n_lab = lay.label_index, len(lay.dims)
+        lead, other = np.array([(li[n], li[o]) for n in leads for o in (others or (
+            lambda n: q.labels))(n)], dtype=int).reshape(-1, 2).T
+        at, chans = lay.channels_of(lead * n_lab + other if keep == 1 else other * n_lab + lead)
+        have = np.zeros(n_lab, dtype=bool)
+        have[[li[k] for k in labels]] = True
+        use = have[lay.chan_label[chans]]
+        self.chans, self.lead, self.other = chans[use], lead[at[use]], other[at[use]]
+        self.lay, self.keep, self.bind = lay, keep, bind
+        s, d = lay.pair_size[lay.chan_pair[self.chans]], lay.dims[lay.chan_label[self.chans]]
+        self.fixed = 80 * s * d
+        self.phases = 16 * (d * d + s * d + 2 * lay.dims[self.lead] ** 2)[None]
+        self.lone = lone(None, self.fixed, self.phases)
 
-    def parts(self, x: list) -> list:
-        """The parts of add_planned: per class, m(S (x) iota) or
-        m(iota (x) S) of the pair stack x."""
-        out = []
-        for (di, dj, rb, rmc, path), xg in zip(self.work, x):
-            n = xg.shape[1]
-            rb, rmc = np.repeat(rb, n, axis=0), np.repeat(rmc, n, axis=0)
-            t = xg.reshape(-1, di, dj, di, dj)
-            y = np.einsum(self.spec, *((rb, rmc, t) if self.left else (t, rb, rmc)), optimize=path)
-            out.append(y.reshape((-1, n) + y.shape[1:]))
-        return out
+    def run(self, a: dict, out: dict, held: int) -> None:
+        """Add the sums for the batch a to out, a batch on the leads'
+        sizes, each in item order over the chunks (chunks) within
+        CHUNK_BYTES beside held."""
+        lay = self.lay
+        for lo, hi, batches in chunks(None, self.fixed, self.phases,
+                                      next(iter(a.values())).shape[1], held):
+            chans, lead, other = self.chans[lo:hi], self.lead[lo:hi], self.other[lo:hi]
+            work = []
+            for (dl, _, _), nums in group_by(lay.dims[lead], lay.dims[other],
+                                             lay.chan_shape[chans]):
+                v = lay.isometries(chans[nums])
+                g, _, dk = v.shape
+                p, m = self.bind(v.reshape((g, dl, -1, dk) if self.keep == 1 else (g, -1, dl, dk)),
+                                 lead[nums], other[nums], self.keep)
+                work.append((nums, p, m, lay.block_of[lay.chan_label[chans[nums]]], dl))
+            order = order_plan(lay.block_of[lead], [w[0] for w in work], [w[4] for w in work])
+            for s in batches:
+                parts = []
+                for _, p, m, blk, dl in work:
+                    x = p[:, None] @ a[p.shape[2]][blk, s]
+                    x = x.reshape(x.shape[:2] + (-1, m.shape[1])) @ m[:, None]
+                    parts.append(x.reshape(x.shape[:2] + (dl, dl)))
+                add_planned({(d, d): o[:, s] for d, o in out.items()}, order, parts)
+                del parts, x  # before the next batch's
 
 
-class _HaarPlan:
-    """The Haar functional on the leg that c does not cut of cut k of cuts:
-    phi on leg 2 of a cut by c (x) 1, psi on leg 1 of one by 1 (x) c; per
-    class its dims, the F stack and the weights of the contracted leg."""
+def _leg(q: Aqg, ops: dict):
+    """The bind of _Contraction that takes the leg it does not keep by the
+    functional Tr(M .), M the operator ops[d][block] of that leg's label:
+    (iota (x) Tr(M .))(v a v*) = (v a) Q with Q = (I (x) M^T) conj(v),
+    v a as d_i rows, and (Tr(M .) (x) iota)(v a v*) the same with the legs
+    of v swapped."""
+    lay = q.bundle.layout
 
-    def __init__(self, q: Aqg, cuts, k: int):
-        lay = q.bundle.layout
-        leg = 3 - cuts.legs[k]
-        h = np.divmod(cuts.idx[k], len(q.labels))[leg - 1]
-        _, fstacks, weights = _haar_stacks(q, "left" if leg == 2 else "right")
-        self.spec = "gab,gpaqb->gpq" if leg == 2 else "gab,gapbq->gpq"
-        self.work = [
-            (di, dj, fstacks[lay.dims[h[sel[0]]]][lay.block_of[h[sel]]],
-             weights[h[sel]][:, None, None, None])
-            for (di, dj), sel in cuts.groups[k]
-        ]
+    def bind(v, lead, other, keep):
+        v = v if keep == 1 else v.swapaxes(1, 2)  # the kept leg first
+        g, dl, do, dk = v.shape
+        mt = ops[do][lay.block_of[other]].swapaxes(1, 2)
+        return (v.reshape(g, dl * do, dk),
+                (mt[:, None] @ v.conj()).transpose(0, 2, 3, 1).reshape(g, do * dk, dl))
 
-    def parts(self, x: list) -> list:
-        """The parts of add_planned: per class, the pair stack x with one
-        leg contracted."""
-        out = []
-        for (di, dj, f, w), xg in zip(self.work, x):
-            n = xg.shape[1]
-            y = np.einsum(self.spec, np.repeat(f, n, axis=0), xg.reshape(-1, di, dj, di, dj))
-            out.append(w * y.reshape((-1, n) + y.shape[1:]))
-        return out
+    return bind
+
+
+def _mult(q: Aqg):
+    """The bind of _Contraction for m(S (x) iota) on the pairs (dual(j), j)
+    (keep 2) or m(iota (x) S) on (i, dual(i)) (keep 1), with S(e_ps) =
+    Rbar[:, s] conj(R)[p, :] for the conjugate pair of the lead (antipode):
+    m(S (x) iota)(v a v*) = r a Q with r = conj(R) . v, the form of conj(R)
+    with the output legs of v, and Q = Rbar conj(v); m(iota (x) S)(v a v*) =
+    (v a) Q with Q = conj(R) (x) rho, rho = Rbar . conj(v)."""
+    lay, conj = q.bundle.layout, _conj_stacks(q)
+
+    def bind(v, lead, other, keep):
+        g, d, _, dk = v.shape
+        rb, rmc = (x[lay.block_of[lead]] for x in conj[d][:2])
+        v, cv = v.reshape(g, d * d, dk), v.conj().reshape(g, d * d, dk)
+        if keep == 2:
+            m = (rb @ cv.reshape(g, d, d * dk)).reshape(g, d, d, dk).transpose(0, 3, 1, 2)
+            return rmc.reshape(g, 1, d * d) @ v, m.reshape(g, dk, d * d)
+        rho = rb.reshape(g, 1, d * d) @ cv
+        return v, (rmc[:, :, None] * rho[:, :, :, None]).reshape(g, d * dk, d)
+
+    return bind
+
+
+def _channel_row(q: Aqg, rng, n: int, support, cuts, check):
+    """(residual, scale) of a sampled row, the maxima of check(a, c, got)
+    over the groups a, c of n samples on support (sample_draws): got[k]
+    holds the sums of the _Contraction cuts[k] for a, by lead."""
+    lay = q.bundle.layout
+    res, scale = [0.0], [1.0]
+    # a group holds a, c, the sums, and the check's target, product and
+    # difference
+    for ng, (a, c) in sample_draws(q, rng, n, 2, support, len(cuts) + 3,
+                                   max(cut.lone for cut in cuts)):
+        got = [_zero_batch(lay, ng, c) for _ in cuts]
+        for cut, out in zip(cuts, got):
+            cut.run(a, out, _nbytes(a, c, *got))
+        more_res, more_scale = check(a, c, got)
+        res, scale = res + more_res, scale + more_scale
+        del a, c, got  # before the next group's
+    return worst(*res), worst(*scale)
 
 
 # ---------------------------------------------------------------------------
@@ -748,53 +733,31 @@ def modular_data(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     rng = np.random.default_rng(11)
     sample = haar_sample_support(q)
     lay = q.bundle.layout
-    n_lab = len(q.labels)
-    fst, fstacks, weights = _haar_stacks(q, "left")
+    fst, weighted = _haar_stacks(q, "left")
     finv = _haar_stacks(q, "right")[0]
-    # the probes a_i = f^-2 restricted to block i, one sample each, for the
-    # i with phi(a_i) != 0
-    at = np.array([lay.label_index[i] for i in sample], dtype=int)
-    probe = _zero_batch(lay, len(sample))
-    for t, n in enumerate(at):
-        probe[lay.dims[n]][lay.block_of[n], t] = finv[lay.dims[n]][lay.block_of[n]]
-    phi = dict(zip(sample, haar(q, probe, "left")))
-    probes = [i for i in sample if abs(phi[i]) >= 1e-12]
-    slot = np.full(n_lab, -1, dtype=int)
-    slot[[lay.label_index[i] for i in probes]] = np.arange(len(probes))
+    # per probe a_i = f^-1 restricted to block i with phi(a_i) != 0,
+    # phi(a_i) and (phi (x) iota)(Delta(a_i)) on the blocks j of the sample:
+    # per channel v of (k,j) -> i, w_k Tr_1((F_k (x) 1) v a_i v*)
+    sums = []
+    for i in sample:
+        a = {d: m[:, None] for d, m in _label_stacks(q, {i: q.Finv[i]}).items()}
+        phi = haar(q, a, "left")[0]
+        if abs(phi) >= 1e-12:
+            sums.append((phi, _zero_batch(lay, 1)))
+            _Contraction(q, [i], sample, 2, _leg(q, weighted)).run(
+                a, sums[-1][1], _nbytes(a, *(x for _, x in sums)))
     delta_blocks = {i: q.Finv[i] @ q.Finv[i] for i in q.labels}
     for j in sample:
-        dj = q.d(j)
-        # (phi (x) iota)(Delta(a_i)(1 (x) 1_j)) for every probe at once: per
-        # channel v of (k,j) -> i, w_k Tr_1((F_k (x) 1) v a_i v*), summed by i
-        at, chans = lay.channels_of(np.arange(n_lab) * n_lab + lay.label_index[j])
-        probe = slot[lay.chan_label[chans]]
-        use = probe >= 0
-        at, chans, probe = at[use], chans[use], probe[use]
-
-        def parts():
-            for _, nums in split_by(lay.chan_shape[chans]):
-                v, k, i = lay.isometries(chans[nums]), at[nums], lay.chan_label[chans[nums]]
-                dk = int(lay.dims[k[0]])
-                x = v @ finv[v.shape[-1]][lay.block_of[i]] @ bdagger(v)
-                yield nums, weights[k][:, None, None] * np.einsum(
-                    "gab,gapbq->gpq", fstacks[dk][lay.block_of[k]], x.reshape(-1, dk, dj, dk, dj))
-
-        sums = add_in_order({(dj, dj): np.zeros((len(probes), dj, dj), dtype=complex)},
-                            probe, parts())[(dj, dj)]
-        solved = None
-        for n, i in enumerate(probes):
-            cand = sums[n] / phi[i]
-            if solved is None:
-                solved = cand
-            elif not residual(solved, cand) <= 1e-6 * worst(1.0, np.abs(solved)):
-                raise InconsistentSolve(
-                    f"modular element inconsistent across probes at block {j}"
-                )
-        if solved is None:
+        dj, bj = q.d(j), lay.block_of[lay.label_index[j]]
+        solved = [x[dj][bj, 0] / phi for phi, x in sums]
+        if not solved:
             raise InconsistentSolve(f"no probe with nonzero Haar value for block {j}")
-        if not residual(solved, delta_blocks[j]) <= 1e-6:
+        if not all(residual(solved[0], x) <= 1e-6 * worst(1.0, np.abs(solved[0]))
+                   for x in solved[1:]):
+            raise InconsistentSolve(f"modular element inconsistent across probes at block {j}")
+        if not residual(solved[0], delta_blocks[j]) <= 1e-6:
             raise InconsistentSolve(f"modular block {j} off the f^-2 form")
-        delta_blocks[j] = solved
+        delta_blocks[j] = solved[0]
 
     # rho(a) = f a f^{-1}, checked through phi(ab) = phi(b rho(a))
     a, c = q.random_batch(rng, 4, 2, sample)
@@ -835,14 +798,20 @@ def verify_axioms(
     Delta(a*) = Delta(a)* hold by construction and are test oracles.  Window
     bundles get each check on its admissible blocks; anything unreachable is
     skipped explicitly.
-    Each sampled row counts the bytes its items hold (delta_cost and the
-    row's own phases), draws its samples in groups that get what the row's
-    largest chunk of one run and one sample leaves of CHUNK_BYTES
-    (sample_draws, lone), and runs a group's pairs in chunks within the rest
-    (chunks, one walk): a chunk plans its index work once and runs each
-    product once for the group's samples, stacked after the block axis, or
-    per batch of samples when its pairs do not fit; sums carry over the
-    chunks.
+    Rows 2, 3 and 6 take one leg of Delta(a) channel by channel
+    (_Contraction): per channel v, the counit, the antipode or a Haar
+    functional of one leg of v a_k v*, summed by the label of the other
+    leg, which they multiply by c after, as taking a leg commutes with it;
+    no pair block of Delta(a) is formed.  Row 4 cuts the pair blocks of
+    Delta(a) by c (_cut) for the inverses of T1 and T2.
+    Each sampled row counts the bytes its items hold (its channels, or
+    delta_cost and row 4's own phases), draws its samples in groups that get
+    what the row's largest chunk of one run and one sample leaves of
+    CHUNK_BYTES (sample_draws, lone), and runs a group's items in chunks
+    within the rest (chunks, one walk): a chunk plans its index work once
+    and runs each product once for the group's samples, stacked after the
+    block axis, or per batch of samples when its items do not fit; sums
+    carry over the chunks.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -867,26 +836,30 @@ def verify_axioms(
     # keep the values that the pinned reports hold
     q.random_batch(rng, n_small)
 
-    # (2) counit laws: the cuts hold the blocks (u, n) of Delta(a)(1 (x) c)
-    # and (n, u) of (c (x) 1) Delta(a), whose counit legs are their blocks
-    # on label n
+    # (2) counit laws: (eps (x) iota)(Delta(a)) c and (iota (x) eps)(Delta(a)) c
+    # against a c, from the blocks (u, n) and (n, u) of Delta(a), whose
+    # counit leg is the unit's
     def counit(a, c, got):
         ac = _mul(a, c)
-        return [max_abs(g[0][d] - ac[d]) for g in got for d in ac], [*map(max_abs, ac.values())]
+        return ([max_abs(x[d] @ c[d] - ac[d]) for x in got for d in ac],
+                [*map(max_abs, ac.values())])
 
-    res, scale = _cut_row(q, rng, n_samples, sample, (2, 1), [("right",)] * 2, counit,
-                          others=lambda n: [u])
+    unit = _leg(q, _label_stacks(q, {u: np.ones((1, 1))}))
+    res, scale = _channel_row(q, rng, n_samples, sample, [
+        _Contraction(q, sample, sample, keep, unit, lambda n: [u]) for keep in (2, 1)], counit)
     rep.add("2-counit-laws", "samples", res, res <= tol.bound(scale))
 
-    # (3) antipode laws
+    # (3) antipode laws: m(S (x) iota)(Delta(a)) c on the pairs (dual(j), j)
+    # and c m(iota (x) S)(Delta(a)) on (i, dual(i)), against eps(a) c
     def antipode_laws(a, c, got):
         ac = _scaled(c, a[1][lay.block_of[lay.label_index[u]], :, 0, 0])
-        return ([max_abs(g[0][d] - ac[d]) for g in got for d in ac],
+        return ([max_abs(got[0][d] @ c[d] - ac[d]) for d in ac]
+                + [max_abs(c[d] @ got[1][d] - ac[d]) for d in ac],
                 [*map(max_abs, ac.values()), _sample_max(*a.values()) * _sample_max(*c.values())])
 
-    duals = {n: [o for o in b.labels if b.dual[o] == n] for n in b.labels}
-    res, scale = _cut_row(q, rng, n_samples, sample, (2, 1), [("right",), ("left",)],
-                          antipode_laws, _MultPlan, duals.get)
+    res, scale = _channel_row(q, rng, n_samples, sample, [
+        _Contraction(q, sample, sample, keep, _mult(q), lambda n: [b.dual[n]])
+        for keep in (2, 1)], antipode_laws)
     rep.add("3-antipode-laws", "samples", res, res <= tol.bound(scale))
 
     # (4) T1/T2 bijectivity (_t_inverse_row)
@@ -919,18 +892,19 @@ def verify_axioms(
 
     # (6) Haar invariance: left invariance of phi on the blocks of
     # Delta(a)(c (x) 1) and (c (x) 1)Delta(a), right invariance of psi on
-    # those of Delta(a)(1 (x) c) and (1 (x) c)Delta(a); one Delta(a) serves
-    # every cutoff
+    # those of Delta(a)(1 (x) c) and (1 (x) c)Delta(a): (iota (x) phi)(Delta(a))
+    # and (psi (x) iota)(Delta(a)) times c on either side
     def invariance(a, c, got):
         res, scale = [], [_sample_max(*a.values()) * _sample_max(*c.values())]
-        for g, side in zip(got, ("left", "right")):
+        for x, side in zip(got, ("left", "right")):
             target = _scaled(c, haar(q, a, side))
-            res += [max_abs(x[d] - target[d]) for x in g for d in target]
+            res += [max_abs(y - target[d]) for d in target for y in (x[d] @ c[d], c[d] @ x[d])]
             scale += [max_abs(m) for m in target.values()]
         return res, scale
 
-    res, scale = _cut_row(q, rng, n_samples, sample, (1, 2), [("right", "left")] * 2,
-                          invariance, _HaarPlan)
+    res, scale = _channel_row(q, rng, n_samples, sample, [
+        _Contraction(q, sample, sample, keep, _leg(q, _haar_stacks(q, side)[1]))
+        for keep, side in ((1, "left"), (2, "right"))], invariance)
     rep.add("6-haar-invariance", f"support {sample}", res,
             res <= tol.bound(scale) * 10)
 
@@ -954,9 +928,7 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     lay, n_lab = q.bundle.layout, len(q.labels)
     res, scale = [0.0], [1.0]
     at = np.array([lay.label_index[k] for k in sample], dtype=int)
-    held, cut_chunks = zip(*(_cut_chunks(q, sample, (leg,), whole_leads=True,
-                                         extra=lambda k, idx, t1=leg == 2: _t_inverse_cost(
-                                             q, idx, t1)) for leg in (2, 1)))
+    held, cut_chunks = zip(*(_cut_chunks(q, sample, leg) for leg in (2, 1)))
     for ng, (a, c) in sample_draws(q, rng, n, 2, sample, 0, max(held)):
 
         def compare(leg, lead, where, back, s):
@@ -971,18 +943,19 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
                 want[p >= 0] -= back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
                 res.append(max_abs(want))
 
-        for leg, (x, y, side), cut in zip((2, 1), ((a, c, "right"), (c, a, "left")), cut_chunks):
+        for leg, (x, y), cut in zip((2, 1), ((a, c), (c, a)), cut_chunks):
             taken = np.zeros(n_lab, dtype=bool)
-            for cuts, batches in cut(ng, _nbytes(a, c)):
-                inv = _TInversePlan(q, cuts.idx[0], "t1" if leg == 2 else "t2")
-                lead = distinct(cuts.lead[0])
+            for idx, batches in cut(ng, _nbytes(a, c)):
+                plan = DeltaPlan(q, sample, idx)
+                inv = _TInversePlan(q, idx, "t1" if leg == 2 else "t2")
+                lead = distinct(np.divmod(idx, n_lab)[leg - 1])
                 taken[lead] = True
                 for s in batches:
-                    back = inv.inverse(cuts.cut(delta_stacks(_at(x, s), cuts.plan),
-                                                _at(y, s), 0, (side,))[0], s.stop - s.start)
+                    back = inv.inverse(_cut(lay, delta_stacks(_at(x, s), plan), _at(y, s), plan,
+                                            idx, leg), s.stop - s.start)
                     compare(leg, lead, inv.where, back, s)
                     del back
-                del cuts, inv
+                del plan, inv
             compare(leg, at[~taken[at]], np.full(n_lab * n_lab, -1), {}, slice(None))
         del a, c, x, y  # before the next group's
     return worst(*res), worst(*scale)

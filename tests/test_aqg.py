@@ -32,7 +32,7 @@ from aqgrec.aqg import (
 from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import parse_bundle
 from aqgrec.dual import table_from_aqg
-from aqgrec.errors import NotFinite
+from aqgrec.errors import InconsistentSolve, NotFinite
 from aqgrec.examples import gen_suq2
 from aqgrec.linalg import CHUNK_BYTES, DEFAULT_TOL, cmat, dagger, residual, worst
 from test_report_identity import a4_bundle
@@ -506,6 +506,78 @@ def test_window_rows_fail_on_a_seeded_defect(suq2_bundles, channel, rows):
     assert set(rows) <= failed, failed
 
 
+@pytest.mark.parametrize("name", ["s3", "suq2-q0.5-L4"])
+def test_the_haar_spot_check_of_reconstruct_fires(shipped_bundles, name):
+    # reconstruct checks (iota (x) phi)(Delta(a)) c = phi(a) c on two samples
+    # before it returns: the conjugate pair's channel 1 (x) 1 -> 0 off by
+    # 1e-4 fails it, and off by 1e-9 does not
+    b = shipped_bundles[name]
+    with pytest.raises(InconsistentSolve, match="Haar ansatz fails invariance"):
+        reconstruct(scaled_channel(b, "1", "1", "0", 1 + 1e-4), validate=False)
+    reconstruct(scaled_channel(b, "1", "1", "0", 1 + 1e-9), validate=False)
+
+
+def taken(q, x, i, j, keep, f):
+    """The block x on the pair (i, j) with the leg other than keep taken
+    through f: the sum over the matrix units E of that leg's label k of
+    f(k, E), a scalar or a matrix, times the block of x at E on the kept
+    leg, from the side of the leg taken."""
+    di, dj = q.d(i), q.d(j)
+    t = x.reshape(di, dj, di, dj)
+    if keep == 1:
+        return sum(np.dot(t[:, p, :, s], f(j, matrix_unit(dj, p, s)))
+                   for p in range(dj) for s in range(dj))
+    return sum(np.dot(f(i, matrix_unit(di, p, s)), t[p, :, s, :])
+               for p in range(di) for s in range(di))
+
+
+@pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4", "suq2-q0.9-L8"])
+def test_contracted_rows_are_the_contracted_cut_blocks(shipped_aqgs, name):
+    # rows 2, 3 and 6 take one leg of Delta(a) channel by channel and then
+    # multiply by c; the cut formulation they replace, the pair blocks of
+    # Delta(a)(c (x) 1), (c (x) 1)Delta(a), Delta(a)(1 (x) c) and
+    # (1 (x) c)Delta(a) with one leg taken by the counit, the antipode (in
+    # m(S (x) iota) and m(iota (x) S)) or a Haar functional pair by pair,
+    # gives the same blocks, from the element forms of those maps
+    q = shipped_aqgs.get(name) or reconstruct(gen_suq2(0.9, 8))
+    b, lay = q.bundle, q.bundle.layout
+    sup, u = haar_sample_support(q), b.unit
+    rng = np.random.default_rng(4)
+    a, c = random_element(q, rng, sup), random_element(q, rng, sup)
+
+    def eps(k, e):
+        return counit(q, AqgElement({k: e}))
+
+    def s(k, e):
+        return antipode(q, AqgElement({k: e})).blocks[b.dual[k]]
+
+    def functional(side):
+        return lambda k, e: haar(q, AqgElement({k: e}), side)
+
+    unit = aqg._leg(q, _label_stacks(q, {u: np.ones((1, 1))}))
+    # (row, keep, bind, others, the map of the leg taken, sides of c)
+    cuts = [("2", 2, unit, lambda n: [u], eps, ("right",)),
+            ("2", 1, unit, lambda n: [u], eps, ("right",)),
+            ("3", 2, aqg._mult(q), lambda n: [b.dual[n]], s, ("right",)),
+            ("3", 1, aqg._mult(q), lambda n: [b.dual[n]], s, ("left",))]
+    cuts += [("6", keep, aqg._leg(q, aqg._haar_stacks(q, side)[1]), None, functional(side),
+              ("right", "left")) for keep, side in ((1, "left"), (2, "right"))]
+    for row, keep, bind, others, f, sides in cuts:
+        got = aqg._zero_batch(lay, 1)
+        aqg._Contraction(q, sup, sup, keep, bind, others).run(batch(q, a), got, 0)
+        for n in sup:
+            x = got[q.d(n)][lay.block_of[lay.label_index[n]], 0]
+            pairs = [(n, o) if keep == 1 else (o, n) for o in (others or (lambda n: q.labels))(n)]
+            for side in sides:
+                want = 0
+                for (i, j), m in delta(q, a, pairs).items():
+                    cut = (np.kron(c.blocks[i], np.eye(q.d(j))) if keep == 1
+                           else np.kron(np.eye(q.d(i)), c.blocks[j]))
+                    want = want + taken(q, m @ cut if side == "right" else cut @ m, i, j, keep, f)
+                new = x @ c.blocks[n] if side == "right" else c.blocks[n] @ x
+                assert residual(new, want) <= 1e-12 * np.max(np.abs(want)), (row, keep, n, side)
+
+
 def pair_gram(b, i, j):
     """(max |V* V - I|, width) of the pair (i,j), with V its channels side
     by side in label order: the dense form of the layout's Gram."""
@@ -643,12 +715,13 @@ def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
 
 @pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4", "suq2-q0.5-L8"])
 def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
-    # one pair and one sample a chunk (at 256 KiB for the window at L = 8,
-    # whose rows then run several chunks of pairs), or every pair and sample
-    # in one chunk: each product runs on the same blocks, and every sum by
-    # label adds its items in the same order, so every row reads the same bits
+    # one pair or channel and one sample a chunk (at 256 KiB for the window
+    # at L = 8, whose rows then run several chunks of pairs and of
+    # channels), or every item and sample in one chunk: each product runs on
+    # the same blocks, and every sum by label adds its items in the same
+    # order, so every row reads the same bits
     q = shipped_aqgs.get(name) or reconstruct(gen_suq2(0.5, 8))
-    reports, count, cut = [], [], aqg.walk
+    reports, count, channels, cut, chunked = [], [], [], aqg.walk, aqg.chunks
 
     def walk(cost, held=0, key=None):
         out = cut(cost, held, key)
@@ -656,7 +729,14 @@ def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
             count.append(len(out))
         return out
 
+    def chunks(key, *args):
+        out = list(chunked(key, *args))
+        if key is None:  # a walk of the channels of rows 2, 3 and 6
+            channels.append(len(out))
+        return out
+
     monkeypatch.setattr(aqg, "walk", walk)
+    monkeypatch.setattr(aqg, "chunks", chunks)
     for budget in (1 << 18 if name == "suq2-q0.5-L8" else 1, 1 << 40):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         rep = verify_axioms(q)
@@ -665,6 +745,7 @@ def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
         reports.append([(c.name, c.residual, c.passed) for c in rep.checks])
     assert reports[0] == reports[1]
     assert max(count) > 1  # a row ran more than one chunk of pairs
+    assert max(channels) > 1  # and one more than one chunk of channels
 
 
 def test_sample_batches_bound_the_memory_of_verify_axioms():

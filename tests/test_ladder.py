@@ -19,4 +19,5 @@ def test_ladder_smoke_records_every_row(tmp_path):
     assert [r["op"] for r in rows] == ["gen", "validate"]
     for r in rows:
         assert r["exit"] == 0 and r["traceback"] is False and r["peak_rss_mb"] > 0, r
+        assert r["probe_s"] > 0, r  # the calibration loop of perfbench/run.py
     assert rows[0]["file_bytes"] > 0

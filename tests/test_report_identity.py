@@ -14,14 +14,21 @@ test_examples.py).  ``gen suq2`` works in the weight basis, a different
 gauge of the same category, whose L=3 reports keep every row and flag and
 move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
 
-The last re-pin made two rows read the pairs' channel Gram: the
+The last re-pin took one leg of Delta(a) channel by channel in
+``3-antipode-laws`` and ``6-haar-invariance``, which then multiply by c,
+where they had cut the pair blocks of Delta(a) by c first: their residuals
+moved at roundoff in every ``check`` report (within a factor of 1.4), and
+with row 6 the ``max_residual`` of the closed bundles' reports.  Row
+``2-counit-laws`` reads the same bits, and no other row moved.
+
+The re-pin before it made two rows read the pairs' channel Gram: the
 ``8-delta-homomorphism`` row of every ``check`` report and the
 ``comult-flip`` row of every ``rmatrix`` report changed location and
 residual, and ``suq2-l3.validate.json`` gained a
 ``cross-label-orthogonality`` row per incomplete pair.  No other row and no
 ``max_residual`` moved.
 
-The re-pin before it deleted the rows that hold by construction: from ``check``,
+Before that, a re-pin deleted the rows that hold by construction: from ``check``,
 ``4-t1-bijective`` and ``4-t2-bijective`` (replaced by
 ``4-t-inverse-identities`` on every bundle) and ``7-haar-faithful``, and
 ``8-delta-star-homomorphism`` became ``8-delta-homomorphism``; from

@@ -7,7 +7,9 @@ to a seeded defect that fails it.  A defect is a bundle that validation rejects,
 validate=False so that the rows see it, and there is no exemption list:
 a new row needs a defect here, and a row that holds by construction belongs
 in the tests as an oracle.  VALIDATE_DEFECTS does the same for the rows of
-validate_bundle, which read the defective bundle itself.
+validate_bundle, which read the defective bundle itself, and
+MODULAR_DEFECTS for the ``modular-data`` row that the CLI adds to
+``check``, one defect per error of modular_data.
 
 Six kinds of defect get past reconstruct's own gates:
 
@@ -49,10 +51,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aqgrec.aqg import reconstruct, verify_axioms
+from aqgrec.aqg import modular_data, reconstruct, verify_axioms
 from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import parse_bundle, validate_bundle
 from aqgrec.dual import dual_hopf, universal_corep, verify_universal
+from aqgrec.errors import InconsistentSolve
 from test_aqg import scaled_channel
 from test_report_identity import a4_bundle
 
@@ -110,6 +113,13 @@ VALIDATE_DEFECTS = {
     "braiding-hexagon-left": ("d4", "braid-turn", ("4", "4")),
     "braiding-hexagon-right": ("pointed-z5-t1", "braid-phase", ("1", "2")),
     "cross-label-orthogonality": ("suq2-q0.5-L4", "cross-label", ("3", "3", "4", "2")),
+}
+# the CLI's modular-data row is modular_data, which raises InconsistentSolve
+# on a defect: a bundle whose KMS conjugation fails, and one whose modular
+# element differs between probes
+MODULAR_DEFECTS = {
+    "KMS conjugation check failed": ("s3", "rbar", "2"),
+    "modular element inconsistent across probes": ("d4", "channel", ("2", "2", "0")),
 }
 # second defects of rows that read the channel Gram: comult-flip off the
 # Gram, through a braiding that is no morphism (X reads 0.149), and row 8
@@ -229,6 +239,15 @@ def test_a_second_defect_fails_its_row(bundles, row, defect):
     assert not validate_bundle(bad).passed
     got = rows(reconstruct(bad, validate=False))[row]
     assert not got.passed, got
+
+
+@pytest.mark.parametrize("message", sorted(MODULAR_DEFECTS))
+def test_the_defect_fails_the_modular_data(bundles, message):
+    name, kind, where = MODULAR_DEFECTS[message]
+    bad = defective(bundles[name], kind, where)
+    assert not validate_bundle(bad).passed
+    with pytest.raises(InconsistentSolve, match=message):
+        modular_data(reconstruct(bad, validate=False))
 
 
 def test_every_validate_row_has_a_defect(bundles):
