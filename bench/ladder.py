@@ -12,7 +12,8 @@ code and whether its stderr holds a traceback.  A capped, refused or killed
 row is recorded like any other.  Beside each row, probe_s is the time of
 perfbench/run.py's calibration loop just before it: the machine's speed
 drifts between runs, and a row's seconds times PROBE_REF_S / probe_s are
-seconds at perfbench's reference speed.  The run replaces the run of the same tag in
+seconds at perfbench's reference speed, which every timed row records as
+scaled_s.  The run replaces the run of the same tag in
 the output file and keeps the others, so two checkouts share one file.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import probe  # noqa: E402  (perfbench/run.py)
+from run import PROBE_REF_S, probe  # noqa: E402  (perfbench/run.py)
 GIB = 1 << 30
 LIMIT_S = 900  # a row still running after this long is killed
 # (name, gen arguments, labels, N, rows as (op, cap in bytes))
@@ -95,6 +96,8 @@ def main() -> None:
                     row.update(run_row(args.src, [op, str(bundle), "-o", out], cap))
                 else:
                     row["exit"] = "no bundle: gen failed"
+                if "seconds" in row:
+                    row["scaled_s"] = round(row["seconds"] * PROBE_REF_S / row["probe_s"], 2)
                 rows.append(row)
                 print(json.dumps(row), flush=True)
     doc = json.loads(args.output.read_text()) if args.output.exists() else {"runs": []}

@@ -7,9 +7,10 @@ Elements of A are finitely supported block maps i -> B(H_i), handled in
 batches: a batch of n elements maps each block size d to an array (labels of
 size d, n, d, d), whose row layout.block_of[i] holds label i, zero where an
 element has no block.  Elements of A (x) A are block maps (i,j) ->
-B(H_i (x) H_j) on a list of pairs, handled as one stack (pairs, n, D, D) per
-class of pairs of equal (d_i, d_j) (_pair_classes).  The sample axis comes
-after the block axis, so every planned product runs once per batch.
+B(H_i (x) H_j), and row 4 holds its blocks (i,j) of T1^-1(Delta(a)) and
+T2^-1(Delta(c)) stacked per side D = d_i d_j as (blocks, n, D, D).  The
+sample axis comes after the block axis, so every planned product runs once
+per batch.
 """
 from __future__ import annotations
 
@@ -25,16 +26,10 @@ from .linalg import (
     Array,
     Tolerance,
     add_planned,
-    bdagger,
-    bkron,
     dagger,
-    distinct,
-    frozen_eye,
     group_by,
     max_abs,
     order_plan,
-    ranges,
-    ranks,
     residual,
     slots,
     split_by,
@@ -204,40 +199,35 @@ def reconstruct(
 def sample_draws(q: Aqg, rng, n: int, k: int, support, kept: int, held: int):
     """(m, k batches of m random elements on support) per group of the n
     samples, drawn as random_batch draws them all: a group holds its batches
-    and `kept` more of their size within CHUNK_BYTES beside held (walk)."""
-    lay = q.bundle.layout
-    sizes = lay.dims[[lay.label_index[i] for i in support or q.labels]]
-    per = 16 * (k + kept) * sum(c * d * d for d, c in lay.dim_count.items() if d in sizes)
-    for lo, hi in walk(np.full(n, per), held):
+    and kept bytes a sample more within CHUNK_BYTES beside held (walk)."""
+    for lo, hi in walk(np.full(n, k * _sample_bytes(q, support) + kept), held):
         yield hi - lo, q.random_batch(rng, hi - lo, k, support)
 
 
-def chunks(key, fixed, phases, n: int, held: int):
+def _sample_bytes(q: Aqg, support) -> int:
+    """The bytes of one sample of a batch on support (random_batch)."""
+    lay = q.bundle.layout
+    sizes = lay.dims[[lay.label_index[i] for i in support or q.labels]]
+    return 16 * sum(c * d * d for d, c in lay.dim_count.items() if d in sizes)
+
+
+def chunks(fixed, phases, n: int, held: int):
     """(lo, hi, slices of the n samples) per chunk of a row's items (walk):
     item p holds fixed[p] bytes and phases[t, p] a sample in phase t of its
-    chunk, which takes whole runs of equal key (each item a run without
-    one) beside held; a run that does not fit alone runs its samples in
+    chunk, beside held; an item that does not fit alone runs its samples in
     slices."""
-    for lo, hi in walk(fixed + n * phases, held, key):
+    for lo, hi in walk(fixed + n * phases, held):
         per = phases[:, lo:hi].sum(axis=1).max()
         yield lo, hi, [slice(*r) for r in walk(np.full(n, per), held + fixed[lo:hi].sum())]
 
 
-def lone(key, fixed, phases) -> int:
-    """The bytes of a row's largest chunk of one run (one item without a
-    key) and one sample (chunks) within CHUNK_BYTES, which its groups of
-    samples leave free (sample_draws).  A run that overruns the budget
-    alone overruns it whatever its group holds, and does not shrink the
-    groups."""
-    key = np.arange(len(fixed)) if key is None else key
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))[:len(key)]
-    runs = np.add.reduceat(fixed + phases, start, axis=1).max(axis=0, initial=0)
-    return int(np.max(runs[runs <= linalg.CHUNK_BYTES], initial=0))
-
-
-def _at(a: dict, s: slice) -> dict:
-    """The samples s of the batch a, as views."""
-    return {d: m[:, s] for d, m in a.items()}
+def lone(fixed, phases) -> int:
+    """The bytes of a row's largest item and one sample (chunks) within
+    CHUNK_BYTES, which its groups of samples leave free (sample_draws).  An
+    item that overruns the budget alone overruns it whatever its group
+    holds, and does not shrink the groups."""
+    most = (fixed + phases).max(axis=0, initial=0)
+    return int(np.max(most[most <= linalg.CHUNK_BYTES], initial=0))
 
 
 def _nbytes(*batches) -> int:
@@ -275,129 +265,8 @@ def _sample_max(*stacks) -> Array:
     return np.max([np.max(np.abs(s), axis=(0, 2, 3), initial=0.0) for s in stacks], axis=0)
 
 
-def _pair_classes(lay, idx) -> list:
-    """The pairs with layout indices idx grouped by (d_i, d_j): a list of
-    ((d_i, d_j), positions in idx), the key order of every pair stack."""
-    first, second = np.divmod(idx, len(lay.dims))
-    return list(group_by(lay.dims[first], lay.dims[second]))
-
-
 # ---------------------------------------------------------------------------
 # structure maps
-
-
-class DeltaPlan:
-    """The index work of Delta on the pairs with layout indices idx, done
-    once for every batch whose blocks lie on `labels`.
-
-    slot and count place the blocks: pair p's is out[(s, s)][slot[p]] with s
-    = d_i d_j, and count[s] blocks have size s.  The items are the channels
-    of the wanted pairs into `labels`, a join over the layout's channel
-    arrays, in the order of the name of k, then alpha, within a pair; the
-    item of rank r is the r-th of its pair.  work holds them per rank, then
-    isometry shape, as (V, V*, block of k among its size, slot of the pair):
-    one item a pair, added rank by rank, so every block sums its items in
-    item order and Delta holds one product a pair at a time.
-    """
-
-    def __init__(self, q: Aqg, labels, idx):
-        lay = q.bundle.layout
-        idx = np.asarray(idx, dtype=int)
-        sizes = np.zeros(len(lay.pairs), dtype=int)
-        sizes[idx] = lay.pair_size[idx]
-        self.slot, self.count = slots(sizes)
-        have = np.zeros(len(q.labels), dtype=bool)
-        have[[lay.label_index[k] for k in labels]] = True
-        _, chans = lay.channels_of(np.flatnonzero(sizes))
-        chans = chans[have[lay.chan_label[chans]]]
-        chans = chans[np.lexsort((lay.chan_alpha[chans], lay.name_rank[lay.chan_label[chans]],
-                                  lay.chan_pair[chans]))]
-        pair = lay.chan_pair[chans]
-        self.work = []
-        for _, nums in split_by(ranks(pair) * len(lay.chan_stacks) + lay.chan_shape[chans]):
-            v = lay.isometries(chans[nums])
-            self.work.append((v, bdagger(v), lay.block_of[lay.chan_label[chans[nums]]],
-                              _places(self.slot[pair[nums]])))
-
-
-def _places(at):
-    """The increasing places at of a stack, as a slice when they are
-    consecutive: their sums are then added in place, without the read
-    (a copy) and the write of an index."""
-    lo, hi = int(at[0]), int(at[-1]) + 1
-    return slice(lo, hi) if hi - lo == len(at) else at
-
-
-def delta_cost(q: Aqg, pairs, have) -> tuple[Array, Array, Array]:
-    """(fixed, block, work): the bytes of Delta on each of the pairs for a
-    on the labels have (a mask), 16 a complex entry: V and
-    V* of its channels; per sample its block; and per sample, while Delta
-    runs, one channel's product with, before it, a's block and V a or,
-    after it, its read in the sum."""
-    lay = q.bundle.layout
-    at, chans = lay.channels_of(pairs)
-    use = have[lay.chan_label[chans]]
-    at, chans = at[use], chans[use]
-    s, d = lay.pair_size[pairs], lay.dims[lay.chan_label[chans]]
-    most = np.zeros(len(pairs), dtype=int)
-    np.maximum.at(most, at, d * d + s[at] * d)
-    return (np.bincount(at, 32 * s[at] * d, minlength=len(pairs)), 16 * s * s,
-            16 * (s * s + np.maximum(most, s * s)))
-
-
-def delta_stacks(a: dict, plan: DeltaPlan):
-    """Delta of the batch a on the pairs of plan, as stacks of blocks; a's
-    blocks must lie on the plan's labels.
-
-    Pair p's blocks are out[(s, s)][plan.slot[p]], one per sample, where
-    s is d_i d_j.  Each block sums v a_k v* over the loaded
-    channels k of a's labels, in label-name order, as one stacked product
-    per rank and isometry shape of the plan's items.
-    """
-    n = next(iter(a.values())).shape[1]
-    out = {(d, d): np.zeros((c, n, d, d), dtype=complex) for d, c in plan.count.items()}
-    for v, vd, blk, slot in plan.work:
-        x = v[:, None] @ a[v.shape[2]][blk] @ vd[:, None]
-        out[(v.shape[1],) * 2][slot] += x  # read after the product is made
-        del x  # before the next one
-    return out
-
-
-def _cut(lay, da: dict, c: dict, plan: DeltaPlan, idx, leg: int) -> list:
-    """Row 4's cut-off coproducts on the pairs idx, per class of
-    _pair_classes: the Delta(a) stacks da of plan cut by the batch c, as
-    (c (x) 1)Delta(a) (leg 1) or Delta(a)(1 (x) c) (leg 2)."""
-    lead = np.divmod(idx, len(lay.dims))[leg - 1]
-    prods = []
-    for (di, dj), sel in _pair_classes(lay, idx):
-        blk = da[(di * dj,) * 2][plan.slot[idx[sel]]]
-        cn = c[(di, dj)[leg - 1]][lay.block_of[lead[sel]]]
-        prods.append(bkron(cn, frozen_eye(dj)) @ blk if leg == 1
-                     else blk @ bkron(frozen_eye(di), cn))
-    return prods
-
-
-def _cut_chunks(q: Aqg, support, leg: int):
-    """(lone, chunks) of row 4's cuts by c on leg `leg` (_cut) for batches a
-    and c on support, planned once per row: chunks(n, held) yields per
-    chunk (chunks) its pairs and the slices of the n samples.  The cuts
-    hold the blocks (n, o) (leg 1) or (o, n) (leg 2), n in support, o every
-    label, where Delta(a) does not vanish, lead-major, and a chunk takes
-    each n's pairs whole.  A chunk holds Delta's blocks with Delta's work
-    (delta_cost), then Delta's blocks and the phases of _t_inverse_cost."""
-    lay = q.bundle.layout
-    n_lab = len(lay.dims)
-    have = np.zeros(n_lab, dtype=bool)
-    have[[lay.label_index[k] for k in support]] = True
-    key = (np.flatnonzero(have)[:, None] * n_lab + np.arange(n_lab)).ravel()  # n, then o
-    pairs = key if leg == 1 else key % n_lab * n_lab + key // n_lab
-    into = lay.loaded[pairs][:, have].any(axis=1)  # the pairs where Delta(a) does not vanish
-    key, pairs = key[into] // n_lab, pairs[into]
-    fixed, block, work = delta_cost(q, pairs, have)
-    more, phases = _t_inverse_cost(q, pairs, leg == 2)
-    fixed, phases = fixed + more, np.array([block + work, block + phases[0], *phases[1:]])
-    return lone(key, fixed, phases), lambda n, held: (
-        (pairs[lo:hi], batches) for lo, hi, batches in chunks(key, fixed, phases, n, held))
 
 
 def _dual_index(q: Aqg) -> Array:
@@ -474,9 +343,11 @@ class _Contraction:
     sums by c.
 
     Items are the channels, by lead in the order of leads, then o, then
-    channel; an item holds 80 bytes an entry of v (P, Q and their making),
-    and per sample a's block, P a_k and twice its block.  lone is its
-    largest item (lone); run walks the items in chunks."""
+    channel; an item holds 80 bytes an entry of v (P, Q and their making).
+    The kernel (_plan, run) serves _TInverse too: item x, whose channel
+    chans[x] goes into the label k of a_k, adds its D x D block, D =
+    size[x], to out[D][slot[x]] (here the lead's block); the items of equal
+    keys share their shapes, and _items makes their P and Q, stacked."""
 
     def __init__(self, q: Aqg, labels, leads, keep: int, bind, others=None):
         lay = q.bundle.layout
@@ -487,38 +358,129 @@ class _Contraction:
         have = np.zeros(n_lab, dtype=bool)
         have[[li[k] for k in labels]] = True
         use = have[lay.chan_label[chans]]
-        self.chans, self.lead, self.other = chans[use], lead[at[use]], other[at[use]]
+        self.lead, self.other = lead[at[use]], other[at[use]]
         self.lay, self.keep, self.bind = lay, keep, bind
-        s, d = lay.pair_size[lay.chan_pair[self.chans]], lay.dims[lay.chan_label[self.chans]]
-        self.fixed = 80 * s * d
-        self.phases = 16 * (d * d + s * d + 2 * lay.dims[self.lead] ** 2)[None]
-        self.lone = lone(None, self.fixed, self.phases)
+        chans = chans[use]
+        s, d = lay.pair_size[lay.chan_pair[chans]], lay.dims[lay.chan_label[chans]]
+        self._plan(chans, lay.block_of[self.lead], lay.dims[self.lead],
+                   (lay.dims[self.other], lay.chan_shape[chans]), 80 * s * d, s)
 
-    def run(self, a: dict, out: dict, held: int) -> None:
-        """Add the sums for the batch a to out, a batch on the leads'
-        sizes, each in item order over the chunks (chunks) within
-        CHUNK_BYTES beside held."""
+    def _plan(self, chans, slot, size, keys, fixed, rows) -> None:
+        """The items: item x holds fixed[x] bytes, and per sample a's block,
+        P a_k (rows[x] rows) and twice its block; lone is its largest item
+        (lone)."""
+        self.chans, self.slot, self.size, self.keys = chans, slot, size, (size, *keys)
+        d = self.lay.dims[self.lay.chan_label[chans]]
+        self.fixed, self.phases = fixed, 16 * (d * d + rows * d + 2 * size ** 2)[None]
+        self.lone = lone(self.fixed, self.phases)
+
+    def _items(self, nums):
+        """P and Q for the items nums, of equal keys (bind)."""
+        v = self.lay.isometries(self.chans[nums])
+        g, _, dk = v.shape
+        dl = self.size[nums[0]]
+        return self.bind(v.reshape((g, dl, -1, dk) if self.keep == 1 else (g, -1, dl, dk)),
+                         self.lead[nums], self.other[nums], self.keep)
+
+    def run(self, a: dict, out: dict, held: int, lo: int = 0, hi: int | None = None,
+            slot=None) -> None:
+        """Add the sums of the items lo:hi (all by default) for the batch a
+        to out (blocks of side D as out[D], (blocks, samples, D, D)), item
+        x's at out[size[x]][slot[x - lo]] (its own slot by default), each in
+        item order over the chunks (chunks) within CHUNK_BYTES beside
+        held."""
         lay = self.lay
-        for lo, hi, batches in chunks(None, self.fixed, self.phases,
+        hi = len(self.chans) if hi is None else hi
+        slot = self.slot[lo:hi] if slot is None else slot
+        for c0, c1, batches in chunks(self.fixed[lo:hi], self.phases[:, lo:hi],
                                       next(iter(a.values())).shape[1], held):
-            chans, lead, other = self.chans[lo:hi], self.lead[lo:hi], self.other[lo:hi]
             work = []
-            for (dl, _, _), nums in group_by(lay.dims[lead], lay.dims[other],
-                                             lay.chan_shape[chans]):
-                v = lay.isometries(chans[nums])
-                g, _, dk = v.shape
-                p, m = self.bind(v.reshape((g, dl, -1, dk) if self.keep == 1 else (g, -1, dl, dk)),
-                                 lead[nums], other[nums], self.keep)
-                work.append((nums, p, m, lay.block_of[lay.chan_label[chans[nums]]], dl))
-            order = order_plan(lay.block_of[lead], [w[0] for w in work], [w[4] for w in work])
+            for _, nums in group_by(*(k[lo + c0:lo + c1] for k in self.keys)):
+                x = lo + c0 + nums
+                p, m = self._items(x)
+                work.append((nums, p, m, lay.block_of[lay.chan_label[self.chans[x]]],
+                             self.size[x[0]]))
+            order = order_plan(slot[c0:c1], [w[0] for w in work], [w[4] for w in work])
             for s in batches:
                 parts = []
-                for _, p, m, blk, dl in work:
+                for _, p, m, blk, d in work:
                     x = p[:, None] @ a[p.shape[2]][blk, s]
                     x = x.reshape(x.shape[:2] + (-1, m.shape[1])) @ m[:, None]
-                    parts.append(x.reshape(x.shape[:2] + (dl, dl)))
+                    parts.append(x.reshape(x.shape[:2] + (d, d)))
                 add_planned({(d, d): o[:, s] for d, o in out.items()}, order, parts)
                 del parts, x  # before the next batch's
+
+
+class _TInverse(_Contraction):
+    """Row 4's blocks of T1^-1(Delta(a)) (keep 2) or T2^-1(Delta(c))
+    (keep 1), where T1^-1(x (x) y) = x_(1) (x) S(x_(2)) y and T2^-1(x (x)
+    y) = x S(y_(1)) (x) y_(2): for s and n in support, the block (n, s) of
+    T1^-1(Delta(a)), which is a_n (x) I_s, or (s, n) of T2^-1(Delta(c)),
+    which is I_s (x) c_n.  Taking T1^-1 commutes with multiplying leg 2 by
+    c, and T2^-1 with multiplying leg 1 by a, so the row multiplies the
+    blocks by c (by a) after.
+
+    An item is a channel v of n (x) dual(s) -> m (T1) or dual(s) (x) n -> m
+    (T2) with a channel w of m (x) s -> k (T1) or s (x) m -> k (T2), k in
+    support; it holds the making of P and Q as its fixed bytes.  Per item,
+    u = (v (x) 1) w (T1) or (1 (x) v) w (T2) maps H_k into H_n (x)
+    H_dual(s) (x) H_s or H_s (x) H_dual(s) (x) H_n, and the block adds
+    m(S (x) iota) or m(iota (x) S) (_mult) of the legs of s and dual(s) of
+    u a_k u*, the leg of n passive.  It is (P x_k) Q, laid out as a d_n x
+    d_n grid of d_s x d_s blocks (leg of n, then leg of s), which is x_n
+    (x) I_s for the batch x that run is given: T1's x is a, its P =
+    conj(R_s) . u takes both legs and Q = Rbar_s conj(u) one; T2's x is the
+    transpose of c, as its P = (Rbar_s . conj(u))^T takes both legs of the
+    right side u* and Q = (conj(R_s) u)^T one.  So no pair block of
+    Delta(a) is formed.
+
+    The blocks are the pairs (s[b], n[b]) of support, s-major; the items
+    run by block, item x adds to block[x], and the items of block b are
+    start[b]:start[b + 1].  run takes the slots of the blocks it is given."""
+
+    def __init__(self, q: Aqg, support, keep: int):
+        lay = q.bundle.layout
+        n_lab = len(lay.dims)
+        at = np.array([lay.label_index[k] for k in support], dtype=int)
+        self.s, self.n = np.repeat(at, len(at)), np.tile(at, len(at))
+        dual = _dual_index(q)[self.s]
+        vat, v = lay.channels_of(self.n * n_lab + dual if keep == 2 else dual * n_lab + self.n)
+        mid = lay.chan_label[v]
+        wat, w = lay.channels_of(mid * n_lab + self.s[vat] if keep == 2
+                                 else self.s[vat] * n_lab + mid)
+        have = np.zeros(n_lab, dtype=bool)
+        have[at] = True
+        use = have[lay.chan_label[w]]
+        self.v, w, pair = v[wat[use]], w[use], vat[wat[use]]
+        self.lead, self.other, self.lay, self.keep = self.s[pair], self.n[pair], lay, keep
+        self.conj = _conj_stacks(q)
+        self.start = np.searchsorted(pair, np.arange(len(self.s) + 1))
+        self.block = pair
+        ds, dn, dm = (lay.dims[x] for x in (self.lead, self.other, mid[wat[use]]))
+        dk = lay.dims[lay.chan_label[w]]
+        self._plan(w, None, ds * dn,
+                   (dn, lay.chan_shape[self.v], lay.chan_shape[w]),
+                   16 * (3 * dn * ds * dm + 2 * dm * ds * dk + dn * dk + 2 * dn * ds * ds * dk),
+                   dn)
+
+    def _items(self, nums):
+        lay, g = self.lay, len(nums)
+        v, w = lay.isometries(self.v[nums]), lay.isometries(self.chans[nums])
+        ds, dn = (int(lay.dims[x[nums[0]]]) for x in (self.lead, self.other))
+        dm, dk = v.shape[2], w.shape[2]
+        rb, rmc = (x[lay.block_of[self.lead[nums]]] for x in self.conj[ds][:2])
+        if self.keep == 2:
+            v = v.reshape(g, dn, ds, dm)
+            p = (v.swapaxes(2, 3) @ rmc[:, None]).reshape(g, dn, dm * ds) @ w
+            m = (rb[:, None] @ v.conj()).reshape(g, dn * ds, dm) @ w.conj().reshape(g, dm, ds * dk)
+            return p, m.reshape(g, dn, ds, ds, dk).transpose(0, 4, 1, 2, 3).reshape(g, dk, -1)
+        v = v.reshape(g, ds, dn * dm)
+        t = (rb @ v.conj()).reshape(g, ds, dn, dm).swapaxes(1, 2)
+        p = t.reshape(g, dn, ds * dm) @ w.conj()
+        t = (v.swapaxes(1, 2) @ rmc).reshape(g, dn, dm, ds).swapaxes(1, 2)
+        m = w.reshape(g, ds, dm, dk).transpose(0, 3, 1, 2).reshape(g, dk * ds, dm) @ t.reshape(
+            g, dm, dn * ds)
+        return p, m.reshape(g, dk, ds, dn, ds).swapaxes(2, 3).reshape(g, dk, -1)
 
 
 def _leg(q: Aqg, ops: dict):
@@ -569,7 +531,8 @@ def _channel_row(q: Aqg, rng, n: int, support, cuts, check):
     res, scale = [0.0], [1.0]
     # a group holds a, c, the sums, and the check's target, product and
     # difference
-    for ng, (a, c) in sample_draws(q, rng, n, 2, support, len(cuts) + 3,
+    for ng, (a, c) in sample_draws(q, rng, n, 2, support,
+                                   (len(cuts) + 3) * _sample_bytes(q, support),
                                    max(cut.lone for cut in cuts)):
         got = [_zero_batch(lay, ng, c) for _ in cuts]
         for cut, out in zip(cuts, got):
@@ -605,116 +568,6 @@ def haar_sample_support(q: Aqg) -> list[str]:
         ):
             chosen = cand
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# the inverses of T1 and T2
-
-
-class _TInversePlan:
-    """T1^-1 (which 't1') or T2^-1 ('t2') on pair stacks over the pairs
-    idx: sum x_(1) (x) S(x_(2)) x_(3) or x_(1) S(x_(2)) (x) x_(3), blockwise.
-
-    An item is a block (i,j) of x with a channel v: of n (x) m -> i,
-    m = dual(j), for T1, which adds to the output block (n,j); of
-    m (x) n -> j, m = dual(i), for T2, which adds to (i,n).  Output block
-    (n,j) of T1 is exact whenever all channels of n (x) dual(j) are loaded,
-    and (i,n) of T2 whenever those of dual(i) (x) n are.  Items run by
-    block, then n in label order, then multiplicity, and every output block
-    sums its items in that order.  Per item the output block is a fixed
-    chain of two matmuls, L X then R (L X) reshaped for T1 and X R then
-    L (X R) for T2, with X the input block; L and R contract v with the
-    conjugate pair of j (T1) or i (T2), depend on the item only, and are
-    formed here, stacked per rank and item shape, the item of rank r being
-    the r-th of its output block: one item a block, added rank by rank.
-    Pair p's output block is at where[p] among those of its size (-1: none).
-    """
-
-    def __init__(self, q: Aqg, idx, which: str):
-        lay = q.bundle.layout
-        n_lab = len(q.labels)
-        self.t1 = t1 = which == "t1"
-        dual = _dual_index(q)
-        first, second = np.divmod(idx, n_lab)
-        # the channels of (n, m) -> i (T1) or (m, n) -> j (T2) by (m, i or j),
-        # n increasing, joined to the blocks (i, j) with m = dual(j) or dual(i)
-        code = (lay.chan_pair % n_lab if t1 else lay.chan_pair // n_lab) * n_lab + lay.chan_label
-        order = np.argsort(code, kind="stable")
-        want = dual[second] * n_lab + first if t1 else dual[first] * n_lab + second
-        lo = np.searchsorted(code[order], want)
-        at, cs = ranges(lo, np.searchsorted(code[order], want, side="right") - lo)
-        cs = order[cs]
-        other = lay.chan_pair[cs] // n_lab if t1 else lay.chan_pair[cs] % n_lab
-        opair = other * n_lab + second[at] if t1 else first[at] * n_lab + other
-        sizes = np.zeros(len(lay.pairs), dtype=int)
-        sizes[opair] = lay.pair_size[opair]
-        self.where, self.count = slots(sizes)
-        classes = _pair_classes(lay, idx)
-        cls, row = np.zeros(len(idx), dtype=int), np.zeros(len(idx), dtype=int)
-        for g, (_, sel) in enumerate(classes):
-            cls[sel], row[sel] = g, np.arange(len(sel))
-        conj = _conj_stacks(q)
-        self.work = []
-        d = lay.dims
-        for (_, di, dj, dn), nums in group_by(ranks(opair), d[first[at]], d[second[at]],
-                                              d[other]):
-            t = at[nums]
-            rb, rmc, _ = conj[dj if t1 else di]
-            lab = lay.block_of[second[t] if t1 else first[t]]
-            rb, rmc = rb[lab], rmc[lab]
-            v = lay.isometries(cs[nums])
-            if t1:
-                vt = v.reshape(len(nums), dn, -1, di)
-                left = (vt.swapaxes(2, 3) @ rmc[:, None]).reshape(-1, dn, di * dj)
-                right = (rb[:, None] @ vt.conj()).swapaxes(1, 2).reshape(-1, dj * dn, di)
-            else:
-                vt = v.reshape(len(nums), -1, dn * dj)
-                right = (rb @ vt.conj()).reshape(-1, di, dn, dj).swapaxes(2, 3)
-                right = right.reshape(-1, di * dj, dn)
-                left = (rmc.swapaxes(1, 2) @ vt).reshape(-1, di, dn, dj).swapaxes(1, 2)
-                left = left.reshape(-1, dn * di, dj)
-            self.work.append((cls[t[0]], row[t], di, dj, dn, left, right, self.where[opair[nums]]))
-
-    def inverse(self, x: list, n: int) -> dict:
-        """The inverse of the pair stack x of n samples: output block of
-        pair p at out[(s, s)][where[p]], s = d_p1 d_p2."""
-        out = {(s, s): np.zeros((c, n, s, s), dtype=complex) for s, c in self.count.items()}
-        for c, rows, di, dj, dn, left, right, where in self.work:
-            if self.t1:
-                y = right[:, None, None] @ (left[:, None] @ x[c][rows]).reshape(-1, n, dn, di, dj)
-            else:
-                y = left[:, None, None] @ (x[c][rows] @ right[:, None]).reshape(-1, n, di, dj, dn)
-            s = dn * (dj if self.t1 else di)
-            out[(s, s)][where] += y.reshape(-1, n, s, s)  # read after the product is made
-            del y  # before the next one
-        return out
-
-
-def _t_inverse_cost(q: Aqg, idx, t1: bool) -> tuple[Array, Array]:
-    """(fixed, per_sample): the bytes of row 4 per pair (i,j) of idx, whose
-    items in _TInversePlan are its channels to n (Frobenius reciprocity),
-    with output (n,j) for T1 and (i,n) for T2: L and R; and per sample, in
-    turn, a block of Delta and of c (x) 1 being cut and the product; the
-    product and, charged to its first item, each output block and the most
-    that one of its items holds (the input block and L X or X R, then the
-    product with its read in the sum); and the output blocks and, charged
-    to the first pair of its label j (i), the comparison of one class of
-    blocks a_i (x) c_j at a time (the blocks, a read and their difference),
-    at most all labels of one size."""
-    lay, n_lab = q.bundle.layout, len(q.labels)
-    at, chans = lay.channels_of(idx)
-    s, n = lay.pair_size[idx[at]], lay.chan_label[chans]
-    first, second = np.divmod(idx[at], n_lab)
-    opair = n * n_lab + second if t1 else first * n_lab + n
-    ls, out = lay.dims[n] * s, 16 * lay.pair_size[opair] ** 2
-    block, lead = 16 * lay.pair_size[idx] ** 2, np.divmod(idx, n_lab)[1 if t1 else 0]
-    most = np.zeros(n_lab * n_lab)
-    np.maximum.at(most, opair, np.maximum(16 * (s * s + ls), out + np.maximum(16 * ls, out)))
-    widest = 48 * lay.dims[lead] ** 2 * max(c * d * d for d, c in lay.dim_count.items())
-    o = ranks(opair) == 0  # the first item of each output block
-    return (np.bincount(at, 32 * ls, minlength=len(idx)), np.array((
-        3 * block, block + np.bincount(at[o], out[o] + most[opair[o]], len(idx)),
-        np.bincount(at[o], out[o], len(idx)) + np.where(ranks(lead) == 0, widest, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +655,18 @@ def verify_axioms(
     (_Contraction): per channel v, the counit, the antipode or a Haar
     functional of one leg of v a_k v*, summed by the label of the other
     leg, which they multiply by c after, as taking a leg commutes with it;
-    no pair block of Delta(a) is formed.  Row 4 cuts the pair blocks of
-    Delta(a) by c (_cut) for the inverses of T1 and T2.
-    Each sampled row counts the bytes its items hold (its channels, or
-    delta_cost and row 4's own phases), draws its samples in groups that get
-    what the row's largest chunk of one run and one sample leaves of
+    no pair block of Delta(a) is formed.  Row 4 runs on its sibling
+    _TInverse: per pair of channels it takes m(S (x) iota) or m(iota (x) S)
+    of two legs of (v (x) 1) w a_k w* (v* (x) 1), and multiplies the blocks
+    of T1^-1(Delta(a)) and T2^-1(Delta(c)) by c and a after.
+    Each sampled row counts the bytes its items hold, draws its samples in
+    groups that get what the row's largest item and one sample leaves of
     CHUNK_BYTES (sample_draws, lone), and runs a group's items in chunks
-    within the rest (chunks, one walk): a chunk plans its index work once
-    and runs each product once for the group's samples, stacked after the
-    block axis, or per batch of samples when its items do not fit; sums
-    carry over the chunks.
+    within the rest (chunks, one walk; row 4 first cuts its blocks into
+    parts whose sums fit): a chunk plans its index work once and runs each
+    product once for the group's samples, stacked after the block axis, or
+    per batch of samples when its items do not fit; sums carry over the
+    chunks.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -877,7 +732,7 @@ def verify_axioms(
     res, scale = [0.0], [1.0]
     fst, finv = _haar_stacks(q, "left")[0], _haar_stacks(q, "right")[0]
     # a, per antipode a gather and two products, ad f(a) and a difference
-    for _, (a,) in sample_draws(q, rng, n_small, 1, None, 10, 0):
+    for _, (a,) in sample_draws(q, rng, n_small, 1, None, 10 * _sample_bytes(q, None), 0):
         s2 = antipode(q, antipode(q, a))
         adf = {d: fst[d][:, None] @ m @ finv[d][:, None] for d, m in a.items()}
         res += [max_abs(s2[d] - adf[d]) for d in adf]
@@ -921,41 +776,37 @@ def _t_inverse_row(q: Aqg, rng, sample, n: int):
     """(residual, scale) of row 4 on n samples: T1^-1 and T2^-1 give back
     a (x) c on the sample support; on a closed bundle a left inverse of an
     endomorphism of the finite-dimensional A (x) A certifies bijectivity.
-    T1(a (x) c) = Delta(a)(1 (x) c), T2(a (x) c) = (a (x) 1)Delta(c).  A
-    chunk takes whole the labels j (i) whose pairs an output block (i,j)
-    sums over and compares the blocks a_i (x) c_j of the support per
-    (d_i, d_j) class, zero where the inverse has none, as no chunk's are."""
-    lay, n_lab = q.bundle.layout, len(q.labels)
+    T1(a (x) c) = Delta(a)(1 (x) c), T2(a (x) c) = (a (x) 1)Delta(c).  The
+    blocks of T1^-1(Delta(a)) times c_s and of T2^-1(Delta(c)) (_TInverse of
+    the transpose of c) times a_s are compared with a_i (x) c_j, per (d_n,
+    d_s) class, for every pair of the support, zero where no item adds.
+
+    The blocks run in parts (walk) that hold their sums for the group's
+    samples, whose items run in chunks within the rest (run), and are
+    compared per class in slices of the samples, a slice holding four times
+    its sums.  A group of samples leaves room for the largest block and item
+    (lone)."""
+    lay = q.bundle.layout
+    cuts = [_TInverse(q, sample, keep) for keep in (2, 1)]
+    sizes = [lay.dims[cut.s] * lay.dims[cut.n] for cut in cuts]
     res, scale = [0.0], [1.0]
-    at = np.array([lay.label_index[k] for k in sample], dtype=int)
-    held, cut_chunks = zip(*(_cut_chunks(q, sample, leg) for leg in (2, 1)))
-    for ng, (a, c) in sample_draws(q, rng, n, 2, sample, 0, max(held)):
-
-        def compare(leg, lead, where, back, s):
-            pairs = (at[:, None] * n_lab + lead if leg == 2
-                     else lead[:, None] * n_lab + at).ravel()
-            first, second = np.divmod(pairs, n_lab)
-            for (di, dj), sel in group_by(lay.dims[first], lay.dims[second]):
-                want = bkron(a[di][lay.block_of[first[sel]], s],
-                             c[dj][lay.block_of[second[sel]], s])
-                scale.append(max_abs(want) if leg == 2 else 0.0)  # once a block
-                p = where[pairs[sel]]
-                want[p >= 0] -= back[want.shape[2:]][p[p >= 0]] if (p >= 0).any() else 0
-                res.append(max_abs(want))
-
-        for leg, (x, y), cut in zip((2, 1), ((a, c), (c, a)), cut_chunks):
-            taken = np.zeros(n_lab, dtype=bool)
-            for idx, batches in cut(ng, _nbytes(a, c)):
-                plan = DeltaPlan(q, sample, idx)
-                inv = _TInversePlan(q, idx, "t1" if leg == 2 else "t2")
-                lead = distinct(np.divmod(idx, n_lab)[leg - 1])
-                taken[lead] = True
-                for s in batches:
-                    back = inv.inverse(_cut(lay, delta_stacks(_at(x, s), plan), _at(y, s), plan,
-                                            idx, leg), s.stop - s.start)
-                    compare(leg, lead, inv.where, back, s)
-                    del back
-                del plan, inv
-            compare(leg, at[~taken[at]], np.full(n_lab * n_lab, -1), {}, slice(None))
-        del a, c, x, y  # before the next group's
+    for ng, (a, c) in sample_draws(q, rng, n, 2, sample, 0, max(cut.lone for cut in cuts)):
+        for cut, size, x, y in zip(cuts, sizes, (a, {d: m.swapaxes(2, 3) for d, m in c.items()}),
+                                   (c, a)):
+            for lo, hi in walk(80 * ng * size ** 2, _nbytes(a, c) + cut.lone):
+                slot, count = slots(size[lo:hi])
+                out = {d: np.zeros((k, ng, d, d), dtype=complex) for d, k in count.items()}
+                first, last = cut.start[lo], cut.start[hi]
+                cut.run(x, out, _nbytes(a, c, out), first, last, slot[cut.block[first:last] - lo])
+                for (dn, ds), sel in group_by(lay.dims[cut.n[lo:hi]], lay.dims[cut.s[lo:hi]]):
+                    for t in walk(np.full(ng, 64 * len(sel) * (dn * ds) ** 2), _nbytes(a, c, out)):
+                        t = slice(*t)
+                        ys = y[ds][lay.block_of[cut.s[lo + sel]], t, None, None]
+                        want = x[dn][lay.block_of[cut.n[lo + sel]], t, :, :, None, None] * ys
+                        got = out[dn * ds][slot[sel], t].reshape(want.shape[:4] + (ds, ds))
+                        got = got @ ys if cut.keep == 2 else ys @ got
+                        got -= want
+                        scale.append(worst(max_abs(want)))
+                        res.append(worst(max_abs(got)))
+                del out, got, want  # before the next part's
     return worst(*res), worst(*scale)

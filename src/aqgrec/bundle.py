@@ -41,7 +41,6 @@ from .linalg import (
     DEFAULT_TOL,
     Array,
     Tolerance,
-    add_in_order,
     bdagger,
     bkron,
     cmat,
@@ -57,7 +56,6 @@ from .linalg import (
     split_by,
     walk,
     worst,
-    zero_stacks,
 )
 from .report import Report
 
@@ -581,9 +579,14 @@ def validate_bundle(
             pi.tolist(), pj.tolist(), lay.chan_label[first].tolist())], res, res <= one):
         return rep
 
-    # completeness; a pair that loses summands fails (closed) or is skipped
+    # completeness, sum_v v v* = I on a pair that keeps all its summands:
+    # there V_ij, its channels side by side, is square, so V V* = I exactly
+    # when V* V = I, and the row reads the pair's worst channel Gram entry,
+    # within labels and across them.  A pair that loses summands fails
+    # (closed) or is skipped
     whole = lay.complete_pair
-    res = np.where(whole, _completeness(b), 1.0)
+    gram = [lay.gram_worst(lay.chan_pair, len(lay.pairs), row) for row in (0, 1)]
+    res = np.where(whole, np.maximum(*gram), 1.0)
     locs = [f"({i},{j})" if w or b.closed else f"({i},{j}) window"
             for (i, j), w in zip(lay.pairs, whole.tolist())]
     if add_rows("completeness", locs, res, whole & (res <= one),
@@ -592,7 +595,7 @@ def validate_bundle(
     # a pair that loses summands: max |v* v'| over channels of two labels,
     # which completeness implies on a whole pair
     part = np.flatnonzero(~whole)
-    res = lay.gram_worst(lay.chan_pair, len(lay.pairs), 1)[part]
+    res = gram[1][part]
     if add_rows("cross-label-orthogonality", [f"({lab[p // n_lab]},{lab[p % n_lab]})"
                                               for p in part.tolist()], res, res <= one):
         return rep
@@ -679,29 +682,6 @@ def _by_name(b: CategoryBundle):
     new = np.ones(len(order), dtype=bool)
     new[1:] = (pair[1:] != pair[:-1]) | (label[1:] != label[:-1])
     return order, np.cumsum(new) - 1
-
-
-def _completeness(b: CategoryBundle) -> Array:
-    """Per pair (i,j) in label order: max |sum_v v v* - I| where i (x) j is
-    complete, 0 where a summand is not loaded."""
-    lay = b.layout
-    whole = np.flatnonzero(lay.complete_pair)
-    sizes = np.zeros(len(lay.pairs), dtype=int)
-    sizes[whole] = lay.pair_size[whole]
-    pos, out = zero_stacks(sizes)
-    at, chans = lay.channels_of(whole)
-
-    def parts():
-        for _, nums in split_by(lay.chan_shape[chans]):
-            v = lay.isometries(chans[nums])
-            yield nums, v @ bdagger(v)
-
-    add_in_order(out, pos[whole[at]], parts())
-    res = np.zeros(len(lay.pairs))
-    for (d, _), acc in out.items():
-        mine = sizes == d
-        res[mine] = max_abs(acc - eye(d))[pos[mine]]
-    return res
 
 
 def _validate_braiding(b, tol, rep, fail_fast):

@@ -257,7 +257,11 @@ def add_planned(out: dict, plan: list, parts: list) -> dict:
     """add_in_order on the schedule plan of order_plan: parts[g] is the
     stacked result of part g, whose sums are out[its matrix shape]."""
     for g, rows, where in plan:
-        out[parts[g].shape[-2:]][where] += parts[g][rows]
+        sums = out[parts[g].shape[-2:]]
+        if len(where) == 1:  # in place, without the copies of a gather and a scatter
+            sums[where[0]] += parts[g][rows[0]]
+        else:
+            sums[where] += parts[g][rows]
     return out
 
 

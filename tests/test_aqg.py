@@ -16,12 +16,8 @@ from aqgrec import aqg, linalg
 from aqgrec.aqg import (
     Aqg,
     ConjInconsistent,
-    DeltaPlan,
     InvalidBundle,
     _label_stacks,
-    _pair_classes,
-    _TInversePlan,
-    delta_stacks,
     f_element,
     haar_sample_support,
     modular_data,
@@ -123,16 +119,16 @@ def fusion_support(b, i, j):
 
 
 def delta(q, a, pairs):
-    """The blocks of Delta(a) on the given pairs (i,j), as a dict.
+    """The blocks of Delta(a) on the given pairs (i,j), as a dict: the sum
+    of v a_k v* over the channels v of i (x) j -> k, k in a's support.
 
     Exact for every loaded pair, because unloaded channels cannot carry
     support of a.
     """
     b = q.bundle
-    idx = [b.layout.pair_index[p] for p in pairs]
-    plan = DeltaPlan(q, a.blocks, idx)
-    out = delta_stacks(batch(q, a), plan)
-    return {p: out[(b.d(p[0]) * b.d(p[1]),) * 2][plan.slot[n], 0] for p, n in zip(pairs, idx)}
+    return {(i, j): sum((v @ a.blocks[k] @ dagger(v) for k in a.support
+                         for v in b.isometries(i, j, k)),
+                        np.zeros((q.d(i) * q.d(j),) * 2, dtype=complex)) for i, j in pairs}
 
 
 def t1_map(q, a, c):
@@ -147,26 +143,6 @@ def t2_map(q, a, c):
     pairs = [(n, o) for n in a.support for o in q.labels]
     return {(n, o): np.kron(a.blocks[n], np.eye(q.d(o))) @ m
             for (n, o), m in delta(q, c, pairs).items()}
-
-
-def _t_inverse(q, x, which):
-    """The dict form of a _TInversePlan over the blocks of x."""
-    lay = q.bundle.layout
-    idx = np.array([lay.pair_index[p] for p in x], dtype=int)
-    keys = list(x)
-    stacks = [np.stack([x[keys[t]] for t in sel])[:, None] for _, sel in _pair_classes(lay, idx)]
-    plan = _TInversePlan(q, idx, which)
-    out = plan.inverse(stacks, 1)
-    return {lay.pairs[p]: out[(lay.pair_size[p],) * 2][plan.where[p], 0]
-            for p in np.flatnonzero(plan.where >= 0).tolist()}
-
-
-def t1_inverse(q, x):
-    return _t_inverse(q, x, "t1")
-
-
-def t2_inverse(q, x):
-    return _t_inverse(q, x, "t2")
 
 
 def identity(q):
@@ -361,9 +337,10 @@ def test_t_maps_invert_on_elementary_tensors(shipped_aqgs, rng):
                     assert residual(got.get((i, j), 0.0), blk) < 1e-8, (name, i, j)
 
 
-def t1_inverse_blockwise(q, x):
-    """Sum x_(1) (x) S(x_(2)) x_(3) as one einsum per block of x and
-    channel v of n (x) dual(j) -> i: the oracle for t1_inverse."""
+def t1_inverse(q, x):
+    """T1^-1 of the pair element x, sum x_(1) (x) S(x_(2)) x_(3), as one
+    einsum per block (i,j) of x and channel v of n (x) dual(j) -> i, which
+    adds to the block (n,j)."""
     b = q.bundle
     out = {}
     for (i, j), blk in x.items():
@@ -384,8 +361,10 @@ def t1_inverse_blockwise(q, x):
     return out
 
 
-def t2_inverse_blockwise(q, x):
-    """Sum x_(1) S(x_(2)) (x) x_(3) blockwise, the oracle for t2_inverse."""
+def t2_inverse(q, x):
+    """T2^-1 of the pair element x, sum x_(1) S(x_(2)) (x) x_(3), as one
+    einsum per block (i,j) of x and channel v of dual(i) (x) n -> j, which
+    adds to the block (i,n)."""
     b = q.bundle
     out = {}
     for (i, j), blk in x.items():
@@ -459,28 +438,53 @@ def gauge(b, rng):
     return dataclasses.replace(b, fusion=fusion, conj=conj, braiding=braiding, weights=None)
 
 
+def t_inverse_blocks(q, sup, a, keep):
+    """Row 4's blocks for the element a, by pair in the layout of the pair
+    elements: T1^-1(Delta(a)) on (n, s) (keep 2) or T2^-1(Delta(a)) on
+    (s, n) (keep 1), n and s in sup, from one run of the kernel over all of
+    its items, which takes the transpose of a for T2."""
+    lay = q.bundle.layout
+    cut = aqg._TInverse(q, sup, keep)
+    size = lay.dims[cut.s] * lay.dims[cut.n]
+    slot, count = linalg.slots(size)
+    out = {d: np.zeros((k, 1, d, d), dtype=complex) for d, k in count.items()}
+    x = batch(q, a)
+    cut.run(x if keep == 2 else {d: m.swapaxes(2, 3) for d, m in x.items()}, out, 0, 0, None,
+            slot[cut.block])
+    got = {}
+    for t, (s, n) in enumerate(zip(cut.s.tolist(), cut.n.tolist())):
+        ds, dn = lay.dims[s], lay.dims[n]
+        g = out[ds * dn][slot[t], 0].reshape(dn, dn, ds, ds)
+        # (n, n', r, q') of T1's (n, r), (n', q'); (h, g, p, z) of T2's (p, g), (z, h)
+        got[(q.labels[n], q.labels[s]) if keep == 2 else (q.labels[s], q.labels[n])] = (
+            g.transpose(0, 2, 1, 3) if keep == 2 else g.transpose(2, 1, 3, 0)).reshape(
+                ds * dn, ds * dn)
+    return got
+
+
 @pytest.mark.parametrize("qq,L", [(0.9, 6), (0.5, 8)])
 @pytest.mark.parametrize("basis", ["weight", "phased"])
-def test_t_inverses_match_the_blockwise_einsum(qq, L, basis):
-    # the matmul chains of t1_inverse and t2_inverse against one einsum per
-    # block and channel, on a random pair element over every pair and on
-    # the images T1(a (x) c), T2(a (x) c) of random a, c; the weight basis
-    # is real, so the phased one is what tells conj(R) from R
+def test_row_4_blocks_are_the_t_inverses_of_delta(qq, L, basis):
+    # the channel-pair chains of row 4 against one einsum per block of
+    # Delta(a) and channel (t1_inverse, t2_inverse) over the pair blocks of
+    # Delta(a), on every block of the sample support, where they are a_n (x)
+    # I and I (x) a_n; the weight basis is real, so the phased one is what
+    # tells conj(R) from R
     rng = np.random.default_rng(5)
     b = gen_suq2(qq, L)
     q = reconstruct(phased(b, rng) if basis == "phased" else b)
-    x = {}
-    for i, j in q.bundle.layout.pairs:
-        s = q.d(i) * q.d(j)
-        x[(i, j)] = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-    a, c = random_element(q, rng), random_element(q, rng)
-    for new, old, image in ((t1_inverse, t1_inverse_blockwise, t1_map(q, a, c)),
-                            (t2_inverse, t2_inverse_blockwise, t2_map(q, a, c))):
-        for arg in (x, image):
-            got, want = new(q, arg), old(q, arg)
-            assert sorted(got) == sorted(want)
-            for key, blk in want.items():
-                assert residual(got[key], blk) <= 1e-14 * np.max(np.abs(blk)), (qq, L, key)
+    sup = haar_sample_support(q)
+    a = random_element(q, rng, sup)
+    pairs = delta(q, a, q.bundle.layout.pairs)
+    for keep, inverse in ((2, t1_inverse), (1, t2_inverse)):
+        got, want = t_inverse_blocks(q, sup, a, keep), inverse(q, pairs)
+        assert len(got) == len(sup) ** 2
+        for key, blk in got.items():
+            n = key[0] if keep == 2 else key[1]
+            ident = np.eye(q.d(key[1] if keep == 2 else key[0]))
+            one = np.kron(a.blocks[n], ident) if keep == 2 else np.kron(ident, a.blocks[n])
+            assert residual(blk, want[key]) <= 1e-14 * np.max(np.abs(want[key])), (qq, L, key)
+            assert residual(blk, one) <= 1e-12 * np.max(np.abs(one)), (qq, L, key)
 
 
 def scaled_channel(b, i, j, k, s=1 + 1e-6):
@@ -652,7 +656,7 @@ def per_pair_row_4(q, n_samples=16, seed=42, tol=DEFAULT_TOL):
     """Row 4 of verify_axioms one pair block at a time: a (x) c as
     elementary_pair against T1^-1 T1 and T2^-1 T2 on every block with both
     labels in the sample support, missing blocks being zero.  The rng skips
-    the draws of the rows before it."""
+    the draws of the rows before it.  Returns (residual, flag, scale)."""
     rng = np.random.default_rng(seed)
     sample = haar_sample_support(q)
     n_small = max(2, n_samples // 4)
@@ -670,31 +674,43 @@ def per_pair_row_4(q, n_samples=16, seed=42, tol=DEFAULT_TOL):
                 res.append(residual(back.get((i, j), np.zeros_like(blk)), blk))
         scale.append(pair_norm(target))
     res, scale = worst(*res), worst(*scale)
-    return res, bool(res <= tol.bound(scale))
+    return res, bool(res <= tol.bound(scale)), scale
 
 
-def test_row_4_is_the_per_pair_comparison(shipped_aqgs):
-    # the row compares stacks per (d_i, d_j) class; max is exact, so its
-    # residual and flag are bitwise those of the per-pair loop
-    for name in ("s3", "a4", "pointed-z5-t1", "suq2-q0.5-L4"):
-        q = shipped_aqgs[name] if name != "a4" else reconstruct(parse_bundle(a4_bundle()))
-        row = next(c for c in verify_axioms(q).checks if c.name.startswith("4-"))
-        assert (row.residual, row.passed) == per_pair_row_4(q), name
+@pytest.mark.parametrize("name", ["s3", "a4", "pointed-z5-t1", "suq2-q0.5-L4", "phased-s3",
+                                  "suq2-q0.9-L8"])
+def test_row_4_is_the_per_pair_comparison(shipped_bundles, name):
+    # the row takes T1^-1 and T2^-1 of Delta channel pair by channel pair and
+    # multiplies by c (by a) after; the per-pair loop cuts Delta(a) by c and
+    # inverts its pair blocks.  Both compare the blocks a_i (x) c_j of the
+    # support against the same scale, so the residuals agree at roundoff of
+    # that scale and the flags agree
+    if name == "a4":
+        b = parse_bundle(a4_bundle())
+    elif name == "phased-s3":
+        b = phased(shipped_bundles["s3"], np.random.default_rng(3))
+    else:
+        b = shipped_bundles.get(name) or gen_suq2(0.9, 8)
+    q = reconstruct(b)
+    row = next(c for c in verify_axioms(q).checks if c.name.startswith("4-"))
+    res, ok, scale = per_pair_row_4(q)
+    assert abs(row.residual - res) <= 1e-12 * scale and row.passed == ok, (row.residual, res)
 
 
 def test_row_4_compares_the_blocks_of_labels_no_chunk_takes(suq2_bundles):
     # without the unit's channels no pair of the window's sample support
-    # (the unit alone then) carries Delta(a), so no chunk takes a label; the
-    # row still compares every block a_i (x) c_j of the support with zero,
-    # and fails as the per-pair loop does.  Reconstruct's spot check would
-    # stop such a bundle, so q is built around the intact one's f element
+    # (the unit alone then) carries Delta(a), so no item adds to a block;
+    # the row still compares every block a_i (x) c_j of the support with
+    # zero, and fails as the per-pair loop does.  Reconstruct's spot check
+    # would stop such a bundle, so q is built around the intact one's f
+    # element
     b = suq2_bundles["suq2-q0.5-L4"]
     q0 = reconstruct(b)
     fusion = {p: chans for p, chans in b.fusion.items() if p[0] != b.unit}
     q = Aqg(bundle=dataclasses.replace(b, fusion=fusion), F=q0.F, Finv=q0.Finv,
             haar_weights=q0.haar_weights)
     row = next(c for c in verify_axioms(q).checks if c.name.startswith("4-"))
-    assert (row.residual, row.passed) == per_pair_row_4(q)
+    assert (row.residual, row.passed) == per_pair_row_4(q)[:2]
     assert not row.passed
 
 
@@ -715,37 +731,43 @@ def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
 
 @pytest.mark.parametrize("name", ["s3", "pointed-z5-t1", "suq2-q0.5-L4", "suq2-q0.5-L8"])
 def test_rows_do_not_depend_on_the_batch_size(shipped_aqgs, monkeypatch, name):
-    # one pair or channel and one sample a chunk (at 256 KiB for the window
-    # at L = 8, whose rows then run several chunks of pairs and of
-    # channels), or every item and sample in one chunk: each product runs on
-    # the same blocks, and every sum by label adds its items in the same
-    # order, so every row reads the same bits
+    # one item and one sample a chunk (at 256 KiB for the window at L = 8,
+    # whose rows then run several chunks of channels and of row 4's channel
+    # pairs), or every item and sample in one chunk: each product runs on
+    # the same blocks, and every sum by label or pair block adds its items
+    # in the same order, so every row reads the same bits
     q = shipped_aqgs.get(name) or reconstruct(gen_suq2(0.5, 8))
-    reports, count, channels, cut, chunked = [], [], [], aqg.walk, aqg.chunks
+    reports, walks, chunked, inverse, inside = [], [], aqg.chunks, aqg._TInverse.run, [False]
 
-    def walk(cost, held=0, key=None):
-        out = cut(cost, held, key)
-        if key is not None:  # a walk of pairs, not of samples
-            count.append(len(out))
+    def chunks(*args):
+        out = list(chunked(*args))
+        walks.append((inside[0], len(out)))
         return out
 
-    def chunks(key, *args):
-        out = list(chunked(key, *args))
-        if key is None:  # a walk of the channels of rows 2, 3 and 6
-            channels.append(len(out))
-        return out
+    def run(*args):
+        inside[0] = True
+        try:
+            return inverse(*args)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(aqg, "walk", walk)
     monkeypatch.setattr(aqg, "chunks", chunks)
+    monkeypatch.setattr(aqg._TInverse, "run", run)
     for budget in (1 << 18 if name == "suq2-q0.5-L8" else 1, 1 << 40):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         rep = verify_axioms(q)
         if q.bundle.braiding is not None:
             rep.extend(verify_quasitriangular(q, braiding_to_r(q)))
         reports.append([(c.name, c.residual, c.passed) for c in rep.checks])
+        walks.append(None)  # the end of a budget's walks
     assert reports[0] == reports[1]
-    assert max(count) > 1  # a row ran more than one chunk of pairs
-    assert max(channels) > 1  # and one more than one chunk of channels
+    small, large = walks.index(None), len(walks) - 1
+    # at the small budget row 4's channel pairs ran in more chunks than at
+    # the large one, where one chunk of each run took them all, and the
+    # channels of rows 2, 3 and 6 ran in more than one chunk
+    assert [n for row_4, n in walks[small + 1:large] if row_4] == [1, 1]
+    assert sum(n for row_4, n in walks[:small] if row_4) > 2
+    assert max(n for row_4, n in walks[:small] if not row_4) > 1
 
 
 def test_sample_batches_bound_the_memory_of_verify_axioms():

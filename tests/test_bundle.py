@@ -237,6 +237,23 @@ def test_window_validation_memory():
     assert peak < 16 * 2**20
 
 
+def test_validation_after_the_certificate_holds_the_chunk_budget():
+    # with the channel Gram and the F-move certificate built, the rest of
+    # validation holds its report and at most CHUNK_BYTES of work beside it
+    # (the completeness sums of every whole pair peaked 20 MiB above the
+    # report here)
+    b = gen_suq2(0.9, 16)
+    b.layout.gram, b.layout.fmoves
+    tracemalloc.start()
+    try:
+        rep = validate_bundle(b)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak - held <= CHUNK_BYTES, (peak, held)
+
+
 def test_fmove_chunks_stay_within_the_budget(monkeypatch):
     # a chunk of the certificate holds U, W, G, the rows' places and the
     # index arrays of its items, and a batch of products or of G at most

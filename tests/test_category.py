@@ -4,26 +4,31 @@ coproduct actions, natural transformations as elements of A."""
 import dataclasses
 
 import numpy as np
+import pytest
 
 from aqgrec.aqg import Aqg, reconstruct, verify_axioms
 from aqgrec.braid import braiding_to_r, verify_quasitriangular
 from aqgrec.bundle import validate_bundle
+from aqgrec.examples import gen_suq2
 from aqgrec.linalg import dagger, residual, worst
 from test_aqg import AqgElement, delta, fusion_support, random_element
 from test_rep import action, hom
 
 
+def completeness_residual(parts, n):
+    """max |sum s s* - I| over the isometries (label, s) into C^n."""
+    return residual(sum((s @ dagger(s) for _, s in parts), np.zeros((n, n), dtype=complex)),
+                    np.eye(n))
+
+
 def decomposition_residual(parts, n):
     """Max residual of joint orthonormality and completeness of the
     isometries (label, s) into C^n."""
-    res = [0.0]
-    acc = np.zeros((n, n), dtype=complex)
+    res = [completeness_residual(parts, n)]
     for a, (i, s) in enumerate(parts):
-        acc += s @ dagger(s)
         for j, t in parts[a:]:
             g = dagger(s) @ t
             res.append(residual(g, np.eye(s.shape[1]) if t is s else np.zeros_like(g)))
-    res.append(residual(acc, np.eye(n)))
     return worst(*res)
 
 
@@ -61,6 +66,37 @@ def test_nan_part_makes_check_nan(shipped_bundles):
                 next(c for c in verify_quasitriangular(q, braiding_to_r(q)).checks
                      if c.name == "comult-flip")):
         assert np.isnan(row.residual) and not row.passed, row
+
+
+def noisy(b, scale, rng):
+    """b with Gaussian noise of the given scale on every nonzero isometry
+    entry, which keeps a grading."""
+    fusion = {p: {k: [v + scale * rng.standard_normal(v.shape) * (v != 0) for v in vs]
+                  for k, vs in chans.items()} for p, chans in b.fusion.items()}
+    return dataclasses.replace(b, fusion=fusion)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7, 1e-4])
+@pytest.mark.parametrize("window", ["suq2-q1.0-L4", "suq2-q0.5-L4", (0.5, 6), (0.9, 8)])
+def test_completeness_row_is_sum_v_v_star_within_a_dimension_factor(shipped_bundles, window,
+                                                                     noise):
+    # on a whole pair V (its channels side by side) is square, so V V* - I
+    # and V* V - I have the same spectral norm, and their largest entries
+    # lie within a factor n = d_i d_j of each other: the row, which reads
+    # the worst channel Gram entry of the pair, against max |sum v v* - I|,
+    # with roundoff of n ulps on either side
+    b = shipped_bundles[window] if isinstance(window, str) else gen_suq2(*window)
+    b = noisy(b, noise, np.random.default_rng(6)) if noise else b
+    rows = {c.location: c.residual for c in validate_bundle(b).checks if c.name == "completeness"}
+    eps = np.finfo(float).eps
+    for i in b.labels:
+        for j in b.labels:
+            if b.complete(i, j):
+                n = b.d(i) * b.d(j)
+                row, want = rows[f"({i},{j})"], completeness_residual(tensor_parts(b, i, j), n)
+                assert want <= n * (row + n * eps) and row <= n * (want + n * eps), (i, j, row, want)
+                if noise:
+                    assert row > noise / 10, (i, j, row)
 
 
 def test_tensor_decomp_complete_and_matches_fusion(shipped_bundles):

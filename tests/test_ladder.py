@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import PROBE_REF_S  # noqa: E402  (perfbench/run.py)
 
 
 def test_ladder_smoke_records_every_row(tmp_path):
@@ -20,4 +22,6 @@ def test_ladder_smoke_records_every_row(tmp_path):
     for r in rows:
         assert r["exit"] == 0 and r["traceback"] is False and r["peak_rss_mb"] > 0, r
         assert r["probe_s"] > 0, r  # the calibration loop of perfbench/run.py
+        # the seconds at perfbench's reference speed
+        assert r["scaled_s"] == round(r["seconds"] * PROBE_REF_S / r["probe_s"], 2), r
     assert rows[0]["file_bytes"] > 0

@@ -14,14 +14,22 @@ test_examples.py).  ``gen suq2`` works in the weight basis, a different
 gauge of the same category, whose L=3 reports keep every row and flag and
 move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
 
-The last re-pin took one leg of Delta(a) channel by channel in
+The last re-pin moved two rows at roundoff.  ``4-t-inverse-identities``
+takes T1^-1 and T2^-1 of Delta channel pair by channel pair and multiplies by
+c (by a) after, where it had inverted the pair blocks of Delta(a) cut by c:
+its residual moved in the ``check`` reports of s3, d4, q8, a4, suq2-l3 and
+suq2-l10.  ``completeness`` reads the pair's worst channel Gram entry in
+place of max |sum v v* - I|: one row each moved in the ``validate`` reports
+of s3, a4 and suq2-l3.  No other row and no ``max_residual`` moved.
+
+The re-pin before it took one leg of Delta(a) channel by channel in
 ``3-antipode-laws`` and ``6-haar-invariance``, which then multiply by c,
 where they had cut the pair blocks of Delta(a) by c first: their residuals
 moved at roundoff in every ``check`` report (within a factor of 1.4), and
 with row 6 the ``max_residual`` of the closed bundles' reports.  Row
 ``2-counit-laws`` reads the same bits, and no other row moved.
 
-The re-pin before it made two rows read the pairs' channel Gram: the
+The one before made two rows read the pairs' channel Gram: the
 ``8-delta-homomorphism`` row of every ``check`` report and the
 ``comult-flip`` row of every ``rmatrix`` report changed location and
 residual, and ``suq2-l3.validate.json`` gained a
