@@ -81,15 +81,6 @@ class Aqg:
                 batch[d][lay.block_of[at[sel]]] = blocks
         return out
 
-    # conjugate-pair matrices, used by the antipode formulas
-    def _rmat(self, i: str) -> Array:
-        r, _ = self.bundle.conj[i]
-        return r.reshape(self.d(self.bundle.dual[i]), self.d(i))
-
-    def _rbarmat(self, i: str) -> Array:
-        _, rbar = self.bundle.conj[i]
-        return rbar.reshape(self.d(i), self.d(self.bundle.dual[i]))
-
     def export(self) -> dict:
         """JSON-ready structure dump: dims, F blocks, Haar weights."""
         return {
@@ -269,21 +260,18 @@ def _sample_max(*stacks) -> Array:
 # structure maps
 
 
-def _dual_index(q: Aqg) -> Array:
-    """The label number of each label's dual."""
-    return np.array([q.bundle.layout.label_index[q.bundle.dual[k]] for k in q.labels])
-
-
 def _conj_stacks(q: Aqg):
-    """Per block size d: Rbar_i and conj(R_i) of the labels i of size d,
-    stacked in block order, with the blocks of their duals (d_dual(i) =
-    d_i, as the zigzag checks of f_element force); built once per q."""
+    """The conjugate pairs, stacked once per q on first use: per block size
+    d, Rbar_i and conj(R_i) of the labels i of size d in block order, and
+    the blocks of their duals.  R_i is r_i as a d_dual(i) x d_i matrix and
+    Rbar_i is rbar_i as d_i x d_dual(i), both square as the zigzag checks of
+    f_element force.  The antipode, rows 3 and 4, the R-matrix's antipode
+    rows and the dual's antipode table read them."""
     if "conj" not in q._cache:
-        lay = q.bundle.layout
-        rbar = _label_stacks(q, {i: q._rbarmat(i) for i in q.labels})
-        rmc = _label_stacks(q, {i: q._rmat(i).conj() for i in q.labels})
-        dual = _dual_index(q)
-        q._cache["conj"] = {int(d): (rbar[d], rmc[d], lay.block_of[dual[sel]])
+        lay, conj = q.bundle.layout, q.bundle.conj
+        r, rbar = (_label_stacks(q, {i: conj[i][t].reshape(q.d(i), -1) for i in q.labels})
+                   for t in (0, 1))
+        q._cache["conj"] = {int(d): (rbar[d], r[d].conj(), lay.block_of[lay.dual[sel]])
                             for d, sel in split_by(lay.dims)}
     return q._cache["conj"]
 
@@ -443,7 +431,7 @@ class _TInverse(_Contraction):
         n_lab = len(lay.dims)
         at = np.array([lay.label_index[k] for k in support], dtype=int)
         self.s, self.n = np.repeat(at, len(at)), np.tile(at, len(at))
-        dual = _dual_index(q)[self.s]
+        dual = lay.dual[self.s]
         vat, v = lay.channels_of(self.n * n_lab + dual if keep == 2 else dual * n_lab + self.n)
         mid = lay.chan_label[v]
         wat, w = lay.channels_of(mid * n_lab + self.s[vat] if keep == 2

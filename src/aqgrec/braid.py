@@ -17,12 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aqg import Aqg
+from .aqg import Aqg, _conj_stacks
 from .bundle import FusionLayout
 from .document import require_braiding
 from .errors import MissingBraiding
 from .linalg import (DEFAULT_TOL, Array, Tolerance, add_in_order, bdagger, eye, flip,
-                     frozen_eye, group_by, max_abs, shape_stacks, split_by, worst,
+                     frozen_eye, group_by, max_abs, split_by, worst,
                      zero_stacks)
 from .report import Report
 
@@ -74,7 +74,7 @@ def braiding_to_r(q: Aqg) -> RMatrix:
     b = q.bundle
     require_braiding(b.braiding)
     lay = b.layout
-    c = RMatrix(lay, *lay.pair_stacks(b.braiding))  # the braidings, stacked as R is
+    c = RMatrix(lay, *lay.braidings)  # the layout's braidings, stacked as R is
     if not c.have.any():
         raise MissingBraiding("*", "*")
     return c.mapped(lambda di, dj, i, j: _flip(dj, di) @ c.take(i * len(lay.dims) + j))
@@ -168,14 +168,12 @@ def verify_quasitriangular(q: Aqg, R: RMatrix, tol: Tolerance = DEFAULT_TOL) -> 
                   for s, sel in split_by(R.shape[legs])))
     rep.add("counit-legs", "(eps x iota)R = 1 = (iota x eps)R", res, res <= bound)
 
-    # the antipode rows, with Rbar_i and conj(R_i) stacked by label number;
-    # d_dual(i) = d_i, so the blocks of each (d_i, d_j) share their shapes
-    dual = np.array([lay.label_index[b.dual[x]] for x in q.labels])
-    conj = [shape_stacks([q._rbarmat(x) for x in q.labels]),
-            shape_stacks([q._rmat(x).conj() for x in q.labels])]
+    # the antipode rows, with Rbar_i and conj(R_i) from the conjugate-pair
+    # stacks; d_dual(i) = d_i, so the blocks of each (d_i, d_j) share shapes
+    dual, conj = lay.dual, _conj_stacks(q)
 
-    def s_ops(x):  # (Rbar_x, conj(R_x)) for the int array x of labels
-        return [stacks[shape[x[0]]][slot[x]] for shape, slot, stacks in conj]
+    def s_ops(x):  # (Rbar_x, conj(R_x)) for the int array x of labels of one size
+        return [m[lay.block_of[x]] for m in conj[d[x[0]]][:2]]
 
     i, j = np.divmod(np.flatnonzero(R.have), n)
     res = [[], []]

@@ -52,7 +52,6 @@ from .linalg import (
     max_abs,
     ranges,
     residual,
-    shape_stacks,
     split_by,
     walk,
     worst,
@@ -65,10 +64,15 @@ class CategoryBundle:
     """Fusion, conjugation and (optionally) braiding data of a category.
 
     The fusion layout (see layout) is built from the fusion data on first use
-    and kept; the fusion data must not change after that.  A modified bundle
-    is a new CategoryBundle (dataclasses.replace starts it without a layout).
-    weights, when given, grades each H_i by an integer per basis vector; the
-    layout certifies it when it is built (see FusionLayout).
+    and kept, and from then on it owns the bundle's isometries and
+    braidings: building it replaces fusion and braiding with new dicts, of
+    the same keys in the same order, whose matrices are views of the
+    layout's stacks, so each matrix is held once.  The fusion and braiding
+    data must not change after that.  A modified bundle is a new
+    CategoryBundle (dataclasses.replace starts it without a layout, and the
+    dicts it shares with the old bundle are never mutated).  weights, when
+    given, grades each H_i by an integer per basis vector; the layout
+    certifies it when it is built (see FusionLayout).
     """
 
     labels: list[str]
@@ -105,7 +109,9 @@ class CategoryBundle:
 
 
 class FusionLayout:
-    """A bundle's fusion isometries in one stacked layout, built once.
+    """A bundle's fusion isometries and braidings in one stacked layout,
+    built once.  It is the one owner of those arrays: the bundle's fusion and
+    braiding matrices are views of its stacks (CategoryBundle).
 
     Labels are numbered in label order and the pair (i,j) is n_i N + n_j.
     Every fusion channel (a column block v of V_ij = [v_ij^{k,alpha}]_{k,alpha})
@@ -124,9 +130,11 @@ class FusionLayout:
     over these arrays.  Per label: dims, block_of (the slot of a label among
     the dim_count[d] labels of its size d) and name_rank (the place of its
     name among the sorted names, the order of the reports' rows by name).
-    Per pair: pair_size = d_i d_j, count[p, k] = N_ij^k over loaded
-    channels, with loaded = count > 0, and complete_pair[p], whether those
-    summands fill H_i (x) H_j.
+    dual[n] is the label number of the dual of label n.  Per pair:
+    pair_size = d_i d_j, count[p, k] = N_ij^k over loaded channels, with
+    loaded = count > 0, and complete_pair[p], whether those summands fill
+    H_i (x) H_j.  braidings holds the braidings c_ij as pair_stacks stacks
+    them (None without a braiding), which validation and the R-matrix read.
 
     weights[n] holds the weight of each basis vector of label n: the bundle's
     grading, or 0 throughout when it declares none.  A declared grading is
@@ -144,12 +152,12 @@ class FusionLayout:
         self.pairs = [(i, j) for i in b.labels for j in b.labels]
         self.pair_index = {p: n for n, p in enumerate(self.pairs)}
         self.count = np.zeros((len(self.pairs), len(b.labels)), dtype=int)
-        chans, mats = [], []
+        chans, mats, first = [], [], {}
         for n, (i, j) in enumerate(self.pairs):
             loaded = b.fusion.get((i, j), {})
             for c, k in enumerate(b.labels):
                 if loaded.get(k):
-                    self.count[n, c] = len(loaded[k])
+                    self.count[n, c], first[(i, j, k)] = len(loaded[k]), len(mats)
                     chans += [(n, c, a) for a in range(len(loaded[k]))]
                     mats += loaded[k]
         self.chan_pair, self.chan_label, self.chan_alpha = np.array(
@@ -167,6 +175,8 @@ class FusionLayout:
             self.dim_count[d] = self.block_of[n] + 1
         self.pair_size = np.outer(self.dims, self.dims).reshape(-1)
         self.complete_pair = self.count @ self.dims == self.pair_size
+        self.dual = np.array([self.label_index[b.dual[k]] for k in b.labels], dtype=int)
+        self.braidings = None if b.braiding is None else self.pair_stacks(b.braiding)
         # grading.py and sectors.py load on use: every process compiles what
         # it imports, gen needs neither and the window refusals no certificate
         if b.weights is None:
@@ -177,6 +187,17 @@ class FusionLayout:
             self.weights = weights_of(b)
             certify_grading(b, self)
         self._fmoves = self._gram = None
+        # the bundle's matrices become views of the stacks, in new dicts, so
+        # that each is held once and a bundle sharing b's dicts keeps its own
+        view = [self.chan_stacks[s][t] for s, t in zip(self.chan_shape.tolist(),
+                                                       self.chan_slot.tolist())]
+        b.fusion = {(i, j): {k: view[first[(i, j, k)]:first[(i, j, k)] + len(mats)]
+                             if (i, j, k) in first else mats for k, mats in loaded.items()}
+                    for (i, j), loaded in b.fusion.items()}
+        if b.braiding is not None:
+            _, shape, slot, stacks = self.braidings
+            b.braiding = {p: stacks[shape[self.pair_index[p]]][slot[self.pair_index[p]]]
+                          for p in b.braiding}
 
     def isometries(self, chans) -> Array:
         """The stacked isometries of channels chans, which share one shape."""
@@ -200,7 +221,7 @@ class FusionLayout:
         """
         have = np.array([p in mats for p in self.pairs], dtype=bool)
         shape, slot = np.full(len(have), -1), np.full(len(have), -1)
-        shape[have], slot[have], stacks = shape_stacks(
+        _, _, shape[have], slot[have], stacks = flat_stacks(
             [mats[p] for p in self.pairs if p in mats])
         return have, shape, slot, stacks
 
@@ -602,8 +623,7 @@ def validate_bundle(
 
     # unit and dual fusion constraints: N[i, j, k] = N_ij^k
     N = lay.count.reshape(n_lab, n_lab, n_lab)
-    u = lay.label_index[b.unit]
-    dual = np.array([lay.label_index[b.dual[i]] for i in lab], dtype=int)
+    u, dual = lay.label_index[b.unit], lay.dual
     ident = np.eye(n_lab, dtype=int)
     ok_unit = bool((N[u] == ident).all() and (N[:, u] == ident).all()
                    and (N[:, :, u] == ident[dual]).all())
@@ -700,10 +720,10 @@ def _validate_braiding(b, tol, rep, fail_fast):
     if rep.add_rows("braiding-unit", b.labels, res, res <= one, fail_fast):
         return
 
-    # the braidings stacked per shape: c(i, m) is braidings(i N + m)
+    # the layout's braidings, stacked per shape: c(i, m) is braidings(i N + m)
     lay, lab = b.layout, b.labels
     n_lab = len(lab)
-    _, cshape, cslot, cstacks = lay.pair_stacks(b.braiding)
+    _, cshape, cslot, cstacks = lay.braidings
 
     def braidings(pairs):
         return cstacks[cshape[pairs[0]]][cslot[pairs]]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqg import Aqg, unit_index
+from .aqg import Aqg, _conj_stacks, unit_index
 from .document import require_tables
 from .linalg import DEFAULT_TOL, Array, Tolerance, eye, residual, worst
 from .report import Report
@@ -84,17 +84,17 @@ def table_from_aqg(q: Aqg) -> TableHopf:
     star = np.zeros((N, N), dtype=complex)
     haar_v = np.zeros(N, dtype=complex)
     idx = {k: unit_index(q, k) for k in q.labels}
+    lay, conj = b.layout, _conj_stacks(q)
 
-    for k in q.labels:
-        ik, i = idx[k], b.dual[k]
+    for n, k in enumerate(q.labels):
+        ik, i = idx[k], lay.dual[n]
         mult[ik[:, :, None], ik[None, :, :], ik[:, None, :]] = 1.0
         unit[ik.diagonal()] = 1.0
         star[ik, ik.T] = 1.0
         haar_v[ik] = q.haar_weights[k] * q.F[k].T
-        anti[ik[:, :, None, None], idx[i]] = np.einsum(
-            "as,pb->psab", q._rbarmat(i), q._rmat(i).conj())
+        rb, rmc = (m[lay.block_of[i]] for m in conj[lay.dims[i]][:2])
+        anti[ik[:, :, None, None], idx[q.labels[i]]] = np.einsum("as,pb->psab", rb, rmc)
     counit_v[idx[b.unit][0, 0]] = 1.0
-    lay = b.layout
     for c, (p, k) in enumerate(zip(lay.chan_pair.tolist(), lay.chan_label.tolist())):
         (n, m), k = lay.pairs[p], q.labels[k]
         dn, dm, dk = q.d(n), q.d(m), q.d(k)

@@ -82,20 +82,13 @@ def max_abs(x: Array) -> Array:
 # ---------------------------------------------------------------------------
 # stacked kernels
 
-def shape_stacks(mats) -> tuple[Array, Array, list]:
-    """Matrices stacked per shape, in first-seen shape order.
-
-    Returns (shape, slot, stacks): mats[n] is stacks[shape[n]][slot[n]].
-    """
-    _, _, shape, slot, stacks = flat_stacks(mats)
-    return shape, slot, stacks
-
-
 def flat_stacks(mats) -> tuple[Array, Array, Array, Array, list]:
-    """shape_stacks, with every stack a view of one flat buffer.
+    """Matrices stacked per shape, in first-seen shape order, every stack a
+    view of one flat buffer.
 
-    Returns (flat, start, shape, slot, stacks): the entries of mats[n], in
-    row-major order, are flat[start[n]:start[n] + mats[n].size].
+    Returns (flat, start, shape, slot, stacks): mats[n] is
+    stacks[shape[n]][slot[n]], and its entries, in row-major order, are
+    flat[start[n]:start[n] + mats[n].size].
     """
     ids: dict[tuple, int] = {}
     lists: list[list] = []

@@ -79,11 +79,19 @@ def counit(q, a):
     return complex(a.blocks[u][0, 0]) if u in a.blocks else 0j
 
 
+def conj_mats(q, i):
+    """(R_i, Rbar_i): r_i as a d_dual(i) x d_i matrix and rbar_i as
+    d_i x d_dual(i)."""
+    b = q.bundle
+    (r, rbar), di, dib = b.conj[i], b.d(i), b.d(b.dual[i])
+    return r.reshape(dib, di), rbar.reshape(di, dib)
+
+
 def antipode(q, a):
     """S(a)_i = Rbar_i a_dual(i)^T conj(R_i), one block at a time."""
     b = q.bundle
-    return AqgElement({b.dual[k]: q._rbarmat(b.dual[k]) @ a.blocks[k].T
-                       @ q._rmat(b.dual[k]).conj() for k in a.support})
+    return AqgElement({b.dual[k]: conj_mats(q, b.dual[k])[1] @ a.blocks[k].T
+                       @ conj_mats(q, b.dual[k])[0].conj() for k in a.support})
 
 
 def haar(q, a, side="left"):
@@ -346,7 +354,7 @@ def t1_inverse(q, x):
     for (i, j), blk in x.items():
         di, dj = q.d(i), q.d(j)
         m = b.dual[j]
-        rb, rm = q._rbarmat(j), q._rmat(j)
+        rm, rb = conj_mats(q, j)
         t = blk.reshape(di, dj, di, dj)
         for n in b.labels:
             if not b.isometries(n, m, i):
@@ -370,7 +378,7 @@ def t2_inverse(q, x):
     for (i, j), blk in x.items():
         di, dj = q.d(i), q.d(j)
         m = b.dual[i]
-        rb, rm = q._rbarmat(i), q._rmat(i)
+        rm, rb = conj_mats(q, i)
         t = blk.reshape(di, dj, di, dj)
         for n in b.labels:
             if not b.isometries(m, n, j):

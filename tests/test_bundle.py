@@ -767,3 +767,75 @@ def test_a_channel_defect_fails_the_sector_certificate(suq2_bundles):
     failed = {c.name for c in verify_axioms(reconstruct(b, validate=False)).checks
               if not c.passed}
     assert "1-coassociativity" in failed, failed
+
+
+def _copies(b):
+    """Copies of the bundle's fusion and braiding matrices, in its key order."""
+    return ({p: {k: [m.copy() for m in mats] for k, mats in chans.items()}
+             for p, chans in b.fusion.items()},
+            {p: c.copy() for p, c in (b.braiding or {}).items()})
+
+
+def _made(name):
+    """(bundle, copies of its matrices as parsed or generated) for one case."""
+    from aqgrec.examples import builtin_group, gen_finite_group, gen_pointed
+
+    made = {"suq2-q0.9-L8": lambda: gen_suq2(0.9, 8), "pointed-z5-t1": lambda: gen_pointed(5, 1),
+            "d4": lambda: gen_finite_group(builtin_group("d4"))}
+    if name == "generated-s3":
+        b = gen_finite_group(builtin_group("s3"))
+        assert b._layout is None
+        return b, _copies(b)
+    source = made[name]()  # the text round-trips every entry bitwise
+    return parse_bundle(serialize_bundle(source)), _copies(source)
+
+
+@pytest.mark.parametrize("name", ["suq2-q0.9-L8", "pointed-z5-t1", "d4", "generated-s3"])
+def test_the_layout_holds_each_matrix_once(name):
+    # once the layout is built, the bundle's isometries and braidings are
+    # views of its stacks, in new dicts of the same keys in the same order,
+    # and bitwise what was parsed or generated
+    b, (fusion, braiding) = _made(name)
+    lay = b.layout
+    assert list(b.fusion) == list(fusion)
+    for p, chans in fusion.items():
+        assert list(b.fusion[p]) == list(chans)
+        for k, mats in chans.items():
+            assert len(b.fusion[p][k]) == len(mats)
+            for m, want in zip(b.fusion[p][k], mats):
+                assert np.shares_memory(m, lay.chan_flat), (name, p, k)
+                assert m.shape == want.shape and m.tobytes() == want.tobytes(), (name, p, k)
+    assert list(b.braiding or {}) == list(braiding)
+    for p, want in braiding.items():
+        c = b.braiding[p]
+        assert any(np.shares_memory(c, s) for s in lay.braidings[3]), (name, p)
+        assert c.shape == want.shape and c.tobytes() == want.tobytes(), (name, p)
+
+
+def test_replacing_a_bundle_leaves_the_dicts_it_shares():
+    # a bundle made from b shares b's dicts; building its layout rebinds its
+    # own attributes only
+    b = gen_suq2(0.5, 4)
+    b.layout
+    fusion, braiding = b.fusion, b.braiding
+    other = dataclasses.replace(b, weights=None)
+    assert other.fusion is fusion and other.layout is not b.layout
+    assert other.fusion is not fusion
+    assert b.fusion is fusion and b.braiding is braiding
+    assert all(np.shares_memory(m, b.layout.chan_flat) for chans in fusion.values()
+               for mats in chans.values() for m in mats)
+    assert validate_bundle(b).passed and validate_bundle(other).passed
+
+
+def test_a_parsed_window_holds_its_isometries_once():
+    # parse_bundle builds the layout of a graded bundle; after it, the
+    # bundle holds about one copy of its isometries (2.04 times with the
+    # parsed matrices kept beside the layout's)
+    text = serialize_bundle(gen_suq2(0.9, 16))
+    tracemalloc.start()
+    try:
+        b = parse_bundle(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.2 * b.layout.chan_flat.nbytes, (held, b.layout.chan_flat.nbytes)

@@ -6,7 +6,7 @@ import pytest
 
 from aqgrec import dual, group
 from aqgrec.aqg import reconstruct
-from aqgrec.bundle import parse_bundle
+from aqgrec.bundle import parse_bundle, validate_bundle
 from aqgrec.cli import run
 from aqgrec.examples import _qint
 
@@ -350,6 +350,27 @@ def test_exit_code_1_on_corrupted_bundle(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 1
     assert run(["check", str(path)]) == 1
+
+
+def test_a_dual_map_across_dimensions_fails_without_a_traceback(tmp_path, capsys):
+    # S3 with the dual of the sign (dimension 1) set to the 2-dimensional
+    # label and back: the conjugate pairs cannot be stacked per block size,
+    # which only the checks after validation do, so validation reports the
+    # failing rows and check stops there
+    path = _gen(tmp_path, "s3")
+    doc = json.loads(path.read_text())
+    doc["dual"].update({"1": "2", "2": "1"})
+    for i in ("1", "2"):
+        doc["conj"][i] = {"r": {"len": 2, "data": [[1.0, 0.0], [0.0, 0.0]]},
+                          "rbar": {"len": 2, "data": [[1.0, 0.0], [0.0, 0.0]]}}
+    path.write_text(json.dumps(doc))
+    rep = validate_bundle(parse_bundle(path.read_text()))
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert {"unit-dual-fusion-rules", "r-in-unit-channel"} <= failed, failed
+    for op in ("validate", "check"):
+        capsys.readouterr()
+        assert run([op, str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_text_mode(tmp_path, capsys):

@@ -8,8 +8,8 @@ intertwiner spaces of these actions on the matrix units of A.
 import numpy as np
 
 from aqgrec.linalg import dagger, residual, solve_intertwiners
-from test_aqg import (AqgElement, counit, delta, f_blocks, fusion_support, identity,
-                      matrix_unit, random_element)
+from test_aqg import (AqgElement, conj_mats, counit, delta, f_blocks, fusion_support,
+                      identity, matrix_unit, random_element)
 
 
 def action(q, obj, a):
@@ -134,7 +134,7 @@ def test_conjugate_rep_solves_conjugate_equations(shipped_aqgs, rng):
             ib = b.dual[i]
             assert q.d(ib) == q.d(i)
             r, rbar = b.conj[i]
-            rm, rbm = q._rmat(i), q._rbarmat(i)
+            rm, rbm = conj_mats(q, i)
             # the pair relation and the quantum-dimension normalization
             assert residual(rbm, np.linalg.inv(rm).conj()) < 1e-9
             qd = dimension(q, i)
