@@ -6,15 +6,17 @@ Run from the repository root:
     python3 bench/ladder.py --tag before --src ../other-checkout/src
     python3 bench/ladder.py --smoke -o ladder-smoke.json
 
-Each row runs `python -m aqgrec.cli` from --src with an RLIMIT_AS cap and
-one BLAS thread, and reads its wall time, its peak RSS (os.wait4), its exit
-code and whether its stderr holds a traceback.  A capped, refused or killed
-row is recorded like any other.  Beside each row, probe_s is the time of
-perfbench/run.py's calibration loop just before it: the machine's speed
-drifts between runs, and a row's seconds times PROBE_REF_S / probe_s are
-seconds at perfbench's reference speed, which every timed row records as
-scaled_s.  The run replaces the run of the same tag in
-the output file and keeps the others, so two checkouts share one file.
+The rungs are SU_q(2) windows at q = 0.9, pointed Z/n and the closed
+groups S3, D4 and Q8.  Each row runs `python -m aqgrec.cli` from --src
+with an RLIMIT_AS cap and one BLAS thread, and reads its wall time, its
+peak RSS (os.wait4), its exit code and whether its stderr holds a
+traceback.  A capped, refused or killed row is recorded like any other.
+Beside each row, probe_s is the time of perfbench/run.py's calibration loop
+just before it: the machine's speed drifts between runs, and a row's
+seconds times PROBE_REF_S / probe_s are seconds at perfbench's reference
+speed, which every timed row records as scaled_s.  The run replaces the run
+of the same tag in the output file and keeps the others, so two checkouts
+share one file.
 """
 from __future__ import annotations
 
@@ -47,6 +49,11 @@ SUQ2 = [(f"suq2 q=0.9 L={L}", ["suq2", "--q", "0.9", "--L", str(L)], L + 1,
 POINTED = [(f"pointed Z/{n} t=1", ["pointed", "--n", str(n), "--t", "1"], n, n,
             [("gen", 2 * GIB), ("validate", 2 * GIB), ("check", 2 * GIB), ("rmatrix", 2 * GIB)])
            for n in (16, 32, 64)]
+# Rep(G) of the closed groups, N = |G|, with every subcommand
+CLOSED = [(g.upper(), [g], labels, n,
+           [(op, 2 * GIB) for op in ("gen", "validate", "check", "dual", "group", "rmatrix",
+                                      "dims")])
+          for g, labels, n in (("s3", 3, 6), ("d4", 5, 8), ("q8", 5, 8))]
 SMOKE = [("suq2 q=0.9 L=4", ["suq2", "--q", "0.9", "--L", "4"], 5, 55,
           [("gen", 2 * GIB), ("validate", 2 * GIB)])]
 
@@ -84,7 +91,7 @@ def main() -> None:
     rows = []
     with tempfile.TemporaryDirectory() as work:
         bundle, out = Path(work) / "bundle.json", str(Path(work) / "out.json")
-        for name, gen, labels, n, ops in SMOKE if args.smoke else SUQ2 + POINTED:
+        for name, gen, labels, n, ops in SMOKE if args.smoke else SUQ2 + POINTED + CLOSED:
             for op, cap in ops:
                 row = {"bundle": name, "labels": labels, "N": n, "op": op,
                        "probe_s": round(probe(), 4)}

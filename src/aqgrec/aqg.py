@@ -24,6 +24,7 @@ from .errors import ConjInconsistent, InconsistentSolve, InvalidBundle
 from .linalg import (
     DEFAULT_TOL,
     Array,
+    Normals,
     Tolerance,
     add_planned,
     dagger,
@@ -66,7 +67,8 @@ class Aqg:
         label by default), of its block sizes.  Sample t draws its k
         elements in turn, each its blocks in support order, a block as a
         d x d standard normal real part and then imaginary part; all in one
-        call of rng, which yields the numbers drawn one block at a time."""
+        call of rng (linalg.Normals), one stream, which yields the numbers
+        drawn one block at a time."""
         lay = self.bundle.layout
         at = np.array([lay.label_index[i] for i in support or self.labels], dtype=int)
         size = 2 * lay.dims[at] ** 2
@@ -149,9 +151,10 @@ def reconstruct(
 ) -> Aqg:
     """Build the discrete quantum group over a bundle.
 
-    Validates the bundle, extracts f, fixes the Haar weights w_i = Tr F_i,
-    and spot-checks left invariance of the weighted-trace Haar ansatz on
-    two seeded samples before returning.
+    Extracts f and fixes the Haar weights w_i = Tr F_i.  With validate, the
+    bundle passes both input guards first: validate_bundle, and then the
+    Haar spot check (haar_spot_check) before returning; without it, neither
+    runs, so that the checks see a defective bundle.
     """
     if validate:
         vrep = validate_bundle(b, tol)
@@ -166,21 +169,26 @@ def reconstruct(
             raise ConjInconsistent(f"trace balance fails at label {i}")
         weights[i] = w
     q = Aqg(bundle=b, F=F, Finv=Finv, haar_weights=weights)
+    if validate:
+        haar_spot_check(q)
+    return q
 
-    # spot-check invariance of the Haar ansatz before first use,
-    # (iota (x) phi)(Delta(a)) c = phi(a) c, per sample against the larger
-    # of 1 and the samples' scale
+
+def haar_spot_check(q: Aqg) -> None:
+    """Left invariance of the weighted-trace Haar ansatz on two seeded
+    samples, (iota (x) phi)(Delta(a)) c = phi(a) c, per sample against the
+    larger of 1 and the samples' scale; raises InconsistentSolve past a
+    relative 1e-6."""
     def ansatz(a, c, got):
         want = _scaled(c, haar(q, a, "left"))
         res = _sample_max(*(got[0][d] @ c[d] - want[d] for d in want))
         return [res / np.maximum(1.0, _sample_max(*a.values()) * _sample_max(*c.values()))], []
 
     sample = haar_sample_support(q)
-    res, _ = _channel_row(q, np.random.default_rng(7), 2, sample, [
+    res, _ = _channel_row(q, Normals(7), 2, sample, [
         _Contraction(q, sample, sample, 1, _leg(q, _haar_stacks(q, "left")[1]))], ansatz)
     if not res <= 1e-6:
         raise InconsistentSolve(f"Haar ansatz fails invariance (relative residual {res:.3e})")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +579,7 @@ def modular_data(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     f (verified via the trace-exchange identity); mu compares phi after S^2
     with phi.  Returns delta as its blocks by label, rho and mu.
     """
-    rng = np.random.default_rng(11)
+    rng = Normals(11)
     sample = haar_sample_support(q)
     lay = q.bundle.layout
     fst, weighted = _haar_stacks(q, "left")
@@ -659,7 +667,7 @@ def verify_axioms(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rep = Report("hopf-axioms")
-    rng = np.random.default_rng(seed)
+    rng = Normals(seed)
     b = q.bundle
     lay = b.layout
     sample = haar_sample_support(q)

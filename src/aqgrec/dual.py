@@ -12,7 +12,7 @@ import numpy as np
 
 from .aqg import Aqg, _conj_stacks, unit_index
 from .document import require_tables
-from .linalg import DEFAULT_TOL, Array, Tolerance, eye, residual, worst
+from .linalg import DEFAULT_TOL, Array, Normals, Tolerance, eye, residual, worst
 from .report import Report
 
 
@@ -187,7 +187,7 @@ def dual_hopf(q: Aqg, tol: Tolerance = DEFAULT_TOL):
     T = table_from_aqg(q)
     Td = dual_table(T)
     rep = verify_table(Td, tol, title="dual-hopf")
-    rng = np.random.default_rng(23)
+    rng = Normals(23)
     diffs = []
     for _ in range(8):
         cvec = rng.standard_normal(T.dim) + 1j * rng.standard_normal(T.dim)

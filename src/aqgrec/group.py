@@ -17,7 +17,7 @@ import numpy as np
 from .aqg import Aqg, unit_index
 from .document import require_group
 from .dual import TableHopf, dual_table, table_from_aqg
-from .linalg import DEFAULT_TOL, Array, Tolerance, dagger, eye, residual, worst
+from .linalg import DEFAULT_TOL, Array, Normals, Tolerance, dagger, eye, residual, worst
 from .report import Report
 
 
@@ -101,7 +101,7 @@ def characters(T: TableHopf, tol: Tolerance = DEFAULT_TOL,
         return []
     # left multiplication by e_u on the quotient
     Lq = np.einsum("xw,uwt,ty->uxy", dagger(C), T.mult, C, optimize=True)
-    rng = np.random.default_rng(seed)
+    rng = Normals(seed)
     for _ in range(16):
         z = rng.standard_normal(N)
         evals, W = np.linalg.eig(np.einsum("u,uxy->xy", z, Lq))

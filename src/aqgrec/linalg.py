@@ -12,6 +12,7 @@ product performs the same floating-point operations as the 2-d one.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +55,30 @@ DEFAULT_TOL = Tolerance()
 # samples of a sampled check, and its chunks of pairs and batches of samples
 # beside the group; counted from the shapes of what a chunk holds
 CHUNK_BYTES = 1 << 22
+
+
+class Normals:
+    """A seeded stream of standard normal draws on the stdlib generator,
+    random.Random(seed), which numpy loads anyway: no process loads
+    numpy.random.
+
+    Each draw takes 16 bytes of Random.randbytes, read as two little-endian
+    64-bit words whatever the platform, turns their top 53 bits into
+    uniforms u, v in (0, 1], and is the Box-Muller normal
+    sqrt(-2 ln u) cos(2 pi v) (Box & Muller 1958).  The sine of the pair is
+    dropped, so every draw takes the same bytes, and n draws and then m
+    draws are the n + m draws of one call, bit for bit.
+    """
+
+    def __init__(self, seed: int):
+        self._gen = random.Random(seed)
+
+    def standard_normal(self, size) -> Array:
+        """Draws of shape size (an int or a tuple), in row-major order."""
+        shape = tuple(size) if isinstance(size, tuple) else (size,)
+        words = np.frombuffer(self._gen.randbytes(16 * math.prod(shape)), dtype="<u8")
+        u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+        return (np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2 * np.pi * u[1::2])).reshape(shape)
 
 
 def residual(x, y) -> float:

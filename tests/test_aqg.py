@@ -14,12 +14,12 @@ import pytest
 
 from aqgrec import aqg, linalg
 from aqgrec.aqg import (
-    Aqg,
     ConjInconsistent,
     InvalidBundle,
     _label_stacks,
     f_element,
     haar_sample_support,
+    haar_spot_check,
     modular_data,
     reconstruct,
     unit_index,
@@ -30,7 +30,7 @@ from aqgrec.bundle import parse_bundle
 from aqgrec.dual import table_from_aqg
 from aqgrec.errors import InconsistentSolve, NotFinite
 from aqgrec.examples import gen_suq2
-from aqgrec.linalg import CHUNK_BYTES, DEFAULT_TOL, cmat, dagger, residual, worst
+from aqgrec.linalg import CHUNK_BYTES, DEFAULT_TOL, Normals, cmat, dagger, residual, worst
 from test_report_identity import a4_bundle
 
 
@@ -522,11 +522,14 @@ def test_window_rows_fail_on_a_seeded_defect(suq2_bundles, channel, rows):
 def test_the_haar_spot_check_of_reconstruct_fires(shipped_bundles, name):
     # reconstruct checks (iota (x) phi)(Delta(a)) c = phi(a) c on two samples
     # before it returns: the conjugate pair's channel 1 (x) 1 -> 0 off by
-    # 1e-4 fails it, and off by 1e-9 does not
+    # 1e-4 fails it, and off by 1e-9 does not.  Without validation
+    # reconstruct runs neither input guard, and builds either bundle
     b = shipped_bundles[name]
+    off, near = (reconstruct(scaled_channel(b, "1", "1", "0", 1 + s), validate=False)
+                 for s in (1e-4, 1e-9))
     with pytest.raises(InconsistentSolve, match="Haar ansatz fails invariance"):
-        reconstruct(scaled_channel(b, "1", "1", "0", 1 + 1e-4), validate=False)
-    reconstruct(scaled_channel(b, "1", "1", "0", 1 + 1e-9), validate=False)
+        haar_spot_check(off)
+    haar_spot_check(near)
 
 
 def taken(q, x, i, j, keep, f):
@@ -637,7 +640,7 @@ def test_the_gram_bounds_the_sampled_row_8(shipped_bundles, name):
         b = shipped_bundles.get(name) or gen_suq2(0.9, 8)
     lay = b.layout
     gram = np.maximum(*(lay.gram_worst(lay.chan_pair, len(lay.pairs), row) for row in (0, 1)))
-    res, scale = sampled_row_8(reconstruct(b, validate=False), np.random.default_rng(8))
+    res, scale = sampled_row_8(reconstruct(b, validate=False), Normals(8))
     for p, r in res.items():
         eps, width = pair_gram(b, *p)
         assert abs(eps - gram[lay.pair_index[p]]) <= width * np.finfo(float).eps, (name, p)
@@ -664,8 +667,9 @@ def per_pair_row_4(q, n_samples=16, seed=42, tol=DEFAULT_TOL):
     """Row 4 of verify_axioms one pair block at a time: a (x) c as
     elementary_pair against T1^-1 T1 and T2^-1 T2 on every block with both
     labels in the sample support, missing blocks being zero.  The rng skips
-    the draws of the rows before it.  Returns (residual, flag, scale)."""
-    rng = np.random.default_rng(seed)
+    the draws of the rows before it, on the package's stream.  Returns
+    (residual, flag, scale)."""
+    rng = Normals(seed)
     sample = haar_sample_support(q)
     n_small = max(2, n_samples // 4)
     for _ in range(n_small):
@@ -709,14 +713,10 @@ def test_row_4_compares_the_blocks_of_labels_no_chunk_takes(suq2_bundles):
     # without the unit's channels no pair of the window's sample support
     # (the unit alone then) carries Delta(a), so no item adds to a block;
     # the row still compares every block a_i (x) c_j of the support with
-    # zero, and fails as the per-pair loop does.  Reconstruct's spot check
-    # would stop such a bundle, so q is built around the intact one's f
-    # element
+    # zero, and fails as the per-pair loop does
     b = suq2_bundles["suq2-q0.5-L4"]
-    q0 = reconstruct(b)
     fusion = {p: chans for p, chans in b.fusion.items() if p[0] != b.unit}
-    q = Aqg(bundle=dataclasses.replace(b, fusion=fusion), F=q0.F, Finv=q0.Finv,
-            haar_weights=q0.haar_weights)
+    q = reconstruct(dataclasses.replace(b, fusion=fusion), validate=False)
     row = next(c for c in verify_axioms(q).checks if c.name.startswith("4-"))
     assert (row.residual, row.passed) == per_pair_row_4(q)[:2]
     assert not row.passed
@@ -728,8 +728,8 @@ def test_a_batch_draws_the_numbers_of_random_element(shipped_aqgs):
     for name in ("s3", "suq2-q0.5-L4"):
         q = shipped_aqgs[name]
         sup = haar_sample_support(q)
-        a, c = q.random_batch(np.random.default_rng(9), 3, 2, sup)
-        rng = np.random.default_rng(9)
+        a, c = q.random_batch(Normals(9), 3, 2, sup)
+        rng = Normals(9)
         want = [[random_element(q, rng, sup) for _ in range(2)] for _ in range(3)]
         for got, col in ((a, 0), (c, 1)):
             # a batch holds the block sizes of the support

@@ -91,6 +91,20 @@ def test_group_seed_reaches_every_row(tmp_path):
     assert rows["intrinsic-group-valid"]["residual"] == residuals[7]
 
 
+def test_check_seed_reaches_the_sampled_rows(tmp_path):
+    # --seed seeds linalg.Normals: two seeds move a sampled row, and one
+    # seed gives the same report twice
+    path = _gen(tmp_path, "d4")
+    reports = []
+    for n, seed in enumerate(("1", "2", "1")):
+        out = tmp_path / f"check{n}.json"
+        assert run(["check", str(path), "--seed", seed, "-o", str(out)]) == 0
+        reports.append(out.read_text())
+    rows = [{c["check"]: c["residual"] for c in json.loads(r)["checks"]} for r in reports]
+    assert rows[0]["3-antipode-laws"] != rows[1]["3-antipode-laws"]
+    assert reports[0] == reports[2]
+
+
 def test_rmatrix_command(tmp_path, capsys):
     path = _gen(tmp_path, "pointed", "--n", "2", "--t", "1")
     assert run(["rmatrix", str(path)]) == 0
@@ -474,14 +488,18 @@ _LOADS = (
     "    code = run(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('aqgrec.'))]))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('aqgrec.')),\n"
+    "                  sorted(m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+    "                         if m in sys.modules)]))\n"
 )
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     """The package root imports nothing, and each subcommand imports the
     modules it runs: a refusal, decided from the bundle document, loads
-    only the document module and the exceptions."""
+    only the document module and the exceptions.  The samples come from
+    linalg.Normals on the stdlib generator, so no subcommand loads
+    numpy.random, nor the secrets, hashlib and _hashlib that it imports."""
     import os
     import subprocess
     import sys
@@ -500,6 +518,9 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         (["check", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
         (["dims", closed, "-o", out], 0, {"braid", "dual", "group", "examples"}),
         (["gen", "s3", "-o", out], 0, {"aqg", "braid", "dual", "group"}),
+        (["rmatrix", closed, "-o", out], 0, {"dual", "group", "examples"}),
+        (["dual", closed, "-o", out], 0, {"braid", "group", "examples"}),
+        (["group", closed, "-o", out], 0, {"braid", "examples"}),
         (["dual", window], 2, modules - {"document", "errors"}),
         (["group", window], 2, modules - {"document", "errors"}),
         (["rmatrix", window], 2, modules - {"document", "errors"}),
@@ -507,9 +528,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     for argv, want, unused in cases:
         res = subprocess.run([sys.executable, "-c", _LOADS, *argv], capture_output=True,
                              text=True, env=dict(os.environ, PYTHONPATH=src))
-        code, loaded = json.loads(res.stdout.splitlines()[-1])
+        code, loaded, sampler = json.loads(res.stdout.splitlines()[-1])
         assert code == want, (argv, res.stderr)
         assert not {f"aqgrec.{m}" for m in unused} & set(loaded), (argv, loaded)
+        assert sampler == [], (argv, sampler)
         assert "aqgrec.cli" in loaded and "Traceback" not in res.stderr, argv
 
 

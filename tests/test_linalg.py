@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from aqgrec.linalg import (
     DEFAULT_TOL,
+    Normals,
     Tolerance,
     dagger,
     eye,
@@ -16,6 +17,31 @@ from aqgrec.linalg import (
 )
 
 dims = st.integers(min_value=1, max_value=4)
+
+
+def test_normals_are_one_stream():
+    # the draws of (7), then (3, 4), are the 19 draws of one call, bit for
+    # bit: the samples of a row do not depend on how they are grouped
+    rng = Normals(5)
+    parts = np.concatenate([rng.standard_normal(7), rng.standard_normal((3, 4)).ravel()])
+    assert np.array_equal(parts, Normals(5).standard_normal(19))
+    assert rng.standard_normal((2, 0, 3)).shape == (2, 0, 3)
+
+
+def test_normals_of_seed_0_are_pinned():
+    # the bytes are read little-endian on every platform; log and cos may
+    # differ in the last bit between math libraries
+    want = [1.065591144534257, 2.4731358300624136, 1.0463196844499478, 0.598291179468105]
+    assert Normals(0).standard_normal(4).tolist() == pytest.approx(want, rel=1e-15)
+
+
+def test_normals_have_mean_0_and_variance_1():
+    # within 5 sigma: the mean has sigma 1/sqrt(n), the sample variance
+    # sqrt(2/n) for a normal
+    n = 1 << 16
+    x = Normals(1).standard_normal(n)
+    assert abs(x.mean()) <= 5 / np.sqrt(n)
+    assert abs(x.var() - 1) <= 5 * np.sqrt(2 / n)
 
 
 def _rand(rng, n, m):

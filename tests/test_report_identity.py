@@ -14,7 +14,19 @@ test_examples.py).  ``gen suq2`` works in the weight basis, a different
 gauge of the same category, whose L=3 reports keep every row and flag and
 move the residuals at roundoff only (test_weight_basis_suq2_keeps_the_rows).
 
-The last re-pin moved two rows at roundoff.  ``4-t-inverse-identities``
+The last re-pin changed where the samples come from: linalg.Normals, one
+seeded normal stream on the stdlib generator, in place of numpy's
+default_rng, with every seed kept.  Only rows that read samples moved, at
+roundoff, with every name, location and flag held: in the ``check``
+reports rows 4 and 6 everywhere, row 3 everywhere but a4, row 2 on s3 and
+a4 and ``5-s-squared-ad-f`` on s3, d4, suq2-l3 and suq2-l10; the
+``parseval`` row of the ``dual`` reports but pointed-z4's; and the
+residuals of the ``group`` reports, whose group export (but pointed-z4's)
+lists the same group with its elements in another order (the order in
+which the seeded generic element's eigenvalues come out).  Every ``validate`` and
+``rmatrix`` report, and pointed-z4's ``dual`` report, kept its bytes.
+
+The re-pin before it moved two rows at roundoff.  ``4-t-inverse-identities``
 takes T1^-1 and T2^-1 of Delta channel pair by channel pair and multiplies by
 c (by a) after, where it had inverted the pair blocks of Delta(a) cut by c:
 its residual moved in the ``check`` reports of s3, d4, q8, a4, suq2-l3 and
@@ -22,21 +34,21 @@ suq2-l10.  ``completeness`` reads the pair's worst channel Gram entry in
 place of max |sum v v* - I|: one row each moved in the ``validate`` reports
 of s3, a4 and suq2-l3.  No other row and no ``max_residual`` moved.
 
-The re-pin before it took one leg of Delta(a) channel by channel in
+The one before took one leg of Delta(a) channel by channel in
 ``3-antipode-laws`` and ``6-haar-invariance``, which then multiply by c,
 where they had cut the pair blocks of Delta(a) by c first: their residuals
 moved at roundoff in every ``check`` report (within a factor of 1.4), and
 with row 6 the ``max_residual`` of the closed bundles' reports.  Row
 ``2-counit-laws`` reads the same bits, and no other row moved.
 
-The one before made two rows read the pairs' channel Gram: the
+Before that, a re-pin made two rows read the pairs' channel Gram: the
 ``8-delta-homomorphism`` row of every ``check`` report and the
 ``comult-flip`` row of every ``rmatrix`` report changed location and
 residual, and ``suq2-l3.validate.json`` gained a
 ``cross-label-orthogonality`` row per incomplete pair.  No other row and no
 ``max_residual`` moved.
 
-Before that, a re-pin deleted the rows that hold by construction: from ``check``,
+Earlier, a re-pin deleted the rows that hold by construction: from ``check``,
 ``4-t1-bijective`` and ``4-t2-bijective`` (replaced by
 ``4-t-inverse-identities`` on every bundle) and ``7-haar-faithful``, and
 ``8-delta-star-homomorphism`` became ``8-delta-homomorphism``; from
